@@ -8,171 +8,22 @@ quadratic forms and eigenvalue location/counting for the full operator
 (:mod:`speclab.hamiltonian`), and a batch CLI (:mod:`speclab.cli`).
 """
 
-from .coupling import (
-    Branch,
-    CouplingDerived,
-    CouplingParams,
-    Criticality,
-    TransitionClass,
-    branch_mus,
-    canonicalize,
-    classify,
-    critical_alpha,
-    derive,
-    mirror,
-    mu_beta_zero,
-)
-from .errors import (
-    Beta0ConstraintError,
-    BranchCutError,
-    InvalidParametersError,
-    NonConvergenceError,
-    NoDominanceSplitError,
-    NoSubcriticalBranchError,
-    SingularFormulaError,
-    SizeExceededError,
-    SpeclabError,
-)
-from .hamiltonian import (
-    AsymptoticsRow,
-    Discrete2Report,
-    FormValues,
-    HSpectrumResult,
-    ModeTrialFunction,
-    THRESHOLD,
-    TrialMode,
-    count_asymptotics_curve,
-    count_below_epsilon,
-    discrete2_check,
-    evaluate_forms,
-    h_eigenvalues_below_threshold,
-    hermite_eval,
-    lower_bound_constant,
-    random_trial,
-    saturating_trial,
-)
-from .jacobi_ops import (
-    DOUBLING_CAP,
-    DOUBLING_START,
-    CountingFamily,
-    CountingLimitFamily,
-    JacobiFamily,
-    ReferenceFamily,
-    SpectralFamily,
-    StableCount,
-    TransitionScanReport,
-    build,
-    compact_difference_tail,
-    count_relative,
-    family_label,
-    spectral_diagonals,
-    stable_count,
-    transition_scan,
-)
-from .recurrence import (
-    BirkhoffAdamsParams,
-    IdentityCheck,
-    RecurrenceSolution,
-    birkhoff_adams_eval,
-    coupling_weight,
-    coupling_weights,
-    identity_residual,
-    iterate_forward,
-    minimal_solution_backward,
-    secular_defect,
-    secular_function,
-    zeta,
-    zeta_array,
-)
-from .tridiag import (
-    DENSE_ORACLE_MAX_SIZE,
-    EigenvalueReport,
-    TridiagonalMatrix,
-    counts_for_diagonals,
-    dense_eigen_oracle,
-    eigenvalues_in_window,
-    smallest_eigenvalue,
-    sturm_count_below,
-    sturm_counts,
-)
+from . import coupling, errors, hamiltonian, jacobi_ops, recurrence, tridiag
+from .coupling import *
+from .errors import *
+from .hamiltonian import *
+from .jacobi_ops import *
+from .recurrence import *
+from .tridiag import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch",
-    "CouplingDerived",
-    "CouplingParams",
-    "Criticality",
-    "TransitionClass",
-    "branch_mus",
-    "canonicalize",
-    "classify",
-    "critical_alpha",
-    "derive",
-    "mirror",
-    "mu_beta_zero",
-    "Beta0ConstraintError",
-    "BranchCutError",
-    "InvalidParametersError",
-    "NonConvergenceError",
-    "NoDominanceSplitError",
-    "NoSubcriticalBranchError",
-    "SingularFormulaError",
-    "SizeExceededError",
-    "SpeclabError",
-    "AsymptoticsRow",
-    "Discrete2Report",
-    "FormValues",
-    "HSpectrumResult",
-    "ModeTrialFunction",
-    "THRESHOLD",
-    "TrialMode",
-    "count_asymptotics_curve",
-    "count_below_epsilon",
-    "discrete2_check",
-    "evaluate_forms",
-    "h_eigenvalues_below_threshold",
-    "hermite_eval",
-    "lower_bound_constant",
-    "random_trial",
-    "saturating_trial",
-    "DOUBLING_CAP",
-    "DOUBLING_START",
-    "CountingFamily",
-    "CountingLimitFamily",
-    "JacobiFamily",
-    "ReferenceFamily",
-    "SpectralFamily",
-    "StableCount",
-    "TransitionScanReport",
-    "build",
-    "compact_difference_tail",
-    "count_relative",
-    "family_label",
-    "spectral_diagonals",
-    "stable_count",
-    "transition_scan",
-    "BirkhoffAdamsParams",
-    "IdentityCheck",
-    "RecurrenceSolution",
-    "birkhoff_adams_eval",
-    "coupling_weight",
-    "coupling_weights",
-    "identity_residual",
-    "iterate_forward",
-    "minimal_solution_backward",
-    "secular_defect",
-    "secular_function",
-    "zeta",
-    "zeta_array",
-    "DENSE_ORACLE_MAX_SIZE",
-    "EigenvalueReport",
-    "TridiagonalMatrix",
-    "counts_for_diagonals",
-    "dense_eigen_oracle",
-    "eigenvalues_in_window",
-    "smallest_eigenvalue",
-    "sturm_count_below",
-    "sturm_counts",
+    *coupling.__all__,
+    *errors.__all__,
+    *hamiltonian.__all__,
+    *jacobi_ops.__all__,
+    *recurrence.__all__,
+    *tridiag.__all__,
     "__version__",
 ]

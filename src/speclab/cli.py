@@ -30,7 +30,7 @@ from .coupling import (
     classify,
     critical_alpha,
 )
-from .errors import NonConvergenceError, SpeclabError
+from .errors import InvalidParametersError, NonConvergenceError, SpeclabError
 from .hamiltonian import (
     count_asymptotics_curve,
     count_below_epsilon,
@@ -373,16 +373,16 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         if self.variable not in GRID_VARIABLES:
-            raise SpeclabValueError(
+            raise InvalidParametersError(
                 f"grid variable must be one of {GRID_VARIABLES}, "
                 f"got {self.variable!r}"
             )
         if self.steps < 1:
-            raise SpeclabValueError("grid steps must be >= 1")
+            raise InvalidParametersError("grid steps must be >= 1")
         if self.scale not in ("linear", "log"):
-            raise SpeclabValueError("grid scale must be 'linear' or 'log'")
+            raise InvalidParametersError("grid scale must be 'linear' or 'log'")
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
-            raise SpeclabValueError("log grids need positive endpoints")
+            raise InvalidParametersError("log grids need positive endpoints")
 
     def values(self) -> list[float]:
         if self.steps == 1:
@@ -392,14 +392,10 @@ class GridSpec:
         return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
 
 
-class SpeclabValueError(SpeclabError, ValueError):
-    """CLI-level configuration problem (exit code 2)."""
-
-
 def _parse_grid(text: str) -> GridSpec:
     parts = text.split(":")
     if len(parts) not in (4, 5):
-        raise SpeclabValueError(
+        raise InvalidParametersError(
             "grid must look like variable:start:stop:steps[:scale], "
             f"got {text!r}"
         )
@@ -407,7 +403,7 @@ def _parse_grid(text: str) -> GridSpec:
     try:
         start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
-        raise SpeclabValueError(f"bad grid numbers in {text!r}: {exc}") from exc
+        raise InvalidParametersError(f"bad grid numbers in {text!r}: {exc}") from exc
     return GridSpec(parts[0], start, stop, steps, scale)
 
 
@@ -421,8 +417,6 @@ def _run_task(task: tuple) -> list[dict]:
     try:
         rows = _HANDLERS[command](pt, opts)
     except (SpeclabError, ValueError, ZeroDivisionError) as exc:
-        return [head | {"status": type(exc).__name__}]
-    except NonConvergenceError as exc:  # pragma: no cover - caught above
         return [head | {"status": type(exc).__name__}]
     return [head | row | {"status": "ok"} for row in rows]
 
@@ -644,7 +638,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         with open(config_path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
-            raise SpeclabValueError("--config must hold a JSON object")
+            raise InvalidParametersError("--config must hold a JSON object")
         for key, value in loaded.items():
             key = {"lambda": "lam", "lambda_im": "lam_im"}.get(key, key)
             merged[key] = value
@@ -694,7 +688,7 @@ def run(argv: list[str] | None = None) -> int:
             any_ok = True
         else:
             if grid.variable not in _GRID_VARS[command]:
-                raise SpeclabValueError(
+                raise InvalidParametersError(
                     f"command {command!r} does not use grid variable "
                     f"{grid.variable!r}; choose one of "
                     f"{sorted(_GRID_VARS[command])}"
@@ -738,9 +732,5 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -55,7 +55,26 @@ from .jacobi_ops import (
     stable_count,
 )
 from .recurrence import coupling_weights, secular_function
-from .tridiag import counts_for_diagonals
+from .tridiag import _bisect, _check_tol, counts_for_diagonals
+
+__all__ = [
+    "THRESHOLD",
+    "hermite_eval",
+    "TrialMode",
+    "ModeTrialFunction",
+    "random_trial",
+    "FormValues",
+    "evaluate_forms",
+    "lower_bound_constant",
+    "saturating_trial",
+    "HSpectrumResult",
+    "h_eigenvalues_below_threshold",
+    "count_below_epsilon",
+    "Discrete2Report",
+    "discrete2_check",
+    "AsymptoticsRow",
+    "count_asymptotics_curve",
+]
 
 THRESHOLD = 0.5
 
@@ -374,32 +393,10 @@ def _branch_eigenvalues(
         diags = spectral_diagonals(mu, lams, size)
         return counts_for_diagonals(diags, offdiag, 0.0)
 
-    edge = counts_at(np.array([lam_lo, lam_hi]))
-    c_lo, c_hi = int(edge[0]), int(edge[1])
-    total = c_hi - c_lo
-    if total <= 0:
-        return np.zeros(0, dtype=float)
-
-    # Bracket the k-th jump for k = c_lo .. c_hi - 1: counts are
-    # nondecreasing in lambda, so plain bisection per target applies.
-    ks = np.arange(c_lo, c_hi)
-    lows = np.full(total, lam_lo)
-    highs = np.full(total, lam_hi)
-    while True:
-        gap = highs - lows
-        active = gap > tol
-        if not active.any():
-            break
-        mids = 0.5 * (lows[active] + highs[active])
-        c_mid = counts_at(mids)
-        go_right = c_mid <= ks[active]
-        new_lows = lows[active].copy()
-        new_highs = highs[active].copy()
-        new_lows[go_right] = mids[go_right]
-        new_highs[~go_right] = mids[~go_right]
-        lows[active] = new_lows
-        highs[active] = new_highs
-    return 0.5 * (lows + highs)
+    # counts are nondecreasing in lambda, so the k-th jump is bisected
+    # for each k = c_lo .. c_hi - 1
+    c_lo, c_hi = counts_at(np.array([lam_lo, lam_hi]))
+    return _bisect(counts_at, lam_lo, lam_hi, np.arange(c_lo, c_hi), tol)
 
 
 def _refine_secular(
@@ -463,6 +460,7 @@ def h_eigenvalues_below_threshold(
     of the half-line recurrence; ``method_agreement`` reports the largest
     discrepancy (0 when there is nothing to check).
     """
+    tol = _check_tol(tol)
     p = canonicalize(params)
     mus = branch_mus(p)
     if not mus:
@@ -473,7 +471,7 @@ def h_eigenvalues_below_threshold(
             eigenvalues=np.zeros(0, dtype=float),
             per_branch_counts=(),
             truncation_size=0,
-            tol=float(tol),
+            tol=tol,
             method_agreement=0.0,
         )
     subcritical = [
@@ -535,7 +533,7 @@ def h_eigenvalues_below_threshold(
         eigenvalues=merged,
         per_branch_counts=tuple(int(e.size) for e in per_branch),
         truncation_size=max_size,
-        tol=float(tol),
+        tol=tol,
         method_agreement=agreement,
     )
 

@@ -13,7 +13,9 @@ Four families, all real symmetric tridiagonal in the mode index n:
                  subspace with the zeroth mode removed.
 
 Truncation sizes double from 2048 until integer counts stabilise, with
-a hard cap of 2^20.
+a hard cap of 2^20.  Every count here is one call of the package's one
+Sturm count, :func:`speclab.tridiag.counts_for_diagonals`, on a
+truncation's diagonal (``t.diag[None, :]``) at one level.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ import numpy as np
 
 from .errors import BranchCutError, InvalidParametersError, NonConvergenceError
 from .recurrence import coupling_weights, zeta_array
-from .tridiag import TridiagonalMatrix, smallest_eigenvalue, sturm_count_below
+from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
 __all__ = [
+    "DOUBLING_START",
+    "DOUBLING_CAP",
     "ReferenceFamily",
     "SpectralFamily",
     "CountingFamily",
@@ -167,7 +171,7 @@ def count_relative(family: JacobiFamily, level: float, n: int, side: str = "abov
     if side not in ("above", "below"):
         raise InvalidParametersError("side must be 'above' or 'below'")
     t = build(family, n)
-    below = sturm_count_below(t, level)
+    below = int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
     return below if side == "below" else t.size - below
 
 
@@ -266,7 +270,10 @@ def transition_scan(
     for i, size in enumerate(sizes):
         t = build(family, size)
         smallest[i] = smallest_eigenvalue(t, tol)
-        counts[i] = sturm_count_below(t, hi) - sturm_count_below(t, lo)
+        c_lo, c_hi = (
+            counts_for_diagonals(t.diag[None, :], t.offdiag, x)[0] for x in (lo, hi)
+        )
+        counts[i] = c_hi - c_lo
     return TransitionScanReport(
         mu=mu, sizes=sizes, window=(lo, hi), smallest=smallest, window_counts=counts
     )

@@ -2,11 +2,15 @@
 
 The core primitive is the Sturm pivot count: the number of negative
 pivots of the shifted LDL^T factorisation of T - level*I equals the
-number of eigenvalues strictly below ``level``.  Counts are exact
-integers; eigenvalues are then localised by bisection on the count.
-Vanishing pivots are replaced by -eps*(norm(T) + 1) so the count never
-divides by zero, at the cost of an ulp-scale ambiguity for levels that
-collide with an eigenvalue of a leading principal submatrix.
+number of eigenvalues strictly below ``level``.  ``counts_for_diagonals``
+is the one count: it takes k diagonals sharing one offdiagonal, so a
+batch of levels on one matrix is a batch of shifted diagonals.  Pivots
+within pivmin = eps*(max|diag| + 2*max|offdiag| + |level| + 1) of zero
+are replaced by -pivmin so the count never divides by zero, at the cost
+of an ulp-scale ambiguity for levels that collide with an eigenvalue of
+a leading principal submatrix.  Counts are exact integers; every
+eigenvalue in the package is then localised by the one bisection on a
+count, ``_bisect``.
 
 ``dense_eigen_oracle`` is the deliberately independent cross-check: it
 densifies the matrix and calls LAPACK's symmetric eigensolver, sharing
@@ -15,6 +19,7 @@ no code with the pivot recurrence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +29,7 @@ from .errors import InvalidParametersError, SizeExceededError
 __all__ = [
     "TridiagonalMatrix",
     "EigenvalueReport",
-    "sturm_count_below",
-    "sturm_counts",
+    "DENSE_ORACLE_MAX_SIZE",
     "counts_for_diagonals",
     "eigenvalues_in_window",
     "smallest_eigenvalue",
@@ -98,11 +102,21 @@ class EigenvalueReport:
         return int(self.count_below_hi - self.count_below_lo)
 
 
-def _pivmin(t: TridiagonalMatrix, level_scale: float = 0.0) -> float:
-    norm = float(np.max(np.abs(t.diag)))
-    if t.size > 1:
-        norm += 2.0 * float(np.max(np.abs(t.offdiag)))
-    return _EPS * (norm + abs(level_scale) + 1.0)
+def _check_tol(tol: float) -> float:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParametersError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
+def _max_abs(x: np.ndarray) -> float:
+    # max(max x, -min x) rather than max|x|: np.abs would copy a (k, n) batch
+    return max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
+
+
+def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> float:
+    """Pivots no larger than this in magnitude are clamped to its negative."""
+    return _EPS * (_max_abs(diags) + 2.0 * _max_abs(offdiag) + abs(level) + 1.0)
 
 
 def _count_scalar(diag: list, off2: list, shift: float, pivmin: float) -> int:
@@ -131,65 +145,61 @@ def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: float) -> n
     return counts
 
 
-def sturm_count_below(t: TridiagonalMatrix, level: float) -> int:
-    """Number of eigenvalues of ``t`` strictly below ``level``."""
-    level = float(level)
-    if not np.isfinite(level):
-        raise InvalidParametersError("level must be finite")
-    pivmin = _pivmin(t, level)
-    off2 = (t.offdiag * t.offdiag).tolist()
-    return _count_scalar(t.diag.tolist(), off2, level, pivmin)
-
-
-def sturm_counts(t: TridiagonalMatrix, levels) -> np.ndarray:
-    """Vectorised :func:`sturm_count_below` over a batch of levels."""
-    shifts = np.atleast_1d(np.asarray(levels, dtype=np.float64))
-    if shifts.ndim != 1:
-        raise InvalidParametersError("levels must be scalar or 1-D")
-    if not np.all(np.isfinite(shifts)):
-        raise InvalidParametersError("levels must be finite")
-    if shifts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    pivmin = _pivmin(t, float(np.max(np.abs(shifts))))
-    if shifts.size <= _SCALAR_BATCH_LIMIT:
-        diag = t.diag.tolist()
-        off2 = (t.offdiag * t.offdiag).tolist()
-        return np.array(
-            [_count_scalar(diag, off2, s, pivmin) for s in shifts.tolist()],
-            dtype=np.int64,
-        )
-    rows = t.diag[:, None] - shifts[None, :]
-    return _counts_columns(rows, t.offdiag * t.offdiag, pivmin)
-
-
 def counts_for_diagonals(diags: np.ndarray, offdiag: np.ndarray, level: float = 0.0) -> np.ndarray:
     """Counts below ``level`` for a batch of matrices sharing one offdiagonal.
 
     ``diags`` has shape (k, n): k diagonals over a common coupling array.
-    Used where a parameter sweep changes only the diagonal.
+    This is the package's only Sturm count.  One matrix at one level is
+    ``t.diag[None, :]`` with ``level``; one matrix at k levels is
+    ``(t.diag[:, None] - levels).T`` with level 0.  Batches wider than
+    ``_SCALAR_BATCH_LIMIT`` run in the column kernel, which reads
+    ``diags.T`` row by row, without a copy when it is C-contiguous as in
+    that form.
     """
     diags = np.asarray(diags, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
+    level = float(level)
     if diags.ndim != 2 or diags.shape[1] != offdiag.size + 1:
         raise InvalidParametersError("diags must be (k, n) with offdiag of size n-1")
-    if not (np.all(np.isfinite(diags)) and np.all(np.isfinite(offdiag))):
-        raise InvalidParametersError("entries must be finite")
-    norm = float(np.max(np.abs(diags))) + 2.0 * (
-        float(np.max(np.abs(offdiag))) if offdiag.size else 0.0
-    )
-    pivmin = _EPS * (norm + abs(level) + 1.0)
+    pivmin = _pivmin(diags, offdiag, level)
+    # a nan or infinite entry or level makes pivmin nan or infinite
+    if not math.isfinite(pivmin):
+        raise InvalidParametersError("entries and level must be finite")
     off2 = offdiag * offdiag
     if diags.shape[0] <= _SCALAR_BATCH_LIMIT:
         off2_list = off2.tolist()
         return np.array(
-            [
-                _count_scalar(row, off2_list, float(level), pivmin)
-                for row in diags.tolist()
-            ],
+            [_count_scalar(row, off2_list, level, pivmin) for row in diags.tolist()],
             dtype=np.int64,
         )
-    rows = np.ascontiguousarray(diags.T) - float(level)
+    rows = np.ascontiguousarray(diags.T)
+    if level:
+        rows = rows - level
     return _counts_columns(rows, off2, pivmin)
+
+
+def _bisect(count_at, lo: float, hi: float, ks: np.ndarray, tol: float) -> np.ndarray:
+    """Where a nondecreasing integer count first exceeds each target in ``ks``.
+
+    ``count_at`` maps an array of points to their counts, and
+    count(lo) <= k < count(hi) must hold for every target k.  Each bracket
+    is halved until it is within ``tol``; only brackets still wider than
+    ``tol`` are counted again.  Brackets stop shrinking at ulp scale, so at
+    most ceil(log2((hi - lo) / tol)) + 3 halvings run.  Returns the bracket
+    midpoints.
+    """
+    lows = np.full(ks.size, lo)
+    highs = np.full(ks.size, hi)
+    max_iter = max(1, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 3
+    for _ in range(max_iter):
+        active = np.flatnonzero(highs - lows > tol)
+        if active.size == 0:
+            break
+        mids = 0.5 * (lows[active] + highs[active])
+        go_left = count_at(mids) > ks[active]
+        highs[active[go_left]] = mids[go_left]
+        lows[active[~go_left]] = mids[~go_left]
+    return 0.5 * (lows + highs)
 
 
 def eigenvalues_in_window(
@@ -199,39 +209,26 @@ def eigenvalues_in_window(
     tol: float = 1e-10,
 ) -> EigenvalueReport:
     """All eigenvalues in [lo, hi), each bisected to within ``tol``."""
-    lo, hi, tol = float(lo), float(hi), float(tol)
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise InvalidParametersError("window must be finite with lo < hi")
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidParametersError("tol must be positive")
-    count_lo = sturm_count_below(t, lo)
-    count_hi = sturm_count_below(t, hi)
-    m = count_hi - count_lo
-    if m == 0:
-        return EigenvalueReport(
-            window=(lo, hi),
-            eigenvalues=np.zeros(0),
-            count_below_lo=count_lo,
-            count_below_hi=count_hi,
-            size=t.size,
-            tol=tol,
+    lo, hi = float(lo), float(hi)
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise InvalidParametersError(
+            "window must be finite with lo < hi and a finite width"
         )
-    ks = np.arange(count_lo, count_hi)
-    lows = np.full(m, lo)
-    highs = np.full(m, hi)
-    # count(lows[j]) <= ks[j] < count(highs[j]) throughout.
-    max_iter = int(np.ceil(np.log2(max((hi - lo) / tol, 2.0)))) + 3
-    for _ in range(max_iter):
-        if np.max(highs - lows) <= tol:
-            break
-        mids = 0.5 * (lows + highs)
-        counts = sturm_counts(t, mids)
-        go_left = counts > ks
-        highs = np.where(go_left, mids, highs)
-        lows = np.where(go_left, lows, mids)
+    tol = _check_tol(tol)
+    count_lo, count_hi = (
+        int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
+        for level in (lo, hi)
+    )
+    eigenvalues = _bisect(
+        lambda levels: counts_for_diagonals((t.diag[:, None] - levels).T, t.offdiag),
+        lo,
+        hi,
+        np.arange(count_lo, count_hi),
+        tol,
+    )
     return EigenvalueReport(
         window=(lo, hi),
-        eigenvalues=0.5 * (lows + highs),
+        eigenvalues=eigenvalues,
         count_below_lo=count_lo,
         count_below_hi=count_hi,
         size=t.size,
@@ -241,21 +238,17 @@ def eigenvalues_in_window(
 
 def smallest_eigenvalue(t: TridiagonalMatrix, tol: float = 1e-10) -> float:
     """Lowest eigenvalue, bisected between the Gershgorin bounds."""
-    tol = float(tol)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise InvalidParametersError("tol must be positive")
+    tol = _check_tol(tol)
     lo, hi = t.gershgorin_bounds()
-    hi = hi + max(tol, _pivmin(t, hi))
-    diag = t.diag.tolist()
-    off2 = (t.offdiag * t.offdiag).tolist()
-    pivmin = _pivmin(t, max(abs(lo), abs(hi)))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _count_scalar(diag, off2, mid, pivmin) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    hi = hi + max(tol, _pivmin(t.diag, t.offdiag, hi))
+    found = _bisect(
+        lambda levels: counts_for_diagonals(t.diag[None, :], t.offdiag, levels[0]),
+        lo,
+        hi,
+        np.zeros(1, dtype=np.int64),
+        tol,
+    )
+    return float(found[0])
 
 
 def dense_eigen_oracle(t: TridiagonalMatrix) -> np.ndarray:

@@ -478,6 +478,15 @@ def test_h_spectrum_window_validation():
         h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), lambda_min=0.6)
 
 
+def test_h_spectrum_tol_validation():
+    # a tol that no bracket can reach used to bisect or double forever
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParametersError):
+            h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), tol=tol)
+        with pytest.raises(InvalidParametersError):
+            discrete2_check(CouplingParams(1.0, 1.0), tol=tol)
+
+
 def test_h_spectrum_cap_exhaustion_raises():
     with pytest.raises(NonConvergenceError):
         h_eigenvalues_below_threshold(

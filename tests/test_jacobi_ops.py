@@ -17,10 +17,10 @@ from speclab import (
     build,
     compact_difference_tail,
     count_relative,
+    counts_for_diagonals,
     family_label,
     spectral_diagonals,
     stable_count,
-    sturm_count_below,
     transition_scan,
 )
 
@@ -132,8 +132,8 @@ def test_counting_spectrum_symmetric():
     fam = CountingFamily(0.7)
     t = build(fam, 80)
     for level in (0.3, 0.8, 1.1):
-        above = 80 - sturm_count_below(t, level)
-        below = sturm_count_below(t, -level)
+        above = 80 - counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0]
+        below = counts_for_diagonals(t.diag[None, :], t.offdiag, -level)[0]
         assert above == below
 
 

@@ -22,8 +22,6 @@ from speclab import (
     dense_eigen_oracle,
     eigenvalues_in_window,
     smallest_eigenvalue,
-    sturm_count_below,
-    sturm_counts,
 )
 
 
@@ -32,6 +30,15 @@ def random_matrix(rng: np.random.Generator, n: int, scale: float = 3.0) -> Tridi
         diag=rng.normal(0.0, scale, size=n),
         offdiag=rng.normal(0.0, scale, size=n - 1) if n > 1 else np.zeros(0),
     )
+
+
+def count_below(t: TridiagonalMatrix, level: float) -> int:
+    return int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
+
+
+def counts_at_levels(t: TridiagonalMatrix, levels) -> np.ndarray:
+    levels = np.asarray(levels, dtype=np.float64)
+    return counts_for_diagonals(t.diag - levels[:, None], t.offdiag)
 
 
 def safe_levels(eigs: np.ndarray) -> np.ndarray:
@@ -85,16 +92,16 @@ def test_count_matches_dense_on_random_batch():
         t = random_matrix(rng, n)
         eigs = np.linalg.eigvalsh(t.to_dense())
         for level in safe_levels(eigs):
-            assert sturm_count_below(t, level) == int(np.sum(eigs < level))
+            assert count_below(t, level) == int(np.sum(eigs < level))
 
 
 def test_count_level_hit_convention():
     # a zero pivot is clamped to a negative value, so a level that exactly
     # hits an eigenvalue counts it as "below"
     t = TridiagonalMatrix(diag=np.array([0.0, 1.0, 2.0]), offdiag=np.zeros(2))
-    assert sturm_count_below(t, 1.0) == 2
-    assert sturm_count_below(t, 1.0 + 1e-9) == 2
-    assert sturm_count_below(t, 1.0 - 1e-9) == 1
+    assert count_below(t, 1.0) == 2
+    assert count_below(t, 1.0 + 1e-9) == 2
+    assert count_below(t, 1.0 - 1e-9) == 1
 
 
 def test_counts_batch_equals_scalar_both_paths():
@@ -103,12 +110,14 @@ def test_counts_batch_equals_scalar_both_paths():
     few = rng.normal(0.0, 4.0, size=5)     # scalar fallback path
     many = rng.normal(0.0, 4.0, size=30)   # vectorised column path
     for levels in (few, many):
-        batch = sturm_counts(t, levels)
-        scalar = np.array([sturm_count_below(t, l) for l in levels])
+        batch = counts_at_levels(t, levels)
+        scalar = np.array([count_below(t, l) for l in levels])
         assert np.array_equal(batch, scalar)
-    assert sturm_counts(t, []).size == 0
+    assert counts_at_levels(t, []).size == 0
     with pytest.raises(InvalidParametersError):
-        sturm_counts(t, [math.inf])
+        counts_at_levels(t, [math.inf])
+    with pytest.raises(InvalidParametersError):
+        count_below(t, math.inf)
 
 
 def test_counts_for_diagonals_matches_per_row():
@@ -119,7 +128,7 @@ def test_counts_for_diagonals_matches_per_row():
         got = counts_for_diagonals(diags, off, level=0.4)
         want = np.array(
             [
-                sturm_count_below(TridiagonalMatrix(diag=row, offdiag=off), 0.4)
+                count_below(TridiagonalMatrix(diag=row, offdiag=off), 0.4)
                 for row in diags
             ]
         )
@@ -138,7 +147,7 @@ def test_counts_for_diagonals_matches_per_row():
 def test_count_monotone_in_level(n, l1, l2, seed):
     t = random_matrix(np.random.default_rng(seed), n)
     lo, hi = min(l1, l2), max(l1, l2)
-    c_lo, c_hi = sturm_count_below(t, lo), sturm_count_below(t, hi)
+    c_lo, c_hi = count_below(t, lo), count_below(t, hi)
     assert 0 <= c_lo <= c_hi <= n
 
 
@@ -176,6 +185,9 @@ def test_window_validation():
     t = TridiagonalMatrix(diag=np.zeros(3), offdiag=np.ones(2))
     with pytest.raises(InvalidParametersError):
         eigenvalues_in_window(t, 1.0, -1.0)
+    # the width overflows, which would overflow the bisection's iteration cap
+    with pytest.raises(InvalidParametersError):
+        eigenvalues_in_window(t, -1e308, 1e308)
 
 
 def test_smallest_eigenvalue_matches_dense():
@@ -184,6 +196,17 @@ def test_smallest_eigenvalue_matches_dense():
         t = random_matrix(rng, int(rng.integers(2, 60)))
         want = float(np.linalg.eigvalsh(t.to_dense())[0])
         assert smallest_eigenvalue(t, tol=1e-11) == pytest.approx(want, abs=1e-9)
+
+
+def test_bisection_ends_below_ulp_scale_tol():
+    # no bracket narrows below one ulp, so a tol under it must end on the
+    # iteration cap rather than loop forever
+    t = TridiagonalMatrix(diag=np.array([1.0, 2.0, 3.0]), offdiag=np.array([0.5, 0.25]))
+    want = float(np.linalg.eigvalsh(t.to_dense())[0])
+    assert smallest_eigenvalue(t, tol=1e-300) == pytest.approx(want, abs=1e-14)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InvalidParametersError):
+            smallest_eigenvalue(t, tol=tol)
 
 
 # ---------------------------------------------------------------------------
