@@ -6,6 +6,12 @@ JSON or CSV with all numbers printed to 15 significant digits, rows emitted
 in input order regardless of the worker count, so identical configurations
 produce byte-identical output.
 
+Each subcommand is declared once, in ``_COMMANDS``: its handler, its help,
+the flags a ``--grid`` may sweep, its other flags and its output columns.
+``_FLAGS`` gives every flag its option string, type and default.  The
+parser, the sweep check and the handlers all read these two tables, and a
+``--config`` file is parsed through the same flags.
+
 Exit codes: 0 success, 2 invalid parameters, 3 non-convergence (or every
 sweep point failing).
 """
@@ -13,12 +19,14 @@ sweep point failing).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import os
+import re
 import sys
 from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Callable
 
 import numpy as np
 
@@ -51,28 +59,6 @@ from .jacobi_ops import (
 )
 from .recurrence import identity_residual, iterate_forward
 from .tridiag import eigenvalues_in_window
-
-GRID_VARIABLES = ("alpha", "beta", "gamma_re", "gamma_im", "mu", "lambda", "epsilon")
-
-# grid variables each command actually consumes
-_COUPLING_VARS = frozenset({"alpha", "beta", "gamma_re", "gamma_im"})
-_GRID_VARS: dict[str, frozenset[str]] = {
-    "mu": _COUPLING_VARS,
-    "classify": _COUPLING_VARS,
-    "surface": frozenset({"beta", "gamma_re", "gamma_im"}),
-    "jacobi-spectrum": frozenset({"mu", "lambda", "epsilon"}),
-    "count": _COUPLING_VARS | {"epsilon"},
-    "h-spectrum": _COUPLING_VARS,
-    "discrete2-check": _COUPLING_VARS,
-    "asymptotics": frozenset({"mu"}),
-    "identity-check": frozenset({"mu", "lambda"}),
-    "transition-scan": frozenset({"mu"}),
-    "forms-test": _COUPLING_VARS,
-}
-
-# the "lambda" grid variable feeds the real part of the spectral parameter
-_VAR_TO_KEY = {v: v for v in GRID_VARIABLES} | {"lambda": "lam"}
-
 
 # ---------------------------------------------------------------------------
 # value formatting: 15 significant digits everywhere
@@ -136,23 +122,17 @@ def _render_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (point values, options) -> rows
-
-_MU_KEY = {Branch.ONE: "mu1", Branch.TWO: "mu2", Branch.BETA_ZERO: "mu_beta0"}
+# command handlers: parsed flags -> rows of values in the command's columns
 
 
-def _point_params(pt: dict) -> CouplingParams:
-    gamma = complex(pt.get("gamma_re", 0.0), pt.get("gamma_im", 0.0))
-    return CouplingParams(
-        alpha=pt.get("alpha", 0.0), beta=pt.get("beta", 0.0), gamma=gamma
-    )
+def _point_params(a: dict) -> CouplingParams:
+    gamma = complex(a["gamma_re"], a["gamma_im"])
+    return CouplingParams(alpha=a["alpha"], beta=a["beta"], gamma=gamma)
 
 
-def _cmd_mu(pt: dict, opts: dict) -> list[dict]:
-    row: dict = {"mu1": None, "mu2": None, "mu_beta0": None}
-    for branch, mu in branch_mus(_point_params(pt)):
-        row[_MU_KEY[branch]] = mu
-    return [row]
+def _cmd_mu(a: dict) -> list[list]:
+    mus = dict(branch_mus(_point_params(a)))
+    return [[mus.get(b) for b in (Branch.ONE, Branch.TWO, Branch.BETA_ZERO)]]
 
 
 _KIND_ORDER = (
@@ -163,236 +143,298 @@ _KIND_ORDER = (
 )
 
 
-def _cmd_classify(pt: dict, opts: dict) -> list[dict]:
-    branches = classify(_point_params(pt), tol=opts["tol"])
+def _cmd_classify(a: dict) -> list[list]:
+    branches = classify(_point_params(a), tol=a["tol"])
     kinds = {b.kind for b in branches}
-    overall = "Free"
-    for kind in _KIND_ORDER:
-        if kind in kinds:
-            overall = kind.value
-            break
-    row: dict = {"kind": overall}
-    for slot, b in enumerate(branches, start=1):
-        row[f"branch{slot}"] = b.branch.value
-        row[f"mu{slot}"] = b.mu
-        row[f"kind{slot}"] = b.kind.value
-    for slot in range(len(branches) + 1, 3):
-        row[f"branch{slot}"] = None
-        row[f"mu{slot}"] = None
-        row[f"kind{slot}"] = None
+    row = [next((k.value for k in _KIND_ORDER if k in kinds), "Free")]
+    for b in branches:
+        row += [b.branch.value, b.mu, b.kind.value]
     return [row]
 
 
-def _cmd_surface(pt: dict, opts: dict) -> list[dict]:
-    gamma = complex(pt.get("gamma_re", 0.0), pt.get("gamma_im", 0.0))
-    return [{"alpha_c": critical_alpha(pt.get("beta", 0.0), gamma)}]
+def _cmd_surface(a: dict) -> list[list]:
+    return [[critical_alpha(a["beta"], complex(a["gamma_re"], a["gamma_im"]))]]
 
 
-def _cmd_jacobi_spectrum(pt: dict, opts: dict) -> list[dict]:
-    name = opts["family"]
-    if name == "reference":
-        family = ReferenceFamily(pt.get("mu", 1.0))
-    elif name == "spectral":
-        family = SpectralFamily(lam=pt.get("lam", 0.0), mu=pt.get("mu", 1.0))
-    elif name == "counting":
-        family = CountingFamily(pt.get("epsilon", 1.0))
-    else:
-        family = CountingLimitFamily()
-    t = build(family, opts["size"])
-    report = eigenvalues_in_window(t, opts["lo"], opts["hi"], tol=opts["tol"])
-    return [
-        {
-            "family": name,
-            "size": t.size,
-            "lo": opts["lo"],
-            "hi": opts["hi"],
-            "count": report.count,
-            "eigenvalues": list(report.eigenvalues),
-        }
-    ]
+_FAMILIES = {
+    "reference": lambda a: ReferenceFamily(a["mu"]),
+    "spectral": lambda a: SpectralFamily(lam=a["lam"], mu=a["mu"]),
+    "counting": lambda a: CountingFamily(a["epsilon"]),
+    "counting-limit": lambda a: CountingLimitFamily(),
+}
 
 
-def _cmd_count(pt: dict, opts: dict) -> list[dict]:
-    n = count_below_epsilon(
-        _point_params(pt), pt.get("epsilon", opts["epsilon"]), size_cap=opts["n_cap"]
+def _cmd_jacobi_spectrum(a: dict) -> list[list]:
+    t = build(_FAMILIES[a["family"]](a), a["size"])
+    report = eigenvalues_in_window(t, a["lo"], a["hi"], tol=a["tol"])
+    return [[a["family"], t.size, a["lo"], a["hi"], report.count,
+             list(report.eigenvalues)]]
+
+
+def _cmd_count(a: dict) -> list[list]:
+    return [[count_below_epsilon(_point_params(a), a["epsilon"], size_cap=a["n_cap"])]]
+
+
+def _cmd_h_spectrum(a: dict) -> list[list]:
+    r = h_eigenvalues_below_threshold(
+        _point_params(a), lambda_min=a["lambda_min"], tol=a["tol"], size_cap=a["n_cap"]
     )
-    return [{"count": n}]
+    return [[list(r.branch_mus), list(r.per_branch_counts), r.count,
+             list(r.eigenvalues), r.truncation_size, r.method_agreement]]
 
 
-def _cmd_h_spectrum(pt: dict, opts: dict) -> list[dict]:
-    result = h_eigenvalues_below_threshold(
-        _point_params(pt),
-        lambda_min=opts["lambda_min"],
-        tol=opts["tol"],
-        size_cap=opts["n_cap"],
-    )
-    return [
-        {
-            "branch_mus": list(result.branch_mus),
-            "per_branch_counts": list(result.per_branch_counts),
-            "count": result.count,
-            "eigenvalues": list(result.eigenvalues),
-            "truncation_size": result.truncation_size,
-            "method_agreement": result.method_agreement,
-        }
-    ]
+def _cmd_discrete2(a: dict) -> list[list]:
+    r = discrete2_check(_point_params(a), tol=a["tol"], size_cap=a["n_cap"])
+    return [[r.lhs, r.rhs, r.bound, r.ok, list(r.branch_mus)]]
 
 
-def _cmd_discrete2(pt: dict, opts: dict) -> list[dict]:
-    report = discrete2_check(
-        _point_params(pt), tol=opts["tol"], size_cap=opts["n_cap"]
-    )
-    return [
-        {
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "bound": report.bound,
-            "ok": report.ok,
-            "branch_mus": list(report.branch_mus),
-        }
-    ]
+def _cmd_asymptotics(a: dict) -> list[list]:
+    rows = count_asymptotics_curve([a["mu"]], size_cap=a["n_cap"])
+    return [[r.mu, r.counted, r.predicted, r.ratio] for r in rows]
 
 
-def _cmd_asymptotics(pt: dict, opts: dict) -> list[dict]:
-    rows = count_asymptotics_curve([pt.get("mu", 1.02)], size_cap=opts["n_cap"])
-    return [
-        {"mu": r.mu, "counted": r.counted, "predicted": r.predicted, "ratio": r.ratio}
-        for r in rows
-    ]
+def _cmd_identity_check(a: dict) -> list[list]:
+    lam = complex(a["lam"], a["lam_im"])
+    sol = iterate_forward(a["mu"], lam, 1.0, a["size"])
+    check = identity_residual(sol, a["size"] - 1)
+    return [[a["mu"], lam.real, lam.imag, a["size"], check.residual,
+             sol.max_interior_residual()]]
 
 
-def _cmd_identity_check(pt: dict, opts: dict) -> list[dict]:
-    lam = complex(pt.get("lam", 0.0), opts["lam_im"])
-    size = opts["size"]
-    sol = iterate_forward(pt.get("mu", 1.0), lam, 1.0, size)
-    check = identity_residual(sol, size - 1)
-    return [
-        {
-            "mu": pt.get("mu", 1.0),
-            "lambda_re": lam.real,
-            "lambda_im": lam.imag,
-            "size": size,
-            "residual": check.residual,
-            "max_interior_residual": sol.max_interior_residual(),
-        }
-    ]
+def _cmd_transition_scan(a: dict) -> list[list]:
+    r = transition_scan(a["mu"], a["sizes"], (a["lo"], a["hi"]), tol=a["tol"])
+    return [[r.mu, size, float(r.smallest[i]), int(r.window_counts[i])]
+            for i, size in enumerate(r.sizes)]
 
 
-def _cmd_transition_scan(pt: dict, opts: dict) -> list[dict]:
-    report = transition_scan(
-        pt.get("mu", 1.0), opts["sizes"], (opts["lo"], opts["hi"]), tol=opts["tol"]
-    )
-    return [
-        {
-            "mu": report.mu,
-            "size": size,
-            "smallest": float(report.smallest[i]),
-            "window_count": int(report.window_counts[i]),
-        }
-        for i, size in enumerate(report.sizes)
-    ]
-
-
-def _cmd_forms_test(pt: dict, opts: dict) -> list[dict]:
-    params = _point_params(pt)
+def _cmd_forms_test(a: dict) -> list[list]:
+    params = _point_params(a)
     c = lower_bound_constant(params)
-    rng = np.random.default_rng(opts["seed"])
+    rng = np.random.default_rng(a["seed"])
     beta_zero_gamma = params.gamma if params.beta == 0.0 else None
     violations = 0
     min_margin = math.inf
-    for _ in range(opts["trials"]):
+    for _ in range(a["trials"]):
         trial = random_trial(rng, beta_zero_gamma=beta_zero_gamma)
         forms = evaluate_forms(trial, params)
         margin = forms.full - 0.5 * c * forms.norm_sq
         min_margin = min(min_margin, margin)
         if c > 0.0 and margin < 0.0:
             violations += 1
-    return [
-        {
-            "c": c,
-            "trials": opts["trials"],
-            "violations": violations if c > 0.0 else None,
-            "min_margin": min_margin,
-        }
-    ]
+    return [[c, a["trials"], violations if c > 0.0 else None, min_margin]]
 
 
-_HANDLERS = {
-    "mu": _cmd_mu,
-    "classify": _cmd_classify,
-    "surface": _cmd_surface,
-    "jacobi-spectrum": _cmd_jacobi_spectrum,
-    "count": _cmd_count,
-    "h-spectrum": _cmd_h_spectrum,
-    "discrete2-check": _cmd_discrete2,
-    "asymptotics": _cmd_asymptotics,
-    "identity-check": _cmd_identity_check,
-    "transition-scan": _cmd_transition_scan,
-    "forms-test": _cmd_forms_test,
+# ---------------------------------------------------------------------------
+# the flag and command tables
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(",") if s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+@dataclass(frozen=True)
+class _Flag:
+    """One flag: its option string and how argparse reads it."""
+
+    option: str
+    type: Callable = float
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+
+    @property
+    def name(self) -> str:
+        """The spelling of a config key or grid variable: ``gamma_re``."""
+        return self.option[2:].replace("-", "_")
+
+
+# keyed by the parsed dict's key, which heads a sweep's first column
+_FLAGS = {
+    "alpha": _Flag("--alpha", default=0.0),
+    "beta": _Flag("--beta", default=0.0),
+    "gamma_re": _Flag("--gamma-re", default=0.0),
+    "gamma_im": _Flag("--gamma-im", default=0.0),
+    "mu": _Flag("--mu", default=1.0),
+    "lam": _Flag("--lambda", default=0.0),
+    "lam_im": _Flag("--lambda-im", default=0.0),
+    "epsilon": _Flag("--epsilon", default=1.0),
+    "lambda_min": _Flag("--lambda-min"),
+    "family": _Flag("--family", str, choices=tuple(_FAMILIES), required=True),
+    "size": _Flag("--size", int, 512),
+    "sizes": _Flag("--sizes", _sizes, "2048,4096,8192,16384",
+                   "comma-separated truncation sizes"),
+    "lo": _Flag("--lo", default=-5.0),
+    "hi": _Flag("--hi", default=5.0),
+    "trials": _Flag("--trials", int, 1000),
+    "seed": _Flag("--seed", int, 0),
+    "svg": _Flag("--svg", str),
+    "grid": _Flag("--grid", str, help="sweep spec variable:start:stop:steps[:scale]"),
+    "workers": _Flag("--workers", int, 1, "sweep worker processes"),
+    "format": _Flag("--format", str, "json", choices=("json", "csv")),
+    "output": _Flag("--output", str, help="output file path (default: stdout)"),
+    "config": _Flag("--config", str, help="JSON file with defaults for any flag"),
+    "tol": _Flag("--tol", default=1e-10),
+    "n_cap": _Flag("--n-cap", int, DOUBLING_CAP),
 }
 
-_COLUMNS = {
-    "mu": ["mu1", "mu2", "mu_beta0"],
-    "classify": [
-        "kind",
-        "branch1", "mu1", "kind1",
-        "branch2", "mu2", "kind2",
-    ],
-    "surface": ["alpha_c"],
-    "jacobi-spectrum": ["family", "size", "lo", "hi", "count", "eigenvalues"],
-    "count": ["count"],
-    "h-spectrum": [
-        "branch_mus",
-        "per_branch_counts",
-        "count",
-        "eigenvalues",
-        "truncation_size",
-        "method_agreement",
-    ],
-    "discrete2-check": ["lhs", "rhs", "bound", "ok", "branch_mus"],
-    "asymptotics": ["mu", "counted", "predicted", "ratio"],
-    "identity-check": [
-        "mu", "lambda_re", "lambda_im", "size", "residual", "max_interior_residual",
-    ],
-    "transition-scan": ["mu", "size", "smallest", "window_count"],
-    "forms-test": ["c", "trials", "violations", "min_margin"],
+# config keys: a flag's name or its parsed key
+_NAMES = {f.name: key for key, f in _FLAGS.items()} | {key: key for key in _FLAGS}
+
+_COMMON = ("grid", "workers", "format", "output", "config", "tol", "n_cap")
+_COUPLING = ("alpha", "beta", "gamma_re", "gamma_im")
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand; its handler maps the parsed flags to rows of values
+    in ``columns`` order."""
+
+    handler: Callable[[dict], list[list]]
+    help: str
+    grid: tuple[str, ...]  # the flags a --grid may sweep
+    flags: tuple[str, ...]  # its other flags, besides _COMMON
+    columns: tuple[str, ...]
+
+    @property
+    def options(self) -> tuple[str, ...]:
+        return (*_COMMON, *self.grid, *self.flags)
+
+    def rows(self, a: dict) -> list[dict]:
+        """The handler's rows keyed by column; a short row leaves its last
+        columns empty."""
+        return [dict(zip(self.columns, values)) for values in self.handler(a)]
+
+
+_COMMANDS = {
+    "mu": _Command(
+        _cmd_mu, "branch coupling weights",
+        _COUPLING, (), ("mu1", "mu2", "mu_beta0"),
+    ),
+    "classify": _Command(
+        _cmd_classify, "sub/super/critical per branch",
+        _COUPLING, (), ("kind", "branch1", "mu1", "kind1", "branch2", "mu2", "kind2"),
+    ),
+    "surface": _Command(
+        _cmd_surface, "critical alpha for given beta, gamma",
+        ("beta", "gamma_re", "gamma_im"), (), ("alpha_c",),
+    ),
+    "jacobi-spectrum": _Command(
+        _cmd_jacobi_spectrum, "window eigenvalues of a truncated Jacobi family",
+        ("mu", "lam", "epsilon"), ("family", "size", "lo", "hi"),
+        ("family", "size", "lo", "hi", "count", "eigenvalues"),
+    ),
+    "count": _Command(
+        _cmd_count, "counting-operator eigenvalue count below 1/2 - epsilon",
+        (*_COUPLING, "epsilon"), (), ("count",),
+    ),
+    "h-spectrum": _Command(
+        _cmd_h_spectrum, "all eigenvalues below the continuum threshold",
+        _COUPLING, ("lambda_min",),
+        ("branch_mus", "per_branch_counts", "count", "eigenvalues",
+         "truncation_size", "method_agreement"),
+    ),
+    "discrete2-check": _Command(
+        _cmd_discrete2, "compare located count with the counting-limit bound",
+        _COUPLING, (), ("lhs", "rhs", "bound", "ok", "branch_mus"),
+    ),
+    "asymptotics": _Command(
+        _cmd_asymptotics, "near-critical counting law check",
+        ("mu",), ("svg",), ("mu", "counted", "predicted", "ratio"),
+    ),
+    "identity-check": _Command(
+        _cmd_identity_check, "summed-identity residual of a forward solution",
+        ("mu", "lam"), ("lam_im", "size"),
+        ("mu", "lambda_re", "lambda_im", "size", "residual", "max_interior_residual"),
+    ),
+    "transition-scan": _Command(
+        _cmd_transition_scan, "smallest eigenvalue and window count across sizes",
+        ("mu",), ("sizes", "lo", "hi", "svg"),
+        ("mu", "size", "smallest", "window_count"),
+    ),
+    "forms-test": _Command(
+        _cmd_forms_test, "Monte-Carlo check of the quadratic-form lower bound",
+        _COUPLING, ("trials", "seed"), ("c", "trials", "violations", "min_margin"),
+    ),
 }
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+# every number _fmt_float prints, -9.9e-05 and -inf included
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number in any printed form as a value, not an option
+    (argparse alone rejects ``--gamma-im -9.9e-05``)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing never changes it."""
+    parser = _Parser(
+        prog="speclab",
+        description="Spectral toolkit for the contact-interaction strip model",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.options:
+            f = _FLAGS[key]
+            p.add_argument(f.option, dest=key, type=f.type, default=f.default,
+                           help=f.help, choices=f.choices, required=f.required)
+    return parser
+
+
+_CONFIG_PARSER = argparse.ArgumentParser(prog="speclab", add_help=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with each value of its ``--config`` file as a ``--flag=value``
+    token placed before the user's own flags, which therefore win.
+
+    A key that names no flag is an error; a key for another command's flag
+    is skipped, so that one file can serve several commands.
+    """
+    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
+    if path is None or not argv or argv[0] not in _COMMANDS:
+        return argv
+    with open(path, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise InvalidParametersError("--config must hold a JSON object")
+    options = _COMMANDS[argv[0]].options
+    tokens = []
+    for key, value in loaded.items():
+        if key not in _NAMES:
+            raise InvalidParametersError(f"config key {key!r} names no flag")
+        if _NAMES[key] in options:
+            f = _FLAGS[_NAMES[key]]
+            # only a string flag takes a JSON string as written: "12" is no size
+            text = (value if isinstance(value, str) and f.type not in (int, float)
+                    else json.dumps(value))
+            tokens.append(f"{f.option}={text}")
+    return [argv[0], *tokens, *argv[1:]]
 
 
 # ---------------------------------------------------------------------------
 # sweep plumbing
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    variable: str
-    start: float
-    stop: float
-    steps: int
-    scale: str = "linear"
-
-    def __post_init__(self) -> None:
-        if self.variable not in GRID_VARIABLES:
-            raise InvalidParametersError(
-                f"grid variable must be one of {GRID_VARIABLES}, "
-                f"got {self.variable!r}"
-            )
-        if self.steps < 1:
-            raise InvalidParametersError("grid steps must be >= 1")
-        if self.scale not in ("linear", "log"):
-            raise InvalidParametersError("grid scale must be 'linear' or 'log'")
-        if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
-            raise InvalidParametersError("log grids need positive endpoints")
-
-    def values(self) -> list[float]:
-        if self.steps == 1:
-            return [float(self.start)]
-        if self.scale == "log":
-            return [float(v) for v in np.geomspace(self.start, self.stop, self.steps)]
-        return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
-
-
-def _parse_grid(text: str) -> GridSpec:
+def _parse_grid(text: str, command: str) -> tuple[str, list[float]]:
+    """``variable:start:stop:steps[:scale]`` -> (swept key, point values)."""
     parts = text.split(":")
     if len(parts) not in (4, 5):
         raise InvalidParametersError(
@@ -404,18 +446,31 @@ def _parse_grid(text: str) -> GridSpec:
         start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise InvalidParametersError(f"bad grid numbers in {text!r}: {exc}") from exc
-    return GridSpec(parts[0], start, stop, steps, scale)
+    names = {_FLAGS[k].name: k for k in _COMMANDS[command].grid}
+    key = names.get(parts[0])
+    if key is None:
+        raise InvalidParametersError(
+            f"command {command!r} does not use grid variable {parts[0]!r}; "
+            f"choose one of {sorted(names)}"
+        )
+    if steps < 1:
+        raise InvalidParametersError("grid steps must be >= 1")
+    if scale not in ("linear", "log"):
+        raise InvalidParametersError("grid scale must be 'linear' or 'log'")
+    if scale == "log" and (start <= 0.0 or stop <= 0.0):
+        raise InvalidParametersError("log grids need positive endpoints")
+    if steps == 1:
+        return key, [start]
+    space = np.geomspace if scale == "log" else np.linspace
+    return key, [float(v) for v in space(start, stop, steps)]
 
 
 def _run_task(task: tuple) -> list[dict]:
     """One sweep point -> rows with a trailing status column (pool-safe)."""
-    command, var_key, value, pt, opts = task
-    pt = dict(pt)
-    if var_key is not None:
-        pt[var_key] = value
-    head = {} if var_key is None else {var_key: value}
+    command, key, value, a = task
+    head = {key: value}
     try:
-        rows = _HANDLERS[command](pt, opts)
+        rows = _COMMANDS[command].rows(a | head)
     except (SpeclabError, ValueError, ZeroDivisionError) as exc:
         return [head | {"status": type(exc).__name__}]
     return [head | row | {"status": "ok"} for row in rows]
@@ -506,217 +561,38 @@ def _maybe_svg(command: str, rows: list[dict], path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=str, default=None,
-                        help="sweep spec variable:start:stop:steps[:scale]")
-    common.add_argument("--workers", type=int, default=None,
-                        help="sweep worker processes (SPECLAB_WORKERS overrides)")
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--output", type=str, default=None,
-                        help="output file path (default: stdout)")
-    common.add_argument("--config", type=str, default=None,
-                        help="JSON file with defaults for any flag")
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--n-cap", dest="n_cap", type=int, default=None)
-
-    coupled = argparse.ArgumentParser(add_help=False)
-    coupled.add_argument("--alpha", type=float, default=None)
-    coupled.add_argument("--beta", type=float, default=None)
-    coupled.add_argument("--gamma-re", dest="gamma_re", type=float, default=None)
-    coupled.add_argument("--gamma-im", dest="gamma_im", type=float, default=None)
-
-    parser = argparse.ArgumentParser(
-        prog="speclab",
-        description="Spectral toolkit for the contact-interaction strip model",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("mu", parents=[common, coupled],
-                   help="branch coupling weights")
-    sub.add_parser("classify", parents=[common, coupled],
-                   help="sub/super/critical per branch")
-
-    p = sub.add_parser("surface", parents=[common],
-                       help="critical alpha for given beta, gamma")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--gamma-re", dest="gamma_re", type=float, default=None)
-    p.add_argument("--gamma-im", dest="gamma_im", type=float, default=None)
-
-    p = sub.add_parser("jacobi-spectrum", parents=[common],
-                       help="window eigenvalues of a truncated Jacobi family")
-    p.add_argument("--family", required=True,
-                   choices=("reference", "spectral", "counting", "counting-limit"))
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-
-    p = sub.add_parser("count", parents=[common, coupled],
-                       help="counting-operator eigenvalue count below 1/2 - epsilon")
-    p.add_argument("--epsilon", type=float, default=None)
-
-    p = sub.add_parser("h-spectrum", parents=[common, coupled],
-                       help="all eigenvalues below the continuum threshold")
-    p.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
-
-    sub.add_parser("discrete2-check", parents=[common, coupled],
-                   help="compare located count with the counting-limit bound")
-
-    p = sub.add_parser("asymptotics", parents=[common],
-                       help="near-critical counting law check")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--svg", type=str, default=None)
-
-    p = sub.add_parser("identity-check", parents=[common],
-                       help="summed-identity residual of a forward solution")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--lambda-im", dest="lam_im", type=float, default=None)
-    p.add_argument("--size", type=int, default=None)
-
-    p = sub.add_parser("transition-scan", parents=[common],
-                       help="smallest eigenvalue and window count across sizes")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--sizes", type=str, default=None,
-                   help="comma-separated truncation sizes")
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--svg", type=str, default=None)
-
-    p = sub.add_parser("forms-test", parents=[common, coupled],
-                       help="Monte-Carlo check of the quadratic-form lower bound")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-    return parser
-
-
-_DEFAULTS: dict = {
-    "alpha": 0.0,
-    "beta": 0.0,
-    "gamma_re": 0.0,
-    "gamma_im": 0.0,
-    "mu": 1.0,
-    "lam": 0.0,
-    "lam_im": 0.0,
-    "epsilon": 1.0,
-    "size": 512,
-    "lo": -5.0,
-    "hi": 5.0,
-    "tol": 1e-10,
-    "n_cap": DOUBLING_CAP,
-    "sizes": "2048,4096,8192,16384",
-    "lambda_min": None,
-    "trials": 1000,
-    "seed": 0,
-    "workers": 1,
-    "format": "json",
-    "output": None,
-    "grid": None,
-    "svg": None,
-    "family": None,
-}
-
-_POINT_KEYS = ("alpha", "beta", "gamma_re", "gamma_im", "mu", "lam", "epsilon")
-_OPT_KEYS = (
-    "tol", "n_cap", "size", "lo", "hi", "sizes", "lambda_min",
-    "trials", "seed", "family", "lam_im", "epsilon",
-)
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags; grid parsed to GridSpec."""
-    merged = dict(_DEFAULTS)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise InvalidParametersError("--config must hold a JSON object")
-        for key, value in loaded.items():
-            key = {"lambda": "lam", "lambda_im": "lam_im"}.get(key, key)
-            merged[key] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-
-    grid = merged.get("grid")
-    if isinstance(grid, str):
-        merged["grid"] = _parse_grid(grid)
-    elif isinstance(grid, dict):
-        merged["grid"] = GridSpec(
-            variable=grid["variable"],
-            start=float(grid["start"]),
-            stop=float(grid["stop"]),
-            steps=int(grid["steps"]),
-            scale=grid.get("scale", "linear"),
-        )
-    env_workers = os.environ.get("SPECLAB_WORKERS")
-    if env_workers:
-        merged["workers"] = int(env_workers)
-    return merged
-
-
-def _gather(cfg: dict) -> tuple[dict, dict]:
-    pt = {k: cfg[k] for k in _POINT_KEYS if cfg.get(k) is not None}
-    opts = {k: cfg[k] for k in _OPT_KEYS}
-    if isinstance(opts.get("sizes"), str):
-        opts["sizes"] = tuple(int(s) for s in opts["sizes"].split(",") if s)
-    return pt, opts
+# entry point
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cfg = _merge_config(args)
-        pt, opts = _gather(cfg)
-        grid: GridSpec | None = cfg.get("grid")
-
-        if grid is None:
-            rows = _HANDLERS[command](pt, opts)
-            columns = list(_COLUMNS[command])
+        a = vars(_build_parser().parse_args(_with_config(argv)))
+        command = _COMMANDS[a["command"]]
+        if a["grid"] is None:
+            rows = command.rows(a)
+            columns = list(command.columns)
             any_ok = True
         else:
-            if grid.variable not in _GRID_VARS[command]:
-                raise InvalidParametersError(
-                    f"command {command!r} does not use grid variable "
-                    f"{grid.variable!r}; choose one of "
-                    f"{sorted(_GRID_VARS[command])}"
-                )
-            var_key = _VAR_TO_KEY[grid.variable]
-            tasks = [
-                (command, var_key, value, pt, opts) for value in grid.values()
-            ]
-            workers = max(1, int(cfg["workers"]))
-            if workers > 1 and len(tasks) > 1:
-                with Pool(processes=workers) as pool:
+            key, values = _parse_grid(a["grid"], a["command"])
+            tasks = [(a["command"], key, value, a) for value in values]
+            if a["workers"] > 1 and len(tasks) > 1:
+                with Pool(processes=a["workers"]) as pool:
                     chunks = pool.map(_run_task, tasks)
             else:
                 chunks = [_run_task(t) for t in tasks]
             rows = [row for chunk in chunks for row in chunk]
-            columns = [var_key] + [
-                c for c in _COLUMNS[command] if c != var_key
-            ] + ["status"]
+            columns = [key] + [c for c in command.columns if c != key] + ["status"]
             any_ok = any(r.get("status") == "ok" for r in rows)
 
-        _maybe_svg(command, rows, cfg.get("svg"))
+        _maybe_svg(a["command"], rows, a.get("svg"))
         text = (
             _render_csv(rows, columns)
-            if cfg["format"] == "csv"
-            else _render_json(rows, single=grid is None)
+            if a["format"] == "csv"
+            else _render_json(rows, single=a["grid"] is None)
         )
-        if cfg.get("output"):
-            with open(cfg["output"], "w", encoding="utf-8", newline="") as fh:
+        if a["output"]:
+            with open(a["output"], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

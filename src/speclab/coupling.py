@@ -313,8 +313,8 @@ def branch_mus(params: CouplingParams) -> tuple[tuple[Branch, float], ...]:
 
 def classify(params: CouplingParams, tol: float = 1e-10) -> tuple[TransitionClass, ...]:
     """Classify every branch of the (canonicalized) parameter point."""
-    if tol < 0.0:
-        raise InvalidParametersError("tol must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParametersError(f"tol must be finite and nonnegative, got {tol}")
     out = []
     for branch, mu in branch_mus(params):
         if math.isinf(mu) or mu <= 0.0:

@@ -443,7 +443,6 @@ def h_eigenvalues_below_threshold(
     lambda_min: float | None = None,
     tol: float = 1e-10,
     *,
-    start_size: int = DOUBLING_START,
     size_cap: int = DOUBLING_CAP,
     refine: bool = True,
 ) -> HSpectrumResult:
@@ -454,7 +453,7 @@ def h_eigenvalues_below_threshold(
     lambda.  The search window is (lambda_min, 1/2); when ``lambda_min`` is
     omitted it defaults to 1/2 - 10, tightened to c/2 whenever the form
     lower-bound constant c is positive.  The truncation size doubles from
-    ``start_size`` until the eigenvalue list is reproduced to ``tol``.
+    ``DOUBLING_START`` until the eigenvalue list is reproduced to ``tol``.
 
     With ``refine`` each root is cross-checked against the secular function
     of the half-line recurrence; ``method_agreement`` reports the largest
@@ -498,7 +497,7 @@ def h_eigenvalues_below_threshold(
     per_branch: list[np.ndarray] = []
     max_size = 0
     for _, mu in subcritical:
-        size = start_size
+        size = DOUBLING_START
         prev: np.ndarray | None = None
         while True:
             eigs = _branch_eigenvalues(mu, lam_lo, lam_hi, tol, size)
@@ -546,7 +545,6 @@ def count_below_epsilon(
     params: CouplingParams,
     epsilon: float,
     *,
-    start_size: int = DOUBLING_START,
     size_cap: int = DOUBLING_CAP,
 ) -> int:
     """Number of eigenvalues below 1/2 - epsilon predicted by the counting
@@ -566,9 +564,7 @@ def count_below_epsilon(
         return 0
     total = 0
     for mu in subcritical:
-        total += stable_count(
-            family, mu, side="above", start=start_size, cap=size_cap
-        ).count
+        total += stable_count(family, mu, side="above", cap=size_cap).count
     return total
 
 
@@ -591,7 +587,6 @@ def discrete2_check(
     params: CouplingParams,
     tol: float = 1e-10,
     *,
-    start_size: int = DOUBLING_START,
     size_cap: int = DOUBLING_CAP,
 ) -> Discrete2Report:
     """Check |#eigenvalues below 1/2  -  sum_j N+(mu_j)| <= bound.
@@ -601,14 +596,12 @@ def discrete2_check(
     branch is subcritical and 2 when both are.
     """
     result = h_eigenvalues_below_threshold(
-        params, tol=tol, refine=False, start_size=start_size, size_cap=size_cap
+        params, tol=tol, refine=False, size_cap=size_cap
     )
     family = CountingLimitFamily()
     rhs = 0
     for mu in result.branch_mus:
-        rhs += stable_count(
-            family, mu, side="above", start=start_size, cap=size_cap
-        ).count
+        rhs += stable_count(family, mu, side="above", cap=size_cap).count
     bound = 1 if len(result.branch_mus) <= 1 else 2
     return Discrete2Report(
         params=result.params,
@@ -633,7 +626,6 @@ class AsymptoticsRow:
 def count_asymptotics_curve(
     mu_values: tuple[float, ...] | list[float],
     *,
-    start_size: int = DOUBLING_START,
     size_cap: int = DOUBLING_CAP,
 ) -> tuple[AsymptoticsRow, ...]:
     """Stabilised counting-limit counts against the near-critical law
@@ -646,9 +638,7 @@ def count_asymptotics_curve(
             raise InvalidParametersError(
                 f"the counting asymptotics need mu > 1, got {mu}"
             )
-        counted = stable_count(
-            family, mu, side="above", start=start_size, cap=size_cap
-        ).count
+        counted = stable_count(family, mu, side="above", cap=size_cap).count
         predicted = 1.0 / (4.0 * _SQRT2 * math.sqrt(mu - 1.0))
         rows.append(AsymptoticsRow(mu=mu, counted=counted, predicted=predicted))
     return tuple(rows)

@@ -42,6 +42,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # per-row numpy calls.
 _SCALAR_BATCH_LIMIT = 8
 
+# Rows of pivots the column kernel computes between two checks for pivots
+# that need the pivmin clamp.
+_ROW_BLOCK = 64
+
 DENSE_ORACLE_MAX_SIZE = 1024
 
 
@@ -133,15 +137,45 @@ def _count_scalar(diag: list, off2: list, shift: float, pivmin: float) -> int:
     return count
 
 
+def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray, pivmin: float | None = None) -> None:
+    """Pivots of ``rows`` into ``out``, continuing from the pivot row ``prev``.
+
+    With ``pivmin`` each pivot is clamped as in ``_count_scalar``; without
+    it the recurrence runs unclamped.
+    """
+    for row, o, q in zip(rows, off2, out):
+        np.divide(o, prev, out=q)
+        np.subtract(row, q, out=q)
+        if pivmin is not None:
+            np.copyto(q, -pivmin, where=np.abs(q) <= pivmin)
+        prev = q
+
+
 def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: float) -> np.ndarray:
-    """Negative-pivot counts for the (n, k) array of shifted diagonals."""
-    q = diag_rows[0].copy()
-    np.copyto(q, -pivmin, where=np.abs(q) <= pivmin)
-    counts = (q < 0.0).astype(np.int64)
-    for i in range(1, diag_rows.shape[0]):
-        q = diag_rows[i] - off2[i - 1] / q
-        np.copyto(q, -pivmin, where=np.abs(q) <= pivmin)
-        counts += q < 0.0
+    """Negative-pivot counts for the (n, k) array of shifted diagonals.
+
+    Rows run in blocks of ``_ROW_BLOCK``, first without the pivmin clamp.
+    Up to the first pivot within pivmin of zero both recurrences compute
+    the same values, so only a block holding such a pivot is run again
+    with the clamp.  That leaves two numpy calls per row in the common case.
+    """
+    n, k = diag_rows.shape
+    block = np.empty((min(n, _ROW_BLOCK), k))
+    counts = np.zeros(k, dtype=np.int64)
+    # 0/inf = 0, so the first pivot is the first diagonal
+    prev = np.full(k, np.inf)
+    off2_list = [0.0, *off2.tolist()]
+    for start in range(0, n, _ROW_BLOCK):
+        rows = diag_rows[start : start + _ROW_BLOCK]
+        couplings = off2_list[start : start + _ROW_BLOCK]
+        q = block[: rows.shape[0]]
+        # a zero pivot makes inf and nan here; that block is redone below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            _pivot_rows(rows, couplings, prev, q)
+        if np.any(np.abs(q) <= pivmin):
+            _pivot_rows(rows, couplings, prev, q, pivmin)
+        counts += np.count_nonzero(q < 0.0, axis=0)
+        prev = q[-1].copy()
     return counts
 
 

@@ -6,17 +6,79 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from speclab.cli import run
+from speclab.cli import _build_parser, _fmt_float, run
 
 SQRT2 = math.sqrt(2.0)
 TWO_SQRT2 = repr(2.0 * SQRT2)  # exact decimal form of the singular beta
 
 
 def run_cli(capsys, argv):
-    rc = run(argv)
+    """Exit code, stdout and stderr, whether ``run`` returns or argparse exits."""
+    try:
+        rc = run(argv)
+    except SystemExit as exc:
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# pinned output: one cheap line per command, plus a CSV line and a sweep
+
+PINNED = [
+    (["mu", "--alpha", "1", "--beta", "1", "--gamma-re", "0.3", "--gamma-im=-0.2"],
+     '{"mu1": 1.47466998136397, "mu2": 0.339058912379523}\n'),
+    (["classify", "--alpha", "1.4", "--beta", "1"],
+     '{"kind": "Subcritical", "branch1": "Branch1", "mu1": 1.01015254455221, '
+     '"kind1": "Subcritical", "branch2": "Branch2", "mu2": 0.353553390593274, '
+     '"kind2": "Supercritical"}\n'),
+    (["surface", "--beta", "0.5", "--gamma-re", "0.8"],
+     '{"alpha_c": 1.68907722170697}\n'),
+    (["jacobi-spectrum", "--family", "spectral", "--mu", "1.5", "--lambda", "0.2",
+      "--size", "64", "--lo", "-1", "--hi", "1"],
+     '{"family": "spectral", "size": 64, "lo": -1, "hi": 1, "count": 1, '
+     '"eigenvalues": [0.831087235797895]}\n'),
+    (["count", "--alpha", "1", "--beta", "0", "--epsilon", "0.01"],
+     '{"count": 1}\n'),
+    (["h-spectrum", "--alpha", "1", "--beta", "0"],
+     '{"branch_mus": [1.41421356237309], "per_branch_counts": [1], "count": 1, '
+     '"eigenvalues": [0.47541226427148], "truncation_size": 4096, '
+     '"method_agreement": 3.92493815226658e-11}\n'),
+    (["discrete2-check", "--alpha", "1", "--beta", "0"],
+     '{"lhs": 1, "rhs": 0, "bound": 1, "ok": true, '
+     '"branch_mus": [1.41421356237309]}\n'),
+    (["asymptotics", "--mu", "1.02"],
+     '{"mu": 1.02, "counted": 1, "predicted": 1.25, "ratio": 0.8}\n'),
+    (["identity-check", "--mu", "1.5", "--lambda", "0.3", "--lambda-im", "0.1",
+      "--size", "256"],
+     '{"mu": 1.5, "lambda_re": 0.3, "lambda_im": 0.1, "size": 256, '
+     '"residual": 9.38238561770801e-14, '
+     '"max_interior_residual": 1.3256755448479e-16}\n'),
+    (["transition-scan", "--mu", "1.5", "--sizes", "64,128", "--lo", "-1", "--hi", "1"],
+     '[{"mu": 1.5, "size": 64, "smallest": 1.16555324049099, "window_count": 0},\n'
+     ' {"mu": 1.5, "size": 128, "smallest": 1.16555324048757, "window_count": 0}]\n'),
+    (["forms-test", "--alpha", "1", "--beta", "4", "--trials", "50", "--seed", "7"],
+     '{"c": 0.292893218813453, "trials": 50, "violations": 0, '
+     '"min_margin": 2.61780668558574}\n'),
+    (["classify", "--alpha", "1", "--beta", "0", "--format", "csv"],
+     "kind,branch1,mu1,kind1,branch2,mu2,kind2\n"
+     "Subcritical,BetaZero,1.41421356237309,Subcritical,,,\n"),
+    (["identity-check", "--mu", "1.5", "--size", "64", "--grid", "lambda:0:1:3"],
+     '[{"lam": 0, "mu": 1.5, "lambda_re": 0, "lambda_im": 0, "size": 64, '
+     '"residual": 0, "max_interior_residual": 8.16855397570965e-17, "status": "ok"},\n'
+     ' {"lam": 0.5, "status": "BranchCutError"},\n'
+     ' {"lam": 1, "status": "BranchCutError"}]\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED, ids=[a[0] for a, _ in PINNED])
+def test_pinned_output(capsys, argv, expected):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert out == expected
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +202,6 @@ def test_sweep_workers_byte_identical(capsys):
     assert all(r["status"] == "ok" for r in rows)
 
 
-def test_sweep_env_workers_override(capsys, monkeypatch):
-    base = ["mu", "--beta", "1", "--grid", "alpha:0.5:2:5", "--workers", "1"]
-    rc1, out1, _ = run_cli(capsys, base)
-    monkeypatch.setenv("SPECLAB_WORKERS", "3")
-    rc3, out3, _ = run_cli(capsys, base)
-    assert rc1 == rc3 == 0
-    assert out1 == out3
-
-
 def test_sweep_rows_in_input_order(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -230,6 +283,63 @@ def test_config_lambda_alias(capsys, tmp_path):
     assert row["size"] == 128
 
 
+def test_config_serves_several_commands(capsys, tmp_path):
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"alpha": 1.0, "beta": 1.0, "size": 64,
+                               "family": "reference", "mu": 1.5}))
+    # size, family and mu are not flags of mu: they are skipped
+    rc, out, _ = run_cli(capsys, ["mu", "--config", str(cfg)])
+    _, direct, _ = run_cli(capsys, ["mu", "--alpha", "1", "--beta", "1"])
+    assert rc == 0 and out == direct
+    # a config may supply the required --family
+    rc, out, _ = run_cli(capsys, ["jacobi-spectrum", "--config", str(cfg)])
+    _, direct, _ = run_cli(
+        capsys, ["jacobi-spectrum", "--family", "reference", "--mu", "1.5",
+                 "--size", "64"],
+    )
+    assert rc == 0 and out == direct
+
+
+def test_config_does_not_leak_into_next_run(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 5.0}))
+    _, before, _ = run_cli(capsys, ["mu", "--beta", "1"])
+    run_cli(capsys, ["mu", "--beta", "1", "--config", str(cfg)])
+    _, after, _ = run_cli(capsys, ["mu", "--beta", "1"])
+    assert after == before
+    assert json.loads(after)["mu1"] == "inf"  # alpha keeps its default 0
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("identity-check", {"size": "12"}),
+        ("classify", {"tol": "abc"}),
+        ("mu", {"grid": 5}),
+        ("mu", {"grid": {"variable": "alpha"}}),
+        ("mu", {"alhpa": 3, "beta": 1}),
+        ("mu", {"format": "xml"}),
+        ("mu", {"alpha": None}),
+        ("mu", [1, 2]),
+    ],
+)
+def test_bad_config_exits_2(capsys, tmp_path, command, config):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    rc, out, err = run_cli(capsys, [command, "--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert err and "Traceback" not in err
+
+
+def test_bad_config_key_is_named(capsys, tmp_path):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"alhpa": 3, "beta": 1}))
+    rc, _, err = run_cli(capsys, ["mu", "--config", str(cfg)])
+    assert rc == 2
+    assert "'alhpa'" in err
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     argv = ["classify", "--alpha", "1", "--beta", "1", "--format", "csv"]
     rc, stdout_text, _ = run_cli(capsys, argv)
@@ -264,6 +374,34 @@ def test_single_invalid_params_exit_2(capsys):
     assert rc == 2
     assert out == ""
     assert err.startswith("speclab: ")
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_parser_reads_back_every_printed_float(x):
+    text = _fmt_float(x)
+    args = _build_parser().parse_args(["mu", "--gamma-im", text])
+    assert args.gamma_im == float(text)
+
+
+def test_parser_negative_numbers_and_options(capsys):
+    for text in ("-9.9e-05", "-1e+300", "-.5", "-inf"):
+        args = _build_parser().parse_args(["mu", "--gamma-im", text])
+        assert args.gamma_im == float(text)
+    rc, out, _ = run_cli(capsys, ["mu", "--gamma-im", "-x"])
+    assert rc == 2 and out == ""
+
+
+def test_parser_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_classify_nan_tol_exit_2(capsys):
+    rc, out, err = run_cli(
+        capsys, ["classify", "--alpha=1.414213562373095", "--beta", "0", "--tol", "nan"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert "tol" in err
 
 
 def test_unknown_command_raises_argparse_exit(capsys):

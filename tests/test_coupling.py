@@ -258,6 +258,14 @@ def test_classify_tolerance_band():
         classify(p, tol=-1.0)
 
 
+def test_classify_rejects_nonfinite_tol():
+    # a nan tol fails every comparison, so mu = 1 came out Supercritical
+    p = CouplingParams(SQRT2, 0.0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(InvalidParametersError):
+            classify(p, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # critical surface
 

@@ -489,9 +489,7 @@ def test_h_spectrum_tol_validation():
 
 def test_h_spectrum_cap_exhaustion_raises():
     with pytest.raises(NonConvergenceError):
-        h_eigenvalues_below_threshold(
-            CouplingParams(1.0, 1.0), start_size=2048, size_cap=2048
-        )
+        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=2048)
 
 
 def test_h_spectrum_refine_off():

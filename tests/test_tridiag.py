@@ -137,6 +137,20 @@ def test_counts_for_diagonals_matches_per_row():
         counts_for_diagonals(np.zeros((2, 5)), np.zeros(3))
 
 
+def test_column_counts_match_scalar_counts_at_zero_pivots():
+    # integer entries at integer levels hit exact zero pivots, so the
+    # column kernel must take its clamped path in some row blocks
+    rng = np.random.default_rng(12)
+    levels = np.arange(-4.0, 5.0, 0.5)
+    for _ in range(20):
+        t = TridiagonalMatrix(
+            diag=rng.integers(-2, 3, size=200).astype(float),
+            offdiag=rng.integers(-1, 2, size=199).astype(float),
+        )
+        want = np.array([count_below(t, level) for level in levels])
+        assert np.array_equal(counts_at_levels(t, levels), want)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=25),
