@@ -208,6 +208,8 @@ def _cmd_transition_scan(a: dict) -> list[list]:
 
 
 def _cmd_forms_test(a: dict) -> list[list]:
+    if a["trials"] < 1:
+        raise InvalidParametersError(f"trials must be at least 1, got {a['trials']}")
     params = _point_params(a)
     c = lower_bound_constant(params)
     rng = np.random.default_rng(a["seed"])

@@ -16,9 +16,12 @@ profiles; this module works entirely in that mode picture:
   delta^2 |psi|^2) into an equality.
 * ``h_eigenvalues_below_threshold`` locates all eigenvalues below the
   continuum threshold 1/2 by Sturm-count bisection on the spectral Jacobi
-  family, doubling the truncation until the list stabilises, and
-  cross-checks every root against the secular function of the three-term
-  recurrence.
+  family.  The truncation starts at the depth where the recurrence's
+  minimal solution has decayed to 2^-53 and doubles until the list
+  stabilises; a doubling that one batched count shows would repeat the
+  previous bisection's decisions reuses its brackets.  Every root is
+  cross-checked against the secular function of the three-term
+  recurrence, whose sign change is polished by Illinois steps.
 * ``count_below_epsilon``, ``discrete2_check`` and
   ``count_asymptotics_curve`` compare that eigenvalue count against the
   counting Jacobi operators.
@@ -382,21 +385,72 @@ class HSpectrumResult:
         return int(self.eigenvalues.size)
 
 
+@dataclass(frozen=True)
+class _Bisection:
+    """One branch's bisection at one truncation size: the counts at the
+    window ends and the final bracket of every eigenvalue in the window."""
+
+    counts: tuple[int, int]
+    lows: np.ndarray
+    highs: np.ndarray
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return 0.5 * (self.lows + self.highs)
+
+
+def _start_size(mu: float) -> int:
+    """First truncation size tried for the branch with weight ``mu``.
+
+    The minimal solution of the recurrence decays like |r_min|^n with
+    -ln|r_min| = arccosh(mu), r_min = -mu + sqrt(mu^2 - 1) being the
+    smaller characteristic root (Miller's depth rule).  This is the power
+    of two at or above the depth where |r_min|^n reaches 2^-53, floored at
+    32 and capped at ``DOUBLING_START``.
+    """
+    depth = 53.0 * math.log(2.0) / math.acosh(mu)
+    return min(DOUBLING_START, 2 ** max(5, math.ceil(math.log2(depth))))
+
+
 def _branch_eigenvalues(
-    mu: float, lam_lo: float, lam_hi: float, tol: float, size: int
-) -> np.ndarray:
+    mu: float,
+    lam_lo: float,
+    lam_hi: float,
+    tol: float,
+    size: int,
+    prev: _Bisection | None = None,
+) -> _Bisection:
     """All lambda in (lam_lo, lam_hi] where the Sturm count of the size-N
-    spectral truncation jumps, found by vectorised bisection."""
+    spectral truncation jumps, found by vectorised bisection.
+
+    ``prev``, a bisection of the same window at a smaller size, is returned
+    as it is when one batched count confirms it: the counts at the window
+    ends are unchanged and count(lows[k]) <= k < count(highs[k]) for every
+    target k.  Counts are nondecreasing in lambda and every point counted
+    for target k lies outside the open bracket (lows[k], highs[k]), so a
+    bisection at this size would take the same decisions and end in the
+    same brackets.  Otherwise the bisection runs in full.
+    """
     offdiag = coupling_weights(np.arange(1, size))
 
     def counts_at(lams: np.ndarray) -> np.ndarray:
         diags = spectral_diagonals(mu, lams, size)
         return counts_for_diagonals(diags, offdiag, 0.0)
 
+    points = np.array([lam_lo, lam_hi])
+    if prev is not None:
+        points = np.concatenate((points, prev.lows, prev.highs))
+    counts = counts_at(points)
+    c_lo, c_hi = int(counts[0]), int(counts[1])
     # counts are nondecreasing in lambda, so the k-th jump is bisected
     # for each k = c_lo .. c_hi - 1
-    c_lo, c_hi = counts_at(np.array([lam_lo, lam_hi]))
-    return _bisect(counts_at, lam_lo, lam_hi, np.arange(c_lo, c_hi), tol)
+    ks = np.arange(c_lo, c_hi)
+    if prev is not None and prev.counts == (c_lo, c_hi):
+        at_lows, at_highs = np.split(counts[2:], 2)
+        if np.all(at_lows <= ks) and np.all(ks < at_highs):
+            return prev
+    lows, highs = _bisect(counts_at, lam_lo, lam_hi, ks, tol)
+    return _Bisection((c_lo, c_hi), lows, highs)
 
 
 def _refine_secular(
@@ -404,8 +458,11 @@ def _refine_secular(
 ) -> float | None:
     """Nearest zero of the real secular function around ``lam``.
 
-    Returns None when no sign change shows up within a 1e-3 neighbourhood,
-    which callers treat as a method disagreement.
+    The first sign change in brackets of half-width 1e-9, 4e-9, ... around
+    ``lam`` is polished by safeguarded Illinois steps to a bracket under
+    1e-14, whose midpoint is returned.  Returns None when no sign change
+    shows up within a 1e-3 neighbourhood, which callers treat as a method
+    disagreement.
     """
     ceiling = THRESHOLD - 1e-12
 
@@ -422,15 +479,30 @@ def _refine_secular(
         if fhi == 0.0:
             return hi
         if flo * fhi < 0.0:
+            # Illinois: the secant through the bracket ends, with the value
+            # at an end kept twice in a row halved; the midpoint whenever
+            # the secant point leaves the bracket, and at least half the
+            # stopping width from either end, so a secant point that lands
+            # on the root closes the bracket with one more evaluation
+            kept = 0
             for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if fm == 0.0:
-                    return mid
-                if flo * fm < 0.0:
-                    hi = mid
+                x = hi - fhi * (hi - lo) / (fhi - flo)
+                if not lo <= x <= hi:
+                    x = 0.5 * (lo + hi)
+                x = min(max(x, lo + 0.5e-14), hi - 0.5e-14)
+                fx = f(x)
+                if fx == 0.0:
+                    return x
+                if flo * fx < 0.0:
+                    hi, fhi = x, fx
+                    if kept < 0:
+                        flo *= 0.5
+                    kept = -1
                 else:
-                    lo, flo = mid, fm
+                    lo, flo = x, fx
+                    if kept > 0:
+                        fhi *= 0.5
+                    kept = 1
                 if hi - lo < 1e-14:
                     break
             return 0.5 * (lo + hi)
@@ -452,14 +524,27 @@ def h_eigenvalues_below_threshold(
     count at level 0 of the spectral Jacobi family jumps as a function of
     lambda.  The search window is (lambda_min, 1/2); when ``lambda_min`` is
     omitted it defaults to 1/2 - 10, tightened to c/2 whenever the form
-    lower-bound constant c is positive.  The truncation size doubles from
-    ``DOUBLING_START`` until the eigenvalue list is reproduced to ``tol``.
+    lower-bound constant c is positive.
+
+    The truncation starts, per branch, at the power of two where the
+    minimal solution of the recurrence, decaying like exp(-n arccosh mu),
+    falls to 2^-53 (at least 32 rows, at most ``DOUBLING_START``), and
+    doubles until the eigenvalue list is reproduced to ``tol``.  At each
+    doubling one batched count at the window ends and at both ends of
+    every previous bracket decides whether the bisection at the new size
+    would take the previous one's decisions; if so the previous list is
+    reused as it is, else the bisection runs in full.  No size above
+    ``size_cap`` is factored: a list not yet stable when the next doubling
+    would pass it raises ``NonConvergenceError``.
 
     With ``refine`` each root is cross-checked against the secular function
-    of the half-line recurrence; ``method_agreement`` reports the largest
-    discrepancy (0 when there is nothing to check).
+    of the half-line recurrence, its sign change polished by safeguarded
+    Illinois steps; ``method_agreement`` reports the largest discrepancy
+    (0 when there is nothing to check).
     """
     tol = _check_tol(tol)
+    if size_cap < 2:
+        raise InvalidParametersError(f"size_cap must be at least 2, got {size_cap}")
     p = canonicalize(params)
     mus = branch_mus(p)
     if not mus:
@@ -497,21 +582,25 @@ def h_eigenvalues_below_threshold(
     per_branch: list[np.ndarray] = []
     max_size = 0
     for _, mu in subcritical:
-        size = DOUBLING_START
-        prev: np.ndarray | None = None
+        size = min(_start_size(mu), size_cap)
+        found = _branch_eigenvalues(mu, lam_lo, lam_hi, tol, size)
         while True:
-            eigs = _branch_eigenvalues(mu, lam_lo, lam_hi, tol, size)
-            if prev is not None and prev.size == eigs.size:
-                if eigs.size == 0 or np.max(np.abs(eigs - prev)) <= tol:
-                    break
-            if size >= size_cap:
+            if 2 * size > size_cap:
                 raise NonConvergenceError(
                     f"eigenvalue list for mu = {mu} did not stabilise by "
-                    f"truncation size {size_cap}"
+                    f"truncation size {size}; doubling it passes the size cap "
+                    f"{size_cap}"
                 )
-            prev = eigs
             size *= 2
-        per_branch.append(eigs)
+            prev, found = found, _branch_eigenvalues(
+                mu, lam_lo, lam_hi, tol, size, prev=found
+            )
+            eigs, prev_eigs = found.eigenvalues, prev.eigenvalues
+            if prev_eigs.size == eigs.size and (
+                eigs.size == 0 or np.max(np.abs(eigs - prev_eigs)) <= tol
+            ):
+                break
+        per_branch.append(found.eigenvalues)
         max_size = max(max_size, size)
 
     agreement = 0.0

@@ -212,15 +212,18 @@ def counts_for_diagonals(diags: np.ndarray, offdiag: np.ndarray, level: float = 
     return _counts_columns(rows, off2, pivmin)
 
 
-def _bisect(count_at, lo: float, hi: float, ks: np.ndarray, tol: float) -> np.ndarray:
+def _bisect(
+    count_at, lo: float, hi: float, ks: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Where a nondecreasing integer count first exceeds each target in ``ks``.
 
     ``count_at`` maps an array of points to their counts, and
     count(lo) <= k < count(hi) must hold for every target k.  Each bracket
     is halved until it is within ``tol``; only brackets still wider than
     ``tol`` are counted again.  Brackets stop shrinking at ulp scale, so at
-    most ceil(log2((hi - lo) / tol)) + 3 halvings run.  Returns the bracket
-    midpoints.
+    most ceil(log2((hi - lo) / tol)) + 3 halvings run.  Returns the final
+    brackets ``(lows, highs)``; every point counted for target k lies at or
+    below lows[k] or at or above highs[k].
     """
     lows = np.full(ks.size, lo)
     highs = np.full(ks.size, hi)
@@ -233,7 +236,7 @@ def _bisect(count_at, lo: float, hi: float, ks: np.ndarray, tol: float) -> np.nd
         go_left = count_at(mids) > ks[active]
         highs[active[go_left]] = mids[go_left]
         lows[active[~go_left]] = mids[~go_left]
-    return 0.5 * (lows + highs)
+    return lows, highs
 
 
 def eigenvalues_in_window(
@@ -253,7 +256,7 @@ def eigenvalues_in_window(
         int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
         for level in (lo, hi)
     )
-    eigenvalues = _bisect(
+    lows, highs = _bisect(
         lambda levels: counts_for_diagonals((t.diag[:, None] - levels).T, t.offdiag),
         lo,
         hi,
@@ -262,7 +265,7 @@ def eigenvalues_in_window(
     )
     return EigenvalueReport(
         window=(lo, hi),
-        eigenvalues=eigenvalues,
+        eigenvalues=0.5 * (lows + highs),
         count_below_lo=count_lo,
         count_below_hi=count_hi,
         size=t.size,
@@ -275,14 +278,14 @@ def smallest_eigenvalue(t: TridiagonalMatrix, tol: float = 1e-10) -> float:
     tol = _check_tol(tol)
     lo, hi = t.gershgorin_bounds()
     hi = hi + max(tol, _pivmin(t.diag, t.offdiag, hi))
-    found = _bisect(
+    lows, highs = _bisect(
         lambda levels: counts_for_diagonals(t.diag[None, :], t.offdiag, levels[0]),
         lo,
         hi,
         np.zeros(1, dtype=np.int64),
         tol,
     )
-    return float(found[0])
+    return float(0.5 * (lows[0] + highs[0]))
 
 
 def dense_eigen_oracle(t: TridiagonalMatrix) -> np.ndarray:

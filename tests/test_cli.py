@@ -45,8 +45,8 @@ PINNED = [
      '{"count": 1}\n'),
     (["h-spectrum", "--alpha", "1", "--beta", "0"],
      '{"branch_mus": [1.41421356237309], "per_branch_counts": [1], "count": 1, '
-     '"eigenvalues": [0.47541226427148], "truncation_size": 4096, '
-     '"method_agreement": 3.92493815226658e-11}\n'),
+     '"eigenvalues": [0.47541226427148], "truncation_size": 128, '
+     '"method_agreement": 3.92539334370667e-11}\n'),
     (["discrete2-check", "--alpha", "1", "--beta", "0"],
      '{"lhs": 1, "rhs": 0, "bound": 1, "ok": true, '
      '"branch_mus": [1.41421356237309]}\n'),
@@ -185,6 +185,38 @@ def test_forms_test_seeded_and_clean(capsys):
     assert row["c"] == pytest.approx(1.0 - 1.0 / SQRT2, rel=1e-12)
     assert row["violations"] == 0
     assert row["min_margin"] > 0.0
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_forms_test_needs_a_trial(capsys, trials):
+    # no trials used to pass the check with "violations": 0
+    rc, out, err = run_cli(
+        capsys, ["forms-test", "--alpha", "1", "--beta", "0", f"--trials={trials}"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert "trials" in err
+
+
+@pytest.mark.parametrize("command", ["h-spectrum", "discrete2-check"])
+@pytest.mark.parametrize("cap", ["0", "-4"])
+def test_n_cap_below_two_exits_2(capsys, command, cap):
+    rc, out, _ = run_cli(capsys, [command, "--alpha", "1", "--beta", "0", f"--n-cap={cap}"])
+    assert rc == 2
+    assert out == ""
+
+
+def test_h_spectrum_n_cap_is_never_passed(capsys):
+    argv = ["h-spectrum", "--beta", "0", "--n-cap", "3000"]
+    rc, out, _ = run_cli(capsys, argv + ["--alpha", "1"])
+    assert rc == 0
+    assert json.loads(out)["truncation_size"] == 128
+    # at mu - 1 = 1e-4 the list is not stable at 2048 rows, and 4096 is
+    # above the cap: this used to answer from 4096 rows
+    rc, out, err = run_cli(capsys, argv + [f"--alpha={SQRT2 / 1.0001!r}"])
+    assert rc == 3
+    assert out == ""
+    assert "3000" in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import speclab.hamiltonian as hamiltonian
 from speclab import (
     Beta0ConstraintError,
     Branch,
@@ -420,6 +421,20 @@ def lapack_eigenvalues_below_threshold(mu: float, size: int = 300) -> list[float
     return roots
 
 
+def _window(params, lambda_min=None):
+    """The search window h_eigenvalues_below_threshold uses."""
+    if lambda_min is None:
+        lambda_min = THRESHOLD - 10.0
+        c = lower_bound_constant(params)
+        if c > 0.0:
+            lambda_min = max(lambda_min, 0.5 * c)
+    return lambda_min, THRESHOLD - hamiltonian._WINDOW_MARGIN
+
+
+def _full_bisection(mu, window, tol, size):
+    return hamiltonian._branch_eigenvalues(mu, *window, tol, size).eigenvalues
+
+
 def test_h_spectrum_single_eigenvalue_frozen():
     res = h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0))
     assert res.count == 1
@@ -427,7 +442,50 @@ def test_h_spectrum_single_eigenvalue_frozen():
     assert res.branch_mus[0] == pytest.approx(SQRT2, rel=1e-15)
     assert res.eigenvalues[0] == pytest.approx(0.47541226430548, abs=1e-9)
     assert res.method_agreement < 1e-8
-    assert res.truncation_size >= 2048
+    # the start is the decay depth of the minimal solution, 64 rows at
+    # mu = sqrt(2), and one doubling confirms it
+    assert hamiltonian._start_size(res.branch_mus[0]) == 64
+    assert res.truncation_size == 128
+    window = _window(CouplingParams(1.0, 1.0))
+    assert np.array_equal(
+        res.eigenvalues, _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
+    )
+
+
+@pytest.mark.parametrize("mu_minus_1", [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
+def test_h_spectrum_equals_full_bisection_bitwise(mu_minus_1):
+    # the start size and the bracket confirmation change only the work
+    # done: the list is the full bisection at the accepted size, and at
+    # max(accepted, 4096) rows, where a search starting at 2048 rows stops
+    params = CouplingParams(SQRT2 / (1.0 + mu_minus_1), 0.0)
+    for tol in (1e-6, 1e-10, 1e-12):
+        for lambda_min in (None, 0.25):
+            res = h_eigenvalues_below_threshold(
+                params, lambda_min=lambda_min, tol=tol, refine=False
+            )
+            (mu,) = res.branch_mus
+            window = _window(params, lambda_min)
+            for size in {res.truncation_size, max(res.truncation_size, 4096)}:
+                direct = _full_bisection(mu, window, tol, size)
+                assert np.array_equal(res.eigenvalues, direct), (tol, lambda_min, size)
+
+
+def test_branch_eigenvalues_confirms_or_falls_back():
+    window = (THRESHOLD - 10.0, THRESHOLD - 1e-9)
+    # at mu = 1.5 the 16-row brackets survive the 32-row count unchanged
+    small = hamiltonian._branch_eigenvalues(1.5, *window, 1e-12, 16)
+    assert hamiltonian._branch_eigenvalues(1.5, *window, 1e-12, 32, prev=small) is small
+    # at mu = 1.1 the eigenvalue moves by far more than tol from 8 to 16
+    # rows, with the same counts at the window ends: the bracket check
+    # fails and the full 16-row bisection runs
+    small = hamiltonian._branch_eigenvalues(1.1, *window, 1e-12, 8)
+    again = hamiltonian._branch_eigenvalues(1.1, *window, 1e-12, 16, prev=small)
+    full = hamiltonian._branch_eigenvalues(1.1, *window, 1e-12, 16)
+    assert again is not small
+    assert again.counts == small.counts == full.counts == (0, 1)
+    assert np.array_equal(again.lows, full.lows)
+    assert np.array_equal(again.highs, full.highs)
+    assert abs(full.eigenvalues[0] - small.eigenvalues[0]) > 1e-6
 
 
 def test_h_spectrum_matches_dense_bisection():
@@ -488,8 +546,89 @@ def test_h_spectrum_tol_validation():
 
 
 def test_h_spectrum_cap_exhaustion_raises():
+    # a cap at the start size leaves no doubling to confirm the list with
+    cap = hamiltonian._start_size(SQRT2)
     with pytest.raises(NonConvergenceError):
-        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=2048)
+        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=cap)
+
+
+def test_h_spectrum_size_cap_validation():
+    for cap in (0, -4, 1):
+        with pytest.raises(InvalidParametersError):
+            h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=cap)
+        with pytest.raises(InvalidParametersError):
+            discrete2_check(CouplingParams(1.0, 1.0), size_cap=cap)
+
+
+def test_h_spectrum_never_factors_above_cap(monkeypatch):
+    sizes = []
+    branch_eigenvalues = hamiltonian._branch_eigenvalues
+
+    def recording(mu, lam_lo, lam_hi, tol, size, prev=None):
+        sizes.append(size)
+        return branch_eigenvalues(mu, lam_lo, lam_hi, tol, size, prev)
+
+    monkeypatch.setattr(hamiltonian, "_branch_eigenvalues", recording)
+    # mu = sqrt(2) starts at 64 rows and confirms at 128
+    res = h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=128)
+    assert sizes == [64, 128] and res.truncation_size == 128
+    sizes.clear()
+    with pytest.raises(NonConvergenceError):
+        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=100)
+    assert sizes == [64]
+    # a cap below the start is where the search starts
+    sizes.clear()
+    with pytest.raises(NonConvergenceError):
+        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=40)
+    assert sizes == [40]
+
+
+def _bisect_secular(mu, lam, lam_floor, size=256):
+    """The secular root by plain bisection of the first sign change found
+    around ``lam``, for comparison with the Illinois polish."""
+
+    def f(x):
+        return hamiltonian.secular_function(mu, x, size).real
+
+    half = 1e-9
+    while half <= 1e-3:
+        lo = max(lam - half, lam_floor)
+        hi = min(lam + half, THRESHOLD - 1e-12)
+        flo, fhi = f(lo), f(hi)
+        if flo * fhi < 0.0:
+            while hi - lo >= 1e-14:
+                mid = 0.5 * (lo + hi)
+                if flo * f(mid) < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, f(mid)
+            return 0.5 * (lo + hi)
+        half *= 4.0
+    return None
+
+
+def test_refine_secular_illinois_matches_bisection(monkeypatch):
+    evals = []
+    secular_function = hamiltonian.secular_function
+
+    def counting(*args):
+        evals[-1] += 1
+        return secular_function(*args)
+
+    roots = 0
+    for mu in (1.003, 1.01, 1.05, 1.1, 1.3, SQRT2, 2.2, 2.7, 11.0):
+        window = (THRESHOLD - 10.0, THRESHOLD - 1e-9)
+        for lam in _full_bisection(mu, window, 1e-10, 2048):
+            expected = _bisect_secular(mu, float(lam), window[0])
+            with monkeypatch.context() as m:
+                m.setattr(hamiltonian, "secular_function", counting)
+                evals.append(0)
+                root = hamiltonian._refine_secular(mu, float(lam), window[0])
+            assert root is not None and expected is not None
+            assert abs(root - expected) <= 1e-14
+            assert evals[-1] <= 10
+            roots += 1
+    assert roots >= 10
 
 
 def test_h_spectrum_refine_off():
