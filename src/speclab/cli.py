@@ -184,7 +184,7 @@ def _cmd_h_spectrum(a: dict) -> list[list]:
 
 
 def _cmd_discrete2(a: dict) -> list[list]:
-    r = discrete2_check(_point_params(a), tol=a["tol"], size_cap=a["n_cap"])
+    r = discrete2_check(_point_params(a), size_cap=a["n_cap"])
     return [[r.lhs, r.rhs, r.bound, r.ok, list(r.branch_mus)]]
 
 
@@ -342,7 +342,7 @@ _COMMANDS = {
          "truncation_size", "method_agreement"),
     ),
     "discrete2-check": _Command(
-        _cmd_discrete2, "compare located count with the counting-limit bound",
+        _cmd_discrete2, "compare the eigenvalue count with the counting-limit bound",
         _COUPLING, (), ("lhs", "rhs", "bound", "ok", "branch_mus"),
     ),
     "asymptotics": _Command(

@@ -24,14 +24,18 @@ profiles; this module works entirely in that mode picture:
   recurrence, whose sign change is polished by Illinois steps.
 * ``count_below_epsilon``, ``discrete2_check`` and
   ``count_asymptotics_curve`` compare that eigenvalue count against the
-  counting Jacobi operators.
+  counting Jacobi operators.  The bound check needs no eigenvalues: it
+  counts them at the ends of the same window, c(lam_hi) - c(lam_lo) per
+  branch, doubling from the same start until both end counts repeat.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -85,6 +89,8 @@ _SQRT2 = math.sqrt(2.0)
 # The eigenvalue search stops this far below the threshold: the spectral
 # diagonal involves sqrt(n + 1/2 - lambda), which loses meaning at 1/2.
 _WINDOW_MARGIN = 1e-9
+
+_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +418,55 @@ def _start_size(mu: float) -> int:
     return min(DOUBLING_START, 2 ** max(5, math.ceil(math.log2(depth))))
 
 
+def _until_stable(
+    mu: float,
+    size_cap: int,
+    evaluate: Callable[[int, _T | None], _T],
+    same: Callable[[_T, _T], bool],
+    what: str,
+) -> tuple[_T, int]:
+    """Evaluate the branch with weight ``mu`` at doubling truncation sizes
+    until two consecutive answers are ``same``; returns the last answer and
+    its size.
+
+    ``evaluate(size, prev)`` is handed the answer at half the size (None at
+    the start).  The first size is ``_start_size(mu)``, or ``size_cap``
+    when that is smaller.  No size above ``size_cap`` is evaluated: an
+    answer not yet stable when the next doubling would pass it raises
+    ``NonConvergenceError``, naming ``what`` did not stabilise.
+    """
+    size = min(_start_size(mu), size_cap)
+    found = evaluate(size, None)
+    while True:
+        if 2 * size > size_cap:
+            raise NonConvergenceError(
+                f"{what} for mu = {mu} did not stabilise by truncation size "
+                f"{size}; doubling it passes the size cap {size_cap}"
+            )
+        size *= 2
+        prev, found = found, evaluate(size, found)
+        if same(prev, found):
+            return found, size
+
+
+def _counter(mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Sturm counts at level 0 of the size-N spectral truncation, one per
+    lambda of a batch: the number of eigenvalues at or below lambda."""
+    offdiag = coupling_weights(np.arange(1, size))
+
+    def counts_at(lams: np.ndarray) -> np.ndarray:
+        diags = spectral_diagonals(mu, lams, size)
+        return counts_for_diagonals(diags, offdiag, 0.0)
+
+    return counts_at
+
+
+def _window_counts(mu: float, lam_lo: float, lam_hi: float, size: int) -> tuple[int, int]:
+    """The size-N counts at both window ends, from one batched count."""
+    c_lo, c_hi = _counter(mu, size)(np.array([lam_lo, lam_hi]))
+    return int(c_lo), int(c_hi)
+
+
 def _branch_eigenvalues(
     mu: float,
     lam_lo: float,
@@ -431,12 +486,7 @@ def _branch_eigenvalues(
     bisection at this size would take the same decisions and end in the
     same brackets.  Otherwise the bisection runs in full.
     """
-    offdiag = coupling_weights(np.arange(1, size))
-
-    def counts_at(lams: np.ndarray) -> np.ndarray:
-        diags = spectral_diagonals(mu, lams, size)
-        return counts_for_diagonals(diags, offdiag, 0.0)
-
+    counts_at = _counter(mu, size)
     points = np.array([lam_lo, lam_hi])
     if prev is not None:
         points = np.concatenate((points, prev.lows, prev.highs))
@@ -510,13 +560,53 @@ def _refine_secular(
     return None
 
 
+def _branches_and_window(
+    params: CouplingParams, lambda_min: float | None, size_cap: int
+) -> tuple[CouplingParams, list[tuple[Branch, float]], tuple[float, float] | None]:
+    """The canonical parameters, the subcritical branches (branch, mu) and
+    the search window (lam_lo, lam_hi) below the threshold, after checking
+    ``size_cap``.
+
+    No branches at all (the free case) gives no branch and no window;
+    branches none of which has weight mu > 1 raise
+    ``NoSubcriticalBranchError``.  The window's lower end defaults to
+    1/2 - 10, tightened to c/2 whenever the form lower-bound constant c is
+    positive; its upper end is ``_WINDOW_MARGIN`` below 1/2.
+    """
+    if size_cap < 2:
+        raise InvalidParametersError(f"size_cap must be at least 2, got {size_cap}")
+    p = canonicalize(params)
+    mus = branch_mus(p)
+    if not mus:
+        return p, [], None
+    subcritical = [
+        (br, mu) for br, mu in mus if mu is not None and math.isfinite(mu) and mu > 1.0
+    ]
+    if not subcritical:
+        raise NoSubcriticalBranchError(
+            f"no branch of {p} has weight mu > 1; there are no eigenvalues "
+            "below the threshold to locate"
+        )
+    if lambda_min is None:
+        lambda_min = THRESHOLD - 10.0
+        c = lower_bound_constant(p)
+        if c > 0.0:
+            lambda_min = max(lambda_min, 0.5 * c)
+    lam_lo = float(lambda_min)
+    lam_hi = THRESHOLD - _WINDOW_MARGIN
+    if not (lam_lo < lam_hi):
+        raise InvalidParametersError(
+            f"lambda_min = {lam_lo} does not leave a search window below 1/2"
+        )
+    return p, subcritical, (lam_lo, lam_hi)
+
+
 def h_eigenvalues_below_threshold(
     params: CouplingParams,
     lambda_min: float | None = None,
     tol: float = 1e-10,
     *,
     size_cap: int = DOUBLING_CAP,
-    refine: bool = True,
 ) -> HSpectrumResult:
     """Locate every eigenvalue below the continuum threshold 1/2.
 
@@ -537,81 +627,41 @@ def h_eigenvalues_below_threshold(
     ``size_cap`` is factored: a list not yet stable when the next doubling
     would pass it raises ``NonConvergenceError``.
 
-    With ``refine`` each root is cross-checked against the secular function
-    of the half-line recurrence, its sign change polished by safeguarded
-    Illinois steps; ``method_agreement`` reports the largest discrepancy
-    (0 when there is nothing to check).
+    Each root is cross-checked against the secular function of the
+    half-line recurrence, its sign change polished by safeguarded Illinois
+    steps; ``method_agreement`` reports the largest discrepancy (0 when
+    there is nothing to check).
     """
     tol = _check_tol(tol)
-    if size_cap < 2:
-        raise InvalidParametersError(f"size_cap must be at least 2, got {size_cap}")
-    p = canonicalize(params)
-    mus = branch_mus(p)
-    if not mus:
-        return HSpectrumResult(
-            params=p,
-            branches=(),
-            branch_mus=(),
-            eigenvalues=np.zeros(0, dtype=float),
-            per_branch_counts=(),
-            truncation_size=0,
-            tol=tol,
-            method_agreement=0.0,
-        )
-    subcritical = [
-        (br, mu) for br, mu in mus if mu is not None and math.isfinite(mu) and mu > 1.0
-    ]
-    if not subcritical:
-        raise NoSubcriticalBranchError(
-            f"no branch of {p} has weight mu > 1; there are no eigenvalues "
-            "below the threshold to locate"
-        )
+    p, subcritical, window = _branches_and_window(params, lambda_min, size_cap)
 
-    if lambda_min is None:
-        lambda_min = THRESHOLD - 10.0
-        c = lower_bound_constant(p)
-        if c > 0.0:
-            lambda_min = max(lambda_min, 0.5 * c)
-    lam_lo = float(lambda_min)
-    lam_hi = THRESHOLD - _WINDOW_MARGIN
-    if not (lam_lo < lam_hi):
-        raise InvalidParametersError(
-            f"lambda_min = {lam_lo} does not leave a search window below 1/2"
+    def same_list(prev: _Bisection, found: _Bisection) -> bool:
+        eigs, prev_eigs = found.eigenvalues, prev.eigenvalues
+        return prev_eigs.size == eigs.size and (
+            eigs.size == 0 or np.max(np.abs(eigs - prev_eigs)) <= tol
         )
 
     per_branch: list[np.ndarray] = []
     max_size = 0
     for _, mu in subcritical:
-        size = min(_start_size(mu), size_cap)
-        found = _branch_eigenvalues(mu, lam_lo, lam_hi, tol, size)
-        while True:
-            if 2 * size > size_cap:
-                raise NonConvergenceError(
-                    f"eigenvalue list for mu = {mu} did not stabilise by "
-                    f"truncation size {size}; doubling it passes the size cap "
-                    f"{size_cap}"
-                )
-            size *= 2
-            prev, found = found, _branch_eigenvalues(
-                mu, lam_lo, lam_hi, tol, size, prev=found
-            )
-            eigs, prev_eigs = found.eigenvalues, prev.eigenvalues
-            if prev_eigs.size == eigs.size and (
-                eigs.size == 0 or np.max(np.abs(eigs - prev_eigs)) <= tol
-            ):
-                break
+        found, size = _until_stable(
+            mu,
+            size_cap,
+            lambda size, prev: _branch_eigenvalues(mu, *window, tol, size, prev),
+            same_list,
+            "eigenvalue list",
+        )
         per_branch.append(found.eigenvalues)
         max_size = max(max_size, size)
 
     agreement = 0.0
-    if refine:
-        for (_, mu), eigs in zip(subcritical, per_branch):
-            for lam in eigs:
-                root = _refine_secular(mu, float(lam), lam_lo)
-                if root is None:
-                    agreement = math.inf
-                else:
-                    agreement = max(agreement, abs(root - float(lam)))
+    for (_, mu), eigs in zip(subcritical, per_branch):
+        for lam in eigs:
+            root = _refine_secular(mu, float(lam), window[0])
+            if root is None:
+                agreement = math.inf
+            else:
+                agreement = max(agreement, abs(root - float(lam)))
 
     merged = np.sort(np.concatenate(per_branch)) if per_branch else np.zeros(0)
     return HSpectrumResult(
@@ -674,31 +724,39 @@ class Discrete2Report:
 
 def discrete2_check(
     params: CouplingParams,
-    tol: float = 1e-10,
     *,
     size_cap: int = DOUBLING_CAP,
 ) -> Discrete2Report:
     """Check |#eigenvalues below 1/2  -  sum_j N+(mu_j)| <= bound.
 
-    The right-hand side counts eigenvalues of the limiting counting matrix
+    The left-hand side needs no eigenvalues, only their number: per
+    subcritical branch it is c_hi - c_lo, the Sturm counts at the ends of
+    the window ``h_eigenvalues_below_threshold`` searches, from one
+    batched count per truncation size.  The sizes double from the same
+    start, under the same cap, until the pair (c_lo, c_hi) repeats; by
+    Cauchy interlacing each end count is nondecreasing in the size.  The
+    right-hand side counts eigenvalues of the limiting counting matrix
     above each subcritical branch weight; the bound is 1 when a single
     branch is subcritical and 2 when both are.
     """
-    result = h_eigenvalues_below_threshold(
-        params, tol=tol, refine=False, size_cap=size_cap
-    )
+    p, subcritical, window = _branches_and_window(params, None, size_cap)
+    mus = tuple(mu for _, mu in subcritical)
+    lhs = 0
+    for mu in mus:
+        (c_lo, c_hi), _ = _until_stable(
+            mu,
+            size_cap,
+            lambda size, _: _window_counts(mu, *window, size),
+            operator.eq,
+            "eigenvalue count",
+        )
+        lhs += c_hi - c_lo
     family = CountingLimitFamily()
     rhs = 0
-    for mu in result.branch_mus:
+    for mu in mus:
         rhs += stable_count(family, mu, side="above", cap=size_cap).count
-    bound = 1 if len(result.branch_mus) <= 1 else 2
-    return Discrete2Report(
-        params=result.params,
-        lhs=result.count,
-        rhs=rhs,
-        bound=bound,
-        branch_mus=result.branch_mus,
-    )
+    bound = 1 if len(mus) <= 1 else 2
+    return Discrete2Report(params=p, lhs=lhs, rhs=rhs, bound=bound, branch_mus=mus)
 
 
 @dataclass(frozen=True)

@@ -438,13 +438,19 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
         )
     ns = np.arange(up_to + 1)
     zs_im = zeta_array(ns, sol.lam).imag
-    k = sol.log2_scale
-    kref = float(np.max(k[: up_to + 2]))
+    # mantissas reach 2^512, so their squares would overflow: scale each
+    # to [1/2, 1) by its own power of two, which is exact, and move that
+    # exponent into the log2 scale
+    vals = sol.values[: up_to + 2]
+    _, e = np.frexp(np.abs(vals))
+    vals = vals * np.ldexp(1.0, -e)
+    k = sol.log2_scale[: up_to + 2] + e
+    kref = float(np.max(k))
     weights = np.exp2(2.0 * (k[: up_to + 1] - kref))
-    mags2 = np.abs(sol.values[: up_to + 1]) ** 2 * weights
+    mags2 = np.abs(vals[: up_to + 1]) ** 2 * weights
     terms = 2.0 * sol.mu * mags2 * np.sqrt(ns + 0.5) * zs_im
     lhs = float(np.sum(terms))
-    cross = (sol.values[up_to + 1] * np.conj(sol.values[up_to])).imag
+    cross = (vals[up_to + 1] * np.conj(vals[up_to])).imag
     rhs = -coupling_weight(up_to + 1) * float(cross) * 2.0 ** float(
         k[up_to + 1] + k[up_to] - 2.0 * kref
     )

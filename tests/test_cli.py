@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speclab.cli import _build_parser, _fmt_float, run
@@ -74,7 +76,17 @@ PINNED = [
 ]
 
 
-@pytest.mark.parametrize("argv, expected", PINNED, ids=[a[0] for a, _ in PINNED])
+PINNED_IDS = [a[0] for a, _ in PINNED]
+# mu - 1 = 3.1e-4 puts ten eigenvalues below 1/2
+PINNED.append(
+    (["discrete2-check", "--alpha=1.4137734653255918", "--beta", "0"],
+     '{"lhs": 10, "rhs": 9, "bound": 1, "ok": true, '
+     '"branch_mus": [1.00031129247952]}\n')
+)
+PINNED_IDS.append("discrete2-check-near-critical")
+
+
+@pytest.mark.parametrize("argv, expected", PINNED, ids=PINNED_IDS)
 def test_pinned_output(capsys, argv, expected):
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0
@@ -119,6 +131,30 @@ def test_surface_gamma_zero(capsys):
     rc, out, _ = run_cli(capsys, ["surface", "--beta", "1"])
     assert rc == 0
     assert json.loads(out)["alpha_c"] == pytest.approx(SQRT2, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.floats(0.3, 3.0),
+    lam=st.floats(-2.0, 0.5),
+    lam_im=st.floats(0.05, 2.0) | st.floats(-2.0, -0.05),
+    size=st.integers(2, 5000),
+)
+# squared mantissas near 2^512 used to overflow the identity's sum to nan
+@example(mu=1.0344688450419626, lam=-0.8734261681881561, lam_im=1.5106860572764642,
+         size=2675)
+@example(mu=1.138857525133995, lam=-0.7402653021175278, lam_im=0.13287778473353085,
+         size=38204)
+def test_identity_check_output_is_finite(mu, lam, lam_im, size):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run(["identity-check", f"--mu={mu!r}", f"--lambda={lam!r}",
+                  f"--lambda-im={lam_im!r}", f"--size={size}"])
+    assert rc == 0
+    row = json.loads(out.getvalue())
+    for key in ("residual", "max_interior_residual"):
+        value = float(row[key])
+        assert math.isfinite(value) and value <= 1e-9, (key, row[key])
 
 
 def test_identity_check_residual_small(capsys):
@@ -204,6 +240,24 @@ def test_n_cap_below_two_exits_2(capsys, command, cap):
     rc, out, _ = run_cli(capsys, [command, "--alpha", "1", "--beta", "0", f"--n-cap={cap}"])
     assert rc == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-1"])
+def test_discrete2_check_ignores_tol(capsys, tol):
+    # the check counts eigenvalues and locates none, so no tolerance applies
+    rc, out, _ = run_cli(capsys, ["discrete2-check", "--alpha", "1", "--beta", "0",
+                                  f"--tol={tol}"])
+    assert rc == 0
+    assert out == PINNED[PINNED_IDS.index("discrete2-check")][1]
+
+
+def test_discrete2_check_without_subcritical_branch(capsys):
+    rc, out, err = run_cli(capsys, ["discrete2-check", "--alpha", "3", "--beta", "1"])
+    assert (rc, out) == (2, "")
+    assert "has weight mu > 1" in err
+    rc, out, _ = run_cli(capsys, ["discrete2-check", "--alpha", "0", "--beta", "0"])
+    assert rc == 0
+    assert out == '{"lhs": 0, "rhs": 0, "bound": 1, "ok": true, "branch_mus": []}\n'
 
 
 def test_h_spectrum_n_cap_is_never_passed(capsys):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import speclab.hamiltonian as hamiltonian
+import speclab.tridiag as tridiag
 from speclab import (
     Beta0ConstraintError,
     Branch,
@@ -460,9 +461,7 @@ def test_h_spectrum_equals_full_bisection_bitwise(mu_minus_1):
     params = CouplingParams(SQRT2 / (1.0 + mu_minus_1), 0.0)
     for tol in (1e-6, 1e-10, 1e-12):
         for lambda_min in (None, 0.25):
-            res = h_eigenvalues_below_threshold(
-                params, lambda_min=lambda_min, tol=tol, refine=False
-            )
+            res = h_eigenvalues_below_threshold(params, lambda_min=lambda_min, tol=tol)
             (mu,) = res.branch_mus
             window = _window(params, lambda_min)
             for size in {res.truncation_size, max(res.truncation_size, 4096)}:
@@ -541,8 +540,6 @@ def test_h_spectrum_tol_validation():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(InvalidParametersError):
             h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), tol=tol)
-        with pytest.raises(InvalidParametersError):
-            discrete2_check(CouplingParams(1.0, 1.0), tol=tol)
 
 
 def test_h_spectrum_cap_exhaustion_raises():
@@ -631,12 +628,6 @@ def test_refine_secular_illinois_matches_bisection(monkeypatch):
     assert roots >= 10
 
 
-def test_h_spectrum_refine_off():
-    res = h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), refine=False)
-    assert res.method_agreement == 0.0
-    assert res.count == 1
-
-
 # ---------------------------------------------------------------------------
 # counting operators
 
@@ -674,6 +665,78 @@ def test_discrete2_check_frozen_points():
     rep2 = discrete2_check(CouplingParams(1.4, 1.0))
     assert rep2.lhs == 2
     assert abs(rep2.lhs - rep2.rhs) <= rep2.bound
+
+
+# beta = 0 points with mu - 1 from 1e-4 to 10, and three beta > 0 points:
+# two eigenvalues on one branch, two subcritical branches, and a benchmark
+# point with mu - 1 = 3.1e-4 and ten eigenvalues
+COUNT_POINTS = [
+    *(CouplingParams(SQRT2 / (1.0 + d), 0.0) for d in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)),
+    CouplingParams(1.4, 1.0),
+    CouplingParams(
+        0.9849444704872194, 4.600715716066205,
+        complex(0.19667971884217206, 0.6538845826401847),
+    ),
+    CouplingParams(
+        2.9012878830297506, 2.2781640533844145,
+        complex(-0.03550290383030817, 0.9047505208524667),
+    ),
+]
+
+
+@pytest.mark.parametrize("params", COUNT_POINTS, ids=range(len(COUNT_POINTS)))
+def test_discrete2_count_equals_located_count(params):
+    rep = discrete2_check(params)
+    res = h_eigenvalues_below_threshold(params)
+    assert rep.lhs == res.count
+    assert rep.branch_mus == res.branch_mus
+    assert rep.bound == (1 if len(res.branch_mus) == 1 else 2)
+
+
+def test_discrete2_check_counts_without_bisection(monkeypatch):
+    def no_bisection(*args, **kwargs):
+        raise AssertionError("discrete2_check bisected")
+
+    monkeypatch.setattr(tridiag, "_bisect", no_bisection)
+    monkeypatch.setattr(hamiltonian, "_bisect", no_bisection)
+    rep = discrete2_check(COUNT_POINTS[-1])
+    assert (rep.lhs, rep.rhs) == (10, 9)
+
+
+def test_discrete2_check_cap_exhaustion_raises():
+    # a cap at the start size leaves no doubling to confirm the count with
+    with pytest.raises(NonConvergenceError, match="eigenvalue count"):
+        discrete2_check(CouplingParams(1.0, 1.0), size_cap=hamiltonian._start_size(SQRT2))
+
+
+def test_discrete2_check_never_counts_above_cap(monkeypatch):
+    sizes = []
+    window_counts = hamiltonian._window_counts
+
+    def recording(mu, lam_lo, lam_hi, size):
+        sizes.append(size)
+        return window_counts(mu, lam_lo, lam_hi, size)
+
+    monkeypatch.setattr(hamiltonian, "_window_counts", recording)
+    # mu = sqrt(2) starts at 64 rows and confirms at 128
+    assert discrete2_check(CouplingParams(1.0, 1.0)).lhs == 1
+    assert sizes == [64, 128]
+    sizes.clear()
+    with pytest.raises(NonConvergenceError):
+        discrete2_check(CouplingParams(1.0, 1.0), size_cap=100)
+    assert sizes == [64]
+    # a cap below the start is where the search starts
+    sizes.clear()
+    with pytest.raises(NonConvergenceError):
+        discrete2_check(CouplingParams(1.0, 1.0), size_cap=40)
+    assert sizes == [40]
+
+
+def test_discrete2_check_without_eigenvalues_to_count():
+    with pytest.raises(NoSubcriticalBranchError):
+        discrete2_check(CouplingParams(3.0, 1.0))
+    rep = discrete2_check(CouplingParams(0.0, 0.0))
+    assert (rep.lhs, rep.rhs, rep.bound, rep.ok, rep.branch_mus) == (0, 0, 1, True, ())
 
 
 def test_asymptotics_frozen_first_point():
