@@ -34,7 +34,7 @@ from .coupling import (
     Branch,
     CouplingParams,
     Criticality,
-    branch_mus,
+    _weights,
     classify,
     critical_alpha,
 )
@@ -131,7 +131,7 @@ def _point_params(a: dict) -> CouplingParams:
 
 
 def _cmd_mu(a: dict) -> list[list]:
-    mus = dict(branch_mus(_point_params(a)))
+    mus = dict(_weights(_point_params(a)))
     return [[mus.get(b) for b in (Branch.ONE, Branch.TWO, Branch.BETA_ZERO)]]
 
 
@@ -223,6 +223,10 @@ def _cmd_forms_test(a: dict) -> list[list]:
         min_margin = min(min_margin, margin)
         if c > 0.0 and margin < 0.0:
             violations += 1
+    if not (math.isfinite(c) and math.isfinite(min_margin)):
+        raise InvalidParametersError(
+            f"the forms at {params} are not finite in double precision"
+        )
     return [[c, a["trials"], violations if c > 0.0 else None, min_margin]]
 
 
@@ -282,7 +286,7 @@ _FLAGS = {
     "output": _Flag("--output", str, help="output file path (default: stdout)"),
     "config": _Flag("--config", str, help="JSON file with defaults for any flag"),
     "tol": _Flag("--tol", default=1e-10),
-    "n_cap": _Flag("--n-cap", int, DOUBLING_CAP),
+    "n_cap": _Flag("--n-cap", int, DOUBLING_CAP, "largest truncation size ever built"),
 }
 
 # config keys: a flag's name or its parsed key

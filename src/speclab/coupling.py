@@ -92,32 +92,39 @@ class CouplingParams:
         if not (
             math.isfinite(self.alpha)
             and math.isfinite(self.beta)
-            and math.isfinite(self.gamma.real)
-            and math.isfinite(self.gamma.imag)
+            and math.isfinite(self.gamma_abs2)
         ):
             raise InvalidParametersError(
-                f"coupling parameters must be finite, got alpha={self.alpha}, "
-                f"beta={self.beta}, gamma={self.gamma}"
+                f"coupling parameters must be finite, with |gamma|^2 too, got "
+                f"alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}"
             )
 
     @property
     def gamma_abs2(self) -> float:
-        return self.gamma.real**2 + self.gamma.imag**2
+        return _abs2(self.gamma)
+
+
+def _abs2(gamma: complex) -> float:
+    # squares by multiplication: float ** 2 raises OverflowError where they
+    # overflow, and so does abs(gamma), so callers check this is finite first
+    return gamma.real * gamma.real + gamma.imag * gamma.imag
 
 
 @dataclass(frozen=True)
 class CouplingDerived:
     """Derived boundary data for one parameter point.
 
-    ``sigma_eig_minus`` is computed through the cancellation-free identity
-    omega0 - r = 16*alpha*beta / (omega0 + r), so the products
+    The Sigma eigenvalue nearer 0, omega0 - r or omega0 + r as omega0 >= 0
+    or < 0, is computed from the other through the cancellation-free
+    identity (omega0 - r)(omega0 + r) = 16*alpha*beta, so the products
     mu1*(omega0 - r) and mu2*(omega0 + r) reproduce 2*sqrt(2)*beta to
-    machine precision even for tiny alpha*beta.
+    machine precision even for tiny or large negative alpha*beta.
 
     ``mu1``/``mu2`` are ``None`` when beta = 0 (the branch structure is
     different there, see :func:`mu_beta_zero`); ``mu1`` is ``math.inf``
     exactly when alpha = 0, an explicit divergence marker that is never
-    the result of a floating-point division.
+    the result of a floating-point division.  An omega or Sigma eigenvalue
+    that is not finite raises ``InvalidParametersError``.
     """
 
     params: CouplingParams
@@ -191,10 +198,17 @@ def derive(params: CouplingParams) -> CouplingDerived:
         ],
         dtype=complex,
     )
-    eig_plus = omega0 + r
     # omega0^2 - r^2 == 16*alpha*beta exactly, which sidesteps the
-    # catastrophic cancellation of omega0 - r near alpha*beta = 0.
-    eig_minus = 16.0 * alpha * beta / eig_plus
+    # catastrophic cancellation of omega0 - r near alpha*beta = 0, and of
+    # omega0 + r for alpha*beta far below -4, where it can round to 0.
+    if omega0 >= 0.0:
+        eig_plus = omega0 + r
+        eig_minus = 16.0 * alpha * beta / eig_plus
+    else:
+        eig_minus = omega0 - r
+        eig_plus = 16.0 * alpha * beta / eig_minus
+    if not all(map(math.isfinite, (omega0, omega1, omega2, omega3, eig_plus, eig_minus))):
+        raise InvalidParametersError(f"the boundary matrix of {params} overflows")
 
     degenerate = r <= _DEGENERATE_GAP * (abs(omega0) + 4.0)
     if degenerate:
@@ -248,14 +262,14 @@ def mu_beta_zero(alpha: float, gamma: complex = 0.0) -> float:
     """Coupling strength of the single branch present at beta = 0."""
     alpha = float(alpha)
     gamma = complex(gamma)
-    if not (math.isfinite(alpha) and math.isfinite(gamma.real) and math.isfinite(gamma.imag)):
-        raise InvalidParametersError("alpha and gamma must be finite")
+    if not (math.isfinite(alpha) and math.isfinite(_abs2(gamma))):
+        raise InvalidParametersError("alpha and |gamma|^2 must be finite")
     if alpha == 0.0:
         raise InvalidParametersError(
             "beta = 0 requires alpha != 0; the purely off-diagonal "
             "interaction (alpha = beta = 0, gamma != 0) is rejected"
         )
-    return (4.0 + abs(gamma) ** 2) / (2.0 * _SQRT2 * alpha)
+    return (4.0 + abs(gamma) * abs(gamma)) / (2.0 * _SQRT2 * alpha)
 
 
 def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
@@ -271,7 +285,9 @@ def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
         raise InvalidParametersError(
             "critical_alpha expects the canonical orientation beta >= 0"
         )
-    g2 = abs(gamma) ** 2
+    if not math.isfinite(_abs2(gamma)):
+        raise InvalidParametersError(f"|gamma|^2 must be finite, got gamma={gamma}")
+    g2 = abs(gamma) * abs(gamma)
     if beta == 0.0:
         return (4.0 + g2) / (2.0 * _SQRT2)
     rest = 2.0 * _SQRT2 - beta
@@ -286,7 +302,12 @@ def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
         gamma_term = 2.0 * _SQRT2 * g2 / rest
     # -(g2 - 4) - sqrt(2)*(2*sqrt(2) - beta) == -g2 + sqrt(2)*beta, and the
     # right-hand form returns sqrt(2) exactly when gamma = 0
-    return (gamma_term - g2 + _SQRT2 * beta) / beta
+    alpha_c = (gamma_term - g2 + _SQRT2 * beta) / beta
+    if not math.isfinite(alpha_c):
+        raise InvalidParametersError(
+            f"the critical alpha at beta={beta}, gamma={gamma} overflows"
+        )
+    return alpha_c
 
 
 def branch_mus(params: CouplingParams) -> tuple[tuple[Branch, float], ...]:
@@ -311,12 +332,26 @@ def branch_mus(params: CouplingParams) -> tuple[tuple[Branch, float], ...]:
     return ((Branch.ONE, d.mu1), (Branch.TWO, d.mu2))
 
 
+def _weights(params: CouplingParams) -> tuple[tuple[Branch, float], ...]:
+    """:func:`branch_mus`, rejecting a weight that overflows (other than the
+    alpha = 0 marker) or underflows to 0: printed, it would pass for the
+    marker or for a supercritical branch."""
+    pairs = branch_mus(params)
+    for branch, mu in pairs:
+        marker = branch is Branch.ONE and params.alpha == 0.0
+        if not marker and (mu == 0.0 or not math.isfinite(mu)):
+            raise InvalidParametersError(
+                f"the {branch.value} weight of {params} leaves double range: {mu}"
+            )
+    return pairs
+
+
 def classify(params: CouplingParams, tol: float = 1e-10) -> tuple[TransitionClass, ...]:
     """Classify every branch of the (canonicalized) parameter point."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParametersError(f"tol must be finite and nonnegative, got {tol}")
     out = []
-    for branch, mu in branch_mus(params):
+    for branch, mu in _weights(params):
         if math.isinf(mu) or mu <= 0.0:
             kind = Criticality.NONPOSITIVE_OR_DIVERGENT
         elif abs(mu - 1.0) <= tol:

@@ -35,7 +35,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +58,7 @@ from .jacobi_ops import (
     DOUBLING_START,
     CountingFamily,
     CountingLimitFamily,
+    _until_stable,
     spectral_diagonals,
     stable_count,
 )
@@ -89,8 +90,6 @@ _SQRT2 = math.sqrt(2.0)
 # The eigenvalue search stops this far below the threshold: the spectral
 # diagonal involves sqrt(n + 1/2 - lambda), which loses meaning at 1/2.
 _WINDOW_MARGIN = 1e-9
-
-_T = TypeVar("_T")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +143,8 @@ class TrialMode:
     @property
     def weight(self) -> float:
         """|upper|^2 + |lower|^2, the combined boundary intensity."""
-        return abs(self.upper) ** 2 + abs(self.lower) ** 2
+        u, v = abs(self.upper), abs(self.lower)
+        return u * u + v * v
 
     @property
     def norm_sq(self) -> float:
@@ -418,37 +418,6 @@ def _start_size(mu: float) -> int:
     return min(DOUBLING_START, 2 ** max(5, math.ceil(math.log2(depth))))
 
 
-def _until_stable(
-    mu: float,
-    size_cap: int,
-    evaluate: Callable[[int, _T | None], _T],
-    same: Callable[[_T, _T], bool],
-    what: str,
-) -> tuple[_T, int]:
-    """Evaluate the branch with weight ``mu`` at doubling truncation sizes
-    until two consecutive answers are ``same``; returns the last answer and
-    its size.
-
-    ``evaluate(size, prev)`` is handed the answer at half the size (None at
-    the start).  The first size is ``_start_size(mu)``, or ``size_cap``
-    when that is smaller.  No size above ``size_cap`` is evaluated: an
-    answer not yet stable when the next doubling would pass it raises
-    ``NonConvergenceError``, naming ``what`` did not stabilise.
-    """
-    size = min(_start_size(mu), size_cap)
-    found = evaluate(size, None)
-    while True:
-        if 2 * size > size_cap:
-            raise NonConvergenceError(
-                f"{what} for mu = {mu} did not stabilise by truncation size "
-                f"{size}; doubling it passes the size cap {size_cap}"
-            )
-        size *= 2
-        prev, found = found, evaluate(size, found)
-        if same(prev, found):
-            return found, size
-
-
 def _counter(mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
     """Sturm counts at level 0 of the size-N spectral truncation, one per
     lambda of a batch: the number of eigenvalues at or below lambda."""
@@ -560,12 +529,16 @@ def _refine_secular(
     return None
 
 
+def _subcritical(mus: tuple[tuple[Branch, float], ...]) -> list[tuple[Branch, float]]:
+    """The (branch, mu) pairs whose weight mu is finite and above 1."""
+    return [(br, mu) for br, mu in mus if math.isfinite(mu) and mu > 1.0]
+
+
 def _branches_and_window(
-    params: CouplingParams, lambda_min: float | None, size_cap: int
+    params: CouplingParams, lambda_min: float | None
 ) -> tuple[CouplingParams, list[tuple[Branch, float]], tuple[float, float] | None]:
     """The canonical parameters, the subcritical branches (branch, mu) and
-    the search window (lam_lo, lam_hi) below the threshold, after checking
-    ``size_cap``.
+    the search window (lam_lo, lam_hi) below the threshold.
 
     No branches at all (the free case) gives no branch and no window;
     branches none of which has weight mu > 1 raise
@@ -573,15 +546,11 @@ def _branches_and_window(
     1/2 - 10, tightened to c/2 whenever the form lower-bound constant c is
     positive; its upper end is ``_WINDOW_MARGIN`` below 1/2.
     """
-    if size_cap < 2:
-        raise InvalidParametersError(f"size_cap must be at least 2, got {size_cap}")
     p = canonicalize(params)
     mus = branch_mus(p)
     if not mus:
         return p, [], None
-    subcritical = [
-        (br, mu) for br, mu in mus if mu is not None and math.isfinite(mu) and mu > 1.0
-    ]
+    subcritical = _subcritical(mus)
     if not subcritical:
         raise NoSubcriticalBranchError(
             f"no branch of {p} has weight mu > 1; there are no eigenvalues "
@@ -633,7 +602,7 @@ def h_eigenvalues_below_threshold(
     there is nothing to check).
     """
     tol = _check_tol(tol)
-    p, subcritical, window = _branches_and_window(params, lambda_min, size_cap)
+    p, subcritical, window = _branches_and_window(params, lambda_min)
 
     def same_list(prev: _Bisection, found: _Bisection) -> bool:
         eigs, prev_eigs = found.eigenvalues, prev.eigenvalues
@@ -644,15 +613,15 @@ def h_eigenvalues_below_threshold(
     per_branch: list[np.ndarray] = []
     max_size = 0
     for _, mu in subcritical:
-        found, size = _until_stable(
-            mu,
+        found, history = _until_stable(
+            _start_size(mu),
             size_cap,
             lambda size, prev: _branch_eigenvalues(mu, *window, tol, size, prev),
             same_list,
-            "eigenvalue list",
+            f"eigenvalue list for mu = {mu}",
         )
         per_branch.append(found.eigenvalues)
-        max_size = max(max_size, size)
+        max_size = max(max_size, history[-1][0])
 
     agreement = 0.0
     for (_, mu), eigs in zip(subcritical, per_branch):
@@ -691,20 +660,14 @@ def count_below_epsilon(
     epsilon-regularised counting matrix exceeding the branch weight."""
     p = canonicalize(params)
     family = CountingFamily(epsilon)  # validates epsilon > 0
-    mus = branch_mus(p)
-    subcritical = [
-        mu for _, mu in mus if mu is not None and math.isfinite(mu) and mu > 1.0
-    ]
+    subcritical = _subcritical(branch_mus(p))
     if not subcritical:
         warnings.warn(
             "no subcritical branch: the count below the threshold is 0",
             stacklevel=2,
         )
         return 0
-    total = 0
-    for mu in subcritical:
-        total += stable_count(family, mu, side="above", cap=size_cap).count
-    return total
+    return sum(stable_count(family, mu, cap=size_cap).count for _, mu in subcritical)
 
 
 @dataclass(frozen=True)
@@ -739,22 +702,19 @@ def discrete2_check(
     above each subcritical branch weight; the bound is 1 when a single
     branch is subcritical and 2 when both are.
     """
-    p, subcritical, window = _branches_and_window(params, None, size_cap)
+    p, subcritical, window = _branches_and_window(params, None)
     mus = tuple(mu for _, mu in subcritical)
     lhs = 0
     for mu in mus:
         (c_lo, c_hi), _ = _until_stable(
-            mu,
+            _start_size(mu),
             size_cap,
             lambda size, _: _window_counts(mu, *window, size),
             operator.eq,
-            "eigenvalue count",
+            f"eigenvalue count for mu = {mu}",
         )
         lhs += c_hi - c_lo
-    family = CountingLimitFamily()
-    rhs = 0
-    for mu in mus:
-        rhs += stable_count(family, mu, side="above", cap=size_cap).count
+    rhs = sum(stable_count(CountingLimitFamily(), mu, cap=size_cap).count for mu in mus)
     bound = 1 if len(mus) <= 1 else 2
     return Discrete2Report(params=p, lhs=lhs, rhs=rhs, bound=bound, branch_mus=mus)
 
@@ -785,7 +745,7 @@ def count_asymptotics_curve(
             raise InvalidParametersError(
                 f"the counting asymptotics need mu > 1, got {mu}"
             )
-        counted = stable_count(family, mu, side="above", cap=size_cap).count
+        counted = stable_count(family, mu, cap=size_cap).count
         predicted = 1.0 / (4.0 * _SQRT2 * math.sqrt(mu - 1.0))
         rows.append(AsymptoticsRow(mu=mu, counted=counted, predicted=predicted))
     return tuple(rows)

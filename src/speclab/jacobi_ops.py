@@ -12,22 +12,25 @@ Four families, all real symmetric tridiagonal in the mode index n:
                  1 / (2 (1 - 1/n)^(1/4)); the eps -> 0 limit on the
                  subspace with the zeroth mode removed.
 
-Truncation sizes double from 2048 until integer counts stabilise, with
-a hard cap of 2^20.  Every count here is one call of the package's one
-Sturm count, :func:`speclab.tridiag.counts_for_diagonals`, on a
-truncation's diagonal (``t.diag[None, :]``) at one level.
+Truncation sizes double in :func:`_until_stable`, the package's one
+doubling loop, never past the cap of 2^20 or a caller's smaller one;
+:func:`stable_count` doubles from 2048 rows until three counts in a row
+agree.  Every count here is one call of the package's one Sturm count,
+:func:`speclab.tridiag.counts_for_diagonals`, on a truncation's diagonal
+(``t.diag[None, :]``) at one level.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, TypeVar, Union
 
 import numpy as np
 
 from .errors import BranchCutError, InvalidParametersError, NonConvergenceError
-from .recurrence import coupling_weights, zeta_array
+from .recurrence import coupling_weights
 from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
 __all__ = [
@@ -51,6 +54,8 @@ __all__ = [
 
 DOUBLING_START = 2048
 DOUBLING_CAP = 2**20
+
+_T = TypeVar("_T")
 
 
 def _check_mu(mu: float) -> float:
@@ -137,9 +142,7 @@ def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
         diag = 2.0 * family.mu * (modes + 0.5)
         off = coupling_weights(np.arange(1, n))
     elif isinstance(family, SpectralFamily):
-        modes = np.arange(n)
-        zs = zeta_array(modes, family.lam).real
-        diag = 2.0 * family.mu * np.sqrt(modes + 0.5) * zs
+        diag = _spectral_diagonals(family.mu, np.array([family.lam]), n)[0]
         off = coupling_weights(np.arange(1, n))
     elif isinstance(family, CountingFamily):
         eps = family.epsilon
@@ -162,6 +165,11 @@ def spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     if lams.size and float(np.max(lams)) >= 0.5:
         raise BranchCutError("all lam values must be below 1/2")
+    return _spectral_diagonals(mu, lams, n)
+
+
+def _spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
+    """2 mu sqrt(k + 1/2) sqrt(k + 1/2 - lam) for k < n, one row per lam."""
     modes = np.arange(n) + 0.5
     return 2.0 * mu * np.sqrt(modes)[None, :] * np.sqrt(modes[None, :] - lams[:, None])
 
@@ -175,6 +183,42 @@ def count_relative(family: JacobiFamily, level: float, n: int, side: str = "abov
     return below if side == "below" else t.size - below
 
 
+def _until_stable(
+    start: int,
+    cap: int,
+    evaluate: Callable[[int, _T | None], _T],
+    same: Callable[[_T, _T], bool],
+    what: str,
+    repeats: int = 1,
+) -> tuple[_T, tuple[tuple[int, _T], ...]]:
+    """Evaluate at doubling truncation sizes until ``repeats`` doublings in
+    a row each give an answer ``same`` as the one before; returns the last
+    answer and the (size, answer) history.
+
+    ``evaluate(size, prev)`` is handed the answer at half the size (None at
+    the start), which is the smaller of ``start`` and ``cap``.  No size
+    above ``cap`` is evaluated: an answer not yet stable when the next
+    doubling would pass it raises ``NonConvergenceError`` naming ``what``.
+    """
+    if cap < 2:
+        raise InvalidParametersError(f"size cap must be at least 2, got {cap}")
+    size = min(start, cap)
+    found = evaluate(size, None)
+    history = [(size, found)]
+    streak = 0
+    while streak < repeats:
+        if 2 * size > cap:
+            raise NonConvergenceError(
+                f"{what} did not stabilise by truncation size {size}; "
+                f"doubling it passes the size cap {cap}"
+            )
+        size *= 2
+        prev, found = found, evaluate(size, found)
+        history.append((size, found))
+        streak = streak + 1 if same(prev, found) else 0
+    return found, tuple(history)
+
+
 @dataclass(frozen=True)
 class StableCount:
     count: int
@@ -183,41 +227,19 @@ class StableCount:
 
 
 def stable_count(
-    family: JacobiFamily,
-    level: float,
-    side: str = "above",
-    *,
-    start: int = DOUBLING_START,
-    cap: int = DOUBLING_CAP,
-    confirm: int = 2,
+    family: JacobiFamily, level: float, *, cap: int = DOUBLING_CAP
 ) -> StableCount:
-    """Truncation count once ``confirm`` consecutive doublings agree.
-
-    Doubles the size from ``start``; raises once the cap is passed
-    without the count settling.
-    """
-    if start < 2 or cap < start:
-        raise InvalidParametersError("need 2 <= start <= cap")
-    if confirm < 1:
-        raise InvalidParametersError("confirm must be >= 1")
-    history: list[tuple[int, int]] = []
-    size = start
-    streak = 0
-    last: int | None = None
-    while size <= cap:
-        count = count_relative(family, level, size, side)
-        history.append((size, count))
-        if last is not None and count == last:
-            streak += 1
-            if streak >= confirm:
-                return StableCount(count=count, size=size, history=tuple(history))
-        else:
-            streak = 0
-        last = count
-        size *= 2
-    raise NonConvergenceError(
-        f"count did not stabilise below the size cap {cap}: history {history}"
+    """Number of truncation eigenvalues above ``level`` once two doublings
+    from ``DOUBLING_START`` in a row reproduce it."""
+    count, history = _until_stable(
+        DOUBLING_START,
+        cap,
+        lambda size, _: count_relative(family, level, size, "above"),
+        operator.eq,
+        f"count above {level} of {family!r}",
+        repeats=2,
     )
+    return StableCount(count=count, size=history[-1][0], history=history)
 
 
 def compact_difference_tail(lam: float, mu: float, n: int) -> float:

@@ -157,6 +157,39 @@ def test_identity_check_output_is_finite(mu, lam, lam_im, size):
         assert math.isfinite(value) and value <= 1e-9, (key, row[key])
 
 
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=finite_floats, beta=finite_floats, gamma_re=finite_floats,
+       gamma_im=finite_floats)
+# alpha*beta overflowed: mu1 printed "nan" as Supercritical, mu2 0
+@example(alpha=1e300, beta=1e300, gamma_re=0.0, gamma_im=0.0)
+# |gamma|^2 by float ** 2 raised OverflowError
+@example(alpha=1.0, beta=0.0, gamma_re=1e200, gamma_im=0.0)
+@example(alpha=1.0, beta=1.0, gamma_re=1e200, gamma_im=0.0)
+# alpha*beta underflowed: mu1 overflowed to the alpha = 0 marker "inf"
+@example(alpha=1e-320, beta=1e-300, gamma_re=0.0, gamma_im=0.0)
+# omega0 + r rounded to 0 at alpha*beta = -1e20: ZeroDivisionError
+@example(alpha=1e10, beta=-1e10, gamma_re=0.0, gamma_im=0.0)
+def test_closed_form_output_is_finite(alpha, beta, gamma_re, gamma_im):
+    coupling = [f"--alpha={alpha!r}", f"--beta={beta!r}",
+                f"--gamma-re={gamma_re!r}", f"--gamma-im={gamma_im!r}"]
+    for argv in (["mu", *coupling], ["classify", *coupling],
+                 ["surface", *coupling[1:]], ["forms-test", "--trials", "2", *coupling]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(argv)
+        assert rc in (0, 2), argv
+        if rc == 2:
+            continue
+        for key, value in json.loads(out.getvalue()).items():
+            # numbers that are not finite are printed as quoted strings
+            if value in ("inf", "-inf", "nan"):
+                assert (key, value) == ("mu1", "inf"), (argv, key, value)
+                assert alpha == 0.0 and beta != 0.0, argv
+
+
 def test_identity_check_residual_small(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -234,12 +267,30 @@ def test_forms_test_needs_a_trial(capsys, trials):
     assert "trials" in err
 
 
-@pytest.mark.parametrize("command", ["h-spectrum", "discrete2-check"])
+# a point of each doubling command with one subcritical weight, sqrt2 or 1.02
+_CAPPED = {
+    "h-spectrum": ["--alpha", "1", "--beta", "0"],
+    "discrete2-check": ["--alpha", "1", "--beta", "0"],
+    "count": ["--alpha", "1", "--beta", "0"],
+    "asymptotics": ["--mu", "1.02"],
+}
+
+
+@pytest.mark.parametrize("command", list(_CAPPED))
 @pytest.mark.parametrize("cap", ["0", "-4"])
 def test_n_cap_below_two_exits_2(capsys, command, cap):
-    rc, out, _ = run_cli(capsys, [command, "--alpha", "1", "--beta", "0", f"--n-cap={cap}"])
+    rc, out, _ = run_cli(capsys, [command, *_CAPPED[command], f"--n-cap={cap}"])
     assert rc == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["count", "asymptotics", "discrete2-check"])
+def test_n_cap_below_doubling_start_exits_3(capsys, command):
+    # the counting-operator counts start at 2048 rows: a smaller cap is the
+    # one size tried, and it cannot confirm a count
+    rc, out, err = run_cli(capsys, [command, *_CAPPED[command], "--n-cap=1000"])
+    assert (rc, out) == (3, "")
+    assert "by truncation size 1000; doubling it passes the size cap 1000" in err
 
 
 @pytest.mark.parametrize("tol", ["0", "nan", "-1"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from speclab import jacobi_ops
 from speclab import (
     BranchCutError,
     CountingFamily,
@@ -138,36 +139,54 @@ def test_counting_spectrum_symmetric():
 
 
 def test_stable_count_doubles_until_confirmed():
-    res = stable_count(CountingLimitFamily(), 1.02, side="above", start=256)
+    res = stable_count(CountingLimitFamily(), 1.02)
     assert res.count == 1
     sizes = [s for s, _ in res.history]
-    assert sizes == [256 * 2**i for i in range(len(sizes))]
+    assert sizes == [2048 * 2**i for i in range(len(sizes))]
     assert res.size == sizes[-1]
     assert [c for _, c in res.history][-3:] == [res.count] * 3
 
 
 def test_stable_count_validation():
-    with pytest.raises(InvalidParametersError):
-        stable_count(CountingLimitFamily(), 1.02, start=0)
-    with pytest.raises(InvalidParametersError):
-        stable_count(CountingLimitFamily(), 1.02, start=64, cap=32)
-    with pytest.raises(InvalidParametersError):
-        stable_count(CountingLimitFamily(), 1.02, confirm=0)
+    for cap in (1, 0, -4):
+        with pytest.raises(InvalidParametersError, match="size cap"):
+            stable_count(CountingLimitFamily(), 1.02, cap=cap)
 
 
-def test_stable_count_raises_at_cap():
-    # a cap equal to the start can never confirm two agreeing doublings
-    with pytest.raises(NonConvergenceError):
-        stable_count(CountingLimitFamily(), 1.02, start=256, cap=256)
+def _record_sizes(monkeypatch) -> list[int]:
+    """Sizes ``stable_count`` asks counts at; every count is 1."""
+    sizes: list[int] = []
+
+    def fake(family, level, n, side="above"):
+        sizes.append(n)
+        return 1
+
+    monkeypatch.setattr(jacobi_ops, "count_relative", fake)
+    return sizes
+
+
+def test_stable_count_raises_at_cap(monkeypatch):
+    # a cap below the start is the only size tried, and one count can
+    # never be confirmed
+    sizes = _record_sizes(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="size cap 1024"):
+        stable_count(CountingLimitFamily(), 1.02, cap=1024)
+    assert sizes == [1024]
+
+
+def test_stable_count_never_passes_the_cap(monkeypatch):
+    # 8192 would confirm the count, but it is above the cap
+    sizes = _record_sizes(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="size cap 5000"):
+        stable_count(CountingLimitFamily(), 1.02, cap=5000)
+    assert sizes == [2048, 4096]
 
 
 def test_stable_count_diverging_sequence_hits_cap():
     # supercritical reference truncations keep spilling eigenvalues below
-    # any fixed level, so the count never settles
+    # any fixed level, so the count above it never settles
     with pytest.raises(NonConvergenceError):
-        stable_count(
-            ReferenceFamily(0.5), -1.0, side="below", start=16, cap=1024
-        )
+        stable_count(ReferenceFamily(0.5), -1.0, cap=8192)
 
 
 # ---------------------------------------------------------------------------
