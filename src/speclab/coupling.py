@@ -13,6 +13,7 @@ and the Hermitian boundary matrix
 
     Sigma = [[omega0 + omega3, omega1 - i*omega2],
              [omega1 + i*omega2, omega0 - omega3]]
+          = omega0*I + omega1*sigma_x + omega2*sigma_y + omega3*sigma_z,
 
 whose eigenvalues are omega0 +/- r with r = sqrt(omega1^2 + omega2^2
 + omega3^2).  For beta != 0 each Sigma eigenvalue defines a coupling
@@ -181,14 +182,20 @@ def _phase_canonical(vec: np.ndarray) -> np.ndarray:
     return vec * (abs(pivot) / pivot)
 
 
+def _omegas(params: CouplingParams) -> tuple[float, float, float, float]:
+    """(omega0, omega1, omega2, omega3): Sigma's coefficients on I, sigma_x,
+    sigma_y and sigma_z."""
+    ab, g2, gamma = params.alpha * params.beta, params.gamma_abs2, params.gamma
+    omegas = (4.0 + ab + g2, ab + g2 - 4.0, 4.0 * gamma.imag, 4.0 * gamma.real)
+    if not all(map(math.isfinite, omegas)):
+        raise InvalidParametersError(f"the boundary matrix of {params} overflows")
+    return omegas
+
+
 def derive(params: CouplingParams) -> CouplingDerived:
     """Compute the boundary matrix, its eigenpairs and the mu strengths."""
     alpha, beta = params.alpha, params.beta
-    g2 = params.gamma_abs2
-    omega0 = 4.0 + alpha * beta + g2
-    omega1 = alpha * beta + g2 - 4.0
-    omega2 = 4.0 * params.gamma.imag
-    omega3 = 4.0 * params.gamma.real
+    omega0, omega1, omega2, omega3 = _omegas(params)
     r = math.sqrt(omega1 * omega1 + omega2 * omega2 + omega3 * omega3)
 
     sigma = np.array(
@@ -207,7 +214,7 @@ def derive(params: CouplingParams) -> CouplingDerived:
     else:
         eig_minus = omega0 - r
         eig_plus = 16.0 * alpha * beta / eig_minus
-    if not all(map(math.isfinite, (omega0, omega1, omega2, omega3, eig_plus, eig_minus))):
+    if not (math.isfinite(eig_plus) and math.isfinite(eig_minus)):
         raise InvalidParametersError(f"the boundary matrix of {params} overflows")
 
     degenerate = r <= _DEGENERATE_GAP * (abs(omega0) + 4.0)

@@ -8,7 +8,10 @@ profiles; this module works entirely in that mode picture:
 
 * ``evaluate_forms`` computes the kinetic-plus-oscillator part ``a0`` in
   closed form for exponential mode profiles A_n e^(-delta_n x), and the
-  boundary part ``b_sum`` as a sum of nearest-neighbour mode couplings.
+  boundary part ``b_sum`` as one sum of nearest-neighbour mode couplings,
+  sum_n sqrt(n)/(2 sqrt 2) Re(conj(u_n)^T K u_{n-1}) / s, read from the
+  Pauli coefficients of one matrix: (K, s) = (Sigma, beta), or
+  (alpha (I + sigma_x), 1) at beta = 0.
 * ``lower_bound_constant`` gives the constant c with
   ``full >= (c / 2) * norm_sq`` whenever c > 0.
 * ``saturating_trial`` builds the single-mode trial that turns the
@@ -43,7 +46,8 @@ from .coupling import (
     Branch,
     CouplingDerived,
     CouplingParams,
-    branch_mus,
+    _omegas,
+    _weights,
     canonicalize,
     derive,
 )
@@ -188,13 +192,6 @@ class ModeTrialFunction:
     def norm_sq(self) -> float:
         return sum(m.norm_sq for m in self.modes)
 
-    def boundary_vector(self, n: int) -> np.ndarray:
-        """(psi_n(0+), psi_n(0-)) as a length-2 complex vector."""
-        m = self._by_index.get(n)
-        if m is None:
-            return np.zeros(2, dtype=complex)
-        return np.array([m.upper, m.lower], dtype=complex)
-
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Pointwise values on a broadcastable (x, y) grid; for plotting."""
         xs = np.asarray(x, dtype=float)
@@ -274,16 +271,17 @@ _BETA0_CONSTRAINT_TOL = 1e-10
 def evaluate_forms(trial: ModeTrialFunction, params: CouplingParams) -> FormValues:
     """Evaluate a0, the boundary sum, and the norm for one trial function.
 
-    For beta != 0 the boundary sum couples neighbouring modes through the
-    Hermitian coupling matrix:
+    The boundary sum couples neighbouring modes through one Hermitian
+    matrix K = k0*I + k1*sigma_x + k2*sigma_y + k3*sigma_z:
 
-        b_sum = (1/beta) * sum_{n>=1} sqrt(n)/(2 sqrt(2))
-                * Re( conj(u_n)^T Sigma u_{n-1} ),
+        b_sum = (1/s) * sum_{n>=1} sqrt(n)/(2 sqrt(2))
+                * Re( conj(u_n)^T K u_{n-1} ),
 
-    with u_n = (psi_n(0+), psi_n(0-)).  For beta = 0 the form domain forces
-    f_minus = -conj(gamma)/2 * f_plus on every mode, and the sum collapses to
-
-        b_sum = (alpha/4) * sum_{n>=1} sqrt(2 n) Re( conj(f_{+,n}) f_{+,n-1} ).
+    with u_n = (psi_n(0+), psi_n(0-)).  For beta != 0, K is the coupling
+    matrix Sigma, with coefficients (omega0, omega1, omega2, omega3), and
+    s = beta.  For beta = 0 the form domain forces f_minus = -conj(gamma)/2
+    * f_plus on every mode, K = alpha*(I + sigma_x) and s = 1, so that
+    Re(conj(u_n)^T K u_{n-1}) = alpha * Re(conj(f_{+,n}) f_{+,n-1}).
     """
     p = params if isinstance(params, CouplingParams) else CouplingParams(*params)
     a0 = _a0_value(trial)
@@ -299,30 +297,23 @@ def evaluate_forms(trial: ModeTrialFunction, params: CouplingParams) -> FormValu
                     "f_minus = -conj(gamma)/2 * f_plus on every mode; "
                     f"mode {m.n} violates it by {defect:.3e}"
                 )
-        b_sum = 0.0
-        for n in range(1, trial.max_index + 1):
-            cur = trial.mode(n)
-            prev = trial.mode(n - 1)
-            if cur is None or prev is None:
-                continue
-            b_sum += (
-                0.25
-                * p.alpha
-                * math.sqrt(2.0 * n)
-                * (cur.f_plus.conjugate() * prev.f_plus).real
-            )
-        return FormValues(a0=a0, b_sum=b_sum, norm_sq=norm_sq)
+        (k0, k1, k2, k3), s = (p.alpha, p.alpha, 0.0, 0.0), 1.0
+    else:
+        (k0, k1, k2, k3), s = _omegas(p), p.beta
 
-    sigma = derive(p).sigma
     b_sum = 0.0
     for n in range(1, trial.max_index + 1):
-        u_cur = trial.boundary_vector(n)
-        u_prev = trial.boundary_vector(n - 1)
-        if not (u_cur.any() and u_prev.any()):
+        cur, prev = trial.mode(n), trial.mode(n - 1)
+        if cur is None or prev is None:
             continue
-        coupling = complex(np.conj(u_cur) @ (sigma @ u_prev))
-        b_sum += math.sqrt(float(n)) / (2.0 * _SQRT2) * coupling.real
-    return FormValues(a0=a0, b_sum=b_sum / p.beta, norm_sq=norm_sq)
+        # Re(conj(u_n)^T K u_{n-1}) expanded on I, sigma_x, sigma_y, sigma_z
+        a, b = cur.upper.conjugate(), cur.lower.conjugate()
+        ac, bd = a * prev.upper, b * prev.lower
+        ad, bc = a * prev.lower, b * prev.upper
+        re_k = (k0 * (ac + bd).real + k1 * (ad + bc).real
+                + k2 * (ad - bc).imag + k3 * (ac - bd).real)
+        b_sum += math.sqrt(n) / (2.0 * _SQRT2) * re_k
+    return FormValues(a0=a0, b_sum=b_sum / s, norm_sq=norm_sq)
 
 
 def lower_bound_constant(params: CouplingParams) -> float:
@@ -333,10 +324,10 @@ def lower_bound_constant(params: CouplingParams) -> float:
     p = canonicalize(params)
     if p.beta == 0.0:
         return 1.0 - p.alpha / _SQRT2
+    # |omega0| + r, the Sigma eigenvalue of larger magnitude
     d = derive(p)
-    omega0 = d.omega[0]
-    r = math.sqrt(d.omega[1] ** 2 + d.omega[2] ** 2 + d.omega[3] ** 2)
-    return 1.0 - (abs(omega0) + r) / (2.0 * _SQRT2 * p.beta)
+    top = d.sigma_eig_plus if d.omega[0] >= 0.0 else -d.sigma_eig_minus
+    return 1.0 - top / (2.0 * _SQRT2 * p.beta)
 
 
 def saturating_trial(
@@ -530,7 +521,7 @@ def _refine_secular(
 
 
 def _subcritical(mus: tuple[tuple[Branch, float], ...]) -> list[tuple[Branch, float]]:
-    """The (branch, mu) pairs whose weight mu is finite and above 1."""
+    """The (branch, mu) pairs with mu > 1, other than the alpha = 0 marker."""
     return [(br, mu) for br, mu in mus if math.isfinite(mu) and mu > 1.0]
 
 
@@ -542,12 +533,13 @@ def _branches_and_window(
 
     No branches at all (the free case) gives no branch and no window;
     branches none of which has weight mu > 1 raise
-    ``NoSubcriticalBranchError``.  The window's lower end defaults to
+    ``NoSubcriticalBranchError``, and a weight that leaves double range
+    raises ``InvalidParametersError``.  The window's lower end defaults to
     1/2 - 10, tightened to c/2 whenever the form lower-bound constant c is
     positive; its upper end is ``_WINDOW_MARGIN`` below 1/2.
     """
     p = canonicalize(params)
-    mus = branch_mus(p)
+    mus = _weights(p)
     if not mus:
         return p, [], None
     subcritical = _subcritical(mus)
@@ -660,7 +652,7 @@ def count_below_epsilon(
     epsilon-regularised counting matrix exceeding the branch weight."""
     p = canonicalize(params)
     family = CountingFamily(epsilon)  # validates epsilon > 0
-    subcritical = _subcritical(branch_mus(p))
+    subcritical = _subcritical(_weights(p))
     if not subcritical:
         warnings.warn(
             "no subcritical branch: the count below the threshold is 0",

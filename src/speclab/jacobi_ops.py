@@ -174,13 +174,10 @@ def _spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * mu * np.sqrt(modes)[None, :] * np.sqrt(modes[None, :] - lams[:, None])
 
 
-def count_relative(family: JacobiFamily, level: float, n: int, side: str = "above") -> int:
-    """Number of truncation eigenvalues above (or below) ``level``."""
-    if side not in ("above", "below"):
-        raise InvalidParametersError("side must be 'above' or 'below'")
+def count_relative(family: JacobiFamily, level: float, n: int) -> int:
+    """Number of truncation eigenvalues above ``level``."""
     t = build(family, n)
-    below = int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
-    return below if side == "below" else t.size - below
+    return t.size - int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
 
 
 def _until_stable(
@@ -234,7 +231,7 @@ def stable_count(
     count, history = _until_stable(
         DOUBLING_START,
         cap,
-        lambda size, _: count_relative(family, level, size, "above"),
+        lambda size, _: count_relative(family, level, size),
         operator.eq,
         f"count above {level} of {family!r}",
         repeats=2,

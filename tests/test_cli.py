@@ -84,6 +84,18 @@ PINNED.append(
      '"branch_mus": [1.00031129247952]}\n')
 )
 PINNED_IDS.append("discrete2-check-near-critical")
+# both boundary-form regimes with complex gamma
+PINNED += [
+    (["forms-test", "--alpha=0.8", "--beta=0", "--gamma-re=0.3", "--gamma-im=-0.4",
+      "--trials", "40", "--seed", "3"],
+     '{"c": 0.434314575050762, "trials": 40, "violations": 0, '
+     '"min_margin": 2.10442899917032}\n'),
+    (["forms-test", "--alpha=1.1", "--beta=3.5", "--gamma-re=-0.25", "--gamma-im=0.35",
+      "--trials", "40", "--seed", "5"],
+     '{"c": 0.0145132567424376, "trials": 40, "violations": 0, '
+     '"min_margin": 4.24086353890659}\n'),
+]
+PINNED_IDS += ["forms-test-beta-zero-complex-gamma", "forms-test-complex-gamma"]
 
 
 @pytest.mark.parametrize("argv, expected", PINNED, ids=PINNED_IDS)
@@ -265,6 +277,18 @@ def test_forms_test_needs_a_trial(capsys, trials):
     assert rc == 2
     assert out == ""
     assert "trials" in err
+
+
+@pytest.mark.parametrize("command", ["count", "h-spectrum", "discrete2-check"])
+@pytest.mark.parametrize("point", [["--alpha=2.2e-311", "--beta=1"],
+                                   ["--alpha=1e-310", "--beta=0"]])
+def test_spectral_commands_reject_weight_out_of_range(capsys, command, point):
+    # subnormal alpha overflows a weight to inf; it used to pass for the
+    # alpha = 0 marker, and count printed 0 with exit 0
+    rc, out, err = run_cli(capsys, [command, *point])
+    assert rc == 2
+    assert out == ""
+    assert "leaves double range" in err
 
 
 # a point of each doubling command with one subcritical weight, sqrt2 or 1.02

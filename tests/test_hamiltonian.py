@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import speclab.coupling as coupling
 import speclab.hamiltonian as hamiltonian
 import speclab.tridiag as tridiag
 from speclab import (
@@ -213,15 +214,13 @@ def test_trial_mode_validation():
         )
 
 
-def test_boundary_vector_and_evaluate():
+def test_trial_max_index_and_evaluate():
     trial = ModeTrialFunction(
         (
             TrialMode(n=0, upper=2.0, lower=1.0j, decay=1.0),
             TrialMode(n=2, upper=-1.0, lower=0.5, decay=3.0),
         )
     )
-    assert np.array_equal(trial.boundary_vector(0), [2.0, 1.0j])
-    assert np.array_equal(trial.boundary_vector(1), [0.0, 0.0])
     assert trial.max_index == 2
     ys = np.array([-1.0, 0.0, 2.0])
     vals = trial.evaluate(0.0, ys)
@@ -314,6 +313,36 @@ def test_forms_no_adjacent_modes_no_boundary_term():
     )
     fv = evaluate_forms(trial, CouplingParams(1.2, 0.8, 0.3 - 1.0j))
     assert fv.b_sum == 0.0
+
+
+def test_evaluate_forms_never_derives(monkeypatch):
+    # the boundary form reads Sigma's Pauli coefficients, not its eigensystem
+    def no_derive(*args, **kwargs):
+        raise AssertionError("evaluate_forms called derive")
+
+    monkeypatch.setattr(coupling, "derive", no_derive)
+    monkeypatch.setattr(hamiltonian, "derive", no_derive)
+    rng = np.random.default_rng(8)
+    for params in (CouplingParams(0.7, 2.0, 0.3 + 0.4j), CouplingParams(1.3, 0.0, 0.5j)):
+        gamma = params.gamma if params.beta == 0.0 else None
+        trial = random_trial(rng, beta_zero_gamma=gamma)
+        assert math.isfinite(evaluate_forms(trial, params).b_sum)
+
+
+def test_forms_beta_independent_on_beta_zero_domain():
+    # on f_minus = -conj(gamma)/2 * f_plus the beta != 0 boundary form is
+    # (alpha/4) * sum sqrt(2n) Re(conj(f_{+,n}) f_{+,n-1}) whatever beta is
+    rng = np.random.default_rng(404)
+    for _ in range(100):
+        alpha = rng.uniform(-2.0, 2.0)
+        gamma = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        trial = random_trial(rng, beta_zero_gamma=gamma)
+        weight = sum(m.weight for m in trial.modes)
+        want = evaluate_forms(trial, CouplingParams(alpha, 0.0, gamma)).b_sum
+        for beta in (1e-3, 0.5, 3.0, -2.0):
+            got = evaluate_forms(trial, CouplingParams(alpha, beta, gamma)).b_sum
+            scale = 1.0 + (4.0 + abs(gamma) ** 2 + abs(alpha * beta)) / abs(beta)
+            assert abs(got - want) <= 1e-13 * weight * scale, (alpha, beta, gamma)
 
 
 # ---------------------------------------------------------------------------

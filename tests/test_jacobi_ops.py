@@ -121,11 +121,11 @@ def test_count_relative_sides_partition():
     fam = CountingFamily(1.0)
     n = 64
     level = 0.45
-    above = count_relative(fam, level, n, side="above")
-    below = count_relative(fam, level, n, side="below")
+    above = count_relative(fam, level, n)
+    t = build(fam, n)
+    below = counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0]
+    assert 0 < above < n
     assert above + below == n
-    with pytest.raises(InvalidParametersError):
-        count_relative(fam, level, n, side="sideways")
 
 
 def test_counting_spectrum_symmetric():
@@ -157,7 +157,7 @@ def _record_sizes(monkeypatch) -> list[int]:
     """Sizes ``stable_count`` asks counts at; every count is 1."""
     sizes: list[int] = []
 
-    def fake(family, level, n, side="above"):
+    def fake(family, level, n):
         sizes.append(n)
         return 1
 
