@@ -288,10 +288,14 @@ def evaluate_forms(trial: ModeTrialFunction, params: CouplingParams) -> FormValu
     norm_sq = trial.norm_sq()
 
     if p.beta == 0.0:
-        scale = max(1.0, max((abs(m.f_plus) + abs(m.f_minus)) for m in trial.modes))
+        half_gamma = 0.5 * complex(p.gamma).conjugate()
         for m in trial.modes:
-            defect = abs(m.f_minus + 0.5 * complex(p.gamma).conjugate() * m.f_plus)
-            if defect > _BETA0_CONSTRAINT_TOL * scale:
+            defect = abs(m.f_minus + half_gamma * m.f_plus)
+            # f_plus and f_minus are formed from (upper, lower), each to
+            # within rounding of |upper| + |lower|, so that is all the
+            # constraint can hold to, whatever the size of gamma
+            bound = (1.0 + abs(half_gamma)) * (abs(m.upper) + abs(m.lower))
+            if defect > _BETA0_CONSTRAINT_TOL * bound:
                 raise Beta0ConstraintError(
                     "beta = 0 trial functions must satisfy "
                     "f_minus = -conj(gamma)/2 * f_plus on every mode; "
@@ -313,7 +317,12 @@ def evaluate_forms(trial: ModeTrialFunction, params: CouplingParams) -> FormValu
         re_k = (k0 * (ac + bd).real + k1 * (ad + bc).real
                 + k2 * (ad - bc).imag + k3 * (ac - bd).real)
         b_sum += math.sqrt(n) / (2.0 * _SQRT2) * re_k
-    return FormValues(a0=a0, b_sum=b_sum / s, norm_sq=norm_sq)
+    b_sum /= s
+    if not math.isfinite(b_sum):
+        raise InvalidParametersError(
+            f"the boundary form at {p} is not finite in double precision"
+        )
+    return FormValues(a0=a0, b_sum=b_sum, norm_sq=norm_sq)
 
 
 def lower_bound_constant(params: CouplingParams) -> float:

@@ -13,9 +13,20 @@ Re zeta > 0 and Im zeta * Im lam < 0, cut along [n + 1/2, inf).
 Solutions can grow geometrically, so every sequence is stored in split
 form: a complex mantissa per index plus a per-index log2 scale recorded
 by the running rescaling accumulator (the true value is
-``values[n] * 2**log2_scale[n]``).  Working magnitudes are rescaled
-whenever they leave [2^-512, 2^512]; ratios, residuals and defects are
+``values[n] * 2**log2_scale[n]``).  Ratios, residuals and defects are
 computed scale-free and never overflow.
+
+Forward and backward iteration run one kernel.  Row k gives
+C_new = -(w_k*C_k + d_old*C_old) / d_new, with
+w_k = 2*mu*sqrt(k+1/2)*zeta_k(lam), C_old the other neighbour of C_k,
+and d_new, d_old the weights of C_new and C_old in row k.  The rescale
+rule: after each row, when the larger magnitude of the working pair
+(C_new, C_k) leaves [2^-512, 2^512] and is not zero, both are multiplied
+by 2^-ceil(log2 of it), which brings the larger to at most 1, and that
+exponent is added to the running log2 scale.  The older value of the
+pair is then always at most 2^512, so a rescale can only happen at a row
+where the newest |C| leaves the range: the kernel tests only those rows,
+and writes a new scale only there.
 
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
@@ -195,11 +206,6 @@ class RecurrenceSolution:
         return float(np.max(res)) if res.size else 0.0
 
 
-def _store(values: np.ndarray, scales: np.ndarray, idx: int, val: complex, scale: float) -> None:
-    values[idx] = val
-    scales[idx] = scale
-
-
 def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, complex, float]:
     mag = max(abs(a), abs(b))
     if mag == 0.0:
@@ -209,6 +215,53 @@ def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, comple
         factor = 2.0**-shift
         return a * factor, b * factor, scale + shift
     return a, b, scale
+
+
+def _diagonal_weights(mu: float, lam: complex, k: int) -> list[complex]:
+    """w_j = 2*mu*sqrt(j + 1/2)*zeta_j(lam) for j < k, as Python complex.
+
+    Python computes the float t = 2*mu*sqrt(j + 1/2) times zeta_j as
+    (t + 0j) * zeta_j; the parts below repeat its products and sums, so
+    each w_j equals that scalar expression bit for bit.
+    """
+    ns = np.arange(k)
+    t = 2.0 * mu * np.sqrt(ns + 0.5)
+    z = zeta_array(ns, lam)
+    w = np.empty(k, dtype=complex)
+    w.real = t * z.real - 0.0 * z.imag
+    w.imag = t * z.imag + 0.0 * z.real
+    return w.tolist()
+
+
+def _steps(
+    w: list[complex],
+    d_old: list[float],
+    d_new: list[float],
+    a: complex,
+    b: complex,
+    scale: float,
+) -> tuple[list[complex], np.ndarray]:
+    """Step (a, b) = (b, -(w[i]*b + d_old[i]*a) / d_new[i]) for each i.
+
+    Returns the mantissa b and the running log2 scale after each step.
+    The caller passes |a|, |b| <= 2^512.  Each step keeps that bound (b
+    is left in range or rescaled to at most 1), so the pair can need a
+    rescale only where the new |b| leaves [2^-512, 2^512]; the scale is
+    recorded only at those steps.
+    """
+    out: list[complex] = []
+    append = out.append
+    at: list[int] = []
+    scales = [scale]
+    lo, hi = _RESCALE_LO, _RESCALE_HI
+    for wi, di, dn in zip(w, d_old, d_new):
+        a, b = b, -(wi * b + di * a) / dn
+        if not lo <= abs(b) <= hi:
+            b, a, scale = _rescale_pair(b, a, scale)
+            at.append(len(out))
+            scales.append(scale)
+        append(b)
+    return out, np.repeat(scales, np.diff([0, *at, len(out)]))
 
 
 def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceSolution:
@@ -228,32 +281,18 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
         raise InvalidParametersError("seed must be finite")
     lam = _validate_lam(lam)
 
-    values = np.zeros(n + 1, dtype=complex)
-    scales = np.zeros(n + 1, dtype=np.float64)
-    values[0] = c0
-    if n == 0:
-        return RecurrenceSolution(
-            mu=mu, lam=lam, values=values, log2_scale=scales,
-            direction="forward", normalization=f"C_0 = {c0}",
-        )
-
-    zs = zeta_array(np.arange(n), lam).tolist()
-    ds = coupling_weights(np.arange(1, n + 1)).tolist()
-    sq = np.sqrt(np.arange(n) + 0.5).tolist()
-
-    cur = 0.0
-    c_prev = c0
-    c_curr = -(2.0 * mu * sq[0] * zs[0] * c0) / ds[0]
-    c_curr, c_prev, cur = _rescale_pair(c_curr, c_prev, cur)
-    _store(values, scales, 1, c_curr, cur)
-    for k in range(1, n):
-        c_next = -(2.0 * mu * sq[k] * zs[k] * c_curr + ds[k - 1] * c_prev) / ds[k]
-        c_prev = c_curr
-        c_curr = c_next
-        c_curr, c_prev, cur = _rescale_pair(c_curr, c_prev, cur)
-        _store(values, scales, k + 1, c_curr, cur)
+    values = [c0]
+    scales = np.zeros(1)
+    if n > 0:
+        w = _diagonal_weights(mu, lam, n)
+        ds = coupling_weights(np.arange(1, n + 1)).tolist()
+        # the seed may lie above 2^512, so the n = 0 row is always rescaled
+        c1, c_prev, scale = _rescale_pair(-(w[0] * c0) / ds[0], c0, 0.0)
+        out, log2 = _steps(w[1:], ds, ds[1:], c_prev, c1, scale)
+        values += [c1, *out]
+        scales = np.concatenate(([0.0, scale], log2))
     return RecurrenceSolution(
-        mu=mu, lam=lam, values=values, log2_scale=scales,
+        mu=mu, lam=lam, values=np.array(values, dtype=complex), log2_scale=scales,
         direction="forward", normalization=f"C_0 = {c0}",
     )
 
@@ -284,27 +323,12 @@ def minimal_solution_backward(
     if m <= n:
         raise InvalidParametersError("buffer top m must exceed n")
 
-    zs = zeta_array(np.arange(m + 1), lam).tolist()
+    w = _diagonal_weights(mu, lam, m + 1)
     ds = coupling_weights(np.arange(1, m + 2)).tolist()
-    sq = np.sqrt(np.arange(m + 1) + 0.5).tolist()
-
-    values = np.zeros(m + 2, dtype=complex)
-    scales = np.zeros(m + 2, dtype=np.float64)
-    cur = 0.0
-    c_up = 0.0 + 0.0j   # C_{m+1}
-    c_mid = 1.0 + 0.0j  # C_m
-    values[m + 1] = c_up
-    values[m] = c_mid
-    # Stored (mantissa, scale) pairs are immutable once written: a later
-    # rescale only changes the working copies plus the running scale, so
-    # every index keeps representing the same true value.
-    for k in range(m, 0, -1):
-        c_down = -(ds[k] * c_up + 2.0 * mu * sq[k] * zs[k] * c_mid) / ds[k - 1]
-        c_up = c_mid
-        c_mid = c_down
-        c_mid, c_up, cur = _rescale_pair(c_mid, c_up, cur)
-        _store(values, scales, k - 1, c_mid, cur)
-    return _normalise_backward(mu, lam, values, scales, n, m)
+    # from (C_{m+1}, C_m) = (0, 1) down to C_0; row k needs d(k+1) and d(k)
+    out, log2 = _steps(w[m:0:-1], ds[m:0:-1], ds[m - 1::-1], 0j, 1 + 0j, 0.0)
+    values = np.array(out, dtype=complex)[::-1]
+    return _normalise_backward(mu, lam, values, log2[::-1], n)
 
 
 def _normalise_backward(
@@ -313,7 +337,6 @@ def _normalise_backward(
     values: np.ndarray,
     scales: np.ndarray,
     n: int,
-    m: int,
 ) -> RecurrenceSolution:
     pivot = values[n]
     if pivot == 0.0:

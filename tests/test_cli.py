@@ -268,6 +268,56 @@ def test_forms_test_seeded_and_clean(capsys):
     assert row["min_margin"] > 0.0
 
 
+def test_forms_test_beta_zero_large_gamma(capsys):
+    # it used to reject its own projected trials: "violates it by 3.926e-02"
+    rc, out, err = run_cli(capsys, ["forms-test", "--alpha=1", "--beta=0",
+                                    "--gamma-re=1e8", "--trials", "50"])
+    assert (rc, err) == (0, "")
+    row = json.loads(out)
+    assert row["violations"] == 0
+    assert all(math.isfinite(v) for v in row.values())
+
+
+def _numbers(value):
+    """Every number in a parsed JSON value, non-finite ones as their string."""
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    if isinstance(value, dict):
+        return [x for item in value.values() for x in _numbers(item)]
+    if value in ("inf", "-inf", "nan"):
+        return [value]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+_SPECTRAL_POINTS = [
+    ["jacobi-spectrum", "--family=counting", "--epsilon=0.5", "--size=64"],
+    ["jacobi-spectrum", "--family=reference", "--mu=1.2", "--size=64"],
+    ["jacobi-spectrum", "--family=spectral", "--mu=1.5", "--lambda=0.2", "--size=64"],
+    ["jacobi-spectrum", "--family=counting-limit", "--size=64", "--lo=-1", "--hi=1"],
+    ["transition-scan", "--mu=0.9", "--sizes=64,128"],
+    ["transition-scan", "--mu=1.3", "--sizes=64,128", "--lo=-2", "--hi=2"],
+    ["h-spectrum", "--alpha=1", "--beta=0"],
+    ["h-spectrum", "--alpha=0.7", "--beta=2", "--gamma-re=0.3", "--gamma-im=0.4"],
+    ["h-spectrum", "--alpha=1.4", "--beta=0"],
+    # mu - 1 = 5e-4: the secular cross-check finds no root at its depth
+    ["h-spectrum", "--alpha=1.4135", "--beta=0"],
+]
+
+
+@pytest.mark.parametrize("argv", _SPECTRAL_POINTS,
+                         ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_spectral_output_is_finite(capsys, argv):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    rows = json.loads(out)
+    for row in rows if isinstance(rows, list) else [rows]:
+        for key, value in row.items():
+            if key == "method_agreement" and value == "inf":
+                continue  # the documented "no secular root found" marker
+            for x in _numbers(value):
+                assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (key, value)
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_forms_test_needs_a_trial(capsys, trials):
     # no trials used to pass the check with "violations": 0

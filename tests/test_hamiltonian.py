@@ -304,6 +304,36 @@ def test_forms_beta_zero_rejects_unconstrained_trial():
         evaluate_forms(trial, CouplingParams(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("log_gamma", range(-12, 13, 2))
+def test_forms_beta_zero_accepts_projected_trials_at_any_gamma(log_gamma):
+    # splitting f_plus into (upper, lower) loses it to rounding once |gamma|
+    # is large; the check used to reject such trials from |gamma| ~ 1e7 on
+    rng = np.random.default_rng(log_gamma + 100)
+    for phase in (0.0, 0.7, 2.5):
+        gamma = 10.0**log_gamma * complex(math.cos(phase), math.sin(phase))
+        params = CouplingParams(1.0, 0.0, gamma)
+        for _ in range(40):
+            trial = random_trial(rng, beta_zero_gamma=gamma)
+            assert math.isfinite(evaluate_forms(trial, params).full)
+
+
+@pytest.mark.parametrize("gamma", [1e3, 1e8, -3e5 + 4e5j])
+def test_forms_beta_zero_rejects_unprojected_trial_at_large_gamma(gamma):
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        with pytest.raises(Beta0ConstraintError):
+            evaluate_forms(random_trial(rng), CouplingParams(1.0, 0.0, gamma))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_forms_reject_boundary_form_out_of_range(seed):
+    # omega0 ~ 1e308 is finite, but times O(1) mode products it overflowed:
+    # b_sum came back -inf (seed 0) or nan (seed 3) with no error
+    trial = random_trial(np.random.default_rng(seed))
+    with pytest.raises(InvalidParametersError, match="not finite"):
+        evaluate_forms(trial, CouplingParams(1e300, 1e8))
+
+
 def test_forms_no_adjacent_modes_no_boundary_term():
     trial = ModeTrialFunction(
         (

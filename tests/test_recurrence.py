@@ -25,6 +25,7 @@ from speclab import (
     zeta,
     zeta_array,
 )
+from speclab.recurrence import _steps
 
 nonreal_lams = st.builds(
     complex,
@@ -261,6 +262,119 @@ def test_minimal_solution_buffer_insensitive():
         minimal_solution_backward(1.5, 0.3, 200, m=200)
     with pytest.raises(InvalidParametersError):
         minimal_solution_backward(1.5, 0.3, 0)
+
+
+# ---------------------------------------------------------------------------
+# the shared stepping kernel against the per-row loops it replaced
+
+
+def _reference_rescale(a, b, scale):
+    mag = max(abs(a), abs(b))
+    if mag > 2.0**512 or 0.0 < mag < 2.0**-512:
+        shift = float(math.ceil(math.log2(mag)))
+        return a * 2.0**-shift, b * 2.0**-shift, scale + shift
+    return a, b, scale
+
+
+def _reference_forward(mu, lam, c0, n):
+    """One row at a time, rescaling the working pair after every row."""
+    values = np.zeros(n + 1, dtype=complex)
+    scales = np.zeros(n + 1)
+    values[0] = c0
+    if n == 0:
+        return values, scales
+    zs = zeta_array(np.arange(n), lam).tolist()
+    ds = coupling_weights(np.arange(1, n + 1)).tolist()
+    sq = np.sqrt(np.arange(n) + 0.5).tolist()
+    c_prev = c0
+    c_curr = -(2.0 * mu * sq[0] * zs[0] * c0) / ds[0]
+    c_curr, c_prev, cur = _reference_rescale(c_curr, c_prev, 0.0)
+    values[1], scales[1] = c_curr, cur
+    for k in range(1, n):
+        c_next = -(2.0 * mu * sq[k] * zs[k] * c_curr + ds[k - 1] * c_prev) / ds[k]
+        c_curr, c_prev, cur = _reference_rescale(c_next, c_curr, cur)
+        values[k + 1], scales[k + 1] = c_curr, cur
+    return values, scales
+
+
+def _reference_backward(mu, lam, n, m):
+    """From (C_{m+1}, C_m) = (0, 1) down one row at a time, then C_n = 1."""
+    zs = zeta_array(np.arange(m + 1), lam).tolist()
+    ds = coupling_weights(np.arange(1, m + 2)).tolist()
+    sq = np.sqrt(np.arange(m + 1) + 0.5).tolist()
+    values = np.zeros(m + 2, dtype=complex)
+    scales = np.zeros(m + 2)
+    c_up, c_mid, cur = 0.0 + 0.0j, 1.0 + 0.0j, 0.0
+    values[m] = c_mid
+    for k in range(m, 0, -1):
+        c_down = -(ds[k] * c_up + 2.0 * mu * sq[k] * zs[k] * c_mid) / ds[k - 1]
+        c_mid, c_up, cur = _reference_rescale(c_down, c_mid, cur)
+        values[k - 1], scales[k - 1] = c_mid, cur
+    shift = float(round(math.log2(abs(values[n]))))
+    pivot = values[n] * 2.0**-shift
+    return values[: n + 1] / pivot, scales[: n + 1] - (scales[n] + shift)
+
+
+kernel_mus = st.builds(
+    lambda sign, mag: sign * mag,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+kernel_lams = st.floats(min_value=-40.0, max_value=0.49) | nonreal_lams
+kernel_seeds = st.sampled_from([0.0, 1.0, 1e300, 1e-300]) | st.builds(
+    complex,
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_mus, kernel_lams, kernel_seeds, st.integers(min_value=0, max_value=600))
+def test_forward_kernel_bit_identical_to_row_loop(mu, lam, c0, n):
+    sol = iterate_forward(mu, lam, c0, n)
+    values, scales = _reference_forward(mu, complex(lam), complex(c0), n)
+    assert np.array_equal(sol.values, values)
+    assert np.array_equal(sol.log2_scale, scales)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_mus, kernel_lams, st.integers(min_value=1, max_value=600), st.booleans())
+def test_backward_kernel_bit_identical_to_row_loop(mu, lam, n, tight):
+    if abs(mu) <= 1.0 and complex(lam).imag == 0.0:
+        mu = 2.0 / mu  # a real lam needs the dominance split |mu| > 1
+    m = n + 1 if tight else None
+    sol = minimal_solution_backward(mu, lam, n, m)
+    values, scales = _reference_backward(
+        mu, complex(lam), n, n + max(50, n // 10) if m is None else m
+    )
+    assert np.array_equal(sol.values, values)
+    assert np.array_equal(sol.log2_scale, scales)
+
+
+extreme = st.builds(
+    lambda mantissa, exponent: mantissa * 2.0**exponent,
+    st.just(0.0) | st.floats(min_value=0.5, max_value=1.0),
+    st.integers(min_value=-200, max_value=200),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(extreme, extreme, extreme.filter(bool)), max_size=40))
+def test_kernel_rescales_like_row_loop_at_extreme_coefficients(rows):
+    # coefficient ratios up to 2^400 carry the pair out of [2^-512, 2^512]
+    # at either end within a few rows, which the recurrence's own
+    # coefficients almost never do (its first forward row is rescaled apart)
+    w, d_old, d_new = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+    out, log2 = _steps(w, d_old, d_new, 0.75 + 0j, 1.0 + 0j, 0.0)
+    a, b, scale = 0.75 + 0j, 1.0 + 0j, 0.0
+    want, scales = [], []
+    for wi, di, dn in rows:
+        a, b = b, -(wi * b + di * a) / dn
+        b, a, scale = _reference_rescale(b, a, scale)
+        want.append(b)
+        scales.append(scale)
+    assert out == want
+    assert log2.tolist() == scales
 
 
 # ---------------------------------------------------------------------------
