@@ -8,6 +8,8 @@ produce byte-identical output.
 
 Each subcommand is declared once, in ``_COMMANDS``: its handler, its help,
 the flags a ``--grid`` may sweep, its other flags and its output columns.
+A command accepts only the flags it reads: ``--tol`` only where a bisection
+or a classification uses it, ``--n-cap`` only where a truncation doubles.
 ``_FLAGS`` gives every flag its option string, type and default.  The
 parser, the sweep check and the handlers all read these two tables, and a
 ``--config`` file is parsed through the same flags.
@@ -292,7 +294,8 @@ _FLAGS = {
 # config keys: a flag's name or its parsed key
 _NAMES = {f.name: key for key, f in _FLAGS.items()} | {key: key for key in _FLAGS}
 
-_COMMON = ("grid", "workers", "format", "output", "config", "tol", "n_cap")
+# the flags ``run`` itself reads, for every command
+_COMMON = ("grid", "workers", "format", "output", "config")
 _COUPLING = ("alpha", "beta", "gamma_re", "gamma_im")
 
 
@@ -324,7 +327,7 @@ _COMMANDS = {
     ),
     "classify": _Command(
         _cmd_classify, "sub/super/critical per branch",
-        _COUPLING, (), ("kind", "branch1", "mu1", "kind1", "branch2", "mu2", "kind2"),
+        _COUPLING, ("tol",), ("kind", "branch1", "mu1", "kind1", "branch2", "mu2", "kind2"),
     ),
     "surface": _Command(
         _cmd_surface, "critical alpha for given beta, gamma",
@@ -332,26 +335,26 @@ _COMMANDS = {
     ),
     "jacobi-spectrum": _Command(
         _cmd_jacobi_spectrum, "window eigenvalues of a truncated Jacobi family",
-        ("mu", "lam", "epsilon"), ("family", "size", "lo", "hi"),
+        ("mu", "lam", "epsilon"), ("family", "size", "lo", "hi", "tol"),
         ("family", "size", "lo", "hi", "count", "eigenvalues"),
     ),
     "count": _Command(
         _cmd_count, "counting-operator eigenvalue count below 1/2 - epsilon",
-        (*_COUPLING, "epsilon"), (), ("count",),
+        (*_COUPLING, "epsilon"), ("n_cap",), ("count",),
     ),
     "h-spectrum": _Command(
         _cmd_h_spectrum, "all eigenvalues below the continuum threshold",
-        _COUPLING, ("lambda_min",),
+        _COUPLING, ("lambda_min", "tol", "n_cap"),
         ("branch_mus", "per_branch_counts", "count", "eigenvalues",
          "truncation_size", "method_agreement"),
     ),
     "discrete2-check": _Command(
         _cmd_discrete2, "compare the eigenvalue count with the counting-limit bound",
-        _COUPLING, (), ("lhs", "rhs", "bound", "ok", "branch_mus"),
+        _COUPLING, ("n_cap",), ("lhs", "rhs", "bound", "ok", "branch_mus"),
     ),
     "asymptotics": _Command(
         _cmd_asymptotics, "near-critical counting law check",
-        ("mu",), ("svg",), ("mu", "counted", "predicted", "ratio"),
+        ("mu",), ("svg", "n_cap"), ("mu", "counted", "predicted", "ratio"),
     ),
     "identity-check": _Command(
         _cmd_identity_check, "summed-identity residual of a forward solution",
@@ -360,7 +363,7 @@ _COMMANDS = {
     ),
     "transition-scan": _Command(
         _cmd_transition_scan, "smallest eigenvalue and window count across sizes",
-        ("mu",), ("sizes", "lo", "hi", "svg"),
+        ("mu",), ("sizes", "lo", "hi", "svg", "tol"),
         ("mu", "size", "smallest", "window_count"),
     ),
     "forms-test": _Command(
@@ -583,7 +586,7 @@ def run(argv: list[str] | None = None) -> int:
             key, values = _parse_grid(a["grid"], a["command"])
             tasks = [(a["command"], key, value, a) for value in values]
             if a["workers"] > 1 and len(tasks) > 1:
-                with Pool(processes=a["workers"]) as pool:
+                with Pool(processes=min(a["workers"], len(tasks))) as pool:
                     chunks = pool.map(_run_task, tasks)
             else:
                 chunks = [_run_task(t) for t in tasks]

@@ -94,6 +94,9 @@ _SQRT2 = math.sqrt(2.0)
 # The eigenvalue search stops this far below the threshold: the spectral
 # diagonal involves sqrt(n + 1/2 - lambda), which loses meaning at 1/2.
 _WINDOW_MARGIN = 1e-9
+# Depth of the backward recurrence behind the secular cross-check of
+# h-spectrum's eigenvalues.
+_SECULAR_DEPTH = 256
 
 
 # ---------------------------------------------------------------------------
@@ -211,23 +214,21 @@ def random_trial(
     rng: np.random.Generator,
     *,
     max_mode: int = 12,
-    decay_range: tuple[float, float] = (0.1, 10.0),
     beta_zero_gamma: complex | None = None,
 ) -> ModeTrialFunction:
     """Draw a random trial function for Monte-Carlo form checks.
 
     Mode indices are sampled without replacement from 0..max_mode, decay
-    rates log-uniformly from ``decay_range``, boundary values as complex
+    rates log-uniformly from [0.1, 10], boundary values as complex
     standard normals.  When ``beta_zero_gamma`` is given the boundary values
     are projected onto the constraint f_minus = -conj(gamma)/2 * f_plus that
     the beta = 0 form domain imposes.
     """
     n_modes = int(rng.integers(1, 6))
     indices = rng.choice(max_mode + 1, size=n_modes, replace=False)
-    lo, hi = decay_range
     modes = []
     for idx in sorted(int(i) for i in indices):
-        decay = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        decay = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
         a = complex(rng.standard_normal(), rng.standard_normal())
         b = complex(rng.standard_normal(), rng.standard_normal())
         if beta_zero_gamma is not None:
@@ -472,9 +473,7 @@ def _branch_eigenvalues(
     return _Bisection((c_lo, c_hi), lows, highs)
 
 
-def _refine_secular(
-    mu: float, lam: float, lam_floor: float, *, size: int = 256
-) -> float | None:
+def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
     """Nearest zero of the real secular function around ``lam``.
 
     The first sign change in brackets of half-width 1e-9, 4e-9, ... around
@@ -486,7 +485,7 @@ def _refine_secular(
     ceiling = THRESHOLD - 1e-12
 
     def f(x: float) -> float:
-        return secular_function(mu, x, size).real
+        return secular_function(mu, x, _SECULAR_DEPTH).real
 
     half = 1e-9
     while half <= 1e-3:

@@ -41,7 +41,6 @@ __all__ = [
     "CountingFamily",
     "CountingLimitFamily",
     "JacobiFamily",
-    "family_label",
     "build",
     "spectral_diagonals",
     "count_relative",
@@ -120,18 +119,6 @@ class CountingLimitFamily:
 
 
 JacobiFamily = Union[ReferenceFamily, SpectralFamily, CountingFamily, CountingLimitFamily]
-
-_LABELS = {
-    ReferenceFamily: "reference",
-    SpectralFamily: "spectral",
-    CountingFamily: "counting",
-    CountingLimitFamily: "counting-limit",
-}
-
-
-def family_label(family: JacobiFamily) -> str:
-    return _LABELS[type(family)]
-
 
 def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
     """Size-n truncation of the requested family."""

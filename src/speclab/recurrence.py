@@ -68,6 +68,8 @@ __all__ = [
 
 _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
+# at or below this magnitude 2^-ceil(log2 of it) overflows
+_RESCALE_FLOOR = 2.0**-1024
 
 
 def _validate_lam(lam: complex, n_min: int = 0) -> complex:
@@ -210,6 +212,9 @@ def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, comple
     mag = max(abs(a), abs(b))
     if mag == 0.0:
         return a, b, scale
+    if mag <= _RESCALE_FLOOR:
+        # lift the (subnormal) pair by an exact power of two first
+        return _rescale_pair(a * 2.0**64, b * 2.0**64, scale - 64.0)
     if mag > _RESCALE_HI or mag < _RESCALE_LO:
         shift = float(math.ceil(math.log2(mag)))
         factor = 2.0**-shift
@@ -483,9 +488,7 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     )
 
 
-def secular_function(
-    mu: float, lam: complex, n: int, m: int | None = None
-) -> complex:
+def secular_function(mu: float, lam: complex, n: int) -> complex:
     """Normalised boundary-row residual of the minimal solution.
 
     The backward recurrence satisfies every interior row by construction,
@@ -494,12 +497,12 @@ def secular_function(
     solution.  The residual is normalised by the sum of the term
     magnitudes, making it scale-free with values in the unit disc and a
     linear dip through zero at eigenvalues.  Real for real lam < 1/2, so
-    sign changes bracket eigenvalues; ``n`` sets the depth (and default
-    buffer) of the backward recurrence.
+    sign changes bracket eigenvalues; ``n`` sets the depth of the backward
+    recurrence, which runs from its default buffer top.
     """
     if n < 1:
         raise InvalidParametersError("n must be >= 1")
-    bwd = minimal_solution_backward(mu, lam, n, m)
+    bwd = minimal_solution_backward(mu, lam, n)
     g0, g1 = bwd.values[0], bwd.values[1]
     k0, k1 = float(bwd.log2_scale[0]), float(bwd.log2_scale[1])
     w0 = 2.0 * mu * math.sqrt(0.5) * zeta(0, lam)
@@ -512,6 +515,6 @@ def secular_function(
     return (t1 + t0) / denom
 
 
-def secular_defect(mu: float, lam: complex, n: int, m: int | None = None) -> float:
+def secular_defect(mu: float, lam: complex, n: int) -> float:
     """Magnitude of :func:`secular_function`; ~0 only at spectral points."""
-    return abs(secular_function(mu, lam, n, m))
+    return abs(secular_function(mu, lam, n))

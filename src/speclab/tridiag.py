@@ -8,7 +8,9 @@ batch of levels on one matrix is a batch of shifted diagonals.  Pivots
 within pivmin = eps*(max|diag| + 2*max|offdiag| + |level| + 1) of zero
 are replaced by -pivmin so the count never divides by zero, at the cost
 of an ulp-scale ambiguity for levels that collide with an eigenvalue of
-a leading principal submatrix.  Counts are exact integers; every
+a leading principal submatrix.  Each matrix of a batch has its own
+pivmin, from its own diagonal, so its count does not depend on the
+other matrices counted with it.  Counts are exact integers; every
 eigenvalue in the package is then localised by the one bisection on a
 count, ``_bisect``.
 
@@ -113,14 +115,14 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _max_abs(x: np.ndarray) -> float:
+def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> list[float]:
+    """For each row of the (k, n) ``diags``, the pivmin of that matrix:
+    its pivots no larger than this in magnitude are clamped to its negative."""
     # max(max x, -min x) rather than max|x|: np.abs would copy a (k, n) batch
-    return max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
-
-
-def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> float:
-    """Pivots no larger than this in magnitude are clamped to its negative."""
-    return _EPS * (_max_abs(diags) + 2.0 * _max_abs(offdiag) + abs(level) + 1.0)
+    off = 2.0 * max(float(offdiag.max(initial=0.0)), -float(offdiag.min(initial=0.0)))
+    highs = diags.max(1, initial=0.0).tolist()
+    lows = diags.min(1, initial=0.0).tolist()
+    return [_EPS * (max(hi, -lo) + off + abs(level) + 1.0) for hi, lo in zip(highs, lows)]
 
 
 def _count_scalar(diag: list, off2: list, shift: float, pivmin: float) -> int:
@@ -137,7 +139,7 @@ def _count_scalar(diag: list, off2: list, shift: float, pivmin: float) -> int:
     return count
 
 
-def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray, pivmin: float | None = None) -> None:
+def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray, pivmin: np.ndarray | None = None) -> None:
     """Pivots of ``rows`` into ``out``, continuing from the pivot row ``prev``.
 
     With ``pivmin`` each pivot is clamped as in ``_count_scalar``; without
@@ -151,8 +153,9 @@ def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray,
         prev = q
 
 
-def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: float) -> np.ndarray:
-    """Negative-pivot counts for the (n, k) array of shifted diagonals.
+def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
+    """Negative-pivot counts for the (n, k) array of shifted diagonals,
+    column j clamped at its own ``pivmin[j]``.
 
     Rows run in blocks of ``_ROW_BLOCK``, first without the pivmin clamp.
     Up to the first pivot within pivmin of zero both recurrences compute
@@ -196,20 +199,21 @@ def counts_for_diagonals(diags: np.ndarray, offdiag: np.ndarray, level: float = 
     if diags.ndim != 2 or diags.shape[1] != offdiag.size + 1:
         raise InvalidParametersError("diags must be (k, n) with offdiag of size n-1")
     pivmin = _pivmin(diags, offdiag, level)
-    # a nan or infinite entry or level makes pivmin nan or infinite
-    if not math.isfinite(pivmin):
+    # a nan or infinite entry or level makes a pivmin nan or infinite
+    if not all(map(math.isfinite, pivmin)):
         raise InvalidParametersError("entries and level must be finite")
     off2 = offdiag * offdiag
     if diags.shape[0] <= _SCALAR_BATCH_LIMIT:
         off2_list = off2.tolist()
         return np.array(
-            [_count_scalar(row, off2_list, level, pivmin) for row in diags.tolist()],
+            [_count_scalar(row, off2_list, level, p)
+             for row, p in zip(diags.tolist(), pivmin)],
             dtype=np.int64,
         )
     rows = np.ascontiguousarray(diags.T)
     if level:
         rows = rows - level
-    return _counts_columns(rows, off2, pivmin)
+    return _counts_columns(rows, off2, np.array(pivmin))
 
 
 def _bisect(
@@ -277,7 +281,7 @@ def smallest_eigenvalue(t: TridiagonalMatrix, tol: float = 1e-10) -> float:
     """Lowest eigenvalue, bisected between the Gershgorin bounds."""
     tol = _check_tol(tol)
     lo, hi = t.gershgorin_bounds()
-    hi = hi + max(tol, _pivmin(t.diag, t.offdiag, hi))
+    hi = hi + max(tol, _pivmin(t.diag[None, :], t.offdiag, hi)[0])
     lows, highs = _bisect(
         lambda levels: counts_for_diagonals(t.diag[None, :], t.offdiag, levels[0]),
         lo,

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speclab.cli import _build_parser, _fmt_float, run
+from speclab import cli
+from speclab.cli import _COMMANDS, _build_parser, _fmt_float, run
 
 SQRT2 = math.sqrt(2.0)
 TWO_SQRT2 = repr(2.0 * SQRT2)  # exact decimal form of the singular beta
@@ -301,6 +302,9 @@ _SPECTRAL_POINTS = [
     ["h-spectrum", "--alpha=1.4", "--beta=0"],
     # mu - 1 = 5e-4: the secular cross-check finds no root at its depth
     ["h-spectrum", "--alpha=1.4135", "--beta=0"],
+    ["count", "--alpha=1", "--beta=0", "--epsilon=0.5"],
+    ["discrete2-check", "--alpha=1", "--beta=0"],
+    ["asymptotics", "--mu=1.5"],
 ]
 
 
@@ -367,13 +371,17 @@ def test_n_cap_below_doubling_start_exits_3(capsys, command):
     assert "by truncation size 1000; doubling it passes the size cap 1000" in err
 
 
-@pytest.mark.parametrize("tol", ["0", "nan", "-1"])
-def test_discrete2_check_ignores_tol(capsys, tol):
-    # the check counts eigenvalues and locates none, so no tolerance applies
-    rc, out, _ = run_cli(capsys, ["discrete2-check", "--alpha", "1", "--beta", "0",
-                                  f"--tol={tol}"])
+def test_h_spectrum_far_lambda_min(capsys):
+    # one Sturm batch holds the levels lambda_min and just below 1/2; its
+    # pivmin came from the largest diagonal of the batch, so this window
+    # found two spurious roots near 1/2 and method_agreement "inf"
+    rc, out, _ = run_cli(capsys, ["h-spectrum", "--alpha", "1", "--beta", "0",
+                                  "--lambda-min=-1e30"])
     assert rc == 0
-    assert out == PINNED[PINNED_IDS.index("discrete2-check")][1]
+    row = json.loads(out)
+    assert (row["count"], row["per_branch_counts"]) == (1, [1])
+    assert row["eigenvalues"][0] == pytest.approx(0.47541226427148, abs=1e-9)
+    assert row["method_agreement"] < 1e-9
 
 
 def test_discrete2_check_without_subcritical_branch(capsys):
@@ -411,6 +419,31 @@ def test_sweep_workers_byte_identical(capsys):
     rows = json.loads(out1)
     assert len(rows) == 7
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_sweep_pool_has_no_more_workers_than_points(capsys, monkeypatch):
+    started = []
+
+    class FakePool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    base = ["mu", "--beta", "1", "--grid"]
+    rc, out, _ = run_cli(capsys, base + ["alpha:1:2:2", "--workers", "64"])
+    assert rc == 0 and len(json.loads(out)) == 2
+    rc, out, _ = run_cli(capsys, base + ["alpha:1:2:7", "--workers", "3"])
+    assert rc == 0 and len(json.loads(out)) == 7
+    assert started == [2, 3]
 
 
 def test_sweep_rows_in_input_order(capsys):
@@ -613,6 +646,63 @@ def test_classify_nan_tol_exit_2(capsys):
     assert rc == 2
     assert out == ""
     assert "tol" in err
+
+
+class _ReadRecorder(dict):
+    """Parsed flags that remember which keys a handler read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# one cheap valid line per command; each family of jacobi-spectrum reads
+# different flags
+_CHEAP_LINES = {
+    "mu": [["--alpha=1"]],
+    "classify": [["--alpha=1"]],
+    "surface": [["--beta=0.5"]],
+    "jacobi-spectrum": [[f"--family={family}", "--size=16"] for family in
+                        ("reference", "spectral", "counting", "counting-limit")],
+    "count": [["--alpha=1"]],
+    "h-spectrum": [["--alpha=1"]],
+    "discrete2-check": [["--alpha=1"]],
+    "asymptotics": [["--mu=1.5"]],
+    "identity-check": [["--size=16"]],
+    "transition-scan": [["--sizes=16,32"]],
+    "forms-test": [["--alpha=1", "--trials=2"]],
+}
+# flags that run() reads itself, for any command
+_RUN_FLAGS = {"grid", "workers", "format", "output", "config", "svg"}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_accepted_flag_is_read(command):
+    read = set()
+    for line in _CHEAP_LINES[command]:
+        a = _ReadRecorder(vars(_build_parser().parse_args([command, *line])))
+        _COMMANDS[command].rows(a)
+        read |= a.read
+    assert set(_COMMANDS[command].options) - _RUN_FLAGS - read == set()
+
+
+_TOL_DROPPED = ["mu", "surface", "count", "discrete2-check", "asymptotics",
+                "identity-check", "forms-test"]
+_N_CAP_DROPPED = ["mu", "classify", "surface", "jacobi-spectrum", "identity-check",
+                  "transition-scan", "forms-test"]
+
+
+@pytest.mark.parametrize("command, flag",
+                         [(c, "--tol=1e-10") for c in _TOL_DROPPED]
+                         + [(c, "--n-cap=4096") for c in _N_CAP_DROPPED])
+def test_unread_flag_exits_2(capsys, command, flag):
+    rc, out, err = run_cli(capsys, [command, *_CHEAP_LINES[command][0], flag])
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments" in err
 
 
 def test_unknown_command_raises_argparse_exit(capsys):

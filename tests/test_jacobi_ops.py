@@ -19,7 +19,6 @@ from speclab import (
     compact_difference_tail,
     count_relative,
     counts_for_diagonals,
-    family_label,
     spectral_diagonals,
     stable_count,
     transition_scan,
@@ -93,13 +92,6 @@ def test_build_validation():
         ReferenceFamily(math.nan)
     with pytest.raises(InvalidParametersError):
         build("nonsense", 8)
-
-
-def test_family_labels():
-    assert family_label(ReferenceFamily(1.0)) == "reference"
-    assert family_label(SpectralFamily(lam=0.0, mu=1.0)) == "spectral"
-    assert family_label(CountingFamily(0.5)) == "counting"
-    assert family_label(CountingLimitFamily()) == "counting-limit"
 
 
 def test_spectral_diagonals_match_builder():

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speclab import (
@@ -270,6 +270,9 @@ def test_minimal_solution_buffer_insensitive():
 
 def _reference_rescale(a, b, scale):
     mag = max(abs(a), abs(b))
+    if 0.0 < mag <= 2.0**-1024:
+        # 2.0**-shift would overflow: lift the pair by 2^64 first
+        return _reference_rescale(a * 2.0**64, b * 2.0**64, scale - 64.0)
     if mag > 2.0**512 or 0.0 < mag < 2.0**-512:
         shift = float(math.ceil(math.log2(mag)))
         return a * 2.0**-shift, b * 2.0**-shift, scale + shift
@@ -330,6 +333,8 @@ kernel_seeds = st.sampled_from([0.0, 1.0, 1e300, 1e-300]) | st.builds(
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_mus, kernel_lams, kernel_seeds, st.integers(min_value=0, max_value=600))
+# a subnormal pair used to overflow 2.0**-shift in the rescale
+@example(mu=1.0, lam=0.0, c0=2.225073858507e-311j, n=1)
 def test_forward_kernel_bit_identical_to_row_loop(mu, lam, c0, n):
     sol = iterate_forward(mu, lam, c0, n)
     values, scales = _reference_forward(mu, complex(lam), complex(c0), n)

@@ -151,6 +151,24 @@ def test_column_counts_match_scalar_counts_at_zero_pivots():
         assert np.array_equal(counts_at_levels(t, levels), want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=16),
+    st.integers(min_value=2, max_value=40),
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_batch_count_equals_count_alone(exponents, n, level, seed):
+    # rows of very different scales in one batch, on the scalar path for up
+    # to 8 rows and the column kernel beyond: each row's pivmin is its own
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** np.array(exponents, dtype=float)
+    diags = rng.normal(0.0, 1.0, size=(len(exponents), n)) * scales[:, None]
+    off = rng.normal(0.0, 1.0, size=n - 1)
+    alone = [int(counts_for_diagonals(row[None, :], off, level)[0]) for row in diags]
+    assert counts_for_diagonals(diags, off, level).tolist() == alone
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.integers(min_value=1, max_value=25),
