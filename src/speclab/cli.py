@@ -9,10 +9,10 @@ produce byte-identical output.
 Each subcommand is declared once, in ``_COMMANDS``: its handler, its help,
 the flags a ``--grid`` may sweep, its other flags and its output columns.
 A command accepts only the flags it reads: ``--tol`` only where a bisection
-or a classification uses it, ``--n-cap`` only where a truncation doubles.
-``_FLAGS`` gives every flag its option string, type and default.  The
-parser, the sweep check and the handlers all read these two tables, and a
-``--config`` file is parsed through the same flags.
+or a classification uses it, ``--n-cap`` only where a certified count
+walks rows.  ``_FLAGS`` gives every flag its option string, type and
+default.  The parser, the sweep check and the handlers all read these two
+tables, and a ``--config`` file is parsed through the same flags.
 
 Exit codes: 0 success, 2 invalid parameters, 3 non-convergence (or every
 sweep point failing).
@@ -51,7 +51,7 @@ from .hamiltonian import (
     random_trial,
 )
 from .jacobi_ops import (
-    DOUBLING_CAP,
+    ROW_CAP,
     CountingFamily,
     CountingLimitFamily,
     ReferenceFamily,
@@ -288,7 +288,7 @@ _FLAGS = {
     "output": _Flag("--output", str, help="output file path (default: stdout)"),
     "config": _Flag("--config", str, help="JSON file with defaults for any flag"),
     "tol": _Flag("--tol", default=1e-10),
-    "n_cap": _Flag("--n-cap", int, DOUBLING_CAP, "largest truncation size ever built"),
+    "n_cap": _Flag("--n-cap", int, ROW_CAP, "the most rows any count walks"),
 }
 
 # config keys: a flag's name or its parsed key

@@ -106,8 +106,9 @@ class CouplingParams:
 
 
 def _abs2(gamma: complex) -> float:
-    # squares by multiplication: float ** 2 raises OverflowError where they
-    # overflow, and so does abs(gamma), so callers check this is finite first
+    # the package's one |gamma|^2; squares by multiplication: float ** 2
+    # raises OverflowError where they overflow, and so does abs(gamma), so
+    # callers check this is finite first
     return gamma.real * gamma.real + gamma.imag * gamma.imag
 
 
@@ -268,15 +269,15 @@ def derive(params: CouplingParams) -> CouplingDerived:
 def mu_beta_zero(alpha: float, gamma: complex = 0.0) -> float:
     """Coupling strength of the single branch present at beta = 0."""
     alpha = float(alpha)
-    gamma = complex(gamma)
-    if not (math.isfinite(alpha) and math.isfinite(_abs2(gamma))):
+    g2 = _abs2(complex(gamma))
+    if not (math.isfinite(alpha) and math.isfinite(g2)):
         raise InvalidParametersError("alpha and |gamma|^2 must be finite")
     if alpha == 0.0:
         raise InvalidParametersError(
             "beta = 0 requires alpha != 0; the purely off-diagonal "
             "interaction (alpha = beta = 0, gamma != 0) is rejected"
         )
-    return (4.0 + abs(gamma) * abs(gamma)) / (2.0 * _SQRT2 * alpha)
+    return (4.0 + g2) / (2.0 * _SQRT2 * alpha)
 
 
 def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
@@ -292,9 +293,9 @@ def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
         raise InvalidParametersError(
             "critical_alpha expects the canonical orientation beta >= 0"
         )
-    if not math.isfinite(_abs2(gamma)):
+    g2 = _abs2(gamma)
+    if not math.isfinite(g2):
         raise InvalidParametersError(f"|gamma|^2 must be finite, got gamma={gamma}")
-    g2 = abs(gamma) * abs(gamma)
     if beta == 0.0:
         return (4.0 + g2) / (2.0 * _SQRT2)
     rest = 2.0 * _SQRT2 - beta

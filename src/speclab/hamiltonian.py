@@ -18,27 +18,23 @@ profiles; this module works entirely in that mode picture:
   half-line trace inequality delta*|psi(0)|^2 <= integral(|psi'|^2 +
   delta^2 |psi|^2) into an equality.
 * ``h_eigenvalues_below_threshold`` locates all eigenvalues below the
-  continuum threshold 1/2 by Sturm-count bisection on the spectral Jacobi
-  family.  The truncation starts at the depth where the recurrence's
-  minimal solution has decayed to 2^-53 and doubles until the list
-  stabilises; a doubling that one batched count shows would repeat the
-  previous bisection's decisions reuses its brackets.  Every root is
-  cross-checked against the secular function of the three-term
-  recurrence, whose sign change is polished by Illinois steps.
+  continuum threshold 1/2 by bisection on certified Sturm counts of the
+  infinite spectral Jacobi family (:func:`speclab.jacobi_ops.spectral_counts`).
+  Every root is cross-checked against the secular function of the
+  three-term recurrence, whose sign change is polished by Illinois steps.
 * ``count_below_epsilon``, ``discrete2_check`` and
-  ``count_asymptotics_curve`` compare that eigenvalue count against the
-  counting Jacobi operators.  The bound check needs no eigenvalues: it
-  counts them at the ends of the same window, c(lam_hi) - c(lam_lo) per
-  branch, doubling from the same start until both end counts repeat.
+  ``count_asymptotics_curve`` compare that eigenvalue count against
+  certified counts of the counting Jacobi operators
+  (:func:`speclab.jacobi_ops.certified_count`).  The bound check needs no
+  eigenvalues: it counts them at the ends of the same window,
+  c(lam_hi) - c(lam_lo) per branch.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -54,20 +50,17 @@ from .coupling import (
 from .errors import (
     Beta0ConstraintError,
     InvalidParametersError,
-    NonConvergenceError,
     NoSubcriticalBranchError,
 )
 from .jacobi_ops import (
-    DOUBLING_CAP,
-    DOUBLING_START,
+    ROW_CAP,
     CountingFamily,
     CountingLimitFamily,
-    _until_stable,
-    spectral_diagonals,
-    stable_count,
+    certified_count,
+    spectral_counts,
 )
-from .recurrence import coupling_weights, secular_function
-from .tridiag import _bisect, _check_tol, counts_for_diagonals
+from .recurrence import secular_function
+from .tridiag import _bisect, _check_tol
 
 __all__ = [
     "THRESHOLD",
@@ -392,87 +385,6 @@ class HSpectrumResult:
         return int(self.eigenvalues.size)
 
 
-@dataclass(frozen=True)
-class _Bisection:
-    """One branch's bisection at one truncation size: the counts at the
-    window ends and the final bracket of every eigenvalue in the window."""
-
-    counts: tuple[int, int]
-    lows: np.ndarray
-    highs: np.ndarray
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return 0.5 * (self.lows + self.highs)
-
-
-def _start_size(mu: float) -> int:
-    """First truncation size tried for the branch with weight ``mu``.
-
-    The minimal solution of the recurrence decays like |r_min|^n with
-    -ln|r_min| = arccosh(mu), r_min = -mu + sqrt(mu^2 - 1) being the
-    smaller characteristic root (Miller's depth rule).  This is the power
-    of two at or above the depth where |r_min|^n reaches 2^-53, floored at
-    32 and capped at ``DOUBLING_START``.
-    """
-    depth = 53.0 * math.log(2.0) / math.acosh(mu)
-    return min(DOUBLING_START, 2 ** max(5, math.ceil(math.log2(depth))))
-
-
-def _counter(mu: float, size: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Sturm counts at level 0 of the size-N spectral truncation, one per
-    lambda of a batch: the number of eigenvalues at or below lambda."""
-    offdiag = coupling_weights(np.arange(1, size))
-
-    def counts_at(lams: np.ndarray) -> np.ndarray:
-        diags = spectral_diagonals(mu, lams, size)
-        return counts_for_diagonals(diags, offdiag, 0.0)
-
-    return counts_at
-
-
-def _window_counts(mu: float, lam_lo: float, lam_hi: float, size: int) -> tuple[int, int]:
-    """The size-N counts at both window ends, from one batched count."""
-    c_lo, c_hi = _counter(mu, size)(np.array([lam_lo, lam_hi]))
-    return int(c_lo), int(c_hi)
-
-
-def _branch_eigenvalues(
-    mu: float,
-    lam_lo: float,
-    lam_hi: float,
-    tol: float,
-    size: int,
-    prev: _Bisection | None = None,
-) -> _Bisection:
-    """All lambda in (lam_lo, lam_hi] where the Sturm count of the size-N
-    spectral truncation jumps, found by vectorised bisection.
-
-    ``prev``, a bisection of the same window at a smaller size, is returned
-    as it is when one batched count confirms it: the counts at the window
-    ends are unchanged and count(lows[k]) <= k < count(highs[k]) for every
-    target k.  Counts are nondecreasing in lambda and every point counted
-    for target k lies outside the open bracket (lows[k], highs[k]), so a
-    bisection at this size would take the same decisions and end in the
-    same brackets.  Otherwise the bisection runs in full.
-    """
-    counts_at = _counter(mu, size)
-    points = np.array([lam_lo, lam_hi])
-    if prev is not None:
-        points = np.concatenate((points, prev.lows, prev.highs))
-    counts = counts_at(points)
-    c_lo, c_hi = int(counts[0]), int(counts[1])
-    # counts are nondecreasing in lambda, so the k-th jump is bisected
-    # for each k = c_lo .. c_hi - 1
-    ks = np.arange(c_lo, c_hi)
-    if prev is not None and prev.counts == (c_lo, c_hi):
-        at_lows, at_highs = np.split(counts[2:], 2)
-        if np.all(at_lows <= ks) and np.all(ks < at_highs):
-            return prev
-    lows, highs = _bisect(counts_at, lam_lo, lam_hi, ks, tol)
-    return _Bisection((c_lo, c_hi), lows, highs)
-
-
 def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
     """Nearest zero of the real secular function around ``lam``.
 
@@ -575,7 +487,7 @@ def h_eigenvalues_below_threshold(
     lambda_min: float | None = None,
     tol: float = 1e-10,
     *,
-    size_cap: int = DOUBLING_CAP,
+    size_cap: int = ROW_CAP,
 ) -> HSpectrumResult:
     """Locate every eigenvalue below the continuum threshold 1/2.
 
@@ -585,16 +497,10 @@ def h_eigenvalues_below_threshold(
     omitted it defaults to 1/2 - 10, tightened to c/2 whenever the form
     lower-bound constant c is positive.
 
-    The truncation starts, per branch, at the power of two where the
-    minimal solution of the recurrence, decaying like exp(-n arccosh mu),
-    falls to 2^-53 (at least 32 rows, at most ``DOUBLING_START``), and
-    doubles until the eigenvalue list is reproduced to ``tol``.  At each
-    doubling one batched count at the window ends and at both ends of
-    every previous bracket decides whether the bisection at the new size
-    would take the previous one's decisions; if so the previous list is
-    reused as it is, else the bisection runs in full.  No size above
-    ``size_cap`` is factored: a list not yet stable when the next doubling
-    would pass it raises ``NonConvergenceError``.
+    Every count the bisection takes is the certified count of the
+    infinite operator, walked to at most ``size_cap`` rows; a count not
+    certified by then raises ``NonConvergenceError``.
+    ``truncation_size`` is the most rows any of these counts walked.
 
     Each root is cross-checked against the secular function of the
     half-line recurrence, its sign change polished by safeguarded Illinois
@@ -603,25 +509,21 @@ def h_eigenvalues_below_threshold(
     """
     tol = _check_tol(tol)
     p, subcritical, window = _branches_and_window(params, lambda_min)
-
-    def same_list(prev: _Bisection, found: _Bisection) -> bool:
-        eigs, prev_eigs = found.eigenvalues, prev.eigenvalues
-        return prev_eigs.size == eigs.size and (
-            eigs.size == 0 or np.max(np.abs(eigs - prev_eigs)) <= tol
-        )
-
     per_branch: list[np.ndarray] = []
     max_size = 0
     for _, mu in subcritical:
-        found, history = _until_stable(
-            _start_size(mu),
-            size_cap,
-            lambda size, prev: _branch_eigenvalues(mu, *window, tol, size, prev),
-            same_list,
-            f"eigenvalue list for mu = {mu}",
-        )
-        per_branch.append(found.eigenvalues)
-        max_size = max(max_size, history[-1][0])
+
+        def counts_at(lams: np.ndarray, mu: float = mu) -> np.ndarray:
+            nonlocal max_size
+            counts, rows = spectral_counts(mu, lams, cap=size_cap)
+            max_size = max(max_size, rows)
+            return counts
+
+        # counts are nondecreasing in lambda, so the k-th jump is bisected
+        # for each k = c_lo .. c_hi - 1
+        c_lo, c_hi = counts_at(np.array(window))
+        lows, highs = _bisect(counts_at, *window, np.arange(c_lo, c_hi), tol)
+        per_branch.append(0.5 * (lows + highs))
 
     agreement = 0.0
     for (_, mu), eigs in zip(subcritical, per_branch):
@@ -653,7 +555,7 @@ def count_below_epsilon(
     params: CouplingParams,
     epsilon: float,
     *,
-    size_cap: int = DOUBLING_CAP,
+    size_cap: int = ROW_CAP,
 ) -> int:
     """Number of eigenvalues below 1/2 - epsilon predicted by the counting
     operator: the sum over subcritical branches of the eigenvalues of the
@@ -667,7 +569,7 @@ def count_below_epsilon(
             stacklevel=2,
         )
         return 0
-    return sum(stable_count(family, mu, cap=size_cap).count for _, mu in subcritical)
+    return sum(certified_count(family, mu, cap=size_cap)[0] for _, mu in subcritical)
 
 
 @dataclass(frozen=True)
@@ -688,33 +590,25 @@ class Discrete2Report:
 def discrete2_check(
     params: CouplingParams,
     *,
-    size_cap: int = DOUBLING_CAP,
+    size_cap: int = ROW_CAP,
 ) -> Discrete2Report:
     """Check |#eigenvalues below 1/2  -  sum_j N+(mu_j)| <= bound.
 
     The left-hand side needs no eigenvalues, only their number: per
-    subcritical branch it is c_hi - c_lo, the Sturm counts at the ends of
-    the window ``h_eigenvalues_below_threshold`` searches, from one
-    batched count per truncation size.  The sizes double from the same
-    start, under the same cap, until the pair (c_lo, c_hi) repeats; by
-    Cauchy interlacing each end count is nondecreasing in the size.  The
-    right-hand side counts eigenvalues of the limiting counting matrix
-    above each subcritical branch weight; the bound is 1 when a single
-    branch is subcritical and 2 when both are.
+    subcritical branch it is c_hi - c_lo, the certified counts at the ends
+    of the window ``h_eigenvalues_below_threshold`` searches, from one
+    batch.  The right-hand side counts eigenvalues of the limiting
+    counting operator above each subcritical branch weight; the bound is
+    1 when a single branch is subcritical and 2 when both are.  No count
+    walks more than ``size_cap`` rows.
     """
     p, subcritical, window = _branches_and_window(params, None)
     mus = tuple(mu for _, mu in subcritical)
     lhs = 0
     for mu in mus:
-        (c_lo, c_hi), _ = _until_stable(
-            _start_size(mu),
-            size_cap,
-            lambda size, _: _window_counts(mu, *window, size),
-            operator.eq,
-            f"eigenvalue count for mu = {mu}",
-        )
-        lhs += c_hi - c_lo
-    rhs = sum(stable_count(CountingLimitFamily(), mu, cap=size_cap).count for mu in mus)
+        (c_lo, c_hi), _ = spectral_counts(mu, window, cap=size_cap)
+        lhs += int(c_hi - c_lo)
+    rhs = sum(certified_count(CountingLimitFamily(), mu, cap=size_cap)[0] for mu in mus)
     bound = 1 if len(mus) <= 1 else 2
     return Discrete2Report(params=p, lhs=lhs, rhs=rhs, bound=bound, branch_mus=mus)
 
@@ -733,9 +627,9 @@ class AsymptoticsRow:
 def count_asymptotics_curve(
     mu_values: tuple[float, ...] | list[float],
     *,
-    size_cap: int = DOUBLING_CAP,
+    size_cap: int = ROW_CAP,
 ) -> tuple[AsymptoticsRow, ...]:
-    """Stabilised counting-limit counts against the near-critical law
+    """Certified counting-limit counts against the near-critical law
     1 / (4 sqrt(2) sqrt(mu - 1)) for each mu in ``mu_values`` (all > 1)."""
     family = CountingLimitFamily()
     rows = []
@@ -745,7 +639,7 @@ def count_asymptotics_curve(
             raise InvalidParametersError(
                 f"the counting asymptotics need mu > 1, got {mu}"
             )
-        counted = stable_count(family, mu, cap=size_cap).count
+        counted, _ = certified_count(family, mu, cap=size_cap)
         predicted = 1.0 / (4.0 * _SQRT2 * math.sqrt(mu - 1.0))
         rows.append(AsymptoticsRow(mu=mu, counted=counted, predicted=predicted))
     return tuple(rows)

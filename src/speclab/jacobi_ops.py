@@ -1,4 +1,5 @@
-"""Truncations of the Jacobi operators attached to the mode lattice.
+"""Truncations and certified counts of the Jacobi operators attached to
+the mode lattice.
 
 Four families, all real symmetric tridiagonal in the mode index n:
 
@@ -12,20 +13,21 @@ Four families, all real symmetric tridiagonal in the mode index n:
                  1 / (2 (1 - 1/n)^(1/4)); the eps -> 0 limit on the
                  subspace with the zeroth mode removed.
 
-Truncation sizes double in :func:`_until_stable`, the package's one
-doubling loop, never past the cap of 2^20 or a caller's smaller one;
-:func:`stable_count` doubles from 2048 rows until three counts in a row
-agree.  Every count here is one call of the package's one Sturm count,
-:func:`speclab.tridiag.counts_for_diagonals`, on a truncation's diagonal
-(``t.diag[None, :]``) at one level.
+:func:`build` gives a fixed truncation.  :func:`spectral_counts` (below 0,
+mu > 1) and :func:`certified_count` (counting families, above a level
+> 1) count eigenvalues of the infinite operator: they walk its rows in
+blocks through :func:`speclab.tridiag.counts_for_diagonals`, the one
+Sturm count, carrying the last pivot row, and stop each count at the
+first block end where a certificate shows that no later row can change
+it, never past ``ROW_CAP`` rows or a caller's smaller cap.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -34,8 +36,7 @@ from .recurrence import coupling_weights
 from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
 __all__ = [
-    "DOUBLING_START",
-    "DOUBLING_CAP",
+    "ROW_CAP",
     "ReferenceFamily",
     "SpectralFamily",
     "CountingFamily",
@@ -43,18 +44,20 @@ __all__ = [
     "JacobiFamily",
     "build",
     "spectral_diagonals",
-    "count_relative",
-    "StableCount",
-    "stable_count",
+    "spectral_counts",
+    "certified_count",
     "compact_difference_tail",
     "TransitionScanReport",
     "transition_scan",
 ]
 
-DOUBLING_START = 2048
-DOUBLING_CAP = 2**20
-
-_T = TypeVar("_T")
+# The most rows a certified count walks, unless its caller sets fewer.
+ROW_CAP = 2**20
+# Rows walked before the first certificate check; every later block is as
+# long as all the rows before it.
+_FIRST_BLOCK = 64
+# Relative margin of every certificate comparison.
+_MARGIN = 1e-12
 
 
 def _check_mu(mu: float) -> float:
@@ -120,110 +123,193 @@ class CountingLimitFamily:
 
 JacobiFamily = Union[ReferenceFamily, SpectralFamily, CountingFamily, CountingLimitFamily]
 
+
+def _couplings(family: JacobiFamily, start: int, stop: int) -> np.ndarray:
+    """The coupling joining row k - 1 to row k, for k = start .. stop - 1;
+    0 for row 0."""
+    k = np.arange(max(start, 1), stop, dtype=np.float64)
+    if isinstance(family, (ReferenceFamily, SpectralFamily)):
+        off = coupling_weights(k)
+    elif isinstance(family, CountingFamily):
+        eps = family.epsilon
+        off = np.sqrt(k) / (2.0 * (k + eps) ** 0.25 * (k - 1.0 + eps) ** 0.25)
+    elif isinstance(family, CountingLimitFamily):
+        # row k is mode k + 1
+        off = 1.0 / (2.0 * (1.0 - 1.0 / (k + 1.0)) ** 0.25)
+    else:
+        raise InvalidParametersError(f"unknown family {family!r}")
+    return np.concatenate(([0.0], off)) if start == 0 else off
+
+
+@functools.lru_cache(maxsize=64)
+def _spectral_couplings(start: int, stop: int) -> np.ndarray:
+    """The spectral family's ``_couplings``, which no lam or mu changes, kept
+    read-only: h-spectrum's bisection walks the same blocks at each level."""
+    off = _couplings(SpectralFamily(0.0, 2.0), start, stop)
+    off.flags.writeable = False
+    return off
+
+
 def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
     """Size-n truncation of the requested family."""
     if n < 2:
         raise InvalidParametersError("truncation size must be at least 2")
+    off = _couplings(family, 0, n)[1:]
     if isinstance(family, ReferenceFamily):
-        modes = np.arange(n)
-        diag = 2.0 * family.mu * (modes + 0.5)
-        off = coupling_weights(np.arange(1, n))
+        diag = 2.0 * family.mu * (np.arange(n) + 0.5)
     elif isinstance(family, SpectralFamily):
-        diag = _spectral_diagonals(family.mu, np.array([family.lam]), n)[0]
-        off = coupling_weights(np.arange(1, n))
-    elif isinstance(family, CountingFamily):
-        eps = family.epsilon
-        k = np.arange(1, n, dtype=np.float64)
-        off = np.sqrt(k) / (2.0 * (k + eps) ** 0.25 * (k - 1.0 + eps) ** 0.25)
-        diag = np.zeros(n)
-    elif isinstance(family, CountingLimitFamily):
-        # modes 1..n; couplings live on pairs (k-1, k) for k = 2..n
-        k = np.arange(2, n + 1, dtype=np.float64)
-        off = 1.0 / (2.0 * (1.0 - 1.0 / k) ** 0.25)
-        diag = np.zeros(n)
+        diag = _spectral_diagonals(family.mu, np.array([family.lam]), 0, n)[0]
     else:
-        raise InvalidParametersError(f"unknown family {family!r}")
+        diag = np.zeros(n)
     return TridiagonalMatrix(diag=diag, offdiag=off)
+
+
+def _check_lams(lams) -> np.ndarray:
+    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    if lams.size and float(np.max(lams)) >= 0.5:
+        raise BranchCutError("all lam values must be below 1/2")
+    return lams
 
 
 def spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
     """Diagonals of the spectral family for a batch of lam values, (k, n)."""
-    mu = _check_mu(mu)
-    lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-    if lams.size and float(np.max(lams)) >= 0.5:
-        raise BranchCutError("all lam values must be below 1/2")
-    return _spectral_diagonals(mu, lams, n)
+    return _spectral_diagonals(_check_mu(mu), _check_lams(lams), 0, n)
 
 
-def _spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
-    """2 mu sqrt(k + 1/2) sqrt(k + 1/2 - lam) for k < n, one row per lam."""
-    modes = np.arange(n) + 0.5
+def _spectral_diagonals(mu: float, lams: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """2 mu sqrt(k + 1/2) sqrt(k + 1/2 - lam) for start <= k < stop, one
+    row per lam."""
+    modes = np.arange(start, stop) + 0.5
     return 2.0 * mu * np.sqrt(modes)[None, :] * np.sqrt(modes[None, :] - lams[:, None])
 
 
-def count_relative(family: JacobiFamily, level: float, n: int) -> int:
-    """Number of truncation eigenvalues above ``level``."""
-    t = build(family, n)
-    return t.size - int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
+def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
+          certified: Callable, cap: int, what: str) -> tuple[np.ndarray, int]:
+    """Counts below ``level`` of k infinite matrices sharing their
+    couplings, and the most rows any of them walked.
 
+    ``couplings(start, stop)`` gives the couplings of rows start .. stop - 1
+    as ``_couplings`` does, and ``diagonals(cols, start, stop)`` those rows
+    of the diagonals of the matrices ``cols``.  The rows are walked in blocks
+    ending at 64, 128, 256, ... rows and at ``cap``; after each block,
+    ``certified(cols, last, stop, couplings)`` says, from each matrix's
+    last pivot and the block's couplings, with the one joining it to row
+    ``stop`` last, which counts no later row can change.  Those stop; one
+    still open at ``cap`` rows raises ``NonConvergenceError`` naming
+    ``what``.
 
-def _until_stable(
-    start: int,
-    cap: int,
-    evaluate: Callable[[int, _T | None], _T],
-    same: Callable[[_T, _T], bool],
-    what: str,
-    repeats: int = 1,
-) -> tuple[_T, tuple[tuple[int, _T], ...]]:
-    """Evaluate at doubling truncation sizes until ``repeats`` doublings in
-    a row each give an answer ``same`` as the one before; returns the last
-    answer and the (size, answer) history.
-
-    ``evaluate(size, prev)`` is handed the answer at half the size (None at
-    the start), which is the smaller of ``start`` and ``cap``.  No size
-    above ``cap`` is evaluated: an answer not yet stable when the next
-    doubling would pass it raises ``NonConvergenceError`` naming ``what``.
+    Rounding.  The certificates hold for the computed pivots, which the
+    counts read.  Write the spectral invariant as q_k >= (1 - t) d(k+1).
+    An exact step takes t to at most t d(k)/d(k+1).  Rounding a step adds
+    a few ulps of the terms it sums, about 20 eps to t at most: where
+    a_k < 2 (d(k) + d(k+1)) they are under 7 (k+1) against d(k+1) >
+    0.9 (k+1), elsewhere the slack a_k - d(k) - d(k+1) > a_k/2 absorbs
+    them.  So within 2^20 rows t < 1e-8, and every later pivot keeps its
+    sign at least half its bound away from 0, far outside the pivmin
+    clamp (eps times the block's largest entries).  At level mu, a pivot
+    q = -s mu/2 with s >= 1 is followed by an exact pivot at most
+    -(2 - 4B/mu^2) mu/2 < -(1 + 1e-12) mu/2, as certification asks
+    4B < (1 - 1e-12) mu^2; rounding moves it by a few ulps of mu, far
+    less, so no computed pivot leaves q <= -mu/2.  Comparisons keep a
+    1e-12 relative margin.  K's rounding is covered by
+    k - d(k) >= 1/(16 k) > 1e-8 up to the cap.
     """
     if cap < 2:
-        raise InvalidParametersError(f"size cap must be at least 2, got {cap}")
-    size = min(start, cap)
-    found = evaluate(size, None)
-    history = [(size, found)]
-    streak = 0
-    while streak < repeats:
-        if 2 * size > cap:
-            raise NonConvergenceError(
-                f"{what} did not stabilise by truncation size {size}; "
-                f"doubling it passes the size cap {cap}"
-            )
-        size *= 2
-        prev, found = found, evaluate(size, found)
-        history.append((size, found))
-        streak = streak + 1 if same(prev, found) else 0
-    return found, tuple(history)
+        raise InvalidParametersError(f"row cap must be at least 2, got {cap}")
+    counts = np.zeros(k, dtype=np.int64)
+    cols = np.arange(k)
+    last = np.array([math.inf] * k)
+    start, stop = 0, min(_FIRST_BLOCK, cap)
+    while cols.size:
+        # with the coupling that joins the block to the next row
+        joins = couplings(start, stop + 1)
+        counts[cols] += counts_for_diagonals(
+            diagonals(cols, start, stop), joins[:-1], level, carry=last
+        )
+        done = certified(cols, last, stop, joins)
+        cols, last = cols[~done], last[~done]
+        if cols.size and stop == cap:
+            raise NonConvergenceError(f"{what} is not certified within the row cap {cap}")
+        start, stop = stop, min(2 * stop, cap)
+    return counts, start
 
 
-@dataclass(frozen=True)
-class StableCount:
-    count: int
-    size: int
-    history: tuple[tuple[int, int], ...] = field(repr=False)
+def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray, int]:
+    """Eigenvalues below 0 of the infinite spectral operator at each lam
+    (mu > 1), and the most rows any of these counts walked.
 
+    Certificate.  The pivots are the forward solution's ratios,
+    q_k = -d(k+1) C_{k+1} / C_k.  With lam+ = max(lam, 0), the diagonal
+    a_k >= 2 mu (k + 1/2 - lam+), and d(k) < k, so a_k >= d(k) + d(k+1)
+    for every k >= K = max(0, ceil(mu lam+ / (mu - 1) - 1/2)).  Once
+    q_{i-1} >= d(i) at a row i >= K, each later pivot is
+    q_k = a_k - d(k)^2 / q_{k-1} >= a_k - d(k) >= d(k+1) > 0, so no
+    truncation past row i counts another negative pivot.
+    """
+    mu = _check_mu(mu)
+    if not mu > 1.0:
+        # below 0 lie infinitely many eigenvalues at mu <= 1
+        raise InvalidParametersError(f"certified spectral counts need mu > 1, got {mu}")
+    lams = _check_lams(lams)
+    # K, or a negative number where lam <= 0 and K = 0
+    first = np.ceil(lams * (mu / (mu - 1.0)) - 0.5)
 
-def stable_count(
-    family: JacobiFamily, level: float, *, cap: int = DOUBLING_CAP
-) -> StableCount:
-    """Number of truncation eigenvalues above ``level`` once two doublings
-    from ``DOUBLING_START`` in a row reproduce it."""
-    count, history = _until_stable(
-        DOUBLING_START,
+    def certified(cols, last, stop, couplings):
+        return (stop >= first[cols]) & (last >= couplings[-1] * (1.0 + _MARGIN))
+
+    return _walk(
+        lams.size,
+        _spectral_couplings,
+        lambda cols, start, stop: _spectral_diagonals(mu, lams[cols], start, stop),
+        0.0,
+        certified,
         cap,
-        lambda size, _: count_relative(family, level, size),
-        operator.eq,
-        f"count above {level} of {family!r}",
-        repeats=2,
+        f"the spectral count for mu = {mu}",
     )
-    return StableCount(count=count, size=history[-1][0], history=history)
+
+
+def certified_count(
+    family: CountingFamily | CountingLimitFamily, level: float, *, cap: int = ROW_CAP
+) -> tuple[int, int]:
+    """Eigenvalues above ``level`` (> 1) of a counting family's infinite
+    operator, and the rows walked to certify the count.
+
+    Certificate.  At level mu the pivots run q_k = -mu - b_k^2 / q_{k-1}.
+    b_k^2 only decreases while it is above 1/4 and never rises back above
+    it, so B = max(1/4, b_j^2), with b_j the largest coupling of the block
+    just walked, bounds every later b^2.  When 4B < mu^2, the half-line
+    q <= -mu/2 maps into itself, since -mu + B / (mu/2) < -mu/2: once the
+    last pivot is in it, every later pivot is negative and the count of
+    positive pivots is final.  Every radius between the roots
+    (mu -+ sqrt(mu^2 - 4B)) / 2 gives an invariant half-line; mu/2 is
+    the middle one.  The pivots settle at the outer root of the last b^2,
+    which a relative margin cannot separate from the outer root of B
+    once mu^2 is large against B.
+    """
+    if not isinstance(family, (CountingFamily, CountingLimitFamily)):
+        raise InvalidParametersError(f"no certified count for {family!r}")
+    level = float(level)
+    if not (math.isfinite(level) and level > 1.0):
+        # above a level <= 1 lie infinitely many eigenvalues
+        raise InvalidParametersError(f"certified counts need a level above 1, got {level}")
+
+    def certified(cols, last, stop, couplings):
+        b = float(couplings.max())
+        # 4B / mu^2, divided step by step so that no finite level overflows
+        if not 1.0 - 4.0 * max(0.25, b * b) / level / level > _MARGIN:
+            return np.zeros(cols.size, dtype=bool)
+        return last <= -0.5 * level * (1.0 + _MARGIN)
+
+    below, rows = _walk(
+        1,
+        functools.partial(_couplings, family),
+        lambda cols, start, stop: np.zeros((1, stop - start)),
+        level,
+        certified,
+        cap,
+        f"the count above {level} of {family!r}",
+    )
+    return rows - int(below[0]), rows
 
 
 def compact_difference_tail(lam: float, mu: float, n: int) -> float:

@@ -125,10 +125,11 @@ def zeta_array(ns: np.ndarray, lam: complex) -> np.ndarray:
 
 
 def coupling_weight(n: int) -> float:
-    """Offdiagonal weight d(n) = sqrt(n) * (n^2 - 1/4)^(1/4) for n >= 1."""
+    """Offdiagonal weight d(n) = sqrt(n) * (n^2 - 1/4)^(1/4) for n >= 1,
+    the same float as :func:`coupling_weights` gives for n."""
     if n < 1:
         raise InvalidParametersError("coupling weight defined for n >= 1")
-    return math.sqrt(n) * (n * n - 0.25) ** 0.25
+    return float(coupling_weights(np.array([n]))[0])
 
 
 def coupling_weights(ns: np.ndarray) -> np.ndarray:
@@ -136,6 +137,9 @@ def coupling_weights(ns: np.ndarray) -> np.ndarray:
     if np.any(ns < 1):
         raise InvalidParametersError("coupling weights defined for n >= 1")
     return np.sqrt(ns) * (ns * ns - 0.25) ** 0.25
+
+
+_D1 = coupling_weight(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,7 +511,7 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     k0, k1 = float(bwd.log2_scale[0]), float(bwd.log2_scale[1])
     w0 = 2.0 * mu * math.sqrt(0.5) * zeta(0, lam)
     kref = max(k0, k1)
-    t1 = coupling_weight(1) * g1 * 2.0 ** (k1 - kref)
+    t1 = _D1 * g1 * 2.0 ** (k1 - kref)
     t0 = w0 * g0 * 2.0 ** (k0 - kref)
     denom = abs(t1) + abs(t0)
     if denom == 0.0:

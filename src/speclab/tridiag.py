@@ -125,18 +125,18 @@ def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> list[float]
     return [_EPS * (max(hi, -lo) + off + abs(level) + 1.0) for hi, lo in zip(highs, lows)]
 
 
-def _count_scalar(diag: list, off2: list, shift: float, pivmin: float) -> int:
-    q = diag[0] - shift
-    if -pivmin <= q <= pivmin:
-        q = -pivmin
-    count = 1 if q < 0.0 else 0
-    for i in range(1, len(diag)):
-        q = diag[i] - shift - off2[i - 1] / q
+def _count_scalar(diag: list, off2: list, shift: float, pivmin: float, q: float) -> tuple[int, float]:
+    """Negative pivots of one matrix's rows and the last pivot, continuing
+    from the pivot ``q`` of the row before them (inf before row 0, where
+    the coupling is 0 and 0/inf = 0)."""
+    count = 0
+    for d, o in zip(diag, off2):
+        q = d - shift - o / q
         if -pivmin <= q <= pivmin:
             q = -pivmin
         if q < 0.0:
             count += 1
-    return count
+    return count, q
 
 
 def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray, pivmin: np.ndarray | None = None) -> None:
@@ -153,9 +153,10 @@ def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray,
         prev = q
 
 
-def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: np.ndarray) -> np.ndarray:
+def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Negative-pivot counts for the (n, k) array of shifted diagonals,
-    column j clamped at its own ``pivmin[j]``.
+    column j clamped at its own ``pivmin[j]``, continuing from the pivot
+    row ``prev``, which is overwritten with the last pivot row.
 
     Rows run in blocks of ``_ROW_BLOCK``, first without the pivmin clamp.
     Up to the first pivot within pivmin of zero both recurrences compute
@@ -165,9 +166,7 @@ def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: np.ndarray)
     n, k = diag_rows.shape
     block = np.empty((min(n, _ROW_BLOCK), k))
     counts = np.zeros(k, dtype=np.int64)
-    # 0/inf = 0, so the first pivot is the first diagonal
-    prev = np.full(k, np.inf)
-    off2_list = [0.0, *off2.tolist()]
+    off2_list = off2.tolist()
     for start in range(0, n, _ROW_BLOCK):
         rows = diag_rows[start : start + _ROW_BLOCK]
         couplings = off2_list[start : start + _ROW_BLOCK]
@@ -178,11 +177,13 @@ def _counts_columns(diag_rows: np.ndarray, off2: np.ndarray, pivmin: np.ndarray)
         if np.any(np.abs(q) <= pivmin):
             _pivot_rows(rows, couplings, prev, q, pivmin)
         counts += np.count_nonzero(q < 0.0, axis=0)
-        prev = q[-1].copy()
+        prev[:] = q[-1]
     return counts
 
 
-def counts_for_diagonals(diags: np.ndarray, offdiag: np.ndarray, level: float = 0.0) -> np.ndarray:
+def counts_for_diagonals(
+    diags: np.ndarray, offdiag: np.ndarray, level: float = 0.0, *, carry: np.ndarray | None = None
+) -> np.ndarray:
     """Counts below ``level`` for a batch of matrices sharing one offdiagonal.
 
     ``diags`` has shape (k, n): k diagonals over a common coupling array.
@@ -192,28 +193,40 @@ def counts_for_diagonals(diags: np.ndarray, offdiag: np.ndarray, level: float = 
     ``_SCALAR_BATCH_LIMIT`` run in the column kernel, which reads
     ``diags.T`` row by row, without a copy when it is C-contiguous as in
     that form.
+
+    ``carry`` continues the count of k matrices over their next n rows:
+    it holds each matrix's last pivot so far (inf before its first row)
+    and is overwritten with the last pivot of these rows.  ``offdiag``
+    then has n entries, the first joining the rows before to these.
+    Each call takes its pivmin from the rows it is given.
     """
     diags = np.asarray(diags, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
     level = float(level)
-    if diags.ndim != 2 or diags.shape[1] != offdiag.size + 1:
-        raise InvalidParametersError("diags must be (k, n) with offdiag of size n-1")
+    joins = offdiag.size if carry is not None else offdiag.size + 1
+    if diags.ndim != 2 or diags.shape[1] != joins:
+        raise InvalidParametersError(
+            "diags must be (k, n) with offdiag of size n-1, or n with a carry"
+        )
     pivmin = _pivmin(diags, offdiag, level)
     # a nan or infinite entry or level makes a pivmin nan or infinite
     if not all(map(math.isfinite, pivmin)):
         raise InvalidParametersError("entries and level must be finite")
     off2 = offdiag * offdiag
+    if carry is None:
+        # 0/inf = 0, so the first pivot is the first diagonal
+        off2 = np.concatenate(([0.0], off2))
+        carry = np.full(diags.shape[0], np.inf)
     if diags.shape[0] <= _SCALAR_BATCH_LIMIT:
         off2_list = off2.tolist()
-        return np.array(
-            [_count_scalar(row, off2_list, level, p)
-             for row, p in zip(diags.tolist(), pivmin)],
-            dtype=np.int64,
-        )
+        counts = np.empty(diags.shape[0], dtype=np.int64)
+        for j, (row, p, q) in enumerate(zip(diags.tolist(), pivmin, carry.tolist())):
+            counts[j], carry[j] = _count_scalar(row, off2_list, level, p, q)
+        return counts
     rows = np.ascontiguousarray(diags.T)
     if level:
         rows = rows - level
-    return _counts_columns(rows, off2, np.array(pivmin))
+    return _counts_columns(rows, off2, np.array(pivmin), carry)
 
 
 def _bisect(

@@ -48,7 +48,7 @@ PINNED = [
      '{"count": 1}\n'),
     (["h-spectrum", "--alpha", "1", "--beta", "0"],
      '{"branch_mus": [1.41421356237309], "per_branch_counts": [1], "count": 1, '
-     '"eigenvalues": [0.47541226427148], "truncation_size": 128, '
+     '"eigenvalues": [0.47541226427148], "truncation_size": 64, '
      '"method_agreement": 3.92539334370667e-11}\n'),
     (["discrete2-check", "--alpha", "1", "--beta", "0"],
      '{"lhs": 1, "rhs": 0, "bound": 1, "ok": true, '
@@ -322,6 +322,46 @@ def test_spectral_output_is_finite(capsys, argv):
                 assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (key, value)
 
 
+# perfbench/checker.py excuses a failed secular cross-check, which prints
+# method_agreement "inf", only below this distance of the largest weight
+# from 1 (its KNOWN_DEFECT_MU_MINUS_1)
+_CROSS_CHECK_DEFECT_MU_MINUS_1 = 2e-3
+
+
+@pytest.mark.filterwarnings("ignore:no subcritical branch")
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(-3.0, 3.0),
+    beta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    gamma_re=st.floats(-1.5, 1.5),
+    gamma_im=st.floats(-1.5, 1.5),
+    epsilon=st.floats(1e-3, 2.0),
+)
+@example(alpha=1.4137734653255918, beta=0.0, gamma_re=0.0, gamma_im=0.0, epsilon=1e-3)
+@example(alpha=1.0, beta=1.0, gamma_re=0.3, gamma_im=-0.2, epsilon=0.5)
+@example(alpha=0.0, beta=0.0, gamma_re=0.0, gamma_im=0.0, epsilon=0.5)
+def test_spectral_commands_never_print_nan(alpha, beta, gamma_re, gamma_im, epsilon):
+    # a small row cap keeps every example cheap: a point that needs more
+    # rows exits 3, one without a subcritical branch exits 2
+    coupling = [f"--alpha={alpha!r}", f"--beta={beta!r}",
+                f"--gamma-re={gamma_re!r}", f"--gamma-im={gamma_im!r}", "--n-cap=2048"]
+    for argv in (["h-spectrum", *coupling], ["count", *coupling, f"--epsilon={epsilon!r}"],
+                 ["discrete2-check", *coupling]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(argv)
+        assert rc in (0, 2, 3), argv
+        if rc:
+            continue
+        row = json.loads(out.getvalue())
+        for key, value in row.items():
+            if key == "method_agreement" and value == "inf":
+                assert max(row["branch_mus"]) - 1.0 < _CROSS_CHECK_DEFECT_MU_MINUS_1, argv
+                continue
+            for x in _numbers(value):
+                assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key, value)
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_forms_test_needs_a_trial(capsys, trials):
     # no trials used to pass the check with "violations": 0
@@ -345,7 +385,8 @@ def test_spectral_commands_reject_weight_out_of_range(capsys, command, point):
     assert "leaves double range" in err
 
 
-# a point of each doubling command with one subcritical weight, sqrt2 or 1.02
+# a point of each command that walks rows, with one subcritical weight,
+# sqrt2 or 1.02
 _CAPPED = {
     "h-spectrum": ["--alpha", "1", "--beta", "0"],
     "discrete2-check": ["--alpha", "1", "--beta", "0"],
@@ -362,13 +403,36 @@ def test_n_cap_below_two_exits_2(capsys, command, cap):
     assert out == ""
 
 
-@pytest.mark.parametrize("command", ["count", "asymptotics", "discrete2-check"])
-def test_n_cap_below_doubling_start_exits_3(capsys, command):
-    # the counting-operator counts start at 2048 rows: a smaller cap is the
-    # one size tried, and it cannot confirm a count
-    rc, out, err = run_cli(capsys, [command, *_CAPPED[command], "--n-cap=1000"])
+# points whose counts need more than 1000 rows: mu - 1 = 1e-4
+_NEAR_CRITICAL = {
+    "count": [f"--alpha={SQRT2 / 1.0001!r}", "--beta", "0", "--epsilon", "0.001"],
+    "asymptotics": ["--mu", "1.0001"],
+    "discrete2-check": [f"--alpha={SQRT2 / 1.0001!r}", "--beta", "0"],
+}
+
+
+@pytest.mark.parametrize("command", list(_NEAR_CRITICAL))
+def test_uncertified_count_exits_3(capsys, command):
+    rc, out, err = run_cli(capsys, [command, *_NEAR_CRITICAL[command], "--n-cap=1000"])
     assert (rc, out) == (3, "")
-    assert "by truncation size 1000; doubling it passes the size cap 1000" in err
+    assert "is not certified within the row cap 1000" in err
+    rc, _, _ = run_cli(capsys, [command, *_NEAR_CRITICAL[command]])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--alpha=1e-155", "--beta=0"],
+    ["count", "--alpha=1e-300", "--beta=0", "--epsilon=2"],
+    ["discrete2-check", "--alpha=1e-6", "--beta=0"],
+    ["asymptotics", "--mu=1e160"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_counts_at_huge_weights_are_zero(capsys, argv):
+    # weights up to 1.4e300: no count above mu may overflow or stay
+    # uncertified
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0, err
+    row = json.loads(out)
+    assert row.get("count", row.get("rhs", row.get("counted"))) == 0
 
 
 def test_h_spectrum_far_lambda_min(capsys):
@@ -397,9 +461,9 @@ def test_h_spectrum_n_cap_is_never_passed(capsys):
     argv = ["h-spectrum", "--beta", "0", "--n-cap", "3000"]
     rc, out, _ = run_cli(capsys, argv + ["--alpha", "1"])
     assert rc == 0
-    assert json.loads(out)["truncation_size"] == 128
-    # at mu - 1 = 1e-4 the list is not stable at 2048 rows, and 4096 is
-    # above the cap: this used to answer from 4096 rows
+    assert json.loads(out)["truncation_size"] == 64
+    # at mu - 1 = 1e-4 the counts next to the threshold need about 5000
+    # rows, and no count walks past the cap
     rc, out, err = run_cli(capsys, argv + [f"--alpha={SQRT2 / 1.0001!r}"])
     assert rc == 3
     assert out == ""

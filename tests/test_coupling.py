@@ -78,6 +78,23 @@ def test_beta_zero_has_no_matrix_branches():
     assert mu_beta_zero(-1.0) == pytest.approx(-SQRT2, rel=1e-15)
 
 
+def test_one_abs2_formula():
+    # |gamma|^2 is re*re + im*im everywhere; abs(gamma) * abs(gamma)
+    # differs from it in the last bit for about half of all gammas
+    rng = np.random.default_rng(5)
+    differ = 0
+    for re, im in rng.standard_normal((200, 2)):
+        gamma = complex(re, im)
+        g2 = re * re + im * im
+        differ += abs(gamma) * abs(gamma) != g2
+        assert CouplingParams(1.0, 0.5, gamma).gamma_abs2 == g2
+        assert mu_beta_zero(0.7, gamma) == (4.0 + g2) / (2.0 * SQRT2 * 0.7)
+        assert critical_alpha(0.0, gamma) == (4.0 + g2) / (2.0 * SQRT2)
+        rest = 2.0 * SQRT2 - 1.3
+        assert critical_alpha(1.3, gamma) == (2.0 * SQRT2 * g2 / rest - g2 + SQRT2 * 1.3) / 1.3
+    assert differ > 50
+
+
 def test_mu_beta_zero_rejects_pure_gamma():
     with pytest.raises(InvalidParametersError):
         mu_beta_zero(0.0, 1.0j)

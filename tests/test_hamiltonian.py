@@ -15,6 +15,7 @@ import pytest
 
 import speclab.coupling as coupling
 import speclab.hamiltonian as hamiltonian
+import speclab.jacobi_ops as jacobi_ops
 import speclab.tridiag as tridiag
 from speclab import (
     Beta0ConstraintError,
@@ -29,6 +30,8 @@ from speclab import (
     TrialMode,
     build,
     count_asymptotics_curve,
+    coupling_weights,
+    counts_for_diagonals,
     count_below_epsilon,
     derive,
     discrete2_check,
@@ -39,6 +42,7 @@ from speclab import (
     mirror,
     random_trial,
     saturating_trial,
+    spectral_diagonals,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -491,8 +495,26 @@ def _window(params, lambda_min=None):
     return lambda_min, THRESHOLD - hamiltonian._WINDOW_MARGIN
 
 
+def _truncation_counter(mu, size):
+    """Counts below 0 of the size-row spectral truncation, one per lambda."""
+    offdiag = coupling_weights(np.arange(1, size))
+
+    def counts_at(lams):
+        # 64 lambdas at a time keeps the (64, size) diagonals small
+        return np.concatenate([
+            counts_for_diagonals(spectral_diagonals(mu, lams[i : i + 64], size), offdiag)
+            for i in range(0, lams.size, 64)
+        ])
+
+    return counts_at
+
+
 def _full_bisection(mu, window, tol, size):
-    return hamiltonian._branch_eigenvalues(mu, *window, tol, size).eigenvalues
+    """The eigenvalue list of a bisection of the size-row truncation."""
+    counts_at = _truncation_counter(mu, size)
+    c_lo, c_hi = counts_at(np.array(window))
+    lows, highs = tridiag._bisect(counts_at, *window, np.arange(c_lo, c_hi), tol)
+    return 0.5 * (lows + highs)
 
 
 def test_h_spectrum_single_eigenvalue_frozen():
@@ -502,10 +524,8 @@ def test_h_spectrum_single_eigenvalue_frozen():
     assert res.branch_mus[0] == pytest.approx(SQRT2, rel=1e-15)
     assert res.eigenvalues[0] == pytest.approx(0.47541226430548, abs=1e-9)
     assert res.method_agreement < 1e-8
-    # the start is the decay depth of the minimal solution, 64 rows at
-    # mu = sqrt(2), and one doubling confirms it
-    assert hamiltonian._start_size(res.branch_mus[0]) == 64
-    assert res.truncation_size == 128
+    # every count is certified within the first 64 rows at mu = sqrt(2)
+    assert res.truncation_size == 64
     window = _window(CouplingParams(1.0, 1.0))
     assert np.array_equal(
         res.eigenvalues, _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
@@ -513,37 +533,27 @@ def test_h_spectrum_single_eigenvalue_frozen():
 
 
 @pytest.mark.parametrize("mu_minus_1", [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
-def test_h_spectrum_equals_full_bisection_bitwise(mu_minus_1):
-    # the start size and the bracket confirmation change only the work
-    # done: the list is the full bisection at the accepted size, and at
-    # max(accepted, 4096) rows, where a search starting at 2048 rows stops
+def test_h_spectrum_equals_full_bisection_bitwise(mu_minus_1, monkeypatch):
+    # h-spectrum equals a bisection of the 65536-row truncation: every
+    # count it took equals that truncation's count at the same lambda, so
+    # such a bisection takes the same decisions and ends in the same list
     params = CouplingParams(SQRT2 / (1.0 + mu_minus_1), 0.0)
+    taken = []
+    spectral_counts = hamiltonian.spectral_counts
+
+    def recording(mu, lams, *, cap):
+        counts, rows = spectral_counts(mu, lams, cap=cap)
+        taken.append((np.array(lams, dtype=float), counts))
+        return counts, rows
+
+    monkeypatch.setattr(hamiltonian, "spectral_counts", recording)
     for tol in (1e-6, 1e-10, 1e-12):
         for lambda_min in (None, 0.25):
             res = h_eigenvalues_below_threshold(params, lambda_min=lambda_min, tol=tol)
-            (mu,) = res.branch_mus
-            window = _window(params, lambda_min)
-            for size in {res.truncation_size, max(res.truncation_size, 4096)}:
-                direct = _full_bisection(mu, window, tol, size)
-                assert np.array_equal(res.eigenvalues, direct), (tol, lambda_min, size)
-
-
-def test_branch_eigenvalues_confirms_or_falls_back():
-    window = (THRESHOLD - 10.0, THRESHOLD - 1e-9)
-    # at mu = 1.5 the 16-row brackets survive the 32-row count unchanged
-    small = hamiltonian._branch_eigenvalues(1.5, *window, 1e-12, 16)
-    assert hamiltonian._branch_eigenvalues(1.5, *window, 1e-12, 32, prev=small) is small
-    # at mu = 1.1 the eigenvalue moves by far more than tol from 8 to 16
-    # rows, with the same counts at the window ends: the bracket check
-    # fails and the full 16-row bisection runs
-    small = hamiltonian._branch_eigenvalues(1.1, *window, 1e-12, 8)
-    again = hamiltonian._branch_eigenvalues(1.1, *window, 1e-12, 16, prev=small)
-    full = hamiltonian._branch_eigenvalues(1.1, *window, 1e-12, 16)
-    assert again is not small
-    assert again.counts == small.counts == full.counts == (0, 1)
-    assert np.array_equal(again.lows, full.lows)
-    assert np.array_equal(again.highs, full.highs)
-    assert abs(full.eigenvalues[0] - small.eigenvalues[0]) > 1e-6
+            assert res.count >= 1
+    lams, first = np.unique(np.concatenate([lam for lam, _ in taken]), return_index=True)
+    counts = np.concatenate([c for _, c in taken])[first]
+    assert np.array_equal(counts, _truncation_counter(res.branch_mus[0], 2**16)(lams))
 
 
 def test_h_spectrum_matches_dense_bisection():
@@ -602,10 +612,12 @@ def test_h_spectrum_tol_validation():
 
 
 def test_h_spectrum_cap_exhaustion_raises():
-    # a cap at the start size leaves no doubling to confirm the list with
-    cap = hamiltonian._start_size(SQRT2)
-    with pytest.raises(NonConvergenceError):
-        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=cap)
+    # at mu - 1 = 1e-3 the counts next to the roots need more than 600
+    # rows; a cap is a block end, and at row 700 every count is certified
+    params = CouplingParams(SQRT2 / 1.001, 0.0)
+    with pytest.raises(NonConvergenceError, match="row cap 600"):
+        h_eigenvalues_below_threshold(params, size_cap=600)
+    assert h_eigenvalues_below_threshold(params, size_cap=700).truncation_size == 700
 
 
 def test_h_spectrum_size_cap_validation():
@@ -616,27 +628,28 @@ def test_h_spectrum_size_cap_validation():
             discrete2_check(CouplingParams(1.0, 1.0), size_cap=cap)
 
 
+def _record_rows(monkeypatch) -> list[int]:
+    """The row every block a spectral count walks ends at."""
+    stops: list[int] = []
+    diagonals = jacobi_ops._spectral_diagonals
+
+    def recording(mu, lams, start, stop):
+        stops.append(stop)
+        return diagonals(mu, lams, start, stop)
+
+    monkeypatch.setattr(jacobi_ops, "_spectral_diagonals", recording)
+    return stops
+
+
 def test_h_spectrum_never_factors_above_cap(monkeypatch):
-    sizes = []
-    branch_eigenvalues = hamiltonian._branch_eigenvalues
-
-    def recording(mu, lam_lo, lam_hi, tol, size, prev=None):
-        sizes.append(size)
-        return branch_eigenvalues(mu, lam_lo, lam_hi, tol, size, prev)
-
-    monkeypatch.setattr(hamiltonian, "_branch_eigenvalues", recording)
-    # mu = sqrt(2) starts at 64 rows and confirms at 128
-    res = h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=128)
-    assert sizes == [64, 128] and res.truncation_size == 128
-    sizes.clear()
+    stops = _record_rows(monkeypatch)
+    params = CouplingParams(SQRT2 / 1.001, 0.0)
     with pytest.raises(NonConvergenceError):
-        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=100)
-    assert sizes == [64]
-    # a cap below the start is where the search starts
-    sizes.clear()
-    with pytest.raises(NonConvergenceError):
-        h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), size_cap=40)
-    assert sizes == [40]
+        h_eigenvalues_below_threshold(params, size_cap=600)
+    assert max(stops) == 600
+    stops.clear()
+    res = h_eigenvalues_below_threshold(params)
+    assert max(stops) == res.truncation_size == 1024
 
 
 def _bisect_secular(mu, lam, lam_floor, size=256):
@@ -763,32 +776,20 @@ def test_discrete2_check_counts_without_bisection(monkeypatch):
 
 
 def test_discrete2_check_cap_exhaustion_raises():
-    # a cap at the start size leaves no doubling to confirm the count with
-    with pytest.raises(NonConvergenceError, match="eigenvalue count"):
-        discrete2_check(CouplingParams(1.0, 1.0), size_cap=hamiltonian._start_size(SQRT2))
+    # at mu - 1 = 3.1e-4 the window end next to the threshold has
+    # K = ceil(mu lam / (mu - 1) - 1/2) = 1607
+    with pytest.raises(NonConvergenceError, match="row cap 1600"):
+        discrete2_check(COUNT_POINTS[-1], size_cap=1600)
 
 
 def test_discrete2_check_never_counts_above_cap(monkeypatch):
-    sizes = []
-    window_counts = hamiltonian._window_counts
-
-    def recording(mu, lam_lo, lam_hi, size):
-        sizes.append(size)
-        return window_counts(mu, lam_lo, lam_hi, size)
-
-    monkeypatch.setattr(hamiltonian, "_window_counts", recording)
-    # mu = sqrt(2) starts at 64 rows and confirms at 128
-    assert discrete2_check(CouplingParams(1.0, 1.0)).lhs == 1
-    assert sizes == [64, 128]
-    sizes.clear()
+    stops = _record_rows(monkeypatch)
+    assert discrete2_check(COUNT_POINTS[-1]).lhs == 10
+    assert max(stops) == 2048
+    stops.clear()
     with pytest.raises(NonConvergenceError):
-        discrete2_check(CouplingParams(1.0, 1.0), size_cap=100)
-    assert sizes == [64]
-    # a cap below the start is where the search starts
-    sizes.clear()
-    with pytest.raises(NonConvergenceError):
-        discrete2_check(CouplingParams(1.0, 1.0), size_cap=40)
-    assert sizes == [40]
+        discrete2_check(COUNT_POINTS[-1], size_cap=1600)
+    assert max(stops) == 1600
 
 
 def test_discrete2_check_without_eigenvalues_to_count():

@@ -1,10 +1,12 @@
-"""Jacobi operator families: builders, stabilised counts, and the
+"""Jacobi operator families: builders, certified counts, and the
 truncation-transition scan."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from speclab import jacobi_ops
 from speclab import (
@@ -16,11 +18,12 @@ from speclab import (
     ReferenceFamily,
     SpectralFamily,
     build,
+    certified_count,
     compact_difference_tail,
-    count_relative,
+    coupling_weights,
     counts_for_diagonals,
+    spectral_counts,
     spectral_diagonals,
-    stable_count,
     transition_scan,
 )
 
@@ -109,17 +112,6 @@ def test_spectral_diagonals_match_builder():
 # counting helpers
 
 
-def test_count_relative_sides_partition():
-    fam = CountingFamily(1.0)
-    n = 64
-    level = 0.45
-    above = count_relative(fam, level, n)
-    t = build(fam, n)
-    below = counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0]
-    assert 0 < above < n
-    assert above + below == n
-
-
 def test_counting_spectrum_symmetric():
     # zero diagonal makes the spectrum symmetric about 0
     fam = CountingFamily(0.7)
@@ -130,55 +122,128 @@ def test_counting_spectrum_symmetric():
         assert above == below
 
 
-def test_stable_count_doubles_until_confirmed():
-    res = stable_count(CountingLimitFamily(), 1.02)
-    assert res.count == 1
-    sizes = [s for s, _ in res.history]
-    assert sizes == [2048 * 2**i for i in range(len(sizes))]
-    assert res.size == sizes[-1]
-    assert [c for _, c in res.history][-3:] == [res.count] * 3
+def test_blocks_are_the_truncation_rows():
+    # a count walks the rows of a family block by block; the rows it reads
+    # are those of every truncation
+    for family in (ReferenceFamily(1.3), SpectralFamily(0.3, 1.3),
+                   CountingFamily(0.2), CountingLimitFamily()):
+        t = build(family, 300)
+        joins = np.concatenate(
+            [jacobi_ops._couplings(family, a, b) for a, b in ((0, 64), (64, 128), (128, 300))]
+        )
+        assert np.array_equal(joins, np.concatenate(([0.0], t.offdiag)))
 
 
-def test_stable_count_validation():
+_BIG = 2**16
+
+
+def _truncation_count_above(family, level):
+    t = build(family, _BIG)
+    return _BIG - int(counts_for_diagonals(t.diag[None, :], t.offdiag, level)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(-3.0, 1.0),
+    st.lists(st.floats(-9.5, 0.5 - 1e-9), min_size=1, max_size=6),
+)
+# without the row bound K, both counts here stop one short
+@example(log_mu_minus_1=-3.0, lams=[0.5 - 1e-9, 0.4])
+def test_spectral_counts_equal_fixed_truncation(log_mu_minus_1, lams):
+    mu = 1.0 + 10.0**log_mu_minus_1
+    lams = np.array(lams)
+    counts, rows = spectral_counts(mu, lams, cap=_BIG)
+    want = counts_for_diagonals(
+        spectral_diagonals(mu, lams, _BIG), coupling_weights(np.arange(1, _BIG))
+    )
+    assert counts.tolist() == want.tolist()
+    assert rows in [64 * 2**j for j in range(11)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-3.0, 1.0), st.one_of(st.none(), st.floats(-3.0, 1.0)))
+def test_certified_count_equals_fixed_truncation(log_mu_minus_1, log_eps):
+    # epsilon from 1e-3 to 10: couplings above 1/4 that fall towards it
+    # (epsilon < 1/2), ones that cross it, and ones below it throughout
+    mu = 1.0 + 10.0**log_mu_minus_1
+    family = CountingLimitFamily() if log_eps is None else CountingFamily(10.0**log_eps)
+    count, rows = certified_count(family, mu, cap=_BIG)
+    assert count == _truncation_count_above(family, mu)
+    assert rows in [64 * 2**j for j in range(11)]
+
+
+def test_certified_count_stops_at_its_certificate():
+    # at mu = 1.02 the counting-limit pivots settle below -mu/2 once the
+    # couplings fall under mu/2, within 128 rows; near critical it takes
+    # about 1/(2 (mu - 1)) rows
+    assert certified_count(CountingLimitFamily(), 1.02) == (1, 128)
+    count, rows = certified_count(CountingLimitFamily(), 1.0 + 2e-5)
+    assert rows == 32768
+    assert count == _truncation_count_above(CountingLimitFamily(), 1.0 + 2e-5)
+
+
+def test_certified_count_at_large_levels():
+    # mu^2 would overflow from mu = 1.4e154, and from mu = 1e5 on the
+    # pivots settle too close to the outer root for a relative margin to
+    # pass it: the mu/2 certificate holds after the first block throughout
+    for level in (1e5, 1e6, 1e20, 1e154, 1.4e154, 1e160, 1e200, 1e300, 1.7e308):
+        for family in (CountingLimitFamily(), CountingFamily(0.5), CountingFamily(2.0)):
+            assert certified_count(family, level) == (0, 64), (family, level)
+
+
+def test_certified_count_validation():
     for cap in (1, 0, -4):
-        with pytest.raises(InvalidParametersError, match="size cap"):
-            stable_count(CountingLimitFamily(), 1.02, cap=cap)
+        with pytest.raises(InvalidParametersError, match="row cap"):
+            certified_count(CountingLimitFamily(), 1.02, cap=cap)
+        with pytest.raises(InvalidParametersError, match="row cap"):
+            spectral_counts(1.02, [0.3], cap=cap)
+    # infinitely many eigenvalues lie above a level <= 1, and below 0 at
+    # mu <= 1: no count is certified there
+    for level in (1.0, 0.5, -2.0, math.nan):
+        with pytest.raises(InvalidParametersError):
+            certified_count(CountingLimitFamily(), level)
+    for mu in (1.0, 0.5):
+        with pytest.raises(InvalidParametersError):
+            spectral_counts(mu, [0.3])
+    with pytest.raises(InvalidParametersError):
+        certified_count(ReferenceFamily(2.0), 3.0)
+    with pytest.raises(BranchCutError):
+        spectral_counts(1.5, [0.5])
 
 
-def _record_sizes(monkeypatch) -> list[int]:
-    """Sizes ``stable_count`` asks counts at; every count is 1."""
-    sizes: list[int] = []
-
-    def fake(family, level, n):
-        sizes.append(n)
-        return 1
-
-    monkeypatch.setattr(jacobi_ops, "count_relative", fake)
-    return sizes
+def test_certified_count_raises_at_cap():
+    # mu - 1 = 1e-4 needs about 5000 rows
+    with pytest.raises(NonConvergenceError, match="row cap 1000"):
+        certified_count(CountingLimitFamily(), 1.0001, cap=1000)
+    with pytest.raises(NonConvergenceError, match="row cap 1000"):
+        spectral_counts(1.0001, [0.5 - 1e-9], cap=1000)
 
 
-def test_stable_count_raises_at_cap(monkeypatch):
-    # a cap below the start is the only size tried, and one count can
-    # never be confirmed
-    sizes = _record_sizes(monkeypatch)
-    with pytest.raises(NonConvergenceError, match="size cap 1024"):
-        stable_count(CountingLimitFamily(), 1.02, cap=1024)
-    assert sizes == [1024]
+def _record_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """(columns, rows) of every block the certified counts walk."""
+    blocks: list[tuple[int, int]] = []
+    count = jacobi_ops.counts_for_diagonals
+
+    def recording(diags, offdiag, level=0.0, *, carry=None):
+        blocks.append(np.shape(diags))
+        return count(diags, offdiag, level, carry=carry)
+
+    monkeypatch.setattr(jacobi_ops, "counts_for_diagonals", recording)
+    return blocks
 
 
-def test_stable_count_never_passes_the_cap(monkeypatch):
-    # 8192 would confirm the count, but it is above the cap
-    sizes = _record_sizes(monkeypatch)
-    with pytest.raises(NonConvergenceError, match="size cap 5000"):
-        stable_count(CountingLimitFamily(), 1.02, cap=5000)
-    assert sizes == [2048, 4096]
-
-
-def test_stable_count_diverging_sequence_hits_cap():
-    # supercritical reference truncations keep spilling eigenvalues below
-    # any fixed level, so the count above it never settles
-    with pytest.raises(NonConvergenceError):
-        stable_count(ReferenceFamily(0.5), -1.0, cap=8192)
+def test_certified_count_never_walks_past_the_cap(monkeypatch):
+    blocks = _record_blocks(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="row cap 1000"):
+        certified_count(CountingLimitFamily(), 1.0001, cap=1000)
+    assert blocks == [(1, 64), (1, 64), (1, 128), (1, 256), (1, 488)]
+    # each column stops at its own certificate: the far end of the window
+    # needs far fewer rows than the one next to the threshold
+    blocks.clear()
+    counts, rows = spectral_counts(1.001, [-9.5, 0.5 - 1e-9])
+    # next to the threshold K = ceil(mu lam / (mu - 1) - 1/2) = 500
+    assert blocks == [(2, 64), (1, 64), (1, 128), (1, 256)]
+    assert rows == 512
 
 
 # ---------------------------------------------------------------------------

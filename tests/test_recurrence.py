@@ -103,6 +103,15 @@ def test_coupling_weight_frozen():
         coupling_weights(np.array([0, 1]))
 
 
+def test_one_coupling_weight_formula():
+    # the scalar d(n) is the float the vector formula gives, so a residual
+    # and a Sturm count read the same weights; libm's pow and numpy's
+    # differ in the last bit at thousands of these n
+    ns = np.arange(1, 100_001)
+    vector = coupling_weights(ns)
+    assert [coupling_weight(int(n)) for n in ns] == vector.tolist()
+
+
 # ---------------------------------------------------------------------------
 # forward iteration
 

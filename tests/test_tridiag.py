@@ -137,6 +137,29 @@ def test_counts_for_diagonals_matches_per_row():
         counts_for_diagonals(np.zeros((2, 5)), np.zeros(3))
 
 
+@pytest.mark.parametrize("k", [3, 12])  # scalar and column paths
+def test_counts_continue_across_blocks(k):
+    # a count carried from block to block through its last pivot row is
+    # the count of the whole matrix, and the carry ends at its last pivot
+    rng = np.random.default_rng(k)
+    n, level = 300, 0.4
+    diags = rng.normal(0.0, 3.0, size=(k, n))
+    off = rng.normal(0.0, 2.0, size=n - 1)
+    joins = np.concatenate(([0.0], off))
+    carry = np.full(k, np.inf)
+    total = np.zeros(k, dtype=np.int64)
+    for a, b in ((0, 64), (64, 65), (65, 200), (200, n)):
+        total += counts_for_diagonals(diags[:, a:b], joins[a:b], level, carry=carry)
+    assert total.tolist() == counts_for_diagonals(diags, off, level).tolist()
+    for row, last in zip(diags, carry):
+        q = math.inf
+        for d, o in zip(row.tolist(), joins.tolist()):
+            q = d - level - o * o / q
+        assert last == q
+    with pytest.raises(InvalidParametersError):
+        counts_for_diagonals(diags[:, :5], off[:4], level, carry=carry)
+
+
 def test_column_counts_match_scalar_counts_at_zero_pivots():
     # integer entries at integer levels hit exact zero pivots, so the
     # column kernel must take its clamped path in some row blocks
