@@ -14,9 +14,8 @@ import numpy as np
 from speclab import (
     CouplingParams,
     derive,
-    evaluate_forms,
     lower_bound_constant,
-    random_trial,
+    random_forms,
     saturating_trial,
 )
 
@@ -28,14 +27,9 @@ POINTS = [
 
 
 def random_fire(p: CouplingParams, trials: int = 10_000) -> None:
-    rng = np.random.default_rng(7)
     c = lower_bound_constant(p)
-    beta_zero_gamma = p.gamma if p.beta == 0.0 else None
-    worst = np.inf
-    for _ in range(trials):
-        t = random_trial(rng, beta_zero_gamma=beta_zero_gamma)
-        f = evaluate_forms(t, p)
-        worst = min(worst, f.full - 0.5 * c * f.norm_sq)
+    f = random_forms(p, np.random.default_rng(7), trials)
+    worst = float(np.min(f.full - 0.5 * c * f.norm_sq))
     print(
         f"({p.alpha}, {p.beta}, {p.gamma}): c = {c:.4f}, "
         f"{trials} trials, smallest margin = {worst:.3e}"

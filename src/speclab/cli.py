@@ -45,10 +45,9 @@ from .hamiltonian import (
     count_asymptotics_curve,
     count_below_epsilon,
     discrete2_check,
-    evaluate_forms,
     h_eigenvalues_below_threshold,
     lower_bound_constant,
-    random_trial,
+    random_forms,
 )
 from .jacobi_ops import (
     ROW_CAP,
@@ -209,22 +208,26 @@ def _cmd_transition_scan(a: dict) -> list[list]:
             for i, size in enumerate(r.sizes)]
 
 
+# forms-test draws and evaluates its trials this many at a time, so that
+# its memory does not grow with --trials
+_TRIAL_BLOCK = 256
+
+
 def _cmd_forms_test(a: dict) -> list[list]:
     if a["trials"] < 1:
         raise InvalidParametersError(f"trials must be at least 1, got {a['trials']}")
     params = _point_params(a)
     c = lower_bound_constant(params)
     rng = np.random.default_rng(a["seed"])
-    beta_zero_gamma = params.gamma if params.beta == 0.0 else None
     violations = 0
     min_margin = math.inf
-    for _ in range(a["trials"]):
-        trial = random_trial(rng, beta_zero_gamma=beta_zero_gamma)
-        forms = evaluate_forms(trial, params)
-        margin = forms.full - 0.5 * c * forms.norm_sq
-        min_margin = min(min_margin, margin)
-        if c > 0.0 and margin < 0.0:
-            violations += 1
+    for start in range(0, a["trials"], _TRIAL_BLOCK):
+        forms = random_forms(params, rng, min(_TRIAL_BLOCK, a["trials"] - start))
+        with np.errstate(over="ignore", invalid="ignore"):
+            margin = forms.full - 0.5 * c * forms.norm_sq
+        # np.minimum keeps a nan margin (inf - inf), which the check below reports
+        min_margin = float(np.minimum(min_margin, margin.min()))
+        violations += int(np.count_nonzero(margin < 0.0))
     if not (math.isfinite(c) and math.isfinite(min_margin)):
         raise InvalidParametersError(
             f"the forms at {params} are not finite in double precision"

@@ -12,6 +12,9 @@ profiles; this module works entirely in that mode picture:
   sum_n sqrt(n)/(2 sqrt 2) Re(conj(u_n)^T K u_{n-1}) / s, read from the
   Pauli coefficients of one matrix: (K, s) = (Sigma, beta), or
   (alpha (I + sigma_x), 1) at beta = 0.
+* ``random_forms`` gives the same three forms for many random trial
+  functions at once, drawn as (trials, modes) arrays and summed by rows;
+  ``evaluate_forms`` is its scalar reference.
 * ``lower_bound_constant`` gives the constant c with
   ``full >= (c / 2) * norm_sq`` whenever c > 0.
 * ``saturating_trial`` builds the single-mode trial that turns the
@@ -42,6 +45,7 @@ from .coupling import (
     Branch,
     CouplingDerived,
     CouplingParams,
+    _abs2,
     _omegas,
     _weights,
     canonicalize,
@@ -70,6 +74,7 @@ __all__ = [
     "random_trial",
     "FormValues",
     "evaluate_forms",
+    "random_forms",
     "lower_bound_constant",
     "saturating_trial",
     "HSpectrumResult",
@@ -90,6 +95,8 @@ _WINDOW_MARGIN = 1e-9
 # Depth of the backward recurrence behind the secular cross-check of
 # h-spectrum's eigenvalues.
 _SECULAR_DEPTH = 256
+# Random trial functions use the oscillator modes 0.._MAX_MODE.
+_MAX_MODE = 12
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +210,46 @@ class ModeTrialFunction:
         return total
 
 
+def _draw_trials(
+    rng: np.random.Generator,
+    count: int,
+    max_mode: int,
+    beta_zero_gamma: complex | None,
+) -> tuple[np.ndarray, ...]:
+    """``count`` random trial functions as (count, max_mode + 1) arrays.
+
+    Returns ``(present, upper, lower, decay, f_plus)``: row i holds trial
+    i, column n its mode n.  Each trial has 1-5 distinct modes of
+    0..max_mode, drawn uniformly; ``upper`` and ``lower`` are zero on the
+    modes it lacks, so those carry no weight.  ``f_plus`` is upper + lower
+    as drawn, before the beta = 0 projection rounds it.
+    """
+    if max_mode < 4:
+        raise InvalidParametersError(
+            f"trials draw up to 5 distinct modes, so max_mode must be at least 4, "
+            f"got {max_mode}"
+        )
+    shape = (count, max_mode + 1)
+    n_modes = rng.integers(1, 6, size=count)
+    # the ranks of uniform keys are a uniform permutation of each row
+    rank = rng.random(shape).argsort(axis=1).argsort(axis=1)
+    present = rank < n_modes[:, None]
+    decay = np.exp(rng.uniform(math.log(0.1), math.log(10.0), size=shape))
+    z = rng.standard_normal((4, *shape))
+    upper = np.where(present, z[0] + 1j * z[1], 0.0)
+    lower = np.where(present, z[2] + 1j * z[3], 0.0)
+    f_plus = upper + lower
+    if beta_zero_gamma is not None:
+        f_minus = -0.5 * complex(beta_zero_gamma).conjugate() * f_plus
+        upper = 0.5 * (f_plus + f_minus)
+        lower = 0.5 * (f_plus - f_minus)
+    return present, upper, lower, decay, f_plus
+
+
 def random_trial(
     rng: np.random.Generator,
     *,
-    max_mode: int = 12,
+    max_mode: int = _MAX_MODE,
     beta_zero_gamma: complex | None = None,
 ) -> ModeTrialFunction:
     """Draw a random trial function for Monte-Carlo form checks.
@@ -215,22 +258,15 @@ def random_trial(
     rates log-uniformly from [0.1, 10], boundary values as complex
     standard normals.  When ``beta_zero_gamma`` is given the boundary values
     are projected onto the constraint f_minus = -conj(gamma)/2 * f_plus that
-    the beta = 0 form domain imposes.
+    the beta = 0 form domain imposes.  This is one trial of the draw that
+    :func:`random_forms` makes.
     """
-    n_modes = int(rng.integers(1, 6))
-    indices = rng.choice(max_mode + 1, size=n_modes, replace=False)
-    modes = []
-    for idx in sorted(int(i) for i in indices):
-        decay = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
-        a = complex(rng.standard_normal(), rng.standard_normal())
-        b = complex(rng.standard_normal(), rng.standard_normal())
-        if beta_zero_gamma is not None:
-            f_plus = a + b
-            f_minus = -0.5 * complex(beta_zero_gamma).conjugate() * f_plus
-            a = 0.5 * (f_plus + f_minus)
-            b = 0.5 * (f_plus - f_minus)
-        modes.append(TrialMode(n=idx, upper=a, lower=b, decay=decay))
-    return ModeTrialFunction(tuple(modes))
+    present, upper, lower, decay, _ = _draw_trials(rng, 1, max_mode, beta_zero_gamma)
+    return ModeTrialFunction(tuple(
+        TrialMode(n=int(n), upper=complex(upper[0, n]), lower=complex(lower[0, n]),
+                  decay=float(decay[0, n]))
+        for n in np.flatnonzero(present[0])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +275,13 @@ def random_trial(
 
 @dataclass(frozen=True)
 class FormValues:
-    """Pieces of the sesquilinear form evaluated on one trial function."""
+    """Pieces of the sesquilinear form: floats for one trial function
+    (:func:`evaluate_forms`), or arrays with one entry per trial function
+    (:func:`random_forms`)."""
 
-    a0: float
-    b_sum: float
-    norm_sq: float
+    a0: float | np.ndarray
+    b_sum: float | np.ndarray
+    norm_sq: float | np.ndarray
 
     @property
     def full(self) -> float:
@@ -315,6 +353,53 @@ def evaluate_forms(trial: ModeTrialFunction, params: CouplingParams) -> FormValu
     if not math.isfinite(b_sum):
         raise InvalidParametersError(
             f"the boundary form at {p} is not finite in double precision"
+        )
+    return FormValues(a0=a0, b_sum=b_sum, norm_sq=norm_sq)
+
+
+def random_forms(
+    params: CouplingParams, rng: np.random.Generator, trials: int
+) -> FormValues:
+    """a0, b_sum and norm_sq of ``trials`` random trial functions, as arrays.
+
+    The trials are those of :func:`random_trial`, projected onto the
+    beta = 0 constraint when params.beta = 0, drawn together as
+    (trials, modes) arrays.  Each form is a row sum over the modes, with
+    the terms of :func:`evaluate_forms`, which stays the scalar reference.
+    At beta = 0 the forms are taken from the drawn f_plus, with
+    f_minus = -conj(gamma)/2 * f_plus: ``upper + lower`` would give f_plus
+    back only to within rounding of |f_minus|, which is all noise once
+    |gamma| >= 1e16.
+    """
+    beta_zero_gamma = params.gamma if params.beta == 0.0 else None
+    _, upper, lower, decay, f_plus = _draw_trials(
+        rng, trials, _MAX_MODE, beta_zero_gamma
+    )
+    n = np.arange(_MAX_MODE + 1)
+    # sums that overflow are reported below, or by the caller
+    with np.errstate(over="ignore", invalid="ignore"):
+        if beta_zero_gamma is None:
+            weight = _abs2(upper) + _abs2(lower)
+            # Re(conj(u_n)^T Sigma u_{n-1}) expanded on I, sigma_x, sigma_y, sigma_z
+            (k0, k1, k2, k3), s = _omegas(params), params.beta
+            a, b = upper[:, 1:].conjugate(), lower[:, 1:].conjugate()
+            ac, bd = a * upper[:, :-1], b * lower[:, :-1]
+            ad, bc = a * lower[:, :-1], b * upper[:, :-1]
+            re_k = (k0 * (ac + bd).real + k1 * (ad + bc).real
+                    + k2 * (ad - bc).imag + k3 * (ac - bd).real)
+        else:
+            # |upper|^2 + |lower|^2 = (|f_plus|^2 + |f_minus|^2) / 2, and
+            # Re(conj(u_n)^T alpha (I + sigma_x) u_{n-1})
+            #     = alpha Re(conj(f_{+,n}) f_{+,n-1})
+            weight = 0.5 * (1.0 + _abs2(0.5 * beta_zero_gamma)) * _abs2(f_plus)
+            s = 1.0
+            re_k = params.alpha * (f_plus[:, 1:].conjugate() * f_plus[:, :-1]).real
+        a0 = (weight * (0.5 * decay + (n + 0.5) / (2.0 * decay))).sum(axis=1)
+        norm_sq = (weight / (2.0 * decay)).sum(axis=1)
+        b_sum = (np.sqrt(n[1:]) / (2.0 * _SQRT2) * re_k).sum(axis=1) / s
+    if not np.isfinite(b_sum).all():
+        raise InvalidParametersError(
+            f"the boundary form at {params} is not finite in double precision"
         )
     return FormValues(a0=a0, b_sum=b_sum, norm_sq=norm_sq)
 

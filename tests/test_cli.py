@@ -7,10 +7,18 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from speclab import (
+    CouplingParams,
+    evaluate_forms,
+    lower_bound_constant,
+    random_forms,
+    random_trial,
+)
 from speclab import cli
 from speclab.cli import _COMMANDS, _build_parser, _fmt_float, run
 
@@ -65,7 +73,7 @@ PINNED = [
      ' {"mu": 1.5, "size": 128, "smallest": 1.16555324048757, "window_count": 0}]\n'),
     (["forms-test", "--alpha", "1", "--beta", "4", "--trials", "50", "--seed", "7"],
      '{"c": 0.292893218813453, "trials": 50, "violations": 0, '
-     '"min_margin": 2.61780668558574}\n'),
+     '"min_margin": 2.72225075857475}\n'),
     (["classify", "--alpha", "1", "--beta", "0", "--format", "csv"],
      "kind,branch1,mu1,kind1,branch2,mu2,kind2\n"
      "Subcritical,BetaZero,1.41421356237309,Subcritical,,,\n"),
@@ -90,11 +98,11 @@ PINNED += [
     (["forms-test", "--alpha=0.8", "--beta=0", "--gamma-re=0.3", "--gamma-im=-0.4",
       "--trials", "40", "--seed", "3"],
      '{"c": 0.434314575050762, "trials": 40, "violations": 0, '
-     '"min_margin": 2.10442899917032}\n'),
+     '"min_margin": 1.43290651297871}\n'),
     (["forms-test", "--alpha=1.1", "--beta=3.5", "--gamma-re=-0.25", "--gamma-im=0.35",
       "--trials", "40", "--seed", "5"],
      '{"c": 0.0145132567424376, "trials": 40, "violations": 0, '
-     '"min_margin": 4.24086353890659}\n'),
+     '"min_margin": 2.02417798507842}\n'),
 ]
 PINNED_IDS += ["forms-test-beta-zero-complex-gamma", "forms-test-complex-gamma"]
 
@@ -277,6 +285,70 @@ def test_forms_test_beta_zero_large_gamma(capsys):
     row = json.loads(out)
     assert row["violations"] == 0
     assert all(math.isfinite(v) for v in row.values())
+
+
+_FORMS_POINTS = {
+    "beta-zero": ["--alpha=0.9", "--beta=0", "--gamma-re=0.3", "--gamma-im=-0.2"],
+    "beta-positive": ["--alpha=1.1", "--beta=3.5", "--gamma-re=-0.25", "--gamma-im=0.35"],
+}
+
+
+def _forms_test(capsys, point, trials):
+    rc, out, err = run_cli(capsys, ["forms-test", *point, f"--trials={trials}", "--seed=21"])
+    assert (rc, err) == (0, "")
+    return json.loads(out)
+
+
+def _margins(params, forms):
+    return forms.full - 0.5 * lower_bound_constant(params) * forms.norm_sq
+
+
+@pytest.mark.parametrize("point", _FORMS_POINTS.values(), ids=_FORMS_POINTS.keys())
+def test_forms_test_draws_its_trials_in_blocks(capsys, point):
+    params = cli._point_params(vars(_build_parser().parse_args(["forms-test", *point])))
+    gamma = params.gamma if params.beta == 0.0 else None
+    block = cli._TRIAL_BLOCK
+    # one trial is one random_trial, whose forms evaluate_forms gives
+    one = _margins(params, evaluate_forms(
+        random_trial(np.random.default_rng(21), beta_zero_gamma=gamma), params
+    ))
+    row = _forms_test(capsys, point, 1)
+    assert row["min_margin"] == pytest.approx(one, rel=1e-14)
+    assert row["violations"] == 0
+    # a whole block, then one trial more: the draw that follows the block
+    rng = np.random.default_rng(21)
+    first = _margins(params, random_forms(params, rng, block))
+    extra = _margins(params, evaluate_forms(random_trial(rng, beta_zero_gamma=gamma), params))
+    row = _forms_test(capsys, point, block)
+    assert row["min_margin"] == float(_fmt_float(first.min()))
+    assert row["violations"] == int(np.count_nonzero(first < 0.0)) == 0
+    row = _forms_test(capsys, point, block + 1)
+    assert row["min_margin"] == pytest.approx(min(first.min(), extra), rel=1e-14)
+    assert row["violations"] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(-3.0, 3.0),
+    beta=st.one_of(st.just(0.0), st.floats(-8.0, 8.0).filter(lambda b: abs(b) >= 1e-3)),
+    gamma_re=st.floats(-1.5, 1.5),
+    gamma_im=st.floats(-1.5, 1.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_forms_test_holds_the_bound_wherever_c_is_positive(
+    alpha, beta, gamma_re, gamma_im, seed
+):
+    assume(lower_bound_constant(CouplingParams(alpha, beta, complex(gamma_re, gamma_im))) > 0.0)
+    argv = ["forms-test", f"--alpha={alpha!r}", f"--beta={beta!r}",
+            f"--gamma-re={gamma_re!r}", f"--gamma-im={gamma_im!r}",
+            "--trials=300", f"--seed={seed}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = run(argv)
+    assert rc == 0, argv
+    row = json.loads(out.getvalue())
+    assert row["violations"] == 0, argv
+    assert math.isfinite(row["min_margin"]), argv
 
 
 def _numbers(value):

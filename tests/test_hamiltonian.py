@@ -40,6 +40,7 @@ from speclab import (
     hermite_eval,
     lower_bound_constant,
     mirror,
+    random_forms,
     random_trial,
     saturating_trial,
     spectral_diagonals,
@@ -256,6 +257,53 @@ def test_random_trial_beta_zero_constraint():
         assert m.f_minus == pytest.approx(-0.5 * gamma.conjugate() * m.f_plus, rel=1e-12)
 
 
+def _rows(draw) -> list[ModeTrialFunction]:
+    """The trial functions of a ``_draw_trials`` draw, one per row."""
+    present, upper, lower, decay, _ = draw
+    return [
+        ModeTrialFunction(tuple(
+            TrialMode(n=int(n), upper=upper[i, n], lower=lower[i, n], decay=decay[i, n])
+            for n in np.flatnonzero(present[i])
+        ))
+        for i in range(len(present))
+    ]
+
+
+@pytest.mark.parametrize("gamma", [None, 0.4 - 0.3j])
+def test_random_trial_is_one_trial_of_the_draw(gamma):
+    for seed in range(20):
+        draw = hamiltonian._draw_trials(np.random.default_rng(seed), 1, 12, gamma)
+        assert random_trial(np.random.default_rng(seed), beta_zero_gamma=gamma) == _rows(draw)[0]
+
+
+def test_random_trial_needs_five_modes():
+    with pytest.raises(InvalidParametersError, match="max_mode"):
+        random_trial(np.random.default_rng(0), max_mode=3)
+    assert len(random_trial(np.random.default_rng(0), max_mode=4).modes) <= 5
+
+
+def test_drawn_trials_keep_their_distributions():
+    # 1-5 distinct modes of 0..12, each count equally likely; log-uniform
+    # decays in [0.1, 10]; complex standard-normal boundary values
+    trials = 20000
+    present, upper, lower, decay, _ = hamiltonian._draw_trials(
+        np.random.default_rng(3), trials, 12, None
+    )
+    counts = np.bincount(present.sum(axis=1), minlength=6)
+    assert counts[0] == 0
+    assert np.all(np.abs(counts[1:] / trials - 0.2) < 0.015)
+    # every index is equally likely: 3 modes of 13 on average
+    assert np.all(np.abs(present.mean(axis=0) - 3.0 / 13.0) < 0.015)
+    logs = np.log(decay[present])
+    assert logs.min() >= math.log(0.1) and logs.max() <= math.log(10.0)
+    assert abs(logs.mean()) < 0.03
+    assert abs(logs.var() - (2.0 * math.log(10.0)) ** 2 / 12.0) < 0.03
+    for z in (upper[present], lower[present]):
+        for part in (z.real, z.imag):
+            assert abs(part.mean()) < 0.02 and abs(part.var() - 1.0) < 0.03
+    assert not upper[~present].any() and not lower[~present].any()
+
+
 # ---------------------------------------------------------------------------
 # forms against brute-force quadrature
 
@@ -336,6 +384,8 @@ def test_forms_reject_boundary_form_out_of_range(seed):
     trial = random_trial(np.random.default_rng(seed))
     with pytest.raises(InvalidParametersError, match="not finite"):
         evaluate_forms(trial, CouplingParams(1e300, 1e8))
+    with pytest.raises(InvalidParametersError, match="not finite"):
+        random_forms(CouplingParams(1e300, 1e8), np.random.default_rng(seed), 50)
 
 
 def test_forms_no_adjacent_modes_no_boundary_term():
@@ -347,6 +397,58 @@ def test_forms_no_adjacent_modes_no_boundary_term():
     )
     fv = evaluate_forms(trial, CouplingParams(1.2, 0.8, 0.3 - 1.0j))
     assert fv.b_sum == 0.0
+
+
+# ---------------------------------------------------------------------------
+# forms of many trials as arrays
+
+ARRAY_POINTS = [
+    CouplingParams(1.0, 0.0),
+    CouplingParams(0.8, 0.0, 0.3 - 0.4j),
+    CouplingParams(-1.2, 0.0, 2.0 + 1.0j),
+    CouplingParams(1.0, 4.0),
+    CouplingParams(1.1, 3.5, -0.25 + 0.35j),
+    CouplingParams(-1.5, 1.0, 0.2j),
+    CouplingParams(2.0, -3.0, 1.0 + 1.0j),
+]
+
+
+@pytest.mark.parametrize("params", ARRAY_POINTS)
+def test_random_forms_match_evaluate_forms_trial_by_trial(params):
+    gamma = params.gamma if params.beta == 0.0 else None
+    draw = hamiltonian._draw_trials(np.random.default_rng(11), 400, 12, gamma)
+    forms = random_forms(params, np.random.default_rng(11), 400)
+    for i, trial in enumerate(_rows(draw)):
+        ref = evaluate_forms(trial, params)
+        bound = 1e-14 * (abs(ref.a0) + abs(ref.b_sum))
+        assert abs(forms.a0[i] - ref.a0) <= bound
+        assert abs(forms.b_sum[i] - ref.b_sum) <= bound
+        assert abs(forms.norm_sq[i] - ref.norm_sq) <= bound
+
+
+@pytest.mark.parametrize("gamma", [1e16, -6e15 + 8e15j, 1e17j])
+def test_random_forms_beta_zero_at_huge_gamma(gamma):
+    # upper + lower holds f_plus only to within rounding of |f_minus|, which
+    # is about |gamma|/2 |f_plus|: at |gamma| = 1e16 the scalar path's f_plus
+    # is off by about a quarter of itself
+    params = CouplingParams(0.9, 0.0, gamma)
+    _, _, _, decay, f_plus = hamiltonian._draw_trials(
+        np.random.default_rng(4), 300, 12, gamma
+    )
+    forms = random_forms(params, np.random.default_rng(4), 300)
+    half_gamma = 0.5 * complex(gamma).conjugate()
+    for i in range(300):
+        fp = [complex(x) for x in f_plus[i]]
+        d = [float(x) for x in decay[i]]
+        a0 = math.fsum(
+            0.5 * (abs(fp[n]) ** 2 + abs(half_gamma * fp[n]) ** 2)
+            * (0.5 * d[n] + (n + 0.5) / (2.0 * d[n]))
+            for n in range(13)
+        )
+        terms = [math.sqrt(n) / (2.0 * SQRT2) * params.alpha
+                 * (fp[n].conjugate() * fp[n - 1]).real for n in range(1, 13)]
+        assert abs(forms.a0[i] - a0) <= 1e-12 * a0
+        assert abs(forms.b_sum[i] - math.fsum(terms)) <= 1e-12 * math.fsum(map(abs, terms))
 
 
 def test_evaluate_forms_never_derives(monkeypatch):
