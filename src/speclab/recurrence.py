@@ -28,6 +28,24 @@ pair is then always at most 2^512, so a rescale can only happen at a row
 where the newest |C| leaves the range: the kernel tests only those rows,
 and writes a new scale only there.
 
+Ranges of at least ``_LANE_MIN_ROWS`` steps (above the measured
+crossover) run as lanes instead of one row at a time: B lanes of
+L = isqrt(steps / 2) rows, B about 2L, after the row loop has taken the
+fewer than L steps that do not fill a lane.  All lanes build their 2x2
+transfer products side by side (L numpy steps), the state is carried
+across the lanes (B scalar steps), and every lane replays its rows side
+by side from its start state (L numpy steps).  Lanes rescale on a
+schedule fixed before they run: row k can grow the pair maximum by at
+most (|w_k| + d_old)/d_new and shrink it by at most (d_new + |w_k|)/d_old,
+so after each rescale to [1/2, 1) the lanes run until the product of
+those bounds would pass 2^500, and the pair maximum stays in
+[2^-512, 2^512] as in the row loop.  Lane values agree with the row loop
+to rounding, not bit for bit.  The row loop runs instead where one row
+alone could pass the bound, or where a row at a lane start, which reads
+the last values the lane before replayed, does not hold to
+``_LANE_AGREEMENT`` of its terms (the forward problem is ill-conditioned
+there).
+
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
 roots lam+- of t^2 + a0 t + b0 and exponents d+- the two basis
@@ -39,6 +57,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +89,15 @@ _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
 # at or below this magnitude 2^-ceil(log2 of it) overflows
 _RESCALE_FLOOR = 2.0**-1024
+# step ranges this long run as lanes (:func:`_lane_steps`), shorter ones
+# row by row; lanes were the faster from about 800 steps (2-vCPU x86), and
+# 1024 keeps the secular cross-check's 306 steps on the row loop
+_LANE_MIN_ROWS = 1024
+# lanes rescale before the pair maximum could grow or shrink by 2^500 (log2)
+_LANE_RESCALE_BITS = 500.0
+# the rows where one lane's replayed values meet the next lane's carried
+# start hold to this share of their terms, or the row loop runs instead
+_LANE_AGREEMENT = 2.0**-44
 
 
 def _validate_lam(lam: complex, n_min: int = 0) -> complex:
@@ -87,9 +115,9 @@ def _validate_lam(lam: complex, n_min: int = 0) -> complex:
 def zeta(n: int, lam: complex) -> complex:
     """Branch-correct sqrt(n + 1/2 - lam).
 
-    Principal square root, negated if needed so that Re zeta > 0; for
-    nonreal lam the sign convention Im zeta * Im lam < 0 follows
-    automatically.  Real lam >= n + 1/2 sits on the cut and is rejected.
+    Principal square root, which off the cut has Re zeta > 0; for nonreal
+    lam the sign convention Im zeta * Im lam < 0 follows automatically.
+    Real lam >= n + 1/2 sits on the cut and is rejected.
     """
     if n < 0:
         raise InvalidParametersError("mode index must be nonnegative")
@@ -98,9 +126,9 @@ def zeta(n: int, lam: complex) -> complex:
     if lam.imag == 0.0:
         return complex(math.sqrt(w.real), 0.0)
     z = cmath.sqrt(w)
-    if z.real < 0.0:
-        z = -z
-    if not (z.real > 0.0 and z.imag * lam.imag < 0.0):
+    # signs, not the product z.imag * lam.imag, which underflows to 0
+    # when |Im lam| is tiny
+    if not (z.real > 0.0 and math.copysign(1.0, z.imag) != math.copysign(1.0, lam.imag)):
         raise RuntimeError(
             f"branch conditions failed for zeta({n}, {lam}): got {z}"
         )
@@ -116,10 +144,9 @@ def zeta_array(ns: np.ndarray, lam: complex) -> np.ndarray:
         raise InvalidParametersError("mode indices must be nonnegative")
     lam = _validate_lam(lam, n_min=int(np.min(ns)))
     z = np.sqrt((ns + 0.5) - lam + 0j)
-    np.negative(z, where=z.real < 0.0, out=z)
     if not np.all(z.real > 0.0):
         raise RuntimeError("branch conditions failed in zeta_array")
-    if lam.imag != 0.0 and not np.all(z.imag * lam.imag < 0.0):
+    if lam.imag != 0.0 and not np.all(np.signbit(z.imag) != np.signbit(lam.imag)):
         raise RuntimeError("branch conditions failed in zeta_array")
     return z
 
@@ -144,7 +171,12 @@ _D1 = coupling_weight(1)
 
 @dataclass(frozen=True, eq=False)
 class RecurrenceSolution:
-    """A recurrence solution in split mantissa / log2-scale representation."""
+    """A recurrence solution in split mantissa / log2-scale representation.
+
+    ``zetas[n]`` = zeta_n(lam) and ``couplings[n]`` = d(n) (d(0) = 0) for
+    every index n of ``values``: the coefficients the solution was built
+    from, kept for the residual checks.
+    """
 
     mu: float
     lam: complex
@@ -152,6 +184,8 @@ class RecurrenceSolution:
     log2_scale: np.ndarray = field(repr=False)
     direction: str
     normalization: str
+    zetas: np.ndarray = field(repr=False)
+    couplings: np.ndarray = field(repr=False)
 
     @property
     def length(self) -> int:
@@ -189,23 +223,17 @@ class RecurrenceSolution:
         if n_top < 2:
             return np.zeros(0)
         ns = np.arange(1, n_top)
-        zs = zeta_array(ns, self.lam)
-        d_mid = coupling_weights(ns)
-        d_up = coupling_weights(ns + 1)
-        k = self.log2_scale
-        kmax = np.maximum(np.maximum(k[ns - 1], k[ns]), k[ns + 1])
-        c_lo = self.values[ns - 1] * np.exp2(k[ns - 1] - kmax)
-        c_mid = self.values[ns] * np.exp2(k[ns] - kmax)
-        c_up = self.values[ns + 1] * np.exp2(k[ns + 1] - kmax)
-        t_up = d_up * c_up
-        t_mid = 2.0 * self.mu * np.sqrt(ns + 0.5) * zs * c_mid
-        t_lo = d_mid * c_lo
+        k_lo, k_mid, k_up = self.log2_scale[:-2], self.log2_scale[1:-1], self.log2_scale[2:]
+        kmax = np.maximum(np.maximum(k_lo, k_mid), k_up)
+        c_lo = self.values[:-2] * np.exp2(k_lo - kmax)
+        c_mid = self.values[1:-1] * np.exp2(k_mid - kmax)
+        c_up = self.values[2:] * np.exp2(k_up - kmax)
+        t_up = self.couplings[2:] * c_up
+        t_mid = 2.0 * self.mu * np.sqrt(ns + 0.5) * self.zetas[1:-1] * c_mid
+        t_lo = self.couplings[1:-1] * c_lo
         num = np.abs(t_up + t_mid + t_lo)
         den = np.abs(t_up) + np.abs(t_mid) + np.abs(t_lo)
-        out = np.zeros_like(num)
-        mask = den > 0.0
-        out[mask] = num[mask] / den[mask]
-        return out
+        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
     def max_interior_residual(self) -> float:
         res = self.interior_residuals()
@@ -226,51 +254,190 @@ def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, comple
     return a, b, scale
 
 
-def _diagonal_weights(mu: float, lam: complex, k: int) -> list[complex]:
-    """w_j = 2*mu*sqrt(j + 1/2)*zeta_j(lam) for j < k, as Python complex.
+def _diagonal_weights(mu: float, zs: np.ndarray) -> np.ndarray:
+    """w_j = 2*mu*sqrt(j + 1/2)*zeta_j(lam) for j < len(zs), from zs[j] = zeta_j.
 
     Python computes the float t = 2*mu*sqrt(j + 1/2) times zeta_j as
     (t + 0j) * zeta_j; the parts below repeat its products and sums, so
     each w_j equals that scalar expression bit for bit.
     """
-    ns = np.arange(k)
-    t = 2.0 * mu * np.sqrt(ns + 0.5)
-    z = zeta_array(ns, lam)
-    w = np.empty(k, dtype=complex)
-    w.real = t * z.real - 0.0 * z.imag
-    w.imag = t * z.imag + 0.0 * z.real
-    return w.tolist()
+    t = 2.0 * mu * np.sqrt(np.arange(zs.size) + 0.5)
+    w = np.empty(zs.size, dtype=complex)
+    w.real = t * zs.real - 0.0 * zs.imag
+    w.imag = t * zs.imag + 0.0 * zs.real
+    return w
 
 
 def _steps(
-    w: list[complex],
-    d_old: list[float],
-    d_new: list[float],
+    w: Sequence[complex],
+    d_old: Sequence[float],
+    d_new: Sequence[float],
     a: complex,
     b: complex,
     scale: float,
-) -> tuple[list[complex], np.ndarray]:
+) -> tuple[Sequence[complex], np.ndarray]:
     """Step (a, b) = (b, -(w[i]*b + d_old[i]*a) / d_new[i]) for each i.
 
     Returns the mantissa b and the running log2 scale after each step.
-    The caller passes |a|, |b| <= 2^512.  Each step keeps that bound (b
-    is left in range or rescaled to at most 1), so the pair can need a
-    rescale only where the new |b| leaves [2^-512, 2^512]; the scale is
-    recorded only at those steps.
+    The caller passes |a|, |b| <= 2^512.  Fewer than ``_LANE_MIN_ROWS``
+    steps run in the row loop (:func:`_row_steps`), which returns the
+    mantissas as a list; more run as lanes (:func:`_lane_steps`) of
+    isqrt(len(w) // 2) rows each, after the row loop has taken the steps
+    that do not fill a lane.
+    """
+    w, d_old, d_new = np.asarray(w), np.asarray(d_old), np.asarray(d_new)
+    if w.size >= _LANE_MIN_ROWS:
+        # a lane row costs a few numpy calls, a lane one carry step: twice
+        # as many lanes as rows was about 8% faster than as many at 1e5 steps
+        rows = math.isqrt(w.size // 2)
+        head = w.size % rows
+        out, log2, *state = _row_steps(w[:head], d_old[:head], d_new[:head], a, b, scale)
+        lanes = _lane_steps(w[head:], d_old[head:], d_new[head:], *state, rows)
+        if lanes is not None:
+            return np.concatenate((out, lanes[0])), np.concatenate((log2, lanes[1]))
+    return _row_steps(w, d_old, d_new, a, b, scale)[:2]
+
+
+def _row_steps(
+    w: np.ndarray,
+    d_old: np.ndarray,
+    d_new: np.ndarray,
+    a: complex,
+    b: complex,
+    scale: float,
+) -> tuple[list[complex], np.ndarray, complex, complex, float]:
+    """:func:`_steps` one row at a time; also returns the final (a, b, scale).
+
+    Each step keeps |a|, |b| <= 2^512 (b is left in range or rescaled to
+    at most 1), so the pair can need a rescale only where the new |b|
+    leaves [2^-512, 2^512]; the scale is recorded only at those steps.
     """
     out: list[complex] = []
     append = out.append
     at: list[int] = []
     scales = [scale]
     lo, hi = _RESCALE_LO, _RESCALE_HI
-    for wi, di, dn in zip(w, d_old, d_new):
+    for wi, di, dn in zip(w.tolist(), d_old.tolist(), d_new.tolist()):
         a, b = b, -(wi * b + di * a) / dn
         if not lo <= abs(b) <= hi:
             b, a, scale = _rescale_pair(b, a, scale)
             at.append(len(out))
             scales.append(scale)
         append(b)
-    return out, np.repeat(scales, np.diff([0, *at, len(out)]))
+    return out, np.repeat(scales, np.diff([0, *at, len(out)])), a, b, scale
+
+
+def _normalise_lanes(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scale every lane by the power of two that brings its largest |value|
+    over the arrays into [1/2, 1); returns the arrays, then that exponent."""
+    mag = np.abs(arrays[0])
+    for x in arrays[1:]:
+        np.maximum(mag, np.abs(x), out=mag)
+    exp = np.frexp(mag)[1]
+    factor = np.ldexp(1.0, -exp)
+    return (*(x * factor for x in arrays), exp)
+
+
+def _lane_steps(
+    w: np.ndarray,
+    d_old: np.ndarray,
+    d_new: np.ndarray,
+    a: complex,
+    b: complex,
+    scale: float,
+    rows: int,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_steps` as len(w) / rows lanes of ``rows`` rows.
+
+    Returns None where the row loop has to run instead: when one row
+    alone can move the pair maximum past the rescale bound, or when a
+    lane's replay ends farther than ``_LANE_AGREEMENT`` from the start
+    the next lane was carried to.
+    """
+    lanes = w.size // rows
+
+    def by_row(x: np.ndarray) -> np.ndarray:
+        # step j*rows + t is row t of lane j
+        return x.reshape(lanes, rows).T
+
+    # p = -w/d_new and q = -d_old/d_new, each row's lanes contiguous
+    p = np.divide(by_row(w), by_row(d_new), order="C")
+    np.negative(p, out=p)
+    abs_q = np.divide(by_row(d_old), by_row(d_new), order="C")
+    q = np.negative(abs_q, dtype=complex)
+    abs_p = np.abs(p)
+    grow = np.log2(np.maximum((abs_p + abs_q).max(axis=1), 1.0))
+    shrink = np.log2(np.maximum(((1.0 + abs_p) / abs_q).max(axis=1), 1.0))
+    if max(grow.max(), shrink.max()) > _LANE_RESCALE_BITS:
+        return None
+    # every lane rescales before step t where the bounds since the last
+    # rescale, which left the pair maximum in [1/2, 1), would pass 2^500
+    marks = []
+    up = down = 0.0
+    for g, s in zip(grow.tolist(), shrink.tolist()):
+        up += g
+        down += s
+        mark = up > _LANE_RESCALE_BITS or down > _LANE_RESCALE_BITS
+        if mark:
+            up, down = g, s
+        marks.append(mark)
+
+    # the images of (1, 0) and (0, 1) under each lane's rows, side by side
+    one, zero = np.ones(lanes, dtype=complex), np.zeros(lanes, dtype=complex)
+    old0, new0, old1, new1 = one, zero, zero, one
+    exps = np.zeros(lanes)
+    for t, mark in enumerate(marks):
+        if mark:
+            old0, new0, old1, new1, e = _normalise_lanes(old0, new0, old1, new1)
+            exps += e
+        pt, qt = p[t], q[t]
+        old0, new0 = new0, pt * new0 + qt * old0
+        old1, new1 = new1, pt * new1 + qt * old1
+    old0, new0, old1, new1, e = _normalise_lanes(old0, new0, old1, new1)
+    exps += e
+
+    # the state at the start of every lane, carried across the lanes
+    starts = [(a, b, scale)]
+    lane_maps = zip(old0.tolist(), old1.tolist(), new0.tolist(), new1.tolist(),
+                    exps[:-1].tolist())
+    for m00, m01, m10, m11, e in lane_maps:
+        a, b, scale = _rescale_pair(a * m00 + b * m01, a * m10 + b * m11, scale + e)
+        starts.append((a, b, scale))
+    a0, b0, s0 = (np.array(x) for x in zip(*starts))
+    a0, b0, e = _normalise_lanes(a0, b0)
+    s0 += e
+
+    # every lane's rows, replayed side by side from its start; the scale
+    # changes only at the marked steps
+    values = np.empty((rows, lanes), dtype=complex)
+    tmp = np.empty(lanes, dtype=complex)
+    seg_scales = [s0]
+    olds, news = a0, b0
+    for t, mark in enumerate(marks):
+        if mark:
+            olds, news, e = _normalise_lanes(olds, news)
+            seg_scales.append(seg_scales[-1] + e)
+        out = values[t]
+        np.multiply(p[t], news, out=out)
+        out += np.multiply(q[t], olds, out=tmp)
+        olds, news = news, out
+    seg_rows = np.diff([0, *np.flatnonzero(marks), rows])
+
+    # the first two rows of every lane after the first read the last two
+    # values of the lane before, replayed there, where the lane itself
+    # started from the state carried to it: two roundings of one state.
+    # Each such row must hold to _LANE_AGREEMENT of its terms (the term of
+    # the value it makes left out) with the replayed values in it.
+    to_next = np.exp2(seg_scales[-1][:-1] - s0[1:])
+    gap_a = np.abs(olds[:-1] * to_next - a0[1:])
+    gap_b = np.abs(news[:-1] * to_next - b0[1:])
+    p0, q0, p1, q1 = abs_p[0, 1:], abs_q[0, 1:], abs_p[1, 1:], abs_q[1, 1:]
+    row0 = p0 * gap_b + q0 * gap_a <= _LANE_AGREEMENT * (p0 * np.abs(b0[1:]) + q0 * np.abs(a0[1:]))
+    row1 = q1 * gap_b <= _LANE_AGREEMENT * (p1 * np.abs(values[0, 1:]) + q1 * np.abs(b0[1:]))
+    if not (np.all(row0) and np.all(row1)):
+        return None
+    scales = np.repeat(np.array(seg_scales).T, seg_rows, axis=1)
+    return values.T.ravel(), scales.ravel()
 
 
 def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceSolution:
@@ -290,19 +457,20 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
         raise InvalidParametersError("seed must be finite")
     lam = _validate_lam(lam)
 
-    values = [c0]
+    zs = zeta_array(np.arange(n + 1), lam)
+    ds = np.concatenate(([0.0], coupling_weights(np.arange(1, n + 1))))
+    values = np.array([c0])
     scales = np.zeros(1)
     if n > 0:
-        w = _diagonal_weights(mu, lam, n)
-        ds = coupling_weights(np.arange(1, n + 1)).tolist()
+        w = _diagonal_weights(mu, zs[:n])
         # the seed may lie above 2^512, so the n = 0 row is always rescaled
-        c1, c_prev, scale = _rescale_pair(-(w[0] * c0) / ds[0], c0, 0.0)
-        out, log2 = _steps(w[1:], ds, ds[1:], c_prev, c1, scale)
-        values += [c1, *out]
+        c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(ds[1]), c0, 0.0)
+        out, log2 = _steps(w[1:], ds[1:n], ds[2:], c_prev, c1, scale)
+        values = np.concatenate(([c0, c1], out))
         scales = np.concatenate(([0.0, scale], log2))
     return RecurrenceSolution(
-        mu=mu, lam=lam, values=np.array(values, dtype=complex), log2_scale=scales,
-        direction="forward", normalization=f"C_0 = {c0}",
+        mu=mu, lam=lam, values=values, log2_scale=scales,
+        direction="forward", normalization=f"C_0 = {c0}", zetas=zs, couplings=ds,
     )
 
 
@@ -332,21 +500,12 @@ def minimal_solution_backward(
     if m <= n:
         raise InvalidParametersError("buffer top m must exceed n")
 
-    w = _diagonal_weights(mu, lam, m + 1)
-    ds = coupling_weights(np.arange(1, m + 2)).tolist()
+    zs = zeta_array(np.arange(m + 1), lam)
+    ds = np.concatenate(([0.0], coupling_weights(np.arange(1, m + 2))))
+    w = _diagonal_weights(mu, zs)
     # from (C_{m+1}, C_m) = (0, 1) down to C_0; row k needs d(k+1) and d(k)
-    out, log2 = _steps(w[m:0:-1], ds[m:0:-1], ds[m - 1::-1], 0j, 1 + 0j, 0.0)
-    values = np.array(out, dtype=complex)[::-1]
-    return _normalise_backward(mu, lam, values, log2[::-1], n)
-
-
-def _normalise_backward(
-    mu: float,
-    lam: complex,
-    values: np.ndarray,
-    scales: np.ndarray,
-    n: int,
-) -> RecurrenceSolution:
+    out, log2 = _steps(w[m:0:-1], ds[m + 1:1:-1], ds[m:0:-1], 0j, 1 + 0j, 0.0)
+    values = np.asarray(out, dtype=complex)[::-1]
     pivot = values[n]
     if pivot == 0.0:
         raise NonConvergenceError(
@@ -355,11 +514,12 @@ def _normalise_backward(
         )
     shift = float(round(math.log2(abs(pivot))))
     pivot_m = pivot * 2.0**-shift
-    out_vals = values[: n + 1] / pivot_m
-    out_scales = scales[: n + 1] - (scales[n] + shift)
+    scales = log2[::-1]
     return RecurrenceSolution(
-        mu=mu, lam=lam, values=out_vals, log2_scale=out_scales,
+        mu=mu, lam=lam, values=values[: n + 1] / pivot_m,
+        log2_scale=scales[: n + 1] - (scales[n] + shift),
         direction="backward", normalization="C_n = 1",
+        zetas=zs[: n + 1], couplings=ds[: n + 1],
     )
 
 
@@ -469,7 +629,7 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
             f"up_to must lie in [0, {sol.length - 2}] for this solution"
         )
     ns = np.arange(up_to + 1)
-    zs_im = zeta_array(ns, sol.lam).imag
+    zs_im = sol.zetas[: up_to + 1].imag
     # mantissas reach 2^512, so their squares would overflow: scale each
     # to [1/2, 1) by its own power of two, which is exact, and move that
     # exponent into the log2 scale
@@ -477,13 +637,15 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     _, e = np.frexp(np.abs(vals))
     vals = vals * np.ldexp(1.0, -e)
     k = sol.log2_scale[: up_to + 2] + e
-    kref = float(np.max(k))
+    # both sides on the scale of the top pair: C_{upTo+1} alone can lie so
+    # far above the sum's terms that its scale underflows all of them
+    kref = float((k[up_to] + k[up_to + 1]) // 2)
     weights = np.exp2(2.0 * (k[: up_to + 1] - kref))
     mags2 = np.abs(vals[: up_to + 1]) ** 2 * weights
     terms = 2.0 * sol.mu * mags2 * np.sqrt(ns + 0.5) * zs_im
     lhs = float(np.sum(terms))
     cross = (vals[up_to + 1] * np.conj(vals[up_to])).imag
-    rhs = -coupling_weight(up_to + 1) * float(cross) * 2.0 ** float(
+    rhs = -float(sol.couplings[up_to + 1]) * float(cross) * 2.0 ** float(
         k[up_to + 1] + k[up_to] - 2.0 * kref
     )
     term_scale = float(np.max(np.abs(terms))) if terms.size else 0.0

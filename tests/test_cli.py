@@ -224,6 +224,21 @@ def test_identity_check_residual_small(capsys):
     assert row["max_interior_residual"] < 1e-12
 
 
+@pytest.mark.parametrize("point", [
+    # Im zeta * Im lam underflowed to 0 and failed the branch check: exit 1
+    ["--mu=1.5", "--lambda=0.3", "--lambda-im=1e-200", "--size=10"],
+    ["--mu=1.5", "--lambda=0.3", "--lambda-im=-1e-300", "--size=10"],
+    # the identity's scale came from the row above its sum: residual 1
+    ["--mu=1e200", "--lambda=0.3", "--lambda-im=0.1", "--size=50"],
+    ["--mu=1e160", "--lambda=0.3", "--lambda-im=0.1", "--size=50"],
+])
+def test_identity_check_at_extreme_parameters(capsys, point):
+    rc, out, _ = run_cli(capsys, ["identity-check", *point])
+    assert rc == 0
+    row = json.loads(out)
+    assert row["residual"] <= 1e-9 and row["max_interior_residual"] < 1e-13
+
+
 def test_h_spectrum_known_eigenvalue(capsys):
     rc, out, _ = run_cli(capsys, ["h-spectrum", "--alpha", "1", "--beta", "0"])
     assert rc == 0

@@ -4,6 +4,7 @@ defect used for eigenvalue confirmation."""
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from speclab import (
     zeta,
     zeta_array,
 )
-from speclab.recurrence import _steps
+from speclab import recurrence
+from speclab.recurrence import _LANE_MIN_ROWS, _steps
 
 nonreal_lams = st.builds(
     complex,
@@ -71,6 +73,20 @@ def test_zeta_branch_conditions(n, lam):
     assert z.imag * lam.imag < 0.0
     w = (n + 0.5) - lam
     assert cmath.isclose(z * z, w, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("lam_im", [1e-200, -1e-200, 1e-300, -1e-300])
+def test_zeta_branch_at_tiny_imaginary_part(lam_im):
+    # Im zeta * Im lam underflows to 0 here, which the branch check read
+    # as a wrong sign
+    lam = complex(0.3, lam_im)
+    z = zeta(3, lam)
+    assert z.real > 0.0 and z.imag != 0.0
+    assert math.copysign(1.0, z.imag) == -math.copysign(1.0, lam_im)
+    zs = zeta_array(np.arange(40), lam)
+    assert np.all(zs.real > 0.0) and np.all(np.sign(zs.imag) == -np.sign(lam_im))
+    sol = iterate_forward(1.5, lam, 1.0, 10)
+    assert identity_residual(sol, 9).residual <= 1e-9
 
 
 def test_zeta_array_matches_scalar():
@@ -392,6 +408,102 @@ def test_kernel_rescales_like_row_loop_at_extreme_coefficients(rows):
 
 
 # ---------------------------------------------------------------------------
+# lanes: long step ranges against the row loop
+
+
+def _in_scale(values, scales, to):
+    """values * 2**(scales - to), exact where that factor alone would overflow."""
+    e = (scales - to).astype(int)
+    return np.ldexp(values.real, e) + 1j * np.ldexp(values.imag, e)
+
+
+def _pair_maxima(values, scales):
+    """max(|C_k|, |C_{k+1}|) on the scale of C_{k+1}, for every k."""
+    return np.maximum(np.abs(_in_scale(values[:-1], scales[:-1], scales[1:])), np.abs(values[1:]))
+
+
+def _deviation(values, scales, ref_values, ref_scales):
+    """|C_k - ref_k| over the largest of |ref_{k-1}|, |ref_k|, |ref_{k+1}|."""
+    diff = np.abs(_in_scale(values, scales, ref_scales) - ref_values)
+    near = np.abs(ref_values)
+    near[1:] = np.maximum(near[1:], np.abs(_in_scale(ref_values[:-1], ref_scales[:-1], ref_scales[1:])))
+    near[:-1] = np.maximum(near[:-1], np.abs(_in_scale(ref_values[1:], ref_scales[1:], ref_scales[:-1])))
+    return np.divide(diff, near, out=np.zeros_like(diff), where=near > 0.0)
+
+
+def _assert_pairs_in_range(sol):
+    pairs = _pair_maxima(sol.values, sol.log2_scale)
+    assert np.all((pairs == 0.0) | ((2.0**-512 <= pairs) & (pairs <= 2.0**512)))
+
+
+# The lanes and the row loop round differently.  Their values may part by
+# about eps per row where no solution dominates (|mu| < 1, real lam), so
+# over 2e4 rows 20 * 2e4 * 2^-52 = 1e-10 bounds the deviation; the largest
+# seen over 200 random points was 1.6e-13.
+LANE_DEVIATION = 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kernel_mus,
+    kernel_lams,
+    kernel_seeds,
+    st.integers(min_value=_LANE_MIN_ROWS - 100, max_value=20_000),
+)
+@example(mu=1.0, lam=0.0, c0=2.225073858507e-311j, n=5000)
+@example(mu=1e3, lam=-40.0, c0=1e300, n=20_000)
+def test_forward_lanes_agree_with_row_loop(mu, lam, c0, n):
+    sol = iterate_forward(mu, lam, c0, n)
+    values, scales = _reference_forward(mu, complex(lam), complex(c0), n)
+    assert np.max(_deviation(sol.values, sol.log2_scale, values, scales)) <= LANE_DEVIATION
+    # row 1 is left out: it reads the seed on its scale 0, so beside a
+    # subnormal seed its other values become subnormal in the residual's
+    # own arithmetic, in the row loop's solution as well
+    assert np.max(sol.interior_residuals()[1:]) < 1e-13
+    _assert_pairs_in_range(sol)
+    # for real lam both sides of the identity vanish, and a subnormal seed
+    # loses digits in the boundary row, so neither checks the rows
+    if complex(lam).imag != 0.0 and (c0 == 0.0 or abs(c0) >= sys.float_info.min):
+        assert identity_residual(sol, n - 1).residual <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "mu, lam",
+    [(1.5, 0.3), (2.0, 0.2 + 0.1j), (5.0, 0.3), (-3.0, -1.0 - 2.0j), (0.8, 1.0j), (1e3, -40.0)],
+)
+def test_backward_lanes_agree_with_row_loop(mu, lam):
+    n = 10_001
+    sol = minimal_solution_backward(mu, lam, n)
+    values, scales = _reference_backward(mu, complex(lam), n, n + max(50, n // 10))
+    assert np.max(_deviation(sol.values, sol.log2_scale, values, scales)) <= LANE_DEVIATION
+    assert sol.max_interior_residual() < 1e-13
+    _assert_pairs_in_range(sol)
+
+
+def test_lanes_give_way_to_the_row_loop(monkeypatch):
+    n = 3 * _LANE_MIN_ROWS
+    # lanes run at ordinary parameters
+    zs = zeta_array(np.arange(n), 0.3 + 0.1j)
+    ds = coupling_weights(np.arange(1, n + 1))
+    w = recurrence._diagonal_weights(1.5, zs)
+    rows = 64
+    lanes = recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows)
+    assert lanes is not None
+    # one row at mu = 1e300 grows the pair by about 2^1000, past the bound
+    # every lane rescale keeps
+    w = recurrence._diagonal_weights(1e300, zs)
+    assert recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows) is None
+    sol = iterate_forward(1e300, 0.3 + 0.1j, 1.0, n)
+    values, scales = _reference_forward(1e300, 0.3 + 0.1j, 1.0, n)
+    assert np.array_equal(sol.values, values) and np.array_equal(sol.log2_scale, scales)
+    # with a zero tolerance the rows where lanes meet miss it
+    monkeypatch.setattr(recurrence, "_LANE_AGREEMENT", 0.0)
+    sol = iterate_forward(1.5, 0.3 + 0.1j, 1.0, n)
+    values, scales = _reference_forward(1.5, 0.3 + 0.1j, 1.0, n)
+    assert np.array_equal(sol.values, values) and np.array_equal(sol.log2_scale, scales)
+
+
+# ---------------------------------------------------------------------------
 # the summed identity
 
 
@@ -402,6 +514,18 @@ def test_identity_residual_grid(mu, lam, size):
     sol = iterate_forward(mu, lam, 1.0, size)
     check = identity_residual(sol, size - 1)
     assert check.residual <= 1e-9
+
+
+@pytest.mark.parametrize("mu", [1e10, 1e100, 1e160, 1e200, -1e200, 1e300])
+@pytest.mark.parametrize("size", [50, 3 * _LANE_MIN_ROWS])
+def test_identity_residual_at_huge_mu(mu, size):
+    # each row lies about log2(mu) bits above the one before; a scale taken
+    # from row upTo + 1 underflowed every term of the sum (residual 1 at
+    # mu = 1e200, 1.9e-4 at 1e160)
+    sol = iterate_forward(mu, 0.3 + 0.1j, 1.0, size)
+    check = identity_residual(sol, size - 1)
+    assert check.residual <= 1e-9
+    assert check.lhs != 0.0
 
 
 def test_identity_trivial_for_real_lam():
