@@ -23,8 +23,10 @@ profiles; this module works entirely in that mode picture:
 * ``h_eigenvalues_below_threshold`` locates all eigenvalues below the
   continuum threshold 1/2 by bisection on certified Sturm counts of the
   infinite spectral Jacobi family (:func:`speclab.jacobi_ops.spectral_counts`).
-  Every root is cross-checked against the secular function of the
-  three-term recurrence, whose sign change is polished by Illinois steps.
+  Every root is cross-checked against the secular function: the
+  boundary-row residual of the recurrence's minimal solution, read from
+  one backward sweep of its ratios, which shares no code with the counts.
+  Its sign change is polished by Illinois steps.
 * ``count_below_epsilon``, ``discrete2_check`` and
   ``count_asymptotics_curve`` compare that eigenvalue count against
   certified counts of the counting Jacobi operators

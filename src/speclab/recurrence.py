@@ -10,7 +10,16 @@ operator; the n = 0 row acts as the boundary condition for forward
 iteration.  Here zeta_n(lam) = sqrt(n + 1/2 - lam) on the branch with
 Re zeta > 0 and Im zeta * Im lam < 0, cut along [n + 1/2, inf).
 
-Solutions can grow geometrically, so every sequence is stored in split
+An eigenvalue is a lam at which the minimal (l^2) solution also
+satisfies the n = 0 row.  That test needs only the ratio C_1/C_0, a
+backward continued fraction (Miller's algorithm; Gautschi, SIAM Review
+9, 1967): :func:`secular_function` sweeps the ratios
+rho_k = d(k+1)*C_{k+1}/C_k down from rho_m = 0 at a buffer top m above
+the depth, rho_{k-1} = -d(k)^2 / (w_k + rho_k), one scalar step per row,
+and keeps no solution.  For real lam the sweep is real arithmetic, so
+the residual's sign is exact.
+
+Solutions can grow geometrically, so every stored sequence is in split
 form: a complex mantissa per index plus a per-index log2 scale recorded
 by the running rescaling accumulator (the true value is
 ``values[n] * 2**log2_scale[n]``).  Ratios, residuals and defects are
@@ -56,6 +65,8 @@ switches to exp(+-delta*sqrt(n)) * n^kappa.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -91,13 +102,17 @@ _RESCALE_LO = 2.0**-512
 _RESCALE_FLOOR = 2.0**-1024
 # step ranges this long run as lanes (:func:`_lane_steps`), shorter ones
 # row by row; lanes were the faster from about 800 steps (2-vCPU x86), and
-# 1024 keeps the secular cross-check's 306 steps on the row loop
+# 1024 leaves the ranges near that crossover on the bit-exact row loop
 _LANE_MIN_ROWS = 1024
 # lanes rescale before the pair maximum could grow or shrink by 2^500 (log2)
 _LANE_RESCALE_BITS = 500.0
 # the rows where one lane's replayed values meet the next lane's carried
 # start hold to this share of their terms, or the row loop runs instead
 _LANE_AGREEMENT = 2.0**-44
+# an exactly zero pivot of the secular sweep is replaced by this: the
+# ratio after it, about -d(k)^2 * 2^600, and the one after that, about
+# 2^-600, stay finite and nonzero for every d(k) below 2^200
+_PIVOT_FLOOR = 2.0**-600
 
 
 def _validate_lam(lam: complex, n_min: int = 0) -> complex:
@@ -164,9 +179,6 @@ def coupling_weights(ns: np.ndarray) -> np.ndarray:
     if np.any(ns < 1):
         raise InvalidParametersError("coupling weights defined for n >= 1")
     return np.sqrt(ns) * (ns * ns - 0.25) ** 0.25
-
-
-_D1 = coupling_weight(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,16 +486,9 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
     )
 
 
-def minimal_solution_backward(
-    mu: float, lam: complex, n: int, m: int | None = None
-) -> RecurrenceSolution:
-    """Minimal (decaying) solution C_0..C_n, normalised to C_n = 1.
-
-    Backward recurrence from a seed high in a buffer zone [n, m]
-    projects onto the minimal solution; the buffer defaults to
-    m = n + max(50, n // 10).  Requires a dominant/minimal dominance
-    split, i.e. |mu| > 1 or Im lam != 0.
-    """
+def _minimal_solution_inputs(mu: float, lam: complex, n: int) -> tuple[float, complex]:
+    """mu and lam, checked for a depth-n minimal solution: one exists where
+    the recurrence has a dominance split, |mu| > 1 or Im lam != 0."""
     mu = float(mu)
     if not math.isfinite(mu):
         raise InvalidParametersError("mu must be finite")
@@ -495,8 +500,28 @@ def minimal_solution_backward(
             f"no exponential dominance split at mu={mu} with real lam; "
             "backward recurrence cannot isolate the minimal solution"
         )
+    return mu, lam
+
+
+def _buffer_top(n: int) -> int:
+    """The default top m of the buffer zone [n, m] a backward recurrence
+    to depth n starts from."""
+    return n + max(50, n // 10)
+
+
+def minimal_solution_backward(
+    mu: float, lam: complex, n: int, m: int | None = None
+) -> RecurrenceSolution:
+    """Minimal (decaying) solution C_0..C_n, normalised to C_n = 1.
+
+    Backward recurrence from a seed high in a buffer zone [n, m]
+    projects onto the minimal solution; the buffer defaults to
+    m = n + max(50, n // 10).  Requires a dominant/minimal dominance
+    split, i.e. |mu| > 1 or Im lam != 0.
+    """
+    mu, lam = _minimal_solution_inputs(mu, lam, n)
     if m is None:
-        m = n + max(50, n // 10)
+        m = _buffer_top(n)
     if m <= n:
         raise InvalidParametersError("buffer top m must exceed n")
 
@@ -632,10 +657,13 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     zs_im = sol.zetas[: up_to + 1].imag
     # mantissas reach 2^512, so their squares would overflow: scale each
     # to [1/2, 1) by its own power of two, which is exact, and move that
-    # exponent into the log2 scale
-    vals = sol.values[: up_to + 2]
-    _, e = np.frexp(np.abs(vals))
-    vals = vals * np.ldexp(1.0, -e)
+    # exponent into the log2 scale.  Each part is scaled on its own: for a
+    # subnormal |C| the factor 2^-e alone would overflow
+    unscaled = sol.values[: up_to + 2]
+    _, e = np.frexp(np.abs(unscaled))
+    vals = np.empty_like(unscaled)
+    vals.real = np.ldexp(unscaled.real, -e)
+    vals.imag = np.ldexp(unscaled.imag, -e)
     k = sol.log2_scale[: up_to + 2] + e
     # both sides on the scale of the top pair: C_{upTo+1} alone can lie so
     # far above the sum's terms that its scale underflows all of them
@@ -654,31 +682,72 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     )
 
 
-def secular_function(mu: float, lam: complex, n: int) -> complex:
-    """Normalised boundary-row residual of the minimal solution.
+@functools.lru_cache(maxsize=16)
+def _sweep_rows(m: int) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """The lam-free coefficients of :func:`secular_function`'s sweep from
+    buffer top m: -d(k)^2 for the rows k = m, ..., 1 as Python floats, and
+    k + 1/2 and 2*sqrt(k + 1/2) for k = m, ..., 0, all read-only.  The
+    cross-check calls the sweep at one depth for many lam."""
+    ks = np.arange(m, -1, -1)
+    d = coupling_weights(ks[:-1])
+    half = ks + 0.5
+    two_sqrt = 2.0 * np.sqrt(half)
+    half.flags.writeable = two_sqrt.flags.writeable = False
+    return tuple((-(d * d)).tolist()), half, two_sqrt
 
-    The backward recurrence satisfies every interior row by construction,
-    so the one condition singling out spectral points is the n = 0 row
-    d(1)*C_1 + 2*mu*sqrt(1/2)*zeta_0(lam)*C_0 = 0 applied to the minimal
-    solution.  The residual is normalised by the sum of the term
-    magnitudes, making it scale-free with values in the unit disc and a
-    linear dip through zero at eigenvalues.  Real for real lam < 1/2, so
-    sign changes bracket eigenvalues; ``n`` sets the depth of the backward
-    recurrence, which runs from its default buffer top.
+
+def secular_function(mu: float, lam: complex, n: int) -> complex:
+    """Normalised boundary-row residual of the depth-n minimal solution.
+
+    Every interior row holds for the minimal solution, so the one
+    condition singling out spectral points is the n = 0 row
+    d(1)*C_1 + w_0*C_0 = 0.  With C_n = 1 the residual is
+
+        phase(C_0) * (d(1)*r_0 + w_0) / (|d(1)*r_0| + |w_0|),  r_0 = C_1/C_0,
+
+    the boundary row over the sum of its term magnitudes: scale-free, in
+    the unit disc, with a linear dip through zero at eigenvalues.
+    Requires a dominance split, |mu| > 1 or Im lam != 0.
+
+    The ratios come from one backward sweep (Miller's algorithm) from the
+    buffer top m = n + max(50, n // 10) that
+    :func:`minimal_solution_backward` uses: with rho_k = d(k+1)*C_{k+1}/C_k,
+    rho_m = 0 and row k gives rho_{k-1} = -d(k)^2 / (w_k + rho_k) down to
+    rho_0 = d(1)*r_0.  A pivot w_k + rho_k that is exactly zero (C_{k-1}
+    vanishes) is replaced by ``_PIVOT_FLOOR``, which carries the sweep
+    past that zero to the same limit.  phase(C_0) is the conjugate of the
+    product of the unit phases of rho_0, ..., rho_{n-1}: for real lam the
+    sweep runs in real arithmetic, so the result is exactly real and its
+    sign exact, (-1) to the number of negative rho_k; sign changes
+    bracket eigenvalues.  Raises ``NonConvergenceError`` where a ratio
+    leaves the floating-point range (|mu| near the ends of the float
+    range).
     """
-    if n < 1:
-        raise InvalidParametersError("n must be >= 1")
-    bwd = minimal_solution_backward(mu, lam, n)
-    g0, g1 = bwd.values[0], bwd.values[1]
-    k0, k1 = float(bwd.log2_scale[0]), float(bwd.log2_scale[1])
-    w0 = 2.0 * mu * math.sqrt(0.5) * zeta(0, lam)
-    kref = max(k0, k1)
-    t1 = _D1 * g1 * 2.0 ** (k1 - kref)
-    t0 = w0 * g0 * 2.0 ** (k0 - kref)
-    denom = abs(t1) + abs(t0)
-    if denom == 0.0:
-        return complex(math.inf)
-    return (t1 + t0) / denom
+    mu, lam = _minimal_solution_inputs(mu, lam, n)
+    m = _buffer_top(n)
+    neg_d2, half, two_sqrt = _sweep_rows(m)
+    # real lam: float zeta_k, so the whole sweep runs in real arithmetic
+    z = np.sqrt(half - (lam.real if lam.imag == 0.0 else lam))
+    w = (mu * two_sqrt * z).tolist()
+    rows = zip(neg_d2, w)
+    rho, phase = 0.0, 1.0
+    try:
+        for nd2, wk in itertools.islice(rows, m - n):
+            rho = nd2 / (wk + rho or _PIVOT_FLOOR)
+        for nd2, wk in rows:
+            rho = nd2 / (wk + rho or _PIVOT_FLOOR)
+            phase *= rho / abs(rho)
+        w0 = w[-1]
+        value = complex(phase.conjugate() * (rho + w0) / (abs(rho) + abs(w0)))
+    except ZeroDivisionError:
+        # a ratio of 0 past an overflowed pivot
+        value = complex(math.nan)
+    if not cmath.isfinite(value):
+        raise NonConvergenceError(
+            f"the backward ratio sweep at mu={mu}, lam={lam} left the "
+            "floating-point range"
+        )
+    return value
 
 
 def secular_defect(mu: float, lam: complex, n: int) -> float:

@@ -15,6 +15,7 @@ from speclab import (
     BranchCutError,
     InvalidParametersError,
     NoDominanceSplitError,
+    NonConvergenceError,
     birkhoff_adams_eval,
     coupling_weight,
     coupling_weights,
@@ -27,7 +28,7 @@ from speclab import (
     zeta_array,
 )
 from speclab import recurrence
-from speclab.recurrence import _LANE_MIN_ROWS, _steps
+from speclab.recurrence import _LANE_MIN_ROWS, IdentityCheck, _steps
 
 nonreal_lams = st.builds(
     complex,
@@ -443,6 +444,39 @@ def _assert_pairs_in_range(sol):
 LANE_DEVIATION = 1e-10
 
 
+def _identity_bound(sol, check):
+    """The largest residual the rows of ``sol`` allow its identity ``check``
+    up to the last row, upTo = sol.length - 2.
+
+    The identity is the rows summed: row k times conj(C_k), imaginary part,
+    telescopes over k <= upTo to lhs - rhs.  A row that holds to a share
+    eta of its terms, T_k = d(k+1)|C_{k+1}| + |w_k||C_k| + d(k)|C_{k-1}|,
+    moves that sum by at most eta * T_k * |C_k|, so
+
+        residual <= (eta + 64 eps) * S / (|lhs| + |rhs|),  S = sum T_k |C_k|,
+
+    with eta the largest interior row residual, and 64 eps for the seed row,
+    the residuals' own rounding, the pairwise sum and the top product
+    (each term of the sum is at most |Im w_k| |C_k|^2 <= T_k |C_k|).  S does
+    not shrink with Im lam, but both sides do, as Im zeta_k =
+    -Im lam / (2 Re zeta_k): at lam = 1 + 6e-8j, mu = 2, upTo = 923 the ratio
+    S / (|lhs| + |rhs|) is 3e10, and the residual 1e-8.
+    """
+    n = sol.length - 1
+    kref = check.log2_scale / 2
+    c = _in_scale(sol.values, sol.log2_scale, kref)
+    w = recurrence._diagonal_weights(sol.mu, sol.zetas[:n])
+    d = sol.couplings
+    terms = np.abs(w) * np.abs(c[:n])
+    terms += d[1:] * np.abs(c[1:])
+    terms[1:] += d[1:n] * np.abs(c[: n - 1])
+    both = abs(check.lhs) + abs(check.rhs)
+    if both == 0.0:
+        return 0.0
+    eta = sol.max_interior_residual()
+    return (eta + 64 * sys.float_info.epsilon) * float(np.sum(terms * np.abs(c[:n]))) / both
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kernel_mus,
@@ -452,6 +486,9 @@ LANE_DEVIATION = 1e-10
 )
 @example(mu=1.0, lam=0.0, c0=2.225073858507e-311j, n=5000)
 @example(mu=1e3, lam=-40.0, c0=1e300, n=20_000)
+# tiny Im lam: the identity's two sides cancel to 1e-8 of the terms
+# (see _identity_bound), on the row loop
+@example(mu=2.0, lam=1 + 5.96e-8j, c0=1.0, n=924)
 def test_forward_lanes_agree_with_row_loop(mu, lam, c0, n):
     sol = iterate_forward(mu, lam, c0, n)
     values, scales = _reference_forward(mu, complex(lam), complex(c0), n)
@@ -464,7 +501,8 @@ def test_forward_lanes_agree_with_row_loop(mu, lam, c0, n):
     # for real lam both sides of the identity vanish, and a subnormal seed
     # loses digits in the boundary row, so neither checks the rows
     if complex(lam).imag != 0.0 and (c0 == 0.0 or abs(c0) >= sys.float_info.min):
-        assert identity_residual(sol, n - 1).residual <= 1e-9
+        check = identity_residual(sol, n - 1)
+        assert check.residual <= _identity_bound(sol, check)
 
 
 @pytest.mark.parametrize(
@@ -542,6 +580,36 @@ def test_identity_detects_perturbation():
     assert identity_residual(sol, 100).residual > 1e-4
 
 
+@pytest.mark.parametrize(
+    "mu, lam, n",
+    [(1.5, 0.3 + 0.1j, 100), (0.5, 1.0j, 1000), (2.0, 0.3 + 0.1j, 3 * _LANE_MIN_ROWS),
+     (-3.0, -1.0 - 2.0j, 5000), (0.01, 5.0 + 0.5j, 20_000)],
+)
+def test_identity_bound_catches_a_dropped_term(mu, lam, n):
+    # where Im lam is of order 1 the bound the rows allow stays small, so an
+    # identity with its largest term dropped from the sum fails it
+    sol = iterate_forward(mu, lam, 1.0, n)
+    check = identity_residual(sol, n - 1)
+    bound = _identity_bound(sol, check)
+    assert check.residual <= bound <= 1e-8
+    # the terms share one sign, that of lhs
+    dropped = IdentityCheck(
+        lhs=check.lhs - math.copysign(check.term_scale, check.lhs), rhs=check.rhs,
+        log2_scale=check.log2_scale, term_scale=check.term_scale,
+    )
+    assert dropped.residual > 1e3 * bound
+
+
+@pytest.mark.filterwarnings("error")
+def test_identity_residual_finite_for_a_subnormal_seed():
+    # |C_0| < 2^-1022: the mantissa's scale factor 2^-e alone overflows,
+    # which made the seed's scaled value nan
+    sol = iterate_forward(0.19, -4.13 + 22.0j, 2.2e-311j, 6021)
+    check = identity_residual(sol, 6020)
+    assert all(math.isfinite(x) for x in (check.lhs, check.rhs, check.term_scale))
+    assert check.residual <= 1e-9
+
+
 def test_identity_index_validation():
     sol = iterate_forward(1.0, 1.0j, 1.0, 10)
     with pytest.raises(InvalidParametersError):
@@ -552,6 +620,81 @@ def test_identity_index_validation():
 
 # ---------------------------------------------------------------------------
 # secular function
+
+
+def _reference_secular(mu, lam, n):
+    """The boundary-row residual read off the whole depth-n minimal solution
+    in split form, as secular_function computed it before the ratio sweep."""
+    bwd = minimal_solution_backward(mu, lam, n)
+    g0, g1 = bwd.values[0], bwd.values[1]
+    k0, k1 = float(bwd.log2_scale[0]), float(bwd.log2_scale[1])
+    w0 = 2.0 * mu * math.sqrt(0.5) * zeta(0, lam)
+    kref = max(k0, k1)
+    t1 = coupling_weight(1) * g1 * 2.0 ** (k1 - kref)
+    t0 = w0 * g0 * 2.0 ** (k0 - kref)
+    denom = abs(t1) + abs(t0)
+    if denom == 0.0:
+        return complex(math.inf)
+    return complex((t1 + t0) / denom)
+
+
+def _secular_agreement(n):
+    """How far the sweep and the reference may part at depth n.
+
+    Each of the m = n + max(50, n // 10) rows of either rounds its ratio and
+    its phase by a few eps.  Near mu = 1 the two solutions barely separate,
+    so the rows do not damp earlier errors and they add: 4 eps a row, plus
+    64 eps for the boundary row.  The largest share of this bound seen was
+    0.22 over 4000 random points with |mu| - 1 from 1e-15 to 1e3, and 0.53
+    at mu = 1 + 1e-8, n = 2.
+    """
+    return (4 * (n + max(50, n // 10)) + 64) * sys.float_info.epsilon
+
+
+secular_mus = st.builds(
+    lambda sign, mag: sign * mag,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
+)
+secular_lams = st.floats(min_value=-40.0, max_value=0.5, exclude_max=True) | nonreal_lams
+
+
+@settings(max_examples=200, deadline=None)
+@given(secular_mus, secular_lams, st.integers(min_value=1, max_value=1000))
+@example(mu=1.00000001, lam=0.3, n=2)
+@example(mu=math.nextafter(1.0, 2.0), lam=math.nextafter(0.5, 0.0), n=1000)
+def test_secular_sweep_agrees_with_the_whole_solution(mu, lam, n):
+    got = secular_function(mu, lam, n)
+    want = _reference_secular(mu, lam, n)
+    bound = _secular_agreement(n)
+    assert abs(got - want) <= bound
+    if isinstance(lam, float):
+        # the sweep runs in real arithmetic: exactly real, and the sign
+        # that brackets eigenvalues is the reference's wherever that is
+        # farther from 0 than the two may part
+        assert got.imag == 0.0
+        if abs(want) > bound:
+            assert math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
+
+
+@pytest.mark.parametrize("lam", [1.0j, 0.3 - 2.0j])
+@pytest.mark.parametrize("n", [1, 3, 101, 255])
+def test_secular_sweep_passes_a_zero_pivot(lam, n):
+    # at mu = 0 every w_k vanishes: the first pivot w_m + rho_m is exactly
+    # 0, and so is every second one after it.  The minimal solution then
+    # vanishes at every second index, and for odd n (so odd m) the residual
+    # is phase(C_1) with C_n = 1, where C_{k-2} / C_k = -d(k) / d(k-1)
+    got = secular_function(0.0, lam, n)
+    assert got == (-1) ** ((n - 1) // 2)
+    assert got == _reference_secular(0.0, lam, n)
+    # the limit of small mu
+    assert abs(secular_function(1e-12, lam, n) - got) <= 1e-12
+
+
+def test_secular_sweep_outside_the_float_range_raises():
+    # at mu = 1e-310 the first ratio, -d(m)^2 / w_m, overflows
+    with pytest.raises(NonConvergenceError):
+        secular_function(1e-310, 1.0j, 10)
 
 
 def test_secular_real_for_real_lam():
