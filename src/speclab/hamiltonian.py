@@ -21,12 +21,15 @@ profiles; this module works entirely in that mode picture:
   half-line trace inequality delta*|psi(0)|^2 <= integral(|psi'|^2 +
   delta^2 |psi|^2) into an equality.
 * ``h_eigenvalues_below_threshold`` locates all eigenvalues below the
-  continuum threshold 1/2 by bisection on certified Sturm counts of the
-  infinite spectral Jacobi family (:func:`speclab.jacobi_ops.spectral_counts`).
-  Every root is cross-checked against the secular function: the
+  continuum threshold 1/2 on certified Sturm counts of the infinite
+  spectral Jacobi family (:func:`speclab.jacobi_ops.spectral_counts`).
+  It bisects on counts only until each root is alone in its bracket,
+  polishes it there by Illinois steps on the secular function (the
   boundary-row residual of the recurrence's minimal solution, read from
-  one backward sweep of its ratios, which shares no code with the counts.
-  Its sign change is polished by Illinois steps.
+  one backward sweep of its ratios, which shares no code with the
+  counts), and certifies the polished root by one count on each side.
+  Every root is cross-checked against the secular function at a fixed
+  depth, its sign change polished by the same Illinois steps.
 * ``count_below_epsilon``, ``discrete2_check`` and
   ``count_asymptotics_curve`` compare that eigenvalue count against
   certified counts of the counting Jacobi operators
@@ -62,6 +65,7 @@ from .jacobi_ops import (
     ROW_CAP,
     CountingFamily,
     CountingLimitFamily,
+    _turn_factor,
     certified_count,
     spectral_counts,
 )
@@ -472,14 +476,53 @@ class HSpectrumResult:
         return int(self.eigenvalues.size)
 
 
+def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> float:
+    """A zero of ``f`` in [lo, hi], where f(lo) = flo and f(hi) = fhi have
+    opposite signs: the midpoint of a bracket under ``xtol``, or a point
+    where f is exactly 0.
+
+    Illinois steps (Dowell & Jarratt, BIT 11, 1971): the secant through
+    the bracket ends, with the value at an end kept twice in a row
+    halved; the midpoint whenever the secant point leaves the bracket, and
+    at least half of ``xtol`` from either end, so a secant point that lands
+    on the root closes the bracket with one more evaluation.  After 80
+    steps, or once the bracket is down to ulps, the midpoint of the
+    bracket reached is returned.
+    """
+    kept = 0
+    for _ in range(80):
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo <= x <= hi:
+            x = 0.5 * (lo + hi)
+        x = min(max(x, lo + 0.5 * xtol), hi - 0.5 * xtol)
+        if not lo < x < hi:
+            # the bracket is down to ulps
+            break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if flo * fx < 0.0:
+            hi, fhi = x, fx
+            if kept < 0:
+                flo *= 0.5
+            kept = -1
+        else:
+            lo, flo = x, fx
+            if kept > 0:
+                fhi *= 0.5
+            kept = 1
+        if hi - lo < xtol:
+            break
+    return 0.5 * (lo + hi)
+
+
 def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
     """Nearest zero of the real secular function around ``lam``.
 
     The first sign change in brackets of half-width 1e-9, 4e-9, ... around
-    ``lam`` is polished by safeguarded Illinois steps to a bracket under
-    1e-14, whose midpoint is returned.  Returns None when no sign change
-    shows up within a 1e-3 neighbourhood, which callers treat as a method
-    disagreement.
+    ``lam`` is polished by :func:`_illinois` to a bracket under 1e-14.
+    Returns None when no sign change shows up within a 1e-3 neighbourhood,
+    which callers treat as a method disagreement.
     """
     ceiling = THRESHOLD - 1e-12
 
@@ -496,35 +539,80 @@ def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
         if fhi == 0.0:
             return hi
         if flo * fhi < 0.0:
-            # Illinois: the secant through the bracket ends, with the value
-            # at an end kept twice in a row halved; the midpoint whenever
-            # the secant point leaves the bracket, and at least half the
-            # stopping width from either end, so a secant point that lands
-            # on the root closes the bracket with one more evaluation
-            kept = 0
-            for _ in range(80):
-                x = hi - fhi * (hi - lo) / (fhi - flo)
-                if not lo <= x <= hi:
-                    x = 0.5 * (lo + hi)
-                x = min(max(x, lo + 0.5e-14), hi - 0.5e-14)
-                fx = f(x)
-                if fx == 0.0:
-                    return x
-                if flo * fx < 0.0:
-                    hi, fhi = x, fx
-                    if kept < 0:
-                        flo *= 0.5
-                    kept = -1
-                else:
-                    lo, flo = x, fx
-                    if kept > 0:
-                        fhi *= 0.5
-                    kept = 1
-                if hi - lo < 1e-14:
-                    break
-            return 0.5 * (lo + hi)
+            return _illinois(f, lo, flo, hi, fhi, 1e-14)
         half *= 4.0
     return None
+
+
+def _polish_depth(mu: float, top: float) -> int:
+    """Depth of the secular function that polishes a root below ``top``.
+
+    Row k of the recurrence, with x = k + 1/2 and d(k), d(k+1) about x,
+    has local ratios C_{k+1}/C_k solving r^2 + 2 m_k r + 1 = 0, where
+    m_k = |w_k| / (2x) = mu sqrt(1 - lam/x).  Past the turning row
+    T = mu^2 lam / (mu^2 - 1), where m_k = 1, the two solutions separate,
+    the minimal one falling against the dominant one by e^(-2 arccosh m_k)
+    per row, and m_k rises towards mu.  Miller's sweep from rho = 0 at the
+    buffer top m errs in rho_0 by about the ratio of the two solutions
+    over the rows it sweeps (Gautschi, SIAM Review 9, 1967), so 20 /
+    arccosh mu rows past T at the full rate make that error e^(-40).
+    Nearer T the rate is lower (m_k^2 - 1 = (mu^2 - 1)(1 - T/x)), which
+    matters next to the threshold of a near-critical mu.  The buffer
+    above the depth and the rounding up below make up for most of it:
+    against a sweep four times as deep, the value kept every bit for
+    mu - 1 from 5e-4 to 3 and moved by at most 2.4e-11 down to 1e-5.
+    A depth that fell short would only cost a bisection: each polished
+    root is certified by its counts.  The depth is rounded up to three
+    significant bits, so that the roots of a query share a few cached
+    sweeps (``_sweep_rows``).
+    """
+    n = math.ceil(max(top, 0.0) * _turn_factor(mu) + 20.0 / math.acosh(mu))
+    step = 1 << max(0, n.bit_length() - 3)
+    return -(-n // step) * step
+
+
+def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
+            ks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Final brackets for the targets ``ks`` from brackets each within
+    ``tol`` or holding target k alone: count(low) = k, count(high) = k + 1.
+
+    Each lone root is polished on the secular function by
+    :func:`_illinois` to x, the midpoint of a bracket under tol/16, then
+    certified by one batched count at x -+ h, h = tol/2:
+    count(x - h) <= k < count(x + h) makes (x - h, x + h) its bracket.
+    A bracket without a sign change of the secular function, or whose
+    counts at x -+ h miss k, is bisected by ``_bisect`` on from the
+    bracket those counts leave, so every root stays count-certified.
+    """
+    h = 0.5 * tol
+    lone = np.flatnonzero(highs - lows > tol)
+    polished, xs = [], []
+    for i in lone.tolist():
+        lo, hi = float(lows[i]), float(highs[i])
+        depth = _polish_depth(mu, hi)
+
+        def f(x: float) -> float:
+            return secular_function(mu, x, depth).real
+
+        flo, fhi = f(lo), f(hi)
+        if flo * fhi < 0.0:
+            polished.append(i)
+            xs.append(_illinois(f, lo, flo, hi, fhi, 0.125 * h))
+    certified = np.zeros(ks.size, dtype=bool)
+    if polished:
+        idx = np.array(polished * 2)
+        points = np.concatenate((np.array(xs) - h, np.array(xs) + h))
+        above = counts_at(points) > ks[idx]
+        # a point counted above k is an upper end for root k, any other a
+        # lower end
+        np.minimum.at(highs, idx[above], points[above])
+        np.maximum.at(lows, idx[~above], points[~above])
+        certified[polished] = ~above[: len(xs)] & above[len(xs) :]
+    # (x - h, x + h) may round to an ulp wider than tol
+    rest = np.flatnonzero((highs - lows > tol) & ~certified)
+    if rest.size:
+        lows[rest], highs[rest] = _bisect(counts_at, lows[rest], highs[rest], ks[rest], tol)
+    return lows, highs
 
 
 def _subcritical(mus: tuple[tuple[Branch, float], ...]) -> list[tuple[Branch, float]]:
@@ -584,15 +672,25 @@ def h_eigenvalues_below_threshold(
     omitted it defaults to 1/2 - 10, tightened to c/2 whenever the form
     lower-bound constant c is positive.
 
-    Every count the bisection takes is the certified count of the
-    infinite operator, walked to at most ``size_cap`` rows; a count not
-    certified by then raises ``NonConvergenceError``.
-    ``truncation_size`` is the most rows any of these counts walked.
+    The counts bisect the window only until each root is alone in its
+    bracket (or the bracket is within ``tol``).  Safeguarded Illinois steps
+    on the secular function, at a depth from mu and the bracket top
+    (:func:`_polish_depth`), then polish the root to x, and one batched
+    count at x -+ tol/2 certifies it.  A bracket where the secular
+    function shows no sign change, or whose certifying counts miss the
+    root, is bisected on from the bracket those counts leave, so every
+    root lies in a bracket within ``tol`` (to an ulp) whose end counts
+    enclose it; the eigenvalue is its midpoint.
+
+    Every count is the certified count of the infinite operator, walked
+    to at most ``size_cap`` rows; a count not certified by then raises
+    ``NonConvergenceError``.  ``truncation_size`` is the most rows any of
+    these counts walked.
 
     Each root is cross-checked against the secular function of the
-    half-line recurrence, its sign change polished by safeguarded Illinois
-    steps; ``method_agreement`` reports the largest discrepancy (0 when
-    there is nothing to check).
+    half-line recurrence at depth ``_SECULAR_DEPTH``, its sign change
+    polished by the same Illinois steps; ``method_agreement`` reports the
+    largest discrepancy (0 when there is nothing to check).
     """
     tol = _check_tol(tol)
     p, subcritical, window = _branches_and_window(params, lambda_min)
@@ -606,10 +704,12 @@ def h_eigenvalues_below_threshold(
             max_size = max(max_size, rows)
             return counts
 
-        # counts are nondecreasing in lambda, so the k-th jump is bisected
+        # counts are nondecreasing in lambda, so the k-th jump is bracketed
         # for each k = c_lo .. c_hi - 1
         c_lo, c_hi = counts_at(np.array(window))
-        lows, highs = _bisect(counts_at, *window, np.arange(c_lo, c_hi), tol)
+        ks = np.arange(c_lo, c_hi)
+        lows, highs = _bisect(counts_at, *window, ks, tol, ends=(c_lo, c_hi))
+        lows, highs = _polish(mu, counts_at, lows, highs, ks, tol)
         per_branch.append(0.5 * (lows + highs))
 
     agreement = 0.0

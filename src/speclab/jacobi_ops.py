@@ -164,6 +164,12 @@ def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
     return TridiagonalMatrix(diag=diag, offdiag=off)
 
 
+def _turn_factor(mu: float) -> float:
+    """mu^2 / (mu^2 - 1) for mu > 1, to a few ulps: mu - 1 is exact up to
+    mu = 2, and no finite mu overflows."""
+    return mu / (mu - 1.0) * (mu / (mu + 1.0))
+
+
 def _check_lams(lams) -> np.ndarray:
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     if lams.size and float(np.max(lams)) >= 0.5:
@@ -211,8 +217,11 @@ def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
     -(2 - 4B/mu^2) mu/2 < -(1 + 1e-12) mu/2, as certification asks
     4B < (1 - 1e-12) mu^2; rounding moves it by a few ulps of mu, far
     less, so no computed pivot leaves q <= -mu/2.  Comparisons keep a
-    1e-12 relative margin.  K's rounding is covered by
-    k - d(k) >= 1/(16 k) > 1e-8 up to the cap.
+    1e-12 relative margin.  The spectral bound K is computed to a few
+    ulps and raised by that margin, so it is never below the exact bound;
+    from row K on, k - d(k) >= 1/(16 k) leaves a_k - d(k) - d(k+1) >
+    1/(8 (k + 1)) > 1e-7 up to 2^20 rows, which the few ulps of 2k + 1 by
+    which the computed entries may err cannot close.
     """
     if cap < 2:
         raise InvalidParametersError(f"row cap must be at least 2, got {cap}")
@@ -239,12 +248,16 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
     (mu > 1), and the most rows any of these counts walked.
 
     Certificate.  The pivots are the forward solution's ratios,
-    q_k = -d(k+1) C_{k+1} / C_k.  With lam+ = max(lam, 0), the diagonal
-    a_k >= 2 mu (k + 1/2 - lam+), and d(k) < k, so a_k >= d(k) + d(k+1)
-    for every k >= K = max(0, ceil(mu lam+ / (mu - 1) - 1/2)).  Once
+    q_k = -d(k+1) C_{k+1} / C_k.  The diagonal is
+    a_k = 2 mu sqrt(k + 1/2) sqrt(k + 1/2 - lam), and d(k) <= k, so
+    d(k) + d(k+1) <= 2k + 1 <= a_k exactly when
+    mu^2 (k + 1/2)(k + 1/2 - lam) >= (k + 1/2)^2, that is when
+    (mu^2 - 1)(k + 1/2) >= mu^2 lam.  With lam+ = max(lam, 0) that holds
+    for every k >= K = max(0, ceil(mu^2 lam+ / (mu^2 - 1) - 1/2)).  Once
     q_{i-1} >= d(i) at a row i >= K, each later pivot is
     q_k = a_k - d(k)^2 / q_{k-1} >= a_k - d(k) >= d(k+1) > 0, so no
-    truncation past row i counts another negative pivot.
+    truncation past row i counts another negative pivot.  Next to the
+    threshold the bound is tight: a_{K-1} < d(K-1) + d(K) there.
     """
     mu = _check_mu(mu)
     if not mu > 1.0:
@@ -252,7 +265,7 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
         raise InvalidParametersError(f"certified spectral counts need mu > 1, got {mu}")
     lams = _check_lams(lams)
     # K, or a negative number where lam <= 0 and K = 0
-    first = np.ceil(lams * (mu / (mu - 1.0)) - 0.5)
+    first = np.ceil(lams * (_turn_factor(mu) * (1.0 + _MARGIN)) - 0.5)
 
     def certified(cols, last, stop, couplings):
         return (stop >= first[cols]) & (last >= couplings[-1] * (1.0 + _MARGIN))
@@ -276,15 +289,25 @@ def certified_count(
 
     Certificate.  At level mu the pivots run q_k = -mu - b_k^2 / q_{k-1}.
     b_k^2 only decreases while it is above 1/4 and never rises back above
-    it, so B = max(1/4, b_j^2), with b_j the largest coupling of the block
-    just walked, bounds every later b^2.  When 4B < mu^2, the half-line
-    q <= -mu/2 maps into itself, since -mu + B / (mu/2) < -mu/2: once the
-    last pivot is in it, every later pivot is negative and the count of
-    positive pivots is final.  Every radius between the roots
+    it, so B = max(1/4, b^2), with b the coupling that joins the rows
+    walked to the next row, bounds every later b^2.  When 4B < mu^2, the
+    half-line q <= -mu/2 maps into itself, since -mu + B / (mu/2) < -mu/2:
+    once the last pivot is in it, every later pivot is negative and the
+    count of positive pivots is final.  Every radius between the roots
     (mu -+ sqrt(mu^2 - 4B)) / 2 gives an invariant half-line; mu/2 is
     the middle one.  The pivots settle at the outer root of the last b^2,
     which a relative margin cannot separate from the outer root of B
     once mu^2 is large against B.
+
+    Rounding.  The computed b_k^2 need not decrease: at epsilon = 1/2,
+    b_k^2 = 1/(4 sqrt(1 - 1/(4 k^2))) falls by about 1/(16 k^3) a row,
+    under the rounding of each b_k^2 from about row 2^16 on, where the
+    computed values start to rise by an ulp now and then.  Each is within
+    a few ulps of the exact value, so a later computed b^2 exceeds the
+    computed B by at most 8 eps relative.  Certification asks
+    4B < (1 - 1e-12) mu^2, so every later computed 4 b^2 stays below
+    (1 - 1e-12)(1 + 8 eps) mu^2 < mu^2, and the pivot bound below keeps
+    all but a few ulps of its 1e-12 margin.
     """
     if not isinstance(family, (CountingFamily, CountingLimitFamily)):
         raise InvalidParametersError(f"no certified count for {family!r}")
@@ -294,7 +317,7 @@ def certified_count(
         raise InvalidParametersError(f"certified counts need a level above 1, got {level}")
 
     def certified(cols, last, stop, couplings):
-        b = float(couplings.max())
+        b = float(couplings[-1])
         # 4B / mu^2, divided step by step so that no finite level overflows
         if not 1.0 - 4.0 * max(0.25, b * b) / level / level > _MARGIN:
             return np.zeros(cols.size, dtype=bool)

@@ -716,12 +716,12 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     rho_0 = d(1)*r_0.  A pivot w_k + rho_k that is exactly zero (C_{k-1}
     vanishes) is replaced by ``_PIVOT_FLOOR``, which carries the sweep
     past that zero to the same limit.  phase(C_0) is the conjugate of the
-    product of the unit phases of rho_0, ..., rho_{n-1}: for real lam the
+    product of the unit phases of rho_0, ..., rho_{n-1}.  For real lam the
     sweep runs in real arithmetic, so the result is exactly real and its
-    sign exact, (-1) to the number of negative rho_k; sign changes
-    bracket eigenvalues.  Raises ``NonConvergenceError`` where a ratio
-    leaves the floating-point range (|mu| near the ends of the float
-    range).
+    sign exact: the phase is (-1) to the number of negative rho_k, which
+    the sweep counts.  Sign changes bracket eigenvalues.  Raises ``NonConvergenceError``
+    where a ratio leaves the floating-point range (|mu| near the ends of
+    the float range).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     m = _buffer_top(n)
@@ -734,9 +734,21 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     try:
         for nd2, wk in itertools.islice(rows, m - n):
             rho = nd2 / (wk + rho or _PIVOT_FLOOR)
-        for nd2, wk in rows:
-            rho = nd2 / (wk + rho or _PIVOT_FLOOR)
-            phase *= rho / abs(rho)
+        if lam.imag == 0.0:
+            negative = 0
+            for nd2, wk in rows:
+                rho = nd2 / (wk + rho or _PIVOT_FLOOR)
+                if rho < 0.0:
+                    negative += 1
+                elif not 0.0 < rho < math.inf:
+                    # 0, inf or nan has no unit phase
+                    rho = math.nan
+                    break
+            phase = -1.0 if negative % 2 else 1.0
+        else:
+            for nd2, wk in rows:
+                rho = nd2 / (wk + rho or _PIVOT_FLOOR)
+                phase *= rho / abs(rho)
         w0 = w[-1]
         value = complex(phase.conjugate() * (rho + w0) / (abs(rho) + abs(w0)))
     except ZeroDivisionError:

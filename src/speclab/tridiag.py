@@ -11,8 +11,9 @@ of an ulp-scale ambiguity for levels that collide with an eigenvalue of
 a leading principal submatrix.  Each matrix of a batch has its own
 pivmin, from its own diagonal, so its count does not depend on the
 other matrices counted with it.  Counts are exact integers; every
-eigenvalue in the package is then localised by the one bisection on a
-count, ``_bisect``.
+eigenvalue in the package is then bracketed by the one bisection on a
+count, ``_bisect``, which can also stop once each root is alone in its
+bracket, for a polish whose result the counts certify.
 
 ``dense_eigen_oracle`` is the deliberately independent cross-check: it
 densifies the matrix and calls LAPACK's symmetric eigensolver, sharing
@@ -230,29 +231,46 @@ def counts_for_diagonals(
 
 
 def _bisect(
-    count_at, lo: float, hi: float, ks: np.ndarray, tol: float
+    count_at, lo, hi, ks: np.ndarray, tol: float, *, ends: tuple[int, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Where a nondecreasing integer count first exceeds each target in ``ks``.
 
     ``count_at`` maps an array of points to their counts, and
-    count(lo) <= k < count(hi) must hold for every target k.  Each bracket
+    count(lo) <= k < count(hi) must hold for every target k; ``lo`` and
+    ``hi`` are points, or arrays with one bracket per target.  Each bracket
     is halved until it is within ``tol``; only brackets still wider than
     ``tol`` are counted again.  Brackets stop shrinking at ulp scale, so at
-    most ceil(log2((hi - lo) / tol)) + 3 halvings run.  Returns the final
-    brackets ``(lows, highs)``; every point counted for target k lies at or
-    below lows[k] or at or above highs[k].
+    most ceil(log2((hi - lo) / tol)) + 3 halvings run.
+
+    With ``ends``, the counts (count(lo), count(hi)), the count at each
+    bracket end is tracked, and a bracket also stops as soon as its target
+    is alone in it: count(low) = k and count(high) = k + 1.
+
+    Returns the final brackets ``(lows, highs)``; every point counted for
+    target k lies at or below lows[k] or at or above highs[k].
     """
-    lows = np.full(ks.size, lo)
-    highs = np.full(ks.size, hi)
-    max_iter = max(1, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 3
+    lows = np.array(np.broadcast_to(lo, ks.shape), dtype=np.float64)
+    highs = np.array(np.broadcast_to(hi, ks.shape), dtype=np.float64)
+    if ends is not None:
+        end_lows = np.full(ks.shape, ends[0])
+        end_highs = np.full(ks.shape, ends[1])
+    width = float(np.max(highs - lows, initial=tol))
+    max_iter = max(1, math.ceil(math.log2(width) - math.log2(tol))) + 3
     for _ in range(max_iter):
-        active = np.flatnonzero(highs - lows > tol)
+        open_ = highs - lows > tol
+        if ends is not None:
+            open_ &= (end_lows != ks) | (end_highs != ks + 1)
+        active = np.flatnonzero(open_)
         if active.size == 0:
             break
         mids = 0.5 * (lows[active] + highs[active])
-        go_left = count_at(mids) > ks[active]
+        counts = count_at(mids)
+        go_left = counts > ks[active]
         highs[active[go_left]] = mids[go_left]
         lows[active[~go_left]] = mids[~go_left]
+        if ends is not None:
+            end_highs[active[go_left]] = counts[go_left]
+            end_lows[active[~go_left]] = counts[~go_left]
     return lows, highs
 
 

@@ -56,8 +56,8 @@ PINNED = [
      '{"count": 1}\n'),
     (["h-spectrum", "--alpha", "1", "--beta", "0"],
      '{"branch_mus": [1.41421356237309], "per_branch_counts": [1], "count": 1, '
-     '"eigenvalues": [0.47541226427148], "truncation_size": 64, '
-     '"method_agreement": 3.92539334370667e-11}\n'),
+     '"eigenvalues": [0.475412264309169], "truncation_size": 64, '
+     '"method_agreement": 1.56491486436039e-12}\n'),
     (["discrete2-check", "--alpha", "1", "--beta", "0"],
      '{"lhs": 1, "rhs": 0, "bound": 1, "ok": true, '
      '"branch_mus": [1.41421356237309]}\n'),

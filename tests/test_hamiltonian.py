@@ -7,11 +7,17 @@ Eigenvalue location is checked against a dense-LAPACK bisection that never
 touches the Sturm machinery.
 """
 
+import cmath
+import contextlib
+import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import speclab.coupling as coupling
 import speclab.hamiltonian as hamiltonian
@@ -45,6 +51,7 @@ from speclab import (
     saturating_trial,
     spectral_diagonals,
 )
+from speclab.cli import run
 
 SQRT2 = math.sqrt(2.0)
 
@@ -619,6 +626,22 @@ def _full_bisection(mu, window, tol, size):
     return 0.5 * (lows + highs)
 
 
+def _assert_certified(res, window, tol, size=4096):
+    """Every eigenvalue x of ``res`` is count-certified on the independent
+    size-row truncations: with N the count summed over the branches and
+    j the root's index counted from the window's lower end,
+    N(x - tol/2) = j and N(x + tol/2) = j + 1."""
+    counters = [_truncation_counter(mu, size) for mu in res.branch_mus]
+
+    def total(lams):
+        return sum(counter(lams) for counter in counters)
+
+    x = res.eigenvalues
+    js = total(np.array([window[0]]))[0] + np.arange(x.size)
+    assert total(x - 0.5 * tol).tolist() == js.tolist()
+    assert total(x + 0.5 * tol).tolist() == (js + 1).tolist()
+
+
 def test_h_spectrum_single_eigenvalue_frozen():
     res = h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0))
     assert res.count == 1
@@ -629,9 +652,89 @@ def test_h_spectrum_single_eigenvalue_frozen():
     # every count is certified within the first 64 rows at mu = sqrt(2)
     assert res.truncation_size == 64
     window = _window(CouplingParams(1.0, 1.0))
-    assert np.array_equal(
-        res.eigenvalues, _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
-    )
+    _assert_certified(res, window, 1e-10)
+    full = _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
+    assert np.abs(res.eigenvalues - full).max() <= 1e-10
+
+
+@pytest.mark.parametrize("wrong", ["shifted", "flat"])
+def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
+    # a secular function whose root is 1e-6 off gives polished roots that
+    # their counts reject; a flat one gives no sign change to polish.
+    # Either way the bisection continues and every root is certified.
+    params = CouplingParams(1.4, 1.0)
+    depth = 300
+    secular_function = hamiltonian.secular_function
+
+    def polish_is_wrong(mu, lam, n):
+        if n != depth:
+            return secular_function(mu, lam, n)
+        return 1.0 + 0j if wrong == "flat" else secular_function(mu, lam - 1e-6, n)
+
+    bisected = []
+    bisect = hamiltonian._bisect
+
+    def recording(count_at, lo, hi, ks, tol, **kwargs):
+        if "ends" not in kwargs:
+            bisected.extend(ks.tolist())
+        return bisect(count_at, lo, hi, ks, tol, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "_polish_depth", lambda mu, top: depth)
+    monkeypatch.setattr(hamiltonian, "secular_function", polish_is_wrong)
+    monkeypatch.setattr(hamiltonian, "_bisect", recording)
+    res = h_eigenvalues_below_threshold(params)
+    assert res.count == 2 and sorted(bisected) == [0, 1]
+    assert res.method_agreement < 1e-8
+    window = _window(params)
+    _assert_certified(res, window, 1e-10)
+    full = _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
+    assert np.abs(res.eigenvalues - full).max() <= 1e-10
+
+
+def _alpha_for_mu(mu, beta, gamma):
+    """alpha at which the larger branch weight of (alpha, beta >= 0, gamma)
+    is mu.  beta = 0: mu = (4 + |gamma|^2) / (2 sqrt2 alpha).  beta > 0:
+    the smaller boundary-matrix eigenvalue E = omega0 - r equals
+    2 sqrt2 beta / mu (< 8 here), which for s = alpha beta gives
+    s + |g|^2 = (E^2 - 8E - 16 |g|^2) / (2 (E - 8))."""
+    g2 = abs(gamma) ** 2
+    if beta == 0.0:
+        return (4.0 + g2) / (2.0 * SQRT2 * mu)
+    e = 2.0 * SQRT2 * beta / mu
+    return ((e * e - 8.0 * e - 16.0 * g2) / (2.0 * (e - 8.0)) - g2) / beta
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_mu_minus_1=st.floats(math.log10(2e-3), math.log10(5.0)),
+    beta=st.one_of(st.just(0.0), st.floats(0.3, 2.5)),
+    gamma_abs=st.floats(0.0, 1.2),
+    gamma_arg=st.floats(-math.pi, math.pi),
+    epsilon=st.floats(1e-3, 1.0),
+)
+def test_spectral_commands_at_valid_points(log_mu_minus_1, beta, gamma_abs, gamma_arg,
+                                           epsilon):
+    # points with a subcritical weight no nearer 1 than the cross-check
+    # resolves: every command exits 0 with finite output, and every
+    # h-spectrum eigenvalue is count-certified
+    mu = 1.0 + 10.0**log_mu_minus_1
+    gamma = cmath.rect(gamma_abs, gamma_arg)
+    params = CouplingParams(_alpha_for_mu(mu, beta, gamma), beta, gamma)
+    coupling = [f"--alpha={params.alpha!r}", f"--beta={beta!r}",
+                f"--gamma-re={gamma.real!r}", f"--gamma-im={gamma.imag!r}"]
+    for argv in (["h-spectrum", *coupling], ["count", *coupling, f"--epsilon={epsilon!r}"],
+                 ["discrete2-check", *coupling]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = run(argv)
+        assert rc == 0, argv
+        text = out.getvalue()
+        json.loads(text)
+        # the CLI prints a number that is not finite as a quoted string
+        assert not any(s in text for s in ('"inf"', '"-inf"', '"nan"', "Infinity", "NaN")), argv
+    res = h_eigenvalues_below_threshold(params)
+    assert max(res.branch_mus) == pytest.approx(mu, rel=1e-12)
+    _assert_certified(res, _window(params), 1e-10)
 
 
 @pytest.mark.parametrize("mu_minus_1", [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0])
@@ -714,12 +817,12 @@ def test_h_spectrum_tol_validation():
 
 
 def test_h_spectrum_cap_exhaustion_raises():
-    # at mu - 1 = 1e-3 the counts next to the roots need more than 600
-    # rows; a cap is a block end, and at row 700 every count is certified
+    # at mu - 1 = 1e-3 the counts next to the roots need more than 512
+    # rows; a cap is a block end, and at row 600 every count is certified
     params = CouplingParams(SQRT2 / 1.001, 0.0)
-    with pytest.raises(NonConvergenceError, match="row cap 600"):
-        h_eigenvalues_below_threshold(params, size_cap=600)
-    assert h_eigenvalues_below_threshold(params, size_cap=700).truncation_size == 700
+    with pytest.raises(NonConvergenceError, match="row cap 512"):
+        h_eigenvalues_below_threshold(params, size_cap=512)
+    assert h_eigenvalues_below_threshold(params, size_cap=600).truncation_size == 600
 
 
 def test_h_spectrum_size_cap_validation():
@@ -747,8 +850,8 @@ def test_h_spectrum_never_factors_above_cap(monkeypatch):
     stops = _record_rows(monkeypatch)
     params = CouplingParams(SQRT2 / 1.001, 0.0)
     with pytest.raises(NonConvergenceError):
-        h_eigenvalues_below_threshold(params, size_cap=600)
-    assert max(stops) == 600
+        h_eigenvalues_below_threshold(params, size_cap=500)
+    assert max(stops) == 500
     stops.clear()
     res = h_eigenvalues_below_threshold(params)
     assert max(stops) == res.truncation_size == 1024
@@ -879,19 +982,19 @@ def test_discrete2_check_counts_without_bisection(monkeypatch):
 
 def test_discrete2_check_cap_exhaustion_raises():
     # at mu - 1 = 3.1e-4 the window end next to the threshold has
-    # K = ceil(mu lam / (mu - 1) - 1/2) = 1607
-    with pytest.raises(NonConvergenceError, match="row cap 1600"):
-        discrete2_check(COUNT_POINTS[-1], size_cap=1600)
+    # K = ceil(mu^2 lam / (mu^2 - 1) - 1/2) = 803
+    with pytest.raises(NonConvergenceError, match="row cap 800"):
+        discrete2_check(COUNT_POINTS[-1], size_cap=800)
 
 
 def test_discrete2_check_never_counts_above_cap(monkeypatch):
     stops = _record_rows(monkeypatch)
     assert discrete2_check(COUNT_POINTS[-1]).lhs == 10
-    assert max(stops) == 2048
+    assert max(stops) == 1024
     stops.clear()
     with pytest.raises(NonConvergenceError):
-        discrete2_check(COUNT_POINTS[-1], size_cap=1600)
-    assert max(stops) == 1600
+        discrete2_check(COUNT_POINTS[-1], size_cap=800)
+    assert max(stops) == 800
 
 
 def test_discrete2_check_without_eigenvalues_to_count():

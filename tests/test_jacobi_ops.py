@@ -2,6 +2,7 @@
 truncation-transition scan."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from speclab import (
     CountingLimitFamily,
     InvalidParametersError,
     NonConvergenceError,
+    ROW_CAP,
     ReferenceFamily,
     SpectralFamily,
     build,
@@ -160,6 +162,30 @@ def test_spectral_counts_equal_fixed_truncation(log_mu_minus_1, lams):
     assert rows in [64 * 2**j for j in range(11)]
 
 
+# next to the threshold near critical, where K is large, and points away
+# from it, one with lam <= 0 and K = 0
+ROW_BOUND_POINTS = [(5e-4, 0.5 - 1e-9), (1e-4, 0.5 - 1e-9), (1e-2, 0.3), (0.5, 0.45),
+                    (3.0, 0.2), (1e-3, -2.0)]
+
+
+@pytest.mark.parametrize("mu_minus_1, lam", ROW_BOUND_POINTS)
+def test_spectral_row_bound_holds_to_the_cap(mu_minus_1, lam):
+    # spectral_counts may stop from row K = ceil(mu^2 lam+ / (mu^2 - 1) - 1/2)
+    # on because a_k >= d(k) + d(k+1) there: check it, with the computed
+    # entries the counts read, on every row up to the row cap, against K
+    # taken in exact rational arithmetic
+    mu = 1.0 + mu_minus_1
+    mu2 = Fraction(mu) ** 2
+    k_min = max(0, math.ceil(mu2 * Fraction(max(lam, 0.0)) / (mu2 - 1) - Fraction(1, 2)))
+    a = spectral_diagonals(mu, [lam], ROW_CAP)[0]
+    d = np.concatenate(([0.0], coupling_weights(np.arange(1, ROW_CAP + 1))))
+    slack = a - d[:-1] - d[1:]
+    assert (slack[k_min:] > 0.0).all()
+    if lam == 0.5 - 1e-9:
+        # the bound is tight next to the threshold
+        assert k_min > 0 and slack[k_min - 1] < 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-3.0, 1.0), st.one_of(st.none(), st.floats(-3.0, 1.0)))
 def test_certified_count_equals_fixed_truncation(log_mu_minus_1, log_eps):
@@ -173,13 +199,18 @@ def test_certified_count_equals_fixed_truncation(log_mu_minus_1, log_eps):
 
 
 def test_certified_count_stops_at_its_certificate():
-    # at mu = 1.02 the counting-limit pivots settle below -mu/2 once the
-    # couplings fall under mu/2, within 128 rows; near critical it takes
-    # about 1/(2 (mu - 1)) rows
-    assert certified_count(CountingLimitFamily(), 1.02) == (1, 128)
-    count, rows = certified_count(CountingLimitFamily(), 1.0 + 2e-5)
-    assert rows == 32768
-    assert count == _truncation_count_above(CountingLimitFamily(), 1.0 + 2e-5)
+    # the counting-limit couplings fall towards 1/2; the certificate needs
+    # the one joining the walked rows to the next below mu/2, which at
+    # mu = 1.02 holds within the first block, and near critical from about
+    # row 1/(4 (mu - 1)) on.  The walk stops at the first block end there.
+    assert certified_count(CountingLimitFamily(), 1.02) == (1, 64)
+    mu = 1.0 + 2e-5
+    b = jacobi_ops._couplings(CountingLimitFamily(), 1, 2**15)
+    first = 1 + int(np.argmax(4.0 * b * b < mu * mu * (1.0 - jacobi_ops._MARGIN)))
+    assert 8192 < first <= 16384
+    count, rows = certified_count(CountingLimitFamily(), mu)
+    assert rows == 16384
+    assert count == _truncation_count_above(CountingLimitFamily(), mu)
 
 
 def test_certified_count_at_large_levels():
@@ -240,8 +271,8 @@ def test_certified_count_never_walks_past_the_cap(monkeypatch):
     # each column stops at its own certificate: the far end of the window
     # needs far fewer rows than the one next to the threshold
     blocks.clear()
-    counts, rows = spectral_counts(1.001, [-9.5, 0.5 - 1e-9])
-    # next to the threshold K = ceil(mu lam / (mu - 1) - 1/2) = 500
+    counts, rows = spectral_counts(1.0005, [-9.5, 0.5 - 1e-9])
+    # next to the threshold K = ceil(mu^2 lam / (mu^2 - 1) - 1/2) = 500
     assert blocks == [(2, 64), (1, 64), (1, 128), (1, 256)]
     assert rows == 512
 

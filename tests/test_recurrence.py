@@ -677,6 +677,28 @@ def test_secular_sweep_agrees_with_the_whole_solution(mu, lam, n):
             assert math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
 
 
+def _phase_product_secular(mu, lam, n):
+    """secular_function at real lam with phase(C_0) taken as the product
+    of the ratios' unit phases: the reference for the sweep's count of
+    the negative ratios, which must give the same bits."""
+    m = n + max(50, n // 10)
+    neg_d2, half, two_sqrt = recurrence._sweep_rows(m)
+    w = (mu * two_sqrt * np.sqrt(half - lam)).tolist()
+    rho, phase = 0.0, 1.0
+    for k, (nd2, wk) in enumerate(zip(neg_d2, w)):
+        rho = nd2 / (wk + rho or recurrence._PIVOT_FLOOR)
+        if k >= m - n:
+            phase *= rho / abs(rho)
+    return phase * (rho + w[-1]) / (abs(rho) + abs(w[-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(secular_mus, st.floats(min_value=-40.0, max_value=0.5, exclude_max=True),
+       st.integers(min_value=1, max_value=1000))
+def test_secular_sign_count_keeps_the_phase_product_bits(mu, lam, n):
+    assert secular_function(mu, lam, n) == _phase_product_secular(mu, lam, n)
+
+
 @pytest.mark.parametrize("lam", [1.0j, 0.3 - 2.0j])
 @pytest.mark.parametrize("n", [1, 3, 101, 255])
 def test_secular_sweep_passes_a_zero_pivot(lam, n):
