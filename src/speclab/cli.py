@@ -36,7 +36,7 @@ from .coupling import (
     Branch,
     CouplingParams,
     Criticality,
-    _weights,
+    branch_mus,
     classify,
     critical_alpha,
 )
@@ -132,7 +132,7 @@ def _point_params(a: dict) -> CouplingParams:
 
 
 def _cmd_mu(a: dict) -> list[list]:
-    mus = dict(_weights(_point_params(a)))
+    mus = dict(branch_mus(_point_params(a)))
     return [[mus.get(b) for b in (Branch.ONE, Branch.TWO, Branch.BETA_ZERO)]]
 
 

@@ -124,8 +124,9 @@ class CouplingDerived:
 
     ``mu1``/``mu2`` are ``None`` when beta = 0 (the branch structure is
     different there, see :func:`mu_beta_zero`); ``mu1`` is ``math.inf``
-    exactly when alpha = 0, an explicit divergence marker that is never
-    the result of a floating-point division.  An omega or Sigma eigenvalue
+    when alpha = 0, an explicit divergence marker.  At subnormal alpha the
+    division can overflow ``mu1`` to inf as well; :func:`branch_mus` tells
+    the two apart and rejects the overflow.  An omega or Sigma eigenvalue
     that is not finite raises ``InvalidParametersError``.
     """
 
@@ -321,32 +322,27 @@ def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
 def branch_mus(params: CouplingParams) -> tuple[tuple[Branch, float], ...]:
     """Canonical branch list as (branch, mu) pairs.
 
-    beta != 0 yields both Sigma branches (mu1 may be the ``inf`` marker),
-    beta = 0 with alpha != 0 yields the single reduced branch, and the
-    free case alpha = beta = 0, gamma = 0 yields no branches at all.
+    beta != 0 yields both Sigma branches (mu1 is the ``inf`` marker when
+    alpha = 0), beta = 0 with alpha != 0 yields the single reduced branch,
+    and the free case alpha = beta = 0, gamma = 0 yields no branches at
+    all.  A weight that overflows (other than the marker) or underflows to
+    0 raises ``InvalidParametersError``: it would pass for the marker or
+    for a supercritical branch.
     """
     p = canonicalize(params)
-    if p.beta == 0.0:
-        if p.alpha == 0.0:
-            if p.gamma != 0.0:
-                raise InvalidParametersError(
-                    "alpha = beta = 0 with gamma != 0 is not an admissible "
-                    "interaction"
-                )
-            return ()
-        return ((Branch.BETA_ZERO, mu_beta_zero(p.alpha, p.gamma)),)
-    d = derive(p)
-    assert d.mu1 is not None and d.mu2 is not None
-    return ((Branch.ONE, d.mu1), (Branch.TWO, d.mu2))
-
-
-def _weights(params: CouplingParams) -> tuple[tuple[Branch, float], ...]:
-    """:func:`branch_mus`, rejecting a weight that overflows (other than the
-    alpha = 0 marker) or underflows to 0: printed, it would pass for the
-    marker or for a supercritical branch."""
-    pairs = branch_mus(params)
+    if p.beta != 0.0:
+        d = derive(p)
+        pairs = ((Branch.ONE, d.mu1), (Branch.TWO, d.mu2))
+    elif p.alpha != 0.0:
+        pairs = ((Branch.BETA_ZERO, mu_beta_zero(p.alpha, p.gamma)),)
+    elif p.gamma != 0.0:
+        raise InvalidParametersError(
+            "alpha = beta = 0 with gamma != 0 is not an admissible interaction"
+        )
+    else:
+        return ()
     for branch, mu in pairs:
-        marker = branch is Branch.ONE and params.alpha == 0.0
+        marker = branch is Branch.ONE and p.alpha == 0.0
         if not marker and (mu == 0.0 or not math.isfinite(mu)):
             raise InvalidParametersError(
                 f"the {branch.value} weight of {params} leaves double range: {mu}"
@@ -359,7 +355,7 @@ def classify(params: CouplingParams, tol: float = 1e-10) -> tuple[TransitionClas
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InvalidParametersError(f"tol must be finite and nonnegative, got {tol}")
     out = []
-    for branch, mu in _weights(params):
+    for branch, mu in branch_mus(params):
         if math.isinf(mu) or mu <= 0.0:
             kind = Criticality.NONPOSITIVE_OR_DIVERGENT
         elif abs(mu - 1.0) <= tol:

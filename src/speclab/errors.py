@@ -36,7 +36,9 @@ class SizeExceededError(SpeclabError, ValueError):
 
 
 class NonConvergenceError(SpeclabError, RuntimeError):
-    """An adaptive truncation hit its hard size cap before stabilising."""
+    """A computation could not finish within its limits: a certified count
+    still open at its row cap, or a recurrence that left the floating-point
+    range (a backward ratio sweep, or a vanishing normalisation index)."""
 
 
 class NoDominanceSplitError(SpeclabError, ValueError):

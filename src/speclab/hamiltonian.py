@@ -52,7 +52,7 @@ from .coupling import (
     CouplingParams,
     _abs2,
     _omegas,
-    _weights,
+    branch_mus,
     canonicalize,
     derive,
 )
@@ -634,7 +634,7 @@ def _branches_and_window(
     positive; its upper end is ``_WINDOW_MARGIN`` below 1/2.
     """
     p = canonicalize(params)
-    mus = _weights(p)
+    mus = branch_mus(p)
     if not mus:
         return p, [], None
     subcritical = _subcritical(mus)
@@ -749,7 +749,7 @@ def count_below_epsilon(
     epsilon-regularised counting matrix exceeding the branch weight."""
     p = canonicalize(params)
     family = CountingFamily(epsilon)  # validates epsilon > 0
-    subcritical = _subcritical(_weights(p))
+    subcritical = _subcritical(branch_mus(p))
     if not subcritical:
         warnings.warn(
             "no subcritical branch: the count below the threshold is 0",

@@ -32,7 +32,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BranchCutError, InvalidParametersError, NonConvergenceError
-from .recurrence import coupling_weights
+from .recurrence import _check_mu, coupling_weights
 from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
 __all__ = [
@@ -58,13 +58,6 @@ ROW_CAP = 2**20
 _FIRST_BLOCK = 64
 # Relative margin of every certificate comparison.
 _MARGIN = 1e-12
-
-
-def _check_mu(mu: float) -> float:
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise InvalidParametersError("mu must be finite")
-    return mu
 
 
 def _check_real_lam(lam) -> float:
@@ -345,9 +338,8 @@ def compact_difference_tail(lam: float, mu: float, n: int) -> float:
     mu = _check_mu(mu)
     if n < 4:
         raise InvalidParametersError("tail needs n >= 4")
-    k = np.arange(n // 2, n) + 0.5
-    spectral = 2.0 * mu * np.sqrt(k) * np.sqrt(k - lam)
-    shifted = 2.0 * mu * k - mu * lam
+    spectral = _spectral_diagonals(mu, np.array([lam]), n // 2, n)[0]
+    shifted = 2.0 * mu * (np.arange(n // 2, n) + 0.5) - mu * lam
     return float(np.max(np.abs(spectral - shifted)))
 
 

@@ -115,6 +115,13 @@ _LANE_AGREEMENT = 2.0**-44
 _PIVOT_FLOOR = 2.0**-600
 
 
+def _check_mu(mu: float) -> float:
+    mu = float(mu)
+    if not math.isfinite(mu):
+        raise InvalidParametersError("mu must be finite")
+    return mu
+
+
 def _validate_lam(lam: complex, n_min: int = 0) -> complex:
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
@@ -204,12 +211,12 @@ class RecurrenceSolution:
         return int(self.values.size)
 
     def value(self, n: int) -> complex:
-        """True value C_n; may overflow to inf for extreme scales."""
+        """True value C_n, rounded once; inf where it overflows."""
+        v, e = complex(self.values[n]), int(self.log2_scale[n])
         try:
-            factor = 2.0 ** float(self.log2_scale[n])
+            return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
         except OverflowError:
-            factor = math.inf
-        return complex(self.values[n]) * factor
+            return v * math.inf
 
     def log2_magnitude(self, n: int) -> float:
         mag = abs(self.values[n])
@@ -234,14 +241,13 @@ class RecurrenceSolution:
         n_top = self.length - 1
         if n_top < 2:
             return np.zeros(0)
-        ns = np.arange(1, n_top)
         k_lo, k_mid, k_up = self.log2_scale[:-2], self.log2_scale[1:-1], self.log2_scale[2:]
         kmax = np.maximum(np.maximum(k_lo, k_mid), k_up)
         c_lo = self.values[:-2] * np.exp2(k_lo - kmax)
         c_mid = self.values[1:-1] * np.exp2(k_mid - kmax)
         c_up = self.values[2:] * np.exp2(k_up - kmax)
         t_up = self.couplings[2:] * c_up
-        t_mid = 2.0 * self.mu * np.sqrt(ns + 0.5) * self.zetas[1:-1] * c_mid
+        t_mid = _diagonal_weights(self.mu, self.zetas)[1:-1] * c_mid
         t_lo = self.couplings[1:-1] * c_lo
         num = np.abs(t_up + t_mid + t_lo)
         den = np.abs(t_up) + np.abs(t_mid) + np.abs(t_lo)
@@ -459,9 +465,7 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
     interior rows then propagate upward.  Working magnitudes are kept in
     [2^-512, 2^512] by the rescaling accumulator.
     """
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise InvalidParametersError("mu must be finite")
+    mu = _check_mu(mu)
     if n < 0:
         raise InvalidParametersError("n must be nonnegative")
     c0 = complex(c0)
@@ -475,11 +479,12 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
     scales = np.zeros(1)
     if n > 0:
         w = _diagonal_weights(mu, zs[:n])
-        # the seed may lie above 2^512, so the n = 0 row is always rescaled
+        # the seed may lie above 2^512, so the n = 0 row is always
+        # rescaled, and C_0 is stored on the scale it gives the pair
         c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(ds[1]), c0, 0.0)
         out, log2 = _steps(w[1:], ds[1:n], ds[2:], c_prev, c1, scale)
-        values = np.concatenate(([c0, c1], out))
-        scales = np.concatenate(([0.0, scale], log2))
+        values = np.concatenate(([c_prev, c1], out))
+        scales = np.concatenate(([scale, scale], log2))
     return RecurrenceSolution(
         mu=mu, lam=lam, values=values, log2_scale=scales,
         direction="forward", normalization=f"C_0 = {c0}", zetas=zs, couplings=ds,
@@ -489,9 +494,7 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
 def _minimal_solution_inputs(mu: float, lam: complex, n: int) -> tuple[float, complex]:
     """mu and lam, checked for a depth-n minimal solution: one exists where
     the recurrence has a dominance split, |mu| > 1 or Im lam != 0."""
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise InvalidParametersError("mu must be finite")
+    mu = _check_mu(mu)
     if n < 1:
         raise InvalidParametersError("n must be >= 1")
     lam = _validate_lam(lam)
@@ -593,9 +596,7 @@ def birkhoff_adams_eval(mu: float, lam: complex) -> BirkhoffAdamsParams:
     Distinct characteristic roots (mu^2 != 1) give power-modulated
     geometric behaviour; mu^2 = 1 collapses to the double-root form.
     """
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise InvalidParametersError("mu must be finite")
+    mu = _check_mu(mu)
     lam = complex(lam)
     if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
         raise InvalidParametersError("lam must be finite")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from speclab import (
     CouplingParams,
+    branch_mus,
     evaluate_forms,
     lower_bound_constant,
     random_forms,
@@ -21,6 +22,8 @@ from speclab import (
 )
 from speclab import cli
 from speclab.cli import _COMMANDS, _build_parser, _fmt_float, run
+from speclab.hamiltonian import _branches_and_window
+from speclab.jacobi_ops import spectral_counts
 
 SQRT2 = math.sqrt(2.0)
 TWO_SQRT2 = repr(2.0 * SQRT2)  # exact decimal form of the singular beta
@@ -449,6 +452,62 @@ def test_spectral_commands_never_print_nan(alpha, beta, gamma_re, gamma_im, epsi
                 assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key, value)
 
 
+@st.composite
+def subcritical_points(draw):
+    """(alpha, beta, gamma) whose largest subcritical weight mu has mu - 1
+    log-uniform in [1e-4, 30], built from mu in closed form."""
+    mu = 1.0 + 10.0 ** draw(st.floats(-4.0, math.log10(30.0)))
+    beta = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.5)))
+    gamma = complex(draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
+    g2 = gamma.real * gamma.real + gamma.imag * gamma.imag
+    if beta == 0.0:
+        alpha = (4.0 + g2) / (2.0 * SQRT2 * mu)
+    else:
+        # mu = 2 sqrt2 beta / (omega0 - r), and omega0 - r = e is linear in
+        # u = alpha beta + |gamma|^2 once squared: (u - 4)^2 + 16 |gamma|^2
+        # = (u + 4 - e)^2; e < 8 here, as beta <= 2.5 and mu > 1
+        e = 2.0 * SQRT2 * beta / mu
+        u = (e * e - 8.0 * e - 16.0 * g2) / (2.0 * (e - 8.0))
+        alpha = (u - g2) / beta
+    if draw(st.booleans()):
+        alpha, beta = -alpha, -beta  # the mirror point has the same weights
+    mus = [m for _, m in branch_mus(CouplingParams(alpha, beta, gamma))]
+    assume(1e-4 <= max(mus) - 1.0 <= 30.0)
+    return alpha, beta, gamma
+
+
+@settings(max_examples=20, deadline=None)
+@given(subcritical_points(), st.floats(1e-3, 1.0))
+def test_no_silent_nan_and_certified_eigenvalues(point, epsilon):
+    alpha, beta, gamma = point
+    coupling = [f"--alpha={alpha!r}", f"--beta={beta!r}",
+                f"--gamma-re={gamma.real!r}", f"--gamma-im={gamma.imag!r}"]
+    rows = {}
+    for argv in (["h-spectrum", *coupling], ["count", *coupling, f"--epsilon={epsilon!r}"],
+                 ["discrete2-check", *coupling]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) == 0, argv
+        row = rows[argv[0]] = json.loads(out.getvalue())
+        for key, value in row.items():
+            if key == "method_agreement" and value == "inf":
+                assert max(row["branch_mus"]) - 1.0 < _CROSS_CHECK_DEFECT_MU_MINUS_1, argv
+                continue
+            for x in _numbers(value):
+                assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key, value)
+
+    # the i-th eigenvalue x is certified by counts of all the subcritical
+    # branches: i eigenvalues of the window below x - tol/2, i + 1 below
+    # x + tol/2
+    spectrum = rows["h-spectrum"]
+    _, subcritical, (lam_lo, _) = _branches_and_window(CouplingParams(alpha, beta, gamma), None)
+    half = 0.5e-10  # the default tol, halved
+    for i, x in enumerate(spectrum["eigenvalues"]):
+        lams = [lam_lo, x - half, x + half]
+        below = sum(spectral_counts(mu, lams)[0] for _, mu in subcritical)
+        assert (below[1] - below[0], below[2] - below[0]) == (i, i + 1), (i, x)
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_forms_test_needs_a_trial(capsys, trials):
     # no trials used to pass the check with "violations": 0
@@ -758,6 +817,17 @@ def test_transition_scan_svg(capsys, tmp_path):
     text = svg.read_text()
     assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
     assert "polyline" in text
+
+
+def test_asymptotics_svg(capsys, tmp_path):
+    svg = tmp_path / "asymptotics.svg"
+    rc, out, _ = run_cli(capsys, ["asymptotics", "--mu=1.5", "--svg", str(svg)])
+    assert rc == 0
+    assert json.loads(out)["mu"] == 1.5
+    text = svg.read_text()
+    assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
+    assert "eigenvalue count vs coupling" in text
+    assert ">counted<" in text and ">predicted<" in text
 
 
 # ---------------------------------------------------------------------------

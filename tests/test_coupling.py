@@ -204,7 +204,15 @@ def test_branch_mus_mirror_invariant(alpha, beta, gamma):
     p = CouplingParams(alpha, beta, gamma)
     if alpha == 0.0 and beta == 0.0 and gamma != 0.0:
         return
-    assert branch_mus(p) == branch_mus(mirror(p))
+    try:
+        mus = branch_mus(p)
+    except InvalidParametersError:
+        # a weight leaves double range, at subnormal alpha for example:
+        # the mirror point must be rejected as well
+        with pytest.raises(InvalidParametersError):
+            branch_mus(mirror(p))
+        return
+    assert mus == branch_mus(mirror(p))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +241,18 @@ def test_branch_mus_free_case_empty():
 def test_branch_mus_rejects_pure_gamma():
     with pytest.raises(InvalidParametersError):
         branch_mus(CouplingParams(0.0, 0.0, 0.5j))
+
+
+def test_branch_mus_rejects_weights_out_of_range():
+    # at subnormal alpha mu1 overflows to inf, which would pass for the
+    # alpha = 0 divergence marker
+    for alpha in (2.2e-311, -2.2e-311):
+        with pytest.raises(InvalidParametersError, match="leaves double range"):
+            branch_mus(CouplingParams(alpha, 1.0))
+    with pytest.raises(InvalidParametersError, match="leaves double range"):
+        branch_mus(CouplingParams(2.2e-311, 0.0))
+    mus = branch_mus(CouplingParams(0.0, 1.0))
+    assert mus[0] == (Branch.ONE, math.inf) and math.isfinite(mus[1][1])
 
 
 # ---------------------------------------------------------------------------

@@ -881,6 +881,20 @@ def _bisect_secular(mu, lam, lam_floor, size=256):
     return None
 
 
+def test_illinois_bisects_when_the_secant_leaves_the_bracket():
+    # an end value of inf makes the secant point nan: the step takes the
+    # midpoint, and the secant steps after it find the root
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return x - 0.3
+
+    root = hamiltonian._illinois(f, 0.0, -0.3, 1.0, math.inf, 1e-12)
+    assert xs[0] == 0.5
+    assert abs(root - 0.3) <= 1e-12
+
+
 def test_refine_secular_illinois_matches_bisection(monkeypatch):
     evals = []
     secular_function = hamiltonian.secular_function

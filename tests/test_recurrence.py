@@ -143,6 +143,18 @@ def test_forward_seed_row():
     assert sol.direction == "forward"
 
 
+@pytest.mark.parametrize("mu, lam, c0", [
+    (1e8, 0.0, 1e300),  # C_1 near 2^1024: C_0 is stored on scale 1024
+    (0.0923837732859601, -8.534310041670157 + 0.27273974194268646j, 5e-324j),
+    (1e-3, 0.2, 2.2e-311 + 3e-320j),
+])
+def test_forward_seed_stored_on_the_first_rows_scale(mu, lam, c0):
+    sol = iterate_forward(mu, lam, c0, 5)
+    assert sol.log2_scale[0] == sol.log2_scale[1]
+    assert sol.value(0) == c0
+    assert sol.max_interior_residual() < 1e-15
+
+
 def test_forward_rows_satisfy_recurrence():
     for mu, lam in [(0.4, 0.3), (1.0, -2.0), (2.0, 0.2 + 0.1j), (-1.5, 1.0j)]:
         sol = iterate_forward(mu, lam, 1.0, 400)
@@ -318,7 +330,7 @@ def _reference_forward(mu, lam, c0, n):
     c_prev = c0
     c_curr = -(2.0 * mu * sq[0] * zs[0] * c0) / ds[0]
     c_curr, c_prev, cur = _reference_rescale(c_curr, c_prev, 0.0)
-    values[1], scales[1] = c_curr, cur
+    values[:2], scales[:2] = (c_prev, c_curr), cur
     for k in range(1, n):
         c_next = -(2.0 * mu * sq[k] * zs[k] * c_curr + ds[k - 1] * c_prev) / ds[k]
         c_curr, c_prev, cur = _reference_rescale(c_next, c_curr, cur)
@@ -489,14 +501,14 @@ def _identity_bound(sol, check):
 # tiny Im lam: the identity's two sides cancel to 1e-8 of the terms
 # (see _identity_bound), on the row loop
 @example(mu=2.0, lam=1 + 5.96e-8j, c0=1.0, n=924)
+# a subnormal seed stored on scale 0 beside C_1 on the n = 0 row's scale
+# made row 1 read 1.0
+@example(mu=0.0923837732859601, lam=-8.534310041670157 + 0.27273974194268646j, c0=5e-324j, n=600)
 def test_forward_lanes_agree_with_row_loop(mu, lam, c0, n):
     sol = iterate_forward(mu, lam, c0, n)
     values, scales = _reference_forward(mu, complex(lam), complex(c0), n)
     assert np.max(_deviation(sol.values, sol.log2_scale, values, scales)) <= LANE_DEVIATION
-    # row 1 is left out: it reads the seed on its scale 0, so beside a
-    # subnormal seed its other values become subnormal in the residual's
-    # own arithmetic, in the row loop's solution as well
-    assert np.max(sol.interior_residuals()[1:]) < 1e-13
+    assert sol.max_interior_residual() < 1e-13
     _assert_pairs_in_range(sol)
     # for real lam both sides of the identity vanish, and a subnormal seed
     # loses digits in the boundary row, so neither checks the rows
@@ -717,6 +729,13 @@ def test_secular_sweep_outside_the_float_range_raises():
     # at mu = 1e-310 the first ratio, -d(m)^2 / w_m, overflows
     with pytest.raises(NonConvergenceError):
         secular_function(1e-310, 1.0j, 10)
+
+
+def test_secular_sweep_real_lam_outside_the_float_range_raises():
+    # at mu = 1e308 the upper w_k overflow to inf, so the real sweep's
+    # ratios -d(k)^2 / (w_k + rho_k) are -0.0, which has no sign to count
+    with np.errstate(over="ignore"), pytest.raises(NonConvergenceError):
+        secular_function(1e308, 0.3, 10)
 
 
 def test_secular_real_for_real_lam():

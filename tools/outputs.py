@@ -1,0 +1,41 @@
+"""Print a digest of speclab's answer to every benchmark query.
+
+Runs ``speclab.cli.run`` in process on blocks 0-2 of seeds 0-9 of each
+workload that ``perfbench/workloads.py`` defines (1140 queries), and
+prints one line per query: workload, seed, block, index in the block,
+exit code and the SHA-256 of stdout.  Run it in two trees and ``diff``
+the outputs to see which answers a change moved:
+
+    python3 tools/outputs.py > before.txt     # in one tree
+    python3 tools/outputs.py > after.txt      # in the other
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+from client import ask  # noqa: E402
+from workloads import WORKLOADS, block  # noqa: E402
+
+SEEDS = range(10)
+BLOCKS = range(3)
+
+
+def main() -> None:
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for index in BLOCKS:
+                for i, query in enumerate(block(workload, seed, index)):
+                    rc, _, out, _ = ask(query.argv)
+                    digest = hashlib.sha256(out.encode()).hexdigest()
+                    print(workload, seed, index, i, rc, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()
