@@ -24,12 +24,13 @@ profiles; this module works entirely in that mode picture:
   continuum threshold 1/2 on certified Sturm counts of the infinite
   spectral Jacobi family (:func:`speclab.jacobi_ops.spectral_counts`).
   It bisects on counts only until each root is alone in its bracket,
-  polishes it there by Illinois steps on the secular function (the
+  polishes it there by Anderson-Bjorck steps on the secular function (the
   boundary-row residual of the recurrence's minimal solution, read from
   one backward sweep of its ratios, which shares no code with the
   counts), and certifies the polished root by one count on each side.
   Every root is cross-checked against the secular function at a fixed
-  depth, its sign change polished by the same Illinois steps.
+  depth, its sign change polished by the same steps, each branch's roots
+  from the top down until the first one that has none.
 * ``count_below_epsilon``, ``discrete2_check`` and
   ``count_asymptotics_curve`` compare that eigenvalue count against
   certified counts of the counting Jacobi operators
@@ -478,22 +479,33 @@ class HSpectrumResult:
 
 def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> float:
     """A zero of ``f`` in [lo, hi], where f(lo) = flo and f(hi) = fhi have
-    opposite signs: the midpoint of a bracket under ``xtol``, or a point
-    where f is exactly 0.
+    opposite signs, located to about ``xtol`` / 2.
 
-    Illinois steps (Dowell & Jarratt, BIT 11, 1971): the secant through
-    the bracket ends, with the value at an end kept twice in a row
-    halved; the midpoint whenever the secant point leaves the bracket, and
-    at least half of ``xtol`` from either end, so a secant point that lands
-    on the root closes the bracket with one more evaluation.  After 80
-    steps, or once the bracket is down to ulps, the midpoint of the
-    bracket reached is returned.
+    Anderson-Bjorck steps (BIT 13, 1973), the Illinois rule of Dowell &
+    Jarratt (BIT 11, 1971) with a better factor: each step evaluates f at
+    the secant point x of the bracket ends and keeps the sign change.
+    When x replaces the end that the step before replaced (or either end,
+    at the first step), the value at the other end is scaled by
+    1 - f(x)/f(old), with f(old) the value x replaced, or by 1/2 where that
+    factor is not in (0, 1): an old value of inf, or a step that did not
+    shrink |f|.  The midpoint is taken whenever the secant point leaves
+    the bracket, and every point stays at least ``xtol`` / 2 from either
+    end.
+
+    Returns the first of: a secant point less than ``xtol`` / 2 from the
+    point evaluated last, without evaluating it (a step that short comes
+    where the steps converge faster than linearly, so the point it
+    reaches is nearer the root than the step is long); a point where f is
+    exactly 0; the midpoint of the bracket once it is under ``xtol``,
+    after 80 steps, or once it is down to ulps.
     """
-    kept = 0
+    last = 0  # the end evaluated last: -1 hi, 1 lo, 0 neither yet
     for _ in range(80):
         x = hi - fhi * (hi - lo) / (fhi - flo)
         if not lo <= x <= hi:
             x = 0.5 * (lo + hi)
+        elif last and abs(x - (hi if last < 0 else lo)) < 0.5 * xtol:
+            return x
         x = min(max(x, lo + 0.5 * xtol), hi - 0.5 * xtol)
         if not lo < x < hi:
             # the bracket is down to ulps
@@ -502,15 +514,17 @@ def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> f
         if fx == 0.0:
             return x
         if flo * fx < 0.0:
+            if last <= 0:
+                m = 1.0 - fx / fhi
+                flo *= m if 0.0 < m < 1.0 else 0.5
             hi, fhi = x, fx
-            if kept < 0:
-                flo *= 0.5
-            kept = -1
+            last = -1
         else:
+            if last >= 0:
+                m = 1.0 - fx / flo
+                fhi *= m if 0.0 < m < 1.0 else 0.5
             lo, flo = x, fx
-            if kept > 0:
-                fhi *= 0.5
-            kept = 1
+            last = 1
         if hi - lo < xtol:
             break
     return 0.5 * (lo + hi)
@@ -520,7 +534,9 @@ def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
     """Nearest zero of the real secular function around ``lam``.
 
     The first sign change in brackets of half-width 1e-9, 4e-9, ... around
-    ``lam`` is polished by :func:`_illinois` to a bracket under 1e-14.
+    ``lam`` is polished by the Anderson-Bjorck steps of :func:`_illinois`
+    to a secant point less than 5e-15 from the point evaluated before it,
+    or the midpoint of a bracket under 1e-14.
     Returns None when no sign change shows up within a 1e-3 neighbourhood,
     which callers treat as a method disagreement.
     """
@@ -542,6 +558,26 @@ def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
             return _illinois(f, lo, flo, hi, fhi, 1e-14)
         half *= 4.0
     return None
+
+
+def _secular_agreement(mus: list[float], per_branch: list[np.ndarray],
+                       lam_floor: float) -> float:
+    """The largest distance of an eigenvalue from its zero of the secular
+    function at depth ``_SECULAR_DEPTH`` (:func:`_refine_secular`), or inf
+    once one has none.
+
+    Each branch's eigenvalues are checked from the top down: a root the
+    fixed depth misses is one nearest 1/2, whose turning row lies deepest,
+    and after the first miss no other check can change the inf.
+    """
+    agreement = 0.0
+    for mu, eigs in zip(mus, per_branch):
+        for lam in reversed(eigs.tolist()):
+            root = _refine_secular(mu, lam, lam_floor)
+            if root is None:
+                return math.inf
+            agreement = max(agreement, abs(root - lam))
+    return agreement
 
 
 def _polish_depth(mu: float, top: float) -> int:
@@ -576,10 +612,13 @@ def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
     """Final brackets for the targets ``ks`` from brackets each within
     ``tol`` or holding target k alone: count(low) = k, count(high) = k + 1.
 
-    Each lone root is polished on the secular function by
-    :func:`_illinois` to x, the midpoint of a bracket under tol/16, then
-    certified by one batched count at x -+ h, h = tol/2:
-    count(x - h) <= k < count(x + h) makes (x - h, x + h) its bracket.
+    Each lone root is polished on the secular function by the
+    Anderson-Bjorck steps of :func:`_illinois` to x, a secant point less
+    than tol/32 from the point evaluated before it or the midpoint of a
+    bracket under tol/16, then certified by one batched count at x -+ h,
+    h = tol/2: count(x - h) <= k < count(x + h) makes (x - h, x + h) its
+    bracket.  The counts are the judge; the stop rule only sets how many
+    secular evaluations a root costs.
     A bracket without a sign change of the secular function, or whose
     counts at x -+ h miss k, is bisected by ``_bisect`` on from the
     bracket those counts leave, so every root stays count-certified.
@@ -673,10 +712,11 @@ def h_eigenvalues_below_threshold(
     lower-bound constant c is positive.
 
     The counts bisect the window only until each root is alone in its
-    bracket (or the bracket is within ``tol``).  Safeguarded Illinois steps
-    on the secular function, at a depth from mu and the bracket top
-    (:func:`_polish_depth`), then polish the root to x, and one batched
-    count at x -+ tol/2 certifies it.  A bracket where the secular
+    bracket (or the bracket is within ``tol``).  Safeguarded
+    Anderson-Bjorck steps (:func:`_illinois`) on the secular function, at
+    a depth from mu and the bracket top (:func:`_polish_depth`), then
+    polish the root to x, stopping at a secant step under tol/32, and one
+    batched count at x -+ tol/2 certifies it.  A bracket where the secular
     function shows no sign change, or whose certifying counts miss the
     root, is bisected on from the bracket those counts leave, so every
     root lies in a bracket within ``tol`` (to an ulp) whose end counts
@@ -689,8 +729,11 @@ def h_eigenvalues_below_threshold(
 
     Each root is cross-checked against the secular function of the
     half-line recurrence at depth ``_SECULAR_DEPTH``, its sign change
-    polished by the same Illinois steps; ``method_agreement`` reports the
-    largest discrepancy (0 when there is nothing to check).
+    polished by the same steps; ``method_agreement`` reports the largest
+    discrepancy (0 when there is nothing to check), or inf where a root
+    shows no sign change.  Each branch's roots are checked from the top
+    of the window down, and the check stops at the first that shows none
+    (:func:`_secular_agreement`).
     """
     tol = _check_tol(tol)
     p, subcritical, window = _branches_and_window(params, lambda_min)
@@ -712,20 +755,14 @@ def h_eigenvalues_below_threshold(
         lows, highs = _polish(mu, counts_at, lows, highs, ks, tol)
         per_branch.append(0.5 * (lows + highs))
 
-    agreement = 0.0
-    for (_, mu), eigs in zip(subcritical, per_branch):
-        for lam in eigs:
-            root = _refine_secular(mu, float(lam), window[0])
-            if root is None:
-                agreement = math.inf
-            else:
-                agreement = max(agreement, abs(root - float(lam)))
-
+    mus = [mu for _, mu in subcritical]
+    # no window: the free case, with no branch and nothing to check
+    agreement = _secular_agreement(mus, per_branch, window[0]) if window else 0.0
     merged = np.sort(np.concatenate(per_branch)) if per_branch else np.zeros(0)
     return HSpectrumResult(
         params=p,
         branches=tuple(br for br, _ in subcritical),
-        branch_mus=tuple(mu for _, mu in subcritical),
+        branch_mus=tuple(mus),
         eigenvalues=merged,
         per_branch_counts=tuple(int(e.size) for e in per_branch),
         truncation_size=max_size,

@@ -251,7 +251,8 @@ class RecurrenceSolution:
         t_lo = self.couplings[1:-1] * c_lo
         num = np.abs(t_up + t_mid + t_lo)
         den = np.abs(t_up) + np.abs(t_mid) + np.abs(t_lo)
-        return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        # a row of zero terms holds; a row of nan or inf terms reads nan
+        return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
 
     def max_interior_residual(self) -> float:
         res = self.interior_residuals()
@@ -259,6 +260,11 @@ class RecurrenceSolution:
 
 
 def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, complex, float]:
+    """(a, b) and ``scale`` after the rescale rule; raises ``OverflowError``
+    where the pair holds an inf or nan, which only a row that overflowed
+    leaves."""
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise OverflowError("the recurrence left the floating-point range")
     mag = max(abs(a), abs(b))
     if mag == 0.0:
         return a, b, scale
@@ -463,7 +469,10 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
 
     The n = 0 row fixes C_1 = -2*mu*sqrt(1/2)*zeta_0(lam)*c0 / d(1); the
     interior rows then propagate upward.  Working magnitudes are kept in
-    [2^-512, 2^512] by the rescaling accumulator.
+    [2^-512, 2^512] by the rescaling accumulator.  A mu whose last
+    diagonal weight w_{n-1} overflows, or a row that overflows on the way
+    (a seed near the top of the float range, or |w_k| above about 2^512),
+    raises ``InvalidParametersError``.
     """
     mu = _check_mu(mu)
     if n < 0:
@@ -478,11 +487,26 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
     values = np.array([c0])
     scales = np.zeros(1)
     if n > 0:
+        # |w_k|^2 = 4 mu^2 (k + 1/2) |k + 1/2 - lam| grows with k wherever
+        # Re lam <= 1/2, which holds for every real lam off the cut, so the
+        # last weight is the largest; any other weight that overflows
+        # fails below as a row that overflows does
+        w_last = 2.0 * mu * math.sqrt(n - 0.5) * complex(zs[n - 1])
+        if not cmath.isfinite(w_last):
+            raise InvalidParametersError(
+                f"mu = {mu} makes the diagonal weight w_{n - 1} overflow at lam = {lam}"
+            )
         w = _diagonal_weights(mu, zs[:n])
-        # the seed may lie above 2^512, so the n = 0 row is always
-        # rescaled, and C_0 is stored on the scale it gives the pair
-        c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(ds[1]), c0, 0.0)
-        out, log2 = _steps(w[1:], ds[1:n], ds[2:], c_prev, c1, scale)
+        try:
+            # the seed may lie above 2^512, so the n = 0 row is always
+            # rescaled, and C_0 is stored on the scale it gives the pair
+            c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(ds[1]), c0, 0.0)
+            out, log2 = _steps(w[1:], ds[1:n], ds[2:], c_prev, c1, scale)
+        except OverflowError:
+            raise InvalidParametersError(
+                f"the forward recurrence from the seed C_0 = {c0} at mu = {mu}, "
+                f"lam = {lam} leaves the floating-point range"
+            ) from None
         values = np.concatenate(([c_prev, c1], out))
         scales = np.concatenate(([scale, scale], log2))
     return RecurrenceSolution(

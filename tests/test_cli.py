@@ -59,8 +59,8 @@ PINNED = [
      '{"count": 1}\n'),
     (["h-spectrum", "--alpha", "1", "--beta", "0"],
      '{"branch_mus": [1.41421356237309], "per_branch_counts": [1], "count": 1, '
-     '"eigenvalues": [0.475412264309169], "truncation_size": 64, '
-     '"method_agreement": 1.56491486436039e-12}\n'),
+     '"eigenvalues": [0.475412264310732], "truncation_size": 64, '
+     '"method_agreement": 0}\n'),
     (["discrete2-check", "--alpha", "1", "--beta", "0"],
      '{"lhs": 1, "rhs": 0, "bound": 1, "ok": true, '
      '"branch_mus": [1.41421356237309]}\n'),
@@ -240,6 +240,20 @@ def test_identity_check_at_extreme_parameters(capsys, point):
     assert rc == 0
     row = json.loads(out)
     assert row["residual"] <= 1e-9 and row["max_interior_residual"] < 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("point, message", [
+    # w_k overflowed for k >= 1: exit 0 with "residual": "nan" and
+    # "max_interior_residual": 0
+    (["--mu=1e308", "--lambda=0.3", "--size=10"], "mu = 1e+308"),
+    # every w_k finite, but a row overflowed: a bare OverflowError
+    (["--mu=1e154", "--lambda=0.3", "--size=100"], "floating-point range"),
+])
+def test_identity_check_rejects_a_recurrence_that_overflows(capsys, point, message):
+    rc, out, err = run_cli(capsys, ["identity-check", *point])
+    assert (rc, out) == (2, "")
+    assert message in err
 
 
 def test_h_spectrum_known_eigenvalue(capsys):

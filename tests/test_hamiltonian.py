@@ -883,7 +883,11 @@ def _bisect_secular(mu, lam, lam_floor, size=256):
 
 def test_illinois_bisects_when_the_secant_leaves_the_bracket():
     # an end value of inf makes the secant point nan: the step takes the
-    # midpoint, and the secant steps after it find the root
+    # midpoint, and the secant steps after it find the root.  The midpoint
+    # replaces the end of value inf, so the Anderson-Bjorck factor
+    # 1 - f(x)/inf = 1 is not in (0, 1), and the value at the end kept is
+    # halved instead: the next secant point is 0.5 - 0.2 * 0.5 / 0.35, not
+    # the root 0.3 that the unscaled value would give
     xs = []
 
     def f(x):
@@ -892,7 +896,21 @@ def test_illinois_bisects_when_the_secant_leaves_the_bracket():
 
     root = hamiltonian._illinois(f, 0.0, -0.3, 1.0, math.inf, 1e-12)
     assert xs[0] == 0.5
+    assert xs[1] == pytest.approx(0.5 - 0.2 * 0.5 / (0.2 + 0.15), rel=1e-15)
     assert abs(root - 0.3) <= 1e-12
+
+
+@pytest.mark.parametrize("f, root", [
+    (lambda x: x**3 - 2.0, 2.0 ** (1.0 / 3.0)),
+    (lambda x: math.exp(x) - 2.0, math.log(2.0)),
+    # flat away from the root, where secant steps crawl
+    (lambda x: math.tanh(40.0 * (x - 0.3)), 0.3),
+], ids=["cube", "exp", "tanh"])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 3.0), (0.25, 1.3), (0.29, 3.0)])
+@pytest.mark.parametrize("xtol", [1e-4, 1e-9, 1e-14])
+def test_illinois_converges_on_curved_functions(f, root, lo, hi, xtol):
+    x = hamiltonian._illinois(f, lo, f(lo), hi, f(hi), xtol)
+    assert abs(x - root) <= xtol
 
 
 def test_refine_secular_illinois_matches_bisection(monkeypatch):
@@ -917,6 +935,59 @@ def test_refine_secular_illinois_matches_bisection(monkeypatch):
             assert evals[-1] <= 10
             roots += 1
     assert roots >= 10
+
+
+def _recording(monkeypatch, name):
+    """Replace hamiltonian's ``name`` by a wrapper that records the
+    arguments and result of every call; returns the record."""
+    calls = []
+    func = getattr(hamiltonian, name)
+
+    def recording(*args):
+        result = func(*args)
+        calls.append((*args, result))
+        return result
+
+    monkeypatch.setattr(hamiltonian, name, recording)
+    return calls
+
+
+# mu2 - 1 = 1e-3 puts six roots on branch 2, the top one with no sign
+# change at the cross-check depth; branch 1 (mu1 = 2.02) has one root
+_NEAR_CRITICAL_BRANCH_2 = CouplingParams(0.7, 8.0 * 1.001 / (2.0 * SQRT2))
+
+
+def test_cross_check_stops_at_the_first_root_without_a_sign_change(monkeypatch):
+    calls = _recording(monkeypatch, "_refine_secular")
+    res = h_eigenvalues_below_threshold(_NEAR_CRITICAL_BRANCH_2)
+    assert res.branch_mus[1] == pytest.approx(1.001, rel=1e-12)
+    assert res.per_branch_counts == (1, 6)
+    assert res.method_agreement == math.inf
+    # branch 1's root, then branch 2's top root, which has no sign change
+    assert [root is None for *_, root in calls] == [False, True]
+    assert [mu for mu, *_ in calls] == list(res.branch_mus)
+    assert calls[1][1] == max(res.eigenvalues[res.eigenvalues != calls[0][1]])
+
+
+@pytest.mark.parametrize("params", [
+    CouplingParams(1.0, 1.0),
+    CouplingParams(1.4, 1.0),
+    CouplingParams(0.7, 3.0),
+    CouplingParams(SQRT2 / 1.0012, 0.0),
+    _NEAR_CRITICAL_BRANCH_2,
+], ids=["one-root", "two-roots", "two-branches", "near-critical", "near-critical-miss"])
+def test_cross_check_agreement_equals_every_root_checked(params, monkeypatch):
+    calls = _recording(monkeypatch, "_secular_agreement")
+    res = h_eigenvalues_below_threshold(params)
+    (mus, per_branch, lam_floor, agreement), = calls
+    # every root of every branch, from the bottom up, none skipped
+    reference = 0.0
+    for mu, eigs in zip(mus, per_branch):
+        for lam in eigs:
+            root = hamiltonian._refine_secular(mu, float(lam), lam_floor)
+            reference = max(reference, math.inf if root is None else abs(root - float(lam)))
+    assert res.method_agreement == agreement == reference
+    assert sum(e.size for e in per_branch) == res.count
 
 
 # ---------------------------------------------------------------------------

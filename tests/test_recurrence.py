@@ -205,6 +205,28 @@ def test_forward_validation():
     assert sol.length == 1 and sol.value(0) == 3.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_forward_rejects_a_recurrence_that_overflows():
+    # w_k overflows for k >= 1: the rows were nan, and the row check read 0
+    with pytest.raises(InvalidParametersError, match="w_9"):
+        iterate_forward(1e308, 0.3, 1.0, 10)
+    # C_1 = -w_0 C_0 / d(1) overflows: the rescale raised a bare OverflowError
+    with pytest.raises(InvalidParametersError, match=r"seed C_0 = \(1e\+300"):
+        iterate_forward(1e150, -1e10, 1e300, 3)
+    # every weight is finite, but w_k C_k overflows in row 2
+    with pytest.raises(InvalidParametersError, match="seed"):
+        iterate_forward(1e154, 0.3, 1.0, 100)
+
+
+def test_interior_residual_of_a_nan_row_is_nan():
+    sol = iterate_forward(1.5, 0.3, 1.0, 10)
+    sol.values[5] = complex(math.nan, 0.0)
+    res = sol.interior_residuals()
+    # C_5 enters rows 4, 5 and 6, at indices 3, 4 and 5
+    assert np.isnan(res[3:6]).all() and np.isfinite(np.delete(res, [3, 4, 5])).all()
+    assert math.isnan(sol.max_interior_residual())
+
+
 # ---------------------------------------------------------------------------
 # minimal solution and Birkhoff-Adams forms
 
@@ -736,6 +758,27 @@ def test_secular_sweep_real_lam_outside_the_float_range_raises():
     # ratios -d(k)^2 / (w_k + rho_k) are -0.0, which has no sign to count
     with np.errstate(over="ignore"), pytest.raises(NonConvergenceError):
         secular_function(1e308, 0.3, 10)
+
+
+# secular_function's bits at a few points, captured before the h-spectrum
+# polish and cross-check changed around it: perfbench/checker.py judges
+# every eigenvalue by its sign at depth 256
+_SECULAR_PINS = [
+    ((1.5, 0.3, 64), "0x1.26421f1bdeab6p-1", "0x0.0p+0"),
+    ((math.sqrt(2.0), 0.47541226430548, 256), "0x1.e637a90ffaa5ap-35", "0x0.0p+0"),
+    ((1.001, 0.4999, 256), "0x1.e48b4bc01b632p-1", "0x0.0p+0"),
+    ((1.001, 0.495, 256), "0x1.43051e41a73b4p-1", "0x0.0p+0"),
+    ((1.0012, -3.25, 256), "0x1.c0229eafb28a5p-1", "0x0.0p+0"),
+    ((1.5, 0.3 + 0.1j, 100), "0x1.ebd1e921622dbp-2", "-0x1.78ce49697d62bp-2"),
+    ((0.8, -1.0 - 2.0j, 300), "-0x1.01395290063f3p-1", "0x1.4036130b3e995p-1"),
+    ((11.0, -2.5, 40), "0x1.ff6398af60011p-1", "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("point, real, imag", _SECULAR_PINS)
+def test_secular_function_bits_are_pinned(point, real, imag):
+    value = secular_function(*point)
+    assert (value.real.hex(), value.imag.hex()) == (real, imag)
 
 
 def test_secular_real_for_real_lam():

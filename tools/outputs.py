@@ -9,10 +9,14 @@ the outputs to see which answers a change moved:
     python3 tools/outputs.py > before.txt     # in one tree
     python3 tools/outputs.py > after.txt      # in the other
     diff before.txt after.txt
+
+``--workload W`` (repeatable) runs only the named workloads, for example
+the 360 ``spectrum`` queries alone, or the other three on their own.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import sys
@@ -28,7 +32,11 @@ BLOCKS = range(3)
 
 
 def main() -> None:
-    for workload in WORKLOADS:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        help="run only this workload (repeatable; default: all)")
+    chosen = parser.parse_args().workload or WORKLOADS
+    for workload in (w for w in WORKLOADS if w in chosen):
         for seed in SEEDS:
             for index in BLOCKS:
                 for i, query in enumerate(block(workload, seed, index)):
