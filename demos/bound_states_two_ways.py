@@ -1,12 +1,17 @@
-"""Discrete spectrum below threshold, computed by two unrelated routes.
+"""Discrete spectrum below threshold, computed two ways and compared.
 
-Route one truncates the branch Jacobi operators and locates eigenvalue
-jumps of the counting function by bisection.  Route two scans the secular
-defect of the boundary three-term recurrence for its sign changes.  The
-routes share no code past the coupling layer, so agreement to many digits
-is strong evidence both are right.  The cross-check against the operator
-count bound (|direct count - sum of branch counts| <= small constant)
-closes the loop.
+Route one counts the eigenvalues of the branch Jacobi operators with
+certified Sturm counts, which walk each infinite operator's rows only as
+far as a certificate needs, and bisects on those counts until every
+root is alone in its bracket.  Anderson-Bjorck steps on the secular
+function of the boundary three-term recurrence then polish each root,
+and counts on either side of it certify the result.  Route two, the
+cross-check, finds the zero of the secular function at a fixed depth of
+256 rows next to each eigenvalue.  Both routes read the secular
+function, so their agreement checks the polish against a second depth,
+while the counts alone decide every eigenvalue.  The check against the
+operator count bound (|direct count - sum of branch counts| <= small
+constant) closes the loop.
 """
 
 from __future__ import annotations

@@ -291,7 +291,7 @@ _FLAGS = {
     "output": _Flag("--output", str, help="output file path (default: stdout)"),
     "config": _Flag("--config", str, help="JSON file with defaults for any flag"),
     "tol": _Flag("--tol", default=1e-10),
-    "n_cap": _Flag("--n-cap", int, ROW_CAP, "the most rows any count walks"),
+    "n_cap": _Flag("--n-cap", int, ROW_CAP, "the most rows any count walks, at most 2^20"),
 }
 
 # config keys: a flag's name or its parsed key

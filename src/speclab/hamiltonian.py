@@ -477,7 +477,7 @@ class HSpectrumResult:
         return int(self.eigenvalues.size)
 
 
-def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> float:
+def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> float | None:
     """A zero of ``f`` in [lo, hi], where f(lo) = flo and f(hi) = fhi have
     opposite signs, located to about ``xtol`` / 2.
 
@@ -496,8 +496,8 @@ def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> f
     point evaluated last, without evaluating it (a step that short comes
     where the steps converge faster than linearly, so the point it
     reaches is nearer the root than the step is long); a point where f is
-    exactly 0; the midpoint of the bracket once it is under ``xtol``,
-    after 80 steps, or once it is down to ulps.
+    exactly 0; the midpoint of the bracket once it is under ``xtol`` or
+    down to ulps.  Returns None where none of these comes within 80 steps.
     """
     last = 0  # the end evaluated last: -1 hi, 1 lo, 0 neither yet
     for _ in range(80):
@@ -527,6 +527,8 @@ def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> f
             last = 1
         if hi - lo < xtol:
             break
+    else:
+        return None
     return 0.5 * (lo + hi)
 
 
@@ -538,7 +540,8 @@ def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
     to a secant point less than 5e-15 from the point evaluated before it,
     or the midpoint of a bracket under 1e-14.
     Returns None when no sign change shows up within a 1e-3 neighbourhood,
-    which callers treat as a method disagreement.
+    or when the steps do not converge, which callers treat as a method
+    disagreement.
     """
     ceiling = THRESHOLD - 1e-12
 
@@ -619,9 +622,10 @@ def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
     h = tol/2: count(x - h) <= k < count(x + h) makes (x - h, x + h) its
     bracket.  The counts are the judge; the stop rule only sets how many
     secular evaluations a root costs.
-    A bracket without a sign change of the secular function, or whose
-    counts at x -+ h miss k, is bisected by ``_bisect`` on from the
-    bracket those counts leave, so every root stays count-certified.
+    A bracket without a sign change of the secular function, whose steps
+    do not converge, or whose counts at x -+ h miss k, is bisected by
+    ``_bisect`` on from the bracket those counts leave, so every root
+    stays count-certified.
     """
     h = 0.5 * tol
     lone = np.flatnonzero(highs - lows > tol)
@@ -634,9 +638,10 @@ def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
             return secular_function(mu, x, depth).real
 
         flo, fhi = f(lo), f(hi)
-        if flo * fhi < 0.0:
+        x = _illinois(f, lo, flo, hi, fhi, 0.125 * h) if flo * fhi < 0.0 else None
+        if x is not None:
             polished.append(i)
-            xs.append(_illinois(f, lo, flo, hi, fhi, 0.125 * h))
+            xs.append(x)
     certified = np.zeros(ks.size, dtype=bool)
     if polished:
         idx = np.array(polished * 2)

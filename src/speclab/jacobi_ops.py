@@ -19,7 +19,7 @@ mu > 1) and :func:`certified_count` (counting families, above a level
 blocks through :func:`speclab.tridiag.counts_for_diagonals`, the one
 Sturm count, carrying the last pivot row, and stop each count at the
 first block end where a certificate shows that no later row can change
-it, never past ``ROW_CAP`` rows or a caller's smaller cap.
+it, never past a caller's cap, which is at most ``ROW_CAP`` rows.
 """
 
 from __future__ import annotations
@@ -67,14 +67,7 @@ def _check_real_lam(lam) -> float:
             "spectral truncations require a real spectral parameter so the "
             "matrix stays real symmetric"
         )
-    if not math.isfinite(lam.real):
-        raise InvalidParametersError("lam must be finite")
-    if lam.real >= 0.5:
-        raise BranchCutError(
-            f"lam = {lam.real} is not below the threshold 1/2; the lowest "
-            "branch cut starts there"
-        )
-    return lam.real
+    return float(_check_lams(lam.real)[0])
 
 
 @dataclass(frozen=True)
@@ -165,8 +158,13 @@ def _turn_factor(mu: float) -> float:
 
 def _check_lams(lams) -> np.ndarray:
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    if not np.isfinite(lams).all():
+        raise InvalidParametersError("lam must be finite")
     if lams.size and float(np.max(lams)) >= 0.5:
-        raise BranchCutError("all lam values must be below 1/2")
+        raise BranchCutError(
+            f"lam = {float(np.max(lams))} is not below the threshold 1/2; the "
+            "lowest branch cut starts there"
+        )
     return lams
 
 
@@ -195,7 +193,7 @@ def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
     last pivot and the block's couplings, with the one joining it to row
     ``stop`` last, which counts no later row can change.  Those stop; one
     still open at ``cap`` rows raises ``NonConvergenceError`` naming
-    ``what``.
+    ``what``; a ``cap`` above ``ROW_CAP`` raises ``InvalidParametersError``.
 
     Rounding.  The certificates hold for the computed pivots, which the
     counts read.  Write the spectral invariant as q_k >= (1 - t) d(k+1).
@@ -216,8 +214,9 @@ def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
     1/(8 (k + 1)) > 1e-7 up to 2^20 rows, which the few ulps of 2k + 1 by
     which the computed entries may err cannot close.
     """
-    if cap < 2:
-        raise InvalidParametersError(f"row cap must be at least 2, got {cap}")
+    if not 2 <= cap <= ROW_CAP:
+        # the rounding argument above holds up to ROW_CAP rows
+        raise InvalidParametersError(f"row cap must lie in [2, {ROW_CAP}], got {cap}")
     counts = np.zeros(k, dtype=np.int64)
     cols = np.arange(k)
     last = np.array([math.inf] * k)

@@ -8,7 +8,8 @@ Solutions C = (C_0, C_1, ...) of
 encode square-integrable eigenfunction candidates of the underlying
 operator; the n = 0 row acts as the boundary condition for forward
 iteration.  Here zeta_n(lam) = sqrt(n + 1/2 - lam) on the branch with
-Re zeta > 0 and Im zeta * Im lam < 0, cut along [n + 1/2, inf).
+Re zeta > 0 and Im zeta * Im lam < 0, cut along [n + 1/2, inf): the
+principal square root, computed in one place, :func:`zeta_array`.
 
 An eigenvalue is a lam at which the minimal (l^2) solution also
 satisfies the n = 0 row.  That test needs only the ratio C_1/C_0, a
@@ -43,17 +44,19 @@ L = isqrt(steps / 2) rows, B about 2L, after the row loop has taken the
 fewer than L steps that do not fill a lane.  All lanes build their 2x2
 transfer products side by side (L numpy steps), the state is carried
 across the lanes (B scalar steps), and every lane replays its rows side
-by side from its start state (L numpy steps).  Lanes rescale on a
-schedule fixed before they run: row k can grow the pair maximum by at
-most (|w_k| + d_old)/d_new and shrink it by at most (d_new + |w_k|)/d_old,
-so after each rescale to [1/2, 1) the lanes run until the product of
-those bounds would pass 2^500, and the pair maximum stays in
-[2^-512, 2^512] as in the row loop.  Lane values agree with the row loop
-to rounding, not bit for bit.  The row loop runs instead where one row
-alone could pass the bound, or where a row at a lane start, which reads
-the last values the lane before replayed, does not hold to
-``_LANE_AGREEMENT`` of its terms (the forward problem is ill-conditioned
-there).
+by side from its start state (L numpy steps); both of these run one
+replay loop (:func:`_replay`).  Lanes rescale with a fixed period: row k
+can grow the pair maximum by at most (|w_k| + d_old)/d_new and shrink it
+by at most (d_new + |w_k|)/d_old, so with b the log2 of the largest of
+these factors over all rows and lanes, every lane rescales to [1/2, 1)
+every floor(500 / b) rows, and the pair maximum stays in
+[2^-512, 2^512] as in the row loop.  Rescales by powers of two are
+exact, so where they fall moves no true value.  Lane values agree with
+the row loop to rounding, not bit for bit.  The row loop runs instead
+where one row alone could pass the bound, or where a row at a lane
+start, which reads the last values the lane before replayed, does not
+hold to ``_LANE_AGREEMENT`` of its terms (the forward problem is
+ill-conditioned there).
 
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
@@ -104,7 +107,8 @@ _RESCALE_FLOOR = 2.0**-1024
 # row by row; lanes were the faster from about 800 steps (2-vCPU x86), and
 # 1024 leaves the ranges near that crossover on the bit-exact row loop
 _LANE_MIN_ROWS = 1024
-# lanes rescale before the pair maximum could grow or shrink by 2^500 (log2)
+# lanes rescale every floor(500 / b) rows, so that the pair maximum cannot
+# grow or shrink by more than 2^500 between rescales (log2)
 _LANE_RESCALE_BITS = 500.0
 # the rows where one lane's replayed values meet the next lane's carried
 # start hold to this share of their terms, or the row loop runs instead
@@ -135,42 +139,28 @@ def _validate_lam(lam: complex, n_min: int = 0) -> complex:
 
 
 def zeta(n: int, lam: complex) -> complex:
-    """Branch-correct sqrt(n + 1/2 - lam).
-
-    Principal square root, which off the cut has Re zeta > 0; for nonreal
-    lam the sign convention Im zeta * Im lam < 0 follows automatically.
-    Real lam >= n + 1/2 sits on the cut and is rejected.
-    """
-    if n < 0:
-        raise InvalidParametersError("mode index must be nonnegative")
-    lam = _validate_lam(lam, n_min=n)
-    w = (n + 0.5) - lam
-    if lam.imag == 0.0:
-        return complex(math.sqrt(w.real), 0.0)
-    z = cmath.sqrt(w)
-    # signs, not the product z.imag * lam.imag, which underflows to 0
-    # when |Im lam| is tiny
-    if not (z.real > 0.0 and math.copysign(1.0, z.imag) != math.copysign(1.0, lam.imag)):
-        raise RuntimeError(
-            f"branch conditions failed for zeta({n}, {lam}): got {z}"
-        )
-    return z
+    """Branch-correct sqrt(n + 1/2 - lam), the same complex as
+    :func:`zeta_array` gives for n."""
+    return complex(zeta_array(np.array([n]), lam)[0])
 
 
 def zeta_array(ns: np.ndarray, lam: complex) -> np.ndarray:
-    """Vectorised :func:`zeta` over an index array."""
+    """zeta_n(lam) = sqrt(n + 1/2 - lam) for every index n of ``ns``.
+
+    The principal square root (C99 ``csqrt``) is the branch: Re zeta >= +0,
+    and for nonreal lam Im zeta carries the sign of -Im lam, however tiny
+    |Im lam| is.  The exact Re zeta is positive off the cut, but its float
+    underflows to 0 where Re lam > n + 1/2 and |Im lam| lies near the
+    bottom of the float range.  Real lam >= n + 1/2 sits on the cut and
+    is rejected.
+    """
     ns = np.asarray(ns)
     if ns.size == 0:
         return np.zeros(0, dtype=complex)
     if np.any(ns < 0):
         raise InvalidParametersError("mode indices must be nonnegative")
     lam = _validate_lam(lam, n_min=int(np.min(ns)))
-    z = np.sqrt((ns + 0.5) - lam + 0j)
-    if not np.all(z.real > 0.0):
-        raise RuntimeError("branch conditions failed in zeta_array")
-    if lam.imag != 0.0 and not np.all(np.signbit(z.imag) != np.signbit(lam.imag)):
-        raise RuntimeError("branch conditions failed in zeta_array")
-    return z
+    return np.sqrt((ns + 0.5) - lam + 0j)
 
 
 def coupling_weight(n: int) -> float:
@@ -352,14 +342,40 @@ def _row_steps(
 
 
 def _normalise_lanes(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scale every lane by the power of two that brings its largest |value|
-    over the arrays into [1/2, 1); returns the arrays, then that exponent."""
+    """Scale every lane (the last axis) by the power of two that brings its
+    largest |value| over the arrays and their leading axes into [1/2, 1);
+    returns the arrays, then that exponent."""
     mag = np.abs(arrays[0])
     for x in arrays[1:]:
         np.maximum(mag, np.abs(x), out=mag)
-    exp = np.frexp(mag)[1]
+    exp = np.frexp(mag.reshape(-1, mag.shape[-1]).max(axis=0))[1]
     factor = np.ldexp(1.0, -exp)
     return (*(x * factor for x in arrays), exp)
+
+
+def _replay(
+    p: np.ndarray,
+    q: np.ndarray,
+    marks: range,
+    olds: np.ndarray,
+    news: np.ndarray,
+    values: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step every lane's pair through the rows t of p and q,
+    (olds, news) = (news, p[t]*news + q[t]*olds), writing news to values[t]
+    if ``values`` is given.  Before each row t in ``marks`` the pairs are
+    normalised (:func:`_normalise_lanes`).  Returns the final pair and each
+    lane's running sum of those exponents, one row per segment: 0 before
+    the first mark, then the sum after each mark."""
+    shifts = [np.zeros(olds.shape[-1])]
+    for t in range(len(p)):
+        if t in marks:
+            olds, news, e = _normalise_lanes(olds, news)
+            shifts.append(shifts[-1] + e)
+        out = np.multiply(p[t], news, out=None if values is None else values[t])
+        out += q[t] * olds
+        olds, news = news, out
+    return olds, news, np.array(shifts)
 
 
 def _lane_steps(
@@ -390,35 +406,21 @@ def _lane_steps(
     abs_q = np.divide(by_row(d_old), by_row(d_new), order="C")
     q = np.negative(abs_q, dtype=complex)
     abs_p = np.abs(p)
-    grow = np.log2(np.maximum((abs_p + abs_q).max(axis=1), 1.0))
-    shrink = np.log2(np.maximum(((1.0 + abs_p) / abs_q).max(axis=1), 1.0))
-    if max(grow.max(), shrink.max()) > _LANE_RESCALE_BITS:
+    # one row moves the pair maximum up by at most |p| + |q| and down by at
+    # most (1 + |p|)/|q|; from [1/2, 1), ``period`` rows of the largest of
+    # these over all rows and lanes stay within 2^+-500
+    bits = math.log2(max((abs_p + abs_q).max(), ((1.0 + abs_p) / abs_q).max(), 1.0))
+    if not bits <= _LANE_RESCALE_BITS:
         return None
-    # every lane rescales before step t where the bounds since the last
-    # rescale, which left the pair maximum in [1/2, 1), would pass 2^500
-    marks = []
-    up = down = 0.0
-    for g, s in zip(grow.tolist(), shrink.tolist()):
-        up += g
-        down += s
-        mark = up > _LANE_RESCALE_BITS or down > _LANE_RESCALE_BITS
-        if mark:
-            up, down = g, s
-        marks.append(mark)
+    period = int(_LANE_RESCALE_BITS // bits)
+    marks = range(period, rows, period)
 
-    # the images of (1, 0) and (0, 1) under each lane's rows, side by side
-    one, zero = np.ones(lanes, dtype=complex), np.zeros(lanes, dtype=complex)
-    old0, new0, old1, new1 = one, zero, zero, one
-    exps = np.zeros(lanes)
-    for t, mark in enumerate(marks):
-        if mark:
-            old0, new0, old1, new1, e = _normalise_lanes(old0, new0, old1, new1)
-            exps += e
-        pt, qt = p[t], q[t]
-        old0, new0 = new0, pt * new0 + qt * old0
-        old1, new1 = new1, pt * new1 + qt * old1
-    old0, new0, old1, new1, e = _normalise_lanes(old0, new0, old1, new1)
-    exps += e
+    # each lane's 2x2 transfer product: the images of the unit states
+    # (1, 0) and (0, 1), side by side
+    olds, news = np.eye(2, dtype=complex)[:, :, None].repeat(lanes, axis=2)
+    olds, news, shifts = _replay(p, q, marks, olds, news)
+    (old0, old1), (new0, new1), e = _normalise_lanes(olds, news)
+    exps = shifts[-1] + e
 
     # the state at the start of every lane, carried across the lanes
     starts = [(a, b, scale)]
@@ -432,20 +434,10 @@ def _lane_steps(
     s0 += e
 
     # every lane's rows, replayed side by side from its start; the scale
-    # changes only at the marked steps
+    # changes only at the marks
     values = np.empty((rows, lanes), dtype=complex)
-    tmp = np.empty(lanes, dtype=complex)
-    seg_scales = [s0]
-    olds, news = a0, b0
-    for t, mark in enumerate(marks):
-        if mark:
-            olds, news, e = _normalise_lanes(olds, news)
-            seg_scales.append(seg_scales[-1] + e)
-        out = values[t]
-        np.multiply(p[t], news, out=out)
-        out += np.multiply(q[t], olds, out=tmp)
-        olds, news = news, out
-    seg_rows = np.diff([0, *np.flatnonzero(marks), rows])
+    olds, news, shifts = _replay(p, q, marks, a0, b0, values)
+    seg_scales = s0 + shifts
 
     # the first two rows of every lane after the first read the last two
     # values of the lane before, replayed there, where the lane itself
@@ -460,8 +452,8 @@ def _lane_steps(
     row1 = q1 * gap_b <= _LANE_AGREEMENT * (p1 * np.abs(values[0, 1:]) + q1 * np.abs(b0[1:]))
     if not (np.all(row0) and np.all(row1)):
         return None
-    scales = np.repeat(np.array(seg_scales).T, seg_rows, axis=1)
-    return values.T.ravel(), scales.ravel()
+    scales = np.repeat(seg_scales, np.diff([0, *marks, rows]), axis=0)
+    return values.T.ravel(), scales.T.ravel()
 
 
 def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceSolution:
@@ -544,7 +536,8 @@ def minimal_solution_backward(
     Backward recurrence from a seed high in a buffer zone [n, m]
     projects onto the minimal solution; the buffer defaults to
     m = n + max(50, n // 10).  Requires a dominant/minimal dominance
-    split, i.e. |mu| > 1 or Im lam != 0.
+    split, i.e. |mu| > 1 or Im lam != 0.  Raises ``NonConvergenceError``
+    where a row leaves the floating-point range (|mu| near the top of it).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     if m is None:
@@ -555,8 +548,13 @@ def minimal_solution_backward(
     zs = zeta_array(np.arange(m + 1), lam)
     ds = np.concatenate(([0.0], coupling_weights(np.arange(1, m + 2))))
     w = _diagonal_weights(mu, zs)
-    # from (C_{m+1}, C_m) = (0, 1) down to C_0; row k needs d(k+1) and d(k)
-    out, log2 = _steps(w[m:0:-1], ds[m + 1:1:-1], ds[m:0:-1], 0j, 1 + 0j, 0.0)
+    try:
+        # from (C_{m+1}, C_m) = (0, 1) down to C_0; row k needs d(k+1) and d(k)
+        out, log2 = _steps(w[m:0:-1], ds[m + 1:1:-1], ds[m:0:-1], 0j, 1 + 0j, 0.0)
+    except OverflowError:
+        raise NonConvergenceError(
+            f"the backward recurrence at mu={mu}, lam={lam} left the floating-point range"
+        ) from None
     values = np.asarray(out, dtype=complex)[::-1]
     pivot = values[n]
     if pivot == 0.0:

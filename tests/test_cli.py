@@ -234,6 +234,10 @@ def test_identity_check_residual_small(capsys):
     # the identity's scale came from the row above its sum: residual 1
     ["--mu=1e200", "--lambda=0.3", "--lambda-im=0.1", "--size=50"],
     ["--mu=1e160", "--lambda=0.3", "--lambda-im=0.1", "--size=50"],
+    # Re zeta_n underflowed to 0 for n < 10 and failed the branch check:
+    # a RuntimeError traceback, exit 1
+    ["--mu=1.5", "--lambda=10", "--lambda-im=5e-324", "--size=20"],
+    ["--mu=1.5", "--lambda=10", "--lambda-im=-5e-324", "--size=20"],
 ])
 def test_identity_check_at_extreme_parameters(capsys, point):
     rc, out, _ = run_cli(capsys, ["identity-check", *point])
@@ -561,6 +565,16 @@ def test_n_cap_below_two_exits_2(capsys, command, cap):
     rc, out, _ = run_cli(capsys, [command, *_CAPPED[command], f"--n-cap={cap}"])
     assert rc == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("command", list(_CAPPED))
+@pytest.mark.parametrize("cap", ["1048577", "4194304"])
+def test_n_cap_above_2_20_exits_2(capsys, command, cap):
+    # the certificates' rounding argument holds up to 2^20 rows:
+    # asymptotics --mu 1.0000001 --n-cap 4194304 printed a count with exit 0
+    rc, out, err = run_cli(capsys, [command, *_CAPPED[command], f"--n-cap={cap}"])
+    assert (rc, out) == (2, "")
+    assert "1048576" in err
 
 
 # points whose counts need more than 1000 rows: mu - 1 = 1e-4

@@ -657,17 +657,20 @@ def test_h_spectrum_single_eigenvalue_frozen():
     assert np.abs(res.eigenvalues - full).max() <= 1e-10
 
 
-@pytest.mark.parametrize("wrong", ["shifted", "flat"])
+@pytest.mark.parametrize("wrong", ["shifted", "flat", "stalled"])
 def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
     # a secular function whose root is 1e-6 off gives polished roots that
-    # their counts reject; a flat one gives no sign change to polish.
-    # Either way the bisection continues and every root is certified.
+    # their counts reject; a flat one gives no sign change to polish;
+    # steps that do not converge give no polished root.  Each way the
+    # bisection continues and every root is certified.
     params = CouplingParams(1.4, 1.0)
     depth = 300
     secular_function = hamiltonian.secular_function
 
     def polish_is_wrong(mu, lam, n):
         if n != depth:
+            return secular_function(mu, lam, n)
+        if wrong == "stalled":
             return secular_function(mu, lam, n)
         return 1.0 + 0j if wrong == "flat" else secular_function(mu, lam - 1e-6, n)
 
@@ -682,9 +685,15 @@ def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
     monkeypatch.setattr(hamiltonian, "_polish_depth", lambda mu, top: depth)
     monkeypatch.setattr(hamiltonian, "secular_function", polish_is_wrong)
     monkeypatch.setattr(hamiltonian, "_bisect", recording)
+    if wrong == "stalled":
+        # the steps run out in the polish and in the cross-check alike
+        monkeypatch.setattr(hamiltonian, "_illinois", lambda *args: None)
     res = h_eigenvalues_below_threshold(params)
     assert res.count == 2 and sorted(bisected) == [0, 1]
-    assert res.method_agreement < 1e-8
+    if wrong == "stalled":
+        assert res.method_agreement == math.inf
+    else:
+        assert res.method_agreement < 1e-8
     window = _window(params)
     _assert_certified(res, window, 1e-10)
     full = _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
@@ -833,6 +842,22 @@ def test_h_spectrum_size_cap_validation():
             discrete2_check(CouplingParams(1.0, 1.0), size_cap=cap)
 
 
+@pytest.mark.parametrize("cap", [jacobi_ops.ROW_CAP + 1, 4 * jacobi_ops.ROW_CAP])
+def test_size_cap_above_row_cap_is_rejected(cap):
+    # the certificates' rounding argument holds up to 2^20 rows; a larger
+    # cap walked past it and certified the count
+    params = CouplingParams(1.0, 1.0)
+    calls = [
+        lambda: h_eigenvalues_below_threshold(params, size_cap=cap),
+        lambda: discrete2_check(params, size_cap=cap),
+        lambda: count_below_epsilon(params, 1e-3, size_cap=cap),
+        lambda: count_asymptotics_curve([1.0000001], size_cap=cap),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParametersError, match="1048576"):
+            call()
+
+
 def _record_rows(monkeypatch) -> list[int]:
     """The row every block a spectral count walks ends at."""
     stops: list[int] = []
@@ -911,6 +936,19 @@ def test_illinois_bisects_when_the_secant_leaves_the_bracket():
 def test_illinois_converges_on_curved_functions(f, root, lo, hi, xtol):
     x = hamiltonian._illinois(f, lo, f(lo), hi, f(hi), xtol)
     assert abs(x - root) <= xtol
+
+
+def test_illinois_says_when_its_steps_run_out():
+    # secant steps on a triple root crawl: after 80 steps the midpoint of
+    # the bracket held was 1.65, 1.35e14 xtol from the root 0.3
+    evals = []
+
+    def f(x):
+        evals.append(x)
+        return (x - 0.3) ** 3
+
+    assert hamiltonian._illinois(f, -2.0, f(-2.0), 3.0, f(3.0), 1e-14) is None
+    assert len(evals) == 82
 
 
 def test_refine_secular_illinois_matches_bisection(monkeypatch):

@@ -110,6 +110,19 @@ def test_spectral_diagonals_match_builder():
         spectral_diagonals(1.0, np.array([0.6]), 8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spectral_lams_must_be_finite(bad):
+    # a nan lam gave a row of nan diagonals without an error
+    with pytest.raises(InvalidParametersError, match="lam must be finite"):
+        spectral_diagonals(2.0, [bad], 4)
+    with pytest.raises(InvalidParametersError, match="lam must be finite"):
+        spectral_diagonals(2.0, [0.3, bad], 4)
+    with pytest.raises(InvalidParametersError, match="lam must be finite"):
+        spectral_counts(2.0, [bad])
+    with pytest.raises(InvalidParametersError, match="lam must be finite"):
+        SpectralFamily(lam=bad, mu=1.0)
+
+
 # ---------------------------------------------------------------------------
 # counting helpers
 
@@ -228,6 +241,13 @@ def test_certified_count_validation():
             certified_count(CountingLimitFamily(), 1.02, cap=cap)
         with pytest.raises(InvalidParametersError, match="row cap"):
             spectral_counts(1.02, [0.3], cap=cap)
+    # the certificates' rounding argument holds up to ROW_CAP rows
+    for cap in (ROW_CAP + 1, 4 * ROW_CAP):
+        with pytest.raises(InvalidParametersError, match=f"row cap .*{ROW_CAP}"):
+            certified_count(CountingLimitFamily(), 1.02, cap=cap)
+        with pytest.raises(InvalidParametersError, match=f"row cap .*{ROW_CAP}"):
+            spectral_counts(1.02, [0.3], cap=cap)
+    assert certified_count(CountingLimitFamily(), 1.02, cap=ROW_CAP)[1] < ROW_CAP
     # infinitely many eigenvalues lie above a level <= 1, and below 0 at
     # mu <= 1: no count is certified there
     for level in (1.0, 0.5, -2.0, math.nan):

@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speclab import (
@@ -90,15 +90,62 @@ def test_zeta_branch_at_tiny_imaginary_part(lam_im):
     assert identity_residual(sol, 9).residual <= 1e-9
 
 
-def test_zeta_array_matches_scalar():
-    ns = np.arange(0, 30)
-    for lam in (0.3, -2.0, 0.2 + 0.1j, 1.0j, -0.5 - 3.0j):
-        got = zeta_array(ns, lam)
-        want = np.array([zeta(int(n), lam) for n in ns])
-        assert np.allclose(got, want, rtol=1e-14)
+def _scalar_zeta(n, lam):
+    """The scalar formula zeta_n(lam) had before it read zeta_array."""
+    w = (n + 0.5) - lam
+    if lam.imag == 0.0:
+        return complex(math.sqrt(w.real), 0.0)
+    return cmath.sqrt(w)
+
+
+zeta_lam_ims = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300]) | st.floats(
+    min_value=-1e3, max_value=1e3
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.floats(min_value=-1e6, max_value=1e6), zeta_lam_ims)
+@example(n=3, lam_re=10.0, lam_im=5e-324)
+@example(n=0, lam_re=0.3, lam_im=-0.0)
+def test_zeta_array_matches_scalar(n, lam_re, lam_im):
+    lam = complex(lam_re, lam_im)
+    assume(lam_im != 0.0 or lam_re < n + 0.5)
+    got = zeta_array(np.arange(n, n + 3), lam)
+    assert np.array([zeta(n, lam)]).tobytes() == got[:1].tobytes()
+    got = got.view(np.float64)
+    want = np.array([_scalar_zeta(k, lam) for k in range(n, n + 3)]).view(np.float64)
+    # numpy's complex sqrt and cmath.sqrt round a subnormal part apart by
+    # one step of 2^-1074 at times (|Im lam| below about 1e-307); every
+    # other part agrees bit for bit, the signs of zeros included
+    sub = ((np.abs(got) < sys.float_info.min) | (np.abs(want) < sys.float_info.min)) & (got != want)
+    assert np.all(np.abs(got - want)[sub] <= 5e-324)
+    assert got[~sub].tobytes() == want[~sub].tobytes()
+
+
+def test_zeta_array_edges():
     assert zeta_array(np.array([]), 0.3).size == 0
     with pytest.raises(BranchCutError):
         zeta_array(np.arange(3), 0.7)
+
+
+@pytest.mark.parametrize("lam_im", [5e-324, -5e-324])
+def test_zeta_where_the_real_part_underflows(lam_im):
+    # the exact Re zeta_n = |Im lam| / (2 |Im zeta_n|), with |Im zeta_n|
+    # about sqrt(9.5 - n), is subnormal for n < 10 and under half the
+    # least subnormal for n <= 8; the branch check that demanded
+    # Re zeta > 0 raised on this valid input
+    lam = complex(10.0, lam_im)
+    zs = zeta_array(np.arange(40), lam)
+    assert np.all(zs.real[:9] == 0.0) and np.all(zs.real[:10] <= 5e-324)
+    assert np.all(zs.real[10:] > 0.0)
+    # Re zeta >= +0, and Im zeta carries the sign of -Im lam
+    assert not np.any(np.signbit(zs.real))
+    assert np.all(np.signbit(zs.imag) != np.signbit(lam_im))
+    z = zeta(3, lam)
+    assert z.real == 0.0 and math.copysign(1.0, z.imag) == -math.copysign(1.0, lam_im)
+    sol = iterate_forward(1.5, lam, 1.0, 20)
+    assert math.isfinite(identity_residual(sol, 19).residual)
+    assert math.isfinite(sol.max_interior_residual())
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +358,17 @@ def test_minimal_solution_requires_dominance_split():
     # nonreal lam restores the split even for small mu
     sol = minimal_solution_backward(0.8, 1.0j, 50)
     assert sol.value(50) == 1.0
+
+
+@pytest.mark.parametrize("mu, lam, n", [
+    # a row overflows: a bare OverflowError from the rescale
+    (1e154, 0.3, 100),
+    # the same on a range long enough for lanes, which give way to the rows
+    (1e154, 0.3 + 0.1j, 3000),
+])
+def test_backward_raises_non_convergence_where_a_row_overflows(mu, lam, n):
+    with pytest.raises(NonConvergenceError, match="floating-point range"):
+        minimal_solution_backward(mu, lam, n)
 
 
 def test_minimal_solution_buffer_insensitive():
