@@ -7,15 +7,17 @@ in input order regardless of the worker count, so identical configurations
 produce byte-identical output.
 
 Each subcommand is declared once, in ``_COMMANDS``: its handler, its help,
-the flags a ``--grid`` may sweep, its other flags and its output columns.
+the flags a ``--grid`` may sweep, its other flags, its output columns and,
+for ``asymptotics`` and ``transition-scan``, the chart that ``--svg`` draws
+from those columns; a command takes ``--svg`` exactly when it has a chart.
 A command accepts only the flags it reads: ``--tol`` only where a bisection
 or a classification uses it, ``--n-cap`` only where a certified count
 walks rows.  ``_FLAGS`` gives every flag its option string, type and
 default.  The parser, the sweep check and the handlers all read these two
 tables, and a ``--config`` file is parsed through the same flags.
 
-Exit codes: 0 success, 2 invalid parameters, 3 non-convergence (or every
-sweep point failing).
+Exit codes: 0 success, 2 invalid parameters (a request too large for
+memory among them), 3 non-convergence (or every sweep point failing).
 """
 
 from __future__ import annotations
@@ -310,12 +312,14 @@ class _Command:
     handler: Callable[[dict], list[list]]
     help: str
     grid: tuple[str, ...]  # the flags a --grid may sweep
-    flags: tuple[str, ...]  # its other flags, besides _COMMON
+    flags: tuple[str, ...]  # its other flags, besides _COMMON and svg
     columns: tuple[str, ...]
+    # (title, x column, y columns) of the chart that --svg draws
+    chart: tuple[str, str, tuple[str, ...]] | None = None
 
     @property
     def options(self) -> tuple[str, ...]:
-        return (*_COMMON, *self.grid, *self.flags)
+        return (*_COMMON, *self.grid, *self.flags) + (("svg",) if self.chart else ())
 
     def rows(self, a: dict) -> list[dict]:
         """The handler's rows keyed by column; a short row leaves its last
@@ -357,7 +361,8 @@ _COMMANDS = {
     ),
     "asymptotics": _Command(
         _cmd_asymptotics, "near-critical counting law check",
-        ("mu",), ("svg", "n_cap"), ("mu", "counted", "predicted", "ratio"),
+        ("mu",), ("n_cap",), ("mu", "counted", "predicted", "ratio"),
+        ("eigenvalue count vs coupling", "mu", ("counted", "predicted")),
     ),
     "identity-check": _Command(
         _cmd_identity_check, "summed-identity residual of a forward solution",
@@ -366,8 +371,9 @@ _COMMANDS = {
     ),
     "transition-scan": _Command(
         _cmd_transition_scan, "smallest eigenvalue and window count across sizes",
-        ("mu",), ("sizes", "lo", "hi", "svg", "tol"),
+        ("mu",), ("sizes", "lo", "hi", "tol"),
         ("mu", "size", "smallest", "window_count"),
+        ("smallest truncation eigenvalue vs size", "size", ("smallest",)),
     ),
     "forms-test": _Command(
         _cmd_forms_test, "Monte-Carlo check of the quadratic-form lower bound",
@@ -489,17 +495,21 @@ def _run_task(task: tuple) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# SVG chart (optional convenience for asymptotics / transition-scan)
+# SVG chart of a command that declares one
 
 
-def _write_svg(path: str, title: str, series: list[tuple[str, list, list]]) -> None:
-    width, height, pad = 640, 400, 50
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    if not xs_all:
+def _write_svg(path: str, chart: tuple[str, str, tuple[str, ...]], rows: list[dict]) -> None:
+    """Draw each y column of ``chart`` against its x column over the rows
+    whose status is ok; write nothing where no row is ok."""
+    title, x_column, y_columns = chart
+    ok_rows = [r for r in rows if r.get("status", "ok") == "ok"]
+    if not ok_rows:
         return
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    xs = [float(r[x_column]) for r in ok_rows]
+    series = [(name, [float(r[name]) for r in ok_rows]) for name in y_columns]
+    width, height, pad = 640, 400, 50
+    ys_all = [y for _, ys in series for y in ys]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys_all), max(ys_all)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 
@@ -509,67 +519,37 @@ def _write_svg(path: str, title: str, series: list[tuple[str, list, list]]) -> N
     def sy(y: float) -> float:
         return height - pad - (y - y_lo) / y_span * (height - 2 * pad)
 
+    def text(x, y, anchor: str, size: int, body: str, fill: str = "") -> str:
+        return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+                f'font-family="sans-serif" font-size="{size}"{fill}>{body}</text>')
+
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        text(width / 2, 20, "middle", 14, title),
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
         f'y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" '
         'stroke="black"/>',
     ]
-    for i, (name, xs, ys) in enumerate(series):
+    for i, (name, ys) in enumerate(series):
         color = colors[i % len(colors)]
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             'stroke-width="1.5"/>'
         )
-        parts.append(
-            f'<text x="{width - pad}" y="{pad + 16 * i}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="{color}">'
-            f"{name}</text>"
-        )
-    for value, label in ((x_lo, "x_lo"), (x_hi, "x_hi")):
-        parts.append(
-            f'<text x="{sx(value):.2f}" y="{height - pad + 18}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{_fmt_float(value)}</text>"
-        )
+        parts.append(text(width - pad, pad + 16 * i, "end", 12, name, f' fill="{color}"'))
+    for value in (x_lo, x_hi):
+        parts.append(text(f"{sx(value):.2f}", height - pad + 18, "middle", 11,
+                          _fmt_float(value)))
     for value in (y_lo, y_hi):
-        parts.append(
-            f'<text x="{pad - 6}" y="{sy(value):.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt_float(value)}</text>'
-        )
+        parts.append(text(pad - 6, f"{sy(value):.2f}", "end", 11, _fmt_float(value)))
     parts.append("</svg>\n")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(parts))
-
-
-def _maybe_svg(command: str, rows: list[dict], path: str | None) -> None:
-    if not path:
-        return
-    ok_rows = [r for r in rows if r.get("status", "ok") == "ok"]
-    if command == "asymptotics":
-        xs = [r["mu"] for r in ok_rows]
-        _write_svg(
-            path,
-            "eigenvalue count vs coupling",
-            [
-                ("counted", xs, [float(r["counted"]) for r in ok_rows]),
-                ("predicted", xs, [r["predicted"] for r in ok_rows]),
-            ],
-        )
-    elif command == "transition-scan":
-        xs = [float(r["size"]) for r in ok_rows]
-        _write_svg(
-            path,
-            "smallest truncation eigenvalue vs size",
-            [("smallest", xs, [r["smallest"] for r in ok_rows])],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +577,8 @@ def run(argv: list[str] | None = None) -> int:
             columns = [key] + [c for c in command.columns if c != key] + ["status"]
             any_ok = any(r.get("status") == "ok" for r in rows)
 
-        _maybe_svg(a["command"], rows, a.get("svg"))
+        if a.get("svg"):
+            _write_svg(a["svg"], command.chart, rows)
         text = (
             _render_csv(rows, columns)
             if a["format"] == "csv"
@@ -615,7 +596,7 @@ def run(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         print(f"speclab: {exc}", file=sys.stderr)
         return 3
-    except (SpeclabError, ValueError, OSError) as exc:
+    except (SpeclabError, ValueError, OSError, MemoryError) as exc:
         print(f"speclab: {exc}", file=sys.stderr)
         return 2
 

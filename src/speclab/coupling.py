@@ -228,15 +228,18 @@ def derive(params: CouplingParams) -> CouplingDerived:
     else:
         # Two equivalent null-vector formulas exist per eigenvalue; pick the
         # one whose squared norm is 2r(r + |omega3|), which never vanishes
-        # for r > 0 (the other degenerates when Sigma is diagonal).
+        # for r > 0 (the other degenerates when Sigma is diagonal).  The
+        # norm is taken as sqrt(2r) * sqrt(r + |omega3|): its square
+        # overflows from r of about 1e154
         if omega3 >= 0.0:
             k1 = np.array([omega1 - 1j * omega2, -(omega3 + r)], dtype=complex)
             k2 = np.array([omega3 + r, omega1 + 1j * omega2], dtype=complex)
         else:
             k1 = np.array([omega3 - r, omega1 + 1j * omega2], dtype=complex)
             k2 = np.array([omega1 - 1j * omega2, r - omega3], dtype=complex)
-        k1 = _phase_canonical(k1 / np.linalg.norm(k1))
-        k2 = _phase_canonical(k2 / np.linalg.norm(k2))
+        norm = math.sqrt(2.0 * r) * math.sqrt(r + abs(omega3))
+        k1 = _phase_canonical(k1 / norm)
+        k2 = _phase_canonical(k2 / norm)
 
     if beta == 0.0:
         mu1: float | None = None

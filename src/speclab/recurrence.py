@@ -268,6 +268,18 @@ def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, comple
     return a, b, scale
 
 
+def _weights_overflow(mu: float, lam: complex, top: int) -> bool:
+    """Whether a diagonal weight w_k, k <= top, may overflow, from scalars:
+    checked before numpy forms the weights, which would warn.
+
+    |w_k| = 2|mu| sqrt(k + 1/2) |k + 1/2 - lam|^(1/2), and the last factor
+    is at most (top + 1/2 + |Re lam|)^(1/2) + |Im lam|^(1/2).  The bound
+    must stay below 2^1023, so that no rounding of a weight passes it.
+    """
+    zeta_bound = math.sqrt(top + 0.5 + abs(lam.real)) + math.sqrt(abs(lam.imag))
+    return not 2.0 * abs(mu) * math.sqrt(top + 0.5) * zeta_bound < 2.0**1023
+
+
 def _diagonal_weights(mu: float, zs: np.ndarray) -> np.ndarray:
     """w_j = 2*mu*sqrt(j + 1/2)*zeta_j(lam) for j < len(zs), from zs[j] = zeta_j.
 
@@ -461,10 +473,10 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
 
     The n = 0 row fixes C_1 = -2*mu*sqrt(1/2)*zeta_0(lam)*c0 / d(1); the
     interior rows then propagate upward.  Working magnitudes are kept in
-    [2^-512, 2^512] by the rescaling accumulator.  A mu whose last
-    diagonal weight w_{n-1} overflows, or a row that overflows on the way
-    (a seed near the top of the float range, or |w_k| above about 2^512),
-    raises ``InvalidParametersError``.
+    [2^-512, 2^512] by the rescaling accumulator.  A mu that makes a
+    diagonal weight w_0..w_{n-1} overflow, or a row that overflows on the
+    way (a seed near the top of the float range, or |w_k| above about
+    2^512), raises ``InvalidParametersError``.
     """
     mu = _check_mu(mu)
     if n < 0:
@@ -479,14 +491,10 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
     values = np.array([c0])
     scales = np.zeros(1)
     if n > 0:
-        # |w_k|^2 = 4 mu^2 (k + 1/2) |k + 1/2 - lam| grows with k wherever
-        # Re lam <= 1/2, which holds for every real lam off the cut, so the
-        # last weight is the largest; any other weight that overflows
-        # fails below as a row that overflows does
-        w_last = 2.0 * mu * math.sqrt(n - 0.5) * complex(zs[n - 1])
-        if not cmath.isfinite(w_last):
+        if _weights_overflow(mu, lam, n - 1):
             raise InvalidParametersError(
-                f"mu = {mu} makes the diagonal weight w_{n - 1} overflow at lam = {lam}"
+                f"mu = {mu} makes a diagonal weight of w_0..w_{n - 1} overflow "
+                f"at lam = {lam}"
             )
         w = _diagonal_weights(mu, zs[:n])
         try:
@@ -537,7 +545,8 @@ def minimal_solution_backward(
     projects onto the minimal solution; the buffer defaults to
     m = n + max(50, n // 10).  Requires a dominant/minimal dominance
     split, i.e. |mu| > 1 or Im lam != 0.  Raises ``NonConvergenceError``
-    where a row leaves the floating-point range (|mu| near the top of it).
+    where a weight or a row leaves the floating-point range (|mu| near the
+    top of it).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     if m is None:
@@ -545,6 +554,10 @@ def minimal_solution_backward(
     if m <= n:
         raise InvalidParametersError("buffer top m must exceed n")
 
+    if _weights_overflow(mu, lam, m):
+        raise NonConvergenceError(
+            f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
+        )
     zs = zeta_array(np.arange(m + 1), lam)
     ds = np.concatenate(([0.0], coupling_weights(np.arange(1, m + 2))))
     w = _diagonal_weights(mu, zs)
@@ -689,8 +702,13 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     vals.imag = np.ldexp(unscaled.imag, -e)
     k = sol.log2_scale[: up_to + 2] + e
     # both sides on the scale of the top pair: C_{upTo+1} alone can lie so
-    # far above the sum's terms that its scale underflows all of them
-    kref = float((k[up_to] + k[up_to + 1]) // 2)
+    # far above the sum's terms that its scale underflows all of them.  But
+    # no weight may pass 2^960, which leaves 2^64 for the factor
+    # 2*mu*sqrt(n+1/2)*Im zeta_n (at most |w_n|) and the sum: at tiny |mu|
+    # the C_n alternate between about 1 and about mu, and the top pair's
+    # scale would overflow every other weight
+    kref = max(float((k[up_to] + k[up_to + 1]) // 2),
+               float(np.max(k[: up_to + 1])) - 480.0)
     weights = np.exp2(2.0 * (k[: up_to + 1] - kref))
     mags2 = np.abs(vals[: up_to + 1]) ** 2 * weights
     terms = 2.0 * sol.mu * mags2 * np.sqrt(ns + 0.5) * zs_im
@@ -743,12 +761,16 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     sweep runs in real arithmetic, so the result is exactly real and its
     sign exact: the phase is (-1) to the number of negative rho_k, which
     the sweep counts.  Sign changes bracket eigenvalues.  Raises ``NonConvergenceError``
-    where a ratio leaves the floating-point range (|mu| near the ends of
-    the float range).
+    where a weight or a ratio leaves the floating-point range (|mu| near
+    the ends of the float range).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     m = _buffer_top(n)
     neg_d2, half, two_sqrt = _sweep_rows(m)
+    if _weights_overflow(mu, lam, m):
+        raise NonConvergenceError(
+            f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
+        )
     # real lam: float zeta_k, so the whole sweep runs in real arithmetic
     z = np.sqrt(half - (lam.real if lam.imag == 0.0 else lam))
     w = (mu * two_sqrt * z).tolist()

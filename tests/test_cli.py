@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -157,6 +158,7 @@ def test_surface_gamma_zero(capsys):
     assert json.loads(out)["alpha_c"] == pytest.approx(SQRT2, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     mu=st.floats(0.3, 3.0),
@@ -169,6 +171,8 @@ def test_surface_gamma_zero(capsys):
          size=2675)
 @example(mu=1.138857525133995, lam=-0.7402653021175278, lam_im=0.13287778473353085,
          size=38204)
+# the scale of the top pair overflowed every other term's weight to inf
+@example(mu=2.2e-308, lam=-0.8734261681881561, lam_im=1.5106860572764642, size=2675)
 def test_identity_check_output_is_finite(mu, lam, lam_im, size):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -184,6 +188,7 @@ def test_identity_check_output_is_finite(mu, lam, lam_im, size):
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(alpha=finite_floats, beta=finite_floats, gamma_re=finite_floats,
        gamma_im=finite_floats)
@@ -196,6 +201,10 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 @example(alpha=1e-320, beta=1e-300, gamma_re=0.0, gamma_im=0.0)
 # omega0 + r rounded to 0 at alpha*beta = -1e20: ZeroDivisionError
 @example(alpha=1e10, beta=-1e10, gamma_re=0.0, gamma_im=0.0)
+# the squared norm of Sigma's eigenvectors overflowed: a RuntimeWarning, and
+# eigenvectors of zeros
+@example(alpha=6.896562338143908e+16, beta=1.374706910959462e+137, gamma_re=0.0,
+         gamma_im=0.0)
 def test_closed_form_output_is_finite(alpha, beta, gamma_re, gamma_im):
     coupling = [f"--alpha={alpha!r}", f"--beta={beta!r}",
                 f"--gamma-re={gamma_re!r}", f"--gamma-im={gamma_im!r}"]
@@ -238,12 +247,32 @@ def test_identity_check_residual_small(capsys):
     # a RuntimeError traceback, exit 1
     ["--mu=1.5", "--lambda=10", "--lambda-im=5e-324", "--size=20"],
     ["--mu=1.5", "--lambda=10", "--lambda-im=-5e-324", "--size=20"],
+    # C_n alternate between about 1 and about mu, and the top pair's scale
+    # overflowed every other term of the identity: residual nan, exit 0
+    ["--mu=2.2e-308", "--lambda=-0.8734261681881561",
+     "--lambda-im=1.5106860572764642", "--size=2675"],
+    ["--mu=-2.2e-308", "--lambda=-0.8734261681881561",
+     "--lambda-im=1.5106860572764642", "--size=2675"],
 ])
 def test_identity_check_at_extreme_parameters(capsys, point):
     rc, out, _ = run_cli(capsys, ["identity-check", *point])
     assert rc == 0
     row = json.loads(out)
     assert row["residual"] <= 1e-9 and row["max_interior_residual"] < 1e-13
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", ["5e-324", "-5e-324"])
+def test_identity_check_at_the_least_subnormal_mu(capsys, mu):
+    # the weights w_n are subnormal, so the rows do not hold in double
+    # precision and a residual near 1 is the honest answer; it used to be
+    # nan with exit 0
+    rc, out, _ = run_cli(capsys, ["identity-check", f"--mu={mu}", "--lambda=0.3",
+                                  "--lambda-im=0.1", "--size=50"])
+    assert rc == 0
+    row = json.loads(out)
+    for key in ("residual", "max_interior_residual"):
+        assert math.isfinite(float(row[key])), (key, row[key])
 
 
 @pytest.mark.filterwarnings("error")
@@ -436,6 +465,7 @@ def test_spectral_output_is_finite(capsys, argv):
 _CROSS_CHECK_DEFECT_MU_MINUS_1 = 2e-3
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:no subcritical branch")
 @settings(max_examples=30, deadline=None)
 @given(
@@ -494,6 +524,7 @@ def subcritical_points(draw):
     return alpha, beta, gamma
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=20, deadline=None)
 @given(subcritical_points(), st.floats(1e-3, 1.0))
 def test_no_silent_nan_and_certified_eigenvalues(point, epsilon):
@@ -832,6 +863,10 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert target.read_text() == stdout_text
 
 
+# the charts of the lines below, byte for byte
+CHARTS = pathlib.Path(__file__).parent / "charts"
+
+
 def test_transition_scan_svg(capsys, tmp_path):
     svg = tmp_path / "scan.svg"
     rc, out, _ = run_cli(
@@ -842,9 +877,7 @@ def test_transition_scan_svg(capsys, tmp_path):
     assert rc == 0
     rows = json.loads(out)
     assert [r["size"] for r in rows] == [64, 128]
-    text = svg.read_text()
-    assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
-    assert "polyline" in text
+    assert svg.read_bytes() == (CHARTS / "transition_scan.svg").read_bytes()
 
 
 def test_asymptotics_svg(capsys, tmp_path):
@@ -852,10 +885,28 @@ def test_asymptotics_svg(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, ["asymptotics", "--mu=1.5", "--svg", str(svg)])
     assert rc == 0
     assert json.loads(out)["mu"] == 1.5
-    text = svg.read_text()
-    assert text.startswith("<svg ") and text.rstrip().endswith("</svg>")
-    assert "eigenvalue count vs coupling" in text
-    assert ">counted<" in text and ">predicted<" in text
+    assert svg.read_bytes() == (CHARTS / "asymptotics.svg").read_bytes()
+
+
+@pytest.mark.parametrize("argv, chart", [
+    (["--grid", "mu:1.0005:1.05:8:log"], "asymptotics_log_grid.svg"),
+    # five of the six points fail: the chart draws the one that is ok
+    (["--grid", "mu:0.5:1.05:6", "--format", "csv"], "asymptotics_some_points_fail.svg"),
+])
+def test_asymptotics_grid_svg(capsys, tmp_path, argv, chart):
+    svg = tmp_path / "chart.svg"
+    rc, _, _ = run_cli(capsys, ["asymptotics", *argv, "--svg", str(svg)])
+    assert rc == 0
+    assert svg.read_bytes() == (CHARTS / chart).read_bytes()
+
+
+def test_no_chart_where_every_point_fails(capsys, tmp_path):
+    svg = tmp_path / "chart.svg"
+    rc, _, err = run_cli(capsys, ["asymptotics", "--grid", "mu:0.5:0.9:3",
+                                  "--svg", str(svg)])
+    assert rc == 3
+    assert "all sweep points failed" in err
+    assert not svg.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -886,6 +937,24 @@ def test_parser_negative_numbers_and_options(capsys):
 
 def test_parser_built_once():
     assert _build_parser() is _build_parser()
+
+
+# 2^50 elements: 8 PiB, more than any address space maps
+_UNALLOCATABLE = 2**50
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "--beta", "1", "--grid", f"alpha:0:1:{_UNALLOCATABLE}"],
+    ["jacobi-spectrum", "--family", "reference", "--mu", "1.5",
+     "--size", f"{_UNALLOCATABLE}"],
+    ["identity-check", "--mu", "1.5", "--size", f"{_UNALLOCATABLE}"],
+    ["transition-scan", "--mu", "0.7", "--sizes", f"{_UNALLOCATABLE}"],
+], ids=lambda argv: argv[0])
+def test_request_too_large_for_memory_exits_2(capsys, argv):
+    # numpy's MemoryError used to end the run in a traceback, exit 1
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("speclab: Unable to allocate") and err.count("\n") == 1
 
 
 def test_classify_nan_tol_exit_2(capsys):
@@ -945,9 +1014,14 @@ _N_CAP_DROPPED = ["mu", "classify", "surface", "jacobi-spectrum", "identity-chec
                   "transition-scan", "forms-test"]
 
 
+# every command but the two whose _COMMANDS entry declares a chart
+_SVG_DROPPED = [c for c in _COMMANDS if c not in ("asymptotics", "transition-scan")]
+
+
 @pytest.mark.parametrize("command, flag",
                          [(c, "--tol=1e-10") for c in _TOL_DROPPED]
-                         + [(c, "--n-cap=4096") for c in _N_CAP_DROPPED])
+                         + [(c, "--n-cap=4096") for c in _N_CAP_DROPPED]
+                         + [(c, "--svg=chart.svg") for c in _SVG_DROPPED])
 def test_unread_flag_exits_2(capsys, command, flag):
     rc, out, err = run_cli(capsys, [command, *_CHEAP_LINES[command][0], flag])
     assert (rc, out) == (2, "")

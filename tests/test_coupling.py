@@ -133,6 +133,28 @@ def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
     assert np.max(np.abs(r2)) <= 1e-10 * scale
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    # r is about 9.5e153 and 1.2e154: the squared norm 2r(r + |omega3|)
+    # overflowed, with a RuntimeWarning, and the k vectors were zeros
+    (6.896562338143908e16, 1.374706910959462e137, 0j),
+    (-1e150, 1.2e4, 1e70 + 2e70j),
+    (-1e150, 1.2e4, -1e70 + 2e70j),
+])
+def test_k_vectors_are_unit_where_their_squared_norm_overflows(alpha, beta, gamma):
+    d = derive(CouplingParams(alpha, beta, gamma))
+    assert not d.degenerate
+    for k in (d.k1, d.k2):
+        assert abs(math.hypot(abs(k[0]), abs(k[1])) - 1.0) <= 1e-15
+    assert abs(np.vdot(d.k1, d.k2)) <= 1e-15
+    # Sigma and its eigenvalues on the scale of the larger one
+    scale = max(abs(d.sigma_eig_plus), abs(d.sigma_eig_minus))
+    sigma = d.sigma / scale
+    r1 = sigma @ d.k1 - d.sigma_eig_minus / scale * d.k1
+    r2 = sigma @ d.k2 - d.sigma_eig_plus / scale * d.k2
+    assert np.max(np.abs(r1)) <= 1e-15 and np.max(np.abs(r2)) <= 1e-15
+
+
 @settings(max_examples=150, deadline=None)
 @given(finite_reals, finite_reals, gammas)
 def test_weight_eigenvalue_products(alpha, beta, gamma):

@@ -811,11 +811,30 @@ def test_secular_sweep_outside_the_float_range_raises():
         secular_function(1e-310, 1.0j, 10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_secular_sweep_real_lam_outside_the_float_range_raises():
-    # at mu = 1e308 the upper w_k overflow to inf, so the real sweep's
-    # ratios -d(k)^2 / (w_k + rho_k) are -0.0, which has no sign to count
-    with np.errstate(over="ignore"), pytest.raises(NonConvergenceError):
+    # at mu = 1e308 the upper w_k overflow to inf, where the real sweep's
+    # ratios -d(k)^2 / (w_k + rho_k) would be -0.0, which has no sign to
+    # count: the largest weight is checked first, and no warning is given
+    with pytest.raises(NonConvergenceError):
         secular_function(1e308, 0.3, 10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve, args, error", [
+    (minimal_solution_backward, (1e308, 0.3, 100), NonConvergenceError),
+    (minimal_solution_backward, (1e308, 0.3, 3000), NonConvergenceError),
+    # w_m is finite, but the weights near k = m / 2 overflow
+    (minimal_solution_backward, (1e306, 1499 + 1j, 1500), NonConvergenceError),
+    (iterate_forward, (1e306, 1499 + 1j, 1.0, 1500), InvalidParametersError),
+    (secular_function, (1e308, 0.3, 256), NonConvergenceError),
+    (secular_function, (1e308, 0.3 + 1j, 256), NonConvergenceError),
+    (secular_function, (1e306, 250 + 1j, 256), NonConvergenceError),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_a_weight_that_overflows_raises_without_a_warning(solve, args, error):
+    # numpy used to warn as it formed the weights, before the error
+    with pytest.raises(error, match="overflow|floating-point range"):
+        solve(*args)
 
 
 # secular_function's bits at a few points, captured before the h-spectrum
