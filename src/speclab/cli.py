@@ -16,8 +16,14 @@ walks rows.  ``_FLAGS`` gives every flag its option string, type and
 default.  The parser, the sweep check and the handlers all read these two
 tables, and a ``--config`` file is parsed through the same flags.
 
+A ``--grid`` sweep with ``--workers N`` forks ``min(N, points)`` children,
+1 <= N <= 256; child ``w`` computes every ``min(N, points)``-th point from
+point ``w`` and pipes its rows back, and the parent puts them in input
+order.  Where ``os.fork`` is missing the grid runs serially.
+
 Exit codes: 0 success, 2 invalid parameters (a request too large for
-memory among them), 3 non-convergence (or every sweep point failing).
+memory among them) or a sweep worker that died before sending its rows,
+3 non-convergence (or every sweep point failing).
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ import argparse
 import functools
 import json
 import math
+import os
+import pickle
 import re
+import signal
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -484,7 +492,8 @@ def _parse_grid(text: str, command: str) -> tuple[str, list[float]]:
 
 
 def _run_task(task: tuple) -> list[dict]:
-    """One sweep point -> rows with a trailing status column (pool-safe)."""
+    """One sweep point -> rows with a trailing status column.  It runs in
+    the process that calls it, parent or forked child alike."""
     command, key, value, a = task
     head = {key: value}
     try:
@@ -492,6 +501,78 @@ def _run_task(task: tuple) -> list[dict]:
     except (SpeclabError, ValueError, ZeroDivisionError) as exc:
         return [head | {"status": type(exc).__name__}]
     return [head | row | {"status": "ok"} for row in rows]
+
+
+# the most processes one sweep may fork
+_MAX_WORKERS = 256
+
+
+def _child(tasks: list[tuple], write_end: int) -> NoReturn:
+    """In a forked child: pickle (the ``_run_task`` rows of ``tasks`` up to
+    the first exception, that exception or None) to ``write_end``, then
+    leave by ``os._exit``, with status 0 only once the rows are sent."""
+    status = 1
+    try:
+        done, error = [], None
+        try:
+            for task in tasks:
+                done.append(_run_task(task))
+        except Exception as exc:  # raised again by the parent
+            error = exc
+        with os.fdopen(write_end, "wb") as pipe:
+            pickle.dump((done, error), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(tasks: list[tuple], workers: int) -> list[list[dict]]:
+    """``_run_task`` of each task, in input order, computed in
+    ``n = min(workers, len(tasks))`` forked children; child ``w`` runs
+    ``tasks[w::n]``.
+
+    The exception of the earliest task that raised one is raised here, as
+    the serial loop would raise it.  A child that dies before sending its
+    rows raises ``ChildProcessError``.  Every child is reaped before this
+    returns or raises; one still running then is killed first.
+    """
+    n = min(workers, len(tasks))
+    chunks: list = [None] * len(tasks)
+    raised = []  # (task index, exception) of each child that stopped early
+    pipes, running = [], []
+    try:
+        for w in range(n):
+            read_end, write_end = os.pipe()
+            pipes.append(os.fdopen(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(tasks[w::n], write_end)
+            finally:
+                os.close(write_end)  # the child's copy alone stays open
+            running.append(pid)
+        for w, (pid, pipe) in enumerate(zip(list(running), pipes)):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.remove(pid)
+            if code != 0:
+                raise ChildProcessError(
+                    f"a sweep worker exited with code {code} before sending its rows"
+                )
+            done, error = pickle.loads(data)
+            if error is None:
+                chunks[w::n] = done
+            else:
+                raised.append((w + n * len(done), error))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if raised:
+        raise min(raised, key=lambda r: r[0])[1]
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +642,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         a = vars(_build_parser().parse_args(_with_config(argv)))
         command = _COMMANDS[a["command"]]
+        if not 1 <= a["workers"] <= _MAX_WORKERS:
+            raise InvalidParametersError(
+                f"workers must be between 1 and {_MAX_WORKERS}, got {a['workers']}"
+            )
         if a["grid"] is None:
             rows = command.rows(a)
             columns = list(command.columns)
@@ -568,9 +653,8 @@ def run(argv: list[str] | None = None) -> int:
         else:
             key, values = _parse_grid(a["grid"], a["command"])
             tasks = [(a["command"], key, value, a) for value in values]
-            if a["workers"] > 1 and len(tasks) > 1:
-                with Pool(processes=min(a["workers"], len(tasks))) as pool:
-                    chunks = pool.map(_run_task, tasks)
+            if a["workers"] > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+                chunks = _fan_out(tasks, a["workers"])
             else:
                 chunks = [_run_task(t) for t in tasks]
             rows = [row for chunk in chunks for row in chunk]

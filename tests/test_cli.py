@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
+import signal
 
 import numpy as np
 import pytest
@@ -690,29 +693,135 @@ def test_sweep_workers_byte_identical(capsys):
     assert all(r["status"] == "ok" for r in rows)
 
 
+def _count_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to append the forking pid to the returned list."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
 def test_sweep_pool_has_no_more_workers_than_points(capsys, monkeypatch):
+    forks = _count_forks(monkeypatch)
     started = []
-
-    class FakePool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(cli, "Pool", FakePool)
     base = ["mu", "--beta", "1", "--grid"]
     rc, out, _ = run_cli(capsys, base + ["alpha:1:2:2", "--workers", "64"])
     assert rc == 0 and len(json.loads(out)) == 2
+    started.append(len(forks))
     rc, out, _ = run_cli(capsys, base + ["alpha:1:2:7", "--workers", "3"])
     assert rc == 0 and len(json.loads(out)) == 7
+    started.append(len(forks) - started[0])
     assert started == [2, 3]
+
+
+@pytest.mark.parametrize("workers", ["0", "-5", "257", "100000"])
+def test_workers_out_of_bounds_exits_2_before_forking(capsys, monkeypatch, workers):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    rc, out, err = run_cli(
+        capsys, ["mu", "--beta", "1", "--grid", "alpha:0:1:1000", "--workers", workers]
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"speclab: workers must be between 1 and 256, got {workers}\n"
+
+
+def test_sweep_byte_identical_at_one_two_and_three_workers(capsys):
+    # 7 points split 4 + 3 and 3 + 2 + 2; two of them end in a status row
+    argv = ["h-spectrum", "--beta", "1", "--gamma-re", "0.3", "--grid", "alpha:0.8:1.6:7"]
+    serial = run_cli(capsys, argv + ["--workers", "1"])
+    assert serial[0] == 0
+    assert [r["status"] for r in json.loads(serial[1])].count("ok") == 5
+    for workers in ("2", "3"):
+        assert run_cli(capsys, argv + ["--workers", workers]) == serial
+
+
+def test_sweep_workload_block_byte_identical_serially(capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    queries = workloads.block("sweep", 0, 0)
+    assert queries
+    for q in queries:
+        argv = list(q.argv)
+        assert argv[-2:] == ["--workers", "2"]
+        assert run_cli(capsys, argv) == run_cli(capsys, argv[:-1] + ["1"])
+
+
+def test_sweep_runs_serially_without_fork(capsys, monkeypatch):
+    argv = ["surface", "--gamma-re", "1", "--grid", f"beta:{TWO_SQRT2}:4:3"]
+    serial = run_cli(capsys, argv + ["--workers", "1"])
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, argv + ["--workers", "2"]) == serial
+
+
+def _fail_mu_at(monkeypatch, fail) -> None:
+    """Make ``mu``'s handler call ``fail(alpha)`` before its own work."""
+    mu = _COMMANDS["mu"]
+
+    def handler(a):
+        fail(a["alpha"])
+        return mu.handler(a)
+
+    monkeypatch.setitem(_COMMANDS, "mu", dataclasses.replace(mu, handler=handler))
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail the test, not the run, if the block takes longer than ``seconds``."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_worker_exception_ends_the_run_as_serially(capsys, monkeypatch):
+    def fail(alpha):
+        if alpha in (0.25, 0.5):
+            raise MemoryError(f"no memory at alpha {alpha}")
+
+    _fail_mu_at(monkeypatch, fail)
+    # at 2 workers, point 0.5 is the first of child 0 to fail, 0.25 of child 1
+    argv = ["mu", "--beta", "1", "--grid", "alpha:0:1:5"]
+    serial = run_cli(capsys, argv + ["--workers", "1"])
+    assert serial == (2, "", "speclab: no memory at alpha 0.25\n")
+    with _deadline(60):
+        assert run_cli(capsys, argv + ["--workers", "2"]) == serial
+    _assert_no_child_left()
+
+
+def test_sweep_worker_that_dies_exits_2(capsys, monkeypatch):
+    parent = os.getpid()
+
+    def fail(alpha):
+        if alpha == 0.5 and os.getpid() != parent:
+            os._exit(1)
+
+    _fail_mu_at(monkeypatch, fail)
+    with _deadline(60):
+        rc, out, err = run_cli(
+            capsys, ["mu", "--beta", "1", "--grid", "alpha:0:1:5", "--workers", "2"]
+        )
+    assert (rc, out) == (2, "")
+    assert err == "speclab: a sweep worker exited with code 1 before sending its rows\n"
+    _assert_no_child_left()
 
 
 def test_sweep_rows_in_input_order(capsys):
