@@ -52,11 +52,20 @@ these factors over all rows and lanes, every lane rescales to [1/2, 1)
 every floor(500 / b) rows, and the pair maximum stays in
 [2^-512, 2^512] as in the row loop.  Rescales by powers of two are
 exact, so where they fall moves no true value.  Lane values agree with
-the row loop to rounding, not bit for bit.  The row loop runs instead
-where one row alone could pass the bound, or where a row at a lane
-start, which reads the last values the lane before replayed, does not
-hold to ``_LANE_AGREEMENT`` of its terms (the forward problem is
-ill-conditioned there).
+the row loop to rounding, not bit for bit.  A row at a lane start reads
+the last values the lane before replayed, and it must hold to
+``_LANE_AGREEMENT`` of its terms.  Where one misses (near |mu| = 1,
+where the two solutions barely separate and the carried starts lose
+digits), the gaps between each lane's replayed end and the next start
+are carried across the lanes once more through the transfer products,
+added to the starts, and the lanes replay once more.  The row loop runs
+instead where the joins miss again, or where one row alone could pass
+the bound.
+
+The lam-free rows d(k) and sqrt(k + 1/2) are built once per process and
+grown to the largest depth asked for (:func:`_lattice_rows`).  A
+solution keeps the weights w_n and d(n) its rows were built from, so the
+residual checks read them instead of building them again.
 
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
@@ -182,9 +191,11 @@ def coupling_weights(ns: np.ndarray) -> np.ndarray:
 class RecurrenceSolution:
     """A recurrence solution in split mantissa / log2-scale representation.
 
-    ``zetas[n]`` = zeta_n(lam) and ``couplings[n]`` = d(n) (d(0) = 0) for
-    every index n of ``values``: the coefficients the solution was built
-    from, kept for the residual checks.
+    The coefficients the solution was built from, kept for the residual
+    checks: ``couplings[n]`` = d(n) (d(0) = 0) for every index n of
+    ``values``, and ``weights[n]`` = w_n = 2*mu*sqrt(n+1/2)*zeta_n(lam) for
+    every index below the top one, n < length - 1, the rows both checks
+    read.
     """
 
     mu: float
@@ -193,7 +204,7 @@ class RecurrenceSolution:
     log2_scale: np.ndarray = field(repr=False)
     direction: str
     normalization: str
-    zetas: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
     couplings: np.ndarray = field(repr=False)
 
     @property
@@ -231,14 +242,19 @@ class RecurrenceSolution:
         n_top = self.length - 1
         if n_top < 2:
             return np.zeros(0)
-        k_lo, k_mid, k_up = self.log2_scale[:-2], self.log2_scale[1:-1], self.log2_scale[2:]
+        c, k, d, w = self.values, self.log2_scale, self.couplings, self.weights
+        t_up = d[2:] * c[2:]
+        t_mid = w[1:n_top] * c[1:-1]
+        t_lo = d[1:-1] * c[:-2]
+        # the three scales of a row differ only beside a rescale or a lane
+        # start; elsewhere every factor 2^(k - kmax) is 1, which moves no
+        # term, so only those rows are formed again
+        moved = np.flatnonzero((k[:-2] != k[1:-1]) | (k[1:-1] != k[2:]))
+        k_lo, k_mid, k_up = k[moved], k[moved + 1], k[moved + 2]
         kmax = np.maximum(np.maximum(k_lo, k_mid), k_up)
-        c_lo = self.values[:-2] * np.exp2(k_lo - kmax)
-        c_mid = self.values[1:-1] * np.exp2(k_mid - kmax)
-        c_up = self.values[2:] * np.exp2(k_up - kmax)
-        t_up = self.couplings[2:] * c_up
-        t_mid = _diagonal_weights(self.mu, self.zetas)[1:-1] * c_mid
-        t_lo = self.couplings[1:-1] * c_lo
+        t_up[moved] = d[moved + 2] * (c[moved + 2] * np.exp2(k_up - kmax))
+        t_mid[moved] = w[moved + 1] * (c[moved + 1] * np.exp2(k_mid - kmax))
+        t_lo[moved] = d[moved + 1] * (c[moved] * np.exp2(k_lo - kmax))
         num = np.abs(t_up + t_mid + t_lo)
         den = np.abs(t_up) + np.abs(t_mid) + np.abs(t_lo)
         # a row of zero terms holds; a row of nan or inf terms reads nan
@@ -280,18 +296,34 @@ def _weights_overflow(mu: float, lam: complex, top: int) -> bool:
     return not 2.0 * abs(mu) * math.sqrt(top + 0.5) * zeta_bound < 2.0**1023
 
 
+# d(k), with d(0) = 0, and sqrt(k + 1/2) for k below the largest size
+# asked for so far (:func:`_lattice_rows`); they do not depend on mu or
+# lam, so every solution a process builds reads the same rows
+_LATTICE = [np.zeros(0), np.zeros(0)]
+
+
+def _lattice_rows(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """d(k), with d(0) = 0, and sqrt(k + 1/2) for k < size, as read-only
+    views of arrays kept across calls: a larger size builds them again at
+    that size, a smaller one reads a prefix."""
+    if _LATTICE[0].size < size:
+        d = np.concatenate(([0.0], coupling_weights(np.arange(1, size))))
+        root = np.sqrt(np.arange(size) + 0.5)
+        d.flags.writeable = root.flags.writeable = False
+        _LATTICE[:] = d, root
+    d, root = _LATTICE
+    return d[:size], root[:size]
+
+
 def _diagonal_weights(mu: float, zs: np.ndarray) -> np.ndarray:
     """w_j = 2*mu*sqrt(j + 1/2)*zeta_j(lam) for j < len(zs), from zs[j] = zeta_j.
 
-    Python computes the float t = 2*mu*sqrt(j + 1/2) times zeta_j as
-    (t + 0j) * zeta_j; the parts below repeat its products and sums, so
-    each w_j equals that scalar expression bit for bit.
+    numpy casts the float t = 2*mu*sqrt(j + 1/2) to t + 0j, as Python
+    does, so each w_j equals the scalar (t + 0j) * zeta_j bit for bit,
+    except that a part whose product underflows to zero may take the other
+    sign: numpy rounds t*Re zeta_j - 0*Im zeta_j once.
     """
-    t = 2.0 * mu * np.sqrt(np.arange(zs.size) + 0.5)
-    w = np.empty(zs.size, dtype=complex)
-    w.real = t * zs.real - 0.0 * zs.imag
-    w.imag = t * zs.imag + 0.0 * zs.real
-    return w
+    return 2.0 * mu * _lattice_rows(zs.size)[1] * zs
 
 
 def _steps(
@@ -301,15 +333,17 @@ def _steps(
     a: complex,
     b: complex,
     scale: float,
-) -> tuple[Sequence[complex], np.ndarray]:
+    values: np.ndarray,
+    scales: np.ndarray,
+) -> None:
     """Step (a, b) = (b, -(w[i]*b + d_old[i]*a) / d_new[i]) for each i.
 
-    Returns the mantissa b and the running log2 scale after each step.
-    The caller passes |a|, |b| <= 2^512.  Fewer than ``_LANE_MIN_ROWS``
-    steps run in the row loop (:func:`_row_steps`), which returns the
-    mantissas as a list; more run as lanes (:func:`_lane_steps`) of
-    isqrt(len(w) // 2) rows each, after the row loop has taken the steps
-    that do not fill a lane.
+    Writes the mantissa b and the running log2 scale after step i to
+    ``values[i]`` and ``scales[i]``, contiguous arrays of len(w).  The
+    caller passes |a|, |b| <= 2^512.  Fewer than ``_LANE_MIN_ROWS`` steps
+    run in the row loop (:func:`_row_steps`); more run as lanes
+    (:func:`_lane_steps`) of isqrt(len(w) // 2) rows each, after the row
+    loop has taken the steps that do not fill a lane.
     """
     w, d_old, d_new = np.asarray(w), np.asarray(d_old), np.asarray(d_new)
     if w.size >= _LANE_MIN_ROWS:
@@ -317,11 +351,13 @@ def _steps(
         # as many lanes as rows was about 8% faster than as many at 1e5 steps
         rows = math.isqrt(w.size // 2)
         head = w.size % rows
-        out, log2, *state = _row_steps(w[:head], d_old[:head], d_new[:head], a, b, scale)
-        lanes = _lane_steps(w[head:], d_old[head:], d_new[head:], *state, rows)
-        if lanes is not None:
-            return np.concatenate((out, lanes[0])), np.concatenate((log2, lanes[1]))
-    return _row_steps(w, d_old, d_new, a, b, scale)[:2]
+        values[:head], scales[:head], *state = _row_steps(
+            w[:head], d_old[:head], d_new[:head], a, b, scale
+        )
+        if _lane_steps(w[head:], d_old[head:], d_new[head:], *state, rows,
+                       values[head:], scales[head:]):
+            return
+    values[:], scales[:] = _row_steps(w, d_old, d_new, a, b, scale)[:2]
 
 
 def _row_steps(
@@ -398,13 +434,16 @@ def _lane_steps(
     b: complex,
     scale: float,
     rows: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
+    values: np.ndarray,
+    scales: np.ndarray,
+) -> bool:
     """:func:`_steps` as len(w) / rows lanes of ``rows`` rows.
 
-    Returns None where the row loop has to run instead: when one row
-    alone can move the pair maximum past the rescale bound, or when a
-    lane's replay ends farther than ``_LANE_AGREEMENT`` from the start
-    the next lane was carried to.
+    Returns False, with ``values`` and ``scales`` left as they were, where
+    the row loop has to run instead: when one row alone can move the pair
+    maximum past the rescale bound, or when a lane's replay ends farther
+    than ``_LANE_AGREEMENT`` from the start the next lane was carried to,
+    both before and after the second carry.
     """
     lanes = w.size // rows
 
@@ -413,8 +452,7 @@ def _lane_steps(
         return x.reshape(lanes, rows).T
 
     # p = -w/d_new and q = -d_old/d_new, each row's lanes contiguous
-    p = np.divide(by_row(w), by_row(d_new), order="C")
-    np.negative(p, out=p)
+    p = np.divide(by_row(w), np.negative(by_row(d_new)), order="C")
     abs_q = np.divide(by_row(d_old), by_row(d_new), order="C")
     q = np.negative(abs_q, dtype=complex)
     abs_p = np.abs(p)
@@ -423,7 +461,7 @@ def _lane_steps(
     # these over all rows and lanes stay within 2^+-500
     bits = math.log2(max((abs_p + abs_q).max(), ((1.0 + abs_p) / abs_q).max(), 1.0))
     if not bits <= _LANE_RESCALE_BITS:
-        return None
+        return False
     period = int(_LANE_RESCALE_BITS // bits)
     marks = range(period, rows, period)
 
@@ -433,12 +471,11 @@ def _lane_steps(
     olds, news, shifts = _replay(p, q, marks, olds, news)
     (old0, old1), (new0, new1), e = _normalise_lanes(olds, news)
     exps = shifts[-1] + e
+    maps = list(zip(old0.tolist(), old1.tolist(), new0.tolist(), new1.tolist()))
 
     # the state at the start of every lane, carried across the lanes
     starts = [(a, b, scale)]
-    lane_maps = zip(old0.tolist(), old1.tolist(), new0.tolist(), new1.tolist(),
-                    exps[:-1].tolist())
-    for m00, m01, m10, m11, e in lane_maps:
+    for (m00, m01, m10, m11), e in zip(maps, exps[:-1].tolist()):
         a, b, scale = _rescale_pair(a * m00 + b * m01, a * m10 + b * m11, scale + e)
         starts.append((a, b, scale))
     a0, b0, s0 = (np.array(x) for x in zip(*starts))
@@ -447,25 +484,60 @@ def _lane_steps(
 
     # every lane's rows, replayed side by side from its start; the scale
     # changes only at the marks
-    values = np.empty((rows, lanes), dtype=complex)
-    olds, news, shifts = _replay(p, q, marks, a0, b0, values)
-    seg_scales = s0 + shifts
+    block = np.empty((rows, lanes), dtype=complex)
 
-    # the first two rows of every lane after the first read the last two
-    # values of the lane before, replayed there, where the lane itself
-    # started from the state carried to it: two roundings of one state.
-    # Each such row must hold to _LANE_AGREEMENT of its terms (the term of
-    # the value it makes left out) with the replayed values in it.
-    to_next = np.exp2(seg_scales[-1][:-1] - s0[1:])
-    gap_a = np.abs(olds[:-1] * to_next - a0[1:])
-    gap_b = np.abs(news[:-1] * to_next - b0[1:])
-    p0, q0, p1, q1 = abs_p[0, 1:], abs_q[0, 1:], abs_p[1, 1:], abs_q[1, 1:]
-    row0 = p0 * gap_b + q0 * gap_a <= _LANE_AGREEMENT * (p0 * np.abs(b0[1:]) + q0 * np.abs(a0[1:]))
-    row1 = q1 * gap_b <= _LANE_AGREEMENT * (p1 * np.abs(values[0, 1:]) + q1 * np.abs(b0[1:]))
-    if not (np.all(row0) and np.all(row1)):
-        return None
-    scales = np.repeat(seg_scales, np.diff([0, *marks, rows]), axis=0)
-    return values.T.ravel(), scales.T.ravel()
+    def replay(a0: np.ndarray, b0: np.ndarray, s0: np.ndarray):
+        """The lanes replayed from the starts (a0, b0) on scales s0: the
+        scale of each segment between marks, the gaps (da, db) between
+        each lane's last two values and the next lane's start, on the
+        scale of that start, and whether every join holds.
+
+        The first two rows of every lane after the first read the last two
+        values of the lane before, replayed there, where the lane itself
+        started from the state carried to it: two roundings of one state.
+        Each such row must hold to _LANE_AGREEMENT of its terms (the term
+        of the value it makes left out) with the replayed values in it.
+        """
+        olds, news, shifts = _replay(p, q, marks, a0, b0, block)
+        seg_scales = s0 + shifts
+        to_next = np.exp2(seg_scales[-1][:-1] - s0[1:])
+        da = olds[:-1] * to_next - a0[1:]
+        db = news[:-1] * to_next - b0[1:]
+        gap_a, gap_b = np.abs(da), np.abs(db)
+        p0, q0, p1, q1 = abs_p[0, 1:], abs_q[0, 1:], abs_p[1, 1:], abs_q[1, 1:]
+        row0 = p0 * gap_b + q0 * gap_a <= _LANE_AGREEMENT * (p0 * np.abs(b0[1:]) + q0 * np.abs(a0[1:]))
+        row1 = q1 * gap_b <= _LANE_AGREEMENT * (p1 * np.abs(block[0, 1:]) + q1 * np.abs(b0[1:]))
+        return seg_scales, da, db, bool(np.all(row0) and np.all(row1))
+
+    seg_scales, da, db, joined = replay(a0, b0, s0)
+    if not joined:
+        # the second carry: the gaps are the carried starts' errors, to the
+        # rounding of one lane's replay.  Lane j's replay maps a change c_j
+        # of its start to 2^exps_j M_j c_j at its end, so the starts that
+        # its replay would meet are the carried ones plus
+        # c_{j+1} = 2^(s0_j + exps_j - s0_{j+1}) M_j c_j + (da_j, db_j),
+        # c_0 = 0, on the scale s0_{j+1} of each start
+        grow = (s0[:-1] + exps[:-1] - s0[1:]).tolist()
+        ca = cb = 0j
+        fixes = [(ca, cb)]
+        try:
+            for (m00, m01, m10, m11), g, ga, gb in zip(maps, grow, da.tolist(), db.tolist()):
+                f = 2.0**g
+                ca, cb = f * (ca * m00 + cb * m01) + ga, f * (ca * m10 + cb * m11) + gb
+                fixes.append((ca, cb))
+        except OverflowError:
+            return False
+        fixes = np.array(fixes)
+        if not np.isfinite(fixes).all():
+            return False
+        a0, b0, e = _normalise_lanes(a0 + fixes[:, 0], b0 + fixes[:, 1])
+        s0 = s0 + e
+        seg_scales, da, db, joined = replay(a0, b0, s0)
+        if not joined:
+            return False
+    values.reshape(lanes, rows)[...] = block.T
+    scales.reshape(lanes, rows)[...] = np.repeat(seg_scales, np.diff([0, *marks, rows]), axis=0).T
+    return True
 
 
 def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceSolution:
@@ -486,32 +558,32 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
         raise InvalidParametersError("seed must be finite")
     lam = _validate_lam(lam)
 
-    zs = zeta_array(np.arange(n + 1), lam)
-    ds = np.concatenate(([0.0], coupling_weights(np.arange(1, n + 1))))
-    values = np.array([c0])
-    scales = np.zeros(1)
+    ds = _lattice_rows(n + 1)[0]
+    zs = zeta_array(np.arange(n), lam)
+    if n > 0 and _weights_overflow(mu, lam, n - 1):
+        raise InvalidParametersError(
+            f"mu = {mu} makes a diagonal weight of w_0..w_{n - 1} overflow "
+            f"at lam = {lam}"
+        )
+    w = _diagonal_weights(mu, zs)
+    values = np.empty(n + 1, dtype=complex)
+    scales = np.zeros(n + 1)
+    values[0] = c0
     if n > 0:
-        if _weights_overflow(mu, lam, n - 1):
-            raise InvalidParametersError(
-                f"mu = {mu} makes a diagonal weight of w_0..w_{n - 1} overflow "
-                f"at lam = {lam}"
-            )
-        w = _diagonal_weights(mu, zs[:n])
         try:
             # the seed may lie above 2^512, so the n = 0 row is always
             # rescaled, and C_0 is stored on the scale it gives the pair
             c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(ds[1]), c0, 0.0)
-            out, log2 = _steps(w[1:], ds[1:n], ds[2:], c_prev, c1, scale)
+            values[:2], scales[:2] = (c_prev, c1), scale
+            _steps(w[1:], ds[1:n], ds[2:], c_prev, c1, scale, values[2:], scales[2:])
         except OverflowError:
             raise InvalidParametersError(
                 f"the forward recurrence from the seed C_0 = {c0} at mu = {mu}, "
                 f"lam = {lam} leaves the floating-point range"
             ) from None
-        values = np.concatenate(([c_prev, c1], out))
-        scales = np.concatenate(([scale, scale], log2))
     return RecurrenceSolution(
         mu=mu, lam=lam, values=values, log2_scale=scales,
-        direction="forward", normalization=f"C_0 = {c0}", zetas=zs, couplings=ds,
+        direction="forward", normalization=f"C_0 = {c0}", weights=w, couplings=ds,
     )
 
 
@@ -558,17 +630,18 @@ def minimal_solution_backward(
         raise NonConvergenceError(
             f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
         )
-    zs = zeta_array(np.arange(m + 1), lam)
-    ds = np.concatenate(([0.0], coupling_weights(np.arange(1, m + 2))))
-    w = _diagonal_weights(mu, zs)
+    ds = _lattice_rows(m + 2)[0]
+    w = _diagonal_weights(mu, zeta_array(np.arange(m + 1), lam))
+    out = np.empty(m, dtype=complex)
+    log2 = np.empty(m)
     try:
         # from (C_{m+1}, C_m) = (0, 1) down to C_0; row k needs d(k+1) and d(k)
-        out, log2 = _steps(w[m:0:-1], ds[m + 1:1:-1], ds[m:0:-1], 0j, 1 + 0j, 0.0)
+        _steps(w[m:0:-1], ds[m + 1:1:-1], ds[m:0:-1], 0j, 1 + 0j, 0.0, out, log2)
     except OverflowError:
         raise NonConvergenceError(
             f"the backward recurrence at mu={mu}, lam={lam} left the floating-point range"
         ) from None
-    values = np.asarray(out, dtype=complex)[::-1]
+    values = out[::-1]
     pivot = values[n]
     if pivot == 0.0:
         raise NonConvergenceError(
@@ -582,7 +655,7 @@ def minimal_solution_backward(
         mu=mu, lam=lam, values=values[: n + 1] / pivot_m,
         log2_scale=scales[: n + 1] - (scales[n] + shift),
         direction="backward", normalization="C_n = 1",
-        zetas=zs[: n + 1], couplings=ds[: n + 1],
+        weights=w[:n], couplings=ds[: n + 1],
     )
 
 
@@ -689,34 +762,29 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
         raise InvalidParametersError(
             f"up_to must lie in [0, {sol.length - 2}] for this solution"
         )
-    ns = np.arange(up_to + 1)
-    zs_im = sol.zetas[: up_to + 1].imag
+    top = up_to + 1
     # mantissas reach 2^512, so their squares would overflow: scale each
-    # to [1/2, 1) by its own power of two, which is exact, and move that
-    # exponent into the log2 scale.  Each part is scaled on its own: for a
-    # subnormal |C| the factor 2^-e alone would overflow
-    unscaled = sol.values[: up_to + 2]
-    _, e = np.frexp(np.abs(unscaled))
-    vals = np.empty_like(unscaled)
-    vals.real = np.ldexp(unscaled.real, -e)
-    vals.imag = np.ldexp(unscaled.imag, -e)
-    k = sol.log2_scale[: up_to + 2] + e
+    # |C_n| to [1/2, 1) by its own power of two, which is exact, and move
+    # that exponent into the log2 scale
+    mags, e = np.frexp(np.abs(sol.values[: top + 1]))
+    k = sol.log2_scale[: top + 1] + e
     # both sides on the scale of the top pair: C_{upTo+1} alone can lie so
     # far above the sum's terms that its scale underflows all of them.  But
     # no weight may pass 2^960, which leaves 2^64 for the factor
-    # 2*mu*sqrt(n+1/2)*Im zeta_n (at most |w_n|) and the sum: at tiny |mu|
-    # the C_n alternate between about 1 and about mu, and the top pair's
-    # scale would overflow every other weight
-    kref = max(float((k[up_to] + k[up_to + 1]) // 2),
-               float(np.max(k[: up_to + 1])) - 480.0)
-    weights = np.exp2(2.0 * (k[: up_to + 1] - kref))
-    mags2 = np.abs(vals[: up_to + 1]) ** 2 * weights
-    terms = 2.0 * sol.mu * mags2 * np.sqrt(ns + 0.5) * zs_im
+    # Im w_n = 2*mu*sqrt(n+1/2)*Im zeta_n (at most |w_n|) and the sum: at
+    # tiny |mu| the C_n alternate between about 1 and about mu, and the top
+    # pair's scale would overflow every other weight
+    kref = max(float((k[up_to] + k[top]) // 2), float(np.max(k[:top])) - 480.0)
+    terms = mags[:top] ** 2 * np.exp2(2.0 * (k[:top] - kref)) * sol.weights[:top].imag
     lhs = float(np.sum(terms))
-    cross = (vals[up_to + 1] * np.conj(vals[up_to])).imag
-    rhs = -float(sol.couplings[up_to + 1]) * float(cross) * 2.0 ** float(
-        k[up_to + 1] + k[up_to] - 2.0 * kref
-    )
+    # the top pair's parts, each scaled on its own: for a subnormal |C| the
+    # factor 2^-e alone would overflow
+    pair = sol.values[up_to: top + 1]
+    vals = np.empty_like(pair)
+    vals.real = np.ldexp(pair.real, -e[up_to:])
+    vals.imag = np.ldexp(pair.imag, -e[up_to:])
+    cross = (vals[1] * np.conj(vals[0])).imag
+    rhs = -float(sol.couplings[top]) * float(cross) * 2.0 ** float(k[top] + k[up_to] - 2.0 * kref)
     term_scale = float(np.max(np.abs(terms))) if terms.size else 0.0
     return IdentityCheck(
         lhs=lhs, rhs=rhs, log2_scale=2.0 * kref, term_scale=term_scale

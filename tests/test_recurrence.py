@@ -4,6 +4,7 @@ defect used for eigenvalue confirmation."""
 
 import cmath
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -174,6 +175,29 @@ def test_one_coupling_weight_formula():
     ns = np.arange(1, 100_001)
     vector = coupling_weights(ns)
     assert [coupling_weight(int(n)) for n in ns] == vector.tolist()
+
+
+def test_lattice_rows_are_kept_and_grown(monkeypatch):
+    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0), np.zeros(0)])
+    builds = []
+    weights = recurrence.coupling_weights
+    monkeypatch.setattr(recurrence, "coupling_weights", lambda ns: builds.append(len(ns)) or weights(ns))
+    for size in (1, 10, 3000, 2999, 5, 100_001):
+        d, root = recurrence._lattice_rows(size)
+        assert d.size == root.size == size
+        assert d[0] == 0.0
+        assert d[1:].tobytes() == coupling_weights(np.arange(1, size)).tobytes()
+        assert root.tobytes() == np.sqrt(np.arange(size) + 0.5).tobytes()
+        assert not d.flags.writeable and not root.flags.writeable
+    # a size no larger than the largest so far builds nothing: it reads a
+    # prefix of the arrays kept
+    assert builds == [0, 9, 2999, 100_000]
+    kept = recurrence._lattice_rows(100_001)
+    d, root = recurrence._lattice_rows(40)
+    assert np.shares_memory(d, kept[0]) and np.shares_memory(root, kept[1])
+    assert len(builds) == 4
+    with pytest.raises(ValueError, match="read-only"):
+        d[3] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +460,58 @@ def _reference_backward(mu, lam, n, m):
     return values[: n + 1] / pivot, scales[: n + 1] - (scales[n] + shift)
 
 
+def _reference_weights(mu, zs):
+    """w_j = 2*mu*sqrt(j + 1/2)*zeta_j part by part, repeating the products
+    and sums of the Python scalar (t + 0j) * zeta_j."""
+    t = 2.0 * mu * np.sqrt(np.arange(zs.size) + 0.5)
+    w = np.empty(zs.size, dtype=complex)
+    w.real = t * zs.real - 0.0 * zs.imag
+    w.imag = t * zs.imag + 0.0 * zs.real
+    return w
+
+
+def _reference_interior_residuals(sol):
+    """Every interior row's residual as the check computed it when it
+    rebuilt the weights from zeta_n and scaled every row."""
+    if sol.length < 3:
+        return np.zeros(0)
+    zetas = zeta_array(np.arange(sol.length), sol.lam)
+    k_lo, k_mid, k_up = sol.log2_scale[:-2], sol.log2_scale[1:-1], sol.log2_scale[2:]
+    kmax = np.maximum(np.maximum(k_lo, k_mid), k_up)
+    c_lo = sol.values[:-2] * np.exp2(k_lo - kmax)
+    c_mid = sol.values[1:-1] * np.exp2(k_mid - kmax)
+    c_up = sol.values[2:] * np.exp2(k_up - kmax)
+    t_up = sol.couplings[2:] * c_up
+    t_mid = _reference_weights(sol.mu, zetas)[1:-1] * c_mid
+    t_lo = sol.couplings[1:-1] * c_lo
+    num = np.abs(t_up + t_mid + t_lo)
+    den = np.abs(t_up) + np.abs(t_mid) + np.abs(t_lo)
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+
+
+def _reference_identity(sol, up_to):
+    """The summed identity as it was computed from zeta_n, with every
+    mantissa scaled part by part, and the sum of its terms' magnitudes."""
+    ns = np.arange(up_to + 1)
+    zs_im = zeta_array(ns, sol.lam).imag
+    unscaled = sol.values[: up_to + 2]
+    _, e = np.frexp(np.abs(unscaled))
+    vals = np.empty_like(unscaled)
+    vals.real = np.ldexp(unscaled.real, -e)
+    vals.imag = np.ldexp(unscaled.imag, -e)
+    k = sol.log2_scale[: up_to + 2] + e
+    kref = max(float((k[up_to] + k[up_to + 1]) // 2),
+               float(np.max(k[: up_to + 1])) - 480.0)
+    weights = np.exp2(2.0 * (k[: up_to + 1] - kref))
+    mags2 = np.abs(vals[: up_to + 1]) ** 2 * weights
+    terms = 2.0 * sol.mu * mags2 * np.sqrt(ns + 0.5) * zs_im
+    cross = (vals[up_to + 1] * np.conj(vals[up_to])).imag
+    rhs = -float(sol.couplings[up_to + 1]) * float(cross) * 2.0 ** float(
+        k[up_to + 1] + k[up_to] - 2.0 * kref
+    )
+    return float(np.sum(terms)), rhs, 2.0 * kref, float(np.sum(np.abs(terms)))
+
+
 kernel_mus = st.builds(
     lambda sign, mag: sign * mag,
     st.sampled_from([1.0, -1.0]),
@@ -488,7 +564,8 @@ def test_kernel_rescales_like_row_loop_at_extreme_coefficients(rows):
     # at either end within a few rows, which the recurrence's own
     # coefficients almost never do (its first forward row is rescaled apart)
     w, d_old, d_new = (list(col) for col in zip(*rows)) if rows else ([], [], [])
-    out, log2 = _steps(w, d_old, d_new, 0.75 + 0j, 1.0 + 0j, 0.0)
+    out, log2 = np.empty(len(rows), dtype=complex), np.empty(len(rows))
+    _steps(w, d_old, d_new, 0.75 + 0j, 1.0 + 0j, 0.0, out, log2)
     a, b, scale = 0.75 + 0j, 1.0 + 0j, 0.0
     want, scales = [], []
     for wi, di, dn in rows:
@@ -496,7 +573,7 @@ def test_kernel_rescales_like_row_loop_at_extreme_coefficients(rows):
         b, a, scale = _reference_rescale(b, a, scale)
         want.append(b)
         scales.append(scale)
-    assert out == want
+    assert out.tolist() == want
     assert log2.tolist() == scales
 
 
@@ -557,7 +634,7 @@ def _identity_bound(sol, check):
     n = sol.length - 1
     kref = check.log2_scale / 2
     c = _in_scale(sol.values, sol.log2_scale, kref)
-    w = recurrence._diagonal_weights(sol.mu, sol.zetas[:n])
+    w = sol.weights[:n]
     d = sol.couplings
     terms = np.abs(w) * np.abs(c[:n])
     terms += d[1:] * np.abs(c[1:])
@@ -584,6 +661,10 @@ def _identity_bound(sol, check):
 # a subnormal seed stored on scale 0 beside C_1 on the n = 0 row's scale
 # made row 1 read 1.0
 @example(mu=0.0923837732859601, lam=-8.534310041670157 + 0.27273974194268646j, c0=5e-324j, n=600)
+# near |mu| = 1 a lane join misses _LANE_AGREEMENT after the first carry,
+# and holds after the second
+@example(mu=0.9988455632435812, lam=-24.049343439570947 + 13.807402493950548j, c0=1.0, n=8770)
+@example(mu=0.9991107095985338, lam=-37.51702983234358, c0=1.0, n=7154)
 def test_forward_lanes_agree_with_row_loop(mu, lam, c0, n):
     sol = iterate_forward(mu, lam, c0, n)
     values, scales = _reference_forward(mu, complex(lam), complex(c0), n)
@@ -610,6 +691,40 @@ def test_backward_lanes_agree_with_row_loop(mu, lam):
     _assert_pairs_in_range(sol)
 
 
+def _recurrence_queries(monkeypatch, near):
+    """The ``recurrence`` benchmark queries of blocks 0-2 of seeds 0-9 whose
+    (seed, block, index) is in ``near``."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    return [q for seed, index, i in near for q in workloads.block("recurrence", seed, index)[i:i + 1]]
+
+
+# the queries of recurrence blocks 0-2, seeds 0-9, where a lane join
+# misses _LANE_AGREEMENT after the first carry: mu from 0.971 to 1.004
+_NEAR_ONE = [(0, 2, 3), (2, 1, 1), (5, 0, 3), (5, 0, 4), (5, 0, 7), (8, 0, 7)]
+
+
+def test_second_carry_keeps_the_lanes_near_mu_one(monkeypatch):
+    queries = _recurrence_queries(monkeypatch, _NEAR_ONE)
+    assert [round(q.expect["mu"], 3) for q in queries] == [1.003, 0.996, 0.993, 0.971, 1.004, 0.986]
+    rows, replays = [], []
+    row_steps, replay = recurrence._row_steps, recurrence._replay
+    monkeypatch.setattr(recurrence, "_row_steps", lambda w, *args: rows.append(len(w)) or row_steps(w, *args))
+    monkeypatch.setattr(recurrence, "_replay", lambda *args: replays.append(1) or replay(*args))
+    for q in queries:
+        rows.clear()
+        replays.clear()
+        e = q.expect
+        sol = iterate_forward(e["mu"], e["lam"], 1.0, e["size"])
+        # the products, the replay, and the replay after the second carry;
+        # the row loop takes only the head that fills no lane
+        assert len(replays) == 3
+        assert rows and max(rows) < _LANE_MIN_ROWS
+        assert identity_residual(sol, e["size"] - 1).residual <= 1e-9
+        assert sol.max_interior_residual() < 1e-13
+
+
 def test_lanes_give_way_to_the_row_loop(monkeypatch):
     n = 3 * _LANE_MIN_ROWS
     # lanes run at ordinary parameters
@@ -617,24 +732,102 @@ def test_lanes_give_way_to_the_row_loop(monkeypatch):
     ds = coupling_weights(np.arange(1, n + 1))
     w = recurrence._diagonal_weights(1.5, zs)
     rows = 64
-    lanes = recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows)
-    assert lanes is not None
+    out, log2 = np.zeros(n - 64, dtype=complex), np.zeros(n - 64)
+    assert recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows, out, log2)
+    assert np.all(out != 0.0)
     # one row at mu = 1e300 grows the pair by about 2^1000, past the bound
-    # every lane rescale keeps
+    # every lane rescale keeps; nothing is written
     w = recurrence._diagonal_weights(1e300, zs)
-    assert recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows) is None
+    out, log2 = np.zeros(n - 64, dtype=complex), np.zeros(n - 64)
+    assert not recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows, out, log2)
+    assert not np.any(out) and not np.any(log2)
     sol = iterate_forward(1e300, 0.3 + 0.1j, 1.0, n)
     values, scales = _reference_forward(1e300, 0.3 + 0.1j, 1.0, n)
     assert np.array_equal(sol.values, values) and np.array_equal(sol.log2_scale, scales)
-    # with a zero tolerance the rows where lanes meet miss it
+    # with a zero tolerance the rows where lanes meet miss it, and miss it
+    # again after the second carry: the lanes replay twice after building
+    # their products, then the row loop runs
     monkeypatch.setattr(recurrence, "_LANE_AGREEMENT", 0.0)
+    replays = []
+    replay = recurrence._replay
+    monkeypatch.setattr(recurrence, "_replay", lambda *args: replays.append(1) or replay(*args))
     sol = iterate_forward(1.5, 0.3 + 0.1j, 1.0, n)
+    assert len(replays) == 3
     values, scales = _reference_forward(1.5, 0.3 + 0.1j, 1.0, n)
     assert np.array_equal(sol.values, values) and np.array_equal(sol.log2_scale, scales)
 
 
 # ---------------------------------------------------------------------------
 # the summed identity
+
+
+check_mus = st.sampled_from([0.0, 1.0, -1.0]) | kernel_mus
+check_lams = st.sampled_from([0.0, -3.0, 0.3 + 1e-300j]) | kernel_lams
+check_seeds = st.sampled_from([0.0, 5e-324j, 2.2e-311 + 3e-320j]) | kernel_seeds
+check_sizes = st.integers(min_value=0, max_value=600) | st.integers(
+    min_value=_LANE_MIN_ROWS, max_value=5000
+)
+
+
+def _assert_checks_match_their_references(sol):
+    got = sol.interior_residuals()
+    assert got.tobytes() == _reference_interior_residuals(sol).tobytes()
+    if sol.length >= 2:
+        up_to = sol.length - 2
+        check = identity_residual(sol, up_to)
+        lhs, rhs, log2_scale, magnitudes = _reference_identity(sol, up_to)
+        assert (check.rhs, check.log2_scale) == (rhs, log2_scale)
+        # each term's factor Im w_n = 2*mu*sqrt(n+1/2)*Im zeta_n is rounded
+        # once before it meets |C_n|^2, not after: a few eps per term
+        assert abs(check.lhs - lhs) <= 8 * sys.float_info.epsilon * magnitudes
+
+
+@settings(max_examples=60, deadline=None)
+@given(check_mus, check_lams, check_seeds, check_sizes)
+# mu = 0: every second row vanishes, and every row's terms at a zero seed
+@example(mu=0.0, lam=1.0j, c0=1.0, n=1500)
+@example(mu=1.5, lam=0.3 + 0.1j, c0=0.0, n=1500)
+def test_forward_checks_match_their_references(mu, lam, c0, n):
+    # the checks read the weights the solve kept and scale only the rows
+    # whose scales differ: the same interior residuals bit for bit, and
+    # the same right-hand side
+    try:
+        sol = iterate_forward(mu, lam, c0, n)
+    except InvalidParametersError:
+        assume(False)
+    _assert_checks_match_their_references(sol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(check_mus, check_lams, check_sizes.filter(bool))
+@example(mu=0.0, lam=1.0j, n=1500)
+def test_backward_checks_match_their_references(mu, lam, n):
+    assume(abs(mu) > 1.0 or complex(lam).imag != 0.0)
+    try:
+        sol = minimal_solution_backward(mu, lam, n)
+    except NonConvergenceError:
+        # C_n vanishes (at mu = 0, where n and m differ in parity)
+        assume(False)
+    _assert_checks_match_their_references(sol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.lists(st.builds(complex, st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(0.0, 1e3),
+                       st.sampled_from([0.0, -0.0, -5e-324]) | st.floats(-1e3, 1e3)),
+             max_size=40),
+)
+@example(mu=-2.0, zs=[complex(0.0, 3.0), complex(0.0, -3.0), complex(1e-320, 0.0)])
+@example(mu=-0.25, zs=[complex(5e-324, -0.0)])
+def test_diagonal_weights_keep_the_part_by_part_bits(mu, zs):
+    # one complex product, numpy's cast of t to t + 0j, gives the bits of
+    # the part-by-part products and sums.  Only a part whose product
+    # underflows to zero may take the other sign: numpy rounds
+    # t*re - 0*im once, and -2^-1075 rounds to -0 where -0 - (-0) is +0
+    zs = np.array(zs, dtype=complex)
+    got = recurrence._diagonal_weights(mu, zs)
+    assert np.array_equal(got.view(np.float64), _reference_weights(mu, zs).view(np.float64))
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5, 2.0])
