@@ -65,7 +65,11 @@ the bound.
 The lam-free rows d(k) and sqrt(k + 1/2) are built once per process and
 grown to the largest depth asked for (:func:`_lattice_rows`).  A
 solution keeps the weights w_n and d(n) its rows were built from, so the
-residual checks read them instead of building them again.
+residual checks read them instead of building them again.  The row-sized
+temporaries of a forward solve, the lanes and both checks live in a
+per-thread scratch arena (:func:`_scratch`) of six buffers, 65 bytes per
+row of the largest call, kept and reused: the arrays a caller keeps
+(values, scales, weights, the residuals) are always fresh.
 
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
@@ -80,6 +84,7 @@ import cmath
 import functools
 import itertools
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -147,6 +152,14 @@ def _validate_lam(lam: complex, n_min: int = 0) -> complex:
     return lam
 
 
+def _principal_roots(half: np.ndarray, lam: complex, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(half - lam) on the principal branch, into ``out`` if given: the
+    one formula of :func:`zeta_array`, for half = n + 1/2."""
+    z = np.subtract(half, lam, out=out)
+    np.add(z, 0j, out=z)
+    return np.sqrt(z, out=z)
+
+
 def zeta(n: int, lam: complex) -> complex:
     """Branch-correct sqrt(n + 1/2 - lam), the same complex as
     :func:`zeta_array` gives for n."""
@@ -169,7 +182,7 @@ def zeta_array(ns: np.ndarray, lam: complex) -> np.ndarray:
     if np.any(ns < 0):
         raise InvalidParametersError("mode indices must be nonnegative")
     lam = _validate_lam(lam, n_min=int(np.min(ns)))
-    return np.sqrt((ns + 0.5) - lam + 0j)
+    return _principal_roots(ns + 0.5, lam)
 
 
 def coupling_weight(n: int) -> float:
@@ -212,12 +225,10 @@ class RecurrenceSolution:
         return int(self.values.size)
 
     def value(self, n: int) -> complex:
-        """True value C_n, rounded once; inf where it overflows."""
+        """True value C_n, each part rounded once; a part that overflows
+        is inf of its sign, and a zero part keeps its signed zero."""
         v, e = complex(self.values[n]), int(self.log2_scale[n])
-        try:
-            return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
-        except OverflowError:
-            return v * math.inf
+        return complex(_ldexp_or_inf(v.real, e), _ldexp_or_inf(v.imag, e))
 
     def log2_magnitude(self, n: int) -> float:
         mag = abs(self.values[n])
@@ -242,27 +253,44 @@ class RecurrenceSolution:
         n_top = self.length - 1
         if n_top < 2:
             return np.zeros(0)
+        rows = n_top - 1
         c, k, d, w = self.values, self.log2_scale, self.couplings, self.weights
-        t_up = d[2:] * c[2:]
-        t_mid = w[1:n_top] * c[1:-1]
-        t_lo = d[1:-1] * c[:-2]
         # the three scales of a row differ only beside a rescale or a lane
         # start; elsewhere every factor 2^(k - kmax) is 1, which moves no
         # term, so only those rows are formed again
-        moved = np.flatnonzero((k[:-2] != k[1:-1]) | (k[1:-1] != k[2:]))
+        differ = np.not_equal(k[:-2], k[1:-1], out=_scratch(5, bool, rows))
+        differ |= np.not_equal(k[1:-1], k[2:], out=_scratch(4, bool, rows))
+        moved = np.flatnonzero(differ)
+        t_up = np.multiply(d[2:], c[2:], out=_scratch(0, complex, rows))
+        t_mid = np.multiply(w[1:n_top], c[1:-1], out=_scratch(1, complex, rows))
+        t_lo = np.multiply(d[1:-1], c[:-2], out=_scratch(2, complex, rows))
         k_lo, k_mid, k_up = k[moved], k[moved + 1], k[moved + 2]
         kmax = np.maximum(np.maximum(k_lo, k_mid), k_up)
         t_up[moved] = d[moved + 2] * (c[moved + 2] * np.exp2(k_up - kmax))
         t_mid[moved] = w[moved + 1] * (c[moved + 1] * np.exp2(k_mid - kmax))
         t_lo[moved] = d[moved + 1] * (c[moved] * np.exp2(k_lo - kmax))
-        num = np.abs(t_up + t_mid + t_lo)
-        den = np.abs(t_up) + np.abs(t_mid) + np.abs(t_lo)
+        den = np.abs(t_up, out=_scratch(3, float, rows))
+        part = _scratch(4, float, rows)
+        den += np.abs(t_mid, out=part)
+        den += np.abs(t_lo, out=part)
+        t_up += t_mid
+        t_up += t_lo
+        num = np.abs(t_up, out=part)
         # a row of zero terms holds; a row of nan or inf terms reads nan
-        return np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        holds = np.not_equal(den, 0.0, out=_scratch(5, bool, rows))
+        return np.divide(num, den, out=np.zeros(rows), where=holds)
 
     def max_interior_residual(self) -> float:
         res = self.interior_residuals()
         return float(np.max(res)) if res.size else 0.0
+
+
+def _ldexp_or_inf(x: float, e: int) -> float:
+    """x * 2^e rounded once, or inf of the sign of x where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, complex, float]:
@@ -306,13 +334,43 @@ def _lattice_rows(size: int) -> tuple[np.ndarray, np.ndarray]:
     """d(k), with d(0) = 0, and sqrt(k + 1/2) for k < size, as read-only
     views of arrays kept across calls: a larger size builds them again at
     that size, a smaller one reads a prefix."""
-    if _LATTICE[0].size < size:
+    d, root = _LATTICE
+    if d.size < size:
         d = np.concatenate(([0.0], coupling_weights(np.arange(1, size))))
         root = np.sqrt(np.arange(size) + 0.5)
         d.flags.writeable = root.flags.writeable = False
-        _LATTICE[:] = d, root
-    d, root = _LATTICE
+        # another thread may have kept larger rows meanwhile
+        if _LATTICE[0].size < size:
+            _LATTICE[:] = d, root
     return d[:size], root[:size]
+
+
+class _Arena(threading.local):
+    """Six byte buffers per thread, each grown to the most any call asked
+    of it and kept.  Slots 0-2 are sized for complex rows, 3 and 4 for
+    float rows and 5 for a mask; a slot is free again once the array
+    carved from it is dead, so phases of one call share them."""
+
+    def __init__(self) -> None:
+        self.slots = [np.empty(0, dtype=np.uint8)] * 6
+
+
+_ARENA = _Arena()
+
+
+def _scratch(slot: int, dtype, *shape: int) -> np.ndarray:
+    """An uninitialised C-ordered array on this thread's scratch ``slot``,
+    valid until the next request for that slot.  A large array freed
+    after each call goes back to the OS and costs a page fault per page
+    when it is mapped again; a slot is mapped once, at its largest size.
+    No array a caller keeps may be carved from a slot."""
+    dtype = np.dtype(dtype)
+    need = math.prod(shape) * dtype.itemsize
+    buf = _ARENA.slots[slot]
+    if buf.size < need:
+        buf = np.empty(need, dtype=np.uint8)
+        _ARENA.slots[slot] = buf
+    return buf[:need].view(dtype).reshape(shape)
 
 
 def _diagonal_weights(mu: float, zs: np.ndarray) -> np.ndarray:
@@ -323,7 +381,9 @@ def _diagonal_weights(mu: float, zs: np.ndarray) -> np.ndarray:
     except that a part whose product underflows to zero may take the other
     sign: numpy rounds t*Re zeta_j - 0*Im zeta_j once.
     """
-    return 2.0 * mu * _lattice_rows(zs.size)[1] * zs
+    # zs may lie on scratch slot 0, never on 3
+    t = np.multiply(2.0 * mu, _lattice_rows(zs.size)[1], out=_scratch(3, float, zs.size))
+    return np.multiply(t, zs)
 
 
 def _steps(
@@ -451,15 +511,20 @@ def _lane_steps(
         # step j*rows + t is row t of lane j
         return x.reshape(lanes, rows).T
 
-    # p = -w/d_new and q = -d_old/d_new, each row's lanes contiguous
-    p = np.divide(by_row(w), np.negative(by_row(d_new)), order="C")
-    abs_q = np.divide(by_row(d_old), by_row(d_new), order="C")
-    q = np.negative(abs_q, dtype=complex)
-    abs_p = np.abs(p)
+    # p = -w/d_new and q = -d_old/d_new, each row's lanes contiguous; q is
+    # negated as a complex, so its imaginary parts are -0, as the replay's
+    # bits were measured with
+    p = np.divide(by_row(w), np.negative(by_row(d_new), out=_scratch(2, float, rows, lanes)),
+                  out=_scratch(0, complex, rows, lanes))
+    abs_q = np.divide(by_row(d_old), by_row(d_new), out=_scratch(3, float, rows, lanes))
+    q = np.negative(abs_q, dtype=complex, out=_scratch(2, complex, rows, lanes))
+    abs_p = np.abs(p, out=_scratch(4, float, rows, lanes))
     # one row moves the pair maximum up by at most |p| + |q| and down by at
     # most (1 + |p|)/|q|; from [1/2, 1), ``period`` rows of the largest of
     # these over all rows and lanes stay within 2^+-500
-    bits = math.log2(max((abs_p + abs_q).max(), ((1.0 + abs_p) / abs_q).max(), 1.0))
+    growth = np.add(abs_p, abs_q, out=_scratch(1, float, rows, lanes)).max()
+    shrink = np.add(1.0, abs_p, out=_scratch(1, float, rows, lanes))
+    bits = math.log2(max(growth, np.divide(shrink, abs_q, out=shrink).max(), 1.0))
     if not bits <= _LANE_RESCALE_BITS:
         return False
     period = int(_LANE_RESCALE_BITS // bits)
@@ -484,7 +549,7 @@ def _lane_steps(
 
     # every lane's rows, replayed side by side from its start; the scale
     # changes only at the marks
-    block = np.empty((rows, lanes), dtype=complex)
+    block = _scratch(1, complex, rows, lanes)
 
     def replay(a0: np.ndarray, b0: np.ndarray, s0: np.ndarray):
         """The lanes replayed from the starts (a0, b0) on scales s0: the
@@ -536,7 +601,9 @@ def _lane_steps(
         if not joined:
             return False
     values.reshape(lanes, rows)[...] = block.T
-    scales.reshape(lanes, rows)[...] = np.repeat(seg_scales, np.diff([0, *marks, rows]), axis=0).T
+    by_lane, bounds = scales.reshape(lanes, rows), [0, *marks, rows]
+    for seg, lo, hi in zip(seg_scales, bounds, bounds[1:]):
+        by_lane[:, lo:hi] = seg[:, None]
     return True
 
 
@@ -559,13 +626,13 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
     lam = _validate_lam(lam)
 
     ds = _lattice_rows(n + 1)[0]
-    zs = zeta_array(np.arange(n), lam)
     if n > 0 and _weights_overflow(mu, lam, n - 1):
         raise InvalidParametersError(
             f"mu = {mu} makes a diagonal weight of w_0..w_{n - 1} overflow "
             f"at lam = {lam}"
         )
-    w = _diagonal_weights(mu, zs)
+    half = np.add(np.arange(n), 0.5, out=_scratch(3, float, n))
+    w = _diagonal_weights(mu, _principal_roots(half, lam, out=_scratch(0, complex, n)))
     values = np.empty(n + 1, dtype=complex)
     scales = np.zeros(n + 1)
     values[0] = c0
@@ -766,8 +833,9 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     # mantissas reach 2^512, so their squares would overflow: scale each
     # |C_n| to [1/2, 1) by its own power of two, which is exact, and move
     # that exponent into the log2 scale
-    mags, e = np.frexp(np.abs(sol.values[: top + 1]))
-    k = sol.log2_scale[: top + 1] + e
+    mags = np.abs(sol.values[: top + 1], out=_scratch(3, float, top + 1))
+    mags, e = np.frexp(mags, out=(mags, _scratch(4, np.intc, top + 1)))
+    k = np.add(sol.log2_scale[: top + 1], e, out=_scratch(0, float, top + 1))
     # both sides on the scale of the top pair: C_{upTo+1} alone can lie so
     # far above the sum's terms that its scale underflows all of them.  But
     # no weight may pass 2^960, which leaves 2^64 for the factor
@@ -775,7 +843,11 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     # tiny |mu| the C_n alternate between about 1 and about mu, and the top
     # pair's scale would overflow every other weight
     kref = max(float((k[up_to] + k[top]) // 2), float(np.max(k[:top])) - 480.0)
-    terms = mags[:top] ** 2 * np.exp2(2.0 * (k[:top] - kref)) * sol.weights[:top].imag
+    factor = np.subtract(k[:top], kref, out=_scratch(1, float, top))
+    np.exp2(np.multiply(2.0, factor, out=factor), out=factor)
+    terms = np.square(mags[:top], out=_scratch(2, float, top))
+    terms *= factor
+    terms *= sol.weights[:top].imag
     lhs = float(np.sum(terms))
     # the top pair's parts, each scaled on its own: for a subnormal |C| the
     # factor 2^-e alone would overflow
@@ -785,7 +857,7 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     vals.imag = np.ldexp(pair.imag, -e[up_to:])
     cross = (vals[1] * np.conj(vals[0])).imag
     rhs = -float(sol.couplings[top]) * float(cross) * 2.0 ** float(k[top] + k[up_to] - 2.0 * kref)
-    term_scale = float(np.max(np.abs(terms))) if terms.size else 0.0
+    term_scale = float(np.max(np.abs(terms, out=factor))) if terms.size else 0.0
     return IdentityCheck(
         lhs=lhs, rhs=rhs, log2_scale=2.0 * kref, term_scale=term_scale
     )

@@ -3,9 +3,15 @@ solutions, closed-form asymptotics, the summed identity, and the secular
 defect used for eigenvalue confirmation."""
 
 import cmath
+import decimal
+import hashlib
 import math
+import os
 import pathlib
+import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,23 +110,48 @@ zeta_lam_ims = st.sampled_from([0.0, 5e-324, -5e-324, 1e-300, -1e-300]) | st.flo
 )
 
 
+def _rounded_sqrt(z):
+    """The principal sqrt(z), each part rounded once from a 60-digit
+    decimal evaluation.  The smaller part is |Im z| / 2 over the larger,
+    which keeps its digits where |Im z| is small."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x, y = D(z.real), D(z.imag)
+        r = (x * x + y * y).sqrt()
+        if x >= 0:
+            re = ((r + x) / 2).sqrt()
+            im = abs(y) / (2 * re)
+        else:
+            im = ((r - x) / 2).sqrt()
+            re = abs(y) / (2 * im)
+    return complex(float(re), math.copysign(float(im), z.imag))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.floats(min_value=-1e6, max_value=1e6), zeta_lam_ims)
 @example(n=3, lam_re=10.0, lam_im=5e-324)
 @example(n=0, lam_re=0.3, lam_im=-0.0)
+# at k = 1 the argument is exactly -1j: numpy rounds both parts of
+# sqrt(-1j) to +-0.7071067811865476, cmath.sqrt one of them to ...475
+@example(n=0, lam_re=1.5, lam_im=1.0)
 def test_zeta_array_matches_scalar(n, lam_re, lam_im):
     lam = complex(lam_re, lam_im)
     assume(lam_im != 0.0 or lam_re < n + 0.5)
     got = zeta_array(np.arange(n, n + 3), lam)
     assert np.array([zeta(n, lam)]).tobytes() == got[:1].tobytes()
+    rounded = np.array([_rounded_sqrt((k + 0.5) - lam) for k in range(n, n + 3)]).view(np.float64)
     got = got.view(np.float64)
     want = np.array([_scalar_zeta(k, lam) for k in range(n, n + 3)]).view(np.float64)
     # numpy's complex sqrt and cmath.sqrt round a subnormal part apart by
-    # one step of 2^-1074 at times (|Im lam| below about 1e-307); every
-    # other part agrees bit for bit, the signs of zeros included
+    # one step of 2^-1074 at times (|Im lam| below about 1e-307); any
+    # other part they round apart must be numpy's correctly rounded one,
+    # and the rest agree bit for bit, the signs of zeros included
     sub = ((np.abs(got) < sys.float_info.min) | (np.abs(want) < sys.float_info.min)) & (got != want)
     assert np.all(np.abs(got - want)[sub] <= 5e-324)
-    assert got[~sub].tobytes() == want[~sub].tobytes()
+    apart = ~sub & (got != want)
+    assert got[apart].tobytes() == rounded[apart].tobytes()
+    assert got[~sub & ~apart].tobytes() == want[~sub & ~apart].tobytes()
 
 
 def test_zeta_array_edges():
@@ -246,6 +277,20 @@ def test_forward_split_representation_never_overflows():
     mags = np.abs(sol.values[sol.values != 0.0])
     assert float(np.max(mags)) <= 2.0**513
     assert float(np.min(mags)) >= 2.0**-513
+
+
+def test_value_overflows_part_by_part():
+    # real lam: Im C_700 is a zero and Re C_700 overflows; the whole
+    # mantissa times inf made that inf+nanj
+    sol = iterate_forward(3.0, -0.5, 1.0, 800)
+    m, v = complex(sol.values[700]), sol.value(700)
+    assert m.real > 0.0 and m.imag == 0.0
+    assert v.real == math.inf
+    assert v.imag == 0.0 and math.copysign(1.0, v.imag) == math.copysign(1.0, m.imag)
+    # both parts overflow, each to the inf of its own sign
+    sol = iterate_forward(3.0, -0.5 + 1.0j, 1.0, 800)
+    m, v = complex(sol.values[700]), sol.value(700)
+    assert (v.real, v.imag) == (math.copysign(math.inf, m.real), math.copysign(math.inf, m.imag))
 
 
 def test_forward_linear_in_seed():
@@ -758,6 +803,134 @@ def test_lanes_give_way_to_the_row_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the scratch arena: the solve's and the checks' temporaries, kept per thread
+
+
+# one process asks for these in turn; each call's parameters differ from
+# the last one's, so a temporary that read what an earlier call left in
+# the arena would give other bytes than in a fresh process
+_ARENA_CALLS = [
+    (1.7, 0.3 + 0.2j, 100_000),
+    (0.6, -1.0 - 0.5j, 3000),
+    (0.996, -0.4 + 0.1j, 100_000),
+    (2.5, 0.1, 20_000),
+]
+
+
+def _answer(mu, lam, n):
+    """Every array and float of a forward solve and both checks, as bytes."""
+    sol = iterate_forward(mu, lam, 1.0, n)
+    check = identity_residual(sol, n - 1)
+    parts = [sol.values, sol.log2_scale, sol.weights, sol.couplings, sol.interior_residuals(),
+             np.array([check.lhs, check.rhs, check.log2_scale, check.term_scale])]
+    return b"".join(part.tobytes() for part in parts)
+
+
+def test_arena_reuse_gives_a_fresh_process_bytes():
+    here = [hashlib.sha256(_answer(*call)).hexdigest() for call in _ARENA_CALLS]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(pathlib.Path(recurrence.__file__).parents[1]), str(pathlib.Path(__file__).parent),
+                      env.get("PYTHONPATH")]))
+    code = ("import hashlib, sys; from test_recurrence import _ARENA_CALLS, _answer; "
+            "print(hashlib.sha256(_answer(*_ARENA_CALLS[int(sys.argv[1])])).hexdigest())")
+    for i, digest in enumerate(here):
+        fresh = subprocess.run([sys.executable, "-c", code, str(i)], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr[-2000:]
+        assert fresh.stdout.strip() == digest
+
+
+def test_kept_arrays_are_not_carved_from_the_arena():
+    sol = iterate_forward(1.7, 0.3 + 0.2j, 1.0, 50_000)
+    back = minimal_solution_backward(1.7, 0.3 + 0.2j, 20_000)
+    kept = [sol.values, sol.log2_scale, sol.weights, sol.couplings, sol.interior_residuals(),
+            back.values, back.log2_scale, back.weights, back.interior_residuals()]
+    copies = [a.copy() for a in kept]
+    check = identity_residual(sol, 49_999)
+    # the checks grew every slot to at least one byte per interior row
+    assert all(slot.size >= 49_999 for slot in recurrence._ARENA.slots)
+    for slot in recurrence._ARENA.slots:
+        assert not any(np.shares_memory(slot, a) for a in kept)
+    # later calls reuse the slots and leave the earlier answers alone
+    for mu, lam, n in _ARENA_CALLS:
+        _answer(mu, lam, n // 2)
+        minimal_solution_backward(mu + 1.0, lam, n // 4).interior_residuals()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, copies))
+    assert identity_residual(sol, 49_999) == check
+
+
+def test_threads_get_their_own_arena(monkeypatch):
+    serial = [_answer(mu, lam, n // 4) for mu, lam, n in _ARENA_CALLS]
+    # the threads also grow the shared lattice rows from nothing at once
+    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0), np.zeros(0)])
+    results = {}
+
+    def work(t):
+        calls = _ARENA_CALLS[t % 4:] + _ARENA_CALLS[:t % 4]
+        results[t] = [_answer(mu, lam, n // 4) for mu, lam, n in calls]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for t in range(4):
+        assert results[t] == serial[t % 4:] + serial[:t % 4]
+
+
+@pytest.mark.parametrize("fail_at", [0, 2, 5])
+def test_memory_error_while_the_arena_grows(monkeypatch, fail_at):
+    monkeypatch.setattr(recurrence, "_ARENA", recurrence._Arena())
+    want = _answer(1.7, 0.3 + 0.2j, 30_000)
+    monkeypatch.setattr(recurrence, "_ARENA", recurrence._Arena())
+    _answer(0.6, -1.0 - 0.5j, 2000)
+    grown = []
+    empty = np.empty
+
+    def failing(shape, dtype=float, *args, **kwargs):
+        if np.dtype(dtype) == np.uint8:
+            if len(grown) == fail_at:
+                raise MemoryError("no memory for a scratch slot")
+            grown.append(shape)
+        return empty(shape, dtype, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", failing)
+        with pytest.raises(MemoryError):
+            _answer(1.7, 0.3 + 0.2j, 30_000)
+    assert len(grown) == fail_at
+    assert _answer(1.7, 0.3 + 0.2j, 30_000) == want
+
+
+def test_repeated_solve_and_checks_allocate_under_56_bytes_a_row():
+    # the arrays the solution keeps take 40 bytes a row (values, scales,
+    # weights) and the residuals 8 more; the temporaries come from the
+    # arena, which the first call grew
+    n = 100_000
+
+    def solve_and_check():
+        sol = iterate_forward(1.7, 0.3 + 0.2j, 1.0, n)
+        identity_residual(sol, n - 1)
+        sol.max_interior_residual()
+
+    solve_and_check()
+    tracemalloc.start()
+    try:
+        solve_and_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * n
+
+
+# ---------------------------------------------------------------------------
 # the summed identity
 
 
@@ -944,21 +1117,73 @@ secular_mus = st.builds(
 secular_lams = st.floats(min_value=-40.0, max_value=0.5, exclude_max=True) | nonreal_lams
 
 
+def _exact_secular(mu, lam, n):
+    """secular_function's sweep from the same float coefficients -d(k)^2
+    and w_k, evaluated in 50-digit decimal arithmetic: the value its
+    coefficients define, free of the sweep's rounding."""
+    m = n + max(50, n // 10)
+    neg_d2, half, two_sqrt = recurrence._sweep_rows(m)
+    lam = complex(lam)
+    w = (mu * two_sqrt * np.sqrt(half - (lam.real if lam.imag == 0.0 else lam))).tolist()
+    D = decimal.Decimal
+
+    def pair(z):
+        z = complex(z)
+        return D(z.real), D(z.imag)
+
+    def times(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def size(a):
+        return (a[0] * a[0] + a[1] * a[1]).sqrt()
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        rho, phase = (D(0), D(0)), (D(1), D(0))
+        for k, (nd2, wk) in enumerate(zip(neg_d2, w)):
+            wk = pair(wk)
+            pivot = wk[0] + rho[0], wk[1] + rho[1]
+            if pivot == (0, 0):
+                pivot = D(recurrence._PIVOT_FLOOR), D(0)
+            r2 = pivot[0] * pivot[0] + pivot[1] * pivot[1]
+            rho = D(nd2) * pivot[0] / r2, -D(nd2) * pivot[1] / r2
+            if k >= m - n:
+                phase = times(phase, (rho[0] / size(rho), rho[1] / size(rho)))
+        w0 = pair(w[-1])
+        top = times((phase[0], -phase[1]), (rho[0] + w0[0], rho[1] + w0[1]))
+        den = size(rho) + size(w0)
+        return complex(float(top[0] / den), float(top[1] / den))
+
+
 @settings(max_examples=200, deadline=None)
 @given(secular_mus, secular_lams, st.integers(min_value=1, max_value=1000))
 @example(mu=1.00000001, lam=0.3, n=2)
 @example(mu=math.nextafter(1.0, 2.0), lam=math.nextafter(0.5, 0.0), n=1000)
+# one ulp above mu = 1 the value moves by 5.4e-12 per ulp of mu, and the
+# two methods, whose weights round apart by about an ulp, part by 5.3e-13
+@example(mu=1.0000000000000002, lam=0.09609536043110012, n=228)
 def test_secular_sweep_agrees_with_the_whole_solution(mu, lam, n):
     got = secular_function(mu, lam, n)
-    want = _reference_secular(mu, lam, n)
+    exact = _exact_secular(mu, lam, n)
     bound = _secular_agreement(n)
-    assert abs(got - want) <= bound
+    # the sweep's own rounding: against the exact value of its coefficients
+    assert abs(got - exact) <= bound
+    # the reference rounds its weights 2*mu*sqrt(k+1/2)*zeta_k apart from
+    # the sweep's by about an ulp, so the two may part by the rounding of
+    # each plus what one ulp of mu moves the value
+    want = _reference_secular(mu, lam, n)
+    ulp_mu = math.nextafter(mu, math.copysign(math.inf, mu))
+    sensitivity = abs(secular_function(ulp_mu, lam, n) - got)
+    assert abs(got - want) <= bound + sensitivity
     if isinstance(lam, float):
         # the sweep runs in real arithmetic: exactly real, and the sign
-        # that brackets eigenvalues is the reference's wherever that is
-        # farther from 0 than the two may part
+        # that brackets eigenvalues is the exact one wherever that is
+        # farther from 0 than the sweep may part from it, and the
+        # reference's wherever that is farther than the two may part
         assert got.imag == 0.0
-        if abs(want) > bound:
+        if abs(exact) > bound:
+            assert math.copysign(1.0, got.real) == math.copysign(1.0, exact.real)
+        if abs(want) > bound + sensitivity:
             assert math.copysign(1.0, got.real) == math.copysign(1.0, want.real)
 
 
