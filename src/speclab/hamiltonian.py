@@ -26,8 +26,9 @@ profiles; this module works entirely in that mode picture:
   It bisects on counts only until each root is alone in its bracket,
   polishes it there by Anderson-Bjorck steps on the secular function (the
   boundary-row residual of the recurrence's minimal solution, read from
-  one backward sweep of its ratios, which shares no code with the
-  counts), and certifies the polished root by one count on each side.
+  one backward sweep of its ratios, which shares only the lam-free
+  lattice rows with the counts), and certifies the polished root by one
+  count on each side.
   Every root is cross-checked against the secular function at a fixed
   depth, its sign change polished by the same steps, each branch's roots
   from the top down until the first one that has none.
@@ -675,7 +676,8 @@ def _branches_and_window(
     ``NoSubcriticalBranchError``, and a weight that leaves double range
     raises ``InvalidParametersError``.  The window's lower end defaults to
     1/2 - 10, tightened to c/2 whenever the form lower-bound constant c is
-    positive; its upper end is ``_WINDOW_MARGIN`` below 1/2.
+    positive, but no higher than its upper end, ``_WINDOW_MARGIN`` below
+    1/2: there the window is empty.
     """
     p = canonicalize(params)
     mus = branch_mus(p)
@@ -687,18 +689,18 @@ def _branches_and_window(
             f"no branch of {p} has weight mu > 1; there are no eigenvalues "
             "below the threshold to locate"
         )
+    lam_hi = THRESHOLD - _WINDOW_MARGIN
     if lambda_min is None:
         lambda_min = THRESHOLD - 10.0
         c = lower_bound_constant(p)
         if c > 0.0:
-            lambda_min = max(lambda_min, 0.5 * c)
-    lam_lo = float(lambda_min)
-    lam_hi = THRESHOLD - _WINDOW_MARGIN
-    if not (lam_lo < lam_hi):
+            # a bound at or above the window top proves the window empty
+            lambda_min = min(max(lambda_min, 0.5 * c), lam_hi)
+    elif not float(lambda_min) < lam_hi:
         raise InvalidParametersError(
-            f"lambda_min = {lam_lo} does not leave a search window below 1/2"
+            f"lambda_min = {float(lambda_min)} does not leave a search window below 1/2"
         )
-    return p, subcritical, (lam_lo, lam_hi)
+    return p, subcritical, (float(lambda_min), lam_hi)
 
 
 def h_eigenvalues_below_threshold(
@@ -714,7 +716,8 @@ def h_eigenvalues_below_threshold(
     count at level 0 of the spectral Jacobi family jumps as a function of
     lambda.  The search window is (lambda_min, 1/2); when ``lambda_min`` is
     omitted it defaults to 1/2 - 10, tightened to c/2 whenever the form
-    lower-bound constant c is positive.
+    lower-bound constant c is positive, and no higher than the window top
+    1/2 - 1e-9: a c/2 above it proves the window empty.
 
     The counts bisect the window only until each root is alone in its
     bracket (or the bracket is within ``tol``).  Safeguarded

@@ -32,7 +32,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BranchCutError, InvalidParametersError, NonConvergenceError
-from .recurrence import _check_mu, coupling_weights
+from .recurrence import _check_mu, _lattice_rows, _weights_overflow
 from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
 __all__ = [
@@ -112,11 +112,11 @@ JacobiFamily = Union[ReferenceFamily, SpectralFamily, CountingFamily, CountingLi
 
 def _couplings(family: JacobiFamily, start: int, stop: int) -> np.ndarray:
     """The coupling joining row k - 1 to row k, for k = start .. stop - 1;
-    0 for row 0."""
-    k = np.arange(max(start, 1), stop, dtype=np.float64)
+    0 for row 0; the recurrence's read-only d(k) for reference and spectral."""
     if isinstance(family, (ReferenceFamily, SpectralFamily)):
-        off = coupling_weights(k)
-    elif isinstance(family, CountingFamily):
+        return _lattice_rows(stop)[0][start:]
+    k = np.arange(max(start, 1), stop, dtype=np.float64)
+    if isinstance(family, CountingFamily):
         eps = family.epsilon
         off = np.sqrt(k) / (2.0 * (k + eps) ** 0.25 * (k - 1.0 + eps) ** 0.25)
     elif isinstance(family, CountingLimitFamily):
@@ -127,21 +127,13 @@ def _couplings(family: JacobiFamily, start: int, stop: int) -> np.ndarray:
     return np.concatenate(([0.0], off)) if start == 0 else off
 
 
-@functools.lru_cache(maxsize=64)
-def _spectral_couplings(start: int, stop: int) -> np.ndarray:
-    """The spectral family's ``_couplings``, which no lam or mu changes, kept
-    read-only: h-spectrum's bisection walks the same blocks at each level."""
-    off = _couplings(SpectralFamily(0.0, 2.0), start, stop)
-    off.flags.writeable = False
-    return off
-
-
 def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
     """Size-n truncation of the requested family."""
     if n < 2:
         raise InvalidParametersError("truncation size must be at least 2")
-    off = _couplings(family, 0, n)[1:]
+    off = _couplings(family, 0, n)[1:].copy()
     if isinstance(family, ReferenceFamily):
+        _check_diagonals(family.mu, 0.0, n)
         diag = 2.0 * family.mu * (np.arange(n) + 0.5)
     elif isinstance(family, SpectralFamily):
         diag = _spectral_diagonals(family.mu, np.array([family.lam]), 0, n)[0]
@@ -170,14 +162,25 @@ def _check_lams(lams) -> np.ndarray:
 
 def spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
     """Diagonals of the spectral family for a batch of lam values, (k, n)."""
+    if n < 0:
+        raise InvalidParametersError(f"the number of rows must be nonnegative, got {n}")
     return _spectral_diagonals(_check_mu(mu), _check_lams(lams), 0, n)
 
 
+def _check_diagonals(mu: float, lam: float, stop: int) -> None:
+    """Raise where an entry of rows k < stop, at most the recurrence's |w_k|
+    at lam, may overflow: checked before numpy forms it, which would warn."""
+    if stop > 0 and _weights_overflow(mu, complex(lam), stop - 1):
+        raise InvalidParametersError(f"mu = {mu} makes a diagonal entry overflow at lam = {lam}")
+
+
 def _spectral_diagonals(mu: float, lams: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """2 mu sqrt(k + 1/2) sqrt(k + 1/2 - lam) for start <= k < stop, one
-    row per lam."""
+    """2 mu sqrt(k + 1/2) sqrt(k + 1/2 - lam), the recurrence's w_k, for
+    start <= k < stop, one row per lam; the least lam bounds every entry."""
+    if lams.size:
+        _check_diagonals(mu, float(lams.min()), stop)
     modes = np.arange(start, stop) + 0.5
-    return 2.0 * mu * np.sqrt(modes)[None, :] * np.sqrt(modes[None, :] - lams[:, None])
+    return 2.0 * mu * _lattice_rows(stop)[1][start:] * np.sqrt(modes - lams[:, None])
 
 
 def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
@@ -256,15 +259,15 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
         # below 0 lie infinitely many eigenvalues at mu <= 1
         raise InvalidParametersError(f"certified spectral counts need mu > 1, got {mu}")
     lams = _check_lams(lams)
-    # K, or a negative number where lam <= 0 and K = 0
-    first = np.ceil(lams * (_turn_factor(mu) * (1.0 + _MARGIN)) - 0.5)
+    # K, or -0 where lam <= 0 and K = 0
+    first = np.ceil(np.maximum(lams, 0.0) * (_turn_factor(mu) * (1.0 + _MARGIN)) - 0.5)
 
     def certified(cols, last, stop, couplings):
         return (stop >= first[cols]) & (last >= couplings[-1] * (1.0 + _MARGIN))
 
     return _walk(
         lams.size,
-        _spectral_couplings,
+        lambda start, stop: _lattice_rows(stop)[0][start:],
         lambda cols, start, stop: _spectral_diagonals(mu, lams[cols], start, stop),
         0.0,
         certified,

@@ -62,9 +62,9 @@ added to the starts, and the lanes replay once more.  The row loop runs
 instead where the joins miss again, or where one row alone could pass
 the bound.
 
-The lam-free rows d(k) and sqrt(k + 1/2) are built once per process and
-grown to the largest depth asked for (:func:`_lattice_rows`).  A
-solution keeps the weights w_n and d(n) its rows were built from, so the
+The lam-free rows d(k) and sqrt(k + 1/2) are built once per process, grown
+to the largest depth asked for, and read by every layer (:func:`_lattice_rows`).
+A solution keeps the weights w_n and d(n) its rows were built from, so the
 residual checks read them instead of building them again.  The row-sized
 temporaries of a forward solve, the lanes and both checks live in a
 per-thread scratch arena (:func:`_scratch`) of six buffers, 65 bytes per
@@ -869,12 +869,11 @@ def _sweep_rows(m: int) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
     buffer top m: -d(k)^2 for the rows k = m, ..., 1 as Python floats, and
     k + 1/2 and 2*sqrt(k + 1/2) for k = m, ..., 0, all read-only.  The
     cross-check calls the sweep at one depth for many lam."""
-    ks = np.arange(m, -1, -1)
-    d = coupling_weights(ks[:-1])
-    half = ks + 0.5
-    two_sqrt = 2.0 * np.sqrt(half)
+    d, root = _lattice_rows(m + 1)
+    half = np.arange(m, -1, -1) + 0.5
+    two_sqrt = 2.0 * root[::-1]
     half.flags.writeable = two_sqrt.flags.writeable = False
-    return tuple((-(d * d)).tolist()), half, two_sqrt
+    return tuple((-np.square(d[m:0:-1])).tolist()), half, two_sqrt
 
 
 def secular_function(mu: float, lam: complex, n: int) -> complex:

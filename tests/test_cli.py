@@ -560,6 +560,65 @@ def test_no_silent_nan_and_certified_eigenvalues(point, epsilon):
         assert (below[1] - below[0], below[2] - below[0]) == (i, i + 1), (i, x)
 
 
+def _run_quietly(argv):
+    """Exit code and the parsed stdout row (None on a nonzero exit)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = run(argv)
+    return rc, (json.loads(out.getvalue()) if rc == 0 else None)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(mu=finite_floats, lam=finite_floats, size=st.integers(2, 40))
+# a diagonal entry overflowed with a RuntimeWarning, before "matrix
+# entries must be finite"
+@example(mu=5.85e268, lam=-7.5e246, size=2)
+@example(mu=1.697841037416877e307, lam=0.0, size=10)
+def test_jacobi_commands_at_extreme_parameters(mu, lam, size):
+    for argv in (["jacobi-spectrum", "--family=spectral", f"--mu={mu!r}",
+                  f"--lambda={lam!r}", f"--size={size}"],
+                 ["jacobi-spectrum", "--family=reference", f"--mu={mu!r}", f"--size={size}"],
+                 ["transition-scan", f"--mu={mu!r}", f"--sizes={size},{2 * size}"]):
+        rc, row = _run_quietly(argv)
+        assert rc in (0, 2), argv
+        rows = row if isinstance(row, list) else [row] if row else []
+        for r in rows:
+            for key, value in r.items():
+                for x in _numbers(value):
+                    assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:no subcritical branch")
+@settings(max_examples=60, deadline=None)
+@given(alpha=finite_floats | st.floats(-3.0, 3.0),
+       beta=st.just(0.0) | finite_floats | st.floats(-3.0, 3.0),
+       gamma_re=finite_floats | st.floats(-1.5, 1.5),
+       gamma_im=finite_floats | st.floats(-1.5, 1.5),
+       lambda_min=finite_floats | st.floats(-20.0, 0.5))
+# the spectral diagonal overflowed with a RuntimeWarning, before "entries
+# and level must be finite"
+@example(alpha=-1.4319419510251629e-205, beta=0.0, gamma_re=-186423861590.0616,
+         gamma_im=6.233478807674116e-305, lambda_min=-7.582129790305882e268)
+# the certificate row K overflowed with a RuntimeWarning from lam * mu^2 / (mu^2 - 1)
+@example(alpha=1.0, beta=0.0, gamma_re=0.0, gamma_im=0.0, lambda_min=-1.7e308)
+def test_spectral_commands_at_extreme_parameters(alpha, beta, gamma_re, gamma_im,
+                                                 lambda_min):
+    coupling = [f"--alpha={alpha!r}", f"--beta={beta!r}", f"--gamma-re={gamma_re!r}",
+                f"--gamma-im={gamma_im!r}", "--n-cap=5000"]
+    for argv in (["h-spectrum", *coupling, f"--lambda-min={lambda_min!r}"],
+                 ["h-spectrum", *coupling], ["discrete2-check", *coupling]):
+        rc, row = _run_quietly(argv)
+        assert rc in (0, 2, 3), argv
+        for key, value in (row or {}).items():
+            if key == "method_agreement" and value == "inf":
+                assert max(row["branch_mus"]) - 1.0 < _CROSS_CHECK_DEFECT_MU_MINUS_1, argv
+                continue
+            for x in _numbers(value):
+                assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key)
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_forms_test_needs_a_trial(capsys, trials):
     # no trials used to pass the check with "violations": 0
@@ -654,6 +713,27 @@ def test_h_spectrum_far_lambda_min(capsys):
     assert (row["count"], row["per_branch_counts"]) == (1, [1])
     assert row["eigenvalues"][0] == pytest.approx(0.47541226427148, abs=1e-9)
     assert row["method_agreement"] < 1e-9
+
+
+@pytest.mark.parametrize("point", [["--alpha=1e-9", "--beta=0"], ["--alpha=2e-9", "--beta=0"],
+                                   ["--alpha=2.8e-9", "--beta=0"], ["--beta=1e10"]])
+def test_empty_default_window_holds_no_eigenvalues(capsys, point):
+    # the form bound c/2 lies at or above the window top 1/2 - 1e-9, which
+    # proves the window empty; both commands exited 2 naming a lambda_min
+    # that was never given
+    rc, out, err = run_cli(capsys, ["h-spectrum", *point])
+    assert (rc, err) == (0, "")
+    row = json.loads(out)
+    assert (row["count"], row["eigenvalues"], row["method_agreement"]) == (0, [], 0)
+    rc, out, err = run_cli(capsys, ["discrete2-check", *point])
+    assert (rc, err) == (0, "")
+    row = json.loads(out)
+    assert (row["lhs"], row["ok"]) == (0, True)
+    # a lambda_min given at or above the window top still leaves no window
+    for lambda_min in ("0.499999999", "0.5", "3"):
+        rc, out, err = run_cli(capsys, ["h-spectrum", *point, f"--lambda-min={lambda_min}"])
+        assert (rc, out) == (2, "")
+        assert f"lambda_min = {float(lambda_min)!r} does not leave a search window" in err
 
 
 def test_discrete2_check_without_subcritical_branch(capsys):

@@ -2,6 +2,10 @@
 truncation-transition scan."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speclab import jacobi_ops
+from speclab import jacobi_ops, recurrence
 from speclab import (
     BranchCutError,
     CountingFamily,
@@ -24,6 +28,7 @@ from speclab import (
     compact_difference_tail,
     coupling_weights,
     counts_for_diagonals,
+    iterate_forward,
     spectral_counts,
     spectral_diagonals,
     transition_scan,
@@ -108,6 +113,11 @@ def test_spectral_diagonals_match_builder():
         assert np.allclose(row, want, rtol=1e-14)
     with pytest.raises(BranchCutError):
         spectral_diagonals(1.0, np.array([0.6]), 8)
+    assert spectral_diagonals(1.3, lams, 0).shape == (4, 0)
+    # the rows are slices of the kept lattice, so a negative n must not
+    # reach them
+    with pytest.raises(InvalidParametersError, match="nonnegative"):
+        spectral_diagonals(1.3, lams, -3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -121,6 +131,91 @@ def test_spectral_lams_must_be_finite(bad):
         spectral_counts(2.0, [bad])
     with pytest.raises(InvalidParametersError, match="lam must be finite"):
         SpectralFamily(lam=bad, mu=1.0)
+
+
+@pytest.mark.parametrize("call", [
+    # 2 mu sqrt(k + 1/2) zeta_k overflowed with a RuntimeWarning, and then
+    # "matrix entries must be finite" or "entries and level must be finite"
+    lambda: build(SpectralFamily(lam=-7.5e246, mu=5.85e268), 2),
+    lambda: build(ReferenceFamily(1.697841037416877e307), 20),
+    lambda: build(ReferenceFamily(-1e308), 2),
+    lambda: spectral_diagonals(1e300, [0.3, -1e300], 4),
+    lambda: spectral_counts(8.580895109854729e226, [-7.582129790305882e268, 0.3]),
+], ids=["spectral", "reference", "reference-negative-mu", "diagonals", "counts"])
+def test_diagonals_that_would_overflow_name_mu_and_lam(call):
+    with pytest.raises(InvalidParametersError, match=r"mu = \S+ makes a diagonal entry overflow at lam = "):
+        call()
+
+
+def test_large_diagonals_below_the_bound_are_built():
+    t = build(ReferenceFamily(1.697841037416877e307), 2)
+    assert np.isfinite(t.diag).all() and t.diag[1] == 3.0 * 1.697841037416877e307
+    assert np.isfinite(spectral_diagonals(1e300, [-1e10, 0.3], 64)).all()
+
+
+def _lattice_block(start, stop):
+    """d(k) for start <= k < stop by the public formula, d(0) = 0."""
+    d = coupling_weights(np.arange(max(start, 1), stop))
+    return np.concatenate(([0.0], d)) if start == 0 else d
+
+
+def test_reference_and_spectral_couplings_are_the_lattice_rows(monkeypatch):
+    # both families read d(k) from the recurrence's kept rows, which a deep
+    # recurrence grows; blocks read before the growth keep their values
+    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0), np.zeros(0)])
+    blocks = ((0, 64), (64, 129), (128, 300), (1000, 2049))
+    families = (ReferenceFamily(1.3), SpectralFamily(0.3, 1.3))
+    before = []
+    for grown in (False, True):
+        if grown:
+            iterate_forward(1.5, 0.3, 1.0, 100_000)
+            assert recurrence._LATTICE[0].size == 100_001
+        for family in families:
+            for start, stop in blocks:
+                off = jacobi_ops._couplings(family, start, stop)
+                assert np.shares_memory(off, recurrence._LATTICE[0])
+                assert not off.flags.writeable
+                assert off.tobytes() == _lattice_block(start, stop).tobytes()
+                before.append((off, off.copy()))
+    assert all(a.tobytes() == b.tobytes() for a, b in before)
+
+
+def test_build_copies_the_lattice_rows():
+    for family in (ReferenceFamily(1.3), SpectralFamily(0.3, 1.3)):
+        t = build(family, 300)
+        assert t.offdiag.flags.writeable
+        assert not np.shares_memory(t.offdiag, recurrence._LATTICE[0])
+        t.offdiag[0] = 0.0
+        assert jacobi_ops._couplings(family, 0, 2)[1] == coupling_weights(np.array([1]))[0]
+
+
+_COUNT_POINTS = [(1.0005, [0.5 - 1e-9, 0.4, -3.0]), (1.5, [0.2, 0.45]), (3.0, [-9.0, 0.49])]
+
+
+def _counts(points):
+    return [(counts.tolist(), rows) for counts, rows in
+            (spectral_counts(mu, lams) for mu, lams in points)]
+
+
+def test_spectral_counts_after_the_lattice_grew_match_a_fresh_process():
+    iterate_forward(1.5, 0.3, 1.0, 100_000)
+    here = _counts(_COUNT_POINTS)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(pathlib.Path(jacobi_ops.__file__).parents[1]),
+                      str(pathlib.Path(__file__).parent), env.get("PYTHONPATH")]))
+    code = "from test_jacobi_ops import _COUNT_POINTS, _counts; print(_counts(_COUNT_POINTS))"
+    fresh = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.returncode == 0, fresh.stderr[-2000:]
+    assert fresh.stdout.strip() == str(here)
+
+
+def test_spectral_counts_take_lam_plus_for_the_row_bound():
+    # lam * mu^2 / (mu^2 - 1) overflowed with a RuntimeWarning near -1.7e308;
+    # the bound K is 0 for every lam <= 0 either way
+    counts, rows = spectral_counts(1.5, [-1.7e308, -1.0, 0.0])
+    assert (counts.tolist(), rows) == ([0, 0, 0], 64)
 
 
 # ---------------------------------------------------------------------------
