@@ -19,12 +19,15 @@ mu > 1) and :func:`certified_count` (counting families, above a level
 blocks through :func:`speclab.tridiag.counts_for_diagonals`, the one
 Sturm count, carrying the last pivot row, and stop each count at the
 first block end where a certificate shows that no later row can change
-it, never past a caller's cap, which is at most ``ROW_CAP`` rows.
+it, never past a caller's cap, which is at most ``ROW_CAP`` rows.  Each
+block is as long as all the rows before it.  A spectral walk's first
+block ends at row 64; a counting walk's ends 64 rows past its coupling
+row, the first row whose coupling admits the certificate, which it reads
+from the couplings before it computes a pivot.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
@@ -53,8 +56,9 @@ __all__ = [
 
 # The most rows a certified count walks, unless its caller sets fewer.
 ROW_CAP = 2**20
-# Rows walked before the first certificate check; every later block is as
-# long as all the rows before it.
+# Rows a spectral walk takes before its first certificate check, and a
+# counting walk past its coupling row; every later block is as long as
+# all the rows before it.
 _FIRST_BLOCK = 64
 # Relative margin of every certificate comparison.
 _MARGIN = 1e-12
@@ -183,20 +187,28 @@ def _spectral_diagonals(mu: float, lams: np.ndarray, start: int, stop: int) -> n
     return 2.0 * mu * _lattice_rows(stop)[1][start:] * np.sqrt(modes - lams[:, None])
 
 
+def _check_cap(cap: int) -> None:
+    if not 2 <= cap <= ROW_CAP:
+        # the rounding argument of _walk holds up to ROW_CAP rows
+        raise InvalidParametersError(f"row cap must lie in [2, {ROW_CAP}], got {cap}")
+
+
 def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
-          certified: Callable, cap: int, what: str) -> tuple[np.ndarray, int]:
+          certified: Callable, cap: int, what: str,
+          first: int = _FIRST_BLOCK) -> tuple[np.ndarray, int]:
     """Counts below ``level`` of k infinite matrices sharing their
     couplings, and the most rows any of them walked.
 
     ``couplings(start, stop)`` gives the couplings of rows start .. stop - 1
     as ``_couplings`` does, and ``diagonals(cols, start, stop)`` those rows
-    of the diagonals of the matrices ``cols``.  The rows are walked in blocks
-    ending at 64, 128, 256, ... rows and at ``cap``; after each block,
-    ``certified(cols, last, stop, couplings)`` says, from each matrix's
-    last pivot and the block's couplings, with the one joining it to row
-    ``stop`` last, which counts no later row can change.  Those stop; one
-    still open at ``cap`` rows raises ``NonConvergenceError`` naming
-    ``what``; a ``cap`` above ``ROW_CAP`` raises ``InvalidParametersError``.
+    of the diagonals of the matrices ``cols``.  The first block ends at
+    row ``first``, and every later one is as long as all the rows before
+    it, up to ``cap`` (checked by the caller, at most ``ROW_CAP``); after
+    each block, ``certified(cols, last, stop, couplings)`` says, from each
+    matrix's last pivot and the block's couplings, with the one joining it
+    to row ``stop`` last, which counts no later row can change.  Those
+    stop; one still open at ``cap`` rows raises ``NonConvergenceError``
+    naming ``what``.
 
     Rounding.  The certificates hold for the computed pivots, which the
     counts read.  Write the spectral invariant as q_k >= (1 - t) d(k+1).
@@ -217,13 +229,10 @@ def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
     1/(8 (k + 1)) > 1e-7 up to 2^20 rows, which the few ulps of 2k + 1 by
     which the computed entries may err cannot close.
     """
-    if not 2 <= cap <= ROW_CAP:
-        # the rounding argument above holds up to ROW_CAP rows
-        raise InvalidParametersError(f"row cap must lie in [2, {ROW_CAP}], got {cap}")
     counts = np.zeros(k, dtype=np.int64)
     cols = np.arange(k)
     last = np.array([math.inf] * k)
-    start, stop = 0, min(_FIRST_BLOCK, cap)
+    start, stop = 0, min(first, cap)
     while cols.size:
         # with the coupling that joins the block to the next row
         joins = couplings(start, stop + 1)
@@ -259,6 +268,7 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
         # below 0 lie infinitely many eigenvalues at mu <= 1
         raise InvalidParametersError(f"certified spectral counts need mu > 1, got {mu}")
     lams = _check_lams(lams)
+    _check_cap(cap)
     # K, or -0 where lam <= 0 and K = 0
     first = np.ceil(np.maximum(lams, 0.0) * (_turn_factor(mu) * (1.0 + _MARGIN)) - 0.5)
 
@@ -303,6 +313,15 @@ def certified_count(
     4B < (1 - 1e-12) mu^2, so every later computed 4 b^2 stays below
     (1 - 1e-12)(1 + 8 eps) mu^2 < mu^2, and the pivot bound below keeps
     all but a few ulps of its 1e-12 margin.
+
+    Schedule.  No certificate holds at a block end before the coupling
+    row r, the first row r >= 1 with 4 max(1/4, b_r^2) < (1 - 1e-12)
+    mu^2, about 1/(4 (mu - 1)) near critical.  r is found from the
+    couplings alone, in windows ending at rows 64, 128, 256, ... up to
+    the cap; the walk reads the same array, so each coupling is computed
+    once.  The first block ends ``_FIRST_BLOCK`` rows past r, or at the
+    cap; a walk whose pivots have not settled there goes on in blocks
+    that double.  The rows returned are where the walk stopped.
     """
     if not isinstance(family, (CountingFamily, CountingLimitFamily)):
         raise InvalidParametersError(f"no certified count for {family!r}")
@@ -310,22 +329,45 @@ def certified_count(
     if not (math.isfinite(level) and level > 1.0):
         # above a level <= 1 lie infinitely many eigenvalues
         raise InvalidParametersError(f"certified counts need a level above 1, got {level}")
+    _check_cap(cap)
+
+    def admits(b):
+        # 4B / mu^2 < 1 - 1e-12, divided step by step so that no finite
+        # level overflows
+        return 1.0 - 4.0 * np.maximum(0.25, b * b) / level / level > _MARGIN
+
+    joins = np.zeros(0)
+
+    def couplings(start: int, stop: int) -> np.ndarray:
+        # each coupling is computed once, for the search and the walk
+        nonlocal joins
+        if joins.size < stop:
+            joins = np.concatenate((joins, _couplings(family, joins.size, stop)))
+        return joins[start:stop]
+
+    # the coupling row: the first row r >= 1 whose coupling admits the
+    # certificate, searched in windows that double up to the cap
+    start, stop = 1, min(_FIRST_BLOCK, cap + 1)
+    hits = np.flatnonzero(admits(couplings(start, stop)))
+    while not hits.size and stop <= cap:
+        start, stop = stop, min(2 * stop, cap + 1)
+        hits = np.flatnonzero(admits(couplings(start, stop)))
+    first = start + int(hits[0]) + _FIRST_BLOCK if hits.size else cap
 
     def certified(cols, last, stop, couplings):
-        b = float(couplings[-1])
-        # 4B / mu^2, divided step by step so that no finite level overflows
-        if not 1.0 - 4.0 * max(0.25, b * b) / level / level > _MARGIN:
+        if not admits(couplings[-1]):
             return np.zeros(cols.size, dtype=bool)
         return last <= -0.5 * level * (1.0 + _MARGIN)
 
     below, rows = _walk(
         1,
-        functools.partial(_couplings, family),
+        couplings,
         lambda cols, start, stop: np.zeros((1, stop - start)),
         level,
         certified,
         cap,
         f"the count above {level} of {family!r}",
+        first,
     )
     return rows - int(below[0]), rows
 
@@ -341,8 +383,16 @@ def compact_difference_tail(lam: float, mu: float, n: int) -> float:
     if n < 4:
         raise InvalidParametersError("tail needs n >= 4")
     spectral = _spectral_diagonals(mu, np.array([lam]), n // 2, n)[0]
-    shifted = 2.0 * mu * (np.arange(n // 2, n) + 0.5) - mu * lam
-    return float(np.max(np.abs(spectral - shifted)))
+    # an overflow reads +-inf or nan here, and is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = 2.0 * mu * (np.arange(n // 2, n) + 0.5) - mu * lam
+        tail = float(np.max(np.abs(spectral - shifted)))
+    if not math.isfinite(tail):
+        raise InvalidParametersError(
+            f"mu = {mu} and lam = {lam} put mu * lam or the difference tail "
+            "out of double range"
+        )
+    return tail
 
 
 @dataclass(frozen=True)

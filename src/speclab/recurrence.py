@@ -899,9 +899,10 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     product of the unit phases of rho_0, ..., rho_{n-1}.  For real lam the
     sweep runs in real arithmetic, so the result is exactly real and its
     sign exact: the phase is (-1) to the number of negative rho_k, which
-    the sweep counts.  Sign changes bracket eigenvalues.  Raises ``NonConvergenceError``
-    where a weight or a ratio leaves the floating-point range (|mu| near
-    the ends of the float range).
+    is n less the positive ones; those are rare, and the sweep counts
+    them.  Sign changes bracket eigenvalues.  Raises
+    ``NonConvergenceError`` where a weight or a ratio leaves the
+    floating-point range (|mu| near the ends of the float range).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     m = _buffer_top(n)
@@ -919,16 +920,17 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
         for nd2, wk in itertools.islice(rows, m - n):
             rho = nd2 / (wk + rho or _PIVOT_FLOOR)
         if lam.imag == 0.0:
-            negative = 0
+            # the n rows left; the ratios >= 0 are the rare ones
+            positive = 0
             for nd2, wk in rows:
                 rho = nd2 / (wk + rho or _PIVOT_FLOOR)
-                if rho < 0.0:
-                    negative += 1
-                elif not 0.0 < rho < math.inf:
-                    # 0, inf or nan has no unit phase
-                    rho = math.nan
-                    break
-            phase = -1.0 if negative % 2 else 1.0
+                if not rho < 0.0:
+                    if not 0.0 < rho < math.inf:
+                        # 0, inf or nan has no unit phase
+                        rho = math.nan
+                        break
+                    positive += 1
+            phase = -1.0 if (n - positive) % 2 else 1.0
         else:
             for nd2, wk in rows:
                 rho = nd2 / (wk + rho or _PIVOT_FLOOR)

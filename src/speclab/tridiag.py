@@ -6,6 +6,7 @@ number of eigenvalues strictly below ``level``.  ``counts_for_diagonals``
 is the one count: it takes k diagonals sharing one offdiagonal, so a
 batch of levels on one matrix is a batch of shifted diagonals.  Pivots
 within pivmin = eps*(max|diag| + 2*max|offdiag| + |level| + 1) of zero
+(eps times each term, summed, where only that sum overflows)
 are replaced by -pivmin so the count never divides by zero, at the cost
 of an ulp-scale ambiguity for levels that collide with an eigenvalue of
 a leading principal submatrix.  Each matrix of a batch has its own
@@ -120,24 +121,48 @@ def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> list[float]
     """For each row of the (k, n) ``diags``, the pivmin of that matrix:
     its pivots no larger than this in magnitude are clamped to its negative."""
     # max(max x, -min x) rather than max|x|: np.abs would copy a (k, n) batch
-    off = 2.0 * max(float(offdiag.max(initial=0.0)), -float(offdiag.min(initial=0.0)))
+    off = max(float(offdiag.max(initial=0.0)), -float(offdiag.min(initial=0.0)))
     highs = diags.max(1, initial=0.0).tolist()
     lows = diags.min(1, initial=0.0).tolist()
-    return [_EPS * (max(hi, -lo) + off + abs(level) + 1.0) for hi, lo in zip(highs, lows)]
+    pivmins = []
+    for hi, lo in zip(highs, lows):
+        top = max(hi, -lo)
+        pivmin = _EPS * (top + 2.0 * off + abs(level) + 1.0)
+        if pivmin == math.inf:
+            # the sum of finite terms may overflow; eps times each cannot
+            pivmin = _EPS * top + 2.0 * (_EPS * off) + _EPS * abs(level) + _EPS
+        pivmins.append(pivmin)
+    return pivmins
 
 
-def _count_scalar(diag: list, off2: list, shift: float, pivmin: float, q: float) -> tuple[int, float]:
-    """Negative pivots of one matrix's rows and the last pivot, continuing
-    from the pivot ``q`` of the row before them (inf before row 0, where
-    the coupling is 0 and 0/inf = 0)."""
+def _count_scalar(rows: memoryview, off2: memoryview, pivmin: float, q: float) -> tuple[int, float]:
+    """Negative pivots of one matrix's rows, shifted by the level, and the
+    last pivot, continuing from the pivot ``q`` of the row before them (inf
+    before row 0, where the coupling is 0 and 0/inf = 0).
+
+    One comparison settles a pivot below -pivmin; only the others are
+    tested against the band [-pivmin, pivmin], whose pivots are clamped to
+    -pivmin and counted.  A nan pivot is neither.
+    """
     count = 0
-    for d, o in zip(diag, off2):
-        q = d - shift - o / q
-        if -pivmin <= q <= pivmin:
-            q = -pivmin
-        if q < 0.0:
+    floor = -pivmin
+    for d, o in zip(rows, off2):
+        q = d - o / q
+        if q < floor:
             count += 1
+        elif q <= pivmin:
+            count += 1
+            q = floor
     return count, q
+
+
+def _shifted(rows: np.ndarray, level: float) -> np.ndarray:
+    """``rows - level``; an entry that overflows reads +-inf, silently, as
+    it does in Python floats."""
+    if not level:
+        return rows
+    with np.errstate(over="ignore"):
+        return rows - level
 
 
 def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray, pivmin: np.ndarray | None = None) -> None:
@@ -200,6 +225,11 @@ def counts_for_diagonals(
     and is overwritten with the last pivot of these rows.  ``offdiag``
     then has n entries, the first joining the rows before to these.
     Each call takes its pivmin from the rows it is given.
+
+    Both kernels shift the rows by ``level`` once, in numpy; an entry
+    that overflows there reads +-inf, silently, and its pivot keeps that
+    sign, as Python floats would give it.  An infinite or nan entry or
+    level raises ``InvalidParametersError``.
     """
     diags = np.asarray(diags, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
@@ -219,14 +249,13 @@ def counts_for_diagonals(
         off2 = np.concatenate(([0.0], off2))
         carry = np.full(diags.shape[0], np.inf)
     if diags.shape[0] <= _SCALAR_BATCH_LIMIT:
-        off2_list = off2.tolist()
+        # memoryviews hand the loop Python floats without building lists
+        off2_view = memoryview(off2)
         counts = np.empty(diags.shape[0], dtype=np.int64)
-        for j, (row, p, q) in enumerate(zip(diags.tolist(), pivmin, carry.tolist())):
-            counts[j], carry[j] = _count_scalar(row, off2_list, level, p, q)
+        for j, (row, p, q) in enumerate(zip(_shifted(diags, level), pivmin, carry.tolist())):
+            counts[j], carry[j] = _count_scalar(memoryview(row), off2_view, p, q)
         return counts
-    rows = np.ascontiguousarray(diags.T)
-    if level:
-        rows = rows - level
+    rows = _shifted(np.ascontiguousarray(diags.T), level)
     return _counts_columns(rows, off2, np.array(pivmin), carry)
 
 

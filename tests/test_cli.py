@@ -569,6 +569,21 @@ def _run_quietly(argv):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lo, hi, count", [
+    # eps (max entry + |level| + ...) overflowed, and these exited 2 with
+    # "entries and level must be finite"; shifted by lo the rows read +inf
+    ("-1.7e308", "-1.6e308", 0),
+    ("-1.7e308", "5e306", 1),
+])
+def test_jacobi_spectrum_where_the_pivmin_sum_overflows(capsys, lo, hi, count):
+    rc, out, err = run_cli(capsys, ["jacobi-spectrum", "--family", "reference", "--mu=5e306",
+                                    "--size", "8", f"--lo={lo}", f"--hi={hi}"])
+    assert (rc, err) == (0, "")
+    row = json.loads(out)
+    assert row["count"] == count == len(row["eigenvalues"])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(mu=finite_floats, lam=finite_floats, size=st.integers(2, 40))
 # a diagonal entry overflowed with a RuntimeWarning, before "matrix

@@ -294,6 +294,15 @@ def test_spectral_row_bound_holds_to_the_cap(mu_minus_1, lam):
         assert k_min > 0 and slack[k_min - 1] < 0.0
 
 
+def _coupling_row(family, level):
+    """The first row r >= 1 whose coupling b_r admits the counting
+    certificate, 4 max(1/4, b_r^2) < (1 - 1e-12) mu^2, taken in exact
+    rational arithmetic from the computed couplings."""
+    bound = Fraction(level) ** 2 * (1 - Fraction(jacobi_ops._MARGIN))
+    b = jacobi_ops._couplings(family, 0, 2**16).tolist()
+    return next(k for k in range(1, len(b)) if 4 * max(Fraction(1, 4), Fraction(b[k]) ** 2) < bound)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-3.0, 1.0), st.one_of(st.none(), st.floats(-3.0, 1.0)))
 def test_certified_count_equals_fixed_truncation(log_mu_minus_1, log_eps):
@@ -303,31 +312,35 @@ def test_certified_count_equals_fixed_truncation(log_mu_minus_1, log_eps):
     family = CountingLimitFamily() if log_eps is None else CountingFamily(10.0**log_eps)
     count, rows = certified_count(family, mu, cap=_BIG)
     assert count == _truncation_count_above(family, mu)
-    assert rows in [64 * 2**j for j in range(11)]
+    first = _coupling_row(family, mu) + jacobi_ops._FIRST_BLOCK
+    assert rows in [first * 2**j for j in range(11)]
 
 
 def test_certified_count_stops_at_its_certificate():
     # the counting-limit couplings fall towards 1/2; the certificate needs
     # the one joining the walked rows to the next below mu/2, which at
-    # mu = 1.02 holds within the first block, and near critical from about
-    # row 1/(4 (mu - 1)) on.  The walk stops at the first block end there.
-    assert certified_count(CountingLimitFamily(), 1.02) == (1, 64)
+    # mu = 1.02 holds from row 13 on, and near critical from about row
+    # 1/(4 (mu - 1)) on.  The first block ends 64 rows past that row, and
+    # here the walk stops there.
+    assert _coupling_row(CountingLimitFamily(), 1.02) == 13
+    assert certified_count(CountingLimitFamily(), 1.02) == (1, 77)
     mu = 1.0 + 2e-5
     b = jacobi_ops._couplings(CountingLimitFamily(), 1, 2**15)
     first = 1 + int(np.argmax(4.0 * b * b < mu * mu * (1.0 - jacobi_ops._MARGIN)))
-    assert 8192 < first <= 16384
+    assert first == 12500
     count, rows = certified_count(CountingLimitFamily(), mu)
-    assert rows == 16384
+    assert rows == 12564
     assert count == _truncation_count_above(CountingLimitFamily(), mu)
 
 
 def test_certified_count_at_large_levels():
     # mu^2 would overflow from mu = 1.4e154, and from mu = 1e5 on the
     # pivots settle too close to the outer root for a relative margin to
-    # pass it: the mu/2 certificate holds after the first block throughout
+    # pass it: the first coupling admits the mu/2 certificate, and it
+    # holds after the first block throughout
     for level in (1e5, 1e6, 1e20, 1e154, 1.4e154, 1e160, 1e200, 1e300, 1.7e308):
         for family in (CountingLimitFamily(), CountingFamily(0.5), CountingFamily(2.0)):
-            assert certified_count(family, level) == (0, 64), (family, level)
+            assert certified_count(family, level) == (0, 65), (family, level)
 
 
 def test_certified_count_validation():
@@ -380,9 +393,15 @@ def _record_blocks(monkeypatch) -> list[tuple[int, int]]:
 
 def test_certified_count_never_walks_past_the_cap(monkeypatch):
     blocks = _record_blocks(monkeypatch)
+    # the coupling row, 2500, lies past the cap: one block walks to it
     with pytest.raises(NonConvergenceError, match="row cap 1000"):
         certified_count(CountingLimitFamily(), 1.0001, cap=1000)
-    assert blocks == [(1, 64), (1, 64), (1, 128), (1, 256), (1, 488)]
+    assert blocks == [(1, 1000)]
+    # a cap between the coupling row and the end of the first block ends
+    # that block, where the certificate holds here
+    blocks.clear()
+    assert certified_count(CountingLimitFamily(), 1.0001, cap=2540) == (17, 2540)
+    assert blocks == [(1, 2540)]
     # each column stops at its own certificate: the far end of the window
     # needs far fewer rows than the one next to the threshold
     blocks.clear()
@@ -390,6 +409,47 @@ def test_certified_count_never_walks_past_the_cap(monkeypatch):
     # next to the threshold K = ceil(mu^2 lam / (mu^2 - 1) - 1/2) = 500
     assert blocks == [(2, 64), (1, 64), (1, 128), (1, 256)]
     assert rows == 512
+
+
+# levels and families whose coupling row is 1 (couplings below 1/4
+# throughout, or a large level), about 1/(4 (mu - 1)), and past the
+# prefix of couplings a search window computes first
+FIRST_BLOCK_POINTS = [
+    (CountingLimitFamily(), 1.02), (CountingLimitFamily(), 1.0005),
+    (CountingLimitFamily(), 1.0 + 2e-5), (CountingLimitFamily(), 1e300),
+    (CountingFamily(1e-3), 1.001), (CountingFamily(0.01), 1.0 + 1e-4),
+    (CountingFamily(0.5), 1.3), (CountingFamily(2.0), 1.1), (CountingFamily(0.7), 1.0001),
+]
+
+
+@pytest.mark.parametrize("family, level", FIRST_BLOCK_POINTS)
+def test_counting_walk_starts_at_its_coupling_row(monkeypatch, family, level):
+    # no certificate can hold before the coupling row r, so the first
+    # block ends _FIRST_BLOCK rows past it, and every later block is as
+    # long as all the rows before it
+    first = _coupling_row(family, level) + jacobi_ops._FIRST_BLOCK
+    blocks = _record_blocks(monkeypatch)
+    count, rows = certified_count(family, level)
+    assert blocks[0] == (1, first)
+    assert blocks[1:] == [(1, first * 2**j) for j in range(len(blocks) - 1)]
+    assert rows == first * 2 ** (len(blocks) - 1)
+
+
+def test_counting_walk_computes_each_coupling_once(monkeypatch):
+    spans = []
+    couplings = jacobi_ops._couplings
+
+    def recording(family, start, stop):
+        spans.append((start, stop))
+        return couplings(family, start, stop)
+
+    monkeypatch.setattr(jacobi_ops, "_couplings", recording)
+    count, rows = certified_count(CountingLimitFamily(), 1.0 + 2e-5)
+    assert rows == 12564
+    # contiguous spans from row 0, none computed twice: the search windows
+    # end at 64, 128, ..., 16384, past the coupling joining the last row
+    # walked to the next
+    assert spans == [(0, 64)] + [(64 * 2**j, 128 * 2**j) for j in range(8)]
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +465,25 @@ def test_compact_difference_tail_decay_rate():
     assert compact_difference_tail(lam, mu, 2 * n) < tail
     with pytest.raises(InvalidParametersError):
         compact_difference_tail(0.3, 1.0, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("lam, mu, n", [
+    # mu * lam overflowed to -inf, silently, and the tail read inf
+    (-1e300, 1e10, 8),
+    (-1e300, -1e10, 8),
+    # mu * lam is finite, but the shifted reference diagonal it implies is not
+    (-170.0, 1e306, 8),
+], ids=["mu-lam", "negative-mu", "shifted-diagonal"])
+def test_compact_difference_tail_out_of_range_names_mu_and_lam(lam, mu, n):
+    with pytest.raises(InvalidParametersError, match=r"mu = \S+ and lam = \S+"):
+        compact_difference_tail(lam, mu, n)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compact_difference_tail_near_the_range_is_finite():
+    # mu * lam is -1e305 here, and the tail stays finite
+    assert math.isfinite(compact_difference_tail(-1e300, 1e5, 8))
 
 
 # ---------------------------------------------------------------------------

@@ -1238,6 +1238,27 @@ def test_secular_sweep_real_lam_outside_the_float_range_raises():
         secular_function(1e308, 0.3, 10)
 
 
+@pytest.mark.parametrize("ratio, nd2, pivot", [
+    ("-0", -0.0, 1.0), ("+0", 0.0, 1.0), ("+inf", -1e300, -1e-300), ("nan", math.nan, 1.0),
+])
+@pytest.mark.parametrize("n", [1, 4])
+def test_secular_real_sweep_without_a_unit_phase_raises(monkeypatch, ratio, nd2, pivot, n):
+    # a ratio rho of 0, +inf or nan has no unit phase: the real sweep,
+    # which counts only the ratios >= 0, must still stop there.  Rows of
+    # -0 keep rho at 0 up to row n, which is the first row it checks, and
+    # whose weight w_n + rho is ``pivot``
+    mu = 2.0
+    m = n + 50
+    rows = [-0.0] * m
+    rows[m - n] = nd2
+    two_sqrt = np.full(m + 1, 1.0 / mu)
+    two_sqrt[m - n] = pivot / mu
+    monkeypatch.setattr(recurrence, "_sweep_rows",
+                        lambda top: (tuple(rows), np.full(top + 1, 1.0), two_sqrt))
+    with pytest.raises(NonConvergenceError, match="floating-point range"):
+        secular_function(mu, 0.0, n)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("solve, args, error", [
     (minimal_solution_backward, (1e308, 0.3, 100), NonConvergenceError),

@@ -7,12 +7,14 @@ spectrum) so both methods count the same unambiguous set.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab import tridiag
 from speclab import (
     DENSE_ORACLE_MAX_SIZE,
     InvalidParametersError,
@@ -23,6 +25,9 @@ from speclab import (
     eigenvalues_in_window,
     smallest_eigenvalue,
 )
+
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def random_matrix(rng: np.random.Generator, n: int, scale: float = 3.0) -> TridiagonalMatrix:
@@ -204,6 +209,129 @@ def test_count_monotone_in_level(n, l1, l2, seed):
     lo, hi = min(l1, l2), max(l1, l2)
     c_lo, c_hi = count_below(t, lo), count_below(t, hi)
     assert 0 <= c_lo <= c_hi <= n
+
+
+def _count_scalar_frozen(diag, off2, shift, pivmin, q):
+    """The scalar pivot loop as it was before the rows were shifted in
+    numpy and the pivots tested below -pivmin first: the reference for
+    the bits of the count and the carried pivot."""
+    count = 0
+    for d, o in zip(diag, off2):
+        q = d - shift - o / q
+        if -pivmin <= q <= pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count, q
+
+
+def _outcome(count_loop, *args):
+    """A pivot loop's count and the bytes of its last pivot, nan payloads
+    and zero signs included, or the exception it raised."""
+    try:
+        count, q = count_loop(*args)
+    except ZeroDivisionError:
+        return "ZeroDivisionError"
+    return count, struct.pack("<d", q)
+
+
+_TINY = 5e-324
+_MIN_NORMAL = 2.2250738585072014e-308
+
+
+@st.composite
+def _pivot_loops(draw):
+    """Rows, squared couplings, a level, a pivmin and a carry that hit the
+    edges of the pivmin band: with a coupling of 0 a pivot is its shifted
+    diagonal entry, which may be +-pivmin, inside the band or one ulp
+    outside it, a zero of either sign, subnormal, infinite or nan."""
+    pivmin = draw(st.sampled_from([_EPS, 3.0 * _EPS, _MIN_NORMAL, 1.0, 1e300])
+                  | st.floats(min_value=_TINY, max_value=1e308))
+    edges = [pivmin, -pivmin, 0.5 * pivmin, -0.5 * pivmin,
+             math.nextafter(pivmin, math.inf), math.nextafter(pivmin, 0.0),
+             math.nextafter(-pivmin, -math.inf), math.nextafter(-pivmin, 0.0),
+             0.0, -0.0, _TINY, -_TINY, _MIN_NORMAL, -_MIN_NORMAL,
+             math.inf, -math.inf, math.nan]
+    n = draw(st.integers(min_value=1, max_value=12))
+    diag = draw(st.lists(st.sampled_from(edges) | st.floats(), min_size=n, max_size=n))
+    off2 = draw(st.lists(
+        st.sampled_from([0.0, 0.0, _TINY, pivmin * pivmin, 1.0, math.inf, math.nan])
+        | st.floats(min_value=0.0), min_size=n, max_size=n))
+    # a level of 0 leaves the rows on a diagonal entry exactly
+    level = draw(st.sampled_from([0.0, 0.0, -0.0, 1e308, -1e308, math.inf, -math.inf, math.nan])
+                 | st.floats())
+    q = draw(st.just(math.inf) | st.sampled_from(edges) | st.floats())
+    return diag, off2, level, pivmin, q
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_pivot_loops())
+def test_scalar_count_keeps_the_bits_of_the_frozen_loop(case):
+    diag, off2, level, pivmin, q = case
+    with np.errstate(invalid="ignore"):
+        # counts_for_diagonals rejects an inf or nan entry or level before
+        # the shift, where inf - inf would be invalid
+        rows = tridiag._shifted(np.array(diag), level)
+    # the loop reads both through memoryviews, as counts_for_diagonals does
+    assert _outcome(tridiag._count_scalar, memoryview(rows), memoryview(np.array(off2)),
+                    pivmin, q) == _outcome(_count_scalar_frozen, diag, off2, level, pivmin, q)
+
+
+def _pivmin_frozen(top, off, level):
+    return _EPS * (top + 2.0 * off + abs(level) + 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=0.0, allow_infinity=False),
+       st.floats(min_value=0.0, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False))
+def test_pivmin_keeps_its_bits_where_its_sum_is_finite(top, off, level):
+    got = tridiag._pivmin(np.array([[top, -0.5 * top]]), np.array([-off, 0.5 * off]), level)[0]
+    want = _pivmin_frozen(top, off, level)
+    if math.isfinite(want):
+        assert got.hex() == want.hex()
+    else:
+        # eps times the sum of finite terms, each added on its own
+        assert math.isfinite(got) and got >= _EPS * max(top, off, abs(level))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 12])  # scalar and column paths
+def test_counts_where_the_pivmin_sum_overflows(k):
+    # eps (max|d| + 2 max|e| + |level| + 1) overflowed to inf, so these
+    # finite matrices at finite levels raised "entries and level must be
+    # finite".  Shifted by the level their rows read +-inf, silently, and
+    # every pivot keeps the sign of its row
+    diags = np.full((k, 8), 7.5e307)
+    off = np.ones(7)
+    assert counts_for_diagonals(diags, off, -1.7e308).tolist() == [0] * k
+    assert counts_for_diagonals(-diags, off, 1.7e308).tolist() == [8] * k
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 12])  # scalar and column paths
+@pytest.mark.parametrize("level", [1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308])
+def test_counts_at_extreme_levels_never_warn(k, level):
+    rng = np.random.default_rng(k)
+    diags = 1e308 * rng.uniform(-1.0, 1.0, size=(k, 40))
+    off = rng.uniform(-1e150, 1e150, size=39)
+    counts = counts_for_diagonals(diags, off, level)
+    alone = [int(counts_for_diagonals(row[None, :], off, level)[0]) for row in diags]
+    assert counts.tolist() == alone
+    # far above or below every eigenvalue: all or none of them
+    if abs(level) == 1.7976931348623157e308:
+        assert counts.tolist() == [40 if level > 0 else 0] * k
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("k", [1, 12])
+def test_counts_reject_an_infinite_or_nan_entry_or_level(bad, k):
+    diags, off = np.zeros((k, 4)), np.ones(3)
+    for args in ((diags, off, bad),
+                 (np.where(np.arange(4) == 2, bad, diags), off, 0.0),
+                 (diags, np.array([1.0, bad, 1.0]), 0.0)):
+        with pytest.raises(InvalidParametersError, match="entries and level must be finite"):
+            counts_for_diagonals(*args)
 
 
 # ---------------------------------------------------------------------------
