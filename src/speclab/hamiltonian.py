@@ -26,9 +26,9 @@ profiles; this module works entirely in that mode picture:
   It bisects on counts only until each root is alone in its bracket,
   polishes it there by Anderson-Bjorck steps on the secular function (the
   boundary-row residual of the recurrence's minimal solution, read from
-  one backward sweep of its ratios, which shares only the lam-free
-  lattice rows with the counts), and certifies the polished root by one
-  count on each side.
+  one backward sweep of its ratios: at real lam the Sturm count of the
+  reversed truncation, in the counts' one pivot loop and pivmin rule),
+  and certifies the polished root by one count on each side.
   Every root is cross-checked against the secular function at a fixed
   depth, its sign change polished by the same steps, each branch's roots
   from the top down until the first one that has none.
@@ -593,18 +593,19 @@ def _polish_depth(mu: float, top: float) -> int:
     T = mu^2 lam / (mu^2 - 1), where m_k = 1, the two solutions separate,
     the minimal one falling against the dominant one by e^(-2 arccosh m_k)
     per row, and m_k rises towards mu.  Miller's sweep from rho = 0 at the
-    buffer top m errs in rho_0 by about the ratio of the two solutions
-    over the rows it sweeps (Gautschi, SIAM Review 9, 1967), so 20 /
-    arccosh mu rows past T at the full rate make that error e^(-40).
-    Nearer T the rate is lower (m_k^2 - 1 = (mu^2 - 1)(1 - T/x)), which
-    matters next to the threshold of a near-critical mu.  The buffer
-    above the depth and the rounding up below make up for most of it:
-    against a sweep four times as deep, the value kept every bit for
-    mu - 1 from 5e-4 to 3 and moved by at most 2.4e-11 down to 1e-5.
-    A depth that fell short would only cost a bisection: each polished
-    root is certified by its counts.  The depth is rounded up to three
-    significant bits, so that the roots of a query share a few cached
-    sweeps (``_sweep_rows``).
+    buffer top m (at real lam the reversed truncation's Sturm count, a
+    pivot within pivmin of 0 clamped to -pivmin) errs in rho_0 by about
+    the ratio of the two solutions over the rows it sweeps (Gautschi, SIAM
+    Review 9, 1967), so 20 / arccosh mu rows past T at the full rate make
+    that error e^(-40).  Nearer T the rate is lower
+    (m_k^2 - 1 = (mu^2 - 1)(1 - T/x)), which matters next to the threshold
+    of a near-critical mu.  The buffer above the depth and the rounding up
+    below make up for most of it: against a sweep four times as deep, the
+    value kept every bit for mu - 1 from 5e-4 to 3 and moved by at most
+    2.4e-11 down to 1e-5.  A depth that fell short would only cost a
+    bisection: each polished root is certified by its counts.  The depth
+    is rounded up to three significant bits, so that the roots of a query
+    share a few cached sets of sweep rows (``_sweep_rows``).
     """
     n = math.ceil(max(top, 0.0) * _turn_factor(mu) + 20.0 / math.acosh(mu))
     step = 1 << max(0, n.bit_length() - 3)

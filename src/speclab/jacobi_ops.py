@@ -49,7 +49,6 @@ __all__ = [
     "spectral_diagonals",
     "spectral_counts",
     "certified_count",
-    "compact_difference_tail",
     "TransitionScanReport",
     "transition_scan",
 ]
@@ -370,29 +369,6 @@ def certified_count(
         first,
     )
     return rows - int(below[0]), rows
-
-
-def compact_difference_tail(lam: float, mu: float, n: int) -> float:
-    """Max over the tail [n/2, n) of |spectral diag - (reference diag - mu*lam)|.
-
-    The difference decays like mu*lam^2 / (4 n), witnessing that the two
-    operators differ by a compact perturbation plus the constant shift.
-    """
-    lam = _check_real_lam(lam)
-    mu = _check_mu(mu)
-    if n < 4:
-        raise InvalidParametersError("tail needs n >= 4")
-    spectral = _spectral_diagonals(mu, np.array([lam]), n // 2, n)[0]
-    # an overflow reads +-inf or nan here, and is named below
-    with np.errstate(over="ignore", invalid="ignore"):
-        shifted = 2.0 * mu * (np.arange(n // 2, n) + 0.5) - mu * lam
-        tail = float(np.max(np.abs(spectral - shifted)))
-    if not math.isfinite(tail):
-        raise InvalidParametersError(
-            f"mu = {mu} and lam = {lam} put mu * lam or the difference tail "
-            "out of double range"
-        )
-    return tail
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,9 @@ backward continued fraction (Miller's algorithm; Gautschi, SIAM Review
 9, 1967): :func:`secular_function` sweeps the ratios
 rho_k = d(k+1)*C_{k+1}/C_k down from rho_m = 0 at a buffer top m above
 the depth, rho_{k-1} = -d(k)^2 / (w_k + rho_k), one scalar step per row,
-and keeps no solution.  For real lam the sweep is real arithmetic, so
-the residual's sign is exact.
+and keeps no solution.  For real lam it is the Sturm count of the
+truncation read bottom-up in :mod:`speclab.tridiag`'s one pivot loop, a
+pivot within pivmin of 0 clamped to -pivmin, so the sign is exact.
 
 Solutions can grow geometrically, so every stored sequence is in split
 form: a complex mantissa per index plus a per-index log2 scale recorded
@@ -82,7 +83,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import threading
 from collections.abc import Sequence
@@ -96,6 +96,7 @@ from .errors import (
     NoDominanceSplitError,
     NonConvergenceError,
 )
+from .tridiag import _count_scalar, _pivmin_rule
 
 __all__ = [
     "zeta",
@@ -127,8 +128,8 @@ _LANE_RESCALE_BITS = 500.0
 # the rows where one lane's replayed values meet the next lane's carried
 # start hold to this share of their terms, or the row loop runs instead
 _LANE_AGREEMENT = 2.0**-44
-# an exactly zero pivot of the secular sweep is replaced by this: the
-# ratio after it, about -d(k)^2 * 2^600, and the one after that, about
+# an exactly zero pivot of the nonreal secular sweep is replaced by this:
+# the ratio after it, about -d(k)^2 * 2^600, and the one after that, about
 # 2^-600, stay finite and nonzero for every d(k) below 2^200
 _PIVOT_FLOOR = 2.0**-600
 
@@ -864,16 +865,18 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
 
 
 @functools.lru_cache(maxsize=16)
-def _sweep_rows(m: int) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+def _sweep_rows(m: int) -> tuple[memoryview, np.ndarray, np.ndarray, float]:
     """The lam-free coefficients of :func:`secular_function`'s sweep from
-    buffer top m: -d(k)^2 for the rows k = m, ..., 1 as Python floats, and
-    k + 1/2 and 2*sqrt(k + 1/2) for k = m, ..., 0, all read-only.  The
-    cross-check calls the sweep at one depth for many lam."""
-    d, root = _lattice_rows(m + 1)
+    buffer top m, for the rows k = m, ..., 0: d(k+1)^2 as a float64
+    memoryview, k + 1/2 and 2*sqrt(k + 1/2), all read-only, and d(m), the
+    largest coupling of the rows m, ..., 1.  The cross-check calls the
+    sweep at one depth for many lam."""
+    d, root = _lattice_rows(m + 2)
+    d2 = np.square(d[m + 1:0:-1])
     half = np.arange(m, -1, -1) + 0.5
-    two_sqrt = 2.0 * root[::-1]
-    half.flags.writeable = two_sqrt.flags.writeable = False
-    return tuple((-np.square(d[m:0:-1])).tolist()), half, two_sqrt
+    two_sqrt = 2.0 * root[m::-1]
+    d2.flags.writeable = half.flags.writeable = two_sqrt.flags.writeable = False
+    return memoryview(d2), half, two_sqrt, float(d[m])
 
 
 def secular_function(mu: float, lam: complex, n: int) -> complex:
@@ -892,50 +895,43 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     The ratios come from one backward sweep (Miller's algorithm) from the
     buffer top m = n + max(50, n // 10) that
     :func:`minimal_solution_backward` uses: with rho_k = d(k+1)*C_{k+1}/C_k,
-    rho_m = 0 and row k gives rho_{k-1} = -d(k)^2 / (w_k + rho_k) down to
-    rho_0 = d(1)*r_0.  A pivot w_k + rho_k that is exactly zero (C_{k-1}
-    vanishes) is replaced by ``_PIVOT_FLOOR``, which carries the sweep
-    past that zero to the same limit.  phase(C_0) is the conjugate of the
-    product of the unit phases of rho_0, ..., rho_{n-1}.  For real lam the
-    sweep runs in real arithmetic, so the result is exactly real and its
-    sign exact: the phase is (-1) to the number of negative rho_k, which
-    is n less the positive ones; those are rare, and the sweep counts
-    them.  Sign changes bracket eigenvalues.  Raises
-    ``NonConvergenceError`` where a weight or a ratio leaves the
-    floating-point range (|mu| near the ends of the float range).
+    rho_m = 0 and row k gives rho_{k-1} = -d(k)^2 / p_k, p_k = w_k + rho_k,
+    down to rho_0 = d(1)*r_0.  phase(C_0) is the conjugate of the product
+    of the unit phases of rho_0, ..., rho_{n-1}.  For real lam the pivots
+    p_k = w_k - d(k+1)^2 / p_{k+1} are those of the Sturm count of the
+    reversed truncation (diagonal w_m, ..., w_1, couplings d(m), ..., d(2)),
+    run in the one pivot loop, :func:`speclab.tridiag._count_scalar`, with
+    the pivmin ``counts_for_diagonals`` takes for it unscaled (|w_k| grows
+    with k): rows m, ..., n+1, then n, ..., 1 from the pivot carried.  A pivot
+    within pivmin of 0 is clamped to -pivmin and counted; rho_{k-1} < 0
+    where p_k > 0, so the phase is (-1) to n less the second count, and
+    the result is real with an exact sign; sign changes bracket
+    eigenvalues.  For nonreal lam an exactly zero pivot is replaced by
+    ``_PIVOT_FLOOR``, which carries the sweep past that zero of C to the
+    same limit.  Raises ``NonConvergenceError`` where a weight or a ratio
+    leaves the floating-point range (|mu| near the ends of it).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     m = _buffer_top(n)
-    neg_d2, half, two_sqrt = _sweep_rows(m)
+    d2, half, two_sqrt, d_top = _sweep_rows(m)
     if _weights_overflow(mu, lam, m):
         raise NonConvergenceError(
             f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
         )
-    # real lam: float zeta_k, so the whole sweep runs in real arithmetic
-    z = np.sqrt(half - (lam.real if lam.imag == 0.0 else lam))
-    w = (mu * two_sqrt * z).tolist()
-    rows = zip(neg_d2, w)
-    rho, phase = 0.0, 1.0
     try:
-        for nd2, wk in itertools.islice(rows, m - n):
-            rho = nd2 / (wk + rho or _PIVOT_FLOOR)
         if lam.imag == 0.0:
-            # the n rows left; the ratios >= 0 are the rare ones
-            positive = 0
-            for nd2, wk in rows:
-                rho = nd2 / (wk + rho or _PIVOT_FLOOR)
-                if not rho < 0.0:
-                    if not 0.0 < rho < math.inf:
-                        # 0, inf or nan has no unit phase
-                        rho = math.nan
-                        break
-                    positive += 1
-            phase = -1.0 if (n - positive) % 2 else 1.0
+            w = memoryview(mu * two_sqrt * np.sqrt(half - lam.real))
+            pivmin = _pivmin_rule(abs(w[0]), d_top, 0.0)
+            p = _count_scalar(w[:m - n], d2[:m - n], pivmin, math.inf)[1]
+            c, p = _count_scalar(w[m - n:m], d2[m - n:m], pivmin, p)
+            rho, w0, phase = -d2[m] / p, w[m], -1.0 if (n - c) % 2 else 1.0
         else:
-            for nd2, wk in rows:
-                rho = nd2 / (wk + rho or _PIVOT_FLOOR)
-                phase *= rho / abs(rho)
-        w0 = w[-1]
+            w = (mu * two_sqrt * np.sqrt(half - lam)).tolist()
+            rho, w0, phase = 0.0, w[-1], 1.0
+            for k, (dk2, wk) in enumerate(zip(d2[1:], w)):
+                rho = -dk2 / (wk + rho or _PIVOT_FLOOR)
+                if k >= m - n:
+                    phase *= rho / abs(rho)
         value = complex(phase.conjugate() * (rho + w0) / (abs(rho) + abs(w0)))
     except ZeroDivisionError:
         # a ratio of 0 past an overflowed pivot

@@ -5,16 +5,17 @@ pivots of the shifted LDL^T factorisation of T - level*I equals the
 number of eigenvalues strictly below ``level``.  ``counts_for_diagonals``
 is the one count: it takes k diagonals sharing one offdiagonal, so a
 batch of levels on one matrix is a batch of shifted diagonals.  Pivots
-within pivmin = eps*(max|diag| + 2*max|offdiag| + |level| + 1) of zero
-(eps times each term, summed, where only that sum overflows)
-are replaced by -pivmin so the count never divides by zero, at the cost
-of an ulp-scale ambiguity for levels that collide with an eigenvalue of
-a leading principal submatrix.  Each matrix of a batch has its own
-pivmin, from its own diagonal, so its count does not depend on the
-other matrices counted with it.  Counts are exact integers; every
-eigenvalue in the package is then bracketed by the one bisection on a
-count, ``_bisect``, which can also stop once each root is alone in its
-bracket, for a polish whose result the counts certify.
+within pivmin of zero (one rule, ``_pivmin_rule``) are replaced by
+-pivmin so the count never divides by zero, at the cost of an ulp-scale
+ambiguity for levels that collide with an eigenvalue of a leading
+principal submatrix.  Each matrix of a batch has its own pivmin, from
+its own diagonal, so its count does not depend on the other matrices
+counted with it.  The scalar pivot loop, ``_count_scalar``, is the only
+one: ``recurrence.secular_function``'s real sweep is a count in it.
+Counts are exact integers; every eigenvalue in the package is then
+bracketed by the one bisection on a count, ``_bisect``, which can also
+stop once each root is alone in its bracket, for a polish whose result
+the counts certify.
 
 ``dense_eigen_oracle`` is the deliberately independent cross-check: it
 densifies the matrix and calls LAPACK's symmetric eigensolver, sharing
@@ -117,22 +118,30 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> list[float]:
-    """For each row of the (k, n) ``diags``, the pivmin of that matrix:
-    its pivots no larger than this in magnitude are clamped to its negative."""
+def _pivmin_rule(top: float, off: float, level: float) -> float:
+    """eps*(top + 2*off + |level| + 1), the pivmin of a matrix with largest
+    |diagonal entry| ``top`` and |coupling| ``off`` at ``level``: its pivots
+    no larger in magnitude are clamped to -pivmin."""
+    pivmin = _EPS * (top + 2.0 * off + abs(level) + 1.0)
+    if pivmin == math.inf:
+        # the sum of finite terms may overflow; eps times each cannot
+        pivmin = _EPS * top + 2.0 * (_EPS * off) + _EPS * abs(level) + _EPS
+    return pivmin
+
+
+def _largest(diags: np.ndarray, offdiag: np.ndarray) -> tuple[list[float], float]:
+    """The largest |entry| of each row of the (k, n) ``diags``, and of ``offdiag``."""
     # max(max x, -min x) rather than max|x|: np.abs would copy a (k, n) batch
     off = max(float(offdiag.max(initial=0.0)), -float(offdiag.min(initial=0.0)))
     highs = diags.max(1, initial=0.0).tolist()
     lows = diags.min(1, initial=0.0).tolist()
-    pivmins = []
-    for hi, lo in zip(highs, lows):
-        top = max(hi, -lo)
-        pivmin = _EPS * (top + 2.0 * off + abs(level) + 1.0)
-        if pivmin == math.inf:
-            # the sum of finite terms may overflow; eps times each cannot
-            pivmin = _EPS * top + 2.0 * (_EPS * off) + _EPS * abs(level) + _EPS
-        pivmins.append(pivmin)
-    return pivmins
+    return [max(hi, -lo) for hi, lo in zip(highs, lows)], off
+
+
+def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> list[float]:
+    """``_pivmin_rule`` for each row of the (k, n) ``diags``."""
+    tops, off = _largest(diags, offdiag)
+    return [_pivmin_rule(top, off, level) for top in tops]
 
 
 def _count_scalar(rows: memoryview, off2: memoryview, pivmin: float, q: float) -> tuple[int, float]:
@@ -226,10 +235,13 @@ def counts_for_diagonals(
     then has n entries, the first joining the rows before to these.
     Each call takes its pivmin from the rows it is given.
 
-    Both kernels shift the rows by ``level`` once, in numpy; an entry
-    that overflows there reads +-inf, silently, and its pivot keeps that
-    sign, as Python floats would give it.  An infinite or nan entry or
-    level raises ``InvalidParametersError``.
+    A matrix whose largest |entry| or |level| reaches 2^500, where squared
+    couplings could overflow, is counted as its exact scaling, and its
+    carry's, by the power of two that brings that largest into [1, 2).
+    Both kernels shift the rows by ``level`` once, in numpy; an entry that
+    overflows there reads +-inf, silently, and its pivot keeps that sign,
+    as Python floats would give it.  An infinite or nan entry or level
+    raises ``InvalidParametersError``.
     """
     diags = np.asarray(diags, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
@@ -239,10 +251,24 @@ def counts_for_diagonals(
         raise InvalidParametersError(
             "diags must be (k, n) with offdiag of size n-1, or n with a carry"
         )
-    pivmin = _pivmin(diags, offdiag, level)
+    tops, off = _largest(diags, offdiag)
+    pivmin = [_pivmin_rule(top, off, level) for top in tops]
     # a nan or infinite entry or level makes a pivmin nan or infinite
     if not all(map(math.isfinite, pivmin)):
         raise InvalidParametersError("entries and level must be finite")
+    if max(off, abs(level), *tops) >= 2.0**500:
+        exps = np.array([math.frexp(max(top, off, abs(level)))[1] - 1 for top in tops])
+        exps[exps < 500] = 0
+        counts = np.empty(exps.size, dtype=np.int64)
+        for e in np.unique(exps).tolist():
+            j = np.flatnonzero(exps == e)
+            part = None if carry is None else np.ldexp(carry[j], -e)
+            scaled = np.ldexp(diags[j], -e), np.ldexp(offdiag, -e), math.ldexp(level, -e)
+            counts[j] = counts_for_diagonals(*scaled, carry=part)
+            if carry is not None:
+                with np.errstate(over="ignore"):  # a carry past the float range reads inf
+                    carry[j] = np.ldexp(part, e)
+        return counts
     off2 = offdiag * offdiag
     if carry is None:
         # 0/inf = 0, so the first pivot is the first diagonal

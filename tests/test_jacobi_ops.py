@@ -25,7 +25,6 @@ from speclab import (
     SpectralFamily,
     build,
     certified_count,
-    compact_difference_tail,
     coupling_weights,
     counts_for_diagonals,
     iterate_forward,
@@ -450,40 +449,6 @@ def test_counting_walk_computes_each_coupling_once(monkeypatch):
     # end at 64, 128, ..., 16384, past the coupling joining the last row
     # walked to the next
     assert spans == [(0, 64)] + [(64 * 2**j, 128 * 2**j) for j in range(8)]
-
-
-# ---------------------------------------------------------------------------
-# compactness of the spectral-vs-reference difference
-
-
-def test_compact_difference_tail_decay_rate():
-    lam, mu = 0.3, 1.3
-    n = 4096
-    tail = compact_difference_tail(lam, mu, n)
-    # the difference behaves like mu*lam^2/(4k) at k ~ n/2
-    assert tail * 2.0 * n / (mu * lam * lam) == pytest.approx(1.0, rel=0.05)
-    assert compact_difference_tail(lam, mu, 2 * n) < tail
-    with pytest.raises(InvalidParametersError):
-        compact_difference_tail(0.3, 1.0, 3)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("lam, mu, n", [
-    # mu * lam overflowed to -inf, silently, and the tail read inf
-    (-1e300, 1e10, 8),
-    (-1e300, -1e10, 8),
-    # mu * lam is finite, but the shifted reference diagonal it implies is not
-    (-170.0, 1e306, 8),
-], ids=["mu-lam", "negative-mu", "shifted-diagonal"])
-def test_compact_difference_tail_out_of_range_names_mu_and_lam(lam, mu, n):
-    with pytest.raises(InvalidParametersError, match=r"mu = \S+ and lam = \S+"):
-        compact_difference_tail(lam, mu, n)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_compact_difference_tail_near_the_range_is_finite():
-    # mu * lam is -1e305 here, and the tail stays finite
-    assert math.isfinite(compact_difference_tail(-1e300, 1e5, 8))
 
 
 # ---------------------------------------------------------------------------

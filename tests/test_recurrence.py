@@ -34,7 +34,7 @@ from speclab import (
     zeta,
     zeta_array,
 )
-from speclab import recurrence
+from speclab import counts_for_diagonals, recurrence, tridiag
 from speclab.recurrence import _LANE_MIN_ROWS, IdentityCheck, _steps
 
 nonreal_lams = st.builds(
@@ -1117,14 +1117,26 @@ secular_mus = st.builds(
 secular_lams = st.floats(min_value=-40.0, max_value=0.5, exclude_max=True) | nonreal_lams
 
 
+def _sweep_pivmin(mu, lam, m):
+    """The pivmin the real sweep from buffer top m clamps at: that of the
+    public count of the reversed truncation, diagonal w_m, ..., w_1 and
+    couplings d(m), ..., d(2), at level 0."""
+    _, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    w = mu * two_sqrt[:m] * np.sqrt(half[:m] - lam)
+    return tridiag._pivmin(w[None, :], recurrence._lattice_rows(m + 1)[0][m:1:-1], 0.0)[0]
+
+
 def _exact_secular(mu, lam, n):
-    """secular_function's sweep from the same float coefficients -d(k)^2
-    and w_k, evaluated in 50-digit decimal arithmetic: the value its
+    """secular_function's sweep from the same float coefficients d(k)^2
+    and w_k, evaluated in 50-digit decimal arithmetic with the same rule
+    for a pivot near 0 (at real lam within pivmin of 0 it is -pivmin, at
+    nonreal lam an exact 0 is ``_PIVOT_FLOOR``): the value its
     coefficients define, free of the sweep's rounding."""
     m = n + max(50, n // 10)
-    neg_d2, half, two_sqrt = recurrence._sweep_rows(m)
+    d2, half, two_sqrt, _ = recurrence._sweep_rows(m)
     lam = complex(lam)
-    w = (mu * two_sqrt * np.sqrt(half - (lam.real if lam.imag == 0.0 else lam))).tolist()
+    real = lam.imag == 0.0
+    w = (mu * two_sqrt * np.sqrt(half - (lam.real if real else lam))).tolist()
     D = decimal.Decimal
 
     def pair(z):
@@ -1139,14 +1151,17 @@ def _exact_secular(mu, lam, n):
 
     with decimal.localcontext() as ctx:
         ctx.prec = 50
+        pivmin = D(_sweep_pivmin(mu, lam.real, m)) if real else None
         rho, phase = (D(0), D(0)), (D(1), D(0))
-        for k, (nd2, wk) in enumerate(zip(neg_d2, w)):
+        for k, (dk2, wk) in enumerate(zip(d2[1:], w)):
             wk = pair(wk)
             pivot = wk[0] + rho[0], wk[1] + rho[1]
-            if pivot == (0, 0):
+            if real and abs(pivot[0]) <= pivmin:
+                pivot = -pivmin, D(0)
+            elif pivot == (0, 0):
                 pivot = D(recurrence._PIVOT_FLOOR), D(0)
             r2 = pivot[0] * pivot[0] + pivot[1] * pivot[1]
-            rho = D(nd2) * pivot[0] / r2, -D(nd2) * pivot[1] / r2
+            rho = -D(dk2) * pivot[0] / r2, D(dk2) * pivot[1] / r2
             if k >= m - n:
                 phase = times(phase, (rho[0] / size(rho), rho[1] / size(rho)))
         w0 = pair(w[-1])
@@ -1189,14 +1204,20 @@ def test_secular_sweep_agrees_with_the_whole_solution(mu, lam, n):
 
 def _phase_product_secular(mu, lam, n):
     """secular_function at real lam with phase(C_0) taken as the product
-    of the ratios' unit phases: the reference for the sweep's count of
-    the negative ratios, which must give the same bits."""
+    of the unit phases of the ratios rho_{k-1} = -d(k)^2 / p_k, each pivot
+    p_k = w_k + rho_k within pivmin of 0 clamped to -pivmin: the reference
+    for the sweep's count of the negative pivots, which must give the same
+    bits."""
     m = n + max(50, n // 10)
-    neg_d2, half, two_sqrt = recurrence._sweep_rows(m)
+    d2, half, two_sqrt, _ = recurrence._sweep_rows(m)
     w = (mu * two_sqrt * np.sqrt(half - lam)).tolist()
+    pivmin = _sweep_pivmin(mu, lam, m)
     rho, phase = 0.0, 1.0
-    for k, (nd2, wk) in enumerate(zip(neg_d2, w)):
-        rho = nd2 / (wk + rho or recurrence._PIVOT_FLOOR)
+    for k, (dk2, wk) in enumerate(zip(d2[1:], w)):
+        pivot = wk + rho
+        if abs(pivot) <= pivmin:
+            pivot = -pivmin
+        rho = -dk2 / pivot
         if k >= m - n:
             phase *= rho / abs(rho)
     return phase * (rho + w[-1]) / (abs(rho) + abs(w[-1]))
@@ -1207,6 +1228,57 @@ def _phase_product_secular(mu, lam, n):
        st.integers(min_value=1, max_value=1000))
 def test_secular_sign_count_keeps_the_phase_product_bits(mu, lam, n):
     assert secular_function(mu, lam, n) == _phase_product_secular(mu, lam, n)
+
+
+# at mu = 1.01 the pivot p_1 of the depth-300 sweep crosses 0 near
+# lam = 0.2867: bisecting lam on the count of the reversed rows 350, ..., 1
+# down to adjacent floats ends here, where p_1 = 3.0e-13 lies within
+# pivmin = 3.1e-13 of 0, so it is clamped and counted
+_BAND_CASE = (1.01, 0.28672665155981975, 300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(secular_mus, st.floats(min_value=-40.0, max_value=0.5, exclude_max=True),
+       st.integers(min_value=1, max_value=1000))
+@example(*_BAND_CASE)
+def test_secular_real_sweep_is_the_reversed_truncation_count(mu, lam, n):
+    # the real sweep's pivots are those of the Sturm count of the reversed
+    # truncation, diagonal w_m, ..., w_0 and couplings d(m), ..., d(1), at
+    # level 0: with c the negative ones among p_n, ..., p_1, from two public
+    # counts, the phase is (-1)^(n - c), and the pivot p_0 = rho_0 + w_0 of
+    # the boundary row carries the rest of the sign
+    m = n + max(50, n // 10)
+    _, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    w = mu * two_sqrt * np.sqrt(half - lam)
+    couplings = recurrence._lattice_rows(m + 1)[0][m:0:-1]
+
+    def below(rows):
+        # the negative pivots among the first ``rows`` of the reversed rows
+        return int(counts_for_diagonals(w[None, :rows], couplings[:rows - 1])[0])
+
+    c = below(m) - below(m - n)
+    p0_negative = below(m + 1) - below(m)
+    value = secular_function(mu, lam, n)
+    pivmin = _sweep_pivmin(mu, lam, m)
+    # the value is p_0 / (|rho_0| + |w_0|), so p_0 lies outside the band here
+    if abs(value.real) * abs(w[-1]) > pivmin:
+        assert math.copysign(1.0, value.real) == (-1.0) ** (n - c + p0_negative)
+
+
+def test_secular_real_sweep_clamps_a_pivot_in_the_band():
+    # the pinned case: p_1 is positive, within pivmin of 0, and counted
+    mu, lam, n = _BAND_CASE
+    m = n + max(50, n // 10)
+    d2, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    q = math.inf
+    for wk, dk2 in zip((mu * two_sqrt[:m] * np.sqrt(half[:m] - lam)).tolist(), d2):
+        q = wk - dk2 / q
+    assert 0.0 < q <= _sweep_pivmin(mu, lam, m)
+    value = secular_function(*_BAND_CASE)
+    assert value == _phase_product_secular(*_BAND_CASE) == -1.0
+    # the row-0 term -d(1)^2 / p_1 dwarfs w_0 either way, so an unclamped p_1
+    # would give the same sign; only the last bits move
+    assert abs(_exact_secular(*_BAND_CASE) - value) <= _secular_agreement(n)
 
 
 @pytest.mark.parametrize("lam", [1.0j, 0.3 - 2.0j])
@@ -1238,25 +1310,22 @@ def test_secular_sweep_real_lam_outside_the_float_range_raises():
         secular_function(1e308, 0.3, 10)
 
 
-@pytest.mark.parametrize("ratio, nd2, pivot", [
-    ("-0", -0.0, 1.0), ("+0", 0.0, 1.0), ("+inf", -1e300, -1e-300), ("nan", math.nan, 1.0),
-])
+@pytest.mark.parametrize("row", ["first", "top-call", "bottom-call", "boundary"])
 @pytest.mark.parametrize("n", [1, 4])
-def test_secular_real_sweep_without_a_unit_phase_raises(monkeypatch, ratio, nd2, pivot, n):
-    # a ratio rho of 0, +inf or nan has no unit phase: the real sweep,
-    # which counts only the ratios >= 0, must still stop there.  Rows of
-    # -0 keep rho at 0 up to row n, which is the first row it checks, and
-    # whose weight w_n + rho is ``pivot``
-    mu = 2.0
+def test_secular_real_sweep_with_a_nan_row_raises(monkeypatch, row, n):
+    # a nan coupling in the cached rows makes every pivot after it nan,
+    # which the count neither counts nor clamps; the final finiteness check
+    # still raises.  The couplings d(k+1)^2 run k = m, ..., 0: the first row,
+    # the last row of the first call (rows m, ..., n+1), the first of the
+    # second (rows n, ..., 1), and d(1)^2 of the boundary row
     m = n + 50
-    rows = [-0.0] * m
-    rows[m - n] = nd2
-    two_sqrt = np.full(m + 1, 1.0 / mu)
-    two_sqrt[m - n] = pivot / mu
+    d2, half, two_sqrt, d_top = recurrence._sweep_rows(m)
+    poisoned = np.array(d2)
+    poisoned[{"first": 0, "top-call": m - n - 1, "bottom-call": m - n, "boundary": m}[row]] = math.nan
     monkeypatch.setattr(recurrence, "_sweep_rows",
-                        lambda top: (tuple(rows), np.full(top + 1, 1.0), two_sqrt))
+                        lambda top: (memoryview(poisoned), half, two_sqrt, d_top))
     with pytest.raises(NonConvergenceError, match="floating-point range"):
-        secular_function(mu, 0.0, n)
+        secular_function(2.0, 0.0, n)
 
 
 @pytest.mark.filterwarnings("error")

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speclab import tridiag
@@ -321,6 +321,50 @@ def test_counts_at_extreme_levels_never_warn(k, level):
     # far above or below every eigenvalue: all or none of them
     if abs(level) == 1.7976931348623157e308:
         assert counts.tolist() == [40 if level > 0 else 0] * k
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_window_with_couplings_whose_squares_overflow():
+    # (1e200)^2 overflowed with a RuntimeWarning and the count read 0
+    t = TridiagonalMatrix(np.zeros(3), np.array([1e200, 1e200]))
+    report = eigenvalues_in_window(t, -1e201, 1e201)
+    assert report.count == 3
+    assert report.eigenvalues[[0, 2]] == pytest.approx([-math.sqrt(2.0) * 1e200, math.sqrt(2.0) * 1e200])
+
+
+# entries on a 1/8 grid: no scaling by a power of two rounds them
+_grid_entries = st.integers(min_value=-64, max_value=64).map(lambda i: i / 8.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
+           st.lists(_grid_entries, min_size=n, max_size=n),
+           st.lists(_grid_entries, min_size=n - 1, max_size=n - 1))),
+       _grid_entries, st.integers(min_value=0, max_value=1000),
+       st.integers(min_value=1, max_value=7))
+def test_counts_do_not_change_under_power_of_two_scaling(entries, x, k, split):
+    # (2^k T, 2^k x) counts as (T, x), in both kernels and across a carry,
+    # wherever x keeps clear of the eigenvalues of every leading principal
+    # submatrix, so that no pivot comes near the pivmin band of either
+    diag, off = (np.array(v) for v in entries)
+    n = diag.size
+    t = TridiagonalMatrix(diag, off)
+    for i in range(1, n + 1):
+        eigs = np.linalg.eigvalsh(t.to_dense()[:i, :i])
+        assume(np.min(np.abs(eigs - x)) > 1e-6)
+    want = int(np.sum(np.linalg.eigvalsh(t.to_dense()) < x))
+    scale = 2.0**k
+    for rows in (1, 12):  # scalar and column kernels
+        diags = np.tile(diag * scale, (rows, 1))
+        assert counts_for_diagonals(diags, off * scale, x * scale).tolist() == [want] * rows
+        # the same count in two calls, the pivot carried between them
+        split = min(split, n)
+        joins = np.concatenate(([0.0], off)) * scale
+        carry = np.full(rows, np.inf)
+        total = counts_for_diagonals(diags[:, :split], joins[:split], x * scale, carry=carry)
+        total += counts_for_diagonals(diags[:, split:], joins[split:], x * scale, carry=carry)
+        assert total.tolist() == [want] * rows
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
