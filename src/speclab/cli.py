@@ -205,6 +205,8 @@ def _cmd_asymptotics(a: dict) -> list[list]:
 
 
 def _cmd_identity_check(a: dict) -> list[list]:
+    if a["size"] < 1:
+        raise InvalidParametersError(f"size must be at least 1, got {a['size']}")
     lam = complex(a["lam"], a["lam_im"])
     sol = iterate_forward(a["mu"], lam, 1.0, a["size"])
     check = identity_residual(sol, a["size"] - 1)

@@ -287,9 +287,10 @@ def mu_beta_zero(alpha: float, gamma: complex = 0.0) -> float:
 def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
     """The alpha at which the relevant branch crosses mu = 1.
 
-    For beta > 0 this is the closed-form section of the critical surface;
-    at beta = 0 it degenerates to the inversion of :func:`mu_beta_zero`.
-    The formula is singular at beta = 2*sqrt(2) unless gamma = 0.
+    alpha_c = sqrt(2) + |gamma|^2/(2 sqrt(2) - beta) for every beta >= 0:
+    beta times it is the closed-form section's numerator, which cancels as
+    beta -> 0, and at beta = 0 it inverts :func:`mu_beta_zero`.  It is
+    singular at beta = 2*sqrt(2) unless gamma = 0, where it is sqrt(2).
     """
     beta = float(beta)
     gamma = complex(gamma)
@@ -300,22 +301,13 @@ def critical_alpha(beta: float, gamma: complex = 0.0) -> float:
     g2 = _abs2(gamma)
     if not math.isfinite(g2):
         raise InvalidParametersError(f"|gamma|^2 must be finite, got gamma={gamma}")
-    if beta == 0.0:
-        return (4.0 + g2) / (2.0 * _SQRT2)
     rest = 2.0 * _SQRT2 - beta
-    if rest == 0.0:
-        if g2 != 0.0:
-            raise SingularFormulaError(
-                "critical alpha has no finite value at beta = 2*sqrt(2) "
-                "with gamma != 0"
-            )
-        gamma_term = 0.0
-    else:
-        gamma_term = 2.0 * _SQRT2 * g2 / rest
-    # -(g2 - 4) - sqrt(2)*(2*sqrt(2) - beta) == -g2 + sqrt(2)*beta, and the
-    # right-hand form returns sqrt(2) exactly when gamma = 0
-    alpha_c = (gamma_term - g2 + _SQRT2 * beta) / beta
-    if not math.isfinite(alpha_c):
+    if rest == 0.0 and g2 != 0.0:
+        raise SingularFormulaError(
+            "critical alpha has no finite value at beta = 2*sqrt(2) with gamma != 0"
+        )
+    alpha_c = _SQRT2 + g2 / rest if g2 else _SQRT2
+    if not (math.isfinite(alpha_c) and math.isfinite(beta)):
         raise InvalidParametersError(
             f"the critical alpha at beta={beta}, gamma={gamma} overflows"
         )

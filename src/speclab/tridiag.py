@@ -17,6 +17,16 @@ bracketed by the one bisection on a count, ``_bisect``, which can also
 stop once each root is alone in its bracket, for a polish whose result
 the counts certify.
 
+A matrix whose largest |entry| or |level| L lies outside [1, 2^500),
+and is not 0, is counted in its normal form, scaled exactly by the power
+of two that brings L into [1, 2).  With L in [1, 2^500), pivmin is eps to
+2 eps times max|d| + 2 max|e| + |level|, and by the rounding argument of
+Kahan (1966, "Accurate eigenvalues of a symmetric tri-diagonal matrix")
+and Demmel, Dhillon & Ren (ETNA 3, 1995) the count is exact for a matrix
+within a few ulps of each coupling and a few eps*L of each shifted
+diagonal entry (2 pivmin where a pivot is clamped); no e^2 or e^2/q
+overflows.
+
 ``dense_eigen_oracle`` is the deliberately independent cross-check: it
 densifies the matrix and calls LAPACK's symmetric eigensolver, sharing
 no code with the pivot recurrence.
@@ -165,15 +175,6 @@ def _count_scalar(rows: memoryview, off2: memoryview, pivmin: float, q: float) -
     return count, q
 
 
-def _shifted(rows: np.ndarray, level: float) -> np.ndarray:
-    """``rows - level``; an entry that overflows reads +-inf, silently, as
-    it does in Python floats."""
-    if not level:
-        return rows
-    with np.errstate(over="ignore"):
-        return rows - level
-
-
 def _pivot_rows(rows: np.ndarray, off2: list, prev: np.ndarray, out: np.ndarray, pivmin: np.ndarray | None = None) -> None:
     """Pivots of ``rows`` into ``out``, continuing from the pivot row ``prev``.
 
@@ -235,13 +236,10 @@ def counts_for_diagonals(
     then has n entries, the first joining the rows before to these.
     Each call takes its pivmin from the rows it is given.
 
-    A matrix whose largest |entry| or |level| reaches 2^500, where squared
-    couplings could overflow, is counted as its exact scaling, and its
-    carry's, by the power of two that brings that largest into [1, 2).
-    Both kernels shift the rows by ``level`` once, in numpy; an entry that
-    overflows there reads +-inf, silently, and its pivot keeps that sign,
-    as Python floats would give it.  An infinite or nan entry or level
-    raises ``InvalidParametersError``.
+    A matrix whose largest |entry| or |level| lies outside [1, 2^500), and
+    is not 0, is counted in its normal form (module docstring), its carry
+    scaled alike.  An infinite or nan entry or level raises
+    ``InvalidParametersError``.
     """
     diags = np.asarray(diags, dtype=np.float64)
     offdiag = np.asarray(offdiag, dtype=np.float64)
@@ -256,20 +254,25 @@ def counts_for_diagonals(
     # a nan or infinite entry or level makes a pivmin nan or infinite
     if not all(map(math.isfinite, pivmin)):
         raise InvalidParametersError("entries and level must be finite")
-    if max(off, abs(level), *tops) >= 2.0**500:
-        exps = np.array([math.frexp(max(top, off, abs(level)))[1] - 1 for top in tops])
-        exps[exps < 500] = 0
-        counts = np.empty(exps.size, dtype=np.int64)
-        for e in np.unique(exps).tolist():
-            j = np.flatnonzero(exps == e)
-            part = None if carry is None else np.ldexp(carry[j], -e)
-            scaled = np.ldexp(diags[j], -e), np.ldexp(offdiag, -e), math.ldexp(level, -e)
-            counts[j] = counts_for_diagonals(*scaled, carry=part)
-            if carry is not None:
-                with np.errstate(over="ignore"):  # a carry past the float range reads inf
-                    carry[j] = np.ldexp(part, e)
-        return counts
+    reach = max(off, abs(level))
+    if reach < 1.0 or max([reach, *tops]) >= 2.0**500:
+        # the exponent of each matrix's normal form, 0 where it is its own
+        peaks = (max(top, reach) for top in tops)
+        exps = np.array([math.frexp(p)[1] - 1 if p and not 1.0 <= p < 2.0**500 else 0 for p in peaks])
+        if exps.any():
+            counts = np.empty(exps.size, dtype=np.int64)
+            with np.errstate(over="ignore"):  # a carry past the float range reads inf
+                for e in np.unique(exps).tolist():
+                    j = np.flatnonzero(exps == e)
+                    part = None if carry is None else np.ldexp(carry[j], -e)
+                    scaled = np.ldexp(diags[j], -e), np.ldexp(offdiag, -e), math.ldexp(level, -e)
+                    counts[j] = counts_for_diagonals(*scaled, carry=part)
+                    if carry is not None:  # one below it keeps its sign, as the least subnormal
+                        carry[j] = np.copysign(np.maximum(np.abs(np.ldexp(part, e)), 5e-324), part)
+            return counts
     off2 = offdiag * offdiag
+    if level:  # entries and level below 2^500: no shifted entry overflows
+        diags = diags - level
     if carry is None:
         # 0/inf = 0, so the first pivot is the first diagonal
         off2 = np.concatenate(([0.0], off2))
@@ -278,11 +281,10 @@ def counts_for_diagonals(
         # memoryviews hand the loop Python floats without building lists
         off2_view = memoryview(off2)
         counts = np.empty(diags.shape[0], dtype=np.int64)
-        for j, (row, p, q) in enumerate(zip(_shifted(diags, level), pivmin, carry.tolist())):
+        for j, (row, p, q) in enumerate(zip(diags, pivmin, carry.tolist())):
             counts[j], carry[j] = _count_scalar(memoryview(row), off2_view, p, q)
         return counts
-    rows = _shifted(np.ascontiguousarray(diags.T), level)
-    return _counts_columns(rows, off2, np.array(pivmin), carry)
+    return _counts_columns(np.ascontiguousarray(diags.T), off2, np.array(pivmin), carry)
 
 
 def _bisect(
@@ -366,8 +368,11 @@ def eigenvalues_in_window(
 def smallest_eigenvalue(t: TridiagonalMatrix, tol: float = 1e-10) -> float:
     """Lowest eigenvalue, bisected between the Gershgorin bounds."""
     tol = _check_tol(tol)
-    lo, hi = t.gershgorin_bounds()
+    with np.errstate(over="ignore"):  # a bound past the float range reads +-inf
+        lo, hi = t.gershgorin_bounds()
     hi = hi + max(tol, _pivmin(t.diag[None, :], t.offdiag, hi)[0])
+    if not math.isfinite(hi - lo):
+        raise InvalidParametersError("the Gershgorin bounds must have a finite width")
     lows, highs = _bisect(
         lambda levels: counts_for_diagonals(t.diag[None, :], t.offdiag, levels[0]),
         lo,

@@ -292,6 +292,16 @@ def test_identity_check_rejects_a_recurrence_that_overflows(capsys, point, messa
     assert message in err
 
 
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_identity_check_rejects_a_size_below_1(capsys, size):
+    # --size 0 read "up_to must lie in [0, -1] for this solution", which
+    # named an empty range and no flag
+    rc, out, err = run_cli(capsys, ["identity-check", "--mu=1.5", "--lambda=0.3",
+                                    f"--size={size}"])
+    assert (rc, out) == (2, "")
+    assert err == f"speclab: size must be at least 1, got {size}\n"
+
+
 def test_h_spectrum_known_eigenvalue(capsys):
     rc, out, _ = run_cli(capsys, ["h-spectrum", "--alpha", "1", "--beta", "0"])
     assert rc == 0

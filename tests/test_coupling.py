@@ -89,9 +89,11 @@ def test_one_abs2_formula():
         differ += abs(gamma) * abs(gamma) != g2
         assert CouplingParams(1.0, 0.5, gamma).gamma_abs2 == g2
         assert mu_beta_zero(0.7, gamma) == (4.0 + g2) / (2.0 * SQRT2 * 0.7)
-        assert critical_alpha(0.0, gamma) == (4.0 + g2) / (2.0 * SQRT2)
-        rest = 2.0 * SQRT2 - 1.3
-        assert critical_alpha(1.3, gamma) == (2.0 * SQRT2 * g2 / rest - g2 + SQRT2 * 1.3) / 1.3
+        # one formula for every beta, sqrt(2) + |gamma|^2 / (2 sqrt(2) - beta):
+        # it replaced (4 + g2) / (2 sqrt(2)) at beta = 0 and a numerator
+        # that cancels as beta -> 0, and moves their last bits
+        assert critical_alpha(0.0, gamma) == SQRT2 + g2 / (2.0 * SQRT2)
+        assert critical_alpha(1.3, gamma) == SQRT2 + g2 / (2.0 * SQRT2 - 1.3)
     assert differ > 50
 
 
@@ -336,7 +338,10 @@ def test_critical_alpha_gamma_zero_is_sqrt2(beta):
 
 @pytest.mark.parametrize(
     "beta,gamma",
-    [(0.5, 1.0), (1.0, 0.3 + 0.4j), (2.0, 1.0j), (4.0, 0.8 - 0.2j)],
+    [(0.5, 1.0), (1.0, 0.3 + 0.4j), (2.0, 1.0j), (4.0, 0.8 - 0.2j),
+     # where the numerator (...)/beta cancelled: wrong in the 9th digit at
+     # 1e-8, weight 1.022 at 1e-15, sqrt(2) and weight 1.0625 at 1e-300
+     (1e-8, 0.5), (1e-15, 0.5), (1e-300, 0.5)],
 )
 def test_critical_alpha_lands_on_weight_one(beta, gamma):
     alpha_c = critical_alpha(beta, gamma)

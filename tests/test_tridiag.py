@@ -268,10 +268,12 @@ def _pivot_loops(draw):
 @given(_pivot_loops())
 def test_scalar_count_keeps_the_bits_of_the_frozen_loop(case):
     diag, off2, level, pivmin, q = case
-    with np.errstate(invalid="ignore"):
-        # counts_for_diagonals rejects an inf or nan entry or level before
-        # the shift, where inf - inf would be invalid
-        rows = tridiag._shifted(np.array(diag), level)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # the rows shifted by the level, as counts_for_diagonals does in
+        # numpy.  It rejects an inf or nan entry or level before the shift,
+        # where inf - inf would be invalid, and shifts only entries and
+        # levels below 2^500 in magnitude, which cannot overflow
+        rows = np.array(diag) - level if level else np.array(diag)
     # the loop reads both through memoryviews, as counts_for_diagonals does
     assert _outcome(tridiag._count_scalar, memoryview(rows), memoryview(np.array(off2)),
                     pivmin, q) == _outcome(_count_scalar_frozen, diag, off2, level, pivmin, q)
@@ -300,8 +302,8 @@ def test_pivmin_keeps_its_bits_where_its_sum_is_finite(top, off, level):
 def test_counts_where_the_pivmin_sum_overflows(k):
     # eps (max|d| + 2 max|e| + |level| + 1) overflowed to inf, so these
     # finite matrices at finite levels raised "entries and level must be
-    # finite".  Shifted by the level their rows read +-inf, silently, and
-    # every pivot keeps the sign of its row
+    # finite".  They are counted in their normal form, scaled by 2^-1023,
+    # where the level lies far beyond every eigenvalue
     diags = np.full((k, 8), 7.5e307)
     off = np.ones(7)
     assert counts_for_diagonals(diags, off, -1.7e308).tolist() == [0] * k
@@ -341,7 +343,8 @@ _grid_entries = st.integers(min_value=-64, max_value=64).map(lambda i: i / 8.0)
 @given(st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(
            st.lists(_grid_entries, min_size=n, max_size=n),
            st.lists(_grid_entries, min_size=n - 1, max_size=n - 1))),
-       _grid_entries, st.integers(min_value=0, max_value=1000),
+       _grid_entries, st.one_of(st.integers(min_value=0, max_value=1000),
+                                st.integers(min_value=-1000, max_value=-1)),
        st.integers(min_value=1, max_value=7))
 def test_counts_do_not_change_under_power_of_two_scaling(entries, x, k, split):
     # (2^k T, 2^k x) counts as (T, x), in both kernels and across a carry,
@@ -367,13 +370,86 @@ def test_counts_do_not_change_under_power_of_two_scaling(entries, x, k, split):
         assert total.tolist() == [want] * rows
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 12])  # scalar and column kernels
+@pytest.mark.parametrize("s", [1e-16, 1e-200, 1e-300])
+def test_counts_of_a_tiny_matrix(s, k):
+    # the absolute eps in pivmin exceeded every pivot, which were all
+    # clamped and counted: [3, 3, 3]
+    diags = np.zeros((k, 3))
+    counts = [counts_for_diagonals(diags, np.array([s, s]), x).tolist() for x in (-s, s / 2, 2 * s)]
+    assert counts == [[1] * k, [2] * k, [3] * k]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_window_and_smallest_eigenvalue_of_a_tiny_matrix():
+    # the window counted 0 and the smallest eigenvalue read -2.0e-200
+    t = TridiagonalMatrix(np.zeros(3), np.array([1e-200, 1e-200]))
+    report = eigenvalues_in_window(t, -1e-199, 1e-199, tol=1e-210)
+    assert report.count == 3
+    assert report.eigenvalues == pytest.approx([-math.sqrt(2.0) * 1e-200, 0.0, math.sqrt(2.0) * 1e-200],
+                                               abs=1e-210)
+    assert smallest_eigenvalue(t, tol=1e-210) == pytest.approx(-math.sqrt(2.0) * 1e-200, abs=1e-210)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 12])
+@pytest.mark.parametrize("e", [-900, 900])
+def test_counts_at_the_ends_of_the_float_range_match_dense(e, k):
+    # eigenvalues at least 0.1 apart, probed midway between them, so that
+    # no pivot comes near the pivmin band at either scale
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        t = random_matrix(rng, n, scale=1.0)
+        eigs = np.linalg.eigvalsh(t.to_dense())
+        if np.min(np.diff(eigs)) < 0.1:
+            continue
+        diag, off, scale = t.diag * 2.0**e, t.offdiag * 2.0**e, 2.0**e
+        for x in safe_levels(eigs):
+            want = int(np.sum(eigs < x))
+            assert counts_for_diagonals(np.tile(diag, (k, 1)), off, x * scale).tolist() == [want] * k
+        report = eigenvalues_in_window(TridiagonalMatrix(diag, off), (eigs[0] - 1.0) * scale,
+                                       (eigs[-1] + 1.0) * scale, tol=1e-12 * scale)
+        assert report.eigenvalues == pytest.approx(eigs * scale, rel=0.0, abs=1e-9 * scale)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 12])
+def test_counts_of_a_zero_matrix(k):
+    # no normal form: every pivot is 0, clamped to -pivmin and counted
+    assert counts_for_diagonals(np.zeros((k, 4)), np.zeros(3)).tolist() == [4] * k
+    carry = np.full(k, np.inf)
+    assert counts_for_diagonals(np.zeros((k, 4)), np.zeros(4), carry=carry).tolist() == [4] * k
+    assert carry.tolist() == [-_EPS] * k
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [1, 12])
+@pytest.mark.parametrize("s", [2.0**-1060, -(2.0**-1074), 2.0**-1000])
+def test_counts_carried_across_subnormal_rows(s, k):
+    # the last pivot, -pivmin in the normal form, rounded to -0.0 when it
+    # was scaled back, and the scalar kernel divided by it
+    diags, off = np.full((k, 4), s), np.full(3, abs(s))
+    want = counts_for_diagonals(diags, off).tolist()
+    carry = np.full(k, np.inf)
+    total = counts_for_diagonals(diags[:, :2], np.array([0.0, abs(s)]), carry=carry)
+    assert np.all(carry != 0.0)
+    total += counts_for_diagonals(diags[:, 2:], off[1:], carry=carry)
+    assert total.tolist() == want
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("k", [1, 12])
 def test_counts_reject_an_infinite_or_nan_entry_or_level(bad, k):
     diags, off = np.zeros((k, 4)), np.ones(3)
+    # a matrix that would be counted in its normal form, with tiny entries
+    tiny = np.full((k, 4), 1e-300)
     for args in ((diags, off, bad),
                  (np.where(np.arange(4) == 2, bad, diags), off, 0.0),
-                 (diags, np.array([1.0, bad, 1.0]), 0.0)):
+                 (diags, np.array([1.0, bad, 1.0]), 0.0),
+                 (np.where(np.arange(4) == 2, bad, tiny), 1e-300 * off, 0.0),
+                 (tiny, 1e-300 * off, bad)):
         with pytest.raises(InvalidParametersError, match="entries and level must be finite"):
             counts_for_diagonals(*args)
 
@@ -423,6 +499,16 @@ def test_smallest_eigenvalue_matches_dense():
         t = random_matrix(rng, int(rng.integers(2, 60)))
         want = float(np.linalg.eigvalsh(t.to_dense())[0])
         assert smallest_eigenvalue(t, tol=1e-11) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("diag, off", [([1e308, -1e308], [1e308]), ([1.5e308, 0.0], [1e308])])
+def test_smallest_eigenvalue_where_a_gershgorin_bound_overflows(diag, off):
+    # gershgorin_bounds warned of the overflow, and the bisection's
+    # iteration cap raised "cannot convert float infinity to integer"
+    t = TridiagonalMatrix(np.array(diag), np.array(off))
+    with pytest.raises(InvalidParametersError, match="Gershgorin"):
+        smallest_eigenvalue(t)
 
 
 def test_bisection_ends_below_ulp_scale_tol():
