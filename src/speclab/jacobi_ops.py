@@ -15,15 +15,19 @@ Four families, all real symmetric tridiagonal in the mode index n:
 
 :func:`build` gives a fixed truncation.  :func:`spectral_counts` (below 0,
 mu > 1) and :func:`certified_count` (counting families, above a level
-> 1) count eigenvalues of the infinite operator: they walk its rows in
-blocks through :func:`speclab.tridiag.counts_for_diagonals`, the one
+mu > 1, counted as the eigenvalues below -mu of the zero-diagonal
+operator) count eigenvalues of the infinite operator: they walk its rows
+in blocks through :func:`speclab.tridiag.counts_for_diagonals`, the one
 Sturm count, carrying the last pivot row, and stop each count at the
 first block end where a certificate shows that no later row can change
 it, never past a caller's cap, which is at most ``ROW_CAP`` rows.  Each
 block is as long as all the rows before it.  A spectral walk's first
 block ends at row 64; a counting walk's ends 64 rows past its coupling
-row, the first row whose coupling admits the certificate, which it reads
-from the couplings before it computes a pivot.
+row, the first row whose coupling admits the certificate.  That row has
+a closed form in mu; the walk tests only the couplings of the few rows
+that its rounding leaves open, before it computes a pivot.  Both walks'
+pivots are nearly all positive, which the scalar pivot loop settles
+with one comparison each.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ ROW_CAP = 2**20
 _FIRST_BLOCK = 64
 # Relative margin of every certificate comparison.
 _MARGIN = 1e-12
+# Relative widening of 1/c^2, 32 eps, that brackets the coupling row
+# between the closed-form rows for c (1 + 16 eps) and c (1 - 16 eps).
+_ROW_SLACK = 2.0**-47
 
 
 def _check_real_lam(lam) -> float:
@@ -217,11 +224,11 @@ def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
     0.9 (k+1), elsewhere the slack a_k - d(k) - d(k+1) > a_k/2 absorbs
     them.  So within 2^20 rows t < 1e-8, and every later pivot keeps its
     sign at least half its bound away from 0, far outside the pivmin
-    clamp (eps times the block's largest entries).  At level mu, a pivot
-    q = -s mu/2 with s >= 1 is followed by an exact pivot at most
-    -(2 - 4B/mu^2) mu/2 < -(1 + 1e-12) mu/2, as certification asks
+    clamp (eps times the block's largest entries).  At level -mu, a pivot
+    q = s mu/2 with s >= 1 is followed by an exact pivot at least
+    (2 - 4B/mu^2) mu/2 > (1 + 1e-12) mu/2, as certification asks
     4B < (1 - 1e-12) mu^2; rounding moves it by a few ulps of mu, far
-    less, so no computed pivot leaves q <= -mu/2.  Comparisons keep a
+    less, so no computed pivot leaves q >= mu/2.  Comparisons keep a
     1e-12 relative margin.  The spectral bound K is computed to a few
     ulps and raised by that margin, so it is never below the exact bound;
     from row K on, k - d(k) >= 1/(16 k) leaves a_k - d(k) - d(k+1) >
@@ -285,22 +292,74 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
     )
 
 
+def _admits(b: np.ndarray, level: float) -> np.ndarray:
+    """Whether each coupling b admits the counting certificate at
+    ``level``: 4 max(1/4, b^2) / mu^2 < 1 - 1e-12, divided step by step so
+    that no finite level overflows."""
+    return 1.0 - 4.0 * np.maximum(0.25, b * b) / level / level > _MARGIN
+
+
+def _row_bound(family: CountingFamily | CountingLimitFamily, g: float) -> float:
+    """k+ such that the exact couplings of rows k >= 1 have
+    4 max(1/4, b_k^2) < c exactly when k > k+, for c > 0 with 1/c^2 = g;
+    inf where no row does."""
+    a = 1.0 - g
+    if not a > 0.0:
+        return math.inf
+    if isinstance(family, CountingLimitFamily):
+        # 4 b_k^2 = (1 - 1/(k + 1))^(-1/2) < c: k + 1 > 1/a
+        return g / a
+    eps = family.epsilon
+    if eps >= 1.0:
+        # 4 b_k^2 <= 1 < c on every row
+        return 0.0
+    # 4 b_k^2 = k / sqrt((k + eps)(k - 1 + eps)) < c: the larger root of
+    # a k^2 + (2 eps - 1) k + eps (eps - 1), whose other root is negative
+    b = 2.0 * eps - 1.0
+    root = math.sqrt(b * b + 4.0 * a * (eps * (1.0 - eps)))
+    return (root - b) / (2.0 * a) if b <= 0.0 else 2.0 * (eps * (1.0 - eps)) / (root + b)
+
+
+def _coupling_row(family: CountingFamily | CountingLimitFamily, level: float, cap: int,
+                  couplings: Callable) -> int | None:
+    """The coupling row: the first row r in [1, cap] whose computed
+    coupling admits the counting certificate at ``level``, or None.
+
+    ``couplings(start, stop)`` gives rows start .. stop - 1 as
+    ``_couplings`` does; it is asked once, for the rows between the ends
+    of r's bracket and the ``_FIRST_BLOCK`` rows past it.
+    """
+    inv = 1.0 / level
+    inv_c = inv * inv / (1.0 - _MARGIN)
+    # the closed-form rows for c (1 + 16 eps) and c (1 - 16 eps) bracket r
+    lo, hi = (max(1, math.floor(min(_row_bound(family, inv_c * inv_c * t), cap)) + 1)
+              for t in (1.0 - _ROW_SLACK, 1.0 + _ROW_SLACK))
+    hi = min(hi, cap)
+    if lo > hi:
+        return None
+    hits = np.flatnonzero(_admits(couplings(lo, min(hi + _FIRST_BLOCK, cap) + 1)[: hi + 1 - lo], level))
+    return lo + int(hits[0]) if hits.size else None
+
+
 def certified_count(
     family: CountingFamily | CountingLimitFamily, level: float, *, cap: int = ROW_CAP
 ) -> tuple[int, int]:
     """Eigenvalues above ``level`` (> 1) of a counting family's infinite
     operator, and the rows walked to certify the count.
 
-    Certificate.  At level mu the pivots run q_k = -mu - b_k^2 / q_{k-1}.
-    b_k^2 only decreases while it is above 1/4 and never rises back above
-    it, so B = max(1/4, b^2), with b the coupling that joins the rows
-    walked to the next row, bounds every later b^2.  When 4B < mu^2, the
-    half-line q <= -mu/2 maps into itself, since -mu + B / (mu/2) < -mu/2:
-    once the last pivot is in it, every later pivot is negative and the
-    count of positive pivots is final.  Every radius between the roots
-    (mu -+ sqrt(mu^2 - 4B)) / 2 gives an invariant half-line; mu/2 is
-    the middle one.  The pivots settle at the outer root of the last b^2,
-    which a relative margin cannot separate from the outer root of B
+    Certificate.  The diagonal is zero, so T and -T are similar through
+    diag((-1)^k), and the eigenvalues above mu are those below -mu: the
+    count is the negative pivots of the walk at level -mu, whose pivots
+    run q_k = mu - b_k^2 / q_{k-1}, each the exact negation of the pivot
+    at level mu.  b_k^2 only decreases while it is above 1/4 and never
+    rises back above it, so B = max(1/4, b^2), with b the coupling that
+    joins the rows walked to the next row, bounds every later b^2.  When
+    4B < mu^2, the half-line q >= mu/2 maps into itself, since
+    mu - B / (mu/2) > mu/2: once the last pivot is in it, every later
+    pivot is positive and the count is final.  Every radius between the
+    roots (mu -+ sqrt(mu^2 - 4B)) / 2 gives an invariant half-line; mu/2
+    is the middle one.  The pivots settle at the outer root of the last
+    b^2, which a relative margin cannot separate from the outer root of B
     once mu^2 is large against B.
 
     Rounding.  The computed b_k^2 need not decrease: at epsilon = 1/2,
@@ -311,16 +370,28 @@ def certified_count(
     computed B by at most 8 eps relative.  Certification asks
     4B < (1 - 1e-12) mu^2, so every later computed 4 b^2 stays below
     (1 - 1e-12)(1 + 8 eps) mu^2 < mu^2, and the pivot bound below keeps
-    all but a few ulps of its 1e-12 margin.
+    all but a few ulps of its 1e-12 margin.  The same few ulps, with
+    those of the certificate's divisions, keep the coupling row's
+    bracket: a computed coupling admits where the exact one has
+    4 max(1/4, b^2) < c (1 + t) with |t| < 16 eps, c = (1 - 1e-12) mu^2.
 
     Schedule.  No certificate holds at a block end before the coupling
-    row r, the first row r >= 1 with 4 max(1/4, b_r^2) < (1 - 1e-12)
-    mu^2, about 1/(4 (mu - 1)) near critical.  r is found from the
-    couplings alone, in windows ending at rows 64, 128, 256, ... up to
-    the cap; the walk reads the same array, so each coupling is computed
-    once.  The first block ends ``_FIRST_BLOCK`` rows past r, or at the
-    cap; a walk whose pivots have not settled there goes on in blocks
-    that double.  The rows returned are where the walk stopped.
+    row r, the first row r >= 1 with 4 max(1/4, b_r^2) < c, about
+    1/(4 (mu - 1)) near critical.  Its exact couplings have a closed form:
+    rows k >= 1 satisfy 4 max(1/4, b_k^2) < c exactly when c > 1 and, for
+    the counting limit, k + 1 > 1/(1 - 1/c^2), or, for counting(epsilon),
+    k lies past the larger root of
+    (1 - 1/c^2) k^2 + (2 epsilon - 1) k + epsilon (epsilon - 1), both
+    written in 1/c^2 so that no finite level overflows.  The closed-form
+    rows for c (1 + 16 eps) and c (1 - 16 eps) bracket r: no row before
+    the first admits, and the second does.  Only the bracket's couplings
+    are tested, and the first that admits is r; the bracket is usually 1
+    to 3 rows, wider where the couplings are flat, as at epsilon near
+    1/2 with r past about 2^16.  The first block ends ``_FIRST_BLOCK``
+    rows past r, or at the cap where no row up to it admits; its
+    couplings are computed with the bracket's, once.  A walk whose pivots
+    have not settled there goes on in blocks that double.  The rows
+    returned are where the walk stopped.
     """
     if not isinstance(family, (CountingFamily, CountingLimitFamily)):
         raise InvalidParametersError(f"no certified count for {family!r}")
@@ -329,46 +400,33 @@ def certified_count(
         # above a level <= 1 lie infinitely many eigenvalues
         raise InvalidParametersError(f"certified counts need a level above 1, got {level}")
     _check_cap(cap)
-
-    def admits(b):
-        # 4B / mu^2 < 1 - 1e-12, divided step by step so that no finite
-        # level overflows
-        return 1.0 - 4.0 * np.maximum(0.25, b * b) / level / level > _MARGIN
-
     joins = np.zeros(0)
 
     def couplings(start: int, stop: int) -> np.ndarray:
-        # each coupling is computed once, for the search and the walk
+        # each coupling is computed once, for the coupling row and the walk
         nonlocal joins
         if joins.size < stop:
             joins = np.concatenate((joins, _couplings(family, joins.size, stop)))
         return joins[start:stop]
 
-    # the coupling row: the first row r >= 1 whose coupling admits the
-    # certificate, searched in windows that double up to the cap
-    start, stop = 1, min(_FIRST_BLOCK, cap + 1)
-    hits = np.flatnonzero(admits(couplings(start, stop)))
-    while not hits.size and stop <= cap:
-        start, stop = stop, min(2 * stop, cap + 1)
-        hits = np.flatnonzero(admits(couplings(start, stop)))
-    first = start + int(hits[0]) + _FIRST_BLOCK if hits.size else cap
+    r = _coupling_row(family, level, cap, couplings)
 
     def certified(cols, last, stop, couplings):
-        if not admits(couplings[-1]):
+        if not _admits(couplings[-1], level):
             return np.zeros(cols.size, dtype=bool)
-        return last <= -0.5 * level * (1.0 + _MARGIN)
+        return last >= 0.5 * level * (1.0 + _MARGIN)
 
     below, rows = _walk(
         1,
         couplings,
         lambda cols, start, stop: np.zeros((1, stop - start)),
-        level,
+        -level,
         certified,
         cap,
         f"the count above {level} of {family!r}",
-        first,
+        cap if r is None else r + _FIRST_BLOCK,
     )
-    return rows - int(below[0]), rows
+    return int(below[0]), rows
 
 
 @dataclass(frozen=True)

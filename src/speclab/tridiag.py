@@ -11,7 +11,9 @@ ambiguity for levels that collide with an eigenvalue of a leading
 principal submatrix.  Each matrix of a batch has its own pivmin, from
 its own diagonal, so its count does not depend on the other matrices
 counted with it.  The scalar pivot loop, ``_count_scalar``, is the only
-one: ``recurrence.secular_function``'s real sweep is a count in it.
+one: ``recurrence.secular_function``'s real sweep is a count in it.  One
+comparison settles a pivot above pivmin, as nearly all pivots of the
+package's long counts are.
 Counts are exact integers; every eigenvalue in the package is then
 bracketed by the one bisection on a count, ``_bisect``, which can also
 stop once each root is alone in its bracket, for a polish whose result
@@ -148,25 +150,23 @@ def _largest(diags: np.ndarray, offdiag: np.ndarray) -> tuple[list[float], float
     return [max(hi, -lo) for hi, lo in zip(highs, lows)], off
 
 
-def _pivmin(diags: np.ndarray, offdiag: np.ndarray, level: float) -> list[float]:
-    """``_pivmin_rule`` for each row of the (k, n) ``diags``."""
-    tops, off = _largest(diags, offdiag)
-    return [_pivmin_rule(top, off, level) for top in tops]
-
-
 def _count_scalar(rows: memoryview, off2: memoryview, pivmin: float, q: float) -> tuple[int, float]:
     """Negative pivots of one matrix's rows, shifted by the level, and the
     last pivot, continuing from the pivot ``q`` of the row before them (inf
     before row 0, where the coupling is 0 and 0/inf = 0).
 
-    One comparison settles a pivot below -pivmin; only the others are
-    tested against the band [-pivmin, pivmin], whose pivots are clamped to
-    -pivmin and counted.  A nan pivot is neither.
+    One comparison settles a pivot above pivmin, the common case in every
+    hot count (counting walks below -mu, spectral walks below 0, the real
+    secular sweep); a second settles one below -pivmin, and only the band
+    [-pivmin, pivmin] is left, whose pivots are clamped to -pivmin and
+    counted.  A nan pivot is neither.
     """
     count = 0
     floor = -pivmin
     for d, o in zip(rows, off2):
         q = d - o / q
+        if q > pivmin:
+            continue
         if q < floor:
             count += 1
         elif q <= pivmin:
@@ -370,7 +370,13 @@ def smallest_eigenvalue(t: TridiagonalMatrix, tol: float = 1e-10) -> float:
     tol = _check_tol(tol)
     with np.errstate(over="ignore"):  # a bound past the float range reads +-inf
         lo, hi = t.gershgorin_bounds()
-    hi = hi + max(tol, _pivmin(t.diag[None, :], t.offdiag, hi)[0])
+    # the count's pivmin at hi, taken in the normal form of a matrix whose
+    # largest |entry| or |hi| is below 1, so that it is relative to its scale
+    (top,), off = _largest(t.diag[None, :], t.offdiag)
+    peak = max(top, off, abs(hi))
+    e = math.frexp(peak)[1] - 1 if 0.0 < peak < 1.0 else 0
+    pivmin = math.ldexp(_pivmin_rule(math.ldexp(top, -e), math.ldexp(off, -e), math.ldexp(hi, -e)), e)
+    hi = hi + max(tol, pivmin)
     if not math.isfinite(hi - lo):
         raise InvalidParametersError("the Gershgorin bounds must have a finite width")
     lows, highs = _bisect(

@@ -1,6 +1,7 @@
 """Jacobi operator families: builders, certified counts, and the
 truncation-transition scan."""
 
+import functools
 import math
 import os
 import pathlib
@@ -293,13 +294,14 @@ def test_spectral_row_bound_holds_to_the_cap(mu_minus_1, lam):
         assert k_min > 0 and slack[k_min - 1] < 0.0
 
 
-def _coupling_row(family, level):
-    """The first row r >= 1 whose coupling b_r admits the counting
+def _coupling_row(family, level, rows=2**16):
+    """The first row r in [1, rows) whose coupling b_r admits the counting
     certificate, 4 max(1/4, b_r^2) < (1 - 1e-12) mu^2, taken in exact
-    rational arithmetic from the computed couplings."""
+    rational arithmetic from the computed couplings, or None."""
     bound = Fraction(level) ** 2 * (1 - Fraction(jacobi_ops._MARGIN))
-    b = jacobi_ops._couplings(family, 0, 2**16).tolist()
-    return next(k for k in range(1, len(b)) if 4 * max(Fraction(1, 4), Fraction(b[k]) ** 2) < bound)
+    b = jacobi_ops._couplings(family, 0, rows).tolist()
+    return next((k for k in range(1, len(b)) if 4 * max(Fraction(1, 4), Fraction(b[k]) ** 2) < bound),
+                None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,6 +313,11 @@ def test_certified_count_equals_fixed_truncation(log_mu_minus_1, log_eps):
     family = CountingLimitFamily() if log_eps is None else CountingFamily(10.0**log_eps)
     count, rows = certified_count(family, mu, cap=_BIG)
     assert count == _truncation_count_above(family, mu)
+    # the zero diagonal makes T and -T similar: on the rows walked, the
+    # count below -mu is the rows less the count below mu
+    t = build(family, rows)
+    below = [int(counts_for_diagonals(t.diag[None, :], t.offdiag, x)[0]) for x in (-mu, mu)]
+    assert count == below[0] == rows - below[1]
     first = _coupling_row(family, mu) + jacobi_ops._FIRST_BLOCK
     assert rows in [first * 2**j for j in range(11)]
 
@@ -401,6 +408,12 @@ def test_certified_count_never_walks_past_the_cap(monkeypatch):
     blocks.clear()
     assert certified_count(CountingLimitFamily(), 1.0001, cap=2540) == (17, 2540)
     assert blocks == [(1, 2540)]
+    # no row admits at 1 + 1e-13, where (1 - 1e-12) mu^2 < 1: one block
+    # walks to the cap
+    blocks.clear()
+    with pytest.raises(NonConvergenceError, match="row cap 1000"):
+        certified_count(CountingFamily(0.3), 1.0 + 1e-13, cap=1000)
+    assert blocks == [(1, 1000)]
     # each column stops at its own certificate: the far end of the window
     # needs far fewer rows than the one next to the threshold
     blocks.clear()
@@ -411,8 +424,7 @@ def test_certified_count_never_walks_past_the_cap(monkeypatch):
 
 
 # levels and families whose coupling row is 1 (couplings below 1/4
-# throughout, or a large level), about 1/(4 (mu - 1)), and past the
-# prefix of couplings a search window computes first
+# throughout, or a large level), about 1/(4 (mu - 1)), and past 64
 FIRST_BLOCK_POINTS = [
     (CountingLimitFamily(), 1.02), (CountingLimitFamily(), 1.0005),
     (CountingLimitFamily(), 1.0 + 2e-5), (CountingLimitFamily(), 1e300),
@@ -434,8 +446,9 @@ def test_counting_walk_starts_at_its_coupling_row(monkeypatch, family, level):
     assert rows == first * 2 ** (len(blocks) - 1)
 
 
-def test_counting_walk_computes_each_coupling_once(monkeypatch):
-    spans = []
+def _record_spans(monkeypatch) -> list[tuple[int, int]]:
+    """(start, stop) of every span of couplings the counts compute."""
+    spans: list[tuple[int, int]] = []
     couplings = jacobi_ops._couplings
 
     def recording(family, start, stop):
@@ -443,12 +456,51 @@ def test_counting_walk_computes_each_coupling_once(monkeypatch):
         return couplings(family, start, stop)
 
     monkeypatch.setattr(jacobi_ops, "_couplings", recording)
+    return spans
+
+
+def test_counting_walk_computes_each_coupling_once(monkeypatch):
+    spans = _record_spans(monkeypatch)
     count, rows = certified_count(CountingLimitFamily(), 1.0 + 2e-5)
     assert rows == 12564
-    # contiguous spans from row 0, none computed twice: the search windows
-    # end at 64, 128, ..., 16384, past the coupling joining the last row
-    # walked to the next
-    assert spans == [(0, 64)] + [(64 * 2**j, 128 * 2**j) for j in range(8)]
+    # one span from row 0: the coupling row's bracket and the first block,
+    # through the coupling joining the last row walked to the next
+    assert spans == [(0, 12565)]
+    # a walk that goes on past its first block computes each later
+    # block's couplings once, contiguous with the ones before
+    assert _coupling_row(CountingLimitFamily(), 1.00048) == 521
+    spans.clear()
+    assert certified_count(CountingLimitFamily(), 1.00048)[1] == 1170
+    assert spans == [(0, 586), (586, 1171)]
+
+
+# ε = 1/2 at a level whose coupling row lies near 2^16, where the
+# couplings are so flat that the bracket spans several rows
+_FLAT_LEVEL = 1.0 + 1.8e-11
+
+
+@pytest.mark.parametrize("family, level", FIRST_BLOCK_POINTS + [
+    *((CountingFamily(eps), level) for eps in (1e-3, 0.01, 0.5, 0.7, 1.0, 2.0)
+      for level in (1.0 + 1e-4, 1.01, 1.5)),
+    *((family, level) for family in (CountingLimitFamily(), CountingFamily(0.5), CountingFamily(2.0))
+      for level in (1.0 + 1e-13, 1e154, 1e300, 1.7e308)),
+    (CountingFamily(0.5), _FLAT_LEVEL),
+])
+def test_closed_form_coupling_row_is_the_first_that_admits(family, level):
+    # the closed form brackets the row; the computed couplings in the
+    # bracket decide it, so it is the first row whose coupling admits the
+    # certificate, taken exactly.  No row up to the cap admits at
+    # 1 + 1e-13, where (1 - 1e-12) mu^2 < 1
+    rows = 2**17
+    want = _coupling_row(family, level, rows)
+    got = jacobi_ops._coupling_row(family, level, rows - 1, functools.partial(jacobi_ops._couplings, family))
+    assert got == want
+    if level == 1.0 + 1e-13:
+        assert want is None
+    elif level >= 1e154:
+        assert want == 1
+    elif level == _FLAT_LEVEL:
+        assert 2**15 < want < 2**17
 
 
 # ---------------------------------------------------------------------------

@@ -1123,7 +1123,8 @@ def _sweep_pivmin(mu, lam, m):
     couplings d(m), ..., d(2), at level 0."""
     _, half, two_sqrt, _ = recurrence._sweep_rows(m)
     w = mu * two_sqrt[:m] * np.sqrt(half[:m] - lam)
-    return tridiag._pivmin(w[None, :], recurrence._lattice_rows(m + 1)[0][m:1:-1], 0.0)[0]
+    (top,), off = tridiag._largest(w[None, :], recurrence._lattice_rows(m + 1)[0][m:1:-1])
+    return tridiag._pivmin_rule(top, off, 0.0)
 
 
 def _exact_secular(mu, lam, n):

@@ -288,7 +288,8 @@ def _pivmin_frozen(top, off, level):
        st.floats(min_value=0.0, allow_infinity=False),
        st.floats(allow_nan=False, allow_infinity=False))
 def test_pivmin_keeps_its_bits_where_its_sum_is_finite(top, off, level):
-    got = tridiag._pivmin(np.array([[top, -0.5 * top]]), np.array([-off, 0.5 * off]), level)[0]
+    (largest,), coupling = tridiag._largest(np.array([[top, -0.5 * top]]), np.array([-off, 0.5 * off]))
+    got = tridiag._pivmin_rule(largest, coupling, level)
     want = _pivmin_frozen(top, off, level)
     if math.isfinite(want):
         assert got.hex() == want.hex()
@@ -390,6 +391,35 @@ def test_window_and_smallest_eigenvalue_of_a_tiny_matrix():
     assert report.eigenvalues == pytest.approx([-math.sqrt(2.0) * 1e-200, 0.0, math.sqrt(2.0) * 1e-200],
                                                abs=1e-210)
     assert smallest_eigenvalue(t, tol=1e-210) == pytest.approx(-math.sqrt(2.0) * 1e-200, abs=1e-210)
+
+
+@pytest.mark.parametrize("s", [1e-16, 1e-200, 1e-300])
+def test_smallest_eigenvalue_of_a_tiny_matrix_bisects_from_its_own_scale(monkeypatch, s):
+    # the bracket was padded by eps, not eps times the matrix's scale:
+    # 646 count levels at s = 1e-200, against 36 at s = 1
+    levels = []
+    depth = [0]
+    count = tridiag.counts_for_diagonals
+
+    def recording(diags, offdiag, level=0.0, *, carry=None):
+        # a normal-form count calls itself once on its scaled image
+        levels.extend([level] * (depth[0] == 0))
+        depth[0] += 1
+        try:
+            return count(diags, offdiag, level, carry=carry)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(tridiag, "counts_for_diagonals", recording)
+    for scale in (1.0, s):
+        levels.clear()
+        t = TridiagonalMatrix(np.zeros(3), np.array([scale, scale]))
+        got = smallest_eigenvalue(t, tol=scale * 1e-10)
+        assert got == pytest.approx(-math.sqrt(2.0) * scale, abs=scale * 1e-10)
+        if scale == 1.0:
+            assert len(levels) == 36
+        else:
+            assert len(levels) <= 36 + 3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
