@@ -23,11 +23,10 @@ first block end where a certificate shows that no later row can change
 it, never past a caller's cap, which is at most ``ROW_CAP`` rows.  Each
 block is as long as all the rows before it.  A spectral walk's first
 block ends at row 64; a counting walk's ends 64 rows past its coupling
-row, the first row whose coupling admits the certificate.  That row has
-a closed form in mu; the walk tests only the couplings of the few rows
-that its rounding leaves open, before it computes a pivot.  Both walks'
-pivots are nearly all positive, which the scalar pivot loop settles
-with one comparison each.
+row, the first row whose coupling admits the certificate, placed by its
+closed form in mu; the certificate alone decides where a walk stops.
+Both walks' pivots are nearly all positive, which the scalar pivot loop
+settles with one comparison each.
 """
 
 from __future__ import annotations
@@ -65,9 +64,6 @@ ROW_CAP = 2**20
 _FIRST_BLOCK = 64
 # Relative margin of every certificate comparison.
 _MARGIN = 1e-12
-# Relative widening of 1/c^2, 32 eps, that brackets the coupling row
-# between the closed-form rows for c (1 + 16 eps) and c (1 - 16 eps).
-_ROW_SLACK = 2.0**-47
 
 
 def _check_real_lam(lam) -> float:
@@ -292,13 +288,6 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
     )
 
 
-def _admits(b: np.ndarray, level: float) -> np.ndarray:
-    """Whether each coupling b admits the counting certificate at
-    ``level``: 4 max(1/4, b^2) / mu^2 < 1 - 1e-12, divided step by step so
-    that no finite level overflows."""
-    return 1.0 - 4.0 * np.maximum(0.25, b * b) / level / level > _MARGIN
-
-
 def _row_bound(family: CountingFamily | CountingLimitFamily, g: float) -> float:
     """k+ such that the exact couplings of rows k >= 1 have
     4 max(1/4, b_k^2) < c exactly when k > k+, for c > 0 with 1/c^2 = g;
@@ -320,25 +309,13 @@ def _row_bound(family: CountingFamily | CountingLimitFamily, g: float) -> float:
     return (root - b) / (2.0 * a) if b <= 0.0 else 2.0 * (eps * (1.0 - eps)) / (root + b)
 
 
-def _coupling_row(family: CountingFamily | CountingLimitFamily, level: float, cap: int,
-                  couplings: Callable) -> int | None:
-    """The coupling row: the first row r in [1, cap] whose computed
-    coupling admits the counting certificate at ``level``, or None.
-
-    ``couplings(start, stop)`` gives rows start .. stop - 1 as
-    ``_couplings`` does; it is asked once, for the rows between the ends
-    of r's bracket and the ``_FIRST_BLOCK`` rows past it.
-    """
+def _coupling_row(family: CountingFamily | CountingLimitFamily, level: float, cap: int) -> int:
+    """The coupling row: the first row r >= 1 whose coupling admits the
+    counting certificate at ``level``, from its closed form; cap + 1 where
+    no row up to ``cap`` does."""
     inv = 1.0 / level
     inv_c = inv * inv / (1.0 - _MARGIN)
-    # the closed-form rows for c (1 + 16 eps) and c (1 - 16 eps) bracket r
-    lo, hi = (max(1, math.floor(min(_row_bound(family, inv_c * inv_c * t), cap)) + 1)
-              for t in (1.0 - _ROW_SLACK, 1.0 + _ROW_SLACK))
-    hi = min(hi, cap)
-    if lo > hi:
-        return None
-    hits = np.flatnonzero(_admits(couplings(lo, min(hi + _FIRST_BLOCK, cap) + 1)[: hi + 1 - lo], level))
-    return lo + int(hits[0]) if hits.size else None
+    return max(1, math.floor(min(_row_bound(family, inv_c * inv_c), cap)) + 1)
 
 
 def certified_count(
@@ -370,28 +347,23 @@ def certified_count(
     computed B by at most 8 eps relative.  Certification asks
     4B < (1 - 1e-12) mu^2, so every later computed 4 b^2 stays below
     (1 - 1e-12)(1 + 8 eps) mu^2 < mu^2, and the pivot bound below keeps
-    all but a few ulps of its 1e-12 margin.  The same few ulps, with
-    those of the certificate's divisions, keep the coupling row's
-    bracket: a computed coupling admits where the exact one has
-    4 max(1/4, b^2) < c (1 + t) with |t| < 16 eps, c = (1 - 1e-12) mu^2.
+    all but a few ulps of its 1e-12 margin.
 
     Schedule.  No certificate holds at a block end before the coupling
-    row r, the first row r >= 1 with 4 max(1/4, b_r^2) < c, about
-    1/(4 (mu - 1)) near critical.  Its exact couplings have a closed form:
-    rows k >= 1 satisfy 4 max(1/4, b_k^2) < c exactly when c > 1 and, for
-    the counting limit, k + 1 > 1/(1 - 1/c^2), or, for counting(epsilon),
-    k lies past the larger root of
-    (1 - 1/c^2) k^2 + (2 epsilon - 1) k + epsilon (epsilon - 1), both
-    written in 1/c^2 so that no finite level overflows.  The closed-form
-    rows for c (1 + 16 eps) and c (1 - 16 eps) bracket r: no row before
-    the first admits, and the second does.  Only the bracket's couplings
-    are tested, and the first that admits is r; the bracket is usually 1
-    to 3 rows, wider where the couplings are flat, as at epsilon near
-    1/2 with r past about 2^16.  The first block ends ``_FIRST_BLOCK``
-    rows past r, or at the cap where no row up to it admits; its
-    couplings are computed with the bracket's, once.  A walk whose pivots
-    have not settled there goes on in blocks that double.  The rows
-    returned are where the walk stopped.
+    row r, the first row r >= 1 with 4 max(1/4, b_r^2) < c,
+    c = (1 - 1e-12) mu^2, about 1/(4 (mu - 1)) near critical.  Its exact
+    couplings have a closed form: rows k >= 1 satisfy
+    4 max(1/4, b_k^2) < c exactly when c > 1 and, for the counting limit,
+    k + 1 > 1/(1 - 1/c^2), or, for counting(epsilon), k lies past the
+    larger root of (1 - 1/c^2) k^2 + (2 epsilon - 1) k + epsilon (epsilon - 1),
+    both written in 1/c^2 so that no finite level overflows.  The first
+    block ends ``_FIRST_BLOCK`` rows past the closed-form r, or at the
+    cap where no row up to it admits, and a walk whose pivots have not
+    settled there goes on in blocks that double.  r only places the
+    first block: at every block end the certificate decides from the
+    computed coupling joining it to the next row and the last pivot, so
+    a rounding that moves r by a row moves no count.  The rows returned
+    are where the walk stopped.
     """
     if not isinstance(family, (CountingFamily, CountingLimitFamily)):
         raise InvalidParametersError(f"no certified count for {family!r}")
@@ -400,31 +372,24 @@ def certified_count(
         # above a level <= 1 lie infinitely many eigenvalues
         raise InvalidParametersError(f"certified counts need a level above 1, got {level}")
     _check_cap(cap)
-    joins = np.zeros(0)
-
-    def couplings(start: int, stop: int) -> np.ndarray:
-        # each coupling is computed once, for the coupling row and the walk
-        nonlocal joins
-        if joins.size < stop:
-            joins = np.concatenate((joins, _couplings(family, joins.size, stop)))
-        return joins[start:stop]
-
-    r = _coupling_row(family, level, cap, couplings)
 
     def certified(cols, last, stop, couplings):
-        if not _admits(couplings[-1], level):
+        # 4 max(1/4, b^2) / mu^2 < 1 - 1e-12, divided step by step so that
+        # no finite level overflows
+        b = couplings[-1]
+        if not 1.0 - 4.0 * max(0.25, b * b) / level / level > _MARGIN:
             return np.zeros(cols.size, dtype=bool)
         return last >= 0.5 * level * (1.0 + _MARGIN)
 
     below, rows = _walk(
         1,
-        couplings,
+        lambda start, stop: _couplings(family, start, stop),
         lambda cols, start, stop: np.zeros((1, stop - start)),
         -level,
         certified,
         cap,
         f"the count above {level} of {family!r}",
-        cap if r is None else r + _FIRST_BLOCK,
+        _coupling_row(family, level, cap) + _FIRST_BLOCK,
     )
     return int(below[0]), rows
 

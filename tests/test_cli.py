@@ -9,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import shlex
 import signal
 
 import numpy as np
@@ -119,6 +120,23 @@ def test_pinned_output(capsys, argv, expected):
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0
     assert out == expected
+
+
+def _readme_usage() -> list[list[str]]:
+    """The command lines of README's "CLI usage" sh block, comments dropped."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI usage", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_usage(), ids=lambda argv: argv[1])
+def test_readme_usage_runs(capsys, monkeypatch, tmp_path, argv):
+    # in a fresh directory, where asymptotics writes its chart
+    assert argv[0] == "speclab"
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, argv[1:])
+    assert rc == 0, err
+    assert out
 
 
 # ---------------------------------------------------------------------------

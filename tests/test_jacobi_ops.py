@@ -296,12 +296,14 @@ def test_spectral_row_bound_holds_to_the_cap(mu_minus_1, lam):
 
 def _coupling_row(family, level, rows=2**16):
     """The first row r in [1, rows) whose coupling b_r admits the counting
-    certificate, 4 max(1/4, b_r^2) < (1 - 1e-12) mu^2, taken in exact
-    rational arithmetic from the computed couplings, or None."""
+    certificate, 4 max(1/4, b_r^2) = 4 max(1/2, b_r)^2 < (1 - 1e-12) mu^2,
+    taken in exact rational arithmetic from the computed couplings, or None."""
     bound = Fraction(level) ** 2 * (1 - Fraction(jacobi_ops._MARGIN))
-    b = jacobi_ops._couplings(family, 0, rows).tolist()
-    return next((k for k in range(1, len(b)) if 4 * max(Fraction(1, 4), Fraction(b[k]) ** 2) < bound),
-                None)
+    b = np.maximum(0.5, jacobi_ops._couplings(family, 0, rows))
+    # a row whose float test fails by far more than its rounding cannot admit
+    near = np.flatnonzero(4.0 * b * b < level * level * (1.0 - jacobi_ops._MARGIN) * (1.0 + 1e-13))
+    admits = functools.cache(lambda x: 4 * Fraction(x) ** 2 < bound)
+    return next((int(k) for k in near if k >= 1 and admits(float(b[k]))), None)
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,19 +461,59 @@ def _record_spans(monkeypatch) -> list[tuple[int, int]]:
     return spans
 
 
-def test_counting_walk_computes_each_coupling_once(monkeypatch):
+def test_counting_walk_computes_each_blocks_couplings(monkeypatch):
     spans = _record_spans(monkeypatch)
     count, rows = certified_count(CountingLimitFamily(), 1.0 + 2e-5)
     assert rows == 12564
-    # one span from row 0: the coupling row's bracket and the first block,
-    # through the coupling joining the last row walked to the next
+    # one span from row 0: the first block, through the coupling joining
+    # the last row walked to the next
     assert spans == [(0, 12565)]
-    # a walk that goes on past its first block computes each later
-    # block's couplings once, contiguous with the ones before
+    # a walk that goes on past its first block computes each block's
+    # couplings with the one joining it to the next row, so the coupling
+    # that joins two blocks is computed twice
     assert _coupling_row(CountingLimitFamily(), 1.00048) == 521
     spans.clear()
     assert certified_count(CountingLimitFamily(), 1.00048)[1] == 1170
-    assert spans == [(0, 586), (586, 1171)]
+    assert spans == [(0, 586), (585, 1171)]
+
+
+# (1 - 1e-12) mu^2 = 1 to within an ulp
+_CRITICAL_LEVEL = math.sqrt(1.0 / (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("k", [0, 4, -4])
+def test_counting_walk_next_to_the_critical_level_computes_one_block(monkeypatch, k):
+    # couplings with 4 b^2 <= 1 throughout admit exactly where
+    # (1 - 1e-12) mu^2 > 1: from row 1 on a few ulps above the critical
+    # level, where the walk computes only its first block's couplings,
+    # and on no row a few ulps below it
+    level = _CRITICAL_LEVEL + k * 2.0**-52
+    spans = _record_spans(monkeypatch)
+    if k < 0:
+        with pytest.raises(NonConvergenceError):
+            certified_count(CountingFamily(2.0), level)
+    else:
+        assert certified_count(CountingFamily(2.0), level) == (0, 65)
+        assert spans == [(0, 66)]
+
+
+# near critical in every family; the counting limit's walk at 1.00048
+# takes a second block
+_SETTLING_POINTS = [
+    (family, level)
+    for family in (CountingLimitFamily(), *(CountingFamily(eps) for eps in (1e-3, 0.1, 0.5, 0.7, 2.0)))
+    for level in (1.0 + 1e-4, 1.00048, 1.001, 1.004, 1.02)
+]
+
+
+@pytest.mark.parametrize("first_block", [1, 13, 64, 1000])
+def test_count_does_not_depend_on_where_its_first_block_ends(monkeypatch, first_block):
+    # the coupling row only places the first block: the certificate
+    # decides at every block end, so no count reads it
+    want = [certified_count(family, level)[0] for family, level in _SETTLING_POINTS]
+    assert certified_count(CountingLimitFamily(), 1.00048)[1] > 521 + jacobi_ops._FIRST_BLOCK
+    monkeypatch.setattr(jacobi_ops, "_FIRST_BLOCK", first_block)
+    assert [certified_count(family, level)[0] for family, level in _SETTLING_POINTS] == want
 
 
 # ε = 1/2 at a level whose coupling row lies near 2^16, where the
@@ -487,20 +529,41 @@ _FLAT_LEVEL = 1.0 + 1.8e-11
     (CountingFamily(0.5), _FLAT_LEVEL),
 ])
 def test_closed_form_coupling_row_is_the_first_that_admits(family, level):
-    # the closed form brackets the row; the computed couplings in the
-    # bracket decide it, so it is the first row whose coupling admits the
-    # certificate, taken exactly.  No row up to the cap admits at
+    # the closed form gives the first row whose computed coupling admits
+    # the certificate, taken exactly.  No row up to the cap admits at
     # 1 + 1e-13, where (1 - 1e-12) mu^2 < 1
-    rows = 2**17
-    want = _coupling_row(family, level, rows)
-    got = jacobi_ops._coupling_row(family, level, rows - 1, functools.partial(jacobi_ops._couplings, family))
-    assert got == want
+    want = _check_coupling_row(family, level, 2**17)
     if level == 1.0 + 1e-13:
         assert want is None
     elif level >= 1e154:
         assert want == 1
     elif level == _FLAT_LEVEL:
         assert 2**15 < want < 2**17
+
+
+def _check_coupling_row(family, level, rows):
+    """Assert that the closed-form row with cap rows - 1 is the exact
+    scan's, or cap + 1 where no row up to the cap admits; return the scan's."""
+    want = _coupling_row(family, level, rows)
+    assert jacobi_ops._coupling_row(family, level, rows - 1) == (rows if want is None else want)
+    return want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-5.0, 1.0), st.one_of(st.none(), st.floats(-3.0, 1.0)))
+def test_closed_form_coupling_row_at_random_levels(log_mu_minus_1, log_eps):
+    # mu - 1 from 1e-5 to 10, where every coupling row lies below 2^17
+    family = CountingLimitFamily() if log_eps is None else CountingFamily(10.0**log_eps)
+    assert _check_coupling_row(family, 1.0 + 10.0**log_mu_minus_1, 2**17) is not None
+
+
+@pytest.mark.parametrize("family", [CountingLimitFamily(), *map(CountingFamily, (0.5, 0.7, 1.0, 2.0))])
+def test_closed_form_coupling_row_next_to_the_critical_level(family):
+    # ulps around (1 - 1e-12) mu^2 = 1: the row is 1 or none for
+    # epsilon > 1/2, and far past the cap for the others
+    for k in range(-8, 9):
+        want = _check_coupling_row(family, _CRITICAL_LEVEL + k * 2.0**-52, 2**12)
+        assert want in (None, 1)
 
 
 # ---------------------------------------------------------------------------
