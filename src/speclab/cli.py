@@ -13,31 +13,33 @@ from those columns; a command takes ``--svg`` exactly when it has a chart.
 A command accepts only the flags it reads: ``--tol`` only where a bisection
 or a classification uses it, ``--n-cap`` only where a certified count
 walks rows.  ``_FLAGS`` gives every flag its option string, type and
-default.  The parser, the sweep check and the handlers all read these two
-tables, and a ``--config`` file is parsed through the same flags.
+default.  The parse, ``--help``, the sweep check and the handlers all read
+these two tables: ``argv[0]`` is the command, each later token one of its
+flags as ``--flag=value`` or ``--flag value``, and a ``--config`` file's
+values are read through the same flags.
 
 A ``--grid`` sweep with ``--workers N`` forks ``min(N, points)`` children,
 1 <= N <= 256; child ``w`` computes every ``min(N, points)``-th point from
 point ``w`` and pipes its rows back, and the parent puts them in input
 order.  Where ``os.fork`` is missing the grid runs serially.
 
-Exit codes: 0 success, 2 invalid parameters (a request too large for
-memory among them) or a sweep worker that died before sending its rows,
-3 non-convergence (or every sweep point failing).
+Exit codes: 0 success (``--help`` included), 2 invalid parameters (a
+malformed command line or a request too large for memory among them) or
+a sweep worker that died before sending its rows, 3 non-convergence (or
+every sweep point failing).  Every exit 2 prints one ``speclab:`` line on
+stderr; ``run`` returns each code and never raises ``SystemExit``.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import os
 import pickle
-import re
 import signal
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NoReturn
 
 import numpy as np
@@ -110,12 +112,8 @@ def _json_token(value) -> str:
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_token(v) for v in value) + "]"
     if isinstance(value, dict):
-        inner = ", ".join(
-            f"{json.dumps(k)}: {_json_token(v)}"
-            for k, v in value.items()
-            if v is not None
-        )
-        return "{" + inner + "}"
+        inner = (f"{json.dumps(k)}: {_json_token(v)}" for k, v in value.items() if v is not None)
+        return "{" + ", ".join(inner) + "}"
     raise TypeError(f"cannot serialise {value!r}")
 
 
@@ -126,10 +124,8 @@ def _render_json(rows: list[dict], single: bool) -> str:
 
 
 def _render_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+    cells = [columns] + [[_csv_cell(row.get(col)) for col in columns] for row in rows]
+    return "".join(",".join(line) + "\n" for line in cells)
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +142,11 @@ def _cmd_mu(a: dict) -> list[list]:
     return [[mus.get(b) for b in (Branch.ONE, Branch.TWO, Branch.BETA_ZERO)]]
 
 
-_KIND_ORDER = (
-    Criticality.SUBCRITICAL,
-    Criticality.CRITICAL,
-    Criticality.SUPERCRITICAL,
-    Criticality.NONPOSITIVE_OR_DIVERGENT,
-)
-
-
 def _cmd_classify(a: dict) -> list[list]:
     branches = classify(_point_params(a), tol=a["tol"])
     kinds = {b.kind for b in branches}
-    row = [next((k.value for k in _KIND_ORDER if k in kinds), "Free")]
+    # the first kind in Criticality's order, from sub- to supercritical
+    row = [next((k.value for k in Criticality if k in kinds), "Free")]
     for b in branches:
         row += [b.branch.value, b.mu, b.kind.value]
     return [row]
@@ -252,17 +241,12 @@ def _cmd_forms_test(a: dict) -> list[list]:
 
 
 def _sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(",") if s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+    return tuple(int(s) for s in text.split(",") if s)
 
 
 @dataclass(frozen=True)
 class _Flag:
-    """One flag: its option string and how argparse reads it."""
+    """One flag: its option string and how the parse reads its value."""
 
     option: str
     type: Callable = float
@@ -290,7 +274,7 @@ _FLAGS = {
     "lambda_min": _Flag("--lambda-min"),
     "family": _Flag("--family", str, choices=tuple(_FAMILIES), required=True),
     "size": _Flag("--size", int, 512),
-    "sizes": _Flag("--sizes", _sizes, "2048,4096,8192,16384",
+    "sizes": _Flag("--sizes", _sizes, (2048, 4096, 8192, 16384),
                    "comma-separated truncation sizes"),
     "lo": _Flag("--lo", default=-5.0),
     "hi": _Flag("--hi", default=5.0),
@@ -393,68 +377,88 @@ _COMMANDS = {
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
-
-# every number _fmt_float prints, -9.9e-05 and -inf included
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-inf$")
+# argument parsing: one pass over the command line, read from the two tables
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reads a negative number in any printed form as a value, not an option
-    (argparse alone rejects ``--gamma-im -9.9e-05``)."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parsing never changes it."""
-    parser = _Parser(
-        prog="speclab",
-        description="Spectral toolkit for the contact-interaction strip model",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for key in command.options:
-            f = _FLAGS[key]
-            p.add_argument(f.option, dest=key, type=f.type, default=f.default,
-                           help=f.help, choices=f.choices, required=f.required)
-    return parser
+def _value(f: _Flag, text: str):
+    """``text`` read through ``f``'s type and choices."""
+    try:
+        value = f.type(text)
+        if f.choices is None or value in f.choices:
+            return value
+    except ValueError:
+        pass
+    choose = f" (choose from {', '.join(f.choices)})" if f.choices else ""
+    raise InvalidParametersError(f"argument {f.option}: invalid value {text!r}{choose}")
 
 
-_CONFIG_PARSER = argparse.ArgumentParser(prog="speclab", add_help=False)
-_CONFIG_PARSER.add_argument("--config")
+def _parse(argv: list[str]) -> dict | None:
+    """The flags of a command line by ``_FLAGS`` key, and its ``command``:
+    the defaults, overlaid by its ``--config`` file, overlaid by its own
+    ``--flag=value`` or ``--flag value`` tokens; the token after a flag is
+    always its value.  None once ``-h`` or ``--help`` has printed the usage.
 
-
-def _with_config(argv: list[str]) -> list[str]:
-    """``argv`` with each value of its ``--config`` file as a ``--flag=value``
-    token placed before the user's own flags, which therefore win.
-
-    A key that names no flag is an error; a key for another command's flag
-    is skipped, so that one file can serve several commands.
+    A config key that names no flag is an error; a key for another
+    command's flag is skipped, so that one file can serve several commands.
     """
-    path = _CONFIG_PARSER.parse_known_args(argv)[0].config
-    if path is None or not argv or argv[0] not in _COMMANDS:
-        return argv
-    with open(path, "r", encoding="utf-8") as fh:
-        loaded = json.load(fh)
-    if not isinstance(loaded, dict):
-        raise InvalidParametersError("--config must hold a JSON object")
+    if not argv or argv[0] not in _COMMANDS:
+        if argv[:1] in (["-h"], ["--help"]):
+            sys.stdout.write(_usage(None))
+            return None
+        got = f"invalid command {argv[0]!r}" if argv else "a command is required"
+        raise InvalidParametersError(f"{got} (choose from {', '.join(_COMMANDS)})")
     options = _COMMANDS[argv[0]].options
-    tokens = []
-    for key, value in loaded.items():
-        if key not in _NAMES:
-            raise InvalidParametersError(f"config key {key!r} names no flag")
-        if _NAMES[key] in options:
-            f = _FLAGS[_NAMES[key]]
-            # only a string flag takes a JSON string as written: "12" is no size
-            text = (value if isinstance(value, str) and f.type not in (int, float)
-                    else json.dumps(value))
-            tokens.append(f"{f.option}={text}")
-    return [argv[0], *tokens, *argv[1:]]
+    keys = {_FLAGS[key].option: key for key in options}
+    line, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(_usage(argv[0]))
+            return None
+        option, eq, text = token.partition("=")
+        if option not in keys:
+            raise InvalidParametersError(f"unrecognized arguments: {token}")
+        text = text if eq else next(tokens, None)
+        if text is None:
+            raise InvalidParametersError(f"argument {option}: expected a value")
+        line[keys[option]] = _value(_FLAGS[keys[option]], text)
+    a = {key: _FLAGS[key].default for key in options} | {"command": argv[0]}
+    if "config" in line:
+        with open(line["config"], "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise InvalidParametersError("--config must hold a JSON object")
+        for name, value in loaded.items():
+            if name not in _NAMES:
+                raise InvalidParametersError(f"config key {name!r} names no flag")
+            if _NAMES[name] in options:
+                f = _FLAGS[_NAMES[name]]
+                # only a string flag takes a JSON string as written: "12" is no size
+                text = (value if isinstance(value, str) and f.type not in (int, float)
+                        else json.dumps(value))
+                a[_NAMES[name]] = _value(f, text)
+    a |= line
+    for key in options:
+        if _FLAGS[key].required and a[key] is None:
+            raise InvalidParametersError(f"argument {_FLAGS[key].option} is required")
+    return a
+
+
+def _usage(command: str | None) -> str:
+    """The ``--help`` text: the commands, or one command's flags."""
+    if command is None:
+        head, rows = "COMMAND [--flag=value ...]", [(n, c.help) for n, c in _COMMANDS.items()]
+    else:
+        head, rows = f"{command} [--flag=value ...]\n{_COMMANDS[command].help}", []
+        for f in (_FLAGS[key] for key in _COMMANDS[command].options):
+            notes = (f.help, f.choices and "one of " + ", ".join(f.choices),
+                     f.required and "required", f.default is not None and f"default {f.default}")
+            rows.append((f.option, "; ".join(n for n in notes if n)))
+    return f"usage: speclab {head}\n" + "".join(f"  {n:<18}{t}".rstrip() + "\n" for n, t in rows)
+
+
+def _build_parser() -> SimpleNamespace:
+    """``_parse`` as ``parse_args(argv)``, the call perfbench's self-test makes."""
+    return SimpleNamespace(parse_args=lambda argv: SimpleNamespace(**_parse(argv)))
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +646,9 @@ def _write_svg(path: str, chart: tuple[str, str, tuple[str, ...]], rows: list[di
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        a = vars(_build_parser().parse_args(_with_config(argv)))
+        a = _parse(argv)
+        if a is None:
+            return 0
         command = _COMMANDS[a["command"]]
         if not 1 <= a["workers"] <= _MAX_WORKERS:
             raise InvalidParametersError(
@@ -651,7 +657,6 @@ def run(argv: list[str] | None = None) -> int:
         if a["grid"] is None:
             rows = command.rows(a)
             columns = list(command.columns)
-            any_ok = True
         else:
             key, values = _parse_grid(a["grid"], a["command"])
             tasks = [(a["command"], key, value, a) for value in values]
@@ -661,21 +666,16 @@ def run(argv: list[str] | None = None) -> int:
                 chunks = [_run_task(t) for t in tasks]
             rows = [row for chunk in chunks for row in chunk]
             columns = [key] + [c for c in command.columns if c != key] + ["status"]
-            any_ok = any(r.get("status") == "ok" for r in rows)
-
         if a.get("svg"):
             _write_svg(a["svg"], command.chart, rows)
-        text = (
-            _render_csv(rows, columns)
-            if a["format"] == "csv"
-            else _render_json(rows, single=a["grid"] is None)
-        )
+        text = (_render_csv(rows, columns) if a["format"] == "csv"
+                else _render_json(rows, single=a["grid"] is None))
         if a["output"]:
             with open(a["output"], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-        if not any_ok:
+        if a["grid"] is not None and not any(r.get("status") == "ok" for r in rows):
             print("all sweep points failed", file=sys.stderr)
             return 3
         return 0

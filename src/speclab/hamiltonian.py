@@ -203,20 +203,6 @@ class ModeTrialFunction:
     def norm_sq(self) -> float:
         return sum(m.norm_sq for m in self.modes)
 
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Pointwise values on a broadcastable (x, y) grid; for plotting."""
-        xs = np.asarray(x, dtype=float)
-        ys = np.asarray(y, dtype=float)
-        total = np.zeros(np.broadcast(xs, ys).shape, dtype=complex)
-        for m in self.modes:
-            profile = np.where(
-                xs >= 0.0,
-                m.upper * np.exp(-m.decay * np.clip(xs, 0.0, None)),
-                m.lower * np.exp(m.decay * np.clip(xs, None, 0.0)),
-            )
-            total = total + profile * hermite_eval(m.n, ys)
-        return total
-
 
 def _draw_trials(
     rng: np.random.Generator,

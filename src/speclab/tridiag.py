@@ -296,8 +296,10 @@ def _bisect(
     count(lo) <= k < count(hi) must hold for every target k; ``lo`` and
     ``hi`` are points, or arrays with one bracket per target.  Each bracket
     is halved until it is within ``tol``; only brackets still wider than
-    ``tol`` are counted again.  Brackets stop shrinking at ulp scale, so at
-    most ceil(log2((hi - lo) / tol)) + 3 halvings run.
+    ``tol`` are counted again.  A bracket whose midpoint rounds to one of
+    its ends can shrink no further and is not counted again either, so a
+    ``tol`` below the ulp scale costs no extra counts; at most
+    ceil(log2((hi - lo) / tol)) + 3 halvings run.
 
     With ``ends``, the counts (count(lo), count(hi)), the count at each
     bracket end is tracked, and a bracket also stops as soon as its target
@@ -314,13 +316,15 @@ def _bisect(
     width = float(np.max(highs - lows, initial=tol))
     max_iter = max(1, math.ceil(math.log2(width) - math.log2(tol))) + 3
     for _ in range(max_iter):
-        open_ = highs - lows > tol
+        mids = 0.5 * (lows + highs)
+        # a midpoint on an end would only count that end again
+        open_ = (highs - lows > tol) & (mids != lows) & (mids != highs)
         if ends is not None:
             open_ &= (end_lows != ks) | (end_highs != ks + 1)
         active = np.flatnonzero(open_)
         if active.size == 0:
             break
-        mids = 0.5 * (lows[active] + highs[active])
+        mids = mids[active]
         counts = count_at(mids)
         go_left = counts > ks[active]
         highs[active[go_left]] = mids[go_left]

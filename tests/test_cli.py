@@ -11,6 +11,8 @@ import os
 import pathlib
 import shlex
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from speclab import (
     CouplingParams,
+    InvalidParametersError,
     branch_mus,
     evaluate_forms,
     lower_bound_constant,
@@ -26,7 +29,7 @@ from speclab import (
     random_trial,
 )
 from speclab import cli
-from speclab.cli import _COMMANDS, _build_parser, _fmt_float, run
+from speclab.cli import _COMMANDS, _FLAGS, _build_parser, _fmt_float, _parse, run
 from speclab.hamiltonian import _branches_and_window
 from speclab.jacobi_ops import spectral_counts
 
@@ -35,11 +38,8 @@ TWO_SQRT2 = repr(2.0 * SQRT2)  # exact decimal form of the singular beta
 
 
 def run_cli(capsys, argv):
-    """Exit code, stdout and stderr, whether ``run`` returns or argparse exits."""
-    try:
-        rc = run(argv)
-    except SystemExit as exc:
-        rc = exc.code
+    """Exit code, stdout and stderr of one ``run``."""
+    rc = run(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -401,7 +401,7 @@ def _margins(params, forms):
 
 @pytest.mark.parametrize("point", _FORMS_POINTS.values(), ids=_FORMS_POINTS.keys())
 def test_forms_test_draws_its_trials_in_blocks(capsys, point):
-    params = cli._point_params(vars(_build_parser().parse_args(["forms-test", *point])))
+    params = cli._point_params(_parse(["forms-test", *point]))
     gamma = params.gamma if params.beta == 0.0 else None
     block = cli._TRIAL_BLOCK
     # one trial is one random_trial, whose forms evaluate_forms gives
@@ -1155,20 +1155,16 @@ def test_single_invalid_params_exit_2(capsys):
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_parser_reads_back_every_printed_float(x):
     text = _fmt_float(x)
-    args = _build_parser().parse_args(["mu", "--gamma-im", text])
-    assert args.gamma_im == float(text)
+    assert _parse(["mu", "--gamma-im", text])["gamma_im"] == float(text)
 
 
 def test_parser_negative_numbers_and_options(capsys):
     for text in ("-9.9e-05", "-1e+300", "-.5", "-inf"):
-        args = _build_parser().parse_args(["mu", "--gamma-im", text])
-        assert args.gamma_im == float(text)
+        argv = ["mu", "--gamma-im", text]
+        assert _parse(argv)["gamma_im"] == float(text)
+        assert vars(_build_parser().parse_args(argv)) == _parse(argv)
     rc, out, _ = run_cli(capsys, ["mu", "--gamma-im", "-x"])
     assert rc == 2 and out == ""
-
-
-def test_parser_built_once():
-    assert _build_parser() is _build_parser()
 
 
 # 2^50 elements: 8 PiB, more than any address space maps
@@ -1234,7 +1230,7 @@ _RUN_FLAGS = {"grid", "workers", "format", "output", "config", "svg"}
 def test_every_accepted_flag_is_read(command):
     read = set()
     for line in _CHEAP_LINES[command]:
-        a = _ReadRecorder(vars(_build_parser().parse_args([command, *line])))
+        a = _ReadRecorder(_parse([command, *line]))
         _COMMANDS[command].rows(a)
         read |= a.read
     assert set(_COMMANDS[command].options) - _RUN_FLAGS - read == set()
@@ -1260,10 +1256,144 @@ def test_unread_flag_exits_2(capsys, command, flag):
     assert "unrecognized arguments" in err
 
 
-def test_unknown_command_raises_argparse_exit(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["no-such-command"])
-    assert exc.value.code == 2
+def test_unknown_command_exits_2(capsys):
+    for argv in (["no-such-command"], [], ["--alpha=1", "mu"]):
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("speclab: ") and err.count("\n") == 1
+        assert "choose from mu, classify" in err
+
+
+# ---------------------------------------------------------------------------
+# the parse: flags and a --config file read against the two tables
+
+_FLOATS = (st.floats(5e-324, 1.7e308) | st.floats(-1.7e308, -5e-324)
+           | st.sampled_from([0.0, -0.0, -math.inf]))
+
+
+def _flag_values(key):
+    """Values of the flag ``key``: any number of its type, or any choice."""
+    f = _FLAGS[key]
+    if f.choices:
+        return st.sampled_from(f.choices)
+    if f.type is float:
+        return _FLOATS
+    if f.type is int:
+        return st.integers(-(2**62), 2**62)
+    if key == "sizes":
+        return st.lists(st.integers(0, 10**6), max_size=3).map(tuple)
+    # paths and grid specs; the token after a flag is its value, even "-h"
+    return st.text(st.sampled_from("ab-=:., 09"), max_size=6) | st.sampled_from(
+        ["-h", "--help", "--alpha", "-9.9e-05"])
+
+
+def _text(value, write_float) -> str:
+    if isinstance(value, float):
+        return write_float(value)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@st.composite
+def _parse_cases(draw, config_path):
+    """(argv, config object, the values argv asks for): a command and some
+    of its flags, each attached or as two tokens, in a random order; some
+    others, or the same ones, in a --config file at ``config_path``."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    keys = [k for k in _COMMANDS[command].options if k != "config"]
+    config, from_config, from_line, groups = {}, {}, {}, []
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=4)):
+        value = from_config[key] = draw(_flag_values(key))
+        spelling = draw(st.sampled_from([key, _FLAGS[key].name]))
+        config[spelling] = _text(value, repr) if key == "sizes" else value
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=6)):
+        value = draw(_flag_values(key))
+        text = _text(value, draw(st.sampled_from([repr, _fmt_float])))
+        from_line[key] = float(text) if isinstance(value, float) else value
+        option = _FLAGS[key].option
+        groups.append(draw(st.sampled_from([[f"{option}={text}"], [option, text]])))
+    if config:
+        groups.append(draw(st.sampled_from([[f"--config={config_path}"],
+                                            ["--config", str(config_path)]])))
+    groups = draw(st.permutations(groups))
+    argv = [command, *(token for group in groups for token in group)]
+    return argv, config, from_config | from_line
+
+
+_PARSE_SETTINGS = settings(derandomize=True, max_examples=400, deadline=None)
+
+
+def test_parse_overlays_the_defaults_the_config_and_the_line(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parse") / "config.json"
+
+    @_PARSE_SETTINGS
+    @given(_parse_cases(path))
+    def check(case):
+        argv, config, values = case
+        path.write_text(json.dumps(config))
+        expected = {key: _FLAGS[key].default for key in _COMMANDS[argv[0]].options}
+        expected |= {"command": argv[0]} | values
+        if config:
+            expected["config"] = str(path)
+        if expected.get("family", "") is None:
+            with pytest.raises(InvalidParametersError, match="--family is required"):
+                _parse(argv)
+        else:
+            assert _parse(argv) == expected
+
+    check()
+
+
+def test_malformed_line_exits_2_with_one_message(tmp_path_factory):
+    path = tmp_path_factory.mktemp("parse") / "config.json"
+
+    @_PARSE_SETTINGS
+    @given(_parse_cases(path), st.data())
+    def check(case, data):
+        (command, *tokens), config, _ = case
+        path.write_text(json.dumps(config))
+        options = _COMMANDS[command].options
+        how = data.draw(st.sampled_from(["command", "unread", "value", "no value"]))
+        if how == "command":
+            argv = [data.draw(st.sampled_from(["no-such-command", "MU", "-9.9e-05"])), *tokens]
+            argv = data.draw(st.sampled_from([argv, tokens]))  # or none at all
+        elif how == "unread":
+            # a flag of another command, an abbreviation, or no flag at all
+            others = [f.option for key, f in _FLAGS.items() if key not in options]
+            option = data.draw(st.sampled_from([*others, "--eps", "--no-such-flag"]))
+            extra = [f"{option}=1"]
+            argv = data.draw(st.sampled_from([[command, *extra, *tokens],
+                                              [command, *tokens, *extra]]))
+        else:
+            f = _FLAGS[data.draw(st.sampled_from([k for k in options if k != "config"]))]
+            if how == "value" and not f.choices and f.type is str:
+                f = _FLAGS["workers"]  # a path or a grid spec reads any text
+            extra = ([f.option] if how == "no value" else
+                     data.draw(st.sampled_from([[f"{f.option}=x"], [f.option, "1.5x"]])))
+            argv = [command, *tokens, *extra]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+        assert (rc, out.getvalue()) == (2, ""), argv
+        assert err.getvalue().startswith("speclab: ") and err.getvalue().count("\n") == 1
+
+    check()
+
+
+def test_help_comes_from_the_tables_without_argparse(capsys):
+    # in a fresh interpreter: no command line brings argparse in
+    code = ("import sys; from speclab.cli import run; "
+            "assert run(['mu', '--alpha=1']) == 0; print('argparse' in sys.modules)")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+    rc, out, err = run_cli(capsys, ["h-spectrum", "--help"])
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: speclab h-spectrum")
+    assert {_FLAGS[key].option for key in _COMMANDS["h-spectrum"].options} <= set(out.split())
+    rc, out, _ = run_cli(capsys, ["-h"])
+    assert rc == 0 and set(_COMMANDS) <= set(out.split())
 
 
 def test_grid_variable_not_used_by_command(capsys):

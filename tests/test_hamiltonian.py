@@ -226,7 +226,7 @@ def test_trial_mode_validation():
         )
 
 
-def test_trial_max_index_and_evaluate():
+def test_trial_max_index():
     trial = ModeTrialFunction(
         (
             TrialMode(n=0, upper=2.0, lower=1.0j, decay=1.0),
@@ -234,15 +234,6 @@ def test_trial_max_index_and_evaluate():
         )
     )
     assert trial.max_index == 2
-    ys = np.array([-1.0, 0.0, 2.0])
-    vals = trial.evaluate(0.0, ys)
-    want = 2.0 * hermite_eval(0, ys) + (-1.0) * hermite_eval(2, ys)
-    assert np.allclose(vals, want, rtol=1e-14)
-    left = trial.evaluate(-2.0, 0.0)
-    want_left = 1.0j * math.exp(-2.0) * hermite_eval(0, 0.0) + 0.5 * math.exp(
-        -6.0
-    ) * hermite_eval(2, 0.0)
-    assert complex(left) == pytest.approx(want_left, rel=1e-14)
 
 
 def test_random_trial_reproducible_and_in_range():

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from speclab import tridiag
 from speclab import (
     DENSE_ORACLE_MAX_SIZE,
+    CountingLimitFamily,
     InvalidParametersError,
     SizeExceededError,
     TridiagonalMatrix,
+    build,
     counts_for_diagonals,
     dense_eigen_oracle,
     eigenvalues_in_window,
@@ -550,6 +552,27 @@ def test_bisection_ends_below_ulp_scale_tol():
     for tol in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParametersError):
             smallest_eigenvalue(t, tol=tol)
+
+
+def test_bisection_below_ulp_scale_counts_no_more(monkeypatch):
+    # a bracket whose midpoint rounds to an end was counted again until the
+    # iteration cap: 3005 count calls here at tol 1e-300, 176 at 1e-16
+    t = build(CountingLimitFamily(), 256)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counts_for_diagonals(*args, **kwargs)
+
+    monkeypatch.setattr(tridiag, "counts_for_diagonals", counting)
+    near_ulp = eigenvalues_in_window(t, -2.0, 2.0, tol=1e-16)
+    at_ulp = len(calls)
+    below_ulp = eigenvalues_in_window(t, -2.0, 2.0, tol=1e-300)
+    assert len(calls) - at_ulp <= 1.25 * at_ulp
+    assert below_ulp.count == near_ulp.count > 0
+    # each 1e-16 bracket holds the root that the finer bisection finds
+    np.testing.assert_allclose(below_ulp.eigenvalues, near_ulp.eigenvalues,
+                               rtol=4 * _EPS, atol=1e-16)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Runs ``speclab.cli.run`` in process on blocks 0-2 of seeds 0-9 of each
 workload that ``perfbench/workloads.py`` defines (1140 queries), and
 prints one line per query: workload, seed, block, index in the block,
-exit code and the SHA-256 of stdout.  Run it in two trees and ``diff``
-the outputs to see which answers a change moved:
+exit code, and the SHA-256 of stdout and of stderr.  Run it in two trees
+and ``diff`` the outputs to see which answers or messages a change moved:
 
     python3 tools/outputs.py > before.txt     # in one tree
     python3 tools/outputs.py > after.txt      # in the other
@@ -55,9 +55,9 @@ def main() -> None:
         for seed in args.seeds:
             for index in BLOCKS:
                 for i, query in enumerate(block(workload, seed, index)):
-                    rc, _, out, _ = ask(query.argv)
-                    digest = hashlib.sha256(out.encode()).hexdigest()
-                    print(workload, seed, index, i, rc, digest, flush=True)
+                    rc, _, out, err = ask(query.argv)
+                    digests = (hashlib.sha256(s.encode()).hexdigest() for s in (out, err))
+                    print(workload, seed, index, i, rc, *digests, flush=True)
 
 
 if __name__ == "__main__":
