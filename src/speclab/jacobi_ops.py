@@ -140,7 +140,7 @@ def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
     off = _couplings(family, 0, n)[1:].copy()
     if isinstance(family, ReferenceFamily):
         _check_diagonals(family.mu, 0.0, n)
-        diag = 2.0 * family.mu * (np.arange(n) + 0.5)
+        diag = 2.0 * family.mu * _lattice_rows(n)[2]
     elif isinstance(family, SpectralFamily):
         diag = _spectral_diagonals(family.mu, np.array([family.lam]), 0, n)[0]
     else:
@@ -185,8 +185,8 @@ def _spectral_diagonals(mu: float, lams: np.ndarray, start: int, stop: int) -> n
     start <= k < stop, one row per lam; the least lam bounds every entry."""
     if lams.size:
         _check_diagonals(mu, float(lams.min()), stop)
-    modes = np.arange(start, stop) + 0.5
-    return 2.0 * mu * _lattice_rows(stop)[1][start:] * np.sqrt(modes - lams[:, None])
+    _, _, half, root = _lattice_rows(stop)
+    return 2.0 * mu * root[start:] * np.sqrt(half[start:] - lams[:, None])
 
 
 def _check_cap(cap: int) -> None:

@@ -63,8 +63,9 @@ added to the starts, and the lanes replay once more.  The row loop runs
 instead where the joins miss again, or where one row alone could pass
 the bound.
 
-The lam-free rows d(k) and sqrt(k + 1/2) are built once per process, grown
-to the largest depth asked for, and read by every layer (:func:`_lattice_rows`).
+The lam-free rows d(k), d(k)^2, k + 1/2 and sqrt(k + 1/2) are built once per
+process, grown together to the largest depth asked for, and read by every
+layer (:func:`_lattice_rows`): the secular sweep reads them reversed.
 A solution keeps the weights w_n and d(n) its rows were built from, so the
 residual checks read them instead of building them again.  The row-sized
 temporaries of a forward solve, the lanes and both checks live in a
@@ -82,7 +83,6 @@ switches to exp(+-delta*sqrt(n)) * n^kappa.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import threading
 from collections.abc import Sequence
@@ -325,25 +325,27 @@ def _weights_overflow(mu: float, lam: complex, top: int) -> bool:
     return not 2.0 * abs(mu) * math.sqrt(top + 0.5) * zeta_bound < 2.0**1023
 
 
-# d(k), with d(0) = 0, and sqrt(k + 1/2) for k below the largest size
-# asked for so far (:func:`_lattice_rows`); they do not depend on mu or
-# lam, so every solution a process builds reads the same rows
-_LATTICE = [np.zeros(0), np.zeros(0)]
+# d(k), with d(0) = 0, d(k)^2, k + 1/2 and sqrt(k + 1/2) for k below the
+# largest size asked for so far (:func:`_lattice_rows`); they do not depend
+# on mu or lam, so every solution and sweep a process builds reads the same rows
+_LATTICE = [np.zeros(0)] * 4
 
 
-def _lattice_rows(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """d(k), with d(0) = 0, and sqrt(k + 1/2) for k < size, as read-only
-    views of arrays kept across calls: a larger size builds them again at
-    that size, a smaller one reads a prefix."""
-    d, root = _LATTICE
+def _lattice_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """d(k), with d(0) = 0, d(k)^2, k + 1/2 and sqrt(k + 1/2) for k < size,
+    as read-only views of arrays kept across calls: a larger size builds
+    all four again at that size, a smaller one reads a prefix of each."""
+    d, d2, half, root = _LATTICE
     if d.size < size:
         d = np.concatenate(([0.0], coupling_weights(np.arange(1, size))))
-        root = np.sqrt(np.arange(size) + 0.5)
-        d.flags.writeable = root.flags.writeable = False
+        half = np.arange(size) + 0.5
+        d2, root = np.square(d), np.sqrt(half)
+        d.flags.writeable = d2.flags.writeable = False
+        half.flags.writeable = root.flags.writeable = False
         # another thread may have kept larger rows meanwhile
         if _LATTICE[0].size < size:
-            _LATTICE[:] = d, root
-    return d[:size], root[:size]
+            _LATTICE[:] = d, d2, half, root
+    return d[:size], d2[:size], half[:size], root[:size]
 
 
 class _Arena(threading.local):
@@ -383,7 +385,7 @@ def _diagonal_weights(mu: float, zs: np.ndarray) -> np.ndarray:
     sign: numpy rounds t*Re zeta_j - 0*Im zeta_j once.
     """
     # zs may lie on scratch slot 0, never on 3
-    t = np.multiply(2.0 * mu, _lattice_rows(zs.size)[1], out=_scratch(3, float, zs.size))
+    t = np.multiply(2.0 * mu, _lattice_rows(zs.size)[3], out=_scratch(3, float, zs.size))
     return np.multiply(t, zs)
 
 
@@ -626,14 +628,13 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
         raise InvalidParametersError("seed must be finite")
     lam = _validate_lam(lam)
 
-    ds = _lattice_rows(n + 1)[0]
+    ds, _, half, _ = _lattice_rows(n + 1)
     if n > 0 and _weights_overflow(mu, lam, n - 1):
         raise InvalidParametersError(
             f"mu = {mu} makes a diagonal weight of w_0..w_{n - 1} overflow "
             f"at lam = {lam}"
         )
-    half = np.add(np.arange(n), 0.5, out=_scratch(3, float, n))
-    w = _diagonal_weights(mu, _principal_roots(half, lam, out=_scratch(0, complex, n)))
+    w = _diagonal_weights(mu, _principal_roots(half[:n], lam, out=_scratch(0, complex, n)))
     values = np.empty(n + 1, dtype=complex)
     scales = np.zeros(n + 1)
     values[0] = c0
@@ -698,8 +699,8 @@ def minimal_solution_backward(
         raise NonConvergenceError(
             f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
         )
-    ds = _lattice_rows(m + 2)[0]
-    w = _diagonal_weights(mu, zeta_array(np.arange(m + 1), lam))
+    ds, _, half, _ = _lattice_rows(m + 2)
+    w = _diagonal_weights(mu, _principal_roots(half[:m + 1], lam))
     out = np.empty(m, dtype=complex)
     log2 = np.empty(m)
     try:
@@ -864,21 +865,6 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _sweep_rows(m: int) -> tuple[memoryview, np.ndarray, np.ndarray, float]:
-    """The lam-free coefficients of :func:`secular_function`'s sweep from
-    buffer top m, for the rows k = m, ..., 0: d(k+1)^2 as a float64
-    memoryview, k + 1/2 and 2*sqrt(k + 1/2), all read-only, and d(m), the
-    largest coupling of the rows m, ..., 1.  The cross-check calls the
-    sweep at one depth for many lam."""
-    d, root = _lattice_rows(m + 2)
-    d2 = np.square(d[m + 1:0:-1])
-    half = np.arange(m, -1, -1) + 0.5
-    two_sqrt = 2.0 * root[m::-1]
-    d2.flags.writeable = half.flags.writeable = two_sqrt.flags.writeable = False
-    return memoryview(d2), half, two_sqrt, float(d[m])
-
-
 def secular_function(mu: float, lam: complex, n: int) -> complex:
     """Normalised boundary-row residual of the depth-n minimal solution.
 
@@ -913,20 +899,22 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     m = _buffer_top(n)
-    d2, half, two_sqrt, d_top = _sweep_rows(m)
     if _weights_overflow(mu, lam, m):
         raise NonConvergenceError(
             f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
         )
+    # the sweep reads the rows k = m, ..., 0 reversed: d(k+1)^2 and w_k
+    d, d2, half, root = _lattice_rows(m + 2)
+    d2, t, half = memoryview(d2[m + 1:0:-1]), 2.0 * mu * root[:m + 1], half[:m + 1]
     try:
         if lam.imag == 0.0:
-            w = memoryview(mu * two_sqrt * np.sqrt(half - lam.real))
-            pivmin = _pivmin_rule(abs(w[0]), d_top, 0.0)
+            w = memoryview((t * np.sqrt(half - lam.real))[::-1])
+            pivmin = _pivmin_rule(abs(w[0]), float(d[m]), 0.0)
             p = _count_scalar(w[:m - n], d2[:m - n], pivmin, math.inf)[1]
             c, p = _count_scalar(w[m - n:m], d2[m - n:m], pivmin, p)
             rho, w0, phase = -d2[m] / p, w[m], -1.0 if (n - c) % 2 else 1.0
         else:
-            w = (mu * two_sqrt * np.sqrt(half - lam)).tolist()
+            w = (t * np.sqrt(half - lam))[::-1].tolist()
             rho, w0, phase = 0.0, w[-1], 1.0
             for k, (dk2, wk) in enumerate(zip(d2[1:], w)):
                 rho = -dk2 / (wk + rho or _PIVOT_FLOOR)

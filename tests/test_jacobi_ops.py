@@ -162,7 +162,7 @@ def _lattice_block(start, stop):
 def test_reference_and_spectral_couplings_are_the_lattice_rows(monkeypatch):
     # both families read d(k) from the recurrence's kept rows, which a deep
     # recurrence grows; blocks read before the growth keep their values
-    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0), np.zeros(0)])
+    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0)] * 4)
     blocks = ((0, 64), (64, 129), (128, 300), (1000, 2049))
     families = (ReferenceFamily(1.3), SpectralFamily(0.3, 1.3))
     before = []

@@ -209,26 +209,30 @@ def test_one_coupling_weight_formula():
 
 
 def test_lattice_rows_are_kept_and_grown(monkeypatch):
-    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0), np.zeros(0)])
+    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0)] * 4)
     builds = []
     weights = recurrence.coupling_weights
     monkeypatch.setattr(recurrence, "coupling_weights", lambda ns: builds.append(len(ns)) or weights(ns))
     for size in (1, 10, 3000, 2999, 5, 100_001):
-        d, root = recurrence._lattice_rows(size)
-        assert d.size == root.size == size
+        rows = recurrence._lattice_rows(size)
+        d, d2, half, root = rows
+        assert [row.size for row in rows] == [size] * 4
         assert d[0] == 0.0
         assert d[1:].tobytes() == coupling_weights(np.arange(1, size)).tobytes()
+        assert d2.tobytes() == np.square(d).tobytes()
+        assert half.tobytes() == (np.arange(size) + 0.5).tobytes()
         assert root.tobytes() == np.sqrt(np.arange(size) + 0.5).tobytes()
-        assert not d.flags.writeable and not root.flags.writeable
+        assert not any(row.flags.writeable for row in rows)
     # a size no larger than the largest so far builds nothing: it reads a
     # prefix of the arrays kept
     assert builds == [0, 9, 2999, 100_000]
     kept = recurrence._lattice_rows(100_001)
-    d, root = recurrence._lattice_rows(40)
-    assert np.shares_memory(d, kept[0]) and np.shares_memory(root, kept[1])
+    rows = recurrence._lattice_rows(40)
+    assert all(np.shares_memory(row, whole) for row, whole in zip(rows, kept))
     assert len(builds) == 4
-    with pytest.raises(ValueError, match="read-only"):
-        d[3] = 1.0
+    for row in rows:
+        with pytest.raises(ValueError, match="read-only"):
+            row[3] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +867,7 @@ def test_kept_arrays_are_not_carved_from_the_arena():
 def test_threads_get_their_own_arena(monkeypatch):
     serial = [_answer(mu, lam, n // 4) for mu, lam, n in _ARENA_CALLS]
     # the threads also grow the shared lattice rows from nothing at once
-    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0), np.zeros(0)])
+    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0)] * 4)
     results = {}
 
     def work(t):
@@ -1117,11 +1121,18 @@ secular_mus = st.builds(
 secular_lams = st.floats(min_value=-40.0, max_value=0.5, exclude_max=True) | nonreal_lams
 
 
+def _sweep_rows(m):
+    """The lattice rows secular_function's sweep from buffer top m reads,
+    for the rows k = m, ..., 0: d(k+1)^2, k + 1/2 and 2 sqrt(k + 1/2)."""
+    _, d2, half, root = recurrence._lattice_rows(m + 2)
+    return d2[m + 1:0:-1], half[m::-1], 2.0 * root[m::-1]
+
+
 def _sweep_pivmin(mu, lam, m):
     """The pivmin the real sweep from buffer top m clamps at: that of the
     public count of the reversed truncation, diagonal w_m, ..., w_1 and
     couplings d(m), ..., d(2), at level 0."""
-    _, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    _, half, two_sqrt = _sweep_rows(m)
     w = mu * two_sqrt[:m] * np.sqrt(half[:m] - lam)
     (top,), off = tridiag._largest(w[None, :], recurrence._lattice_rows(m + 1)[0][m:1:-1])
     return tridiag._pivmin_rule(top, off, 0.0)
@@ -1134,7 +1145,7 @@ def _exact_secular(mu, lam, n):
     nonreal lam an exact 0 is ``_PIVOT_FLOOR``): the value its
     coefficients define, free of the sweep's rounding."""
     m = n + max(50, n // 10)
-    d2, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    d2, half, two_sqrt = _sweep_rows(m)
     lam = complex(lam)
     real = lam.imag == 0.0
     w = (mu * two_sqrt * np.sqrt(half - (lam.real if real else lam))).tolist()
@@ -1210,7 +1221,7 @@ def _phase_product_secular(mu, lam, n):
     for the sweep's count of the negative pivots, which must give the same
     bits."""
     m = n + max(50, n // 10)
-    d2, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    d2, half, two_sqrt = _sweep_rows(m)
     w = (mu * two_sqrt * np.sqrt(half - lam)).tolist()
     pivmin = _sweep_pivmin(mu, lam, m)
     rho, phase = 0.0, 1.0
@@ -1249,7 +1260,7 @@ def test_secular_real_sweep_is_the_reversed_truncation_count(mu, lam, n):
     # counts, the phase is (-1)^(n - c), and the pivot p_0 = rho_0 + w_0 of
     # the boundary row carries the rest of the sign
     m = n + max(50, n // 10)
-    _, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    _, half, two_sqrt = _sweep_rows(m)
     w = mu * two_sqrt * np.sqrt(half - lam)
     couplings = recurrence._lattice_rows(m + 1)[0][m:0:-1]
 
@@ -1270,7 +1281,7 @@ def test_secular_real_sweep_clamps_a_pivot_in_the_band():
     # the pinned case: p_1 is positive, within pivmin of 0, and counted
     mu, lam, n = _BAND_CASE
     m = n + max(50, n // 10)
-    d2, half, two_sqrt, _ = recurrence._sweep_rows(m)
+    d2, half, two_sqrt = _sweep_rows(m)
     q = math.inf
     for wk, dk2 in zip((mu * two_sqrt[:m] * np.sqrt(half[:m] - lam)).tolist(), d2):
         q = wk - dk2 / q
@@ -1314,17 +1325,17 @@ def test_secular_sweep_real_lam_outside_the_float_range_raises():
 @pytest.mark.parametrize("row", ["first", "top-call", "bottom-call", "boundary"])
 @pytest.mark.parametrize("n", [1, 4])
 def test_secular_real_sweep_with_a_nan_row_raises(monkeypatch, row, n):
-    # a nan coupling in the cached rows makes every pivot after it nan,
+    # a nan coupling in the lattice rows makes every pivot after it nan,
     # which the count neither counts nor clamps; the final finiteness check
     # still raises.  The couplings d(k+1)^2 run k = m, ..., 0: the first row,
     # the last row of the first call (rows m, ..., n+1), the first of the
     # second (rows n, ..., 1), and d(1)^2 of the boundary row
     m = n + 50
-    d2, half, two_sqrt, d_top = recurrence._sweep_rows(m)
+    d, d2, half, root = recurrence._lattice_rows(m + 2)
     poisoned = np.array(d2)
-    poisoned[{"first": 0, "top-call": m - n - 1, "bottom-call": m - n, "boundary": m}[row]] = math.nan
-    monkeypatch.setattr(recurrence, "_sweep_rows",
-                        lambda top: (memoryview(poisoned), half, two_sqrt, d_top))
+    k = {"first": m, "top-call": n + 1, "bottom-call": n, "boundary": 0}[row]
+    poisoned[k + 1] = math.nan
+    monkeypatch.setattr(recurrence, "_lattice_rows", lambda size: (d, poisoned, half, root))
     with pytest.raises(NonConvergenceError, match="floating-point range"):
         secular_function(2.0, 0.0, n)
 
