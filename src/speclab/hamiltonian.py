@@ -585,17 +585,14 @@ def _polish_depth(mu: float, top: float) -> int:
     Review 9, 1967), so 20 / arccosh mu rows past T at the full rate make
     that error e^(-40).  Nearer T the rate is lower
     (m_k^2 - 1 = (mu^2 - 1)(1 - T/x)), which matters next to the threshold
-    of a near-critical mu.  The buffer above the depth and the rounding up
-    below make up for most of it: against a sweep four times as deep, the
-    value kept every bit for mu - 1 from 5e-4 to 3 and moved by at most
-    2.4e-11 down to 1e-5.  A depth that fell short would only cost a
-    bisection: each polished root is certified by its counts.  The depth
-    is rounded up to three significant bits, so that the roots of a query
-    share a few cached sets of sweep rows (``_sweep_rows``).
+    of a near-critical mu.  The buffer above the depth makes up for most
+    of it: against a sweep four times as deep (its sign taken for C_n = 1,
+    as the minimal solution alternates past T), the value kept every bit
+    for mu - 1 from 3e-3 to 3 and moved by at most 1.4e-10 down to 1e-5.
+    A depth that fell short would only cost a bisection: each polished
+    root is certified by its counts.
     """
-    n = math.ceil(max(top, 0.0) * _turn_factor(mu) + 20.0 / math.acosh(mu))
-    step = 1 << max(0, n.bit_length() - 3)
-    return -(-n // step) * step
+    return math.ceil(max(top, 0.0) * _turn_factor(mu) + 20.0 / math.acosh(mu))
 
 
 def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
