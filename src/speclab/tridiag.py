@@ -316,7 +316,8 @@ def _bisect(
     width = float(np.max(highs - lows, initial=tol))
     max_iter = max(1, math.ceil(math.log2(width) - math.log2(tol))) + 3
     for _ in range(max_iter):
-        mids = 0.5 * (lows + highs)
+        # halves first: lows + highs may overflow
+        mids = 0.5 * lows + 0.5 * highs
         # a midpoint on an end would only count that end again
         open_ = (highs - lows > tol) & (mids != lows) & (mids != highs)
         if ends is not None:
@@ -361,7 +362,7 @@ def eigenvalues_in_window(
     )
     return EigenvalueReport(
         window=(lo, hi),
-        eigenvalues=0.5 * (lows + highs),
+        eigenvalues=0.5 * lows + 0.5 * highs,
         count_below_lo=count_lo,
         count_below_hi=count_hi,
         size=t.size,
@@ -390,7 +391,7 @@ def smallest_eigenvalue(t: TridiagonalMatrix, tol: float = 1e-10) -> float:
         np.zeros(1, dtype=np.int64),
         tol,
     )
-    return float(0.5 * (lows[0] + highs[0]))
+    return float(0.5 * lows[0] + 0.5 * highs[0])
 
 
 def dense_eigen_oracle(t: TridiagonalMatrix) -> np.ndarray:

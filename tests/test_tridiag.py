@@ -575,6 +575,17 @@ def test_bisection_below_ulp_scale_counts_no_more(monkeypatch):
                                rtol=4 * _EPS, atol=1e-16)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bisection_of_a_window_whose_ends_sum_past_the_float_range():
+    # the window's width is finite, but lo + hi overflowed in every
+    # midpoint, which took them as 0.5 * (lows + highs)
+    t = TridiagonalMatrix(np.array([1.5e308, 1.6e308]), np.array([0.0]))
+    report = eigenvalues_in_window(t, 1.4e308, 1.7e308, tol=1e300)
+    assert report.count == 2
+    np.testing.assert_allclose(report.eigenvalues, [1.5e308, 1.6e308], atol=1e300, rtol=0)
+    assert abs(smallest_eigenvalue(t, tol=1e300) - 1.5e308) <= 1e300
+
+
 # ---------------------------------------------------------------------------
 # dense oracle guard
 
