@@ -26,8 +26,8 @@ order.  Where ``os.fork`` is missing the grid runs serially.
 Exit codes: 0 success (``--help`` included), 2 invalid parameters (a
 malformed command line or a request too large for memory among them) or
 a sweep worker that died before sending its rows, 3 non-convergence (or
-every sweep point failing).  Every exit 2 prints one ``speclab:`` line on
-stderr; ``run`` returns each code and never raises ``SystemExit``.
+every sweep point failing).  Every exit 2 or 3 prints one ``speclab:``
+line on stderr; ``run`` returns each code and never raises ``SystemExit``.
 """
 
 from __future__ import annotations
@@ -478,6 +478,8 @@ def _parse_grid(text: str, command: str) -> tuple[str, list[float]]:
         start, stop, steps = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise InvalidParametersError(f"bad grid numbers in {text!r}: {exc}") from exc
+    if not math.isfinite(stop - start):  # nan or inf points, or a span past the float range
+        raise InvalidParametersError(f"grid ends and their span must be finite, got {text!r}")
     names = {_FLAGS[k].name: k for k in _COMMANDS[command].grid}
     key = names.get(parts[0])
     if key is None:
@@ -676,7 +678,7 @@ def run(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         if a["grid"] is not None and not any(r.get("status") == "ok" for r in rows):
-            print("all sweep points failed", file=sys.stderr)
+            print("speclab: all sweep points failed", file=sys.stderr)
             return 3
         return 0
     except NonConvergenceError as exc:

@@ -982,7 +982,7 @@ def test_sweep_all_points_failing_exits_3(capsys):
          "--grid", f"beta:{TWO_SQRT2}:{TWO_SQRT2}:1"],
     )
     assert rc == 3
-    assert "all sweep points failed" in err
+    assert err == "speclab: all sweep points failed\n"
     rows = json.loads(out)
     assert rows[0]["status"] == "SingularFormulaError"
 
@@ -1137,7 +1137,7 @@ def test_no_chart_where_every_point_fails(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["asymptotics", "--grid", "mu:0.5:0.9:3",
                                   "--svg", str(svg)])
     assert rc == 3
-    assert "all sweep points failed" in err
+    assert err == "speclab: all sweep points failed\n"
     assert not svg.exists()
 
 
@@ -1396,10 +1396,117 @@ def test_help_comes_from_the_tables_without_argparse(capsys):
     assert rc == 0 and set(_COMMANDS) <= set(out.split())
 
 
+# ---------------------------------------------------------------------------
+# every command at random flag values
+
+# values beside mu = 1, sqrt(2) and 2 sqrt(2), where branches turn critical
+# or a formula is singular
+_NEAR = [s * c * (1.0 + e) for c in (1.0, SQRT2, 2.0 * SQRT2) for s in (1.0, -1.0)
+         for e in (0.0, 2.0**-52, -(2.0**-52), 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, -1e-3)]
+_FUZZ_FLOATS = _FLOATS.filter(math.isfinite) | st.sampled_from(_NEAR) | st.floats(-3.0, 3.0)
+# flags that would write files, fork or read a config stay at their defaults;
+# the ones that size the work are always given, and small
+_FUZZ_SMALL = {"size": st.integers(-1, 24), "trials": st.integers(-1, 6),
+               "n_cap": st.integers(0, 2048),
+               "sizes": st.lists(st.integers(-1, 24), max_size=3).map(tuple)}
+_FUZZ_SKIPPED = {"workers", "output", "config", "svg", "grid"}
+# the flag that takes each printed column; other floats go back through
+# --lambda and other integers through --seed
+_TAKES = {"mu1": "mu", "mu2": "mu", "mu_beta0": "mu", "branch_mus": "mu", "alpha_c": "alpha",
+          "eigenvalues": "lam", "smallest": "lo", "lambda_re": "lam", "lambda_im": "lam_im",
+          "c": "lambda_min", "truncation_size": "n_cap", "counted": "size"}
+
+
+@st.composite
+def _fuzz_lines(draw):
+    """A command and values for some of its flags, perhaps swept by a short grid."""
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    argv = [command]
+    for key in _COMMANDS[command].options:
+        f = _FLAGS[key]
+        if key in _FUZZ_SKIPPED or not (f.required or key in _FUZZ_SMALL or draw(st.booleans())):
+            continue
+        if key in _FUZZ_SMALL:
+            value = _text(draw(_FUZZ_SMALL[key]), repr)
+        elif f.choices:
+            value = draw(st.sampled_from(f.choices))
+        elif f.type is int:
+            value = str(draw(st.integers(-(2**62), 2**62)))
+        else:
+            value = draw(st.sampled_from(["nan", "inf", "-inf"])
+                         | _FUZZ_FLOATS.map(draw(st.sampled_from([repr, _fmt_float]))))
+        argv += [f.option, value]
+    if draw(st.integers(0, 3)) == 0:
+        variable = _FLAGS[draw(st.sampled_from(_COMMANDS[command].grid))].name
+        ends = [draw(st.sampled_from(["nan", "inf", "-inf"]) | _FUZZ_FLOATS.map(_fmt_float))
+                for _ in range(2)]
+        scale = draw(st.sampled_from(["linear", "log"]))
+        argv += ["--grid", f"{variable}:{ends[0]}:{ends[1]}:{draw(st.integers(1, 3))}:{scale}"]
+    return argv
+
+
+class _Number(str):
+    """A number token of printed JSON, as it was printed."""
+
+
+def _printed_numbers(value, key=None):
+    """(column, token) for every number in a row parsed with ``_Number``
+    tokens; "inf" and "-inf" are numbers printed as strings."""
+    if isinstance(value, dict):
+        return [x for k, v in value.items() for x in _printed_numbers(v, k)]
+    if isinstance(value, list):
+        return [x for v in value for x in _printed_numbers(v, key)]
+    return [(key, value)] if isinstance(value, _Number) or value in ("inf", "-inf") else []
+
+
+def _reads_back(key, text):
+    """Whether ``text`` parses through the flag that takes column ``key``."""
+    is_int = text.lstrip("-").isdigit()
+    flag = key if key in _FLAGS else _TAKES.get(key, "seed" if is_int else "lam")
+    command = next(c for c, cmd in _COMMANDS.items()
+                   if flag in cmd.options and "family" not in cmd.options)
+    want = int(text) if _FLAGS[flag].type is int else float(text)
+    return _parse([command, _FLAGS[flag].option, text])[flag] == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:no subcritical branch")
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(_fuzz_lines())
+def test_every_command_at_random_flag_values(argv):
+    # no exception leaves run; a success prints no nan, and every number it
+    # prints parses again through the flag that takes it; any other exit
+    # writes exactly one speclab: line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if rc != 0:
+        assert rc in (2, 3), argv
+        assert err.startswith("speclab: ") and err.count("\n") == 1, (argv, err)
+        return
+    assert "nan" not in out, argv
+    if _parse(argv)["format"] == "json":
+        row = json.loads(out, parse_float=_Number, parse_int=_Number)
+        for key, text in _printed_numbers(row):
+            assert _reads_back(key, text), (argv, key, text)
+
+
 def test_grid_variable_not_used_by_command(capsys):
     rc, _, err = run_cli(capsys, ["mu", "--grid", "mu:1:2:3"])
     assert rc == 2
     assert "does not use grid variable" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", ["alpha:7.26823042218926e+307:-1.07087009264339e+308:3",
+                                  "alpha:nan:1:2", "alpha:1:inf:2", "alpha:-inf:inf:1:log"])
+def test_grid_with_a_span_past_the_float_range_exits_2(capsys, grid):
+    # np.linspace warned of the overflow, and the points were nan or inf:
+    # "alpha:nan:1:2" printed a nan point and exited 0
+    rc, out, err = run_cli(capsys, ["mu", "--beta", "1", "--grid", grid])
+    assert (rc, out) == (2, "")
+    assert err == f"speclab: grid ends and their span must be finite, got {grid!r}\n"
 
 
 def test_grid_malformed_spec(capsys):
