@@ -43,7 +43,6 @@ profiles; this module works entirely in that mode picture:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -644,9 +643,18 @@ def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
     return lows, highs
 
 
-def _subcritical(mus: tuple[tuple[Branch, float], ...]) -> list[tuple[Branch, float]]:
-    """The (branch, mu) pairs with mu > 1, other than the alpha = 0 marker."""
-    return [(br, mu) for br, mu in mus if math.isfinite(mu) and mu > 1.0]
+def _subcritical(p: CouplingParams) -> list[tuple[Branch, float]]:
+    """The branches (branch, mu) of the canonical parameters p with mu > 1,
+    less the alpha = 0 marker: none in the free case, which has no branch.
+    Branches none of which has mu > 1 raise ``NoSubcriticalBranchError``."""
+    mus = branch_mus(p)
+    subcritical = [(br, mu) for br, mu in mus if math.isfinite(mu) and mu > 1.0]
+    if mus and not subcritical:
+        raise NoSubcriticalBranchError(
+            f"no branch of {p} has weight mu > 1; there are no eigenvalues "
+            "below the threshold to locate"
+        )
+    return subcritical
 
 
 def _branches_and_window(
@@ -655,24 +663,16 @@ def _branches_and_window(
     """The canonical parameters, the subcritical branches (branch, mu) and
     the search window (lam_lo, lam_hi) below the threshold.
 
-    No branches at all (the free case) gives no branch and no window;
-    branches none of which has weight mu > 1 raise
-    ``NoSubcriticalBranchError``, and a weight that leaves double range
-    raises ``InvalidParametersError``.  The window's lower end defaults to
-    1/2 - 10, tightened to c/2 whenever the form lower-bound constant c is
-    positive, but no higher than its upper end, ``_WINDOW_MARGIN`` below
-    1/2: there the window is empty.
+    The free case gives no branch and no window, and branches none of
+    which is subcritical raise, as :func:`_subcritical` says.  The
+    window's lower end defaults to 1/2 - 10, tightened to c/2 whenever the
+    form lower-bound constant c is positive, but no higher than its upper
+    end, ``_WINDOW_MARGIN`` below 1/2: there the window is empty.
     """
     p = canonicalize(params)
-    mus = branch_mus(p)
-    if not mus:
-        return p, [], None
-    subcritical = _subcritical(mus)
+    subcritical = _subcritical(p)
     if not subcritical:
-        raise NoSubcriticalBranchError(
-            f"no branch of {p} has weight mu > 1; there are no eigenvalues "
-            "below the threshold to locate"
-        )
+        return p, [], None
     lam_hi = THRESHOLD - _WINDOW_MARGIN
     if lambda_min is None:
         lambda_min = THRESHOLD - 10.0
@@ -775,17 +775,11 @@ def count_below_epsilon(
 ) -> int:
     """Number of eigenvalues below 1/2 - epsilon predicted by the counting
     operator: the sum over subcritical branches of the eigenvalues of the
-    epsilon-regularised counting matrix exceeding the branch weight."""
+    epsilon-regularised counting matrix exceeding the branch weight, 0 in
+    the free case; no subcritical branch raises (:func:`_subcritical`)."""
     p = canonicalize(params)
     family = CountingFamily(epsilon)  # validates epsilon > 0
-    subcritical = _subcritical(branch_mus(p))
-    if not subcritical:
-        warnings.warn(
-            "no subcritical branch: the count below the threshold is 0",
-            stacklevel=2,
-        )
-        return 0
-    return sum(certified_count(family, mu, cap=size_cap)[0] for _, mu in subcritical)
+    return sum(certified_count(family, mu, cap=size_cap)[0] for _, mu in _subcritical(p))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BranchCutError, InvalidParametersError, NonConvergenceError
-from .recurrence import _check_mu, _lattice_rows, _weights_overflow
+from .recurrence import _check_mu, _lattice_rows, _weight_rows, _weights_overflow
 from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
 __all__ = [
@@ -139,10 +139,13 @@ def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
         raise InvalidParametersError("truncation size must be at least 2")
     off = _couplings(family, 0, n)[1:].copy()
     if isinstance(family, ReferenceFamily):
-        _check_diagonals(family.mu, 0.0, n)
+        # the exact 2 mu (k + 1/2), the weights w_k at lam = 0
+        if _weights_overflow(family.mu, 0.0, n - 1):
+            raise InvalidParametersError(f"mu = {family.mu} makes a diagonal weight of "
+                                         f"w_0..w_{n - 1} overflow at lam = 0.0")
         diag = 2.0 * family.mu * _lattice_rows(n)[2]
     elif isinstance(family, SpectralFamily):
-        diag = _spectral_diagonals(family.mu, np.array([family.lam]), 0, n)[0]
+        diag = _weight_rows(family.mu, family.lam, n)
     else:
         diag = np.zeros(n)
     return TridiagonalMatrix(diag=diag, offdiag=off)
@@ -170,23 +173,7 @@ def spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
     """Diagonals of the spectral family for a batch of lam values, (k, n)."""
     if n < 0:
         raise InvalidParametersError(f"the number of rows must be nonnegative, got {n}")
-    return _spectral_diagonals(_check_mu(mu), _check_lams(lams), 0, n)
-
-
-def _check_diagonals(mu: float, lam: float, stop: int) -> None:
-    """Raise where an entry of rows k < stop, at most the recurrence's |w_k|
-    at lam, may overflow: checked before numpy forms it, which would warn."""
-    if stop > 0 and _weights_overflow(mu, complex(lam), stop - 1):
-        raise InvalidParametersError(f"mu = {mu} makes a diagonal entry overflow at lam = {lam}")
-
-
-def _spectral_diagonals(mu: float, lams: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """2 mu sqrt(k + 1/2) sqrt(k + 1/2 - lam), the recurrence's w_k, for
-    start <= k < stop, one row per lam; the least lam bounds every entry."""
-    if lams.size:
-        _check_diagonals(mu, float(lams.min()), stop)
-    _, _, half, root = _lattice_rows(stop)
-    return 2.0 * mu * root[start:] * np.sqrt(half[start:] - lams[:, None])
+    return _weight_rows(_check_mu(mu), _check_lams(lams)[:, None], n)
 
 
 def _check_cap(cap: int) -> None:
@@ -280,7 +267,7 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
     return _walk(
         lams.size,
         lambda start, stop: _lattice_rows(stop)[0][start:],
-        lambda cols, start, stop: _spectral_diagonals(mu, lams[cols], start, stop),
+        lambda cols, start, stop: _weight_rows(mu, lams[cols][:, None], stop, start),
         0.0,
         certified,
         cap,

@@ -9,7 +9,11 @@ encode square-integrable eigenfunction candidates of the underlying
 operator; the n = 0 row acts as the boundary condition for forward
 iteration.  Here zeta_n(lam) = sqrt(n + 1/2 - lam) on the branch with
 Re zeta > 0 and Im zeta * Im lam < 0, cut along [n + 1/2, inf): the
-principal square root, computed in one place, :func:`zeta_array`.
+principal square root (:func:`zeta_array`).  The weights
+w_k = 2*mu*sqrt(k+1/2)*zeta_k(lam) of the solutions, the secular sweep and
+the spectral Jacobi rows are formed, and a weight that may overflow
+rejected with one ``InvalidParametersError``, in one place
+(:func:`_weight_rows`).
 
 An eigenvalue is a lam at which the minimal (l^2) solution also
 satisfies the n = 0 row.  That test needs only the ratio C_1/C_0, a
@@ -68,10 +72,11 @@ process, grown together to the largest depth asked for, and read by every
 layer (:func:`_lattice_rows`): the secular sweep reads them reversed.
 A solution keeps the weights w_n and d(n) its rows were built from, so the
 residual checks read them instead of building them again.  The row-sized
-temporaries of a forward solve, the lanes and both checks live in a
-per-thread scratch arena (:func:`_scratch`) of six buffers, 65 bytes per
-row of the largest call, kept and reused: the arrays a caller keeps
-(values, scales, weights, the residuals) are always fresh.
+temporaries of a solution's weights (from 1024 rows on), the lanes and both
+checks live in a per-thread scratch arena (:func:`_scratch`) of six
+buffers, 65 bytes per row of the largest call, kept and reused: the
+arrays a caller keeps (values, scales, weights, the residuals) are always
+fresh.
 
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
@@ -153,14 +158,6 @@ def _validate_lam(lam: complex, n_min: int = 0) -> complex:
     return lam
 
 
-def _principal_roots(half: np.ndarray, lam: complex, out: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(half - lam) on the principal branch, into ``out`` if given: the
-    one formula of :func:`zeta_array`, for half = n + 1/2."""
-    z = np.subtract(half, lam, out=out)
-    np.add(z, 0j, out=z)
-    return np.sqrt(z, out=z)
-
-
 def zeta(n: int, lam: complex) -> complex:
     """Branch-correct sqrt(n + 1/2 - lam), the same complex as
     :func:`zeta_array` gives for n."""
@@ -183,7 +180,7 @@ def zeta_array(ns: np.ndarray, lam: complex) -> np.ndarray:
     if np.any(ns < 0):
         raise InvalidParametersError("mode indices must be nonnegative")
     lam = _validate_lam(lam, n_min=int(np.min(ns)))
-    return _principal_roots(ns + 0.5, lam)
+    return np.sqrt(ns + 0.5 - lam)
 
 
 def coupling_weight(n: int) -> float:
@@ -348,6 +345,12 @@ def _lattice_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     return d[:size], d2[:size], half[:size], root[:size]
 
 
+def _kept_lattice(size: int) -> Sequence[np.ndarray]:
+    """The four rows :func:`_lattice_rows` keeps, whole and at least ``size``
+    long, for a caller that slices them itself: no prefix views."""
+    return _LATTICE if _LATTICE[0].size >= size else _lattice_rows(size)
+
+
 class _Arena(threading.local):
     """Six byte buffers per thread, each grown to the most any call asked
     of it and kept.  Slots 0-2 are sized for complex rows, 3 and 4 for
@@ -376,17 +379,31 @@ def _scratch(slot: int, dtype, *shape: int) -> np.ndarray:
     return buf[:need].view(dtype).reshape(shape)
 
 
-def _diagonal_weights(mu: float, zs: np.ndarray) -> np.ndarray:
-    """w_j = 2*mu*sqrt(j + 1/2)*zeta_j(lam) for j < len(zs), from zs[j] = zeta_j.
-
-    numpy casts the float t = 2*mu*sqrt(j + 1/2) to t + 0j, as Python
-    does, so each w_j equals the scalar (t + 0j) * zeta_j bit for bit,
-    except that a part whose product underflows to zero may take the other
-    sign: numpy rounds t*Re zeta_j - 0*Im zeta_j once.
+def _weight_rows(mu: float, lam, stop: int, start: int = 0) -> np.ndarray:
+    """w_k = 2*mu*sqrt(k + 1/2)*zeta_k(lam) for start <= k < stop, fresh:
+    one row at a real or complex lam, one per lam of a column (j, 1) of
+    real ones, whose least bounds them all.  A weight that may overflow
+    raises ``InvalidParametersError`` before numpy forms it, which would
+    warn.  t = 2*mu*sqrt(k + 1/2) is the first factor and the product is
+    fresh, so that a complex w_k equals the scalar (t + 0j) * zeta_k part
+    by part, but for the sign of a part that underflows to zero: numpy
+    rounds that part once or twice by the operand order, the length and
+    whether the output overlaps an input.
     """
-    # zs may lie on scratch slot 0, never on 3
-    t = np.multiply(2.0 * mu, _lattice_rows(zs.size)[3], out=_scratch(3, float, zs.size))
-    return np.multiply(t, zs)
+    least = (lam.min() if lam.size else 0.0) if isinstance(lam, np.ndarray) else lam
+    if stop > start and _weights_overflow(mu, least, stop - 1):
+        raise InvalidParametersError(
+            f"mu = {mu} makes a diagonal weight of w_{start}..w_{stop - 1} "
+            f"overflow at lam = {least}"
+        )
+    _, _, half, root = _kept_lattice(stop)
+    if isinstance(lam, complex) and stop - start >= _LANE_MIN_ROWS:
+        # a solution's temporaries go on the arena: fresh ones raised the peak
+        # memory of a 1e5-row solve by 1-3 MB, and a slot costs about 2 us
+        z = np.subtract(half[start:stop], lam, out=_scratch(0, complex, stop - start))
+        t = np.multiply(2.0 * mu, root[start:stop], out=_scratch(3, float, stop - start))
+        return np.multiply(t, np.sqrt(z, out=z))
+    return 2.0 * mu * root[start:stop] * np.sqrt(half[start:stop] - lam)
 
 
 def _steps(
@@ -628,13 +645,8 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
         raise InvalidParametersError("seed must be finite")
     lam = _validate_lam(lam)
 
-    ds, _, half, _ = _lattice_rows(n + 1)
-    if n > 0 and _weights_overflow(mu, lam, n - 1):
-        raise InvalidParametersError(
-            f"mu = {mu} makes a diagonal weight of w_0..w_{n - 1} overflow "
-            f"at lam = {lam}"
-        )
-    w = _diagonal_weights(mu, _principal_roots(half[:n], lam, out=_scratch(0, complex, n)))
+    ds = _lattice_rows(n + 1)[0]
+    w = _weight_rows(mu, lam, n)
     values = np.empty(n + 1, dtype=complex)
     scales = np.zeros(n + 1)
     values[0] = c0
@@ -685,9 +697,9 @@ def minimal_solution_backward(
     Backward recurrence from a seed high in a buffer zone [n, m]
     projects onto the minimal solution; the buffer defaults to
     m = n + max(50, n // 10).  Requires a dominant/minimal dominance
-    split, i.e. |mu| > 1 or Im lam != 0.  Raises ``NonConvergenceError``
-    where a weight or a row leaves the floating-point range (|mu| near the
-    top of it).
+    split, i.e. |mu| > 1 or Im lam != 0.  A weight that may overflow raises
+    ``InvalidParametersError``, a row that leaves the floating-point range
+    ``NonConvergenceError`` (|mu| near the top of it).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     if m is None:
@@ -695,12 +707,8 @@ def minimal_solution_backward(
     if m <= n:
         raise InvalidParametersError("buffer top m must exceed n")
 
-    if _weights_overflow(mu, lam, m):
-        raise NonConvergenceError(
-            f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
-        )
-    ds, _, half, _ = _lattice_rows(m + 2)
-    w = _diagonal_weights(mu, _principal_roots(half[:m + 1], lam))
+    ds = _lattice_rows(m + 2)[0]
+    w = _weight_rows(mu, lam, m + 1)
     out = np.empty(m, dtype=complex)
     log2 = np.empty(m)
     try:
@@ -894,27 +902,26 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     the result is real with an exact sign; sign changes bracket
     eigenvalues.  For nonreal lam an exactly zero pivot is replaced by
     ``_PIVOT_FLOOR``, which carries the sweep past that zero of C to the
-    same limit.  Raises ``NonConvergenceError`` where a weight or a ratio
-    leaves the floating-point range (|mu| near the ends of it).
+    same limit.  A weight that may overflow raises ``InvalidParametersError``,
+    a ratio that leaves the floating-point range ``NonConvergenceError``
+    (|mu| near the ends of it).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     m = _buffer_top(n)
-    if _weights_overflow(mu, lam, m):
-        raise NonConvergenceError(
-            f"a diagonal weight at mu={mu}, lam={lam} leaves the floating-point range"
-        )
+    real = lam.imag == 0.0
     # the sweep reads the rows k = m, ..., 0 reversed: d(k+1)^2 and w_k
-    d, d2, half, root = _lattice_rows(m + 2)
-    d2, t, half = memoryview(d2[m + 1:0:-1]), 2.0 * mu * root[:m + 1], half[:m + 1]
+    d, d2, _, _ = _kept_lattice(m + 2)
+    d2 = memoryview(d2[m + 1:0:-1])
+    w = _weight_rows(mu, lam.real if real else lam, m + 1)[::-1]
     try:
-        if lam.imag == 0.0:
-            w = memoryview((t * np.sqrt(half - lam.real))[::-1])
+        if real:
+            w = memoryview(w)
             pivmin = _pivmin_rule(abs(w[0]), float(d[m]), 0.0)
             p = _count_scalar(w[:m - n], d2[:m - n], pivmin, math.inf)[1]
             c, p = _count_scalar(w[m - n:m], d2[m - n:m], pivmin, p)
             rho, w0, phase = -d2[m] / p, w[m], -1.0 if (n - c) % 2 else 1.0
         else:
-            w = (t * np.sqrt(half - lam))[::-1].tolist()
+            w = w.tolist()
             rho, w0, phase = 0.0, w[-1], 1.0
             for k, (dk2, wk) in enumerate(zip(d2[1:], w)):
                 rho = -dk2 / (wk + rho or _PIVOT_FLOOR)

@@ -497,7 +497,6 @@ _CROSS_CHECK_DEFECT_MU_MINUS_1 = 2e-3
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:no subcritical branch")
 @settings(max_examples=30, deadline=None)
 @given(
     alpha=st.floats(-3.0, 3.0),
@@ -633,7 +632,6 @@ def test_jacobi_commands_at_extreme_parameters(mu, lam, size):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:no subcritical branch")
 @settings(max_examples=60, deadline=None)
 @given(alpha=finite_floats | st.floats(-3.0, 3.0),
        beta=st.just(0.0) | finite_floats | st.floats(-3.0, 3.0),
@@ -683,6 +681,19 @@ def test_spectral_commands_reject_weight_out_of_range(capsys, command, point):
     assert rc == 2
     assert out == ""
     assert "leaves double range" in err
+
+
+@pytest.mark.parametrize("command", ["count", "h-spectrum", "discrete2-check"])
+def test_spectral_commands_without_a_subcritical_branch(capsys, command):
+    # count printed {"count": 0} with exit 0 and a raw two-line UserWarning
+    rc, out, err = run_cli(capsys, [command, "--alpha=5"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("speclab: no branch of ") and err.count("\n") == 1
+    # the free case has no branch and nothing below the threshold
+    rc, out, err = run_cli(capsys, [command, "--alpha=0", "--beta=0"])
+    assert (rc, err) == (0, "")
+    row = json.loads(out)
+    assert row.get("count", row.get("lhs")) == 0
 
 
 # a point of each command that walks rows, with one subcritical weight,
@@ -1470,13 +1481,12 @@ def _reads_back(key, text):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:no subcritical branch")
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(_fuzz_lines())
 def test_every_command_at_random_flag_values(argv):
-    # no exception leaves run; a success prints no nan, and every number it
-    # prints parses again through the flag that takes it; any other exit
-    # writes exactly one speclab: line
+    # no exception leaves run; a success writes nothing to stderr, prints no
+    # nan, and every number it prints parses again through the flag that
+    # takes it; any other exit writes exactly one speclab: line
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = run(argv)
@@ -1485,6 +1495,7 @@ def test_every_command_at_random_flag_values(argv):
         assert rc in (2, 3), argv
         assert err.startswith("speclab: ") and err.count("\n") == 1, (argv, err)
         return
+    assert err == "", (argv, err)
     assert "nan" not in out, argv
     if _parse(argv)["format"] == "json":
         row = json.loads(out, parse_float=_Number, parse_int=_Number)

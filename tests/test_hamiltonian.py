@@ -12,7 +12,6 @@ import contextlib
 import io
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -852,13 +851,13 @@ def test_size_cap_above_row_cap_is_rejected(cap):
 def _record_rows(monkeypatch) -> list[int]:
     """The row every block a spectral count walks ends at."""
     stops: list[int] = []
-    diagonals = jacobi_ops._spectral_diagonals
+    weight_rows = jacobi_ops._weight_rows
 
-    def recording(mu, lams, start, stop):
+    def recording(mu, lams, stop, start=0):
         stops.append(stop)
-        return diagonals(mu, lams, start, stop)
+        return weight_rows(mu, lams, stop, start)
 
-    monkeypatch.setattr(jacobi_ops, "_spectral_diagonals", recording)
+    monkeypatch.setattr(jacobi_ops, "_weight_rows", recording)
     return stops
 
 
@@ -1036,12 +1035,12 @@ def test_count_below_epsilon_tracks_spectrum():
     assert counts == sorted(counts)
 
 
-def test_count_below_epsilon_no_subcritical_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert count_below_epsilon(CouplingParams(3.0, 1.0), 0.1) == 0
-        assert count_below_epsilon(CouplingParams(0.0, 0.0), 0.1) == 0
-    assert len(caught) == 2
+def test_count_below_epsilon_no_subcritical_raises():
+    # as h-spectrum and discrete2-check do: it warned and gave 0
+    with pytest.raises(NoSubcriticalBranchError, match="no branch of .* has weight mu > 1"):
+        count_below_epsilon(CouplingParams(3.0, 1.0), 0.1)
+    # the free case has no branch, and nothing below the threshold
+    assert count_below_epsilon(CouplingParams(0.0, 0.0), 0.1) == 0
 
 
 def test_count_below_epsilon_validates_epsilon():

@@ -143,7 +143,7 @@ def test_spectral_lams_must_be_finite(bad):
     lambda: spectral_counts(8.580895109854729e226, [-7.582129790305882e268, 0.3]),
 ], ids=["spectral", "reference", "reference-negative-mu", "diagonals", "counts"])
 def test_diagonals_that_would_overflow_name_mu_and_lam(call):
-    with pytest.raises(InvalidParametersError, match=r"mu = \S+ makes a diagonal entry overflow at lam = "):
+    with pytest.raises(InvalidParametersError, match=r"mu = \S+ makes a diagonal weight of w_\d+\.\.w_\d+ overflow at lam = "):
         call()
 
 

@@ -34,7 +34,7 @@ from speclab import (
     zeta,
     zeta_array,
 )
-from speclab import counts_for_diagonals, recurrence, tridiag
+from speclab import counts_for_diagonals, jacobi_ops, recurrence, tridiag
 from speclab.recurrence import _LANE_MIN_ROWS, IdentityCheck, _steps
 
 nonreal_lams = st.builds(
@@ -509,10 +509,11 @@ def _reference_backward(mu, lam, n, m):
     return values[: n + 1] / pivot, scales[: n + 1] - (scales[n] + shift)
 
 
-def _reference_weights(mu, zs):
-    """w_j = 2*mu*sqrt(j + 1/2)*zeta_j part by part, repeating the products
-    and sums of the Python scalar (t + 0j) * zeta_j."""
-    t = 2.0 * mu * np.sqrt(np.arange(zs.size) + 0.5)
+def _reference_weights(mu, zs, start=0):
+    """w_j = 2*mu*sqrt(j + 1/2)*zeta_j for j = start, start + 1, ... part by
+    part, repeating the products and sums of the Python scalar
+    (t + 0j) * zeta_j, from zs[i] = zeta_{start + i}."""
+    t = 2.0 * mu * np.sqrt(np.arange(start, start + zs.size) + 0.5)
     w = np.empty(zs.size, dtype=complex)
     w.real = t * zs.real - 0.0 * zs.imag
     w.imag = t * zs.imag + 0.0 * zs.real
@@ -777,16 +778,15 @@ def test_second_carry_keeps_the_lanes_near_mu_one(monkeypatch):
 def test_lanes_give_way_to_the_row_loop(monkeypatch):
     n = 3 * _LANE_MIN_ROWS
     # lanes run at ordinary parameters
-    zs = zeta_array(np.arange(n), 0.3 + 0.1j)
     ds = coupling_weights(np.arange(1, n + 1))
-    w = recurrence._diagonal_weights(1.5, zs)
+    w = recurrence._weight_rows(1.5, 0.3 + 0.1j, n)
     rows = 64
     out, log2 = np.zeros(n - 64, dtype=complex), np.zeros(n - 64)
     assert recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows, out, log2)
     assert np.all(out != 0.0)
     # one row at mu = 1e300 grows the pair by about 2^1000, past the bound
     # every lane rescale keeps; nothing is written
-    w = recurrence._diagonal_weights(1e300, zs)
+    w = recurrence._weight_rows(1e300, 0.3 + 0.1j, n)
     out, log2 = np.zeros(n - 64, dtype=complex), np.zeros(n - 64)
     assert not recurrence._lane_steps(w[:n - 64], ds[:n - 64], ds[1:n - 63], 1j, 0.5, 0.0, rows, out, log2)
     assert not np.any(out) and not np.any(log2)
@@ -988,23 +988,90 @@ def test_backward_checks_match_their_references(mu, lam, n):
     _assert_checks_match_their_references(sol)
 
 
+# lam parts from signed zeros and the least subnormals to well past the
+# rows, so that parts of zeta_k and of their products underflow
+weight_lam_parts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(-1e3, 1e3)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=-1e300, max_value=1e300),
-    st.lists(st.builds(complex, st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(0.0, 1e3),
-                       st.sampled_from([0.0, -0.0, -5e-324]) | st.floats(-1e3, 1e3)),
-             max_size=40),
+    st.builds(complex, weight_lam_parts, weight_lam_parts),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=40),
 )
-@example(mu=-2.0, zs=[complex(0.0, 3.0), complex(0.0, -3.0), complex(1e-320, 0.0)])
-@example(mu=-0.25, zs=[complex(5e-324, -0.0)])
-def test_diagonal_weights_keep_the_part_by_part_bits(mu, zs):
+# zeta_0 = 3j, zeta_1 = 2.83j and zeta_2 = 2.65j with real parts that
+# underflow to 0, and -3j, ... with Im lam of the other sign
+@example(mu=-2.0, lam=complex(9.5, -5e-324), start=0, size=3)
+@example(mu=-2.0, lam=complex(9.5, 5e-324), start=0, size=3)
+# zeta_0 = 5e-324 - 0.5j, whose real part times t underflows to -0
+@example(mu=-0.25, lam=complex(0.75, 5e-324), start=0, size=1)
+def test_diagonal_weights_keep_the_part_by_part_bits(mu, lam, start, size):
     # one complex product, numpy's cast of t to t + 0j, gives the bits of
     # the part-by-part products and sums.  Only a part whose product
     # underflows to zero may take the other sign: numpy rounds
     # t*re - 0*im once, and -2^-1075 rounds to -0 where -0 - (-0) is +0
-    zs = np.array(zs, dtype=complex)
-    got = recurrence._diagonal_weights(mu, zs)
-    assert np.array_equal(got.view(np.float64), _reference_weights(mu, zs).view(np.float64))
+    assume(lam.imag != 0.0 or lam.real < start + 0.5)
+    zs = zeta_array(np.arange(start, start + size), lam)
+    t = 2.0 * mu * np.sqrt(np.arange(start, start + size) + 0.5)
+    for part in (zs.real, zs.imag):
+        assume(not np.any((t * part == 0.0) & (t != 0.0) & (part != 0.0)))
+    got = recurrence._weight_rows(mu, lam, start + size, start)
+    assert np.array_equal(got.view(np.float64), _reference_weights(mu, zs, start).view(np.float64))
+
+
+def _frozen_solution_weights(mu, lam, stop):
+    """w_k for k < stop as the forward and backward solutions formed them
+    before one function formed every weight row."""
+    half = np.arange(stop) + 0.5
+    z = np.subtract(half, lam)
+    np.add(z, 0j, out=z)
+    np.sqrt(z, out=z)
+    return np.multiply(np.multiply(2.0 * mu, np.sqrt(half)), z)
+
+
+def _frozen_sweep_weights(mu, lam, stop):
+    """w_k for k < stop as the secular sweep formed them, at real lam from
+    its real part."""
+    half = np.arange(stop) + 0.5
+    t = 2.0 * mu * np.sqrt(half)
+    return t * np.sqrt(half - (lam.real if lam.imag == 0.0 else lam))
+
+
+def _frozen_spectral_diagonals(mu, lams, start, stop):
+    """The spectral Jacobi rows start <= k < stop, one per lam, as
+    jacobi_ops formed them."""
+    half = np.arange(stop) + 0.5
+    return 2.0 * mu * np.sqrt(half)[start:] * np.sqrt(half[start:] - lams[:, None])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([0.0, -0.0, 5e-324, -1.0, 1.0]) | st.floats(-1e150, 1e150),
+    st.floats(-1e3, 0.5, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]) | st.floats(-1e3, 1e3),
+    st.lists(st.floats(-1e3, 0.5, exclude_max=True), min_size=1, max_size=5),
+    st.integers(min_value=0, max_value=300),
+    # rows as long as a lane range form their temporaries on the arena
+    st.integers(min_value=0, max_value=300) | st.integers(_LANE_MIN_ROWS, 3 * _LANE_MIN_ROWS),
+)
+# Im w_0 = 5e-324 * -0.32 underflows: -0 from t * zeta, +0 from zeta * t
+# or from a product written over zeta
+@example(mu=5e-324, re=0.0, im=0.5, lams=[0.0], start=0, size=1)
+def test_weight_rows_keep_the_bits_of_the_formulas_they_replace(mu, re, im, lams, start, size):
+    stop = start + size
+    lam, lams = complex(re, im), np.array(lams)
+    w = recurrence._weight_rows
+    assert _same_bits(w(mu, lam, stop, start), _frozen_solution_weights(mu, lam, stop)[start:])
+    assert _same_bits(w(mu, re, stop, start), _frozen_sweep_weights(mu, complex(re, 0.0), stop)[start:])
+    if im != 0.0:
+        assert _same_bits(w(mu, lam, stop, start), _frozen_sweep_weights(mu, lam, stop)[start:])
+    assert _same_bits(w(mu, lams[:, None], stop, start),
+                      _frozen_spectral_diagonals(mu, lams, start, stop))
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5, 2.0])
@@ -1307,6 +1374,10 @@ def test_secular_sweep_passes_a_zero_pivot(lam, n):
     assert abs(secular_function(1e-12, lam, n) - got) <= 1e-12
 
 
+# the one message of a weight that may overflow, in every layer
+_WEIGHT_OVERFLOW = r"mu = \S+ makes a diagonal weight of w_\d+\.\.w_\d+ overflow at lam = "
+
+
 def test_secular_sweep_outside_the_float_range_raises():
     # at mu = 1e-310 the first ratio, -d(m)^2 / w_m, overflows
     with pytest.raises(NonConvergenceError):
@@ -1318,7 +1389,7 @@ def test_secular_sweep_real_lam_outside_the_float_range_raises():
     # at mu = 1e308 the upper w_k overflow to inf, where the real sweep's
     # ratios -d(k)^2 / (w_k + rho_k) would be -0.0, which has no sign to
     # count: the largest weight is checked first, and no warning is given
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(InvalidParametersError, match=_WEIGHT_OVERFLOW):
         secular_function(1e308, 0.3, 10)
 
 
@@ -1335,25 +1406,31 @@ def test_secular_real_sweep_with_a_nan_row_raises(monkeypatch, row, n):
     poisoned = np.array(d2)
     k = {"first": m, "top-call": n + 1, "bottom-call": n, "boundary": 0}[row]
     poisoned[k + 1] = math.nan
-    monkeypatch.setattr(recurrence, "_lattice_rows", lambda size: (d, poisoned, half, root))
+    monkeypatch.setattr(recurrence, "_LATTICE", [d, poisoned, half, root])
     with pytest.raises(NonConvergenceError, match="floating-point range"):
         secular_function(2.0, 0.0, n)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("solve, args, error", [
-    (minimal_solution_backward, (1e308, 0.3, 100), NonConvergenceError),
-    (minimal_solution_backward, (1e308, 0.3, 3000), NonConvergenceError),
+    (minimal_solution_backward, (1e308, 0.3, 100), InvalidParametersError),
+    (minimal_solution_backward, (1e308, 0.3, 3000), InvalidParametersError),
     # w_m is finite, but the weights near k = m / 2 overflow
-    (minimal_solution_backward, (1e306, 1499 + 1j, 1500), NonConvergenceError),
+    (minimal_solution_backward, (1e306, 1499 + 1j, 1500), InvalidParametersError),
     (iterate_forward, (1e306, 1499 + 1j, 1.0, 1500), InvalidParametersError),
-    (secular_function, (1e308, 0.3, 256), NonConvergenceError),
-    (secular_function, (1e308, 0.3 + 1j, 256), NonConvergenceError),
-    (secular_function, (1e306, 250 + 1j, 256), NonConvergenceError),
+    (secular_function, (1e308, 0.3, 256), InvalidParametersError),
+    (secular_function, (1e308, 0.3 + 1j, 256), InvalidParametersError),
+    (secular_function, (1e306, 250 + 1j, 256), InvalidParametersError),
+    (jacobi_ops.build, (jacobi_ops.SpectralFamily(lam=-7.5e246, mu=5.85e268), 2),
+     InvalidParametersError),
+    (jacobi_ops.spectral_diagonals, (1e300, [0.3, -1e300], 4), InvalidParametersError),
+    (jacobi_ops.spectral_counts, (8.58e226, [-7.58e268, 0.3]), InvalidParametersError),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_a_weight_that_overflows_raises_without_a_warning(solve, args, error):
-    # numpy used to warn as it formed the weights, before the error
-    with pytest.raises(error, match="overflow|floating-point range"):
+    # numpy used to warn as it formed the weights, before the error; the
+    # solutions and the sweep raised NonConvergenceError, and the Jacobi
+    # rows another message
+    with pytest.raises(error, match=_WEIGHT_OVERFLOW):
         solve(*args)
 
 
