@@ -38,7 +38,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import BranchCutError, InvalidParametersError, NonConvergenceError
-from .recurrence import _check_mu, _lattice_rows, _weight_rows, _weights_overflow
+from .recurrence import _check_mu, _check_weights, _lattice, _weight_rows
 from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
 __all__ = [
@@ -120,7 +120,7 @@ def _couplings(family: JacobiFamily, start: int, stop: int) -> np.ndarray:
     """The coupling joining row k - 1 to row k, for k = start .. stop - 1;
     0 for row 0; the recurrence's read-only d(k) for reference and spectral."""
     if isinstance(family, (ReferenceFamily, SpectralFamily)):
-        return _lattice_rows(stop)[0][start:]
+        return _lattice(stop, "d")[0][start:stop]
     k = np.arange(max(start, 1), stop, dtype=np.float64)
     if isinstance(family, CountingFamily):
         eps = family.epsilon
@@ -140,10 +140,8 @@ def build(family: JacobiFamily, n: int) -> TridiagonalMatrix:
     off = _couplings(family, 0, n)[1:].copy()
     if isinstance(family, ReferenceFamily):
         # the exact 2 mu (k + 1/2), the weights w_k at lam = 0
-        if _weights_overflow(family.mu, 0.0, n - 1):
-            raise InvalidParametersError(f"mu = {family.mu} makes a diagonal weight of "
-                                         f"w_0..w_{n - 1} overflow at lam = 0.0")
-        diag = 2.0 * family.mu * _lattice_rows(n)[2]
+        _check_weights(family.mu, 0.0, n)
+        diag = 2.0 * family.mu * _lattice(n, "half")[0][:n]
     elif isinstance(family, SpectralFamily):
         diag = _weight_rows(family.mu, family.lam, n)
     else:
@@ -182,15 +180,15 @@ def _check_cap(cap: int) -> None:
         raise InvalidParametersError(f"row cap must lie in [2, {ROW_CAP}], got {cap}")
 
 
-def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
+def _walk(k: int, family: JacobiFamily, diagonals: Callable, level: float,
           certified: Callable, cap: int, what: str,
           first: int = _FIRST_BLOCK) -> tuple[np.ndarray, int]:
     """Counts below ``level`` of k infinite matrices sharing their
     couplings, and the most rows any of them walked.
 
-    ``couplings(start, stop)`` gives the couplings of rows start .. stop - 1
-    as ``_couplings`` does, and ``diagonals(cols, start, stop)`` those rows
-    of the diagonals of the matrices ``cols``.  The first block ends at
+    The couplings of rows start .. stop - 1 are those of ``family``
+    (:func:`_couplings`), and ``diagonals(cols, start, stop)`` gives those
+    rows of the diagonals of the matrices ``cols``.  The first block ends at
     row ``first``, and every later one is as long as all the rows before
     it, up to ``cap`` (checked by the caller, at most ``ROW_CAP``); after
     each block, ``certified(cols, last, stop, couplings)`` says, from each
@@ -224,7 +222,7 @@ def _walk(k: int, couplings: Callable, diagonals: Callable, level: float,
     start, stop = 0, min(first, cap)
     while cols.size:
         # with the coupling that joins the block to the next row
-        joins = couplings(start, stop + 1)
+        joins = _couplings(family, start, stop + 1)
         counts[cols] += counts_for_diagonals(
             diagonals(cols, start, stop), joins[:-1], level, carry=last
         )
@@ -266,7 +264,7 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
 
     return _walk(
         lams.size,
-        lambda start, stop: _lattice_rows(stop)[0][start:],
+        ReferenceFamily(mu),  # whose couplings are the spectral family's
         lambda cols, start, stop: _weight_rows(mu, lams[cols][:, None], stop, start),
         0.0,
         certified,
@@ -370,7 +368,7 @@ def certified_count(
 
     below, rows = _walk(
         1,
-        lambda start, stop: _couplings(family, start, stop),
+        family,
         lambda cols, start, stop: np.zeros((1, stop - start)),
         -level,
         certified,

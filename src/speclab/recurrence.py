@@ -67,9 +67,9 @@ added to the starts, and the lanes replay once more.  The row loop runs
 instead where the joins miss again, or where one row alone could pass
 the bound.
 
-The lam-free rows d(k), d(k)^2, k + 1/2 and sqrt(k + 1/2) are built once per
-process, grown together to the largest depth asked for, and read by every
-layer (:func:`_lattice_rows`): the secular sweep reads them reversed.
+The lam-free rows d(k), d(k)^2, k + 1/2 and sqrt(k + 1/2) are read by name
+by every layer (:func:`_lattice`), each kept as deep as its own readers ask
+(d(k)^2 to the secular sweep's buffer top), and the sweep reads them reversed.
 A solution keeps the weights w_n and d(n) its rows were built from, so the
 residual checks read them instead of building them again.  The row-sized
 temporaries of a solution's weights (from 1024 rows on), the lanes and both
@@ -310,45 +310,51 @@ def _rescale_pair(a: complex, b: complex, scale: float) -> tuple[complex, comple
     return a, b, scale
 
 
-def _weights_overflow(mu: float, lam: complex, top: int) -> bool:
-    """Whether a diagonal weight w_k, k <= top, may overflow, from scalars:
-    checked before numpy forms the weights, which would warn.
+def _check_weights(mu: float, lam: complex, stop: int, start: int = 0) -> None:
+    """Raise ``InvalidParametersError`` where a diagonal weight w_k,
+    start <= k < stop, may overflow, from scalars: checked before numpy
+    forms the weights, which would warn.
 
     |w_k| = 2|mu| sqrt(k + 1/2) |k + 1/2 - lam|^(1/2), and the last factor
-    is at most (top + 1/2 + |Re lam|)^(1/2) + |Im lam|^(1/2).  The bound
+    is at most (stop - 1/2 + |Re lam|)^(1/2) + |Im lam|^(1/2).  The bound
     must stay below 2^1023, so that no rounding of a weight passes it.
     """
-    zeta_bound = math.sqrt(top + 0.5 + abs(lam.real)) + math.sqrt(abs(lam.imag))
-    return not 2.0 * abs(mu) * math.sqrt(top + 0.5) * zeta_bound < 2.0**1023
+    if stop <= start:
+        return
+    zeta_bound = math.sqrt(stop - 0.5 + abs(lam.real)) + math.sqrt(abs(lam.imag))
+    if not 2.0 * abs(mu) * math.sqrt(stop - 0.5) * zeta_bound < 2.0**1023:
+        raise InvalidParametersError(
+            f"mu = {mu} makes a diagonal weight of w_{start}..w_{stop - 1} overflow at lam = {lam}"
+        )
 
 
-# d(k), with d(0) = 0, d(k)^2, k + 1/2 and sqrt(k + 1/2) for k below the
-# largest size asked for so far (:func:`_lattice_rows`); they do not depend
-# on mu or lam, so every solution and sweep a process builds reads the same rows
-_LATTICE = [np.zeros(0)] * 4
+# the lam-free rows of the mode lattice by name, each built for k < size:
+# d(k) with d(0) = 0, d(k)^2, k + 1/2 and sqrt(k + 1/2); kept in _LATTICE
+_LATTICE_ROWS = {
+    "d": lambda size: np.concatenate(([0.0], coupling_weights(np.arange(1, size)))),
+    "d2": lambda size: np.square(_lattice(size, "d")[0][:size]),
+    "half": lambda size: np.arange(size) + 0.5,
+    "root": lambda size: np.sqrt(_lattice(size, "half")[0][:size]),
+}
+_LATTICE = dict.fromkeys(_LATTICE_ROWS, np.zeros(0))
+_LATTICE_LOCK = threading.Lock()
 
 
-def _lattice_rows(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """d(k), with d(0) = 0, d(k)^2, k + 1/2 and sqrt(k + 1/2) for k < size,
-    as read-only views of arrays kept across calls: a larger size builds
-    all four again at that size, a smaller one reads a prefix of each."""
-    d, d2, half, root = _LATTICE
-    if d.size < size:
-        d = np.concatenate(([0.0], coupling_weights(np.arange(1, size))))
-        half = np.arange(size) + 0.5
-        d2, root = np.square(d), np.sqrt(half)
-        d.flags.writeable = d2.flags.writeable = False
-        half.flags.writeable = root.flags.writeable = False
-        # another thread may have kept larger rows meanwhile
-        if _LATTICE[0].size < size:
-            _LATTICE[:] = d, d2, half, root
-    return d[:size], d2[:size], half[:size], root[:size]
-
-
-def _kept_lattice(size: int) -> Sequence[np.ndarray]:
-    """The four rows :func:`_lattice_rows` keeps, whole and at least ``size``
-    long, for a caller that slices them itself: no prefix views."""
-    return _LATTICE if _LATTICE[0].size >= size else _lattice_rows(size)
+def _lattice(size: int, *names: str) -> list[np.ndarray]:
+    """The named lattice rows, read-only, whole and at least ``size`` long,
+    for callers that slice them: a row kept shorter is built again at
+    ``size`` and kept, so each row is as long as its own readers asked."""
+    rows = []
+    for name in names:
+        row = _LATTICE[name]
+        if row.size < size:
+            row = _LATTICE_ROWS[name](size)
+            row.flags.writeable = False
+            with _LATTICE_LOCK:  # a longer row another thread kept stays
+                if _LATTICE[name].size < size:
+                    _LATTICE[name] = row
+        rows.append(row)
+    return rows
 
 
 class _Arena(threading.local):
@@ -391,12 +397,8 @@ def _weight_rows(mu: float, lam, stop: int, start: int = 0) -> np.ndarray:
     whether the output overlaps an input.
     """
     least = (lam.min() if lam.size else 0.0) if isinstance(lam, np.ndarray) else lam
-    if stop > start and _weights_overflow(mu, least, stop - 1):
-        raise InvalidParametersError(
-            f"mu = {mu} makes a diagonal weight of w_{start}..w_{stop - 1} "
-            f"overflow at lam = {least}"
-        )
-    _, _, half, root = _kept_lattice(stop)
+    _check_weights(mu, least, stop, start)
+    half, root = _lattice(stop, "half", "root")
     if isinstance(lam, complex) and stop - start >= _LANE_MIN_ROWS:
         # a solution's temporaries go on the arena: fresh ones raised the peak
         # memory of a 1e5-row solve by 1-3 MB, and a slot costs about 2 us
@@ -645,7 +647,7 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
         raise InvalidParametersError("seed must be finite")
     lam = _validate_lam(lam)
 
-    ds = _lattice_rows(n + 1)[0]
+    (d,) = _lattice(n + 1, "d")
     w = _weight_rows(mu, lam, n)
     values = np.empty(n + 1, dtype=complex)
     scales = np.zeros(n + 1)
@@ -654,9 +656,9 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
         try:
             # the seed may lie above 2^512, so the n = 0 row is always
             # rescaled, and C_0 is stored on the scale it gives the pair
-            c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(ds[1]), c0, 0.0)
+            c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(d[1]), c0, 0.0)
             values[:2], scales[:2] = (c_prev, c1), scale
-            _steps(w[1:], ds[1:n], ds[2:], c_prev, c1, scale, values[2:], scales[2:])
+            _steps(w[1:], d[1:n], d[2:n + 1], c_prev, c1, scale, values[2:], scales[2:])
         except OverflowError:
             raise InvalidParametersError(
                 f"the forward recurrence from the seed C_0 = {c0} at mu = {mu}, "
@@ -664,7 +666,7 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
             ) from None
     return RecurrenceSolution(
         mu=mu, lam=lam, values=values, log2_scale=scales,
-        direction="forward", normalization=f"C_0 = {c0}", weights=w, couplings=ds,
+        direction="forward", normalization=f"C_0 = {c0}", weights=w, couplings=d[:n + 1],
     )
 
 
@@ -707,13 +709,13 @@ def minimal_solution_backward(
     if m <= n:
         raise InvalidParametersError("buffer top m must exceed n")
 
-    ds = _lattice_rows(m + 2)[0]
+    (d,) = _lattice(m + 2, "d")
     w = _weight_rows(mu, lam, m + 1)
     out = np.empty(m, dtype=complex)
     log2 = np.empty(m)
     try:
         # from (C_{m+1}, C_m) = (0, 1) down to C_0; row k needs d(k+1) and d(k)
-        _steps(w[m:0:-1], ds[m + 1:1:-1], ds[m:0:-1], 0j, 1 + 0j, 0.0, out, log2)
+        _steps(w[m:0:-1], d[m + 1:1:-1], d[m:0:-1], 0j, 1 + 0j, 0.0, out, log2)
     except OverflowError:
         raise NonConvergenceError(
             f"the backward recurrence at mu={mu}, lam={lam} left the floating-point range"
@@ -732,7 +734,7 @@ def minimal_solution_backward(
         mu=mu, lam=lam, values=values[: n + 1] / pivot_m,
         log2_scale=scales[: n + 1] - (scales[n] + shift),
         direction="backward", normalization="C_n = 1",
-        weights=w[:n], couplings=ds[: n + 1],
+        weights=w[:n], couplings=d[: n + 1],
     )
 
 
@@ -910,7 +912,7 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     m = _buffer_top(n)
     real = lam.imag == 0.0
     # the sweep reads the rows k = m, ..., 0 reversed: d(k+1)^2 and w_k
-    d, d2, _, _ = _kept_lattice(m + 2)
+    d, d2 = _lattice(m + 2, "d", "d2")
     d2 = memoryview(d2[m + 1:0:-1])
     w = _weight_rows(mu, lam.real if real else lam, m + 1)[::-1]
     try:

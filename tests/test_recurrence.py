@@ -208,31 +208,56 @@ def test_one_coupling_weight_formula():
     assert [coupling_weight(int(n)) for n in ns] == vector.tolist()
 
 
+def _fresh_lattice(monkeypatch):
+    """No lattice row kept, as in a fresh process."""
+    monkeypatch.setattr(recurrence, "_LATTICE", dict.fromkeys(recurrence._LATTICE, np.zeros(0)))
+
+
+_ROWS = ("d", "d2", "half", "root")
+
+
 def test_lattice_rows_are_kept_and_grown(monkeypatch):
-    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0)] * 4)
+    _fresh_lattice(monkeypatch)
     builds = []
     weights = recurrence.coupling_weights
     monkeypatch.setattr(recurrence, "coupling_weights", lambda ns: builds.append(len(ns)) or weights(ns))
+    largest = 0
     for size in (1, 10, 3000, 2999, 5, 100_001):
-        rows = recurrence._lattice_rows(size)
+        largest = max(largest, size)
+        rows = recurrence._lattice(size, *_ROWS)
         d, d2, half, root = rows
-        assert [row.size for row in rows] == [size] * 4
+        # each row is returned whole, as long as the largest size so far
+        assert [row.size for row in rows] == [largest] * 4
         assert d[0] == 0.0
-        assert d[1:].tobytes() == coupling_weights(np.arange(1, size)).tobytes()
+        assert d[1:].tobytes() == coupling_weights(np.arange(1, largest)).tobytes()
         assert d2.tobytes() == np.square(d).tobytes()
-        assert half.tobytes() == (np.arange(size) + 0.5).tobytes()
-        assert root.tobytes() == np.sqrt(np.arange(size) + 0.5).tobytes()
+        assert half.tobytes() == (np.arange(largest) + 0.5).tobytes()
+        assert root.tobytes() == np.sqrt(np.arange(largest) + 0.5).tobytes()
         assert not any(row.flags.writeable for row in rows)
-    # a size no larger than the largest so far builds nothing: it reads a
-    # prefix of the arrays kept
+        assert all(row is recurrence._LATTICE[name] for row, name in zip(rows, _ROWS))
+    # a size no larger than the largest so far builds nothing: its readers
+    # slice the rows kept
     assert builds == [0, 9, 2999, 100_000]
-    kept = recurrence._lattice_rows(100_001)
-    rows = recurrence._lattice_rows(40)
+    kept = recurrence._lattice(100_001, *_ROWS)
+    rows = [row[:40] for row in recurrence._lattice(40, *_ROWS)]
     assert all(np.shares_memory(row, whole) for row, whole in zip(rows, kept))
     assert len(builds) == 4
     for row in rows:
         with pytest.raises(ValueError, match="read-only"):
             row[3] = 1.0
+
+
+def test_each_lattice_row_is_kept_only_as_deep_as_its_readers_ask(monkeypatch):
+    # an identity-check at depth 1e5 reads d(k), k + 1/2 and sqrt(k + 1/2)
+    # that deep; d(k)^2 only the secular sweep reads, to its buffer top
+    _fresh_lattice(monkeypatch)
+    iterate_forward(1.5, 0.3 + 0.1j, 1.0, 100_000)
+    secular_function(2.0, 0.0, 256)
+    sizes = {name: row.size for name, row in recurrence._LATTICE.items()}
+    assert sizes == {"d": 100_001, "d2": 256 + 50 + 2, "half": 100_000, "root": 100_000}
+    # the rows of the sweep keep their bits
+    d, d2 = recurrence._lattice(308, "d", "d2")
+    assert d2.tobytes() == np.square(d[:308]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +350,6 @@ def test_forward_validation():
     assert sol.length == 1 and sol.value(0) == 3.0
 
 
-@pytest.mark.filterwarnings("error")
 def test_forward_rejects_a_recurrence_that_overflows():
     # w_k overflows for k >= 1: the rows were nan, and the row check read 0
     with pytest.raises(InvalidParametersError, match="w_9"):
@@ -867,7 +891,7 @@ def test_kept_arrays_are_not_carved_from_the_arena():
 def test_threads_get_their_own_arena(monkeypatch):
     serial = [_answer(mu, lam, n // 4) for mu, lam, n in _ARENA_CALLS]
     # the threads also grow the shared lattice rows from nothing at once
-    monkeypatch.setattr(recurrence, "_LATTICE", [np.zeros(0)] * 4)
+    _fresh_lattice(monkeypatch)
     results = {}
 
     def work(t):
@@ -887,6 +911,9 @@ def test_threads_get_their_own_arena(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     for t in range(4):
         assert results[t] == serial[t % 4:] + serial[:t % 4]
+    # no shorter row replaced a longer one, and no thread read d(k)^2
+    sizes = {name: row.size for name, row in recurrence._LATTICE.items()}
+    assert sizes == {"d": 25_001, "d2": 0, "half": 25_000, "root": 25_000}
 
 
 @pytest.mark.parametrize("fail_at", [0, 2, 5])
@@ -1129,7 +1156,6 @@ def test_identity_bound_catches_a_dropped_term(mu, lam, n):
     assert dropped.residual > 1e3 * bound
 
 
-@pytest.mark.filterwarnings("error")
 def test_identity_residual_finite_for_a_subnormal_seed():
     # |C_0| < 2^-1022: the mantissa's scale factor 2^-e alone overflows,
     # which made the seed's scaled value nan
@@ -1191,7 +1217,7 @@ secular_lams = st.floats(min_value=-40.0, max_value=0.5, exclude_max=True) | non
 def _sweep_rows(m):
     """The lattice rows secular_function's sweep from buffer top m reads,
     for the rows k = m, ..., 0: d(k+1)^2, k + 1/2 and 2 sqrt(k + 1/2)."""
-    _, d2, half, root = recurrence._lattice_rows(m + 2)
+    d2, half, root = recurrence._lattice(m + 2, "d2", "half", "root")
     return d2[m + 1:0:-1], half[m::-1], 2.0 * root[m::-1]
 
 
@@ -1201,7 +1227,7 @@ def _sweep_pivmin(mu, lam, m):
     couplings d(m), ..., d(2), at level 0."""
     _, half, two_sqrt = _sweep_rows(m)
     w = mu * two_sqrt[:m] * np.sqrt(half[:m] - lam)
-    (top,), off = tridiag._largest(w[None, :], recurrence._lattice_rows(m + 1)[0][m:1:-1])
+    (top,), off = tridiag._largest(w[None, :], recurrence._lattice(m + 1, "d")[0][m:1:-1])
     return tridiag._pivmin_rule(top, off, 0.0)
 
 
@@ -1329,7 +1355,7 @@ def test_secular_real_sweep_is_the_reversed_truncation_count(mu, lam, n):
     m = n + max(50, n // 10)
     _, half, two_sqrt = _sweep_rows(m)
     w = mu * two_sqrt * np.sqrt(half - lam)
-    couplings = recurrence._lattice_rows(m + 1)[0][m:0:-1]
+    couplings = recurrence._lattice(m + 1, "d")[0][m:0:-1]
 
     def below(rows):
         # the negative pivots among the first ``rows`` of the reversed rows
@@ -1384,7 +1410,6 @@ def test_secular_sweep_outside_the_float_range_raises():
         secular_function(1e-310, 1.0j, 10)
 
 
-@pytest.mark.filterwarnings("error")
 def test_secular_sweep_real_lam_outside_the_float_range_raises():
     # at mu = 1e308 the upper w_k overflow to inf, where the real sweep's
     # ratios -d(k)^2 / (w_k + rho_k) would be -0.0, which has no sign to
@@ -1402,16 +1427,14 @@ def test_secular_real_sweep_with_a_nan_row_raises(monkeypatch, row, n):
     # the last row of the first call (rows m, ..., n+1), the first of the
     # second (rows n, ..., 1), and d(1)^2 of the boundary row
     m = n + 50
-    d, d2, half, root = recurrence._lattice_rows(m + 2)
-    poisoned = np.array(d2)
+    poisoned = np.array(recurrence._lattice(m + 2, "d2")[0])
     k = {"first": m, "top-call": n + 1, "bottom-call": n, "boundary": 0}[row]
     poisoned[k + 1] = math.nan
-    monkeypatch.setattr(recurrence, "_LATTICE", [d, poisoned, half, root])
+    monkeypatch.setitem(recurrence._LATTICE, "d2", poisoned)
     with pytest.raises(NonConvergenceError, match="floating-point range"):
         secular_function(2.0, 0.0, n)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("solve, args, error", [
     (minimal_solution_backward, (1e308, 0.3, 100), InvalidParametersError),
     (minimal_solution_backward, (1e308, 0.3, 3000), InvalidParametersError),
