@@ -141,10 +141,6 @@ class CouplingDerived:
     mu2: float | None
     degenerate: bool
 
-    @property
-    def sigma_eigs(self) -> tuple[float, float]:
-        return (self.sigma_eig_plus, self.sigma_eig_minus)
-
 
 @dataclass(frozen=True)
 class TransitionClass:

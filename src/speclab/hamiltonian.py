@@ -206,23 +206,17 @@ class ModeTrialFunction:
 def _draw_trials(
     rng: np.random.Generator,
     count: int,
-    max_mode: int,
     beta_zero_gamma: complex | None,
 ) -> tuple[np.ndarray, ...]:
-    """``count`` random trial functions as (count, max_mode + 1) arrays.
+    """``count`` random trial functions as (count, _MAX_MODE + 1) arrays.
 
     Returns ``(present, upper, lower, decay, f_plus)``: row i holds trial
     i, column n its mode n.  Each trial has 1-5 distinct modes of
-    0..max_mode, drawn uniformly; ``upper`` and ``lower`` are zero on the
+    0.._MAX_MODE, drawn uniformly; ``upper`` and ``lower`` are zero on the
     modes it lacks, so those carry no weight.  ``f_plus`` is upper + lower
     as drawn, before the beta = 0 projection rounds it.
     """
-    if max_mode < 4:
-        raise InvalidParametersError(
-            f"trials draw up to 5 distinct modes, so max_mode must be at least 4, "
-            f"got {max_mode}"
-        )
-    shape = (count, max_mode + 1)
+    shape = (count, _MAX_MODE + 1)
     n_modes = rng.integers(1, 6, size=count)
     # the ranks of uniform keys are a uniform permutation of each row
     rank = rng.random(shape).argsort(axis=1).argsort(axis=1)
@@ -242,19 +236,18 @@ def _draw_trials(
 def random_trial(
     rng: np.random.Generator,
     *,
-    max_mode: int = _MAX_MODE,
     beta_zero_gamma: complex | None = None,
 ) -> ModeTrialFunction:
     """Draw a random trial function for Monte-Carlo form checks.
 
-    Mode indices are sampled without replacement from 0..max_mode, decay
-    rates log-uniformly from [0.1, 10], boundary values as complex
+    Mode indices are sampled without replacement from 0.._MAX_MODE (12),
+    decay rates log-uniformly from [0.1, 10], boundary values as complex
     standard normals.  When ``beta_zero_gamma`` is given the boundary values
     are projected onto the constraint f_minus = -conj(gamma)/2 * f_plus that
     the beta = 0 form domain imposes.  This is one trial of the draw that
     :func:`random_forms` makes.
     """
-    present, upper, lower, decay, _ = _draw_trials(rng, 1, max_mode, beta_zero_gamma)
+    present, upper, lower, decay, _ = _draw_trials(rng, 1, beta_zero_gamma)
     return ModeTrialFunction(tuple(
         TrialMode(n=int(n), upper=complex(upper[0, n]), lower=complex(lower[0, n]),
                   decay=float(decay[0, n]))
@@ -365,9 +358,7 @@ def random_forms(
     |gamma| >= 1e16.
     """
     beta_zero_gamma = params.gamma if params.beta == 0.0 else None
-    _, upper, lower, decay, f_plus = _draw_trials(
-        rng, trials, _MAX_MODE, beta_zero_gamma
-    )
+    _, upper, lower, decay, f_plus = _draw_trials(rng, trials, beta_zero_gamma)
     n = np.arange(_MAX_MODE + 1)
     # sums that overflow are reported below, or by the caller
     with np.errstate(over="ignore", invalid="ignore"):
@@ -449,13 +440,11 @@ def saturating_trial(
 class HSpectrumResult:
     """Eigenvalues below 1/2 together with the search metadata."""
 
-    params: CouplingParams
     branches: tuple[Branch, ...]
     branch_mus: tuple[float, ...]
     eigenvalues: np.ndarray
     per_branch_counts: tuple[int, ...]
     truncation_size: int
-    tol: float
     method_agreement: float
 
     @property
@@ -659,9 +648,9 @@ def _subcritical(p: CouplingParams) -> list[tuple[Branch, float]]:
 
 def _branches_and_window(
     params: CouplingParams, lambda_min: float | None
-) -> tuple[CouplingParams, list[tuple[Branch, float]], tuple[float, float] | None]:
-    """The canonical parameters, the subcritical branches (branch, mu) and
-    the search window (lam_lo, lam_hi) below the threshold.
+) -> tuple[list[tuple[Branch, float]], tuple[float, float] | None]:
+    """The subcritical branches (branch, mu) of the canonical parameters
+    and the search window (lam_lo, lam_hi) below the threshold.
 
     The free case gives no branch and no window, and branches none of
     which is subcritical raise, as :func:`_subcritical` says.  The
@@ -672,7 +661,7 @@ def _branches_and_window(
     p = canonicalize(params)
     subcritical = _subcritical(p)
     if not subcritical:
-        return p, [], None
+        return [], None
     lam_hi = THRESHOLD - _WINDOW_MARGIN
     if lambda_min is None:
         lambda_min = THRESHOLD - 10.0
@@ -684,7 +673,7 @@ def _branches_and_window(
         raise InvalidParametersError(
             f"lambda_min = {float(lambda_min)} does not leave a search window below 1/2"
         )
-    return p, subcritical, (float(lambda_min), lam_hi)
+    return subcritical, (float(lambda_min), lam_hi)
 
 
 def h_eigenvalues_below_threshold(
@@ -728,7 +717,7 @@ def h_eigenvalues_below_threshold(
     (:func:`_secular_agreement`).
     """
     tol = _check_tol(tol)
-    p, subcritical, window = _branches_and_window(params, lambda_min)
+    subcritical, window = _branches_and_window(params, lambda_min)
     per_branch: list[np.ndarray] = []
     max_size = 0
     for _, mu in subcritical:
@@ -752,13 +741,11 @@ def h_eigenvalues_below_threshold(
     agreement = _secular_agreement(mus, per_branch, window[0]) if window else 0.0
     merged = np.sort(np.concatenate(per_branch)) if per_branch else np.zeros(0)
     return HSpectrumResult(
-        params=p,
         branches=tuple(br for br, _ in subcritical),
         branch_mus=tuple(mus),
         eigenvalues=merged,
         per_branch_counts=tuple(int(e.size) for e in per_branch),
         truncation_size=max_size,
-        tol=tol,
         method_agreement=agreement,
     )
 
@@ -786,7 +773,6 @@ def count_below_epsilon(
 class Discrete2Report:
     """Comparison of the located eigenvalue count with the counting limit."""
 
-    params: CouplingParams
     lhs: int
     rhs: int
     bound: int
@@ -812,7 +798,7 @@ def discrete2_check(
     1 when a single branch is subcritical and 2 when both are.  No count
     walks more than ``size_cap`` rows.
     """
-    p, subcritical, window = _branches_and_window(params, None)
+    subcritical, window = _branches_and_window(params, None)
     mus = tuple(mu for _, mu in subcritical)
     lhs = 0
     for mu in mus:
@@ -820,7 +806,7 @@ def discrete2_check(
         lhs += int(c_hi - c_lo)
     rhs = sum(certified_count(CountingLimitFamily(), mu, cap=size_cap)[0] for mu in mus)
     bound = 1 if len(mus) <= 1 else 2
-    return Discrete2Report(params=p, lhs=lhs, rhs=rhs, bound=bound, branch_mus=mus)
+    return Discrete2Report(lhs=lhs, rhs=rhs, bound=bound, branch_mus=mus)
 
 
 @dataclass(frozen=True)

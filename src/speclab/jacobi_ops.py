@@ -49,7 +49,6 @@ __all__ = [
     "CountingLimitFamily",
     "JacobiFamily",
     "build",
-    "spectral_diagonals",
     "spectral_counts",
     "certified_count",
     "TransitionScanReport",
@@ -165,13 +164,6 @@ def _check_lams(lams) -> np.ndarray:
             "lowest branch cut starts there"
         )
     return lams
-
-
-def spectral_diagonals(mu: float, lams: np.ndarray, n: int) -> np.ndarray:
-    """Diagonals of the spectral family for a batch of lam values, (k, n)."""
-    if n < 0:
-        raise InvalidParametersError(f"the number of rows must be nonnegative, got {n}")
-    return _weight_rows(_check_mu(mu), _check_lams(lams)[:, None], n)
 
 
 def _check_cap(cap: int) -> None:

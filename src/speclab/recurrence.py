@@ -65,7 +65,8 @@ digits), the gaps between each lane's replayed end and the next start
 are carried across the lanes once more through the transfer products,
 added to the starts, and the lanes replay once more.  The row loop runs
 instead where the joins miss again, or where one row alone could pass
-the bound.
+the bound.  A forward solution runs no lanes where no solution dominates
+(|mu| <= 1, real lam): the carried starts would keep their rounding.
 
 The lam-free rows d(k), d(k)^2, k + 1/2 and sqrt(k + 1/2) are read by name
 by every layer (:func:`_lattice`), each kept as deep as its own readers ask
@@ -80,7 +81,7 @@ fresh.
 
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
-roots lam+- of t^2 + a0 t + b0 and exponents d+- the two basis
+roots lam+- of t^2 + a0 t + 1 and exponents d+- the two basis
 solutions behave like lam+-^n * n^(d+-); the degenerate root case
 switches to exp(+-delta*sqrt(n)) * n^kappa.
 """
@@ -104,7 +105,6 @@ from .errors import (
 from .tridiag import _count_scalar, _pivmin_rule
 
 __all__ = [
-    "zeta",
     "zeta_array",
     "coupling_weight",
     "coupling_weights",
@@ -158,12 +158,6 @@ def _validate_lam(lam: complex, n_min: int = 0) -> complex:
     return lam
 
 
-def zeta(n: int, lam: complex) -> complex:
-    """Branch-correct sqrt(n + 1/2 - lam), the same complex as
-    :func:`zeta_array` gives for n."""
-    return complex(zeta_array(np.array([n]), lam)[0])
-
-
 def zeta_array(ns: np.ndarray, lam: complex) -> np.ndarray:
     """zeta_n(lam) = sqrt(n + 1/2 - lam) for every index n of ``ns``.
 
@@ -214,7 +208,6 @@ class RecurrenceSolution:
     values: np.ndarray = field(repr=False)
     log2_scale: np.ndarray = field(repr=False)
     direction: str
-    normalization: str
     weights: np.ndarray = field(repr=False)
     couplings: np.ndarray = field(repr=False)
 
@@ -227,12 +220,6 @@ class RecurrenceSolution:
         is inf of its sign, and a zero part keeps its signed zero."""
         v, e = complex(self.values[n]), int(self.log2_scale[n])
         return complex(_ldexp_or_inf(v.real, e), _ldexp_or_inf(v.imag, e))
-
-    def log2_magnitude(self, n: int) -> float:
-        mag = abs(self.values[n])
-        if mag == 0.0:
-            return -math.inf
-        return math.log2(mag) + float(self.log2_scale[n])
 
     def ratio(self, n: int) -> complex:
         """Scale-free consecutive ratio C_{n+1} / C_n."""
@@ -417,18 +404,19 @@ def _steps(
     scale: float,
     values: np.ndarray,
     scales: np.ndarray,
+    lanes: bool = True,
 ) -> None:
     """Step (a, b) = (b, -(w[i]*b + d_old[i]*a) / d_new[i]) for each i.
 
     Writes the mantissa b and the running log2 scale after step i to
     ``values[i]`` and ``scales[i]``, contiguous arrays of len(w).  The
-    caller passes |a|, |b| <= 2^512.  Fewer than ``_LANE_MIN_ROWS`` steps
-    run in the row loop (:func:`_row_steps`); more run as lanes
-    (:func:`_lane_steps`) of isqrt(len(w) // 2) rows each, after the row
-    loop has taken the steps that do not fill a lane.
+    caller passes |a|, |b| <= 2^512.  Fewer than ``_LANE_MIN_ROWS`` steps,
+    or all if not ``lanes``, run in the row loop (:func:`_row_steps`); more
+    run as lanes (:func:`_lane_steps`) of isqrt(len(w) // 2) rows each,
+    after the row loop has taken the steps that do not fill a lane.
     """
     w, d_old, d_new = np.asarray(w), np.asarray(d_old), np.asarray(d_new)
-    if w.size >= _LANE_MIN_ROWS:
+    if lanes and w.size >= _LANE_MIN_ROWS:
         # a lane row costs a few numpy calls, a lane one carry step: twice
         # as many lanes as rows was about 8% faster than as many at 1e5 steps
         rows = math.isqrt(w.size // 2)
@@ -634,10 +622,11 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
 
     The n = 0 row fixes C_1 = -2*mu*sqrt(1/2)*zeta_0(lam)*c0 / d(1); the
     interior rows then propagate upward.  Working magnitudes are kept in
-    [2^-512, 2^512] by the rescaling accumulator.  A mu that makes a
-    diagonal weight w_0..w_{n-1} overflow, or a row that overflows on the
-    way (a seed near the top of the float range, or |w_k| above about
-    2^512), raises ``InvalidParametersError``.
+    [2^-512, 2^512] by the rescaling accumulator, and where no solution
+    dominates (|mu| <= 1, real lam) every row runs in the row loop.  A mu
+    that makes a diagonal weight w_0..w_{n-1} overflow, or a row that
+    overflows on the way (a seed near the top of the float range, or |w_k|
+    above about 2^512), raises ``InvalidParametersError``.
     """
     mu = _check_mu(mu)
     if n < 0:
@@ -658,7 +647,8 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
             # rescaled, and C_0 is stored on the scale it gives the pair
             c1, c_prev, scale = _rescale_pair(-(complex(w[0]) * c0) / float(d[1]), c0, 0.0)
             values[:2], scales[:2] = (c_prev, c1), scale
-            _steps(w[1:], d[1:n], d[2:n + 1], c_prev, c1, scale, values[2:], scales[2:])
+            _steps(w[1:], d[1:n], d[2:n + 1], c_prev, c1, scale, values[2:], scales[2:],
+                   lanes=abs(mu) > 1.0 or lam.imag != 0.0)
         except OverflowError:
             raise InvalidParametersError(
                 f"the forward recurrence from the seed C_0 = {c0} at mu = {mu}, "
@@ -666,7 +656,7 @@ def iterate_forward(mu: float, lam: complex, c0: complex, n: int) -> RecurrenceS
             ) from None
     return RecurrenceSolution(
         mu=mu, lam=lam, values=values, log2_scale=scales,
-        direction="forward", normalization=f"C_0 = {c0}", weights=w, couplings=d[:n + 1],
+        direction="forward", weights=w, couplings=d[:n + 1],
     )
 
 
@@ -733,8 +723,7 @@ def minimal_solution_backward(
     return RecurrenceSolution(
         mu=mu, lam=lam, values=values[: n + 1] / pivot_m,
         log2_scale=scales[: n + 1] - (scales[n] + shift),
-        direction="backward", normalization="C_n = 1",
-        weights=w[:n], couplings=d[: n + 1],
+        direction="backward", weights=w[:n], couplings=d[: n + 1],
     )
 
 
@@ -748,7 +737,6 @@ class BirkhoffAdamsParams:
     """
 
     case: str
-    coeffs: tuple[complex, complex, complex, complex]
     roots: tuple[complex, complex] | None = None
     exponents: tuple[complex, complex] | None = None
     double_root: complex | None = None
@@ -776,12 +764,14 @@ def birkhoff_adams_eval(mu: float, lam: complex) -> BirkhoffAdamsParams:
 
     The normalised recurrence has the large-n expansion
     x(n+1) + x(n-1) + (a0 + a1/n + O(n^-2)) x(n) = 0 modulated by
-    b0 + b1/n in the outer coefficients, with
+    1 - 1/n in the outer coefficients, with
 
-        a0 = 2*mu, a1 = -mu*(1 + lam), b0 = 1, b1 = -1.
+        a0 = 2*mu, a1 = -mu*(1 + lam).
 
     Distinct characteristic roots (mu^2 != 1) give power-modulated
-    geometric behaviour; mu^2 = 1 collapses to the double-root form.
+    geometric behaviour, with exponents (a1*r - 1) / (a0*r + 2) at each
+    root r; mu^2 = 1 collapses to the double-root form, with
+    delta = 2*sqrt((a0*a1 + 2) / 2) and kappa = -1/4.
     """
     mu = _check_mu(mu)
     lam = complex(lam)
@@ -789,26 +779,17 @@ def birkhoff_adams_eval(mu: float, lam: complex) -> BirkhoffAdamsParams:
         raise InvalidParametersError("lam must be finite")
     a0 = complex(2.0 * mu)
     a1 = -mu * (1.0 + lam)
-    b0 = complex(1.0)
-    b1 = complex(-1.0)
-    coeffs = (a0, a1, b0, b1)
     if mu * mu == 1.0:
-        delta = 2.0 * cmath.sqrt((a0 * a1 - 2.0 * b1) / (2.0 * b0))
         return BirkhoffAdamsParams(
             case="double",
-            coeffs=coeffs,
             double_root=complex(-mu),
-            delta=delta,
-            kappa=0.25 + (b1 / (2.0 * b0)).real,
+            delta=2.0 * cmath.sqrt((a0 * a1 + 2.0) / 2.0),
+            kappa=-0.25,
         )
     sq = cmath.sqrt(complex(mu * mu - 1.0))
     roots = (-mu + sq, -mu - sq)
-    exps = tuple(
-        (a1 * r + b1) / (a0 * r + 2.0 * b0) for r in roots
-    )
-    return BirkhoffAdamsParams(
-        case="distinct", coeffs=coeffs, roots=roots, exponents=exps
-    )
+    exps = tuple((a1 * r - 1.0) / (a0 * r + 2.0) for r in roots)
+    return BirkhoffAdamsParams(case="distinct", roots=roots, exponents=exps)
 
 
 @dataclass(frozen=True)

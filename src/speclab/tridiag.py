@@ -116,7 +116,6 @@ class EigenvalueReport:
     count_below_lo: int
     count_below_hi: int
     size: int
-    tol: float
 
     @property
     def count(self) -> int:
@@ -366,7 +365,6 @@ def eigenvalues_in_window(
         count_below_lo=count_lo,
         count_below_hi=count_hi,
         size=t.size,
-        tol=tol,
     )
 
 

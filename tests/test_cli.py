@@ -573,7 +573,7 @@ def test_no_silent_nan_and_certified_eigenvalues(point, epsilon):
     # branches: i eigenvalues of the window below x - tol/2, i + 1 below
     # x + tol/2
     spectrum = rows["h-spectrum"]
-    _, subcritical, (lam_lo, _) = _branches_and_window(CouplingParams(alpha, beta, gamma), None)
+    subcritical, (lam_lo, _) = _branches_and_window(CouplingParams(alpha, beta, gamma), None)
     half = 0.5e-10  # the default tol, halved
     for i, x in enumerate(spectrum["eigenvalues"]):
         lams = [lam_lo, x - half, x + half]

@@ -37,7 +37,7 @@ gammas = st.builds(complex, finite_reals, finite_reals)
 def test_derive_simple_point():
     d = derive(CouplingParams(1.0, 1.0))
     assert d.omega == (5.0, -3.0, 0.0, 0.0)
-    assert d.sigma_eigs == (8.0, 2.0)
+    assert (d.sigma_eig_plus, d.sigma_eig_minus) == (8.0, 2.0)
     assert d.mu1 == pytest.approx(SQRT2, rel=1e-15)
     assert d.mu2 == pytest.approx(SQRT2 / 4.0, rel=1e-15)
     assert not d.degenerate

@@ -48,9 +48,9 @@ from speclab import (
     random_forms,
     random_trial,
     saturating_trial,
-    spectral_diagonals,
 )
 from speclab.cli import run
+from speclab.recurrence import _weight_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -269,23 +269,15 @@ def _rows(draw) -> list[ModeTrialFunction]:
 @pytest.mark.parametrize("gamma", [None, 0.4 - 0.3j])
 def test_random_trial_is_one_trial_of_the_draw(gamma):
     for seed in range(20):
-        draw = hamiltonian._draw_trials(np.random.default_rng(seed), 1, 12, gamma)
+        draw = hamiltonian._draw_trials(np.random.default_rng(seed), 1, gamma)
         assert random_trial(np.random.default_rng(seed), beta_zero_gamma=gamma) == _rows(draw)[0]
-
-
-def test_random_trial_needs_five_modes():
-    with pytest.raises(InvalidParametersError, match="max_mode"):
-        random_trial(np.random.default_rng(0), max_mode=3)
-    assert len(random_trial(np.random.default_rng(0), max_mode=4).modes) <= 5
 
 
 def test_drawn_trials_keep_their_distributions():
     # 1-5 distinct modes of 0..12, each count equally likely; log-uniform
     # decays in [0.1, 10]; complex standard-normal boundary values
     trials = 20000
-    present, upper, lower, decay, _ = hamiltonian._draw_trials(
-        np.random.default_rng(3), trials, 12, None
-    )
+    present, upper, lower, decay, _ = hamiltonian._draw_trials(np.random.default_rng(3), trials, None)
     counts = np.bincount(present.sum(axis=1), minlength=6)
     assert counts[0] == 0
     assert np.all(np.abs(counts[1:] / trials - 0.2) < 0.015)
@@ -317,7 +309,7 @@ FORM_POINTS = [
 def test_forms_match_quadrature(params):
     rng = np.random.default_rng(2024)
     for _ in range(8):
-        trial = random_trial(rng, max_mode=9)
+        trial = random_trial(rng)
         fv = evaluate_forms(trial, params)
         norm, a0 = _strip_integrals(trial)
         b = boundary_sum_oracle(trial, params)
@@ -332,7 +324,7 @@ def test_forms_beta_zero_match_quadrature():
     params = CouplingParams(1.3, 0.0, 0.5 + 0.25j)
     rng = np.random.default_rng(77)
     for _ in range(8):
-        trial = random_trial(rng, max_mode=9, beta_zero_gamma=params.gamma)
+        trial = random_trial(rng, beta_zero_gamma=params.gamma)
         fv = evaluate_forms(trial, params)
         norm, a0 = _strip_integrals(trial)
         b = boundary_sum_oracle(trial, params)
@@ -413,7 +405,7 @@ ARRAY_POINTS = [
 @pytest.mark.parametrize("params", ARRAY_POINTS)
 def test_random_forms_match_evaluate_forms_trial_by_trial(params):
     gamma = params.gamma if params.beta == 0.0 else None
-    draw = hamiltonian._draw_trials(np.random.default_rng(11), 400, 12, gamma)
+    draw = hamiltonian._draw_trials(np.random.default_rng(11), 400, gamma)
     forms = random_forms(params, np.random.default_rng(11), 400)
     for i, trial in enumerate(_rows(draw)):
         ref = evaluate_forms(trial, params)
@@ -429,9 +421,7 @@ def test_random_forms_beta_zero_at_huge_gamma(gamma):
     # is about |gamma|/2 |f_plus|: at |gamma| = 1e16 the scalar path's f_plus
     # is off by about a quarter of itself
     params = CouplingParams(0.9, 0.0, gamma)
-    _, _, _, decay, f_plus = hamiltonian._draw_trials(
-        np.random.default_rng(4), 300, 12, gamma
-    )
+    _, _, _, decay, f_plus = hamiltonian._draw_trials(np.random.default_rng(4), 300, gamma)
     forms = random_forms(params, np.random.default_rng(4), 300)
     half_gamma = 0.5 * complex(gamma).conjugate()
     for i in range(300):
@@ -601,7 +591,7 @@ def _truncation_counter(mu, size):
     def counts_at(lams):
         # 64 lambdas at a time keeps the (64, size) diagonals small
         return np.concatenate([
-            counts_for_diagonals(spectral_diagonals(mu, lams[i : i + 64], size), offdiag)
+            counts_for_diagonals(_weight_rows(mu, lams[i : i + 64, None], size), offdiag)
             for i in range(0, lams.size, 64)
         ])
 

@@ -30,9 +30,9 @@ from speclab import (
     counts_for_diagonals,
     iterate_forward,
     spectral_counts,
-    spectral_diagonals,
     transition_scan,
 )
+from speclab.recurrence import _weight_rows
 
 
 # ---------------------------------------------------------------------------
@@ -105,30 +105,29 @@ def test_build_validation():
 
 
 def test_spectral_diagonals_match_builder():
+    # the walks of spectral_counts form a column of lams at once
     lams = np.array([-1.0, 0.0, 0.3, 0.49])
-    diags = spectral_diagonals(1.3, lams, 24)
+    diags = _weight_rows(1.3, lams[:, None], 24)
     assert diags.shape == (4, 24)
     for row, lam in zip(diags, lams):
-        want = build(SpectralFamily(lam=float(lam), mu=1.3), 24).diag
-        assert np.allclose(row, want, rtol=1e-14)
+        assert np.array_equal(row, build(SpectralFamily(lam=float(lam), mu=1.3), 24).diag)
     with pytest.raises(BranchCutError):
-        spectral_diagonals(1.0, np.array([0.6]), 8)
-    assert spectral_diagonals(1.3, lams, 0).shape == (4, 0)
-    # the rows are slices of the kept lattice, so a negative n must not
+        SpectralFamily(lam=0.6, mu=1.0)
+    with pytest.raises(BranchCutError):
+        spectral_counts(1.3, [0.3, 0.6])
+    # the rows are slices of the kept lattice, so a negative size must not
     # reach them
-    with pytest.raises(InvalidParametersError, match="nonnegative"):
-        spectral_diagonals(1.3, lams, -3)
+    with pytest.raises(InvalidParametersError, match="at least 2"):
+        build(SpectralFamily(lam=0.3, mu=1.3), -3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spectral_lams_must_be_finite(bad):
     # a nan lam gave a row of nan diagonals without an error
     with pytest.raises(InvalidParametersError, match="lam must be finite"):
-        spectral_diagonals(2.0, [bad], 4)
-    with pytest.raises(InvalidParametersError, match="lam must be finite"):
-        spectral_diagonals(2.0, [0.3, bad], 4)
-    with pytest.raises(InvalidParametersError, match="lam must be finite"):
         spectral_counts(2.0, [bad])
+    with pytest.raises(InvalidParametersError, match="lam must be finite"):
+        spectral_counts(2.0, [0.3, bad])
     with pytest.raises(InvalidParametersError, match="lam must be finite"):
         SpectralFamily(lam=bad, mu=1.0)
 
@@ -139,7 +138,7 @@ def test_spectral_lams_must_be_finite(bad):
     lambda: build(SpectralFamily(lam=-7.5e246, mu=5.85e268), 2),
     lambda: build(ReferenceFamily(1.697841037416877e307), 20),
     lambda: build(ReferenceFamily(-1e308), 2),
-    lambda: spectral_diagonals(1e300, [0.3, -1e300], 4),
+    lambda: _weight_rows(1e300, np.array([[0.3], [-1e300]]), 4),
     lambda: spectral_counts(8.580895109854729e226, [-7.582129790305882e268, 0.3]),
 ], ids=["spectral", "reference", "reference-negative-mu", "diagonals", "counts"])
 def test_diagonals_that_would_overflow_name_mu_and_lam(call):
@@ -150,7 +149,7 @@ def test_diagonals_that_would_overflow_name_mu_and_lam(call):
 def test_large_diagonals_below_the_bound_are_built():
     t = build(ReferenceFamily(1.697841037416877e307), 2)
     assert np.isfinite(t.diag).all() and t.diag[1] == 3.0 * 1.697841037416877e307
-    assert np.isfinite(spectral_diagonals(1e300, [-1e10, 0.3], 64)).all()
+    assert np.isfinite(_weight_rows(1e300, np.array([[-1e10], [0.3]]), 64)).all()
 
 
 def _lattice_block(start, stop):
@@ -264,7 +263,7 @@ def test_spectral_counts_equal_fixed_truncation(log_mu_minus_1, lams):
     lams = np.array(lams)
     counts, rows = spectral_counts(mu, lams, cap=_BIG)
     want = counts_for_diagonals(
-        spectral_diagonals(mu, lams, _BIG), coupling_weights(np.arange(1, _BIG))
+        _weight_rows(mu, lams[:, None], _BIG), coupling_weights(np.arange(1, _BIG))
     )
     assert counts.tolist() == want.tolist()
     assert rows in [64 * 2**j for j in range(11)]
@@ -285,7 +284,7 @@ def test_spectral_row_bound_holds_to_the_cap(mu_minus_1, lam):
     mu = 1.0 + mu_minus_1
     mu2 = Fraction(mu) ** 2
     k_min = max(0, math.ceil(mu2 * Fraction(max(lam, 0.0)) / (mu2 - 1) - Fraction(1, 2)))
-    a = spectral_diagonals(mu, [lam], ROW_CAP)[0]
+    a = _weight_rows(mu, lam, ROW_CAP)
     d = np.concatenate(([0.0], coupling_weights(np.arange(1, ROW_CAP + 1))))
     slack = a - d[:-1] - d[1:]
     assert (slack[k_min:] > 0.0).all()
