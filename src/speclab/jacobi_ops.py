@@ -15,18 +15,27 @@ Four families, all real symmetric tridiagonal in the mode index n:
 
 :func:`build` gives a fixed truncation.  :func:`spectral_counts` (below 0,
 mu > 1) and :func:`certified_count` (counting families, above a level
-mu > 1, counted as the eigenvalues below -mu of the zero-diagonal
-operator) count eigenvalues of the infinite operator: they walk its rows
-in blocks through :func:`speclab.tridiag.counts_for_diagonals`, the one
+mu > 1) count eigenvalues of the infinite operator: they walk rows in
+blocks through :func:`speclab.tridiag.counts_for_diagonals`, the one
 Sturm count, carrying the last pivot row, and stop each count at the
 first block end where a certificate shows that no later row can change
 it, never past a caller's cap, which is at most ``ROW_CAP`` rows.  Each
-block is as long as all the rows before it.  A spectral walk's first
-block ends at row 64; a counting walk's ends 64 rows past its coupling
-row, the first row whose coupling admits the certificate, placed by its
-closed form in mu; the certificate alone decides where a walk stops.
-Both walks' pivots are nearly all positive, which the scalar pivot loop
-settles with one comparison each.
+block is as long as all the rows before it.
+
+The spectral walk takes the operator's rows; its first block ends at row
+64.  A counting operator J has a zero diagonal, so it is bipartite, and
+its eigenvalues above mu are those below -1 of -(B/mu)^T (B/mu), with B
+the block that joins its even rows to its odd ones: a tridiagonal matrix
+on J's odd rows, one for every two rows of J, which the counting walk
+takes, counting odd row 0, the one row that reads the coupling b_1 that
+grows without bound as epsilon -> 0, on its own.  A last pivot
+q >= 1/4 certifies its count once the squared couplings past it, over
+mu^2, are below 1/4.  Its rows and cap are rows of J, and its first
+block ends 64 rows of J past its coupling row, the first row whose
+coupling admits the certificate, placed by its closed form in mu; the
+certificate alone decides where a walk stops.  Both walks' pivots are
+nearly all positive, which the scalar pivot loop settles with one
+comparison each.
 """
 
 from __future__ import annotations
@@ -57,9 +66,9 @@ __all__ = [
 
 # The most rows a certified count walks, unless its caller sets fewer.
 ROW_CAP = 2**20
-# Rows a spectral walk takes before its first certificate check, and a
-# counting walk past its coupling row; every later block is as long as
-# all the rows before it.
+# Rows a spectral walk takes before its first certificate check, and rows
+# of J a counting walk takes past its coupling row; every later block is
+# as long as all the rows before it.
 _FIRST_BLOCK = 64
 # Relative margin of every certificate comparison.
 _MARGIN = 1e-12
@@ -172,56 +181,52 @@ def _check_cap(cap: int) -> None:
         raise InvalidParametersError(f"row cap must lie in [2, {ROW_CAP}], got {cap}")
 
 
-def _walk(k: int, family: JacobiFamily, diagonals: Callable, level: float,
-          certified: Callable, cap: int, what: str,
-          first: int = _FIRST_BLOCK) -> tuple[np.ndarray, int]:
-    """Counts below ``level`` of k infinite matrices sharing their
-    couplings, and the most rows any of them walked.
+def _walk(k: int, rows: Callable, level: float, certified: Callable, cap: int,
+          unsettled: str, first: int = _FIRST_BLOCK) -> tuple[np.ndarray, int]:
+    """Counts below ``level`` of k infinite matrices, and the most rows any
+    of them walked.
 
-    The couplings of rows start .. stop - 1 are those of ``family``
-    (:func:`_couplings`), and ``diagonals(cols, start, stop)`` gives those
-    rows of the diagonals of the matrices ``cols``.  The first block ends at
-    row ``first``, and every later one is as long as all the rows before
-    it, up to ``cap`` (checked by the caller, at most ``ROW_CAP``); after
-    each block, ``certified(cols, last, stop, couplings)`` says, from each
-    matrix's last pivot and the block's couplings, with the one joining it
-    to row ``stop`` last, which counts no later row can change.  Those
+    ``rows(cols, start, stop)`` gives rows start .. stop - 1 of the
+    matrices ``cols`` as pieces, in order, each a pair (diagonals,
+    couplings) whose couplings join each row to the one before it, and
+    ``edge``, the value past those rows that the certificate reads.  Each
+    piece is counted in a call of its own, so each takes its own pivmin.
+    The first block ends at row ``first``, and every later one is as long
+    as all the rows before it, up to ``cap`` (checked by the caller); after
+    each block, ``certified(cols, last, stop, edge)`` says, from each
+    matrix's last pivot, which counts no later row can change.  Those
     stop; one still open at ``cap`` rows raises ``NonConvergenceError``
-    naming ``what``.
+    with the message ``unsettled``.
 
-    Rounding.  The certificates hold for the computed pivots, which the
-    counts read.  Write the spectral invariant as q_k >= (1 - t) d(k+1).
-    An exact step takes t to at most t d(k)/d(k+1).  Rounding a step adds
-    a few ulps of the terms it sums, about 20 eps to t at most: where
-    a_k < 2 (d(k) + d(k+1)) they are under 7 (k+1) against d(k+1) >
-    0.9 (k+1), elsewhere the slack a_k - d(k) - d(k+1) > a_k/2 absorbs
-    them.  So within 2^20 rows t < 1e-8, and every later pivot keeps its
-    sign at least half its bound away from 0, far outside the pivmin
-    clamp (eps times the block's largest entries).  At level -mu, a pivot
-    q = s mu/2 with s >= 1 is followed by an exact pivot at least
-    (2 - 4B/mu^2) mu/2 > (1 + 1e-12) mu/2, as certification asks
-    4B < (1 - 1e-12) mu^2; rounding moves it by a few ulps of mu, far
-    less, so no computed pivot leaves q >= mu/2.  Comparisons keep a
-    1e-12 relative margin.  The spectral bound K is computed to a few
-    ulps and raised by that margin, so it is never below the exact bound;
-    from row K on, k - d(k) >= 1/(16 k) leaves a_k - d(k) - d(k+1) >
-    1/(8 (k + 1)) > 1e-7 up to 2^20 rows, which the few ulps of 2k + 1 by
-    which the computed entries may err cannot close.
+    Rounding of the spectral walk.  The certificate holds for the
+    computed pivots, which the counts read.  Write the invariant as
+    q_k >= (1 - t) d(k+1).  An exact step takes t to at most
+    t d(k)/d(k+1).  Rounding a step adds a few ulps of the terms it sums,
+    about 20 eps to t at most: where a_k < 2 (d(k) + d(k+1)) they are
+    under 7 (k+1) against d(k+1) > 0.9 (k+1), elsewhere the slack
+    a_k - d(k) - d(k+1) > a_k/2 absorbs them.  So within 2^20 rows
+    t < 1e-8, and every later pivot keeps its sign at least half its
+    bound away from 0, far outside the pivmin clamp (eps times the
+    block's largest entries).  Comparisons keep a 1e-12 relative margin.
+    The bound K is computed to a few ulps and raised by that margin, so it
+    is never below the exact bound; from row K on, k - d(k) >= 1/(16 k)
+    leaves a_k - d(k) - d(k+1) > 1/(8 (k + 1)) > 1e-7 up to 2^20 rows,
+    which the few ulps of 2k + 1 by which the computed entries may err
+    cannot close.  The counting walk's argument is
+    :func:`certified_count`'s.
     """
     counts = np.zeros(k, dtype=np.int64)
     cols = np.arange(k)
     last = np.array([math.inf] * k)
     start, stop = 0, min(first, cap)
     while cols.size:
-        # with the coupling that joins the block to the next row
-        joins = _couplings(family, start, stop + 1)
-        counts[cols] += counts_for_diagonals(
-            diagonals(cols, start, stop), joins[:-1], level, carry=last
-        )
-        done = certified(cols, last, stop, joins)
+        pieces, edge = rows(cols, start, stop)
+        for diagonals, couplings in pieces:
+            counts[cols] += counts_for_diagonals(diagonals, couplings, level, carry=last)
+        done = certified(cols, last, stop, edge)
         cols, last = cols[~done], last[~done]
         if cols.size and stop == cap:
-            raise NonConvergenceError(f"{what} is not certified within the row cap {cap}")
+            raise NonConvergenceError(unsettled)
         start, stop = stop, min(2 * stop, cap)
     return counts, start
 
@@ -250,18 +255,23 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
     _check_cap(cap)
     # K, or -0 where lam <= 0 and K = 0
     first = np.ceil(np.maximum(lams, 0.0) * (_turn_factor(mu) * (1.0 + _MARGIN)) - 0.5)
+    family = ReferenceFamily(mu)  # whose couplings are the spectral family's
 
-    def certified(cols, last, stop, couplings):
-        return (stop >= first[cols]) & (last >= couplings[-1] * (1.0 + _MARGIN))
+    def rows(cols, start, stop):
+        # with the coupling that joins the block to the next row
+        joins = _couplings(family, start, stop + 1)
+        return [(_weight_rows(mu, lams[cols][:, None], stop, start), joins[:-1])], joins[-1]
+
+    def certified(cols, last, stop, coupling):
+        return (stop >= first[cols]) & (last >= coupling * (1.0 + _MARGIN))
 
     return _walk(
         lams.size,
-        ReferenceFamily(mu),  # whose couplings are the spectral family's
-        lambda cols, start, stop: _weight_rows(mu, lams[cols][:, None], stop, start),
+        rows,
         0.0,
         certified,
         cap,
-        f"the spectral count for mu = {mu}",
+        f"the spectral count for mu = {mu} is not certified within the row cap {cap}",
     )
 
 
@@ -299,32 +309,52 @@ def certified_count(
     family: CountingFamily | CountingLimitFamily, level: float, *, cap: int = ROW_CAP
 ) -> tuple[int, int]:
     """Eigenvalues above ``level`` (> 1) of a counting family's infinite
-    operator, and the rows walked to certify the count.
+    operator J, and the rows of J walked to certify the count.
 
-    Certificate.  The diagonal is zero, so T and -T are similar through
-    diag((-1)^k), and the eigenvalues above mu are those below -mu: the
-    count is the negative pivots of the walk at level -mu, whose pivots
-    run q_k = mu - b_k^2 / q_{k-1}, each the exact negation of the pivot
-    at level mu.  b_k^2 only decreases while it is above 1/4 and never
-    rises back above it, so B = max(1/4, b^2), with b the coupling that
-    joins the rows walked to the next row, bounds every later b^2.  When
-    4B < mu^2, the half-line q >= mu/2 maps into itself, since
-    mu - B / (mu/2) > mu/2: once the last pivot is in it, every later
-    pivot is positive and the count is final.  Every radius between the
-    roots (mu -+ sqrt(mu^2 - 4B)) / 2 gives an invariant half-line; mu/2
-    is the middle one.  The pivots settle at the outer root of the last
-    b^2, which a relative margin cannot separate from the outer root of B
-    once mu^2 is large against B.
+    Odd rows.  The diagonal is zero, so J is bipartite: ordered even rows
+    first, J = [[0, B], [B^T, 0]], whose eigenvalues are plus and minus
+    the singular values of B, and zeros (Golub & Kahan, 1965).  The
+    eigenvalues above mu are therefore the eigenvalues below -1 of
+    -(B/mu)^T (B/mu), a tridiagonal matrix on the odd rows of J: with
+    x_k = (b_k / mu)^2, odd row i (row 2i + 1 of J) has the diagonal
+    -(x_{2i+1} + x_{2i+2}) and is joined to odd row i - 1 by
+    (b_{2i} / mu)(b_{2i+1} / mu).  s odd rows are exactly the truncation
+    of J to its first 2s + 1 rows; at an even cap 2s the last odd row
+    drops x_{2s}, which makes them exactly the truncation to 2s rows.
+    The walk's pivots run q_i = 1 - x_{2i+1} - x_{2i+2} - x_{2i} x_{2i+1} / q_{i-1},
+    one for every two rows of J.  Dividing each b_k by mu before squaring
+    keeps every entry finite at every finite level and epsilon.
 
-    Rounding.  The computed b_k^2 need not decrease: at epsilon = 1/2,
+    Certificate.  b_k^2 only decreases while it is above 1/4 and never
+    rises back above it, so after s odd rows B = max(1/(4 mu^2), x_{2s})
+    bounds every x_k a later row reads.  When 4B < 1, the half-line
+    q >= 1/4 maps into itself, since 1 - 2B - 4B^2 >= 1/4 for B <= 1/4:
+    once the last pivot is in it, every later pivot is positive and the
+    count is final.  1/4 lies between the two fixed points
+    (1 - 2x -+ sqrt(1 - 4x)) / 2 of the step at every x < 1/4, and the
+    pivots settle at the outer one, so the certificate holds soon after
+    B admits it.  At an even cap the certificate reads the pivot the row
+    would have with x_{2s}, q - x_{2s}; where it is at least 1/4, the
+    truncations to 2s and 2s + 1 rows count alike.
+
+    Rounding.  The computed x_k need not decrease: at epsilon = 1/2,
     b_k^2 = 1/(4 sqrt(1 - 1/(4 k^2))) falls by about 1/(16 k^3) a row,
     under the rounding of each b_k^2 from about row 2^16 on, where the
     computed values start to rise by an ulp now and then.  Each is within
-    a few ulps of the exact value, so a later computed b^2 exceeds the
-    computed B by at most 8 eps relative.  Certification asks
-    4B < (1 - 1e-12) mu^2, so every later computed 4 b^2 stays below
-    (1 - 1e-12)(1 + 8 eps) mu^2 < mu^2, and the pivot bound below keeps
-    all but a few ulps of its 1e-12 margin.
+    a few ulps of the exact value, so a later computed x exceeds the
+    computed x_{2s} by at most 20 eps relative.  Certification asks
+    max(1/mu^2, 4 x_{2s}) < 1 - 1e-12, so every later computed 4x stays
+    below 1 - 0.99e-12, and from a pivot q >= (1 + 1e-12)/4 an exact step
+    gives at least (1 + 4.9e-12)/4.  Rounding the step moves it by a few
+    ulps of 1, far less, so no computed pivot leaves
+    q >= (1 + 1e-12)/4, and every such pivot lies far outside the pivmin
+    clamp, eps times the largest entries of its piece.
+
+    Row 0.  Odd row 0 alone reads x_1, and b_1 = 1/(2 (epsilon
+    (1 + epsilon))^(1/4)) grows without bound as epsilon -> 0.  A pivmin
+    taken over rows that include it exceeds every later pivot, which the
+    clamp would then count.  So odd row 0 is a piece of its own, counted
+    before the rest of the first block.
 
     Schedule.  No certificate holds at a block end before the coupling
     row r, the first row r >= 1 with 4 max(1/4, b_r^2) < c,
@@ -334,13 +364,14 @@ def certified_count(
     k + 1 > 1/(1 - 1/c^2), or, for counting(epsilon), k lies past the
     larger root of (1 - 1/c^2) k^2 + (2 epsilon - 1) k + epsilon (epsilon - 1),
     both written in 1/c^2 so that no finite level overflows.  The first
-    block ends ``_FIRST_BLOCK`` rows past the closed-form r, or at the
-    cap where no row up to it admits, and a walk whose pivots have not
-    settled there goes on in blocks that double.  r only places the
-    first block: at every block end the certificate decides from the
-    computed coupling joining it to the next row and the last pivot, so
-    a rounding that moves r by a row moves no count.  The rows returned
-    are where the walk stopped.
+    block ends ``_FIRST_BLOCK`` rows of J past the closed-form r, at the
+    first odd row count 2s + 1 >= r + ``_FIRST_BLOCK``, or at the cap
+    where no row up to it admits, and a walk whose pivots have not
+    settled there goes on in blocks of odd rows that double.  r only
+    places the first block: at every block end the certificate decides
+    from the computed x_{2s} and the last pivot, so a rounding that moves
+    r by a row moves no count.  The rows returned are where the walk
+    stopped, in rows of J: 2s + 1 for s odd rows, or an even cap.
     """
     if not isinstance(family, (CountingFamily, CountingLimitFamily)):
         raise InvalidParametersError(f"no certified count for {family!r}")
@@ -350,25 +381,37 @@ def certified_count(
         raise InvalidParametersError(f"certified counts need a level above 1, got {level}")
     _check_cap(cap)
 
-    def certified(cols, last, stop, couplings):
-        # 4 max(1/4, b^2) / mu^2 < 1 - 1e-12, divided step by step so that
-        # no finite level overflows
-        b = couplings[-1]
-        if not 1.0 - 4.0 * max(0.25, b * b) / level / level > _MARGIN:
-            return np.zeros(cols.size, dtype=bool)
-        return last >= 0.5 * level * (1.0 + _MARGIN)
+    def rows(cols, start, stop):
+        # b_k / mu for k = 2 start .. 2 stop
+        c = _couplings(family, 2 * start, 2 * stop + 1) / level
+        x = c * c
+        diagonal = -(x[1::2] + x[2::2])
+        if 2 * stop == cap:
+            # the truncation to 2s rows has no row 2s below odd row s - 1
+            diagonal[-1] = -x[-2]
+        coupling = c[:-1:2] * c[1::2]
+        if start == 0 and stop > 1:  # odd row 0 on its own
+            return [(diagonal[None, :1], coupling[:1]), (diagonal[None, 1:], coupling[1:])], x[-1]
+        return [(diagonal[None, :], coupling)], x[-1]
 
-    below, rows = _walk(
+    def certified(cols, last, stop, x):
+        # 4 max(1/(4 mu^2), x_2s) < 1 - 1e-12
+        if not 1.0 - max(1.0 / level / level, 4.0 * x) > _MARGIN:
+            return np.zeros(cols.size, dtype=bool)
+        if 2 * stop == cap:
+            last = last - x
+        return last >= 0.25 * (1.0 + _MARGIN)
+
+    below, odd_rows = _walk(
         1,
-        family,
-        lambda cols, start, stop: np.zeros((1, stop - start)),
-        -level,
+        rows,
+        -1.0,
         certified,
-        cap,
-        f"the count above {level} of {family!r}",
-        _coupling_row(family, level, cap) + _FIRST_BLOCK,
+        cap // 2,
+        f"the count above {level} of {family!r} is not certified within the row cap {cap}",
+        (_coupling_row(family, level, cap) + _FIRST_BLOCK) // 2,
     )
-    return int(below[0]), rows
+    return int(below[0]), min(2 * odd_rows + 1, cap)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def _count_scalar(rows: memoryview, off2: memoryview, pivmin: float, q: float) -
     before row 0, where the coupling is 0 and 0/inf = 0).
 
     One comparison settles a pivot above pivmin, the common case in every
-    hot count (counting walks below -mu, spectral walks below 0, the real
+    hot count (counting walks below -1, spectral walks below 0, the real
     secular sweep); a second settles one below -pivmin, and only the band
     [-pivmin, pivmin] is left, whose pivots are clamped to -pivmin and
     counted.  A nan pivot is neither.

@@ -725,9 +725,12 @@ _NEAR_CRITICAL = {
 
 @pytest.mark.parametrize("command", list(_NEAR_CRITICAL))
 def test_uncertified_count_exits_3(capsys, command):
-    rc, out, err = run_cli(capsys, [command, *_NEAR_CRITICAL[command], "--n-cap=1000"])
-    assert (rc, out) == (3, "")
-    assert "is not certified within the row cap 1000" in err
+    # the counting walk takes the rows of J two at a time: an odd cap ends
+    # it on a whole odd row, an even one on the truncation's last row
+    for cap in ("1000", "999", "2"):
+        rc, out, err = run_cli(capsys, [command, *_NEAR_CRITICAL[command], f"--n-cap={cap}"])
+        assert (rc, out) == (3, "")
+        assert f"is not certified within the row cap {cap}\n" in err
     rc, _, _ = run_cli(capsys, [command, *_NEAR_CRITICAL[command]])
     assert rc == 0
 
@@ -745,6 +748,17 @@ def test_counts_at_huge_weights_are_zero(capsys, argv):
     assert rc == 0, err
     row = json.loads(out)
     assert row.get("count", row.get("rhs", row.get("counted"))) == 0
+
+
+@pytest.mark.parametrize("epsilon", ["1e-64", "5e-324"])
+@pytest.mark.parametrize("alpha, want", [("1", 1), (repr(SQRT2 / 1.002), 4)])
+def test_count_at_tiny_epsilon(capsys, epsilon, alpha, want):
+    # b_1 is 5e15 at epsilon = 1e-64 and 3e80 at 5e-324; mu = sqrt2 and
+    # 1.002 have 1 and 4 eigenvalues above them (the dense oracle on 400
+    # rows), where a pivmin that read b_1 printed 65 and 189 with exit 0
+    rc, out, err = run_cli(capsys, ["count", f"--alpha={alpha}", "--beta=0", f"--epsilon={epsilon}"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"count": want}
 
 
 def test_h_spectrum_far_lambda_min(capsys):

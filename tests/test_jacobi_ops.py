@@ -19,6 +19,7 @@ from speclab import (
     BranchCutError,
     CountingFamily,
     CountingLimitFamily,
+    DENSE_ORACLE_MAX_SIZE,
     InvalidParametersError,
     NonConvergenceError,
     ROW_CAP,
@@ -28,6 +29,7 @@ from speclab import (
     certified_count,
     coupling_weights,
     counts_for_diagonals,
+    dense_eigen_oracle,
     iterate_forward,
     spectral_counts,
     transition_scan,
@@ -319,16 +321,39 @@ def test_certified_count_equals_fixed_truncation(log_mu_minus_1, log_eps):
     t = build(family, rows)
     below = [int(counts_for_diagonals(t.diag[None, :], t.offdiag, x)[0]) for x in (-mu, mu)]
     assert count == below[0] == rows - below[1]
-    first = _coupling_row(family, mu) + jacobi_ops._FIRST_BLOCK
-    assert rows in [first * 2**j for j in range(11)]
+    first = _first_block_rows(family, mu)
+    assert rows in [(first - 1) * 2**j + 1 for j in range(11)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-3.0, 1.0), st.one_of(st.none(), st.floats(-323.3, 1.0)))
+@example(math.log10(math.sqrt(2.0) - 1.0), -64.0)
+@example(math.log10(0.002), -64.0)
+def test_certified_count_matches_the_dense_oracle(log_mu_minus_1, log_eps):
+    # epsilon down to the least subnormal, where b_1 is about 3e80: the
+    # count equals LAPACK's, which shares no code with the Sturm walk, on
+    # the rows the walk certified.  A walk whose pivmin read b_1 counted
+    # 65 and 189 for 1 and 4 at the two examples
+    mu = 1.0 + 10.0**log_mu_minus_1
+    family = CountingLimitFamily() if log_eps is None else CountingFamily(max(10.0**log_eps, 5e-324))
+    count, rows = certified_count(family, mu)
+    assert rows <= DENSE_ORACLE_MAX_SIZE
+    assert count == int(np.count_nonzero(dense_eigen_oracle(build(family, rows)) > mu))
+
+
+def _first_block_rows(family, level):
+    """The rows of J the first block of a counting walk ends at: the
+    first odd number of rows at least _FIRST_BLOCK past the coupling row,
+    as the walk takes the rows of J two at a time after row 0."""
+    return (_coupling_row(family, level) + jacobi_ops._FIRST_BLOCK) | 1
 
 
 def test_certified_count_stops_at_its_certificate():
     # the counting-limit couplings fall towards 1/2; the certificate needs
-    # the one joining the walked rows to the next below mu/2, which at
+    # the squared coupling past the walked odd rows below mu^2/4, which at
     # mu = 1.02 holds from row 13 on, and near critical from about row
-    # 1/(4 (mu - 1)) on.  The first block ends 64 rows past that row, and
-    # here the walk stops there.
+    # 1/(4 (mu - 1)) on.  The first block ends 64 or 65 rows past that
+    # row, at an odd number of rows, and here the walk stops there.
     assert _coupling_row(CountingLimitFamily(), 1.02) == 13
     assert certified_count(CountingLimitFamily(), 1.02) == (1, 77)
     mu = 1.0 + 2e-5
@@ -336,15 +361,14 @@ def test_certified_count_stops_at_its_certificate():
     first = 1 + int(np.argmax(4.0 * b * b < mu * mu * (1.0 - jacobi_ops._MARGIN)))
     assert first == 12500
     count, rows = certified_count(CountingLimitFamily(), mu)
-    assert rows == 12564
+    assert rows == 12565
     assert count == _truncation_count_above(CountingLimitFamily(), mu)
 
 
 def test_certified_count_at_large_levels():
-    # mu^2 would overflow from mu = 1.4e154, and from mu = 1e5 on the
-    # pivots settle too close to the outer root for a relative margin to
-    # pass it: the first coupling admits the mu/2 certificate, and it
-    # holds after the first block throughout
+    # mu^2 would overflow from mu = 1.4e154, and (b/mu)^2 underflows
+    # towards 0 there: the first coupling admits the 1/4 certificate, and
+    # it holds after the first block throughout
     for level in (1e5, 1e6, 1e20, 1e154, 1.4e154, 1e160, 1e200, 1e300, 1.7e308):
         for family in (CountingLimitFamily(), CountingFamily(0.5), CountingFamily(2.0)):
             assert certified_count(family, level) == (0, 65), (family, level)
@@ -400,21 +424,25 @@ def _record_blocks(monkeypatch) -> list[tuple[int, int]]:
 
 def test_certified_count_never_walks_past_the_cap(monkeypatch):
     blocks = _record_blocks(monkeypatch)
-    # the coupling row, 2500, lies past the cap: one block walks to it
+    # the coupling row, 2500, lies past the cap: one block, odd row 0 and
+    # then the rest, walks to it; 500 odd rows are the 1000 rows of J
     with pytest.raises(NonConvergenceError, match="row cap 1000"):
         certified_count(CountingLimitFamily(), 1.0001, cap=1000)
-    assert blocks == [(1, 1000)]
+    assert blocks == [(1, 1), (1, 499)]
     # a cap between the coupling row and the end of the first block ends
-    # that block, where the certificate holds here
-    blocks.clear()
-    assert certified_count(CountingLimitFamily(), 1.0001, cap=2540) == (17, 2540)
-    assert blocks == [(1, 2540)]
+    # that block, where the certificate holds here: at an even cap the
+    # last odd row is the truncation's, and at an odd one the walk ends
+    # on it as well
+    for cap in (2540, 2541):
+        blocks.clear()
+        assert certified_count(CountingLimitFamily(), 1.0001, cap=cap) == (17, cap)
+        assert blocks == [(1, 1), (1, 1269)]
     # no row admits at 1 + 1e-13, where (1 - 1e-12) mu^2 < 1: one block
     # walks to the cap
     blocks.clear()
     with pytest.raises(NonConvergenceError, match="row cap 1000"):
         certified_count(CountingFamily(0.3), 1.0 + 1e-13, cap=1000)
-    assert blocks == [(1, 1000)]
+    assert blocks == [(1, 1), (1, 499)]
     # each column stops at its own certificate: the far end of the window
     # needs far fewer rows than the one next to the threshold
     blocks.clear()
@@ -437,14 +465,14 @@ FIRST_BLOCK_POINTS = [
 @pytest.mark.parametrize("family, level", FIRST_BLOCK_POINTS)
 def test_counting_walk_starts_at_its_coupling_row(monkeypatch, family, level):
     # no certificate can hold before the coupling row r, so the first
-    # block ends _FIRST_BLOCK rows past it, and every later block is as
-    # long as all the rows before it
-    first = _coupling_row(family, level) + jacobi_ops._FIRST_BLOCK
+    # block ends _FIRST_BLOCK rows of J past it, counting odd row 0 on its
+    # own, and every later block is as long as all the odd rows before it
+    odd_rows = _first_block_rows(family, level) // 2
     blocks = _record_blocks(monkeypatch)
     count, rows = certified_count(family, level)
-    assert blocks[0] == (1, first)
-    assert blocks[1:] == [(1, first * 2**j) for j in range(len(blocks) - 1)]
-    assert rows == first * 2 ** (len(blocks) - 1)
+    assert blocks[:2] == [(1, 1), (1, odd_rows - 1)]
+    assert blocks[2:] == [(1, odd_rows * 2**j) for j in range(len(blocks) - 2)]
+    assert rows == 2 * odd_rows * 2 ** (len(blocks) - 2) + 1
 
 
 def _record_spans(monkeypatch) -> list[tuple[int, int]]:
@@ -463,17 +491,18 @@ def _record_spans(monkeypatch) -> list[tuple[int, int]]:
 def test_counting_walk_computes_each_blocks_couplings(monkeypatch):
     spans = _record_spans(monkeypatch)
     count, rows = certified_count(CountingLimitFamily(), 1.0 + 2e-5)
-    assert rows == 12564
-    # one span from row 0: the first block, through the coupling joining
-    # the last row walked to the next
+    assert rows == 12565
+    # one span from row 0: the first block of 6282 odd rows reads the
+    # couplings b_0 .. b_12564
     assert spans == [(0, 12565)]
     # a walk that goes on past its first block computes each block's
-    # couplings with the one joining it to the next row, so the coupling
-    # that joins two blocks is computed twice
+    # couplings through b_2s, which the certificate reads after s odd
+    # rows and the next block's first coupling reads too, so that one is
+    # computed twice
     assert _coupling_row(CountingLimitFamily(), 1.00048) == 521
     spans.clear()
-    assert certified_count(CountingLimitFamily(), 1.00048)[1] == 1170
-    assert spans == [(0, 586), (585, 1171)]
+    assert certified_count(CountingLimitFamily(), 1.00048)[1] == 1169
+    assert spans == [(0, 585), (584, 1169)]
 
 
 # (1 - 1e-12) mu^2 = 1 to within an ulp
@@ -493,7 +522,7 @@ def test_counting_walk_next_to_the_critical_level_computes_one_block(monkeypatch
             certified_count(CountingFamily(2.0), level)
     else:
         assert certified_count(CountingFamily(2.0), level) == (0, 65)
-        assert spans == [(0, 66)]
+        assert spans == [(0, 65)]
 
 
 # near critical in every family; the counting limit's walk at 1.00048
