@@ -21,7 +21,11 @@ values are read through the same flags.
 A ``--grid`` sweep with ``--workers N`` forks ``min(N, points)`` children,
 1 <= N <= 256; child ``w`` computes every ``min(N, points)``-th point from
 point ``w`` and pipes its rows back, and the parent puts them in input
-order.  Where ``os.fork`` is missing the grid runs serially.
+order.  Before it forks, the parent imports the modules that the command's
+handler imports on first use (``_Command.imports``: ``numpy.random`` for
+``forms-test``), so that each child inherits them instead of importing
+them again; they stay unimported in every other run.  Where ``os.fork`` is
+missing the grid runs serially.
 
 Exit codes: 0 success (``--help`` included), 2 invalid parameters (a
 malformed command line or a request too large for memory among them) or
@@ -32,6 +36,7 @@ line on stderr; ``run`` returns each code and never raises ``SystemExit``.
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -217,6 +222,8 @@ _TRIAL_BLOCK = 256
 def _cmd_forms_test(a: dict) -> list[list]:
     if a["trials"] < 1:
         raise InvalidParametersError(f"trials must be at least 1, got {a['trials']}")
+    if a["seed"] < 0:
+        raise InvalidParametersError(f"seed must be nonnegative, got {a['seed']}")
     params = _point_params(a)
     c = lower_bound_constant(params)
     rng = np.random.default_rng(a["seed"])
@@ -310,6 +317,9 @@ class _Command:
     columns: tuple[str, ...]
     # (title, x column, y columns) of the chart that --svg draws
     chart: tuple[str, str, tuple[str, ...]] | None = None
+    # the modules the handler imports on first use, which a sweep's parent
+    # imports before it forks so that no child imports them again
+    imports: tuple[str, ...] = ()
 
     @property
     def options(self) -> tuple[str, ...]:
@@ -372,6 +382,7 @@ _COMMANDS = {
     "forms-test": _Command(
         _cmd_forms_test, "Monte-Carlo check of the quadratic-form lower bound",
         _COUPLING, ("trials", "seed"), ("c", "trials", "violations", "min_margin"),
+        imports=("numpy.random",),
     ),
 }
 
@@ -663,6 +674,8 @@ def run(argv: list[str] | None = None) -> int:
             key, values = _parse_grid(a["grid"], a["command"])
             tasks = [(a["command"], key, value, a) for value in values]
             if a["workers"] > 1 and len(tasks) > 1 and hasattr(os, "fork"):
+                for name in command.imports:
+                    importlib.import_module(name)
                 chunks = _fan_out(tasks, a["workers"])
             else:
                 chunks = [_run_task(t) for t in tasks]

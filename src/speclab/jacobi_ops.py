@@ -131,8 +131,10 @@ def _couplings(family: JacobiFamily, start: int, stop: int) -> np.ndarray:
         return _lattice(stop, "d")[0][start:stop]
     k = np.arange(max(start, 1), stop, dtype=np.float64)
     if isinstance(family, CountingFamily):
-        eps = family.epsilon
-        off = np.sqrt(k) / (2.0 * (k + eps) ** 0.25 * (k - 1.0 + eps) ** 0.25)
+        # one quarter power per row: (k - 1 + eps)^(1/4) is the previous
+        # row's (k + eps)^(1/4), since k - 1 is exact
+        t = (np.arange(max(start, 1) - 1, stop, dtype=np.float64) + family.epsilon) ** 0.25
+        off = np.sqrt(k) / (2.0 * t[1:] * t[:-1])
     elif isinstance(family, CountingLimitFamily):
         # row k is mode k + 1
         off = 1.0 / (2.0 * (1.0 - 1.0 / (k + 1.0)) ** 0.25)

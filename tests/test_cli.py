@@ -651,6 +651,15 @@ def test_spectral_commands_at_extreme_parameters(alpha, beta, gamma_re, gamma_im
                 assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key)
 
 
+def test_forms_test_needs_a_nonnegative_seed(capsys):
+    # numpy's own message, "expected non-negative integer", named no flag
+    argv = ["forms-test", "--alpha", "1", "--beta", "0", "--seed", "-1"]
+    assert run_cli(capsys, argv) == (2, "", "speclab: seed must be nonnegative, got -1\n")
+    rc, out, err = run_cli(capsys, argv + ["--grid", "beta:0:1:2"])
+    assert (rc, err) == (3, "speclab: all sweep points failed\n")
+    assert [r["status"] for r in json.loads(out)] == ["InvalidParametersError"] * 2
+
+
 @pytest.mark.parametrize("trials", ["0", "-5"])
 def test_forms_test_needs_a_trial(capsys, trials):
     # no trials used to pass the check with "violations": 0
@@ -898,6 +907,71 @@ def test_sweep_runs_serially_without_fork(capsys, monkeypatch):
     serial = run_cli(capsys, argv + ["--workers", "1"])
     monkeypatch.delattr(os, "fork")
     assert run_cli(capsys, argv + ["--workers", "2"]) == serial
+
+
+# one grid of every command, at two points that succeed; forms-test last
+_SWEEP_GRIDS = {
+    "mu": ["--beta=1", "--grid=alpha:0.5:2:2"],
+    "classify": ["--beta=1", "--grid=alpha:0.5:2:2"],
+    "surface": ["--grid=beta:0.5:2:2"],
+    "jacobi-spectrum": ["--family=reference", "--size=16", "--grid=mu:1.1:1.3:2"],
+    "count": ["--beta=0", "--epsilon=0.1", "--grid=alpha:1.3:1.35:2"],
+    "h-spectrum": ["--beta=0", "--grid=alpha:1:1.1:2"],
+    "discrete2-check": ["--beta=0", "--grid=alpha:1.3:1.35:2"],
+    "asymptotics": ["--grid=mu:1.01:1.02:2"],
+    "identity-check": ["--size=16", "--grid=mu:0.5:0.7:2"],
+    "transition-scan": ["--sizes=16,32", "--grid=mu:0.5:0.7:2"],
+    "forms-test": ["--alpha=1", "--trials=2", "--grid=beta:0:1:2"],
+}
+
+# runs each grid of argv[1] at --workers 2 and prints, per command, its exit
+# code, its statuses, the modules its children imported, whether the parent
+# held numpy.random at each fork and whether it held it after the run
+_SWEEP_IMPORTS = """
+import contextlib, io, json, os, sys
+from speclab import cli
+
+at_fork = []
+fork = os.fork
+
+def recorded():
+    at_fork.append(set(sys.modules))
+    return fork()
+
+run_task = cli._run_task
+
+def checked(task):
+    rows = run_task(task)
+    # in a child, at_fork[-1] holds the modules its parent had when it forked
+    new = sorted(set(sys.modules) - at_fork[-1])
+    return [row | {"imported": new} for row in rows]
+
+os.fork, cli._run_task = recorded, checked
+report = {}
+for command, argv in json.loads(sys.argv[1]).items():
+    forks, out = len(at_fork), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.run([command, *argv, "--workers=2"])
+    rows = json.loads(out.getvalue())
+    report[command] = [rc, [r["status"] for r in rows], [r["imported"] for r in rows],
+                       ["numpy.random" in m for m in at_fork[forks:]],
+                       "numpy.random" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def test_no_sweep_child_imports_a_module():
+    # in a fresh interpreter, since pytest's may already hold numpy.random:
+    # a forms-test parent imports it before it forks, and no other grid
+    # imports it at all
+    report = json.loads(_fresh_interpreter(_SWEEP_IMPORTS, json.dumps(_SWEEP_GRIDS)))
+    assert list(report) == list(_SWEEP_GRIDS)
+    for command, (rc, statuses, imported, forked_with, held_after) in report.items():
+        assert (rc, statuses) == (0, ["ok"] * len(statuses)), command
+        assert imported == [[]] * len(statuses), command
+        forms = command == "forms-test"
+        assert forked_with == [forms, forms], command
+        assert held_after == forms, command
 
 
 def _fail_mu_at(monkeypatch, fail) -> None:
@@ -1395,15 +1469,21 @@ def test_malformed_line_exits_2_with_one_message(tmp_path_factory):
     check()
 
 
+def _fresh_interpreter(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a new Python process that
+    imports this speclab."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, check=True)
+    return proc.stdout
+
+
 def test_help_comes_from_the_tables_without_argparse(capsys):
     # in a fresh interpreter: no command line brings argparse in
     code = ("import sys; from speclab.cli import run; "
             "assert run(['mu', '--alpha=1']) == 0; print('argparse' in sys.modules)")
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert _fresh_interpreter(code).splitlines()[-1] == "False"
     rc, out, err = run_cli(capsys, ["h-spectrum", "--help"])
     assert (rc, err) == (0, "")
     assert out.startswith("usage: speclab h-spectrum")

@@ -82,6 +82,19 @@ def test_counting_entries_frozen():
     assert np.allclose(t.offdiag, want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("eps", [5e-324, 0.01, 1.0, 7.5])
+@pytest.mark.parametrize("start, stop", [(0, 5029), (1, 2), (1, 200), (64, 130_001)])
+def test_counting_couplings_take_one_quarter_power_per_row(eps, start, stop):
+    # each row's (k - 1 + eps)^(1/4) is the previous row's (k + eps)^(1/4):
+    # the same bits as two quarter powers per row
+    k = np.arange(max(start, 1), stop, dtype=np.float64)
+    want = np.sqrt(k) / (2.0 * (k + eps) ** 0.25 * (k - 1.0 + eps) ** 0.25)
+    if start == 0:
+        want = np.concatenate(([0.0], want))
+    got = jacobi_ops._couplings(CountingFamily(eps), start, stop)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_counting_rejects_nonpositive_epsilon():
     for eps in (0.0, -1.0):
         with pytest.raises(InvalidParametersError, match="j1,0"):
