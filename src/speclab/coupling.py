@@ -26,6 +26,10 @@ takes over.  A branch is subcritical (discrete spectrum below the
 oscillator threshold 1/2 possible) when mu > 1 and supercritical when
 0 < mu < 1; mu = 1 is the transition.
 
+``derive`` gives Sigma's eigenvalues and the weights, which is all that
+classification and the form bound read; Sigma's unit eigenvectors,
+``_eigenvectors``, serve only :func:`speclab.hamiltonian.saturating_trial`.
+
 The map (alpha, beta) -> (-alpha, -beta) leaves the model invariant, so
 all classification work happens in the canonical orientation beta >= 0.
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,12 +83,11 @@ class Criticality(enum.Enum):
 
 @dataclass(frozen=True)
 class CouplingParams:
-    """Raw interaction parameters plus the mirror-orientation flag."""
+    """Raw interaction parameters."""
 
     alpha: float
     beta: float
     gamma: complex = 0.0
-    mirrored: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -114,7 +117,8 @@ def _abs2(gamma: complex) -> float:
 
 @dataclass(frozen=True)
 class CouplingDerived:
-    """Derived boundary data for one parameter point.
+    """Sigma's coefficients, its eigenvalues omega0 +- r and the branch
+    weights of one parameter point.
 
     The Sigma eigenvalue nearer 0, omega0 - r or omega0 + r as omega0 >= 0
     or < 0, is computed from the other through the cancellation-free
@@ -132,14 +136,10 @@ class CouplingDerived:
 
     params: CouplingParams
     omega: tuple[float, float, float, float]
-    sigma: np.ndarray = field(repr=False)
     sigma_eig_plus: float
     sigma_eig_minus: float
-    k1: np.ndarray = field(repr=False)
-    k2: np.ndarray = field(repr=False)
     mu1: float | None
     mu2: float | None
-    degenerate: bool
 
 
 @dataclass(frozen=True)
@@ -151,12 +151,7 @@ class TransitionClass:
 
 def mirror(params: CouplingParams) -> CouplingParams:
     """Flip the signs of (alpha, beta); an involution on parameter space."""
-    return CouplingParams(
-        alpha=-params.alpha,
-        beta=-params.beta,
-        gamma=params.gamma,
-        mirrored=not params.mirrored,
-    )
+    return CouplingParams(alpha=-params.alpha, beta=-params.beta, gamma=params.gamma)
 
 
 def canonicalize(params: CouplingParams) -> CouplingParams:
@@ -171,15 +166,6 @@ def canonicalize(params: CouplingParams) -> CouplingParams:
     return params
 
 
-def _phase_canonical(vec: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its largest component is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if pivot == 0.0:
-        return vec
-    return vec * (abs(pivot) / pivot)
-
-
 def _omegas(params: CouplingParams) -> tuple[float, float, float, float]:
     """(omega0, omega1, omega2, omega3): Sigma's coefficients on I, sigma_x,
     sigma_y and sigma_z."""
@@ -191,18 +177,11 @@ def _omegas(params: CouplingParams) -> tuple[float, float, float, float]:
 
 
 def derive(params: CouplingParams) -> CouplingDerived:
-    """Compute the boundary matrix, its eigenpairs and the mu strengths."""
+    """Compute the Sigma eigenvalues and the mu strengths."""
     alpha, beta = params.alpha, params.beta
     omega0, omega1, omega2, omega3 = _omegas(params)
     r = math.sqrt(omega1 * omega1 + omega2 * omega2 + omega3 * omega3)
 
-    sigma = np.array(
-        [
-            [omega0 + omega3, omega1 - 1j * omega2],
-            [omega1 + 1j * omega2, omega0 - omega3],
-        ],
-        dtype=complex,
-    )
     # omega0^2 - r^2 == 16*alpha*beta exactly, which sidesteps the
     # catastrophic cancellation of omega0 - r near alpha*beta = 0, and of
     # omega0 + r for alpha*beta far below -4, where it can round to 0.
@@ -214,28 +193,6 @@ def derive(params: CouplingParams) -> CouplingDerived:
         eig_plus = 16.0 * alpha * beta / eig_minus
     if not (math.isfinite(eig_plus) and math.isfinite(eig_minus)):
         raise InvalidParametersError(f"the boundary matrix of {params} overflows")
-
-    degenerate = r <= _DEGENERATE_GAP * (abs(omega0) + 4.0)
-    if degenerate:
-        # gamma = 0 and alpha*beta = 4: Sigma is a multiple of the
-        # identity and any basis works; use the one-sided pair.
-        k1 = np.array([1.0, 0.0], dtype=complex)
-        k2 = np.array([0.0, 1.0], dtype=complex)
-    else:
-        # Two equivalent null-vector formulas exist per eigenvalue; pick the
-        # one whose squared norm is 2r(r + |omega3|), which never vanishes
-        # for r > 0 (the other degenerates when Sigma is diagonal).  The
-        # norm is taken as sqrt(2r) * sqrt(r + |omega3|): its square
-        # overflows from r of about 1e154
-        if omega3 >= 0.0:
-            k1 = np.array([omega1 - 1j * omega2, -(omega3 + r)], dtype=complex)
-            k2 = np.array([omega3 + r, omega1 + 1j * omega2], dtype=complex)
-        else:
-            k1 = np.array([omega3 - r, omega1 + 1j * omega2], dtype=complex)
-            k2 = np.array([omega1 - 1j * omega2, r - omega3], dtype=complex)
-        norm = math.sqrt(2.0 * r) * math.sqrt(r + abs(omega3))
-        k1 = _phase_canonical(k1 / norm)
-        k2 = _phase_canonical(k2 / norm)
 
     if beta == 0.0:
         mu1: float | None = None
@@ -255,15 +212,47 @@ def derive(params: CouplingParams) -> CouplingDerived:
     return CouplingDerived(
         params=params,
         omega=(omega0, omega1, omega2, omega3),
-        sigma=sigma,
         sigma_eig_plus=eig_plus,
         sigma_eig_minus=eig_minus,
-        k1=k1,
-        k2=k2,
         mu1=mu1,
         mu2=mu2,
-        degenerate=degenerate,
     )
+
+
+def _phase_canonical(vec: np.ndarray) -> np.ndarray:
+    """Rotate a unit vector so its largest component is real positive."""
+    idx = int(np.argmax(np.abs(vec)))
+    pivot = vec[idx]
+    if pivot == 0.0:
+        return vec
+    return vec * (abs(pivot) / pivot)
+
+
+def _eigenvectors(
+    omega: tuple[float, float, float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors (k1, k2) of Sigma for omega0 - r and omega0 + r,
+    each rotated so its largest component is real positive."""
+    omega0, omega1, omega2, omega3 = omega
+    r = math.sqrt(omega1 * omega1 + omega2 * omega2 + omega3 * omega3)
+    if r <= _DEGENERATE_GAP * (abs(omega0) + 4.0):
+        # gamma = 0 and alpha*beta = 4: Sigma is a multiple of the
+        # identity and any basis works; use the one-sided pair.
+        return (np.array([1.0, 0.0], dtype=complex),
+                np.array([0.0, 1.0], dtype=complex))
+    # Two equivalent null-vector formulas exist per eigenvalue; pick the
+    # one whose squared norm is 2r(r + |omega3|), which never vanishes
+    # for r > 0 (the other degenerates when Sigma is diagonal).  The
+    # norm is taken as sqrt(2r) * sqrt(r + |omega3|): its square
+    # overflows from r of about 1e154
+    if omega3 >= 0.0:
+        k1 = np.array([omega1 - 1j * omega2, -(omega3 + r)], dtype=complex)
+        k2 = np.array([omega3 + r, omega1 + 1j * omega2], dtype=complex)
+    else:
+        k1 = np.array([omega3 - r, omega1 + 1j * omega2], dtype=complex)
+        k2 = np.array([omega1 - 1j * omega2, r - omega3], dtype=complex)
+    norm = math.sqrt(2.0 * r) * math.sqrt(r + abs(omega3))
+    return _phase_canonical(k1 / norm), _phase_canonical(k2 / norm)
 
 
 def mu_beta_zero(alpha: float, gamma: complex = 0.0) -> float:

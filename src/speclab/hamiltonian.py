@@ -52,6 +52,7 @@ from .coupling import (
     CouplingDerived,
     CouplingParams,
     _abs2,
+    _eigenvectors,
     _omegas,
     branch_mus,
     canonicalize,
@@ -421,9 +422,9 @@ def saturating_trial(
         )
     key = branch if isinstance(branch, Branch) else str(branch)
     if key in (Branch.ONE, "1", "Branch1"):
-        k = derived.k1
+        k = _eigenvectors(derived.omega)[0]
     elif key in (Branch.TWO, "2", "Branch2"):
-        k = derived.k2
+        k = _eigenvectors(derived.omega)[1]
     else:
         raise InvalidParametersError(f"branch must be 1 or 2, got {branch!r}")
     scale = 1.0 / math.sqrt(d)

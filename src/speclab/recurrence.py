@@ -798,14 +798,11 @@ class IdentityCheck:
 
     True sides equal the reported ones times 2**log2_scale; ``residual``
     is |lhs - rhs| / (|lhs| + |rhs|), zero when both sides vanish.
-    ``term_scale`` is the largest single term entering the sum, for
-    judging when "both sides vanish" is meaningful.
     """
 
     lhs: float
     rhs: float
     log2_scale: float
-    term_scale: float
 
     @property
     def residual(self) -> float:
@@ -850,10 +847,7 @@ def identity_residual(sol: RecurrenceSolution, up_to: int) -> IdentityCheck:
     vals.imag = np.ldexp(pair.imag, -e[up_to:])
     cross = (vals[1] * np.conj(vals[0])).imag
     rhs = -float(sol.couplings[top]) * float(cross) * 2.0 ** float(k[top] + k[up_to] - 2.0 * kref)
-    term_scale = float(np.max(np.abs(terms, out=factor))) if terms.size else 0.0
-    return IdentityCheck(
-        lhs=lhs, rhs=rhs, log2_scale=2.0 * kref, term_scale=term_scale
-    )
+    return IdentityCheck(lhs=lhs, rhs=rhs, log2_scale=2.0 * kref)
 
 
 def secular_function(mu: float, lam: complex, n: int) -> complex:

@@ -689,6 +689,11 @@ def test_spectral_commands_without_a_subcritical_branch(capsys, command):
     rc, out, err = run_cli(capsys, [command, "--alpha=5"])
     assert (rc, out) == (2, "")
     assert err.startswith("speclab: no branch of ") and err.count("\n") == 1
+    # a mirrored point is named by its canonical parameters alone
+    rc, out, err = run_cli(capsys, [command, "--alpha", "-3", "--beta", "-1"])
+    assert (rc, out) == (2, "")
+    assert err == ("speclab: no branch of CouplingParams(alpha=3.0, beta=1.0, gamma=0j) has "
+                   "weight mu > 1; there are no eigenvalues below the threshold to locate\n")
     # the free case has no branch and nothing below the threshold
     rc, out, err = run_cli(capsys, [command, "--alpha=0", "--beta=0"])
     assert (rc, err) == (0, "")

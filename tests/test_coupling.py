@@ -21,6 +21,8 @@ from speclab import (
     mirror,
     mu_beta_zero,
 )
+from speclab import coupling, hamiltonian
+from speclab.coupling import _eigenvectors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -40,7 +42,7 @@ def test_derive_simple_point():
     assert (d.sigma_eig_plus, d.sigma_eig_minus) == (8.0, 2.0)
     assert d.mu1 == pytest.approx(SQRT2, rel=1e-15)
     assert d.mu2 == pytest.approx(SQRT2 / 4.0, rel=1e-15)
-    assert not d.degenerate
+    assert not _is_one_sided_pair(_eigenvectors(d.omega))
 
 
 def test_derive_complex_gamma_point():
@@ -57,7 +59,7 @@ def test_derive_complex_gamma_point():
 def test_degenerate_point_single_weight():
     # gamma = 0 and alpha*beta = 4 collapse the two branches into one.
     d = derive(CouplingParams(2.0, 2.0))
-    assert d.degenerate
+    assert _is_one_sided_pair(_eigenvectors(d.omega))
     assert d.sigma_eig_plus == pytest.approx(8.0)
     assert d.sigma_eig_minus == pytest.approx(8.0)
     assert d.mu1 == pytest.approx(d.mu2)
@@ -102,15 +104,48 @@ def test_mu_beta_zero_rejects_pure_gamma():
         mu_beta_zero(0.0, 1.0j)
 
 
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"the weights read numpy.{name}")
+
+
+@pytest.mark.parametrize("alpha, beta, gamma", [
+    (0.8, 1.5, 0.3 - 0.7j),  # beta != 0 with a complex gamma
+    (1.3, 0.0, 0.5j),  # beta = 0
+    (0.0, 1.0, 0.0),  # alpha = 0: the inf marker
+    (2.0, 2.0, 0.0),  # alpha*beta = 4, gamma = 0: Sigma is a multiple of I
+])
+def test_weights_touch_no_numpy(monkeypatch, alpha, beta, gamma):
+    # every classify, mu and surface query of a sweep reads the weights,
+    # so they stay scalar arithmetic; only saturating trials need arrays
+    p = CouplingParams(alpha, beta, gamma)
+    expected = (derive(p), branch_mus(p), classify(p), hamiltonian.lower_bound_constant(p))
+    monkeypatch.setattr(coupling, "np", _NoNumpy())
+    monkeypatch.setattr(hamiltonian, "np", _NoNumpy())
+    got = (derive(p), branch_mus(p), classify(p), hamiltonian.lower_bound_constant(p))
+    assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # the boundary matrix against the generic eigensolver
+
+
+def _sigma(omega):
+    """Sigma = omega0 I + omega1 sigma_x + omega2 sigma_y + omega3 sigma_z."""
+    paulis = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+              np.diag([1, -1]))
+    return sum(w * pauli for w, pauli in zip(omega, paulis))
+
+
+def _is_one_sided_pair(ks):
+    return all(np.array_equal(k, e) for k, e in zip(ks, np.eye(2, dtype=complex)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(finite_reals, finite_reals, gammas)
 def test_sigma_eigensystem_matches_lapack(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
-    sigma = d.sigma
+    sigma = _sigma(d.omega)
     assert np.allclose(sigma, sigma.conj().T)
     eigs = np.linalg.eigvalsh(sigma)
     scale = 1.0 + np.max(np.abs(eigs))
@@ -122,15 +157,17 @@ def test_sigma_eigensystem_matches_lapack(alpha, beta, gamma):
 @given(finite_reals, finite_reals, gammas)
 def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
+    k1, k2 = _eigenvectors(d.omega)
     scale = abs(d.sigma_eig_plus) + 4.0
-    assert abs(np.linalg.norm(d.k1) - 1.0) <= 1e-12
-    assert abs(np.linalg.norm(d.k2) - 1.0) <= 1e-12
-    if d.degenerate:
+    assert abs(np.linalg.norm(k1) - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(k2) - 1.0) <= 1e-12
+    if _is_one_sided_pair((k1, k2)):
         # any orthonormal basis is an eigenbasis there
-        assert abs(np.vdot(d.k1, d.k2)) <= 1e-12
+        assert abs(np.vdot(k1, k2)) <= 1e-12
         return
-    r1 = d.sigma @ d.k1 - d.sigma_eig_minus * d.k1
-    r2 = d.sigma @ d.k2 - d.sigma_eig_plus * d.k2
+    sigma = _sigma(d.omega)
+    r1 = sigma @ k1 - d.sigma_eig_minus * k1
+    r2 = sigma @ k2 - d.sigma_eig_plus * k2
     assert np.max(np.abs(r1)) <= 1e-10 * scale
     assert np.max(np.abs(r2)) <= 1e-10 * scale
 
@@ -144,15 +181,16 @@ def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
 ])
 def test_k_vectors_are_unit_where_their_squared_norm_overflows(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
-    assert not d.degenerate
-    for k in (d.k1, d.k2):
+    k1, k2 = _eigenvectors(d.omega)
+    assert not _is_one_sided_pair((k1, k2))
+    for k in (k1, k2):
         assert abs(math.hypot(abs(k[0]), abs(k[1])) - 1.0) <= 1e-15
-    assert abs(np.vdot(d.k1, d.k2)) <= 1e-15
+    assert abs(np.vdot(k1, k2)) <= 1e-15
     # Sigma and its eigenvalues on the scale of the larger one
     scale = max(abs(d.sigma_eig_plus), abs(d.sigma_eig_minus))
-    sigma = d.sigma / scale
-    r1 = sigma @ d.k1 - d.sigma_eig_minus / scale * d.k1
-    r2 = sigma @ d.k2 - d.sigma_eig_plus / scale * d.k2
+    sigma = _sigma(d.omega) / scale
+    r1 = sigma @ k1 - d.sigma_eig_minus / scale * k1
+    r2 = sigma @ k2 - d.sigma_eig_plus / scale * k2
     assert np.max(np.abs(r1)) <= 1e-15 and np.max(np.abs(r2)) <= 1e-15
 
 
@@ -207,7 +245,6 @@ def test_mirror_is_involution():
     assert mirror(mirror(p)) == p
     q = mirror(p)
     assert (q.alpha, q.beta, q.gamma) == (-1.3, 0.7, 0.2 - 0.4j)
-    assert q.mirrored
 
 
 def test_canonicalize_orientation_rule():
@@ -217,7 +254,8 @@ def test_canonicalize_orientation_rule():
     assert canonicalize(c) == c
     # at beta = 0 the mirror reduces to an alpha flip, so alpha >= 0 wins
     q = canonicalize(CouplingParams(-1.0, 0.0))
-    assert q.alpha == 1.0 and q.beta == 0.0 and q.mirrored
+    # the mirror flipped both signs: beta = 0.0 became -0.0
+    assert (q.alpha, math.copysign(1.0, q.beta)) == (1.0, -1.0)
     assert canonicalize(CouplingParams(1.0, 0.0)) == CouplingParams(1.0, 0.0)
 
 

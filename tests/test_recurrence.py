@@ -571,7 +571,8 @@ def _reference_interior_residuals(sol):
 
 def _reference_identity(sol, up_to):
     """The summed identity as it was computed from zeta_n, with every
-    mantissa scaled part by part, and the sum of its terms' magnitudes."""
+    mantissa scaled part by part, the sum of its terms' magnitudes and the
+    largest of them."""
     ns = np.arange(up_to + 1)
     zs_im = zeta_array(ns, sol.lam).imag
     unscaled = sol.values[: up_to + 2]
@@ -589,7 +590,9 @@ def _reference_identity(sol, up_to):
     rhs = -float(sol.couplings[up_to + 1]) * float(cross) * 2.0 ** float(
         k[up_to + 1] + k[up_to] - 2.0 * kref
     )
-    return float(np.sum(terms)), rhs, 2.0 * kref, float(np.sum(np.abs(terms)))
+    magnitudes = np.abs(terms)
+    return (float(np.sum(terms)), rhs, 2.0 * kref, float(np.sum(magnitudes)),
+            float(np.max(magnitudes)))
 
 
 kernel_mus = st.builds(
@@ -881,7 +884,7 @@ def _answer(mu, lam, n):
     sol = iterate_forward(mu, lam, 1.0, n)
     check = identity_residual(sol, n - 1)
     parts = [sol.values, sol.log2_scale, sol.weights, sol.couplings, sol.interior_residuals(),
-             np.array([check.lhs, check.rhs, check.log2_scale, check.term_scale])]
+             np.array([check.lhs, check.rhs, check.log2_scale])]
     return b"".join(part.tobytes() for part in parts)
 
 
@@ -1010,7 +1013,7 @@ def _assert_checks_match_their_references(sol):
     if sol.length >= 2:
         up_to = sol.length - 2
         check = identity_residual(sol, up_to)
-        lhs, rhs, log2_scale, magnitudes = _reference_identity(sol, up_to)
+        lhs, rhs, log2_scale, magnitudes, _ = _reference_identity(sol, up_to)
         assert (check.rhs, check.log2_scale) == (rhs, log2_scale)
         # each term's factor Im w_n = 2*mu*sqrt(n+1/2)*Im zeta_n is rounded
         # once before it meets |C_n|^2, not after: a few eps per term
@@ -1180,9 +1183,10 @@ def test_identity_bound_catches_a_dropped_term(mu, lam, n):
     bound = _identity_bound(sol, check)
     assert check.residual <= bound <= 1e-8
     # the terms share one sign, that of lhs
+    largest = _reference_identity(sol, n - 1)[4]
     dropped = IdentityCheck(
-        lhs=check.lhs - math.copysign(check.term_scale, check.lhs), rhs=check.rhs,
-        log2_scale=check.log2_scale, term_scale=check.term_scale,
+        lhs=check.lhs - math.copysign(largest, check.lhs), rhs=check.rhs,
+        log2_scale=check.log2_scale,
     )
     assert dropped.residual > 1e3 * bound
 
@@ -1192,7 +1196,7 @@ def test_identity_residual_finite_for_a_subnormal_seed():
     # which made the seed's scaled value nan
     sol = iterate_forward(0.19, -4.13 + 22.0j, 2.2e-311j, 6021)
     check = identity_residual(sol, 6020)
-    assert all(math.isfinite(x) for x in (check.lhs, check.rhs, check.term_scale))
+    assert all(math.isfinite(x) for x in (check.lhs, check.rhs))
     assert check.residual <= 1e-9
 
 
