@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speclab import (
@@ -42,6 +42,7 @@ def test_derive_simple_point():
     assert (d.sigma_eig_plus, d.sigma_eig_minus) == (8.0, 2.0)
     assert d.mu1 == pytest.approx(SQRT2, rel=1e-15)
     assert d.mu2 == pytest.approx(SQRT2 / 4.0, rel=1e-15)
+    assert not _is_degenerate(d.omega)
     assert not _is_one_sided_pair(_eigenvectors(d.omega))
 
 
@@ -59,6 +60,7 @@ def test_derive_complex_gamma_point():
 def test_degenerate_point_single_weight():
     # gamma = 0 and alpha*beta = 4 collapse the two branches into one.
     d = derive(CouplingParams(2.0, 2.0))
+    assert _is_degenerate(d.omega)
     assert _is_one_sided_pair(_eigenvectors(d.omega))
     assert d.sigma_eig_plus == pytest.approx(8.0)
     assert d.sigma_eig_minus == pytest.approx(8.0)
@@ -137,6 +139,13 @@ def _sigma(omega):
     return sum(w * pauli for w, pauli in zip(omega, paulis))
 
 
+def _is_degenerate(omega):
+    """The degeneracy test of _eigenvectors: Sigma is a multiple of I."""
+    omega0, omega1, omega2, omega3 = omega
+    r = math.sqrt(omega1 * omega1 + omega2 * omega2 + omega3 * omega3)
+    return r <= coupling._DEGENERATE_GAP * (abs(omega0) + 4.0)
+
+
 def _is_one_sided_pair(ks):
     return all(np.array_equal(k, e) for k, e in zip(ks, np.eye(2, dtype=complex)))
 
@@ -155,14 +164,17 @@ def test_sigma_eigensystem_matches_lapack(alpha, beta, gamma):
 
 @settings(max_examples=150, deadline=None)
 @given(finite_reals, finite_reals, gammas)
+# Sigma diagonal with omega3 < 0 but not degenerate: the pair is (e1, e2)
+@example(3.75, 1.0, -0.5)
 def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
     k1, k2 = _eigenvectors(d.omega)
     scale = abs(d.sigma_eig_plus) + 4.0
     assert abs(np.linalg.norm(k1) - 1.0) <= 1e-12
     assert abs(np.linalg.norm(k2) - 1.0) <= 1e-12
-    if _is_one_sided_pair((k1, k2)):
+    if _is_degenerate(d.omega):
         # any orthonormal basis is an eigenbasis there
+        assert _is_one_sided_pair((k1, k2))
         assert abs(np.vdot(k1, k2)) <= 1e-12
         return
     sigma = _sigma(d.omega)
@@ -182,6 +194,7 @@ def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
 def test_k_vectors_are_unit_where_their_squared_norm_overflows(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
     k1, k2 = _eigenvectors(d.omega)
+    assert not _is_degenerate(d.omega)
     assert not _is_one_sided_pair((k1, k2))
     for k in (k1, k2):
         assert abs(math.hypot(abs(k[0]), abs(k[1])) - 1.0) <= 1e-15
@@ -255,7 +268,7 @@ def test_canonicalize_orientation_rule():
     # at beta = 0 the mirror reduces to an alpha flip, so alpha >= 0 wins
     q = canonicalize(CouplingParams(-1.0, 0.0))
     # the mirror flipped both signs: beta = 0.0 became -0.0
-    assert (q.alpha, math.copysign(1.0, q.beta)) == (1.0, -1.0)
+    assert (q.alpha, q.beta, math.copysign(1.0, q.beta)) == (1.0, 0.0, -1.0)
     assert canonicalize(CouplingParams(1.0, 0.0)) == CouplingParams(1.0, 0.0)
 
 
