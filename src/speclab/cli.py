@@ -6,6 +6,13 @@ JSON or CSV with all numbers printed to 15 significant digits, rows emitted
 in input order regardless of the worker count, so identical configurations
 produce byte-identical output.
 
+Both formats print the run's one column list: the command's columns, or
+for a sweep the swept flag, the others and ``status``.  CSV prints it as
+its header; JSON prints each row as an object of its cells in that order,
+leaving out those with no value, which CSV prints empty.  A bool or number
+prints as its CSV cell, a non-finite one quoted (``"inf"``).  A single run
+that returns one row prints one object, every other run a list of them.
+
 Each subcommand is declared once, in ``_COMMANDS``: its handler, its help,
 the flags a ``--grid`` may sweep, its other flags, its output columns and,
 for ``asymptotics`` and ``transition-scan``, the chart that ``--svg`` draws
@@ -101,31 +108,25 @@ def _csv_cell(value) -> str:
 
 
 def _json_token(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isfinite(x):
-            return _fmt_float(x)
-        return json.dumps(_fmt_float(x))  # "inf" as a quoted string
+    """A cell's value as JSON: a bool or number as its CSV cell, quoted if not finite."""
+    if isinstance(value, (int, float, np.integer, np.floating)):  # a bool is an int
+        cell = _csv_cell(value)
+        return cell if math.isfinite(value) else f'"{cell}"'
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_json_token(v) for v in value) + "]"
-    if isinstance(value, dict):
-        inner = (f"{json.dumps(k)}: {_json_token(v)}" for k, v in value.items() if v is not None)
-        return "{" + ", ".join(inner) + "}"
     raise TypeError(f"cannot serialise {value!r}")
 
 
-def _render_json(rows: list[dict], single: bool) -> str:
-    if single and len(rows) == 1:
-        return _json_token(rows[0]) + "\n"
-    return "[" + ",\n ".join(_json_token(r) for r in rows) + "]\n"
+def _render_json(rows: list[dict], columns: list[str], single: bool) -> str:
+    """Each row as an object of its cells with a value, in ``columns`` order."""
+    keys = [(col, json.dumps(col) + ": ") for col in columns]
+    objects = ["{" + ", ".join([k + _json_token(row[c]) for c, k in keys if row.get(c) is not None])
+               + "}" for row in rows]
+    if single and len(objects) == 1:
+        return objects[0] + "\n"
+    return "[" + ",\n ".join(objects) + "]\n"
 
 
 def _render_csv(rows: list[dict], columns: list[str]) -> str:
@@ -684,7 +685,7 @@ def run(argv: list[str] | None = None) -> int:
         if a.get("svg"):
             _write_svg(a["svg"], command.chart, rows)
         text = (_render_csv(rows, columns) if a["format"] == "csv"
-                else _render_json(rows, single=a["grid"] is None))
+                else _render_json(rows, columns, single=a["grid"] is None))
         if a["output"]:
             with open(a["output"], "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

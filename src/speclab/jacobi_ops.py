@@ -420,7 +420,6 @@ def certified_count(
 class TransitionScanReport:
     mu: float
     sizes: tuple[int, ...]
-    window: tuple[float, float]
     smallest: np.ndarray = field(repr=False)
     window_counts: np.ndarray = field(repr=False)
 
@@ -454,6 +453,4 @@ def transition_scan(
             counts_for_diagonals(t.diag[None, :], t.offdiag, x)[0] for x in (lo, hi)
         )
         counts[i] = c_hi - c_lo
-    return TransitionScanReport(
-        mu=mu, sizes=sizes, window=(lo, hi), smallest=smallest, window_counts=counts
-    )
+    return TransitionScanReport(mu=mu, sizes=sizes, smallest=smallest, window_counts=counts)

@@ -111,11 +111,9 @@ class TridiagonalMatrix:
 class EigenvalueReport:
     """Eigenvalues found in a half-open window [lo, hi)."""
 
-    window: tuple[float, float]
     eigenvalues: np.ndarray = field(repr=False)
     count_below_lo: int
     count_below_hi: int
-    size: int
 
     @property
     def count(self) -> int:
@@ -360,11 +358,9 @@ def eigenvalues_in_window(
         tol,
     )
     return EigenvalueReport(
-        window=(lo, hi),
         eigenvalues=0.5 * lows + 0.5 * highs,
         count_below_lo=count_lo,
         count_below_hi=count_hi,
-        size=t.size,
     )
 
 

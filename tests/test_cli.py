@@ -951,13 +951,21 @@ def checked(task):
     new = sorted(set(sys.modules) - at_fork[-1])
     return [row | {"imported": new} for row in rows]
 
-os.fork, cli._run_task = recorded, checked
+render_json = cli._render_json
+rendered = []
+
+def captured(rows, columns, single):
+    # JSON prints only the columns, so the rows are read before they print
+    rendered.append(rows)
+    return render_json(rows, columns, single)
+
+os.fork, cli._run_task, cli._render_json = recorded, checked, captured
 report = {}
 for command, argv in json.loads(sys.argv[1]).items():
-    forks, out = len(at_fork), io.StringIO()
-    with contextlib.redirect_stdout(out):
+    forks = len(at_fork)
+    with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.run([command, *argv, "--workers=2"])
-    rows = json.loads(out.getvalue())
+    rows = rendered[-1]
     report[command] = [rc, [r["status"] for r in rows], [r["imported"] for r in rows],
                        ["numpy.random" in m for m in at_fork[forks:]],
                        "numpy.random" in sys.modules]
@@ -977,6 +985,34 @@ def test_no_sweep_child_imports_a_module():
         forms = command == "forms-test"
         assert forked_with == [forms, forms], command
         assert held_after == forms, command
+
+
+# each grid of _SWEEP_GRIDS, and one whose second point fails
+_HEADER_GRIDS = [*_SWEEP_GRIDS.items(), ("identity-check", ["--size=16", "--grid=lambda:0:1:2"])]
+
+
+@pytest.mark.parametrize("command, grid", _HEADER_GRIDS)
+def test_json_prints_the_csv_header_columns(capsys, command, grid):
+    # the single run takes the grid's first point
+    spec = next(f for f in grid if f.startswith("--grid="))
+    variable, start = spec.removeprefix("--grid=").split(":")[:2]
+    single = [f for f in grid if f != spec] + [f"--{variable.replace('_', '-')}={start}"]
+    for argv in ([command, *single], [command, *grid, "--workers=1"]):
+        rc, out, _ = run_cli(capsys, argv)
+        rc_csv, csv, _ = run_cli(capsys, argv + ["--format=csv"])
+        assert (rc, rc_csv) == (0, 0), argv
+        header, *lines = csv.splitlines()
+        objects = json.loads(out)
+        objects = objects if isinstance(objects, list) else [objects]
+        assert len(objects) == len(lines) > 0, argv
+        columns = header.split(",")
+        for obj, line in zip(objects, lines):
+            cells = dict(zip(columns, line.split(",")))
+            assert list(obj) == [c for c in columns if c in obj], argv
+            assert all(cells[c] == "" for c in columns if c not in obj), argv
+            for c, v in obj.items():
+                if not isinstance(v, (str, list)):  # a bool or number prints as its CSV cell
+                    assert json.loads(cells[c]) == v, (argv, c)
 
 
 def _fail_mu_at(monkeypatch, fail) -> None:

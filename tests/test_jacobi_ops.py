@@ -615,7 +615,6 @@ def test_transition_scan_subcritical_pinned():
     report = transition_scan(1.5, (64, 128, 256), (-5.0, 5.0))
     assert report.sizes == (64, 128, 256)
     assert np.all(report.smallest > 0.5)  # never below mu - 1
-    assert report.window == (-5.0, 5.0)
 
 
 def test_transition_scan_supercritical_dives():
