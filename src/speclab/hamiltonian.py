@@ -71,7 +71,7 @@ from .jacobi_ops import (
     certified_count,
     spectral_counts,
 )
-from .recurrence import secular_function
+from .recurrence import _real_secular
 from .tridiag import _bisect, _check_tol
 
 __all__ = [
@@ -520,10 +520,7 @@ def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
     disagreement.
     """
     ceiling = THRESHOLD - 1e-12
-
-    def f(x: float) -> float:
-        return secular_function(mu, x, _SECULAR_DEPTH).real
-
+    f = _real_secular(mu, _SECULAR_DEPTH)
     half = 1e-9
     while half <= 1e-3:
         lo = max(lam - half, lam_floor)
@@ -606,11 +603,7 @@ def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
     polished, xs = [], []
     for i in lone.tolist():
         lo, hi = float(lows[i]), float(highs[i])
-        depth = _polish_depth(mu, hi)
-
-        def f(x: float) -> float:
-            return secular_function(mu, x, depth).real
-
+        f = _real_secular(mu, _polish_depth(mu, hi))
         flo, fhi = f(lo), f(hi)
         x = _illinois(f, lo, flo, hi, fhi, 0.125 * h) if flo * fhi < 0.0 else None
         if x is not None:

@@ -12,8 +12,10 @@ Re zeta > 0 and Im zeta * Im lam < 0, cut along [n + 1/2, inf): the
 principal square root (:func:`zeta_array`).  The weights
 w_k = 2*mu*sqrt(k+1/2)*zeta_k(lam) of the solutions, the secular sweep and
 the spectral Jacobi rows are formed, and a weight that may overflow
-rejected with one ``InvalidParametersError``, in one place
-(:func:`_weight_rows`).
+rejected with one ``InvalidParametersError``, from one lam-free factor
+2*mu*sqrt(k+1/2) (:func:`_weight_factor`) and one bound
+(:func:`_check_weights`): in :func:`_weight_rows`, and in the real secular
+sweep, which takes the factor once per (mu, depth).
 
 An eigenvalue is a lam at which the minimal (l^2) solution also
 satisfies the n = 0 row.  That test needs only the ratio C_1/C_0, a
@@ -23,7 +25,9 @@ rho_k = d(k+1)*C_{k+1}/C_k down from rho_m = 0 at a buffer top m above
 the depth, rho_{k-1} = -d(k)^2 / (w_k + rho_k), one scalar step per row,
 and keeps no solution.  For real lam it is the Sturm count of the
 truncation read bottom-up in :mod:`speclab.tridiag`'s one pivot loop, a
-pivot within pivmin of 0 clamped to -pivmin, so the sign is exact.
+pivot within pivmin of 0 clamped to -pivmin, so the sign is exact; that
+sweep is set up once per (mu, depth) and then evaluated at each lam
+(:func:`_real_secular`), as a root search along lam asks.
 
 Solutions can grow geometrically, so every stored sequence is in split
 form: a complex mantissa per index plus a per-index log2 scale recorded
@@ -91,7 +95,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -385,14 +389,23 @@ def _weight_rows(mu: float, lam, stop: int, start: int = 0) -> np.ndarray:
     """
     least = (lam.min() if lam.size else 0.0) if isinstance(lam, np.ndarray) else lam
     _check_weights(mu, least, stop, start)
-    half, root = _lattice(stop, "half", "root")
     if isinstance(lam, complex) and stop - start >= _LANE_MIN_ROWS:
         # a solution's temporaries go on the arena: fresh ones raised the peak
         # memory of a 1e5-row solve by 1-3 MB, and a slot costs about 2 us
-        z = np.subtract(half[start:stop], lam, out=_scratch(0, complex, stop - start))
-        t = np.multiply(2.0 * mu, root[start:stop], out=_scratch(3, float, stop - start))
+        half, t = _weight_factor(mu, stop, start, out=_scratch(3, float, stop - start))
+        z = np.subtract(half, lam, out=_scratch(0, complex, stop - start))
         return np.multiply(t, np.sqrt(z, out=z))
-    return 2.0 * mu * root[start:stop] * np.sqrt(half[start:stop] - lam)
+    half, t = _weight_factor(mu, stop, start)
+    return t * np.sqrt(half - lam)
+
+
+def _weight_factor(
+    mu: float, stop: int, start: int = 0, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """k + 1/2 (read-only) and t_k = 2*mu*sqrt(k + 1/2) (in ``out`` or
+    fresh) for start <= k < stop: the lam-free parts of w_k = t_k * zeta_k(lam)."""
+    half, root = _lattice(stop, "half", "root")
+    return half[start:stop], np.multiply(2.0 * mu, root[start:stop], out=out)
 
 
 def _steps(
@@ -877,37 +890,77 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     within pivmin of 0 is clamped to -pivmin and counted; rho_{k-1} < 0
     where p_k > 0, so the phase is (-1) to n less the second count, and
     the result is real with an exact sign; sign changes bracket
-    eigenvalues.  For nonreal lam an exactly zero pivot is replaced by
+    eigenvalues.  That real sweep is :func:`_real_secular`'s, set up and
+    evaluated once here.  For nonreal lam an exactly zero pivot is replaced by
     ``_PIVOT_FLOOR``, which carries the sweep past that zero of C to the
     same limit.  A weight that may overflow raises ``InvalidParametersError``,
     a ratio that leaves the floating-point range ``NonConvergenceError``
     (|mu| near the ends of it).
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
+    if lam.imag == 0.0:
+        return complex(_real_secular(mu, n)(lam))
     m = _buffer_top(n)
-    real = lam.imag == 0.0
     # the sweep reads the rows k = m, ..., 0 reversed: d(k+1)^2 and w_k
-    d, d2 = _lattice(m + 2, "d", "d2")
-    d2 = memoryview(d2[m + 1:0:-1])
-    w = _weight_rows(mu, lam.real if real else lam, m + 1)[::-1]
+    (d2,) = _lattice(m + 2, "d2")
+    w = _weight_rows(mu, lam, m + 1)[::-1].tolist()
+    rho, w0, phase = 0.0, w[-1], 1.0
     try:
-        if real:
-            w = memoryview(w)
-            pivmin = _pivmin_rule(abs(w[0]), float(d[m]), 0.0)
-            p = _count_scalar(w[:m - n], d2[:m - n], pivmin, math.inf)[1]
-            c, p = _count_scalar(w[m - n:m], d2[m - n:m], pivmin, p)
-            rho, w0, phase = -d2[m] / p, w[m], -1.0 if (n - c) % 2 else 1.0
-        else:
-            w = w.tolist()
-            rho, w0, phase = 0.0, w[-1], 1.0
-            for k, (dk2, wk) in enumerate(zip(d2[1:], w)):
-                rho = -dk2 / (wk + rho or _PIVOT_FLOOR)
-                if k >= m - n:
-                    phase *= rho / abs(rho)
+        for k, (dk2, wk) in enumerate(zip(memoryview(d2[m:0:-1]), w)):
+            rho = -dk2 / (wk + rho or _PIVOT_FLOOR)
+            if k >= m - n:
+                phase *= rho / abs(rho)
         value = complex(phase.conjugate() * (rho + w0) / (abs(rho) + abs(w0)))
     except ZeroDivisionError:
         # a ratio of 0 past an overflowed pivot
         value = complex(math.nan)
+    return _swept(value, mu, lam)
+
+
+def _real_secular(mu: float, n: int) -> Callable[[float], float]:
+    """lam -> :func:`secular_function` (mu, lam, n).real for real lam, to
+    the bit, with the lam-free set-up done once per (mu, n): the buffer top
+    m, the reversed rows d(k+1)^2 and k + 1/2, d(m) and the factors t_k of
+    :func:`_weight_factor`.  Each call checks lam and its weights, forms
+    w_k = t_k * zeta_k(lam) and runs the two counts.  The errors are those
+    of :func:`secular_function`, raised at the build for mu and n and at
+    each call for lam.
+    """
+    mu = _minimal_solution_inputs(mu, 0.0, n)[0]
+    m = _buffer_top(n)
+    # the rows k = m, ..., 0, reversed once: d(k+1)^2, k + 1/2 and t_k.  The
+    # couplings are lists, split where the two counts part (rows m, ..., n+1
+    # and n, ..., 1): a list hands the pivot loop its floats, where a
+    # memoryview makes one per row
+    d, d2 = _lattice(m + 2, "d", "d2")
+    upper, lower = d2[m + 1:n + 1:-1].tolist(), d2[n + 1:1:-1].tolist()
+    d1_2, dm = float(d2[1]), float(d[m])
+    with np.errstate(over="ignore"):
+        # a factor past the float range puts every weight past the bound
+        # that each evaluation checks first
+        half, t = (np.ascontiguousarray(row[::-1]) for row in _weight_factor(mu, m + 1))
+
+    def evaluate(lam: complex) -> float:
+        lam = _validate_lam(lam)
+        _check_weights(mu, lam.real, m + 1)
+        w = memoryview(t * np.sqrt(half - lam.real))
+        pivmin = _pivmin_rule(abs(w[0]), dm, 0.0)
+        try:
+            p = _count_scalar(w[:m - n], upper, pivmin, math.inf)[1]
+            c, p = _count_scalar(w[m - n:m], lower, pivmin, p)
+            rho, w0 = -d1_2 / p, w[m]
+            value = (-1.0 if (n - c) % 2 else 1.0) * (rho + w0) / (abs(rho) + abs(w0))
+        except ZeroDivisionError:
+            # a ratio of 0 past an overflowed pivot
+            value = math.nan
+        return _swept(value, mu, lam)
+
+    return evaluate
+
+
+def _swept(value: complex, mu: float, lam: complex) -> complex:
+    """The secular value of a sweep, or ``NonConvergenceError`` where the
+    sweep left the floating-point range and the value is not finite."""
     if not cmath.isfinite(value):
         raise NonConvergenceError(
             f"the backward ratio sweep at mu={mu}, lam={lam} left the "

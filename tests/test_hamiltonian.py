@@ -647,14 +647,13 @@ def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
     # bisection continues and every root is certified.
     params = CouplingParams(1.4, 1.0)
     depth = 300
-    secular_function = hamiltonian.secular_function
+    real_secular = hamiltonian._real_secular
 
-    def polish_is_wrong(mu, lam, n):
-        if n != depth:
-            return secular_function(mu, lam, n)
-        if wrong == "stalled":
-            return secular_function(mu, lam, n)
-        return 1.0 + 0j if wrong == "flat" else secular_function(mu, lam - 1e-6, n)
+    def polish_is_wrong(mu, n):
+        f = real_secular(mu, n)
+        if n != depth or wrong == "stalled":
+            return f
+        return (lambda lam: 1.0) if wrong == "flat" else (lambda lam: f(lam - 1e-6))
 
     bisected = []
     bisect = hamiltonian._bisect
@@ -665,7 +664,7 @@ def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
         return bisect(count_at, lo, hi, ks, tol, **kwargs)
 
     monkeypatch.setattr(hamiltonian, "_polish_depth", lambda mu, top: depth)
-    monkeypatch.setattr(hamiltonian, "secular_function", polish_is_wrong)
+    monkeypatch.setattr(hamiltonian, "_real_secular", polish_is_wrong)
     monkeypatch.setattr(hamiltonian, "_bisect", recording)
     if wrong == "stalled":
         # the steps run out in the polish and in the cross-check alike
@@ -868,9 +867,7 @@ def _bisect_secular(mu, lam, lam_floor, size=256):
     """The secular root by plain bisection of the first sign change found
     around ``lam``, for comparison with the Illinois polish."""
 
-    def f(x):
-        return hamiltonian.secular_function(mu, x, size).real
-
+    f = hamiltonian._real_secular(mu, size)
     half = 1e-9
     while half <= 1e-3:
         lo = max(lam - half, lam_floor)
@@ -935,11 +932,16 @@ def test_illinois_says_when_its_steps_run_out():
 
 def test_refine_secular_illinois_matches_bisection(monkeypatch):
     evals = []
-    secular_function = hamiltonian.secular_function
+    real_secular = hamiltonian._real_secular
 
-    def counting(*args):
-        evals[-1] += 1
-        return secular_function(*args)
+    def counting(mu, n):
+        f = real_secular(mu, n)
+
+        def counted(lam):
+            evals[-1] += 1
+            return f(lam)
+
+        return counted
 
     roots = 0
     for mu in (1.003, 1.01, 1.05, 1.1, 1.3, SQRT2, 2.2, 2.7, 11.0):
@@ -947,7 +949,7 @@ def test_refine_secular_illinois_matches_bisection(monkeypatch):
         for lam in _full_bisection(mu, window, 1e-10, 2048):
             expected = _bisect_secular(mu, float(lam), window[0])
             with monkeypatch.context() as m:
-                m.setattr(hamiltonian, "secular_function", counting)
+                m.setattr(hamiltonian, "_real_secular", counting)
                 evals.append(0)
                 root = hamiltonian._refine_secular(mu, float(lam), window[0])
             assert root is not None and expected is not None

@@ -1370,6 +1370,75 @@ def test_secular_sign_count_keeps_the_phase_product_bits(mu, lam, n):
     assert secular_function(mu, lam, n) == _phase_product_secular(mu, lam, n)
 
 
+def _around_sign_changes(f, grid):
+    """The floats next to each sign change of f between neighbouring points
+    of ``grid``, bisected down to adjacent floats: two below it, two above."""
+    lams = []
+    values = [f(lam) for lam in grid]
+    for lo, hi, flo, fhi in zip(grid, grid[1:], values, values[1:]):
+        if flo * fhi >= 0.0:
+            continue
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            fmid = f(mid)
+            if flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        lams += [math.nextafter(lo, -math.inf), lo, hi, math.nextafter(hi, math.inf)]
+    return lams
+
+
+@pytest.mark.parametrize("n", [1, 50, 256, 1078])
+@pytest.mark.parametrize("excess", [1e-5, 1e-3, 0.1, 1.0, 10.0])
+def test_real_secular_evaluator_keeps_the_sweep_bits(excess, n):
+    # the sweep set up once per (mu, n) gives secular_function's value and
+    # the phase-product reference's to the bit, between the sign changes
+    # and next to them, where pivots come nearest the pivmin band
+    mu = 1.0 + excess
+    f = recurrence._real_secular(mu, n)
+    grid = np.linspace(-9.5, 0.5 - 1e-9, 41).tolist()
+    lams = grid[::8] + _around_sign_changes(f, grid)
+    for lam in lams:
+        got = f(lam)
+        want = secular_function(mu, lam, n)
+        assert (got.hex(), want.imag) == (want.real.hex(), 0.0)
+        assert got == _phase_product_secular(mu, lam, n)
+
+
+@pytest.mark.parametrize("mu, lam, error, message", [
+    # 2*mu is finite, 2*mu*sqrt(k + 1/2) is not from k = 3 on
+    (5e307, 0.3, InvalidParametersError,
+     "mu = 5e+307 makes a diagonal weight of w_0..w_60 overflow at lam = 0.3"),
+    (-5e307, -2.0, InvalidParametersError,
+     "mu = -5e+307 makes a diagonal weight of w_0..w_60 overflow at lam = -2.0"),
+    (2.0, 0.5, BranchCutError, "real spectral parameter 0.5 lies on the branch cut [0.5, inf)"),
+    (2.0, math.nan, InvalidParametersError, "spectral parameter must be finite"),
+    (2.0, -math.inf, InvalidParametersError, "spectral parameter must be finite"),
+], ids=["weight", "negative-mu-weight", "branch-cut", "nan", "minus-inf"])
+def test_real_secular_evaluator_raises_as_the_sweep(mu, lam, error, message):
+    # the factor 2*mu*sqrt(k + 1/2) past the float range is formed at the
+    # build without a warning; each evaluation raises what the sweep raises
+    f = recurrence._real_secular(mu, 10)
+    for evaluate in (f, lambda lam: secular_function(mu, lam, 10)):
+        with pytest.raises(error) as info:
+            evaluate(lam)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lam, shown", [(0.0, "0j"), (0.3, "(0.3+0j)"), (complex(0.3, -0.0), "(0.3-0j)")])
+def test_real_secular_evaluator_outside_the_float_range(monkeypatch, lam, shown):
+    # a nan coupling d(11)^2 makes every later pivot nan: the evaluator and
+    # the sweep raise one message, lam shown as the complex it was given as
+    poisoned = np.array(recurrence._lattice(62, "d2")[0])
+    poisoned[11] = math.nan
+    monkeypatch.setitem(recurrence._LATTICE, "d2", poisoned)
+    message = f"the backward ratio sweep at mu=2.0, lam={shown} left the floating-point range"
+    for evaluate in (recurrence._real_secular(2.0, 10), lambda lam: secular_function(2.0, lam, 10)):
+        with pytest.raises(NonConvergenceError) as info:
+            evaluate(lam)
+        assert str(info.value) == message
+
+
 # at mu = 1.01 the pivot p_1 of the depth-300 sweep crosses 0 near
 # lam = 0.2867: bisecting lam on the count of the reversed rows 350, ..., 1
 # down to adjacent floats ends here, where p_1 = 3.0e-13 lies within
@@ -1416,6 +1485,7 @@ def test_secular_real_sweep_clamps_a_pivot_in_the_band():
     assert 0.0 < q <= _sweep_pivmin(mu, lam, m)
     value = secular_function(*_BAND_CASE)
     assert value == _phase_product_secular(*_BAND_CASE) == -1.0
+    assert recurrence._real_secular(mu, n)(lam) == value
     # the row-0 term -d(1)^2 / p_1 dwarfs w_0 either way, so an unclamped p_1
     # would give the same sign; only the last bits move
     assert abs(_exact_secular(*_BAND_CASE) - value) <= _secular_agreement(n)

@@ -130,7 +130,7 @@ def test_counts_batch_equals_scalar_both_paths():
 def test_counts_for_diagonals_matches_per_row():
     rng = np.random.default_rng(11)
     off = rng.normal(0.0, 2.0, size=29)
-    for k in (3, 12):  # scalar and column paths
+    for k in (3, tridiag._SCALAR_BATCH_LIMIT + 1):  # scalar and column paths
         diags = rng.normal(0.0, 3.0, size=(k, 30))
         got = counts_for_diagonals(diags, off, level=0.4)
         want = np.array(
@@ -144,7 +144,8 @@ def test_counts_for_diagonals_matches_per_row():
         counts_for_diagonals(np.zeros((2, 5)), np.zeros(3))
 
 
-@pytest.mark.parametrize("k", [3, 12])  # scalar and column paths
+# two batches the scalar loop takes, and one the column kernel takes
+@pytest.mark.parametrize("k", [3, 12, tridiag._SCALAR_BATCH_LIMIT + 1])
 def test_counts_continue_across_blocks(k):
     # a count carried from block to block through its last pivot row is
     # the count of the whole matrix, and the carry ends at its last pivot
@@ -183,14 +184,14 @@ def test_column_counts_match_scalar_counts_at_zero_pivots():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=16),
+    st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=32),
     st.integers(min_value=2, max_value=40),
     st.floats(min_value=-2.0, max_value=2.0),
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_batch_count_equals_count_alone(exponents, n, level, seed):
     # rows of very different scales in one batch, on the scalar path for up
-    # to 8 rows and the column kernel beyond: each row's pivmin is its own
+    # to 16 rows and the column kernel beyond: each row's pivmin is its own
     rng = np.random.default_rng(seed)
     scales = 10.0 ** np.array(exponents, dtype=float)
     diags = rng.normal(0.0, 1.0, size=(len(exponents), n)) * scales[:, None]
@@ -300,7 +301,8 @@ def test_pivmin_keeps_its_bits_where_its_sum_is_finite(top, off, level):
         assert math.isfinite(got) and got >= _EPS * max(top, off, abs(level))
 
 
-@pytest.mark.parametrize("k", [1, 12])  # scalar and column paths
+# one matrix, a batch the scalar loop takes, and one the column kernel takes
+@pytest.mark.parametrize("k", [1, 12, tridiag._SCALAR_BATCH_LIMIT + 1])
 def test_counts_where_the_pivmin_sum_overflows(k):
     # eps (max|d| + 2 max|e| + |level| + 1) overflowed to inf, so these
     # finite matrices at finite levels raised "entries and level must be
@@ -312,7 +314,8 @@ def test_counts_where_the_pivmin_sum_overflows(k):
     assert counts_for_diagonals(-diags, off, 1.7e308).tolist() == [8] * k
 
 
-@pytest.mark.parametrize("k", [1, 12])  # scalar and column paths
+# one matrix, a batch the scalar loop takes, and one the column kernel takes
+@pytest.mark.parametrize("k", [1, 12, tridiag._SCALAR_BATCH_LIMIT + 1])
 @pytest.mark.parametrize("level", [1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e308])
 def test_counts_at_extreme_levels_never_warn(k, level):
     rng = np.random.default_rng(k)
@@ -357,7 +360,7 @@ def test_counts_do_not_change_under_power_of_two_scaling(entries, x, k, split):
         assume(np.min(np.abs(eigs - x)) > 1e-6)
     want = int(np.sum(np.linalg.eigvalsh(t.to_dense()) < x))
     scale = 2.0**k
-    for rows in (1, 12):  # scalar and column kernels
+    for rows in (1, tridiag._SCALAR_BATCH_LIMIT + 1):  # scalar and column kernels
         diags = np.tile(diag * scale, (rows, 1))
         assert counts_for_diagonals(diags, off * scale, x * scale).tolist() == [want] * rows
         # the same count in two calls, the pivot carried between them
@@ -369,7 +372,8 @@ def test_counts_do_not_change_under_power_of_two_scaling(entries, x, k, split):
         assert total.tolist() == [want] * rows
 
 
-@pytest.mark.parametrize("k", [1, 12])  # scalar and column kernels
+# one matrix, a batch the scalar loop takes, and one the column kernel takes
+@pytest.mark.parametrize("k", [1, 12, tridiag._SCALAR_BATCH_LIMIT + 1])
 @pytest.mark.parametrize("s", [1e-16, 1e-200, 1e-300])
 def test_counts_of_a_tiny_matrix(s, k):
     # the absolute eps in pivmin exceeded every pivot, which were all
