@@ -25,14 +25,22 @@ these two tables: ``argv[0]`` is the command, each later token one of its
 flags as ``--flag=value`` or ``--flag value``, and a ``--config`` file's
 values are read through the same flags.
 
+This module imports only the parameter algebra (:mod:`speclab.coupling`),
+which is scalar Python: ``mu``, ``classify`` and ``surface``, single or
+on a linear grid, and ``--help`` answer without numpy.  Every other
+handler imports the modules it reads when it runs, and its ``_COMMANDS``
+entry lists them (``_Command.imports``: ``speclab.hamiltonian`` and
+``numpy.random`` for ``forms-test``).  A linear grid's points are
+``np.linspace``'s, computed in Python; a log grid imports numpy for
+``np.geomspace``.
+
 A ``--grid`` sweep with ``--workers N`` forks ``min(N, points)`` children,
 1 <= N <= 256; child ``w`` computes every ``min(N, points)``-th point from
 point ``w`` and pipes its rows back, and the parent puts them in input
-order.  Before it forks, the parent imports the modules that the command's
-handler imports on first use (``_Command.imports``: ``numpy.random`` for
-``forms-test``), so that each child inherits them instead of importing
-them again; they stay unimported in every other run.  Where ``os.fork`` is
-missing the grid runs serially.
+order.  Before it forks, the parent imports the command's
+``_Command.imports``, so that each child inherits them instead of
+importing them again.  Where ``os.fork`` is missing the grid runs
+serially.
 
 Exit codes: 0 success (``--help`` included), 2 invalid parameters (a
 malformed command line or a request too large for memory among them) or
@@ -54,8 +62,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, NoReturn
 
-import numpy as np
-
 from .coupling import (
     Branch,
     CouplingParams,
@@ -64,26 +70,7 @@ from .coupling import (
     classify,
     critical_alpha,
 )
-from .errors import InvalidParametersError, NonConvergenceError, SpeclabError
-from .hamiltonian import (
-    count_asymptotics_curve,
-    count_below_epsilon,
-    discrete2_check,
-    h_eigenvalues_below_threshold,
-    lower_bound_constant,
-    random_forms,
-)
-from .jacobi_ops import (
-    ROW_CAP,
-    CountingFamily,
-    CountingLimitFamily,
-    ReferenceFamily,
-    SpectralFamily,
-    build,
-    transition_scan,
-)
-from .recurrence import identity_residual, iterate_forward
-from .tridiag import eigenvalues_in_window
+from .errors import ROW_CAP, InvalidParametersError, NonConvergenceError, SpeclabError
 
 # ---------------------------------------------------------------------------
 # value formatting: 15 significant digits everywhere
@@ -98,23 +85,23 @@ def _csv_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return _fmt_float(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return ";".join(_csv_cell(v) for v in value)
     return str(value)
 
 
 def _json_token(value) -> str:
     """A cell's value as JSON: a bool or number as its CSV cell, quoted if not finite."""
-    if isinstance(value, (int, float, np.integer, np.floating)):  # a bool is an int
+    if isinstance(value, (int, float)):  # a bool is an int
         cell = _csv_cell(value)
         return cell if math.isfinite(value) else f'"{cell}"'
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_json_token(v) for v in value) + "]"
     raise TypeError(f"cannot serialise {value!r}")
 
@@ -162,26 +149,34 @@ def _cmd_surface(a: dict) -> list[list]:
     return [[critical_alpha(a["beta"], complex(a["gamma_re"], a["gamma_im"]))]]
 
 
+# --family: each name's speclab.jacobi_ops family, from that module and the flags
 _FAMILIES = {
-    "reference": lambda a: ReferenceFamily(a["mu"]),
-    "spectral": lambda a: SpectralFamily(lam=a["lam"], mu=a["mu"]),
-    "counting": lambda a: CountingFamily(a["epsilon"]),
-    "counting-limit": lambda a: CountingLimitFamily(),
+    "reference": lambda j, a: j.ReferenceFamily(a["mu"]),
+    "spectral": lambda j, a: j.SpectralFamily(lam=a["lam"], mu=a["mu"]),
+    "counting": lambda j, a: j.CountingFamily(a["epsilon"]),
+    "counting-limit": lambda j, a: j.CountingLimitFamily(),
 }
 
 
 def _cmd_jacobi_spectrum(a: dict) -> list[list]:
-    t = build(_FAMILIES[a["family"]](a), a["size"])
+    from . import jacobi_ops
+    from .tridiag import eigenvalues_in_window
+
+    t = jacobi_ops.build(_FAMILIES[a["family"]](jacobi_ops, a), a["size"])
     report = eigenvalues_in_window(t, a["lo"], a["hi"], tol=a["tol"])
     return [[a["family"], t.size, a["lo"], a["hi"], report.count,
              list(report.eigenvalues)]]
 
 
 def _cmd_count(a: dict) -> list[list]:
+    from .hamiltonian import count_below_epsilon
+
     return [[count_below_epsilon(_point_params(a), a["epsilon"], size_cap=a["n_cap"])]]
 
 
 def _cmd_h_spectrum(a: dict) -> list[list]:
+    from .hamiltonian import h_eigenvalues_below_threshold
+
     r = h_eigenvalues_below_threshold(
         _point_params(a), lambda_min=a["lambda_min"], tol=a["tol"], size_cap=a["n_cap"]
     )
@@ -190,16 +185,22 @@ def _cmd_h_spectrum(a: dict) -> list[list]:
 
 
 def _cmd_discrete2(a: dict) -> list[list]:
+    from .hamiltonian import discrete2_check
+
     r = discrete2_check(_point_params(a), size_cap=a["n_cap"])
     return [[r.lhs, r.rhs, r.bound, r.ok, list(r.branch_mus)]]
 
 
 def _cmd_asymptotics(a: dict) -> list[list]:
+    from .hamiltonian import count_asymptotics_curve
+
     rows = count_asymptotics_curve([a["mu"]], size_cap=a["n_cap"])
     return [[r.mu, r.counted, r.predicted, r.ratio] for r in rows]
 
 
 def _cmd_identity_check(a: dict) -> list[list]:
+    from .recurrence import identity_residual, iterate_forward
+
     if a["size"] < 1:
         raise InvalidParametersError(f"size must be at least 1, got {a['size']}")
     lam = complex(a["lam"], a["lam_im"])
@@ -210,6 +211,8 @@ def _cmd_identity_check(a: dict) -> list[list]:
 
 
 def _cmd_transition_scan(a: dict) -> list[list]:
+    from .jacobi_ops import transition_scan
+
     r = transition_scan(a["mu"], a["sizes"], (a["lo"], a["hi"]), tol=a["tol"])
     return [[r.mu, size, float(r.smallest[i]), int(r.window_counts[i])]
             for i, size in enumerate(r.sizes)]
@@ -221,6 +224,10 @@ _TRIAL_BLOCK = 256
 
 
 def _cmd_forms_test(a: dict) -> list[list]:
+    import numpy as np
+
+    from .hamiltonian import lower_bound_constant, random_forms
+
     if a["trials"] < 1:
         raise InvalidParametersError(f"trials must be at least 1, got {a['trials']}")
     if a["seed"] < 0:
@@ -318,8 +325,9 @@ class _Command:
     columns: tuple[str, ...]
     # (title, x column, y columns) of the chart that --svg draws
     chart: tuple[str, str, tuple[str, ...]] | None = None
-    # the modules the handler imports on first use, which a sweep's parent
-    # imports before it forks so that no child imports them again
+    # every module the handler imports when it runs, besides those this
+    # module imports; a sweep's parent imports them before it forks, so
+    # that no child imports them again
     imports: tuple[str, ...] = ()
 
     @property
@@ -349,41 +357,48 @@ _COMMANDS = {
         _cmd_jacobi_spectrum, "window eigenvalues of a truncated Jacobi family",
         ("mu", "lam", "epsilon"), ("family", "size", "lo", "hi", "tol"),
         ("family", "size", "lo", "hi", "count", "eigenvalues"),
+        imports=("speclab.jacobi_ops", "speclab.tridiag"),
     ),
     "count": _Command(
         _cmd_count, "counting-operator eigenvalue count below 1/2 - epsilon",
         (*_COUPLING, "epsilon"), ("n_cap",), ("count",),
+        imports=("speclab.hamiltonian",),
     ),
     "h-spectrum": _Command(
         _cmd_h_spectrum, "all eigenvalues below the continuum threshold",
         _COUPLING, ("lambda_min", "tol", "n_cap"),
         ("branch_mus", "per_branch_counts", "count", "eigenvalues",
          "truncation_size", "method_agreement"),
+        imports=("speclab.hamiltonian",),
     ),
     "discrete2-check": _Command(
         _cmd_discrete2, "compare the eigenvalue count with the counting-limit bound",
         _COUPLING, ("n_cap",), ("lhs", "rhs", "bound", "ok", "branch_mus"),
+        imports=("speclab.hamiltonian",),
     ),
     "asymptotics": _Command(
         _cmd_asymptotics, "near-critical counting law check",
         ("mu",), ("n_cap",), ("mu", "counted", "predicted", "ratio"),
         ("eigenvalue count vs coupling", "mu", ("counted", "predicted")),
+        imports=("speclab.hamiltonian",),
     ),
     "identity-check": _Command(
         _cmd_identity_check, "summed-identity residual of a forward solution",
         ("mu", "lam"), ("lam_im", "size"),
         ("mu", "lambda_re", "lambda_im", "size", "residual", "max_interior_residual"),
+        imports=("speclab.recurrence",),
     ),
     "transition-scan": _Command(
         _cmd_transition_scan, "smallest eigenvalue and window count across sizes",
         ("mu",), ("sizes", "lo", "hi", "tol"),
         ("mu", "size", "smallest", "window_count"),
         ("smallest truncation eigenvalue vs size", "size", ("smallest",)),
+        imports=("speclab.jacobi_ops",),
     ),
     "forms-test": _Command(
         _cmd_forms_test, "Monte-Carlo check of the quadratic-form lower bound",
         _COUPLING, ("trials", "seed"), ("c", "trials", "violations", "min_margin"),
-        imports=("numpy.random",),
+        imports=("speclab.hamiltonian", "numpy.random"),
     ),
 }
 
@@ -507,8 +522,21 @@ def _parse_grid(text: str, command: str) -> tuple[str, list[float]]:
         raise InvalidParametersError("log grids need positive endpoints")
     if steps == 1:
         return key, [start]
-    space = np.geomspace if scale == "log" else np.linspace
-    return key, [float(v) for v in space(start, stop, steps)]
+    if scale == "log":
+        import numpy as np
+
+        return key, [float(v) for v in np.geomspace(start, stop, steps)]
+    try:  # whole at once, 8 bytes a point as np.linspace's array: too large fails here
+        points = [stop] * steps
+    except MemoryError:
+        raise MemoryError(f"Unable to allocate a grid of {steps} points") from None
+    # np.linspace's arithmetic: i * step + start, or i / div * delta + start
+    # where the step underflows to 0, and the last point stop itself
+    div, delta = steps - 1, stop - start
+    step = delta / div
+    for i in range(div):
+        points[i] = i * step + start if step != 0.0 else i / div * delta + start
+    return key, points
 
 
 def _run_task(task: tuple) -> list[dict]:

@@ -40,8 +40,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParametersError, SingularFormulaError
 
 __all__ = [
@@ -219,40 +217,41 @@ def derive(params: CouplingParams) -> CouplingDerived:
     )
 
 
-def _phase_canonical(vec: np.ndarray) -> np.ndarray:
-    """Rotate a unit vector so its largest component is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
+def _phase_canonical(a: complex, b: complex) -> tuple[complex, complex]:
+    """Rotate the unit vector (a, b) so its largest component (the first
+    on a tie) is real positive."""
+    pivot = a if abs(a) >= abs(b) else b
     if pivot == 0.0:
-        return vec
-    return vec * (abs(pivot) / pivot)
+        return a, b
+    phase = abs(pivot) / pivot
+    return a * phase, b * phase
 
 
 def _eigenvectors(
     omega: tuple[float, float, float, float],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """Unit eigenvectors (k1, k2) of Sigma for omega0 - r and omega0 + r,
-    each rotated so its largest component is real positive."""
+    each a pair of components rotated so its largest one is real positive."""
     omega0, omega1, omega2, omega3 = omega
     r = math.sqrt(omega1 * omega1 + omega2 * omega2 + omega3 * omega3)
     if r <= _DEGENERATE_GAP * (abs(omega0) + 4.0):
         # gamma = 0 and alpha*beta = 4: Sigma is a multiple of the
         # identity and any basis works; use the one-sided pair.
-        return (np.array([1.0, 0.0], dtype=complex),
-                np.array([0.0, 1.0], dtype=complex))
+        return (1.0 + 0j, 0j), (0j, 1.0 + 0j)
     # Two equivalent null-vector formulas exist per eigenvalue; pick the
     # one whose squared norm is 2r(r + |omega3|), which never vanishes
     # for r > 0 (the other degenerates when Sigma is diagonal).  The
     # norm is taken as sqrt(2r) * sqrt(r + |omega3|): its square
     # overflows from r of about 1e154
     if omega3 >= 0.0:
-        k1 = np.array([omega1 - 1j * omega2, -(omega3 + r)], dtype=complex)
-        k2 = np.array([omega3 + r, omega1 + 1j * omega2], dtype=complex)
+        k1 = (complex(omega1, -omega2), complex(-(omega3 + r)))
+        k2 = (complex(omega3 + r), complex(omega1, omega2))
     else:
-        k1 = np.array([omega3 - r, omega1 + 1j * omega2], dtype=complex)
-        k2 = np.array([omega1 - 1j * omega2, r - omega3], dtype=complex)
+        k1 = (complex(omega3 - r), complex(omega1, omega2))
+        k2 = (complex(omega1, -omega2), complex(r - omega3))
     norm = math.sqrt(2.0 * r) * math.sqrt(r + abs(omega3))
-    return _phase_canonical(k1 / norm), _phase_canonical(k2 / norm)
+    return (_phase_canonical(k1[0] / norm, k1[1] / norm),
+            _phase_canonical(k2[0] / norm, k2[1] / norm))
 
 
 def mu_beta_zero(alpha: float, gamma: complex = 0.0) -> float:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one size limit."""
 
 from __future__ import annotations
 
@@ -13,6 +13,11 @@ __all__ = [
     "Beta0ConstraintError",
     "NoSubcriticalBranchError",
 ]
+
+# The most rows a certified count walks, unless its caller sets fewer; the
+# CLI's --n-cap default, kept here so that the CLI reads it without numpy.
+# speclab.jacobi_ops exports it.
+ROW_CAP = 2**20
 
 
 class SpeclabError(Exception):

@@ -46,7 +46,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import BranchCutError, InvalidParametersError, NonConvergenceError
+from .errors import ROW_CAP, BranchCutError, InvalidParametersError, NonConvergenceError
 from .recurrence import _check_mu, _check_weights, _lattice, _weight_rows
 from .tridiag import TridiagonalMatrix, counts_for_diagonals, smallest_eigenvalue
 
@@ -64,8 +64,6 @@ __all__ = [
     "transition_scan",
 ]
 
-# The most rows a certified count walks, unless its caller sets fewer.
-ROW_CAP = 2**20
 # Rows a spectral walk takes before its first certificate check, and rows
 # of J a counting walk takes past its coupling row; every later block is
 # as long as all the rows before it.

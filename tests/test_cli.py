@@ -1510,12 +1510,14 @@ def test_malformed_line_exits_2_with_one_message(tmp_path_factory):
     check()
 
 
-def _fresh_interpreter(code: str, *args: str) -> str:
+def _fresh_interpreter(code: str, *args: str, numpy_blocked: bool = False) -> str:
     """The stdout of ``code`` run with ``args`` in a new Python process that
-    imports this speclab."""
+    imports this speclab; with ``numpy_blocked``, one that refuses numpy and
+    the numeric modules (``tests/numpy_blocked.py``)."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+    head = [str(pathlib.Path(__file__).with_name("numpy_blocked.py"))] if numpy_blocked else ["-c"]
+    proc = subprocess.run([sys.executable, *head, code, *args], capture_output=True,
                           text=True, env=env, check=True)
     return proc.stdout
 
@@ -1531,6 +1533,47 @@ def test_help_comes_from_the_tables_without_argparse(capsys):
     assert {_FLAGS[key].option for key in _COMMANDS["h-spectrum"].options} <= set(out.split())
     rc, out, _ = run_cli(capsys, ["-h"])
     assert rc == 0 and set(_COMMANDS) <= set(out.split())
+
+
+# runs each command line of argv[1] and prints [[exit code, stdout], ...]
+_RUNS = """
+import contextlib, io, json, sys
+from speclab.cli import run
+
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        answers.append([run(argv), out.getvalue()])
+print(json.dumps(answers))
+"""
+
+# a single run and a linear grid of each closed-form command
+_CLOSED_FORM = [
+    ("mu", ["--alpha=1", "--beta=1", "--gamma-re=0.3", "--gamma-im=-0.2"], "alpha:0:3:7"),
+    ("classify", ["--alpha=1.4", "--beta=1"], "gamma_im:-1:1:6"),
+    ("classify", ["--alpha=1.3", "--beta=0", "--tol=1e-3"], "alpha:-2:2:5"),
+    ("surface", ["--beta=0.5", "--gamma-re=0.8"], "beta:0:4:9"),
+]
+
+
+def test_closed_form_commands_run_without_numpy(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    argvs = [["-h"], ["surface", "-h"]]
+    for command, flags, grid in _CLOSED_FORM:
+        for fmt in ("--format=json", "--format=csv"):
+            argvs.append([command, *flags, fmt])
+            argvs += [[command, *flags, f"--grid={grid}", f"--workers={w}", fmt] for w in (1, 2)]
+    # the query whose answer times the sweep workload's set-up
+    argvs += [list(workloads.setup_query("sweep", seed).argv) for seed in (0, 1)]
+    blocked = json.loads(_fresh_interpreter(_RUNS, json.dumps(argvs), numpy_blocked=True))
+    assert [rc for rc, _ in blocked] == [0] * len(argvs)
+    assert blocked == json.loads(_fresh_interpreter(_RUNS, json.dumps(argvs)))
+    # the blocked interpreter refuses what the other commands import
+    with pytest.raises(subprocess.CalledProcessError):
+        _fresh_interpreter(_RUNS, json.dumps([["count", "--alpha=1.3"]]), numpy_blocked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1642,6 +1685,27 @@ def test_grid_with_a_span_past_the_float_range_exits_2(capsys, grid):
     rc, out, err = run_cli(capsys, ["mu", "--beta", "1", "--grid", grid])
     assert (rc, out) == (2, "")
     assert err == f"speclab: grid ends and their span must be finite, got {grid!r}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False),
+       st.one_of(st.integers(2, 64), st.integers(2, 20_000)))
+@example(0.0, 5e-324, 3)  # delta / div underflows to 0: numpy's step == 0 branch
+@example(-5e-324, 1e-323, 4)
+@example(1.5, 1.5, 5)  # start == stop
+@example(-0.0, -0.0, 3)
+@example(3.0, -2.5, 2)  # a reversed span
+@example(1e300, -1e300, 7)
+@example(0.0, 1.7976931348623157e308, 28)  # 27 * step overflows, in numpy alone
+@example(-0.1, 0.3, 300_001)  # a large step count
+def test_linear_grid_points_are_numpy_linspace(start, stop, steps):
+    assume(math.isfinite(stop - start))
+    key, points = cli._parse_grid(f"alpha:{start!r}:{stop!r}:{steps}", "mu")
+    with np.errstate(over="ignore"):  # numpy's last i * step may overflow; stop replaces it
+        expected = [float(v) for v in np.linspace(start, stop, steps)]
+    assert key == "alpha"
+    assert [p.hex() for p in points] == [v.hex() for v in expected]  # bit for bit
 
 
 def test_grid_malformed_spec(capsys):

@@ -1,6 +1,10 @@
 """Coupling-invariant algebra: boundary matrix, branch weights, critical surface."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -111,6 +115,25 @@ class _NoNumpy:
         raise AssertionError(f"the weights read numpy.{name}")
 
 
+def _numpy_blocked(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a new Python process that
+    imports this speclab and refuses numpy (``tests/numpy_blocked.py``)."""
+    src = str(pathlib.Path(coupling.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runner = str(pathlib.Path(__file__).with_name("numpy_blocked.py"))
+    return subprocess.run([sys.executable, runner, code, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
+
+
+# the weights of the point (alpha, beta, gamma) that argv[1:] spells
+_WEIGHTS = """
+import sys
+from speclab.coupling import CouplingParams, branch_mus, classify, derive
+p = CouplingParams(float(sys.argv[1]), float(sys.argv[2]), complex(sys.argv[3]))
+print(repr((derive(p), branch_mus(p), classify(p))))
+"""
+
+
 @pytest.mark.parametrize("alpha, beta, gamma", [
     (0.8, 1.5, 0.3 - 0.7j),  # beta != 0 with a complex gamma
     (1.3, 0.0, 0.5j),  # beta = 0
@@ -118,14 +141,17 @@ class _NoNumpy:
     (2.0, 2.0, 0.0),  # alpha*beta = 4, gamma = 0: Sigma is a multiple of I
 ])
 def test_weights_touch_no_numpy(monkeypatch, alpha, beta, gamma):
-    # every classify, mu and surface query of a sweep reads the weights,
-    # so they stay scalar arithmetic; only saturating trials need arrays
+    # every classify, mu and surface query of a sweep reads the weights, so
+    # they stay scalar arithmetic: an interpreter that refuses numpy gives
+    # them bit for bit (repr round-trips every float)
     p = CouplingParams(alpha, beta, gamma)
-    expected = (derive(p), branch_mus(p), classify(p), hamiltonian.lower_bound_constant(p))
-    monkeypatch.setattr(coupling, "np", _NoNumpy())
+    expected = repr((derive(p), branch_mus(p), classify(p)))
+    got = _numpy_blocked(_WEIGHTS, repr(alpha), repr(beta), repr(complex(gamma)))
+    assert got == expected + "\n"
+    # the form bound's constant reads the weights and no numpy either
+    c = hamiltonian.lower_bound_constant(p)
     monkeypatch.setattr(hamiltonian, "np", _NoNumpy())
-    got = (derive(p), branch_mus(p), classify(p), hamiltonian.lower_bound_constant(p))
-    assert got == expected
+    assert hamiltonian.lower_bound_constant(p) == c
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +194,7 @@ def test_sigma_eigensystem_matches_lapack(alpha, beta, gamma):
 @example(3.75, 1.0, -0.5)
 def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
-    k1, k2 = _eigenvectors(d.omega)
+    k1, k2 = map(np.array, _eigenvectors(d.omega))
     scale = abs(d.sigma_eig_plus) + 4.0
     assert abs(np.linalg.norm(k1) - 1.0) <= 1e-12
     assert abs(np.linalg.norm(k2) - 1.0) <= 1e-12
@@ -193,7 +219,7 @@ def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
 ])
 def test_k_vectors_are_unit_where_their_squared_norm_overflows(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
-    k1, k2 = _eigenvectors(d.omega)
+    k1, k2 = map(np.array, _eigenvectors(d.omega))
     assert not _is_degenerate(d.omega)
     assert not _is_one_sided_pair((k1, k2))
     for k in (k1, k2):

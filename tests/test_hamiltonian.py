@@ -550,6 +550,53 @@ def test_form_lower_bound_monte_carlo_smoke():
 
 
 # ---------------------------------------------------------------------------
+# the spectral Jacobi family is the form's pencil on one branch
+
+
+def _form_pencil(mu: float, lam: float, size: int):
+    """The form matrix A and norm matrix G of a branch of weight mu, on the
+    trials sum_n f_n K exp(-delta_n |x|) chi_n(y), K the branch's unit
+    eigenvector of Sigma and delta_n = sqrt(n + 1/2 - lam): A's diagonal
+    a_n = delta_n/2 + (n + 1/2)/(2 delta_n) and couplings sqrt(n)/(2 mu)
+    between modes n - 1 and n, G's diagonal g_n = 1/(2 delta_n)."""
+    n = np.arange(size, dtype=float)
+    delta = np.sqrt(n + 0.5 - lam)
+    return delta / 2.0 + (n + 0.5) / (2.0 * delta), 1.0 / (2.0 * delta), np.sqrt(n[1:]) / (2.0 * mu)
+
+
+@pytest.mark.parametrize("mu, lam", [(1.0005, 0.4859), (1.5, -0.3), (3.2, 0.1), (7.1, -3.0),
+                                     (0.6, 0.25)])
+def test_spectral_family_is_the_form_pencil(mu, lam):
+    # 2 mu D (A - lam G) D with D = diag((n + 1/2)^(1/4)) is the truncation
+    # of the spectral family at lam, so its counts count the form's pencil
+    a, g, couplings = _form_pencil(mu, lam, 300)
+    d = (np.arange(300) + 0.5) ** 0.25
+    t = build(SpectralFamily(lam, mu), 300)
+    np.testing.assert_allclose(t.diag, 2.0 * mu * d * d * (a - lam * g), rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(t.offdiag, 2.0 * mu * d[1:] * d[:-1] * couplings,
+                               rtol=1e-14, atol=0.0)
+
+
+def test_forms_give_the_pencil_coefficients():
+    # evaluate_forms on unit trials of one branch: mode n alone gives a_n
+    # and g_n, modes n - 1 and n together add both couplings, 2 sqrt(n)/(2 mu)
+    p, lam = CouplingParams(0.8, 1.5, 0.3 - 0.7j), -0.4
+    d = derive(p)
+    for k, mu in zip(_eigenvectors(d.omega), (d.mu1, d.mu2)):
+        a, g, couplings = _form_pencil(mu, lam, 8)
+        modes = [TrialMode(n, k[0], k[1], math.sqrt(n + 0.5 - lam)) for n in range(8)]
+        for n in (1, 2, 7):
+            alone = evaluate_forms(ModeTrialFunction((modes[n],)), p)
+            assert alone.a0 == pytest.approx(a[n], rel=1e-14)
+            assert alone.norm_sq == pytest.approx(g[n], rel=1e-14)
+            assert alone.b_sum == 0.0
+            pair = evaluate_forms(ModeTrialFunction((modes[n - 1], modes[n])), p)
+            assert pair.a0 == pytest.approx(a[n - 1] + a[n], rel=1e-14)
+            assert pair.norm_sq == pytest.approx(g[n - 1] + g[n], rel=1e-14)
+            assert pair.b_sum == pytest.approx(2.0 * couplings[n - 1], rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # eigenvalues below the threshold, against a dense-LAPACK bisection
 
 
