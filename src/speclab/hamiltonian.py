@@ -23,15 +23,21 @@ profiles; this module works entirely in that mode picture:
 * ``h_eigenvalues_below_threshold`` locates all eigenvalues below the
   continuum threshold 1/2 on certified Sturm counts of the infinite
   spectral Jacobi family (:func:`speclab.jacobi_ops.spectral_counts`).
-  It bisects on counts only until each root is alone in its bracket,
-  polishes it there by Anderson-Bjorck steps on the secular function (the
-  boundary-row residual of the recurrence's minimal solution, read from
-  one backward sweep of its ratios: at real lam the Sturm count of the
-  reversed truncation, in the counts' one pivot loop and pivmin rule),
-  and certifies the polished root by one count on each side.
+  Each branch sets up one secular function (the boundary-row residual of
+  the recurrence's minimal solution, read from one backward sweep of its
+  ratios: at real lam the Sturm count of the reversed truncation, in the
+  counts' one pivot loop and pivmin rule), at a depth from the window
+  top, memoised on lam.  Where it changes sign across the window, one
+  root is polished there by Anderson-Bjorck steps before any count, and
+  the branch's first count takes the window ends and that root -+ tol/2
+  together: a lone root costs that one walk.  The other roots are
+  bisected on counts only until each is alone in its bracket, polished
+  there by the same steps, with that root divided out, and certified by
+  one count on each side.
   Every root is cross-checked against the secular function at a fixed
-  depth, its sign change polished by the same steps, each branch's roots
-  from the top down until the first one that has none.
+  depth, set up once per branch, its sign change polished by the same
+  steps, each branch's roots from the top down until the first one that
+  has none.
 * ``count_below_epsilon``, ``discrete2_check`` and
   ``count_asymptotics_curve`` compare that eigenvalue count against
   certified counts of the counting Jacobi operators
@@ -508,19 +514,22 @@ def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _refine_secular(mu: float, lam: float, lam_floor: float) -> float | None:
+def _refine_secular(mu: float, lam: float, lam_floor: float, f=None) -> float | None:
     """Nearest zero of the real secular function around ``lam``.
 
-    The first sign change in brackets of half-width 1e-9, 4e-9, ... around
-    ``lam`` is polished by the Anderson-Bjorck steps of :func:`_illinois`
-    to a secant point less than 5e-15 from the point evaluated before it,
-    or the midpoint of a bracket under 1e-14.
+    ``f`` is the function at depth ``_SECULAR_DEPTH`` for ``mu``, set up
+    here where the caller has none.  The first sign change in brackets of
+    half-width 1e-9, 4e-9, ... around ``lam`` is polished by the
+    Anderson-Bjorck steps of :func:`_illinois` to a secant point less
+    than 5e-15 from the point evaluated before it, or the midpoint of a
+    bracket under 1e-14.
     Returns None when no sign change shows up within a 1e-3 neighbourhood,
     or when the steps do not converge, which callers treat as a method
     disagreement.
     """
     ceiling = THRESHOLD - 1e-12
-    f = _real_secular(mu, _SECULAR_DEPTH)
+    if f is None:
+        f = _real_secular(mu, _SECULAR_DEPTH)
     half = 1e-9
     while half <= 1e-3:
         lo = max(lam - half, lam_floor)
@@ -542,14 +551,18 @@ def _secular_agreement(mus: list[float], per_branch: list[np.ndarray],
     function at depth ``_SECULAR_DEPTH`` (:func:`_refine_secular`), or inf
     once one has none.
 
-    Each branch's eigenvalues are checked from the top down: a root the
+    Each branch with eigenvalues sets that function up once, for all of
+    them.  Its eigenvalues are checked from the top down: a root the
     fixed depth misses is one nearest 1/2, whose turning row lies deepest,
     and after the first miss no other check can change the inf.
     """
     agreement = 0.0
     for mu, eigs in zip(mus, per_branch):
+        if not eigs.size:
+            continue
+        f = _real_secular(mu, _SECULAR_DEPTH)
         for lam in reversed(eigs.tolist()):
-            root = _refine_secular(mu, lam, lam_floor)
+            root = _refine_secular(mu, lam, lam_floor, f)
             if root is None:
                 return math.inf
             agreement = max(agreement, abs(root - lam))
@@ -557,7 +570,8 @@ def _secular_agreement(mus: list[float], per_branch: list[np.ndarray],
 
 
 def _polish_depth(mu: float, top: float) -> int:
-    """Depth of the secular function that polishes a root below ``top``.
+    """Depth of the secular function that polishes the roots below ``top``,
+    the top of a branch's search window.
 
     Row k of the recurrence, with x = k + 1/2 and d(k), d(k+1) about x,
     has local ratios C_{k+1}/C_k solving r^2 + 2 m_k r + 1 = 0, where
@@ -581,15 +595,30 @@ def _polish_depth(mu: float, top: float) -> int:
     return math.ceil(max(top, 0.0) * _turn_factor(mu) + 20.0 / math.acosh(mu))
 
 
-def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
+def _memo(f):
+    """``f``, memoised on its argument: a branch's brackets share their
+    ends, and each root's polish evaluates f at both ends of its own."""
+    values: dict[float, float] = {}
+
+    def memo(lam: float) -> float:
+        value = values.get(lam)
+        if value is None:
+            value = values[lam] = f(lam)
+        return value
+
+    return memo
+
+
+def _polish(f, counts_at, lows: np.ndarray, highs: np.ndarray,
             ks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Final brackets for the targets ``ks`` from brackets each within
     ``tol`` or holding target k alone: count(low) = k, count(high) = k + 1.
 
-    Each lone root is polished on the secular function by the
-    Anderson-Bjorck steps of :func:`_illinois` to x, a secant point less
-    than tol/32 from the point evaluated before it or the midpoint of a
-    bracket under tol/16, then certified by one batched count at x -+ h,
+    Each lone root is polished on ``f``, its branch's memoised secular
+    function (brackets sharing an end evaluate it there once) or that
+    over lam - x (:func:`_branch_roots`), by the Anderson-Bjorck steps of :func:`_illinois` to x, a secant point
+    less than tol/32 from the point evaluated before it or the midpoint of
+    a bracket under tol/16, then certified by one batched count at x -+ h,
     h = tol/2: count(x - h) <= k < count(x + h) makes (x - h, x + h) its
     bracket.  The counts are the judge; the stop rule only sets how many
     secular evaluations a root costs.
@@ -603,7 +632,6 @@ def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
     polished, xs = [], []
     for i in lone.tolist():
         lo, hi = float(lows[i]), float(highs[i])
-        f = _real_secular(mu, _polish_depth(mu, hi))
         flo, fhi = f(lo), f(hi)
         x = _illinois(f, lo, flo, hi, fhi, 0.125 * h) if flo * fhi < 0.0 else None
         if x is not None:
@@ -624,6 +652,52 @@ def _polish(mu: float, counts_at, lows: np.ndarray, highs: np.ndarray,
     if rest.size:
         lows[rest], highs[rest] = _bisect(counts_at, lows[rest], highs[rest], ks[rest], tol)
     return lows, highs
+
+
+def _branch_roots(f, counts_at, window: tuple[float, float], tol: float) -> np.ndarray:
+    """The eigenvalues of one branch in ``window``, each the midpoint of a
+    final bracket, from its secular function ``f`` and its counts.
+
+    Where ``f`` changes sign across the window, one root x is polished on
+    the whole window by the steps of :func:`_polish`, before any count.
+    The first walk then counts the window ends and x -+ h, h = tol/2,
+    together: count(x - h) <= k < count(x + h) certifies (x - h, x + h)
+    as the bracket of target k, which for a lone root is the whole search.
+    Every other target's bracket runs from the highest point counted at
+    or below it to the lowest counted above it, with those counts as its
+    ends: the targets on either side of a certified x are bisected from
+    [lo, x - h] and [x + h, hi].  ``_bisect`` takes them until each is
+    alone in its bracket, and :func:`_polish` finishes them on
+    f / (lam - x), which has the same zeros less x: f itself is next to 0
+    at a bracket end x -+ h, where the secant steps would crawl.  No
+    bracket holds x, so the quotient has no pole in any.
+    """
+    h = 0.5 * tol
+    lo, hi = window
+    # f changes sign at each root: across a window holding an odd number
+    flo, fhi = f(lo), f(hi)
+    x = _illinois(f, lo, flo, hi, fhi, 0.125 * h) if flo * fhi < 0.0 else None
+    points = [lo, hi] if x is None else [lo, hi, x - h, x + h]
+    counted = list(zip(points, counts_at(np.array(points)).tolist()))
+    # counts are nondecreasing in lambda, so the k-th jump is bracketed
+    # for each k = count(lo) .. count(hi) - 1, each by its (point, count)
+    # pairs at or below k and above it
+    ks = range(counted[0][1], counted[1][1])
+    brackets = [(max(pc for pc in counted if pc[1] <= k), min(pc for pc in counted if pc[1] > k))
+                for k in ks]
+    eigs = np.array([0.5 * (low + high) for (low, _), (high, _) in brackets])
+    # x certifies the targets count(x - h) .. count(x + h) - 1
+    certified = range(0) if x is None else range(counted[2][1], counted[3][1])
+    rest = [i for i, k in enumerate(ks) if k not in certified]
+    if rest:
+        targets = np.array([ks[i] for i in rest])
+        lows, end_lows = (np.array(v) for v in zip(*(brackets[i][0] for i in rest)))
+        highs, end_highs = (np.array(v) for v in zip(*(brackets[i][1] for i in rest)))
+        lows, highs = _bisect(counts_at, lows, highs, targets, tol, ends=(end_lows, end_highs))
+        deflated = f if x is None else (lambda lam: f(lam) / (lam - x))
+        lows, highs = _polish(deflated, counts_at, lows, highs, targets, tol)
+        eigs[rest] = 0.5 * (lows + highs)
+    return eigs
 
 
 def _subcritical(p: CouplingParams) -> list[tuple[Branch, float]]:
@@ -686,16 +760,22 @@ def h_eigenvalues_below_threshold(
     lower-bound constant c is positive, and no higher than the window top
     1/2 - 1e-9: a c/2 above it proves the window empty.
 
-    The counts bisect the window only until each root is alone in its
-    bracket (or the bracket is within ``tol``).  Safeguarded
-    Anderson-Bjorck steps (:func:`_illinois`) on the secular function, at
-    a depth from mu and the bracket top (:func:`_polish_depth`), then
-    polish the root to x, stopping at a secant step under tol/32, and one
-    batched count at x -+ tol/2 certifies it.  A bracket where the secular
-    function shows no sign change, or whose certifying counts miss the
-    root, is bisected on from the bracket those counts leave, so every
-    root lies in a bracket within ``tol`` (to an ulp) whose end counts
-    enclose it; the eigenvalue is its midpoint.
+    Each branch sets up one secular function, at a depth from mu and the
+    window top (:func:`_polish_depth`), memoised on lambda, and searches
+    with it (:func:`_branch_roots`).  Where it changes sign across the
+    window, safeguarded Anderson-Bjorck steps (:func:`_illinois`) polish
+    one root x on the whole window, stopping at a secant step under
+    tol/32, and the first count takes the window ends and x -+ tol/2
+    together: a count jump between x -+ tol/2 certifies that root, and a
+    lone root needs no other count.  The counts bisect the other roots
+    only until each is alone in its bracket (or the bracket is within
+    ``tol``); the same steps polish it there, on the secular function
+    over lambda - x where the window held an x, and one batched count at
+    its x -+ tol/2 certifies it.  A bracket where the secular function
+    shows no sign change, or whose certifying counts miss the root, is
+    bisected on from the bracket those counts leave, so every root lies
+    in a bracket within ``tol`` (to an ulp) whose end counts enclose it;
+    the eigenvalue is its midpoint.
 
     Every count is the certified count of the infinite operator, walked
     to at most ``size_cap`` rows; a count not certified by then raises
@@ -703,12 +783,12 @@ def h_eigenvalues_below_threshold(
     these counts walked.
 
     Each root is cross-checked against the secular function of the
-    half-line recurrence at depth ``_SECULAR_DEPTH``, its sign change
-    polished by the same steps; ``method_agreement`` reports the largest
-    discrepancy (0 when there is nothing to check), or inf where a root
-    shows no sign change.  Each branch's roots are checked from the top
-    of the window down, and the check stops at the first that shows none
-    (:func:`_secular_agreement`).
+    half-line recurrence at depth ``_SECULAR_DEPTH``, set up once per
+    branch, its sign change polished by the same steps;
+    ``method_agreement`` reports the largest discrepancy (0 when there is
+    nothing to check), or inf where a root shows no sign change.  Each
+    branch's roots are checked from the top of the window down, and the
+    check stops at the first that shows none (:func:`_secular_agreement`).
     """
     tol = _check_tol(tol)
     subcritical, window = _branches_and_window(params, lambda_min)
@@ -722,13 +802,8 @@ def h_eigenvalues_below_threshold(
             max_size = max(max_size, rows)
             return counts
 
-        # counts are nondecreasing in lambda, so the k-th jump is bracketed
-        # for each k = c_lo .. c_hi - 1
-        c_lo, c_hi = counts_at(np.array(window))
-        ks = np.arange(c_lo, c_hi)
-        lows, highs = _bisect(counts_at, *window, ks, tol, ends=(c_lo, c_hi))
-        lows, highs = _polish(mu, counts_at, lows, highs, ks, tol)
-        per_branch.append(0.5 * (lows + highs))
+        f = _memo(_real_secular(mu, _polish_depth(mu, window[1])))
+        per_branch.append(_branch_roots(f, counts_at, window, tol))
 
     mus = [mu for _, mu in subcritical]
     # no window: the free case, with no branch and nothing to check

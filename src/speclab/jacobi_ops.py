@@ -182,7 +182,7 @@ def _check_cap(cap: int) -> None:
 
 
 def _walk(k: int, rows: Callable, level: float, certified: Callable, cap: int,
-          unsettled: str, first: int = _FIRST_BLOCK) -> tuple[np.ndarray, int]:
+          unsettled: str, first: int = _FIRST_BLOCK) -> tuple[list[int], int]:
     """Counts below ``level`` of k infinite matrices, and the most rows any
     of them walked.
 
@@ -194,9 +194,12 @@ def _walk(k: int, rows: Callable, level: float, certified: Callable, cap: int,
     The first block ends at row ``first``, and every later one is as long
     as all the rows before it, up to ``cap`` (checked by the caller); after
     each block, ``certified(cols, last, stop, edge)`` says, from each
-    matrix's last pivot, which counts no later row can change.  Those
-    stop; one still open at ``cap`` rows raises ``NonConvergenceError``
-    with the message ``unsettled``.
+    matrix's last pivot, which counts no later row can change, as a list
+    of bools.  Those stop; one still open at ``cap`` rows raises
+    ``NonConvergenceError`` with the message ``unsettled``.  The open
+    columns ``cols`` and the counts are lists, which cost less than
+    arrays at the few levels a walk counts; ``last`` is the array the
+    counts carry.
 
     Rounding of the spectral walk.  The certificate holds for the
     computed pivots, which the counts read.  Write the invariant as
@@ -215,17 +218,19 @@ def _walk(k: int, rows: Callable, level: float, certified: Callable, cap: int,
     cannot close.  The counting walk's argument is
     :func:`certified_count`'s.
     """
-    counts = np.zeros(k, dtype=np.int64)
-    cols = np.arange(k)
+    counts = [0] * k
+    cols = list(range(k))
     last = np.array([math.inf] * k)
     start, stop = 0, min(first, cap)
-    while cols.size:
+    while cols:
         pieces, edge = rows(cols, start, stop)
         for diagonals, couplings in pieces:
-            counts[cols] += counts_for_diagonals(diagonals, couplings, level, carry=last)
-        done = certified(cols, last, stop, edge)
-        cols, last = cols[~done], last[~done]
-        if cols.size and stop == cap:
+            piece = counts_for_diagonals(diagonals, couplings, level, carry=last)
+            for j, c in zip(cols, piece.tolist()):
+                counts[j] += c
+        open_ = [i for i, done in enumerate(certified(cols, last, stop, edge)) if not done]
+        cols, last = [cols[i] for i in open_], last[open_]
+        if cols and stop == cap:
             raise NonConvergenceError(unsettled)
         start, stop = stop, min(2 * stop, cap)
     return counts, start
@@ -253,8 +258,9 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
         raise InvalidParametersError(f"certified spectral counts need mu > 1, got {mu}")
     lams = _check_lams(lams)
     _check_cap(cap)
-    # K, or -0 where lam <= 0 and K = 0
-    first = np.ceil(np.maximum(lams, 0.0) * (_turn_factor(mu) * (1.0 + _MARGIN)) - 0.5)
+    # K, 0 where lam <= 0
+    factor = _turn_factor(mu) * (1.0 + _MARGIN)
+    first = [math.ceil(max(lam, 0.0) * factor - 0.5) for lam in lams.tolist()]
     family = ReferenceFamily(mu)  # whose couplings are the spectral family's
 
     def rows(cols, start, stop):
@@ -263,9 +269,10 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
         return [(_weight_rows(mu, lams[cols][:, None], stop, start), joins[:-1])], joins[-1]
 
     def certified(cols, last, stop, coupling):
-        return (stop >= first[cols]) & (last >= coupling * (1.0 + _MARGIN))
+        bound = coupling * (1.0 + _MARGIN)
+        return [stop >= first[j] and q >= bound for j, q in zip(cols, last.tolist())]
 
-    return _walk(
+    counts, rows_walked = _walk(
         lams.size,
         rows,
         0.0,
@@ -273,6 +280,7 @@ def spectral_counts(mu: float, lams, *, cap: int = ROW_CAP) -> tuple[np.ndarray,
         cap,
         f"the spectral count for mu = {mu} is not certified within the row cap {cap}",
     )
+    return np.array(counts), rows_walked
 
 
 def _row_bound(family: CountingFamily | CountingLimitFamily, g: float) -> float:
@@ -397,10 +405,11 @@ def certified_count(
     def certified(cols, last, stop, x):
         # 4 max(1/(4 mu^2), x_2s) < 1 - 1e-12
         if not 1.0 - max(1.0 / level / level, 4.0 * x) > _MARGIN:
-            return np.zeros(cols.size, dtype=bool)
+            return [False]
+        q = float(last[0])
         if 2 * stop == cap:
-            last = last - x
-        return last >= 0.25 * (1.0 + _MARGIN)
+            q -= x
+        return [q >= 0.25 * (1.0 + _MARGIN)]
 
     below, odd_rows = _walk(
         1,
@@ -411,7 +420,7 @@ def certified_count(
         f"the count above {level} of {family!r} is not certified within the row cap {cap}",
         (_coupling_row(family, level, cap) + _FIRST_BLOCK) // 2,
     )
-    return int(below[0]), min(2 * odd_rows + 1, cap)
+    return below[0], min(2 * odd_rows + 1, cap)
 
 
 @dataclass(frozen=True)

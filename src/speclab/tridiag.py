@@ -290,7 +290,7 @@ def counts_for_diagonals(
 
 
 def _bisect(
-    count_at, lo, hi, ks: np.ndarray, tol: float, *, ends: tuple[int, int] | None = None
+    count_at, lo, hi, ks: np.ndarray, tol: float, *, ends: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Where a nondecreasing integer count first exceeds each target in ``ks``.
 
@@ -303,9 +303,10 @@ def _bisect(
     ``tol`` below the ulp scale costs no extra counts; at most
     ceil(log2((hi - lo) / tol)) + 3 halvings run.
 
-    With ``ends``, the counts (count(lo), count(hi)), the count at each
-    bracket end is tracked, and a bracket also stops as soon as its target
-    is alone in it: count(low) = k and count(high) = k + 1.
+    With ``ends``, the counts (count(lo), count(hi)), as a pair of counts
+    or of arrays with one count per target, the count at each bracket end
+    is tracked, and a bracket also stops as soon as its target is alone in
+    it: count(low) = k and count(high) = k + 1.
 
     Returns the final brackets ``(lows, highs)``; every point counted for
     target k lies at or below lows[k] or at or above highs[k].
@@ -313,8 +314,7 @@ def _bisect(
     lows = np.array(np.broadcast_to(lo, ks.shape), dtype=np.float64)
     highs = np.array(np.broadcast_to(hi, ks.shape), dtype=np.float64)
     if ends is not None:
-        end_lows = np.full(ks.shape, ends[0])
-        end_highs = np.full(ks.shape, ends[1])
+        end_lows, end_highs = (np.array(np.broadcast_to(end, ks.shape)) for end in ends)
     width = float(np.max(highs - lows, initial=tol))
     max_iter = max(1, math.ceil(math.log2(width) - math.log2(tol))) + 3
     for _ in range(max_iter):

@@ -728,6 +728,95 @@ def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
     assert np.abs(res.eigenvalues - full).max() <= 1e-10
 
 
+def _recording_search(monkeypatch):
+    """Record the levels of every spectral count, the depth of every real
+    secular set-up and the targets of every ``_bisect`` call of h-spectrum."""
+    record = {"walks": [], "depths": [], "bisected": []}
+    spectral_counts = hamiltonian.spectral_counts
+    real_secular = hamiltonian._real_secular
+    bisect = hamiltonian._bisect
+
+    def counting(mu, lams, *, cap):
+        record["walks"].append(np.array(lams, dtype=float).tolist())
+        return spectral_counts(mu, lams, cap=cap)
+
+    def setting_up(mu, n):
+        record["depths"].append(n)
+        return real_secular(mu, n)
+
+    def bisecting(count_at, lo, hi, ks, tol, **kwargs):
+        record["bisected"].append((ks.tolist(), "ends" in kwargs))
+        return bisect(count_at, lo, hi, ks, tol, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "spectral_counts", counting)
+    monkeypatch.setattr(hamiltonian, "_real_secular", setting_up)
+    monkeypatch.setattr(hamiltonian, "_bisect", bisecting)
+    return record
+
+
+def test_h_spectrum_certifies_a_lone_root_in_one_walk(monkeypatch):
+    # the root is polished on the whole window, and the one walk counts the
+    # window ends and x -+ tol/2 together; the answer keeps its bits
+    record = _recording_search(monkeypatch)
+    params = CouplingParams(1.0, 1.0)
+    res = h_eigenvalues_below_threshold(params)
+    window = _window(params)
+    assert len(record["walks"]) == 1 and record["walks"][0][:2] == list(window)
+    assert len(record["walks"][0]) == 4
+    assert record["bisected"] == []
+    # the polish's sweep and the cross-check's
+    assert record["depths"] == [hamiltonian._polish_depth(res.branch_mus[0], window[1]),
+                                hamiltonian._SECULAR_DEPTH]
+    assert float(res.eigenvalues[0]).hex() == "0x1.e6d278fd53dddp-2"
+    assert res.method_agreement == 0.0
+    assert res.truncation_size == 64
+
+
+@pytest.mark.parametrize("mu_minus_1, roots", [(5e-3, 3), (1.5e-3, 5)])
+def test_h_spectrum_keeps_the_speculative_root_of_an_odd_branch(mu_minus_1, roots, monkeypatch):
+    # an odd number of roots shows as a sign change across the window: the
+    # root polished there is certified by the first walk and splits the
+    # window, and only the others are bisected, with their own end counts
+    record = _recording_search(monkeypatch)
+    params = CouplingParams(SQRT2 / (1.0 + mu_minus_1), 0.0)
+    res = h_eigenvalues_below_threshold(params)
+    assert res.per_branch_counts == (roots,)
+    assert len(record["walks"][0]) == 4
+    (ks, with_ends), = record["bisected"]
+    assert with_ends and len(ks) == roots - 1
+    assert record["depths"].count(hamiltonian._SECULAR_DEPTH) == 1
+    assert len(record["depths"]) == 2
+    _assert_certified(res, _window(params), 1e-10)
+
+
+def test_h_spectrum_bisects_where_the_speculative_root_is_off(monkeypatch):
+    # at an odd count a secular function whose roots sit 1e-6 off gives a
+    # speculative root whose counts at x -+ tol/2 isolate none; every root
+    # is then bisected from the brackets those counts leave, and certified
+    params = CouplingParams(SQRT2 / 1.005, 0.0)
+    depth = 300
+    real_secular = hamiltonian._real_secular
+
+    def shifted(mu, n):
+        f = real_secular(mu, n)
+        return (lambda lam: f(lam - 1e-6)) if n == depth else f
+
+    monkeypatch.setattr(hamiltonian, "_polish_depth", lambda mu, top: depth)
+    monkeypatch.setattr(hamiltonian, "_real_secular", shifted)
+    record = _recording_search(monkeypatch)
+    res = h_eigenvalues_below_threshold(params)
+    assert res.count == 3
+    # the first walk held x -+ tol/2 and certified no root there
+    assert len(record["walks"][0]) == 4
+    assert record["bisected"][0] == ([0, 1, 2], True)
+    assert sorted(k for ks, ends in record["bisected"] if not ends for k in ks) == [0, 1, 2]
+    assert res.method_agreement < 1e-8
+    window = _window(params)
+    _assert_certified(res, window, 1e-10)
+    full = _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
+    assert np.abs(res.eigenvalues - full).max() <= 1e-10
+
+
 def _alpha_for_mu(mu, beta, gamma):
     """alpha at which the larger branch weight of (alpha, beta >= 0, gamma)
     is mu.  beta = 0: mu = (4 + |gamma|^2) / (2 sqrt2 alpha).  beta > 0:
