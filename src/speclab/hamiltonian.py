@@ -27,13 +27,15 @@ profiles; this module works entirely in that mode picture:
   the recurrence's minimal solution, read from one backward sweep of its
   ratios: at real lam the Sturm count of the reversed truncation, in the
   counts' one pivot loop and pivmin rule), at a depth from the window
-  top, memoised on lam.  Where it changes sign across the window, one
-  root is polished there by Anderson-Bjorck steps before any count, and
-  the branch's first count takes the window ends and that root -+ tol/2
-  together: a lone root costs that one walk.  The other roots are
-  bisected on counts only until each is alone in its bracket, polished
-  there by the same steps, with that root divided out, and certified by
-  one count on each side.
+  top, and searches in one loop on one bracket rule: each root's bracket
+  runs between the nearest points counted on either side of its jump.
+  Where the function changes sign across the window, one root is
+  polished there by Anderson-Bjorck steps before any count, and the
+  branch's first count takes the window ends and that root -+ tol/2
+  together: a lone root costs that one walk.  Each later walk counts a
+  root -+ tol/2 polished by the same steps in every bracket that holds
+  its root alone, with the certified roots divided out, and the midpoint
+  of every other bracket wider than tol.
   Every root is cross-checked against the secular function at a fixed
   depth, set up once per branch, its sign change polished by the same
   steps, each branch's roots from the top down until the first one that
@@ -49,6 +51,7 @@ profiles; this module works entirely in that mode picture:
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +81,7 @@ from .jacobi_ops import (
     spectral_counts,
 )
 from .recurrence import _real_secular
-from .tridiag import _bisect, _check_tol
+from .tridiag import _check_tol
 
 __all__ = [
     "THRESHOLD",
@@ -514,22 +517,19 @@ def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _refine_secular(mu: float, lam: float, lam_floor: float, f=None) -> float | None:
+def _refine_secular(mu: float, lam: float, lam_floor: float, f) -> float | None:
     """Nearest zero of the real secular function around ``lam``.
 
-    ``f`` is the function at depth ``_SECULAR_DEPTH`` for ``mu``, set up
-    here where the caller has none.  The first sign change in brackets of
-    half-width 1e-9, 4e-9, ... around ``lam`` is polished by the
-    Anderson-Bjorck steps of :func:`_illinois` to a secant point less
-    than 5e-15 from the point evaluated before it, or the midpoint of a
-    bracket under 1e-14.
+    ``f`` is the function at depth ``_SECULAR_DEPTH`` for ``mu``.  The
+    first sign change in brackets of half-width 1e-9, 4e-9, ... around
+    ``lam`` is polished by the Anderson-Bjorck steps of :func:`_illinois`
+    to a secant point less than 5e-15 from the point evaluated before it,
+    or the midpoint of a bracket under 1e-14.
     Returns None when no sign change shows up within a 1e-3 neighbourhood,
     or when the steps do not converge, which callers treat as a method
     disagreement.
     """
     ceiling = THRESHOLD - 1e-12
-    if f is None:
-        f = _real_secular(mu, _SECULAR_DEPTH)
     half = 1e-9
     while half <= 1e-3:
         lo = max(lam - half, lam_floor)
@@ -589,115 +589,93 @@ def _polish_depth(mu: float, top: float) -> int:
     of it: against a sweep four times as deep (its sign taken for C_n = 1,
     as the minimal solution alternates past T), the value kept every bit
     for mu - 1 from 3e-3 to 3 and moved by at most 1.4e-10 down to 1e-5.
-    A depth that fell short would only cost a bisection: each polished
-    root is certified by its counts.
+    A depth that fell short would only cost a halving: each polished root
+    is certified by its counts.
     """
     return math.ceil(max(top, 0.0) * _turn_factor(mu) + 20.0 / math.acosh(mu))
-
-
-def _memo(f):
-    """``f``, memoised on its argument: a branch's brackets share their
-    ends, and each root's polish evaluates f at both ends of its own."""
-    values: dict[float, float] = {}
-
-    def memo(lam: float) -> float:
-        value = values.get(lam)
-        if value is None:
-            value = values[lam] = f(lam)
-        return value
-
-    return memo
-
-
-def _polish(f, counts_at, lows: np.ndarray, highs: np.ndarray,
-            ks: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Final brackets for the targets ``ks`` from brackets each within
-    ``tol`` or holding target k alone: count(low) = k, count(high) = k + 1.
-
-    Each lone root is polished on ``f``, its branch's memoised secular
-    function (brackets sharing an end evaluate it there once) or that
-    over lam - x (:func:`_branch_roots`), by the Anderson-Bjorck steps of :func:`_illinois` to x, a secant point
-    less than tol/32 from the point evaluated before it or the midpoint of
-    a bracket under tol/16, then certified by one batched count at x -+ h,
-    h = tol/2: count(x - h) <= k < count(x + h) makes (x - h, x + h) its
-    bracket.  The counts are the judge; the stop rule only sets how many
-    secular evaluations a root costs.
-    A bracket without a sign change of the secular function, whose steps
-    do not converge, or whose counts at x -+ h miss k, is bisected by
-    ``_bisect`` on from the bracket those counts leave, so every root
-    stays count-certified.
-    """
-    h = 0.5 * tol
-    lone = np.flatnonzero(highs - lows > tol)
-    polished, xs = [], []
-    for i in lone.tolist():
-        lo, hi = float(lows[i]), float(highs[i])
-        flo, fhi = f(lo), f(hi)
-        x = _illinois(f, lo, flo, hi, fhi, 0.125 * h) if flo * fhi < 0.0 else None
-        if x is not None:
-            polished.append(i)
-            xs.append(x)
-    certified = np.zeros(ks.size, dtype=bool)
-    if polished:
-        idx = np.array(polished * 2)
-        points = np.concatenate((np.array(xs) - h, np.array(xs) + h))
-        above = counts_at(points) > ks[idx]
-        # a point counted above k is an upper end for root k, any other a
-        # lower end
-        np.minimum.at(highs, idx[above], points[above])
-        np.maximum.at(lows, idx[~above], points[~above])
-        certified[polished] = ~above[: len(xs)] & above[len(xs) :]
-    # (x - h, x + h) may round to an ulp wider than tol
-    rest = np.flatnonzero((highs - lows > tol) & ~certified)
-    if rest.size:
-        lows[rest], highs[rest] = _bisect(counts_at, lows[rest], highs[rest], ks[rest], tol)
-    return lows, highs
 
 
 def _branch_roots(f, counts_at, window: tuple[float, float], tol: float) -> np.ndarray:
     """The eigenvalues of one branch in ``window``, each the midpoint of a
     final bracket, from its secular function ``f`` and its counts.
 
-    Where ``f`` changes sign across the window, one root x is polished on
-    the whole window by the steps of :func:`_polish`, before any count.
-    The first walk then counts the window ends and x -+ h, h = tol/2,
-    together: count(x - h) <= k < count(x + h) certifies (x - h, x + h)
-    as the bracket of target k, which for a lone root is the whole search.
-    Every other target's bracket runs from the highest point counted at
-    or below it to the lowest counted above it, with those counts as its
-    ends: the targets on either side of a certified x are bisected from
-    [lo, x - h] and [x + h, hi].  ``_bisect`` takes them until each is
-    alone in its bracket, and :func:`_polish` finishes them on
-    f / (lam - x), which has the same zeros less x: f itself is next to 0
-    at a bracket end x -+ h, where the secant steps would crawl.  No
-    bracket holds x, so the quotient has no pole in any.
+    The branch keeps every point it has counted.  Target k's bracket runs
+    from the highest point counted at or below k to the lowest counted
+    above it.  Each round counts, in one walk, the points the open
+    brackets ask for:
+
+    * x -+ h, h = tol/2, for a root x polished by Anderson-Bjorck steps
+      (:func:`_illinois`, to a secant point less than tol/32 from the
+      point evaluated before it, or the midpoint of a bracket under
+      tol/16) on f with every certified root divided out.  The window is
+      polished before any count, and its x -+ h are counted with its
+      ends, which for a lone root is the whole search.  After that a
+      bracket is polished only where its end counts show its target
+      alone, and each target at most once.  count(x - h) <= k <
+      count(x + h) makes (x - h, x + h) the bracket of target k and
+      certifies x.  Dividing x out keeps the steps from crawling where f
+      is next to 0, at the ends x -+ h of the brackets beside it; no
+      bracket holds x, so the quotient has no pole in any.
+    * the midpoint of every other bracket wider than ``tol``, once for a
+      bracket shared by several targets.
+
+    A target is done when its bracket is within ``tol``, is (x - h, x + h)
+    for a polished x (which may round to an ulp wider), or has a midpoint
+    that rounds to one of its ends.  A target whose polish misses is
+    halved to ``tol``, so every root is count-certified: the counts are
+    the judge, and the polish only sets how few of them a root costs.
     """
     h = 0.5 * tol
+    values: dict[float, float] = {}  # f, memoised: brackets share their ends
+    certified: list[float] = []
+    polished: dict[tuple[float, float], float] = {}  # (x - h, x + h): x
+    tried: set[int] = set()  # the targets polished alone
+
+    def deflated(lam: float) -> float:
+        value = values.get(lam)
+        if value is None:
+            value = values[lam] = f(lam)
+        for x in certified:
+            value /= lam - x
+        return value
+
+    def polish(low: float, high: float) -> list[float]:
+        flo, fhi = deflated(low), deflated(high)
+        x = _illinois(deflated, low, flo, high, fhi, 0.125 * h) if flo * fhi < 0.0 else None
+        if x is None:
+            return []
+        polished[x - h, x + h] = x
+        return [x - h, x + h]
+
     lo, hi = window
     # f changes sign at each root: across a window holding an odd number
-    flo, fhi = f(lo), f(hi)
-    x = _illinois(f, lo, flo, hi, fhi, 0.125 * h) if flo * fhi < 0.0 else None
-    points = [lo, hi] if x is None else [lo, hi, x - h, x + h]
-    counted = list(zip(points, counts_at(np.array(points)).tolist()))
-    # counts are nondecreasing in lambda, so the k-th jump is bracketed
-    # for each k = count(lo) .. count(hi) - 1, each by its (point, count)
-    # pairs at or below k and above it
-    ks = range(counted[0][1], counted[1][1])
-    brackets = [(max(pc for pc in counted if pc[1] <= k), min(pc for pc in counted if pc[1] > k))
-                for k in ks]
-    eigs = np.array([0.5 * (low + high) for (low, _), (high, _) in brackets])
-    # x certifies the targets count(x - h) .. count(x + h) - 1
-    certified = range(0) if x is None else range(counted[2][1], counted[3][1])
-    rest = [i for i, k in enumerate(ks) if k not in certified]
-    if rest:
-        targets = np.array([ks[i] for i in rest])
-        lows, end_lows = (np.array(v) for v in zip(*(brackets[i][0] for i in rest)))
-        highs, end_highs = (np.array(v) for v in zip(*(brackets[i][1] for i in rest)))
-        lows, highs = _bisect(counts_at, lows, highs, targets, tol, ends=(end_lows, end_highs))
-        deflated = f if x is None else (lambda lam: f(lam) / (lam - x))
-        lows, highs = _polish(deflated, counts_at, lows, highs, targets, tol)
-        eigs[rest] = 0.5 * (lows + highs)
-    return eigs
+    asked = [lo, hi, *polish(lo, hi)]
+    counted: dict[float, int] = {}
+    while asked:
+        counted.update(zip(asked, counts_at(np.array(asked)).tolist()))
+        # counts are nondecreasing in lambda, so for each k = count(lo) ..
+        # count(hi) - 1 the k-th jump lies between the last point counted
+        # at or below k and the next
+        points = sorted(counted)
+        counts = [counted[lam] for lam in points]
+        ks = range(counted[lo], counted[hi])
+        brackets = [(points[j - 1], points[j]) for j in (bisect_right(counts, k) for k in ks)]
+        certified[:] = [x for b, x in polished.items() if b in brackets]
+        asked = []
+        for k, (low, high) in zip(ks, brackets):
+            mid = 0.5 * low + 0.5 * high
+            if high - low <= tol or (low, high) in polished or not low < mid < high:
+                continue
+            if k not in tried and counted[low] == k and counted[high] == k + 1:
+                tried.add(k)
+                near = polish(low, high)
+                if near:
+                    asked += near
+                    continue
+            # a bracket shared by several targets asks once
+            if mid not in asked:
+                asked.append(mid)
+    return np.array([0.5 * (low + high) for low, high in brackets])
 
 
 def _subcritical(p: CouplingParams) -> list[tuple[Branch, float]]:
@@ -761,21 +739,21 @@ def h_eigenvalues_below_threshold(
     1/2 - 1e-9: a c/2 above it proves the window empty.
 
     Each branch sets up one secular function, at a depth from mu and the
-    window top (:func:`_polish_depth`), memoised on lambda, and searches
-    with it (:func:`_branch_roots`).  Where it changes sign across the
-    window, safeguarded Anderson-Bjorck steps (:func:`_illinois`) polish
-    one root x on the whole window, stopping at a secant step under
-    tol/32, and the first count takes the window ends and x -+ tol/2
-    together: a count jump between x -+ tol/2 certifies that root, and a
-    lone root needs no other count.  The counts bisect the other roots
-    only until each is alone in its bracket (or the bracket is within
-    ``tol``); the same steps polish it there, on the secular function
-    over lambda - x where the window held an x, and one batched count at
-    its x -+ tol/2 certifies it.  A bracket where the secular function
-    shows no sign change, or whose certifying counts miss the root, is
-    bisected on from the bracket those counts leave, so every root lies
-    in a bracket within ``tol`` (to an ulp) whose end counts enclose it;
-    the eigenvalue is its midpoint.
+    window top (:func:`_polish_depth`), and searches with it in rounds of
+    one batched count each (:func:`_branch_roots`).  Where it changes
+    sign across the window, safeguarded Anderson-Bjorck steps
+    (:func:`_illinois`) polish one root x on the whole window, stopping
+    at a secant step under tol/32, and the first count takes the window
+    ends and x -+ tol/2 together: a count jump between x -+ tol/2
+    certifies that root, and a lone root needs no other count.  After
+    that, each round polishes once, by the same steps with the certified
+    roots divided out, every bracket whose end counts show its root
+    alone, and counts its x -+ tol/2; every other bracket wider than
+    ``tol`` is halved, a bracket shared by several roots once.  A root
+    whose polish finds no sign change, or whose counts at x -+ tol/2
+    miss it, is halved on from the bracket those counts leave, so every
+    root lies in a bracket within ``tol`` (to an ulp) whose end counts
+    enclose it; the eigenvalue is its midpoint.
 
     Every count is the certified count of the infinite operator, walked
     to at most ``size_cap`` rows; a count not certified by then raises
@@ -802,7 +780,7 @@ def h_eigenvalues_below_threshold(
             max_size = max(max_size, rows)
             return counts
 
-        f = _memo(_real_secular(mu, _polish_depth(mu, window[1])))
+        f = _real_secular(mu, _polish_depth(mu, window[1]))
         per_branch.append(_branch_roots(f, counts_at, window, tol))
 
     mus = [mu for _, mu in subcritical]

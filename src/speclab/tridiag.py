@@ -14,10 +14,11 @@ counted with it.  The scalar pivot loop, ``_count_scalar``, is the only
 one: ``recurrence.secular_function``'s real sweep is a count in it.  One
 comparison settles a pivot above pivmin, as nearly all pivots of the
 package's long counts are.
-Counts are exact integers; every eigenvalue in the package is then
-bracketed by the one bisection on a count, ``_bisect``, which can also
-stop once each root is alone in its bracket, for a polish whose result
-the counts certify.
+Counts are exact integers; every eigenvalue of a fixed matrix is then
+bracketed by the one bisection on a count, ``_bisect``.  The eigenvalues
+of the infinite operator are bracketed on the same rule, counts at the
+bracket ends, by ``hamiltonian._branch_roots``, whose polished roots the
+counts certify.
 
 A matrix whose largest |entry| or |level| L lies outside [1, 2^500),
 and is not 0, is counted in its normal form, scaled exactly by the power
@@ -290,51 +291,37 @@ def counts_for_diagonals(
 
 
 def _bisect(
-    count_at, lo, hi, ks: np.ndarray, tol: float, *, ends: tuple | None = None
+    count_at, lo: float, hi: float, ks: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Where a nondecreasing integer count first exceeds each target in ``ks``.
 
+    This bisects the eigenvalues of fixed matrices
+    (:func:`eigenvalues_in_window`, :func:`smallest_eigenvalue`).
     ``count_at`` maps an array of points to their counts, and
-    count(lo) <= k < count(hi) must hold for every target k; ``lo`` and
-    ``hi`` are points, or arrays with one bracket per target.  Each bracket
+    count(lo) <= k < count(hi) must hold for every target k.  Each bracket
     is halved until it is within ``tol``; only brackets still wider than
     ``tol`` are counted again.  A bracket whose midpoint rounds to one of
     its ends can shrink no further and is not counted again either, so a
     ``tol`` below the ulp scale costs no extra counts; at most
     ceil(log2((hi - lo) / tol)) + 3 halvings run.
 
-    With ``ends``, the counts (count(lo), count(hi)), as a pair of counts
-    or of arrays with one count per target, the count at each bracket end
-    is tracked, and a bracket also stops as soon as its target is alone in
-    it: count(low) = k and count(high) = k + 1.
-
     Returns the final brackets ``(lows, highs)``; every point counted for
     target k lies at or below lows[k] or at or above highs[k].
     """
-    lows = np.array(np.broadcast_to(lo, ks.shape), dtype=np.float64)
-    highs = np.array(np.broadcast_to(hi, ks.shape), dtype=np.float64)
-    if ends is not None:
-        end_lows, end_highs = (np.array(np.broadcast_to(end, ks.shape)) for end in ends)
-    width = float(np.max(highs - lows, initial=tol))
-    max_iter = max(1, math.ceil(math.log2(width) - math.log2(tol))) + 3
+    lows = np.full(ks.size, lo)
+    highs = np.full(ks.size, hi)
+    max_iter = max(1, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 3
     for _ in range(max_iter):
         # halves first: lows + highs may overflow
         mids = 0.5 * lows + 0.5 * highs
         # a midpoint on an end would only count that end again
-        open_ = (highs - lows > tol) & (mids != lows) & (mids != highs)
-        if ends is not None:
-            open_ &= (end_lows != ks) | (end_highs != ks + 1)
-        active = np.flatnonzero(open_)
+        active = np.flatnonzero((highs - lows > tol) & (mids != lows) & (mids != highs))
         if active.size == 0:
             break
         mids = mids[active]
-        counts = count_at(mids)
-        go_left = counts > ks[active]
+        go_left = count_at(mids) > ks[active]
         highs[active[go_left]] = mids[go_left]
         lows[active[~go_left]] = mids[~go_left]
-        if ends is not None:
-            end_highs[active[go_left]] = counts[go_left]
-            end_lows[active[~go_left]] = counts[~go_left]
     return lows, highs
 
 

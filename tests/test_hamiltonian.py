@@ -596,6 +596,29 @@ def test_forms_give_the_pencil_coefficients():
             assert pair.b_sum == pytest.approx(2.0 * couplings[n - 1], rel=1e-13)
 
 
+@pytest.mark.parametrize("params", [
+    CouplingParams(1.0, 1.0),
+    CouplingParams(1.4, 1.0),
+    CouplingParams(SQRT2 / 1.005, 0.0),
+], ids=["one-root", "two-roots", "three-roots"])
+def test_h_spectrum_roots_are_min_max_limits_of_the_form(params):
+    # the Ritz values of the form's pencil A v = E G v on one branch's
+    # trials at lam_ref, from dense eigvalsh of G^(-1/2) A G^(-1/2), which
+    # shares no code with the counts, are upper bounds on the branch's
+    # eigenvalues (min-max): at lam_ref = e_j the j-th lies in
+    # [e_j - tol, e_j + 1e-11] at N = 512, and no such trial space holds
+    # more Ritz values below 1/2 than the branch has eigenvalues
+    res = h_eigenvalues_below_threshold(params)
+    (mu,) = res.branch_mus
+    for j, e in enumerate(res.eigenvalues):
+        a, g, couplings = _form_pencil(mu, e, 512)
+        s = 1.0 / np.sqrt(g)
+        off = couplings * s[1:] * s[:-1]
+        ritz = np.linalg.eigvalsh(np.diag(a * s * s) + np.diag(off, 1) + np.diag(off, -1))
+        assert e - 1e-10 <= ritz[j] <= e + 1e-11
+        assert np.count_nonzero(ritz < THRESHOLD) <= res.per_branch_counts[0]
+
+
 # ---------------------------------------------------------------------------
 # eigenvalues below the threshold, against a dense-LAPACK bisection
 
@@ -686,12 +709,56 @@ def test_h_spectrum_single_eigenvalue_frozen():
     assert np.abs(res.eigenvalues - full).max() <= 1e-10
 
 
+def _recording_search(monkeypatch):
+    """Record the levels of every spectral count, the depth of every real
+    secular set-up and the (low, high, x) of every polish of h-spectrum's
+    search: the Anderson-Bjorck steps it runs to tol/16, not those the
+    cross-check runs to 1e-14."""
+    record = {"walks": [], "depths": [], "polishes": []}
+    spectral_counts = hamiltonian.spectral_counts
+    real_secular = hamiltonian._real_secular
+    illinois = hamiltonian._illinois
+
+    def counting(mu, lams, *, cap):
+        record["walks"].append(np.array(lams, dtype=float).tolist())
+        return spectral_counts(mu, lams, cap=cap)
+
+    def setting_up(mu, n):
+        record["depths"].append(n)
+        return real_secular(mu, n)
+
+    def polishing(f, lo, flo, hi, fhi, xtol):
+        x = illinois(f, lo, flo, hi, fhi, xtol)
+        if xtol != 1e-14:
+            record["polishes"].append((lo, hi, x))
+        return x
+
+    monkeypatch.setattr(hamiltonian, "spectral_counts", counting)
+    monkeypatch.setattr(hamiltonian, "_real_secular", setting_up)
+    monkeypatch.setattr(hamiltonian, "_illinois", polishing)
+    return record
+
+
+def _assert_polished_alone(mu, polishes):
+    """Every polished bracket holds one root of the 4096-row truncation."""
+    counts_at = _truncation_counter(mu, 4096)
+    for lo, hi, _ in polishes:
+        c_lo, c_hi = counts_at(np.array([lo, hi]))
+        assert c_hi - c_lo == 1
+
+
+def _missed(res, polishes):
+    """Whether no polished x is within tol/2 of an eigenvalue of ``res``."""
+    return all(x is None or np.abs(res.eigenvalues - x).min() > 0.5e-10 for *_, x in polishes)
+
+
 @pytest.mark.parametrize("wrong", ["shifted", "flat", "stalled"])
 def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
     # a secular function whose root is 1e-6 off gives polished roots that
     # their counts reject; a flat one gives no sign change to polish;
-    # steps that do not converge give no polished root.  Each way the
-    # bisection continues and every root is certified.
+    # steps that do not converge give no polished root.  Each way every
+    # target is polished at most once, alone in its bracket, then halved,
+    # and every root is certified.
     params = CouplingParams(1.4, 1.0)
     depth = 300
     real_secular = hamiltonian._real_secular
@@ -702,22 +769,18 @@ def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
             return f
         return (lambda lam: 1.0) if wrong == "flat" else (lambda lam: f(lam - 1e-6))
 
-    bisected = []
-    bisect = hamiltonian._bisect
-
-    def recording(count_at, lo, hi, ks, tol, **kwargs):
-        if "ends" not in kwargs:
-            bisected.extend(ks.tolist())
-        return bisect(count_at, lo, hi, ks, tol, **kwargs)
-
     monkeypatch.setattr(hamiltonian, "_polish_depth", lambda mu, top: depth)
     monkeypatch.setattr(hamiltonian, "_real_secular", polish_is_wrong)
-    monkeypatch.setattr(hamiltonian, "_bisect", recording)
     if wrong == "stalled":
         # the steps run out in the polish and in the cross-check alike
         monkeypatch.setattr(hamiltonian, "_illinois", lambda *args: None)
+    record = _recording_search(monkeypatch)
     res = h_eigenvalues_below_threshold(params)
-    assert res.count == 2 and sorted(bisected) == [0, 1]
+    assert res.count == 2
+    polishes = record["polishes"]
+    assert len(polishes) == (0 if wrong == "flat" else 2)
+    _assert_polished_alone(res.branch_mus[0], polishes)
+    assert _missed(res, polishes)
     if wrong == "stalled":
         assert res.method_agreement == math.inf
     else:
@@ -726,32 +789,6 @@ def test_h_spectrum_bisects_where_the_polish_fails(wrong, monkeypatch):
     _assert_certified(res, window, 1e-10)
     full = _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
     assert np.abs(res.eigenvalues - full).max() <= 1e-10
-
-
-def _recording_search(monkeypatch):
-    """Record the levels of every spectral count, the depth of every real
-    secular set-up and the targets of every ``_bisect`` call of h-spectrum."""
-    record = {"walks": [], "depths": [], "bisected": []}
-    spectral_counts = hamiltonian.spectral_counts
-    real_secular = hamiltonian._real_secular
-    bisect = hamiltonian._bisect
-
-    def counting(mu, lams, *, cap):
-        record["walks"].append(np.array(lams, dtype=float).tolist())
-        return spectral_counts(mu, lams, cap=cap)
-
-    def setting_up(mu, n):
-        record["depths"].append(n)
-        return real_secular(mu, n)
-
-    def bisecting(count_at, lo, hi, ks, tol, **kwargs):
-        record["bisected"].append((ks.tolist(), "ends" in kwargs))
-        return bisect(count_at, lo, hi, ks, tol, **kwargs)
-
-    monkeypatch.setattr(hamiltonian, "spectral_counts", counting)
-    monkeypatch.setattr(hamiltonian, "_real_secular", setting_up)
-    monkeypatch.setattr(hamiltonian, "_bisect", bisecting)
-    return record
 
 
 def test_h_spectrum_certifies_a_lone_root_in_one_walk(monkeypatch):
@@ -763,7 +800,7 @@ def test_h_spectrum_certifies_a_lone_root_in_one_walk(monkeypatch):
     window = _window(params)
     assert len(record["walks"]) == 1 and record["walks"][0][:2] == list(window)
     assert len(record["walks"][0]) == 4
-    assert record["bisected"] == []
+    assert [polish[:2] for polish in record["polishes"]] == [window]
     # the polish's sweep and the cross-check's
     assert record["depths"] == [hamiltonian._polish_depth(res.branch_mus[0], window[1]),
                                 hamiltonian._SECULAR_DEPTH]
@@ -776,23 +813,46 @@ def test_h_spectrum_certifies_a_lone_root_in_one_walk(monkeypatch):
 def test_h_spectrum_keeps_the_speculative_root_of_an_odd_branch(mu_minus_1, roots, monkeypatch):
     # an odd number of roots shows as a sign change across the window: the
     # root polished there is certified by the first walk and splits the
-    # window, and only the others are bisected, with their own end counts
+    # window, and each other root is polished once its bracket holds it
+    # alone
     record = _recording_search(monkeypatch)
     params = CouplingParams(SQRT2 / (1.0 + mu_minus_1), 0.0)
     res = h_eigenvalues_below_threshold(params)
     assert res.per_branch_counts == (roots,)
-    assert len(record["walks"][0]) == 4
-    (ks, with_ends), = record["bisected"]
-    assert with_ends and len(ks) == roots - 1
+    (lo, hi, x), *rest = record["polishes"]
+    h = 0.5e-10
+    assert (lo, hi) == _window(params) and record["walks"][0][2:] == [x - h, x + h]
+    assert 0.5 * ((x - h) + (x + h)) in res.eigenvalues
+    assert len(rest) == roots - 1
+    _assert_polished_alone(res.branch_mus[0], rest)
     assert record["depths"].count(hamiltonian._SECULAR_DEPTH) == 1
     assert len(record["depths"]) == 2
     _assert_certified(res, _window(params), 1e-10)
 
 
+@pytest.mark.parametrize("mu_minus_1, roots", [(2.5e-3, 4), (5.4e-4, 8)])
+def test_h_spectrum_polishes_only_lone_brackets_of_an_even_branch(mu_minus_1, roots, monkeypatch):
+    # an even number of roots shows no sign change across the window, so
+    # the first walk counts its ends alone; no bracket that holds two or
+    # more roots is polished, as 8 roots at mu - 1 = 5.4e-4 are in the
+    # benchmark's spectrum queries
+    record = _recording_search(monkeypatch)
+    params = CouplingParams(SQRT2 / (1.0 + mu_minus_1), 0.0)
+    res = h_eigenvalues_below_threshold(params)
+    assert res.per_branch_counts == (roots,)
+    assert record["walks"][0] == list(_window(params))
+    assert len(record["polishes"]) == roots
+    _assert_polished_alone(res.branch_mus[0], record["polishes"])
+    _assert_certified(res, _window(params), 1e-10)
+
+
 def test_h_spectrum_bisects_where_the_speculative_root_is_off(monkeypatch):
     # at an odd count a secular function whose roots sit 1e-6 off gives a
-    # speculative root whose counts at x -+ tol/2 isolate none; every root
-    # is then bisected from the brackets those counts leave, and certified
+    # speculative root, 1e-6 above root 0, whose counts at x -+ tol/2
+    # isolate none.  Root 0's bracket below it then holds no sign change to
+    # polish; roots 1 and 2 are polished once each, alone in their
+    # brackets, and missed again.  Every root is halved from the brackets
+    # those counts leave, and certified
     params = CouplingParams(SQRT2 / 1.005, 0.0)
     depth = 300
     real_secular = hamiltonian._real_secular
@@ -806,15 +866,42 @@ def test_h_spectrum_bisects_where_the_speculative_root_is_off(monkeypatch):
     record = _recording_search(monkeypatch)
     res = h_eigenvalues_below_threshold(params)
     assert res.count == 3
+    window = _window(params)
     # the first walk held x -+ tol/2 and certified no root there
     assert len(record["walks"][0]) == 4
-    assert record["bisected"][0] == ([0, 1, 2], True)
-    assert sorted(k for ks, ends in record["bisected"] if not ends for k in ks) == [0, 1, 2]
+    (lo, hi, _), *rest = record["polishes"]
+    assert (lo, hi) == window and len(rest) == 2
+    _assert_polished_alone(res.branch_mus[0], rest)
+    assert _missed(res, record["polishes"])
     assert res.method_agreement < 1e-8
-    window = _window(params)
     _assert_certified(res, window, 1e-10)
     full = _full_bisection(res.branch_mus[0], window, 1e-10, 4096)
     assert np.abs(res.eigenvalues - full).max() <= 1e-10
+
+
+@pytest.mark.parametrize("params", [
+    CouplingParams(1.0, 1.0),
+    CouplingParams(1.4, 1.0),
+    CouplingParams(SQRT2 / 1.005, 0.0),
+], ids=["one-root", "two-roots", "three-roots"])
+def test_h_spectrum_ends_where_every_polish_stops_at_its_clamp(params, monkeypatch):
+    # steps that return their clamp point low + tol/16 put x - tol/2 below
+    # the bracket and certify nothing: each target is polished at most
+    # once more, then halved, so the search still ends within the rounds
+    # of a bisection of the window and three more
+    monkeypatch.setattr(hamiltonian, "_illinois", lambda f, lo, flo, hi, fhi, xtol: lo + xtol)
+    record = _recording_search(monkeypatch)
+    window = _window(params)
+    walks = math.ceil(math.log2((window[1] - window[0]) / 1e-10)) + 3
+    counting = hamiltonian.spectral_counts
+
+    def bounded(mu, lams, *, cap):
+        assert len(record["walks"]) < walks, "the search did not end"
+        return counting(mu, lams, cap=cap)
+
+    monkeypatch.setattr(hamiltonian, "spectral_counts", bounded)
+    res = h_eigenvalues_below_threshold(params)
+    _assert_certified(res, window, 1e-10)
 
 
 def _alpha_for_mu(mu, beta, gamma):
@@ -1066,28 +1153,21 @@ def test_illinois_says_when_its_steps_run_out():
     assert len(evals) == 82
 
 
-def test_refine_secular_illinois_matches_bisection(monkeypatch):
+def test_refine_secular_illinois_matches_bisection():
     evals = []
-    real_secular = hamiltonian._real_secular
-
-    def counting(mu, n):
-        f = real_secular(mu, n)
-
-        def counted(lam):
-            evals[-1] += 1
-            return f(lam)
-
-        return counted
-
     roots = 0
     for mu in (1.003, 1.01, 1.05, 1.1, 1.3, SQRT2, 2.2, 2.7, 11.0):
         window = (THRESHOLD - 10.0, THRESHOLD - 1e-9)
+        f = hamiltonian._real_secular(mu, hamiltonian._SECULAR_DEPTH)
+
+        def counted(lam, f=f):
+            evals[-1] += 1
+            return f(lam)
+
         for lam in _full_bisection(mu, window, 1e-10, 2048):
             expected = _bisect_secular(mu, float(lam), window[0])
-            with monkeypatch.context() as m:
-                m.setattr(hamiltonian, "_real_secular", counting)
-                evals.append(0)
-                root = hamiltonian._refine_secular(mu, float(lam), window[0])
+            evals.append(0)
+            root = hamiltonian._refine_secular(mu, float(lam), window[0], counted)
             assert root is not None and expected is not None
             assert abs(root - expected) <= 1e-14
             assert evals[-1] <= 10
@@ -1141,8 +1221,9 @@ def test_cross_check_agreement_equals_every_root_checked(params, monkeypatch):
     # every root of every branch, from the bottom up, none skipped
     reference = 0.0
     for mu, eigs in zip(mus, per_branch):
+        f = hamiltonian._real_secular(mu, hamiltonian._SECULAR_DEPTH)
         for lam in eigs:
-            root = hamiltonian._refine_secular(mu, float(lam), lam_floor)
+            root = hamiltonian._refine_secular(mu, float(lam), lam_floor, f)
             reference = max(reference, math.inf if root is None else abs(root - float(lam)))
     assert res.method_agreement == agreement == reference
     assert sum(e.size for e in per_branch) == res.count
@@ -1218,7 +1299,6 @@ def test_discrete2_check_counts_without_bisection(monkeypatch):
         raise AssertionError("discrete2_check bisected")
 
     monkeypatch.setattr(tridiag, "_bisect", no_bisection)
-    monkeypatch.setattr(hamiltonian, "_bisect", no_bisection)
     rep = discrete2_check(COUNT_POINTS[-1])
     assert (rep.lhs, rep.rhs) == (10, 9)
 

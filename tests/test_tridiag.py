@@ -579,50 +579,6 @@ def test_bisection_of_a_window_whose_ends_sum_past_the_float_range():
     assert abs(smallest_eigenvalue(t, tol=1e300) - 1.5e308) <= 1e300
 
 
-def _recording_counter(t, levels_counted):
-    def count_at(levels):
-        levels_counted.append(levels.tolist())
-        return counts_at_levels(t, levels)
-
-    return count_at
-
-
-def test_bisection_takes_per_target_end_counts():
-    # arrays of end counts equal to the broadcast pair count the same
-    # levels and give the same brackets, to the bit
-    t = random_matrix(np.random.default_rng(11), 40)
-    lo, hi = t.gershgorin_bounds()
-    ends = count_below(t, lo), count_below(t, hi)
-    ks = np.arange(*ends)
-    runs = []
-    for lows, highs, end_counts in (
-        (lo, hi, ends),
-        (np.full(ks.size, lo), np.full(ks.size, hi), tuple(np.full(ks.size, e) for e in ends)),
-    ):
-        levels = []
-        brackets = tridiag._bisect(_recording_counter(t, levels), lows, highs, ks, 1e-10,
-                                   ends=end_counts)
-        runs.append((levels, [b.tobytes() for b in brackets]))
-    assert runs[0] == runs[1]
-    assert ks.size == 40 and len(runs[0][0]) > 5
-
-
-def test_bisection_never_counts_a_target_alone_in_its_bracket():
-    # eigenvalues 0, 1, ..., 9: target 3 is alone in (2.5, 3.5), target 6
-    # shares (4.5, 9.5) with 5 and 7 .. 9, so only 6's bracket is counted
-    t = TridiagonalMatrix(np.arange(10.0), np.zeros(9))
-    ks = np.array([3, 6])
-    levels = []
-    lows, highs = tridiag._bisect(_recording_counter(t, levels), np.array([2.5, 4.5]),
-                                  np.array([3.5, 9.5]), ks, 1e-10,
-                                  ends=(np.array([3, 5]), np.array([4, 10])))
-    assert (lows[0], highs[0]) == (2.5, 3.5)
-    assert levels and all(len(batch) == 1 for batch in levels)
-    assert not any(2.5 < x < 3.5 for batch in levels for x in batch)
-    # 6 stops as soon as it is alone: count(low) = 6, count(high) = 7
-    assert count_below(t, lows[1]) == 6 and count_below(t, highs[1]) == 7
-
-
 # ---------------------------------------------------------------------------
 # dense oracle guard
 
