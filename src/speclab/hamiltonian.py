@@ -517,16 +517,16 @@ def _illinois(f, lo: float, flo: float, hi: float, fhi: float, xtol: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _refine_secular(mu: float, lam: float, lam_floor: float, f) -> float | None:
-    """Nearest zero of the real secular function around ``lam``.
+def _refine_secular(lam: float, lam_floor: float, f) -> float | None:
+    """Nearest zero of the real secular function ``f`` around ``lam``.
 
-    ``f`` is the function at depth ``_SECULAR_DEPTH`` for ``mu``.  The
-    first sign change in brackets of half-width 1e-9, 4e-9, ... around
-    ``lam`` is polished by the Anderson-Bjorck steps of :func:`_illinois`
-    to a secant point less than 5e-15 from the point evaluated before it,
-    or the midpoint of a bracket under 1e-14.
-    Returns None when no sign change shows up within a 1e-3 neighbourhood,
-    or when the steps do not converge, which callers treat as a method
+    ``f`` is one branch's function at depth ``_SECULAR_DEPTH``.  The first
+    sign change in brackets of half-width 1e-9, 4e-9, ..., 4^9 * 1e-9
+    (2.62e-4) around ``lam`` is polished by the Anderson-Bjorck steps of
+    :func:`_illinois` to a secant point less than 5e-15 from the point
+    evaluated before it, or the midpoint of a bracket under 1e-14.
+    Returns None when none of these brackets shows a sign change, or when
+    the steps do not converge, which callers treat as a method
     disagreement.
     """
     ceiling = THRESHOLD - 1e-12
@@ -562,7 +562,7 @@ def _secular_agreement(mus: list[float], per_branch: list[np.ndarray],
             continue
         f = _real_secular(mu, _SECULAR_DEPTH)
         for lam in reversed(eigs.tolist()):
-            root = _refine_secular(mu, lam, lam_floor, f)
+            root = _refine_secular(lam, lam_floor, f)
             if root is None:
                 return math.inf
             agreement = max(agreement, abs(root - lam))
@@ -604,12 +604,13 @@ def _branch_roots(f, counts_at, window: tuple[float, float], tol: float) -> np.n
     above it.  Each round counts, in one walk, the points the open
     brackets ask for:
 
-    * x -+ h, h = tol/2, for a root x polished by Anderson-Bjorck steps
-      (:func:`_illinois`, to a secant point less than tol/32 from the
-      point evaluated before it, or the midpoint of a bracket under
-      tol/16) on f with every certified root divided out.  The window is
-      polished before any count, and its x -+ h are counted with its
-      ends, which for a lone root is the whole search.  After that a
+    * x -+ h, h = tol/2, each clamped into the bracket x was polished in,
+      for a root x polished by Anderson-Bjorck steps (:func:`_illinois`,
+      to a secant point less than tol/32 from the point evaluated before
+      it, or the midpoint of a bracket under tol/16) on f with every
+      certified root divided out.  The window is polished before any
+      count, and its x -+ h are counted with its ends, which for a lone
+      root is the whole search.  After that a
       bracket is polished only where its end counts show its target
       alone, and each target at most once.  count(x - h) <= k <
       count(x + h) makes (x - h, x + h) the bracket of target k and
@@ -628,7 +629,7 @@ def _branch_roots(f, counts_at, window: tuple[float, float], tol: float) -> np.n
     h = 0.5 * tol
     values: dict[float, float] = {}  # f, memoised: brackets share their ends
     certified: list[float] = []
-    polished: dict[tuple[float, float], float] = {}  # (x - h, x + h): x
+    polished: dict[tuple[float, float], float] = {}  # (x - h, x + h), clamped: x
     tried: set[int] = set()  # the targets polished alone
 
     def deflated(lam: float) -> float:
@@ -644,8 +645,10 @@ def _branch_roots(f, counts_at, window: tuple[float, float], tol: float) -> np.n
         x = _illinois(deflated, low, flo, high, fhi, 0.125 * h) if flo * fhi < 0.0 else None
         if x is None:
             return []
-        polished[x - h, x + h] = x
-        return [x - h, x + h]
+        # a tol wider than the bracket would ask for points past its ends
+        ends = max(x - h, low), min(x + h, high)
+        polished[ends] = x
+        return list(ends)
 
     lo, hi = window
     # f changes sign at each root: across a window holding an odd number
@@ -767,6 +770,9 @@ def h_eigenvalues_below_threshold(
     nothing to check), or inf where a root shows no sign change.  Each
     branch's roots are checked from the top of the window down, and the
     check stops at the first that shows none (:func:`_secular_agreement`).
+    The check looks no farther than 2.62e-4 from each root, so it also
+    reads inf wherever an eigenvalue lies farther than that from the zero
+    at depth ``_SECULAR_DEPTH``, which any ``tol`` above about 5e-4 allows.
     """
     tol = _check_tol(tol)
     subcritical, window = _branches_and_window(params, lambda_min)

@@ -18,16 +18,19 @@ rejected with one ``InvalidParametersError``, from one lam-free factor
 sweep, which takes the factor once per (mu, depth).
 
 An eigenvalue is a lam at which the minimal (l^2) solution also
-satisfies the n = 0 row.  That test needs only the ratio C_1/C_0, a
-backward continued fraction (Miller's algorithm; Gautschi, SIAM Review
-9, 1967): :func:`secular_function` sweeps the ratios
-rho_k = d(k+1)*C_{k+1}/C_k down from rho_m = 0 at a buffer top m above
-the depth, rho_{k-1} = -d(k)^2 / (w_k + rho_k), one scalar step per row,
-and keeps no solution.  For real lam it is the Sturm count of the
-truncation read bottom-up in :mod:`speclab.tridiag`'s one pivot loop, a
-pivot within pivmin of 0 clamped to -pivmin, so the sign is exact; that
-sweep is set up once per (mu, depth) and then evaluated at each lam
-(:func:`_real_secular`), as a root search along lam asks.
+satisfies the n = 0 row, and :func:`secular_function` is that row's
+normalised residual.  For nonreal lam it reads C_0 and C_1 off the
+minimal solution, which the backward kernel below builds from a seed at
+a buffer top m above the depth.  For real lam it needs only the ratio
+C_1/C_0, a backward continued fraction (Miller's algorithm; Gautschi,
+SIAM Review 9, 1967): the ratios rho_k = d(k+1)*C_{k+1}/C_k run down from
+rho_m = 0, rho_{k-1} = -d(k)^2 / (w_k + rho_k), and their pivots are the
+Sturm count of the truncation read bottom-up in :mod:`speclab.tridiag`'s
+one pivot loop, a pivot within pivmin of 0 clamped to -pivmin, so the
+sign is exact.  That sweep keeps no solution; it is set up once per
+(mu, depth) and then evaluated at each lam (:func:`_real_secular`), as a
+root search along lam asks.  So every complex recurrence runs the one
+kernel, and every real one the one pivot loop.
 
 Solutions can grow geometrically, so every stored sequence is in split
 form: a complex mantissa per index plus a per-index log2 scale recorded
@@ -74,14 +77,14 @@ the bound.  A forward solution runs no lanes where no solution dominates
 
 The lam-free rows d(k), d(k)^2, k + 1/2 and sqrt(k + 1/2) are read by name
 by every layer (:func:`_lattice`), each kept as deep as its own readers ask
-(d(k)^2 to the secular sweep's buffer top), and the sweep reads them reversed.
-A solution keeps the weights w_n and d(n) its rows were built from, so the
-residual checks read them instead of building them again.  The row-sized
-temporaries of a solution's weights (from 1024 rows on), the lanes and both
-checks live in a per-thread scratch arena (:func:`_scratch`) of six
-buffers, 65 bytes per row of the largest call, kept and reused: the
-arrays a caller keeps (values, scales, weights, the residuals) are always
-fresh.
+(d(k)^2 to the real secular sweep's buffer top), and that sweep reads them
+reversed.  A solution keeps the weights w_n and d(n) its rows were built
+from, so the residual checks and the secular function read them instead of
+building them again.  The row-sized temporaries of a solution's weights
+(from 1024 rows on), the lanes and both checks live in a per-thread scratch
+arena (:func:`_scratch`) of six buffers, 65 bytes per row of the largest
+call, kept and reused: the arrays a caller keeps (values, scales, weights,
+the residuals) are always fresh.
 
 Large-n behaviour follows the standard second-order difference-equation
 asymptotics for x(n+1) + x(n-1) + (a0 + a1/n) x(n) + ... = 0: with
@@ -137,10 +140,6 @@ _LANE_RESCALE_BITS = 500.0
 # the rows where one lane's replayed values meet the next lane's carried
 # start hold to this share of their terms, or the row loop runs instead
 _LANE_AGREEMENT = 2.0**-44
-# an exactly zero pivot of the nonreal secular sweep is replaced by this:
-# the ratio after it, about -d(k)^2 * 2^600, and the one after that, about
-# 2^-600, stay finite and nonzero for every d(k) below 2^200
-_PIVOT_FLOOR = 2.0**-600
 
 
 def _check_mu(mu: float) -> float:
@@ -701,10 +700,14 @@ def minimal_solution_backward(
 
     Backward recurrence from a seed high in a buffer zone [n, m]
     projects onto the minimal solution; the buffer defaults to
-    m = n + max(50, n // 10).  Requires a dominant/minimal dominance
-    split, i.e. |mu| > 1 or Im lam != 0.  A weight that may overflow raises
+    m = n + max(50, n // 10).  The rows run in the one kernel, from
+    (C_{m+1}, C_m) = (0, 1) down to C_0, in the row loop or as lanes by
+    their number.  Requires a dominant/minimal dominance split, i.e.
+    |mu| > 1 or Im lam != 0.  :func:`secular_function` reads its
+    boundary row at nonreal lam.  A weight that may overflow raises
     ``InvalidParametersError``, a row that leaves the floating-point range
-    ``NonConvergenceError`` (|mu| near the top of it).
+    (|mu| near the top of it) or a C_n that vanishes (mu = 0 exactly)
+    ``NonConvergenceError``.
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     if m is None:
@@ -870,51 +873,51 @@ def secular_function(mu: float, lam: complex, n: int) -> complex:
     condition singling out spectral points is the n = 0 row
     d(1)*C_1 + w_0*C_0 = 0.  With C_n = 1 the residual is
 
-        phase(C_0) * (d(1)*r_0 + w_0) / (|d(1)*r_0| + |w_0|),  r_0 = C_1/C_0,
+        (d(1)*C_1 + w_0*C_0) / (|d(1)*C_1| + |w_0*C_0|),
 
     the boundary row over the sum of its term magnitudes: scale-free, in
     the unit disc, with a linear dip through zero at eigenvalues.
     Requires a dominance split, |mu| > 1 or Im lam != 0.
 
-    The ratios come from one backward sweep (Miller's algorithm) from the
-    buffer top m = n + max(50, n // 10) that
-    :func:`minimal_solution_backward` uses: with rho_k = d(k+1)*C_{k+1}/C_k,
-    rho_m = 0 and row k gives rho_{k-1} = -d(k)^2 / p_k, p_k = w_k + rho_k,
-    down to rho_0 = d(1)*r_0.  phase(C_0) is the conjugate of the product
-    of the unit phases of rho_0, ..., rho_{n-1}.  For real lam the pivots
-    p_k = w_k - d(k+1)^2 / p_{k+1} are those of the Sturm count of the
-    reversed truncation (diagonal w_m, ..., w_1, couplings d(m), ..., d(2)),
-    run in the one pivot loop, :func:`speclab.tridiag._count_scalar`, with
-    the pivmin ``counts_for_diagonals`` takes for it unscaled (|w_k| grows
-    with k): rows m, ..., n+1, then n, ..., 1 from the pivot carried.  A pivot
+    For nonreal lam, C_0 and C_1 are those of
+    :func:`minimal_solution_backward` (mu, lam, n), the one backward
+    kernel, and the two terms are formed on the larger of their log2
+    scales.  For real lam the value comes from a backward sweep of the
+    ratios (Miller's algorithm) from the same buffer top
+    m = n + max(50, n // 10): with rho_k = d(k+1)*C_{k+1}/C_k, rho_m = 0
+    and row k gives rho_{k-1} = -d(k)^2 / p_k, p_k = w_k + rho_k, down to
+    rho_0 = d(1)*C_1/C_0, and the residual is
+    phase(C_0) * (rho_0 + w_0) / (|rho_0| + |w_0|), phase(C_0) the
+    conjugate of the product of the unit phases of rho_0, ..., rho_{n-1}.
+    The pivots p_k = w_k - d(k+1)^2 / p_{k+1} are those of the Sturm count
+    of the reversed truncation (diagonal w_m, ..., w_1, couplings
+    d(m), ..., d(2)), run in the one pivot loop,
+    :func:`speclab.tridiag._count_scalar`, with the pivmin
+    ``counts_for_diagonals`` takes for it unscaled (|w_k| grows with k):
+    rows m, ..., n+1, then n, ..., 1 from the pivot carried.  A pivot
     within pivmin of 0 is clamped to -pivmin and counted; rho_{k-1} < 0
     where p_k > 0, so the phase is (-1) to n less the second count, and
     the result is real with an exact sign; sign changes bracket
     eigenvalues.  That real sweep is :func:`_real_secular`'s, set up and
-    evaluated once here.  For nonreal lam an exactly zero pivot is replaced by
-    ``_PIVOT_FLOOR``, which carries the sweep past that zero of C to the
-    same limit.  A weight that may overflow raises ``InvalidParametersError``,
-    a ratio that leaves the floating-point range ``NonConvergenceError``
-    (|mu| near the ends of it).
+    evaluated once here.
+
+    A weight that may overflow raises ``InvalidParametersError``.  A row
+    or ratio that leaves the floating-point range (|mu| near the top of
+    it), and at nonreal lam a C_n or a boundary row whose terms both
+    vanish (mu = 0 exactly, where the rows have no dominance split), raise
+    ``NonConvergenceError``.
     """
     mu, lam = _minimal_solution_inputs(mu, lam, n)
     if lam.imag == 0.0:
         return complex(_real_secular(mu, n)(lam))
-    m = _buffer_top(n)
-    # the sweep reads the rows k = m, ..., 0 reversed: d(k+1)^2 and w_k
-    (d2,) = _lattice(m + 2, "d2")
-    w = _weight_rows(mu, lam, m + 1)[::-1].tolist()
-    rho, w0, phase = 0.0, w[-1], 1.0
-    try:
-        for k, (dk2, wk) in enumerate(zip(memoryview(d2[m:0:-1]), w)):
-            rho = -dk2 / (wk + rho or _PIVOT_FLOOR)
-            if k >= m - n:
-                phase *= rho / abs(rho)
-        value = complex(phase.conjugate() * (rho + w0) / (abs(rho) + abs(w0)))
-    except ZeroDivisionError:
-        # a ratio of 0 past an overflowed pivot
-        value = complex(math.nan)
-    return _swept(value, mu, lam)
+    sol = minimal_solution_backward(mu, lam, n)
+    # the boundary row d(1)*C_1 + w_0*C_0, both terms on the larger log2 scale
+    (c0, c1), (k0, k1) = sol.values[:2].tolist(), sol.log2_scale[:2].tolist()
+    t1 = float(sol.couplings[1]) * c1 * 2.0 ** min(k1 - k0, 0.0)
+    t0 = complex(sol.weights[0]) * c0 * 2.0 ** min(k0 - k1, 0.0)
+    if not (size := abs(t1) + abs(t0)):
+        raise NonConvergenceError(f"both boundary terms vanish at mu={mu}, lam={lam}")
+    return _swept((t1 + t0) / size, mu, lam)
 
 
 def _real_secular(mu: float, n: int) -> Callable[[float], float]:
@@ -959,8 +962,9 @@ def _real_secular(mu: float, n: int) -> Callable[[float], float]:
 
 
 def _swept(value: complex, mu: float, lam: complex) -> complex:
-    """The secular value of a sweep, or ``NonConvergenceError`` where the
-    sweep left the floating-point range and the value is not finite."""
+    """The secular value, or ``NonConvergenceError`` where the real sweep
+    or the nonreal boundary row left the floating-point range and the
+    value is not finite."""
     if not cmath.isfinite(value):
         raise NonConvergenceError(
             f"the backward ratio sweep at mu={mu}, lam={lam} left the "

@@ -101,6 +101,15 @@ PINNED.append(
      '"branch_mus": [1.00031129247952]}\n')
 )
 PINNED_IDS.append("discrete2-check-near-critical")
+# a tol/2 wider than the root's distance to the window top: the polished
+# root's x + tol/2 is clamped to the window, and method_agreement reads inf
+PINNED.append(
+    (["h-spectrum", "--alpha", "1", "--beta", "1", "--tol", "0.1"],
+     '{"branch_mus": [1.4142135623731], "per_branch_counts": [1], "count": 1, '
+     '"eigenvalues": [0.462850408942512], "truncation_size": 64, '
+     '"method_agreement": "inf"}\n')
+)
+PINNED_IDS.append("h-spectrum-coarse-tol")
 # both boundary-form regimes with complex gamma
 PINNED += [
     (["forms-test", "--alpha=0.8", "--beta=0", "--gamma-re=0.3", "--gamma-im=-0.4",

@@ -1029,6 +1029,27 @@ def test_h_spectrum_tol_validation():
             h_eigenvalues_below_threshold(CouplingParams(1.0, 1.0), tol=tol)
 
 
+@pytest.mark.parametrize("params, tol", [
+    (CouplingParams(1.0, 1.0), 0.06),
+    (CouplingParams(1.0, 1.0), 0.1),
+    (CouplingParams(1.0, 1.0), 1.0),
+    (CouplingParams(1.0, 1.0), 1e300),
+    (CouplingParams(1.4, 1.0), 0.3),
+    (CouplingParams(0.7, 3.0), 0.02),
+    (CouplingParams(0.7, 3.0), 0.5),
+    # eight roots on one branch, polished in brackets narrower than tol
+    (CouplingParams(1.4135, 0.0), 0.2),
+])
+def test_h_spectrum_at_a_coarse_tol_is_within_tol(params, tol):
+    # at a tol this coarse a polished root's x -+ tol/2 can lie past the
+    # bracket x was polished in, and past the window top 1/2 - 1e-9, where
+    # no count may be taken: the points asked for stay in the bracket
+    res = h_eigenvalues_below_threshold(params, tol=tol)
+    ref = h_eigenvalues_below_threshold(params)
+    assert res.per_branch_counts == ref.per_branch_counts
+    assert np.all(np.abs(res.eigenvalues - ref.eigenvalues) <= tol)
+
+
 def test_h_spectrum_cap_exhaustion_raises():
     # at mu - 1 = 1e-3 the counts next to the roots need more than 512
     # rows; a cap is a block end, and at row 600 every count is certified
@@ -1167,7 +1188,7 @@ def test_refine_secular_illinois_matches_bisection():
         for lam in _full_bisection(mu, window, 1e-10, 2048):
             expected = _bisect_secular(mu, float(lam), window[0])
             evals.append(0)
-            root = hamiltonian._refine_secular(mu, float(lam), window[0], counted)
+            root = hamiltonian._refine_secular(float(lam), window[0], counted)
             assert root is not None and expected is not None
             assert abs(root - expected) <= 1e-14
             assert evals[-1] <= 10
@@ -1196,6 +1217,7 @@ _NEAR_CRITICAL_BRANCH_2 = CouplingParams(0.7, 8.0 * 1.001 / (2.0 * SQRT2))
 
 
 def test_cross_check_stops_at_the_first_root_without_a_sign_change(monkeypatch):
+    setups = _recording(monkeypatch, "_real_secular")
     calls = _recording(monkeypatch, "_refine_secular")
     res = h_eigenvalues_below_threshold(_NEAR_CRITICAL_BRANCH_2)
     assert res.branch_mus[1] == pytest.approx(1.001, rel=1e-12)
@@ -1203,8 +1225,10 @@ def test_cross_check_stops_at_the_first_root_without_a_sign_change(monkeypatch):
     assert res.method_agreement == math.inf
     # branch 1's root, then branch 2's top root, which has no sign change
     assert [root is None for *_, root in calls] == [False, True]
-    assert [mu for mu, *_ in calls] == list(res.branch_mus)
-    assert calls[1][1] == max(res.eigenvalues[res.eigenvalues != calls[0][1]])
+    # each call was handed its branch's depth-256 sweep
+    sweeps = {id(f): mu for mu, n, f in setups if n == hamiltonian._SECULAR_DEPTH}
+    assert [sweeps[id(f)] for _, _, f, _ in calls] == list(res.branch_mus)
+    assert calls[1][0] == max(res.eigenvalues[res.eigenvalues != calls[0][0]])
 
 
 @pytest.mark.parametrize("params", [
@@ -1223,7 +1247,7 @@ def test_cross_check_agreement_equals_every_root_checked(params, monkeypatch):
     for mu, eigs in zip(mus, per_branch):
         f = hamiltonian._real_secular(mu, hamiltonian._SECULAR_DEPTH)
         for lam in eigs:
-            root = hamiltonian._refine_secular(mu, float(lam), lam_floor, f)
+            root = hamiltonian._refine_secular(float(lam), lam_floor, f)
             reference = max(reference, math.inf if root is None else abs(root - float(lam)))
     assert res.method_agreement == agreement == reference
     assert sum(e.size for e in per_branch) == res.count
