@@ -27,8 +27,10 @@ oscillator threshold 1/2 possible) when mu > 1 and supercritical when
 0 < mu < 1; mu = 1 is the transition.
 
 ``derive`` gives Sigma's eigenvalues and the weights, which is all that
-classification and the form bound read; Sigma's unit eigenvectors,
-``_eigenvectors``, serve only :func:`speclab.hamiltonian.saturating_trial`.
+classification, the form bound and the spectral search read.  This module
+is that scalar algebra alone and imports no numpy; Sigma's eigenvectors
+have one reader, :func:`speclab.hamiltonian.saturating_trial`, which takes
+them from ``numpy.linalg.eigh``.
 
 The map (alpha, beta) -> (-alpha, -beta) leaves the model invariant, so
 all classification work happens in the canonical orientation beta >= 0.
@@ -58,10 +60,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-# Relative scale below which the Sigma eigenvalue gap counts as zero and
-# the eigenbasis degenerates to the one-sided pair.
-_DEGENERATE_GAP = 1e-12
 
 
 class Branch(enum.Enum):
@@ -215,43 +213,6 @@ def derive(params: CouplingParams) -> CouplingDerived:
         mu1=mu1,
         mu2=mu2,
     )
-
-
-def _phase_canonical(a: complex, b: complex) -> tuple[complex, complex]:
-    """Rotate the unit vector (a, b) so its largest component (the first
-    on a tie) is real positive."""
-    pivot = a if abs(a) >= abs(b) else b
-    if pivot == 0.0:
-        return a, b
-    phase = abs(pivot) / pivot
-    return a * phase, b * phase
-
-
-def _eigenvectors(
-    omega: tuple[float, float, float, float],
-) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """Unit eigenvectors (k1, k2) of Sigma for omega0 - r and omega0 + r,
-    each a pair of components rotated so its largest one is real positive."""
-    omega0, omega1, omega2, omega3 = omega
-    r = math.sqrt(omega1 * omega1 + omega2 * omega2 + omega3 * omega3)
-    if r <= _DEGENERATE_GAP * (abs(omega0) + 4.0):
-        # gamma = 0 and alpha*beta = 4: Sigma is a multiple of the
-        # identity and any basis works; use the one-sided pair.
-        return (1.0 + 0j, 0j), (0j, 1.0 + 0j)
-    # Two equivalent null-vector formulas exist per eigenvalue; pick the
-    # one whose squared norm is 2r(r + |omega3|), which never vanishes
-    # for r > 0 (the other degenerates when Sigma is diagonal).  The
-    # norm is taken as sqrt(2r) * sqrt(r + |omega3|): its square
-    # overflows from r of about 1e154
-    if omega3 >= 0.0:
-        k1 = (complex(omega1, -omega2), complex(-(omega3 + r)))
-        k2 = (complex(omega3 + r), complex(omega1, omega2))
-    else:
-        k1 = (complex(omega3 - r), complex(omega1, omega2))
-        k2 = (complex(omega1, -omega2), complex(r - omega3))
-    norm = math.sqrt(2.0 * r) * math.sqrt(r + abs(omega3))
-    return (_phase_canonical(k1[0] / norm, k1[1] / norm),
-            _phase_canonical(k2[0] / norm, k2[1] / norm))
 
 
 def mu_beta_zero(alpha: float, gamma: complex = 0.0) -> float:

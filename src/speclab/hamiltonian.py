@@ -61,7 +61,6 @@ from .coupling import (
     CouplingDerived,
     CouplingParams,
     _abs2,
-    _eigenvectors,
     _omegas,
     branch_mus,
     canonicalize,
@@ -417,9 +416,14 @@ def saturating_trial(
 ) -> ModeTrialFunction:
     """Single-mode trial aligned with one eigenvector of the coupling matrix.
 
-    Boundary values are K/sqrt(delta) for the chosen unit eigenvector K, so
-    the half-line trace inequality is saturated and the boundary values
-    scale as delta**(-1/2).
+    Boundary values are K/sqrt(delta) for the branch's unit eigenvector K
+    of Sigma, so the half-line trace inequality is saturated and the
+    boundary values scale as delta**(-1/2).  K is a column of
+    ``numpy.linalg.eigh`` of Sigma, built from ``derived.omega``: eigh
+    orders the eigenvalues ascending, so column 0, for omega0 - r, serves
+    branch 1 and column 1, for omega0 + r, branch 2.  K is rotated so that
+    its larger component (the first on a tie) is real and positive; where
+    Sigma is a multiple of I the pair is (e1, e2).
     """
     d = float(delta)
     if not (math.isfinite(d) and d > 0.0):
@@ -430,16 +434,16 @@ def saturating_trial(
             "require beta != 0"
         )
     key = branch if isinstance(branch, Branch) else str(branch)
-    if key in (Branch.ONE, "1", "Branch1"):
-        k = _eigenvectors(derived.omega)[0]
-    elif key in (Branch.TWO, "2", "Branch2"):
-        k = _eigenvectors(derived.omega)[1]
-    else:
+    column = {Branch.ONE: 0, "1": 0, "Branch1": 0, Branch.TWO: 1, "2": 1, "Branch2": 1}.get(key)
+    if column is None:
         raise InvalidParametersError(f"branch must be 1 or 2, got {branch!r}")
-    scale = 1.0 / math.sqrt(d)
-    return ModeTrialFunction(
-        (TrialMode(n=0, upper=k[0] * scale, lower=k[1] * scale, decay=d),)
-    )
+    omega0, omega1, omega2, omega3 = derived.omega
+    sigma = np.array([[omega0 + omega3, complex(omega1, -omega2)],
+                      [complex(omega1, omega2), omega0 - omega3]])
+    k = np.linalg.eigh(sigma)[1][:, column]
+    pivot = k[np.argmax(np.abs(k))]
+    k *= abs(pivot) / pivot / math.sqrt(d)
+    return ModeTrialFunction((TrialMode(n=0, upper=k[0], lower=k[1], decay=d),))
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +722,8 @@ def _branches_and_window(
         if c > 0.0:
             # a bound at or above the window top proves the window empty
             lambda_min = min(max(lambda_min, 0.5 * c), lam_hi)
+    elif not math.isfinite(lambda_min):
+        raise InvalidParametersError(f"lambda_min = {lambda_min} is not finite")
     elif not float(lambda_min) < lam_hi:
         raise InvalidParametersError(
             f"lambda_min = {float(lambda_min)} does not leave a search window below 1/2"

@@ -948,14 +948,10 @@ def _real_secular(mu: float, n: int) -> Callable[[float], float]:
         _check_weights(mu, lam.real, m + 1)
         w = memoryview(t * np.sqrt(half - lam.real))
         pivmin = _pivmin_rule(abs(w[0]), dm, 0.0)
-        try:
-            p = _count_scalar(w[:m - n], upper, pivmin, math.inf)[1]
-            c, p = _count_scalar(w[m - n:m], lower, pivmin, p)
-            rho, w0 = -d1_2 / p, w[m]
-            value = (-1.0 if (n - c) % 2 else 1.0) * (rho + w0) / (abs(rho) + abs(w0))
-        except ZeroDivisionError:
-            # a ratio of 0 past an overflowed pivot
-            value = math.nan
+        p = _count_scalar(w[:m - n], upper, pivmin, math.inf)[1]
+        c, p = _count_scalar(w[m - n:m], lower, pivmin, p)
+        rho, w0 = -d1_2 / p, w[m]
+        value = (-1.0 if (n - c) % 2 else 1.0) * (rho + w0) / (abs(rho) + abs(w0))
         return _swept(value, mu, lam)
 
     return evaluate

@@ -1292,6 +1292,27 @@ def test_single_invalid_params_exit_2(capsys):
     assert err.startswith("speclab: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mu", "--grid", "alpha:x:1:3"],
+     "bad grid numbers in 'alpha:x:1:3': could not convert string to float: 'x'"),
+    (["mu", "--grid", "alpha:0:1:0"], "grid steps must be >= 1"),
+    (["mu", "--grid", "alpha:0:1:3:cubic"], "grid scale must be 'linear' or 'log'"),
+    # at the least subnormal beta the form bound constant c overflows to -inf
+    (["forms-test", "--alpha", "1", "--beta", "5e-324", "--trials", "1", "--seed", "1"],
+     "the forms at CouplingParams(alpha=1.0, beta=5e-324, gamma=0j) are not finite "
+     "in double precision"),
+    (["h-spectrum", "--alpha", "1", "--beta", "1", "--lambda-min", "-inf"],
+     "lambda_min = -inf is not finite"),
+    (["h-spectrum", "--alpha", "1", "--beta", "1", "--lambda-min", "nan"],
+     "lambda_min = nan is not finite"),
+    (["h-spectrum", "--alpha", "1", "--beta", "1", "--lambda-min", "inf"],
+     "lambda_min = inf is not finite"),
+])
+def test_rejected_inputs_name_their_fault(capsys, argv, message):
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out, err) == (2, "", f"speclab: {message}\n")
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_parser_reads_back_every_printed_float(x):
     text = _fmt_float(x)

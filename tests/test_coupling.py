@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speclab import (
@@ -26,7 +26,6 @@ from speclab import (
     mu_beta_zero,
 )
 from speclab import coupling, hamiltonian
-from speclab.coupling import _eigenvectors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,7 +46,7 @@ def test_derive_simple_point():
     assert d.mu1 == pytest.approx(SQRT2, rel=1e-15)
     assert d.mu2 == pytest.approx(SQRT2 / 4.0, rel=1e-15)
     assert not _is_degenerate(d.omega)
-    assert not _is_one_sided_pair(_eigenvectors(d.omega))
+    assert not _is_one_sided_pair(_k_vectors(d))
 
 
 def test_derive_complex_gamma_point():
@@ -65,7 +64,7 @@ def test_degenerate_point_single_weight():
     # gamma = 0 and alpha*beta = 4 collapse the two branches into one.
     d = derive(CouplingParams(2.0, 2.0))
     assert _is_degenerate(d.omega)
-    assert _is_one_sided_pair(_eigenvectors(d.omega))
+    assert _is_one_sided_pair(_k_vectors(d))
     assert d.sigma_eig_plus == pytest.approx(8.0)
     assert d.sigma_eig_minus == pytest.approx(8.0)
     assert d.mu1 == pytest.approx(d.mu2)
@@ -108,6 +107,12 @@ def test_one_abs2_formula():
 def test_mu_beta_zero_rejects_pure_gamma():
     with pytest.raises(InvalidParametersError):
         mu_beta_zero(0.0, 1.0j)
+
+
+def test_mu_beta_zero_rejects_an_infinite_alpha():
+    with pytest.raises(InvalidParametersError) as info:
+        mu_beta_zero(math.inf)
+    assert str(info.value) == "alpha and |gamma|^2 must be finite"
 
 
 class _NoNumpy:
@@ -166,10 +171,15 @@ def _sigma(omega):
 
 
 def _is_degenerate(omega):
-    """The degeneracy test of _eigenvectors: Sigma is a multiple of I."""
-    omega0, omega1, omega2, omega3 = omega
-    r = math.sqrt(omega1 * omega1 + omega2 * omega2 + omega3 * omega3)
-    return r <= coupling._DEGENERATE_GAP * (abs(omega0) + 4.0)
+    """Sigma is a multiple of I: gamma = 0 and alpha*beta = 4."""
+    return not any(omega[1:])
+
+
+def _k_vectors(d):
+    """Sigma's unit eigenvectors (k1, k2) for omega0 - r and omega0 + r,
+    read off the boundary values of the saturating trials at delta = 1."""
+    trials = (hamiltonian.saturating_trial(1.0, b, d) for b in (Branch.ONE, Branch.TWO))
+    return tuple(np.array([t.modes[0].upper, t.modes[0].lower]) for t in trials)
 
 
 def _is_one_sided_pair(ks):
@@ -192,17 +202,20 @@ def test_sigma_eigensystem_matches_lapack(alpha, beta, gamma):
 @given(finite_reals, finite_reals, gammas)
 # Sigma diagonal with omega3 < 0 but not degenerate: the pair is (e1, e2)
 @example(3.75, 1.0, -0.5)
+# near-degenerate: r = 8e-12 against the eigenvalues 8 +- r
+@example(2.0, 2.0, 2e-12j)
 def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
+    # the trials that carry them need beta != 0
+    assume(beta != 0.0)
     d = derive(CouplingParams(alpha, beta, gamma))
-    k1, k2 = map(np.array, _eigenvectors(d.omega))
+    k1, k2 = _k_vectors(d)
     scale = abs(d.sigma_eig_plus) + 4.0
     assert abs(np.linalg.norm(k1) - 1.0) <= 1e-12
     assert abs(np.linalg.norm(k2) - 1.0) <= 1e-12
-    if _is_degenerate(d.omega):
-        # any orthonormal basis is an eigenbasis there
+    assert abs(np.vdot(k1, k2)) <= 1e-12
+    if d.omega[1] == d.omega[2] == 0.0 and d.omega[3] <= 0.0:
+        # Sigma diagonal with its smaller entry first
         assert _is_one_sided_pair((k1, k2))
-        assert abs(np.vdot(k1, k2)) <= 1e-12
-        return
     sigma = _sigma(d.omega)
     r1 = sigma @ k1 - d.sigma_eig_minus * k1
     r2 = sigma @ k2 - d.sigma_eig_plus * k2
@@ -219,7 +232,7 @@ def test_k_vectors_are_unit_eigenvectors(alpha, beta, gamma):
 ])
 def test_k_vectors_are_unit_where_their_squared_norm_overflows(alpha, beta, gamma):
     d = derive(CouplingParams(alpha, beta, gamma))
-    k1, k2 = map(np.array, _eigenvectors(d.omega))
+    k1, k2 = _k_vectors(d)
     assert not _is_degenerate(d.omega)
     assert not _is_one_sided_pair((k1, k2))
     for k in (k1, k2):

@@ -50,7 +50,6 @@ from speclab import (
     saturating_trial,
 )
 from speclab.cli import run
-from speclab.coupling import _eigenvectors
 from speclab.recurrence import _weight_rows
 
 SQRT2 = math.sqrt(2.0)
@@ -517,15 +516,19 @@ def test_saturating_trial_trace_equality():
 
 def test_saturating_trial_uses_unit_eigenvector():
     derived = derive(CouplingParams(0.8, 1.5, 0.3 - 0.7j))
-    k1, k2 = _eigenvectors(derived.omega)
-    trial = saturating_trial(0.5, 1, derived)
-    (m,) = trial.modes
-    vec = np.array([m.upper, m.lower]) * math.sqrt(0.5)
-    assert np.allclose(vec, k1, rtol=1e-14)
-    trial2 = saturating_trial(0.5, "Branch2", derived)
-    (m2,) = trial2.modes
-    vec2 = np.array([m2.upper, m2.lower]) * math.sqrt(0.5)
-    assert np.allclose(vec2, k2, rtol=1e-14)
+    w0, w1, w2, w3 = derived.omega
+    sigma = np.array([[w0 + w3, w1 - 1j * w2], [w1 + 1j * w2, w0 - w3]])
+    vecs = []
+    for branch, eig in ((1, derived.sigma_eig_minus), ("Branch2", derived.sigma_eig_plus)):
+        (m,) = saturating_trial(0.5, branch, derived).modes
+        vec = np.array([m.upper, m.lower]) * math.sqrt(0.5)
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-14
+        assert np.max(np.abs(sigma @ vec - eig * vec)) <= 1e-14 * abs(derived.sigma_eig_plus)
+        # its larger component is real and positive, to rounding
+        top = vec[np.argmax(np.abs(vec))]
+        assert abs(top.imag) <= 1e-16 and top.real > 0.0
+        vecs.append(vec)
+    assert abs(np.vdot(*vecs)) <= 1e-14
 
 
 def test_saturating_trial_validation():
@@ -582,9 +585,10 @@ def test_forms_give_the_pencil_coefficients():
     # and g_n, modes n - 1 and n together add both couplings, 2 sqrt(n)/(2 mu)
     p, lam = CouplingParams(0.8, 1.5, 0.3 - 0.7j), -0.4
     d = derive(p)
-    for k, mu in zip(_eigenvectors(d.omega), (d.mu1, d.mu2)):
+    for branch, mu in ((Branch.ONE, d.mu1), (Branch.TWO, d.mu2)):
         a, g, couplings = _form_pencil(mu, lam, 8)
-        modes = [TrialMode(n, k[0], k[1], math.sqrt(n + 0.5 - lam)) for n in range(8)]
+        (k,) = saturating_trial(1.0, branch, d).modes
+        modes = [TrialMode(n, k.upper, k.lower, math.sqrt(n + 0.5 - lam)) for n in range(8)]
         for n in (1, 2, 7):
             alone = evaluate_forms(ModeTrialFunction((modes[n],)), p)
             assert alone.a0 == pytest.approx(a[n], rel=1e-14)

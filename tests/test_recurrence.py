@@ -1526,6 +1526,34 @@ def test_secular_sweep_passes_a_zero_pivot(lam, n):
     assert abs(secular_function(1e-12, lam, n) - got) <= 1e-12
 
 
+@pytest.mark.parametrize("n, message", [
+    # C_n vanishes, so it cannot be normalised to 1
+    (510, "backward recurrence produced a vanishing mantissa at the normalisation index"),
+    # C_n = 1, but d(1)*C_1 and w_0*C_0 are both 0: the boundary row has no
+    # phase to read
+    (1000, "both boundary terms vanish at mu=0.0, lam=1j"),
+])
+def test_secular_function_at_mu_zero_where_its_row_vanishes(n, message):
+    with pytest.raises(NonConvergenceError) as info:
+        secular_function(0.0, 1.0j, n)
+    assert str(info.value) == message
+
+
+def test_ratio_past_a_vanishing_value_raises():
+    # at mu = 0 every second value of the forward solution vanishes
+    sol = iterate_forward(0.0, 1.0j, 1.0, 10)
+    assert sol.ratio(0) == 0.0
+    with pytest.raises(ZeroDivisionError) as info:
+        sol.ratio(1)
+    assert str(info.value) == "C_1 vanishes"
+
+
+def test_birkhoff_adams_eval_rejects_a_nan_lam():
+    with pytest.raises(InvalidParametersError) as info:
+        birkhoff_adams_eval(1.5, complex("nan"))
+    assert str(info.value) == "lam must be finite"
+
+
 # the one message of a weight that may overflow, in every layer
 _WEIGHT_OVERFLOW = r"mu = \S+ makes a diagonal weight of w_\d+\.\.w_\d+ overflow at lam = "
 
