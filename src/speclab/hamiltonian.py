@@ -27,8 +27,10 @@ profiles; this module works entirely in that mode picture:
   the recurrence's minimal solution, read from one backward sweep of its
   ratios: at real lam the Sturm count of the reversed truncation, in the
   counts' one pivot loop and pivmin rule), at a depth from the window
-  top, and searches in one loop on one bracket rule: each root's bracket
-  runs between the nearest points counted on either side of its jump.
+  top, and searches its own window, from its form bound (1 - 1/mu)/2 to
+  the largest double below 1/2, in one loop on one bracket rule: each
+  root's bracket runs between the nearest points counted on either side
+  of its jump.
   Where the function changes sign across the window, one root is
   polished there by Anderson-Bjorck steps before any count, and the
   branch's first count takes the window ends and that root -+ tol/2
@@ -44,8 +46,8 @@ profiles; this module works entirely in that mode picture:
   ``count_asymptotics_curve`` compare that eigenvalue count against
   certified counts of the counting Jacobi operators
   (:func:`speclab.jacobi_ops.certified_count`).  The bound check needs no
-  eigenvalues: it counts them at the ends of the same window,
-  c(lam_hi) - c(lam_lo) per branch.
+  eigenvalues and no window: it counts them at the window top alone, one
+  level per branch, since the count at a branch's form bound is 0.
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ __all__ = [
 THRESHOLD = 0.5
 
 _SQRT2 = math.sqrt(2.0)
-# The eigenvalue search stops this far below the threshold: the spectral
-# diagonal involves sqrt(n + 1/2 - lambda), which loses meaning at 1/2.
-_WINDOW_MARGIN = 1e-9
+# The top of every search window: the largest double below the threshold,
+# where the spectral diagonal's sqrt(n + 1/2 - lambda) is still positive.
+_TOP = math.nextafter(THRESHOLD, 0.0)
 # Depth of the backward recurrence behind the secular cross-check of
 # h-spectrum's eigenvalues.
 _SECULAR_DEPTH = 256
@@ -526,18 +528,18 @@ def _refine_secular(lam: float, lam_floor: float, f) -> float | None:
 
     ``f`` is one branch's function at depth ``_SECULAR_DEPTH``.  The first
     sign change in brackets of half-width 1e-9, 4e-9, ..., 4^9 * 1e-9
-    (2.62e-4) around ``lam`` is polished by the Anderson-Bjorck steps of
+    (2.62e-4) around ``lam``, each clamped into the branch's window from
+    ``lam_floor`` to ``_TOP``, is polished by the Anderson-Bjorck steps of
     :func:`_illinois` to a secant point less than 5e-15 from the point
     evaluated before it, or the midpoint of a bracket under 1e-14.
     Returns None when none of these brackets shows a sign change, or when
     the steps do not converge, which callers treat as a method
     disagreement.
     """
-    ceiling = THRESHOLD - 1e-12
     half = 1e-9
     while half <= 1e-3:
         lo = max(lam - half, lam_floor)
-        hi = min(lam + half, ceiling)
+        hi = min(lam + half, _TOP)
         flo, fhi = f(lo), f(hi)
         if flo == 0.0:
             return lo
@@ -550,23 +552,24 @@ def _refine_secular(lam: float, lam_floor: float, f) -> float | None:
 
 
 def _secular_agreement(mus: list[float], per_branch: list[np.ndarray],
-                       lam_floor: float) -> float:
+                       floors: list[float]) -> float:
     """The largest distance of an eigenvalue from its zero of the secular
     function at depth ``_SECULAR_DEPTH`` (:func:`_refine_secular`), or inf
     once one has none.
 
     Each branch with eigenvalues sets that function up once, for all of
-    them.  Its eigenvalues are checked from the top down: a root the
+    them, and looks no lower than its window floor in ``floors``.  Its
+    eigenvalues are checked from the top down: a root the
     fixed depth misses is one nearest 1/2, whose turning row lies deepest,
     and after the first miss no other check can change the inf.
     """
     agreement = 0.0
-    for mu, eigs in zip(mus, per_branch):
+    for mu, eigs, floor in zip(mus, per_branch, floors):
         if not eigs.size:
             continue
         f = _real_secular(mu, _SECULAR_DEPTH)
         for lam in reversed(eigs.tolist()):
-            root = _refine_secular(lam, lam_floor, f)
+            root = _refine_secular(lam, floor, f)
             if root is None:
                 return math.inf
             agreement = max(agreement, abs(root - lam))
@@ -699,36 +702,25 @@ def _subcritical(p: CouplingParams) -> list[tuple[Branch, float]]:
     return subcritical
 
 
-def _branches_and_window(
-    params: CouplingParams, lambda_min: float | None
-) -> tuple[list[tuple[Branch, float]], tuple[float, float] | None]:
-    """The subcritical branches (branch, mu) of the canonical parameters
-    and the search window (lam_lo, lam_hi) below the threshold.
+def _floors(mus: list[float], lambda_min: float | None) -> list[float]:
+    """The floor of each branch's search window, which ends at ``_TOP``.
 
-    The free case gives no branch and no window, and branches none of
-    which is subcritical raise, as :func:`_subcritical` says.  The
-    window's lower end defaults to 1/2 - 10, tightened to c/2 whenever the
-    form lower-bound constant c is positive, but no higher than its upper
-    end, ``_WINDOW_MARGIN`` below 1/2: there the window is empty.
+    A given ``lambda_min`` is every branch's floor; it must be finite and
+    below the top, and it is checked even where there is no branch.
+    Otherwise a branch's floor is its form bound (1 - 1/mu)/2, clamped to
+    the top: its eigenvalues are those of the point beta = 0, gamma = 0,
+    alpha = sqrt(2)/mu, whose form bound constant is c = 1 - 1/mu.
     """
-    p = canonicalize(params)
-    subcritical = _subcritical(p)
-    if not subcritical:
-        return [], None
-    lam_hi = THRESHOLD - _WINDOW_MARGIN
     if lambda_min is None:
-        lambda_min = THRESHOLD - 10.0
-        c = lower_bound_constant(p)
-        if c > 0.0:
-            # a bound at or above the window top proves the window empty
-            lambda_min = min(max(lambda_min, 0.5 * c), lam_hi)
-    elif not math.isfinite(lambda_min):
+        return [min(0.5 * (1.0 - 1.0 / mu), _TOP) for mu in mus]
+    lambda_min = float(lambda_min)
+    if not math.isfinite(lambda_min):
         raise InvalidParametersError(f"lambda_min = {lambda_min} is not finite")
-    elif not float(lambda_min) < lam_hi:
+    if not lambda_min < _TOP:
         raise InvalidParametersError(
-            f"lambda_min = {float(lambda_min)} does not leave a search window below 1/2"
+            f"lambda_min = {lambda_min} does not leave a search window below 1/2"
         )
-    return subcritical, (float(lambda_min), lam_hi)
+    return [lambda_min] * len(mus)
 
 
 def h_eigenvalues_below_threshold(
@@ -742,10 +734,18 @@ def h_eigenvalues_below_threshold(
 
     Eigenvalues on the branch with weight mu sit exactly where the Sturm
     count at level 0 of the spectral Jacobi family jumps as a function of
-    lambda.  The search window is (lambda_min, 1/2); when ``lambda_min`` is
-    omitted it defaults to 1/2 - 10, tightened to c/2 whenever the form
-    lower-bound constant c is positive, and no higher than the window top
-    1/2 - 1e-9: a c/2 above it proves the window empty.
+    lambda.  Each branch searches its own window (:func:`_floors`), from
+    ``lambda_min`` if it is given, else from the branch's form bound
+    (1 - 1/mu)/2, to the largest double below 1/2.  The count is of the
+    eigenvalues below that top: a gap 1/2 - E_1 under the spacing of
+    doubles below 1/2 (2**-54) cannot be located.  At a weak coupling the
+    gap reads about 1/(16 mu^4) (measured, not derived), so that happens
+    for mu above about 5800.
+
+    At a point whose other branch is supercritical (0 < mu < 1) the form
+    is unbounded below and 1/2 is not the bottom of the spectrum.  The
+    answers there are the subcritical branches' eigenvalues below 1/2, and
+    ``branch_mus`` lists only the subcritical weights.
 
     Each branch sets up one secular function, at a depth from mu and the
     window top (:func:`_polish_depth`), and searches with it in rounds of
@@ -781,10 +781,12 @@ def h_eigenvalues_below_threshold(
     at depth ``_SECULAR_DEPTH``, which any ``tol`` above about 5e-4 allows.
     """
     tol = _check_tol(tol)
-    subcritical, window = _branches_and_window(params, lambda_min)
+    subcritical = _subcritical(canonicalize(params))
+    mus = [mu for _, mu in subcritical]
+    floors = _floors(mus, lambda_min)
     per_branch: list[np.ndarray] = []
     max_size = 0
-    for _, mu in subcritical:
+    for mu, floor in zip(mus, floors):
 
         def counts_at(lams: np.ndarray, mu: float = mu) -> np.ndarray:
             nonlocal max_size
@@ -792,12 +794,10 @@ def h_eigenvalues_below_threshold(
             max_size = max(max_size, rows)
             return counts
 
-        f = _real_secular(mu, _polish_depth(mu, window[1]))
-        per_branch.append(_branch_roots(f, counts_at, window, tol))
+        f = _real_secular(mu, _polish_depth(mu, _TOP))
+        per_branch.append(_branch_roots(f, counts_at, (floor, _TOP), tol))
 
-    mus = [mu for _, mu in subcritical]
-    # no window: the free case, with no branch and nothing to check
-    agreement = _secular_agreement(mus, per_branch, window[0]) if window else 0.0
+    agreement = _secular_agreement(mus, per_branch, floors)
     merged = np.sort(np.concatenate(per_branch)) if per_branch else np.zeros(0)
     return HSpectrumResult(
         branches=tuple(br for br, _ in subcritical),
@@ -850,19 +850,17 @@ def discrete2_check(
     """Check |#eigenvalues below 1/2  -  sum_j N+(mu_j)| <= bound.
 
     The left-hand side needs no eigenvalues, only their number: per
-    subcritical branch it is c_hi - c_lo, the certified counts at the ends
-    of the window ``h_eigenvalues_below_threshold`` searches, from one
-    batch.  The right-hand side counts eigenvalues of the limiting
+    subcritical branch it is the certified count at the top of the window
+    ``h_eigenvalues_below_threshold`` searches, the largest double below
+    1/2, one level per branch.  The count at the window's default floor,
+    the branch's form bound (1 - 1/mu)/2, is 0, so no floor is counted.
+    The right-hand side counts eigenvalues of the limiting
     counting operator above each subcritical branch weight; the bound is
     1 when a single branch is subcritical and 2 when both are.  No count
     walks more than ``size_cap`` rows.
     """
-    subcritical, window = _branches_and_window(params, None)
-    mus = tuple(mu for _, mu in subcritical)
-    lhs = 0
-    for mu in mus:
-        (c_lo, c_hi), _ = spectral_counts(mu, window, cap=size_cap)
-        lhs += int(c_hi - c_lo)
+    mus = tuple(mu for _, mu in _subcritical(canonicalize(params)))
+    lhs = sum(int(spectral_counts(mu, [_TOP], cap=size_cap)[0][0]) for mu in mus)
     rhs = sum(certified_count(CountingLimitFamily(), mu, cap=size_cap)[0] for mu in mus)
     bound = 1 if len(mus) <= 1 else 2
     return Discrete2Report(lhs=lhs, rhs=rhs, bound=bound, branch_mus=mus)

@@ -30,7 +30,6 @@ from speclab import (
 )
 from speclab import cli
 from speclab.cli import _COMMANDS, _FLAGS, _build_parser, _fmt_float, _parse, run
-from speclab.hamiltonian import _branches_and_window
 from speclab.jacobi_ops import spectral_counts
 
 SQRT2 = math.sqrt(2.0)
@@ -65,7 +64,7 @@ PINNED = [
     (["h-spectrum", "--alpha", "1", "--beta", "0"],
      '{"branch_mus": [1.41421356237309], "per_branch_counts": [1], "count": 1, '
      '"eigenvalues": [0.475412264310732], "truncation_size": 64, '
-     '"method_agreement": 0}\n'),
+     '"method_agreement": 5.55111512312578e-17}\n'),
     (["discrete2-check", "--alpha", "1", "--beta", "0"],
      '{"lhs": 1, "rhs": 0, "bound": 1, "ok": true, '
      '"branch_mus": [1.41421356237309]}\n'),
@@ -106,7 +105,7 @@ PINNED_IDS.append("discrete2-check-near-critical")
 PINNED.append(
     (["h-spectrum", "--alpha", "1", "--beta", "1", "--tol", "0.1"],
      '{"branch_mus": [1.4142135623731], "per_branch_counts": [1], "count": 1, '
-     '"eigenvalues": [0.462850408942512], "truncation_size": 64, '
+     '"eigenvalues": [0.462524981083007], "truncation_size": 64, '
      '"method_agreement": "inf"}\n')
 )
 PINNED_IDS.append("h-spectrum-coarse-tol")
@@ -579,15 +578,16 @@ def test_no_silent_nan_and_certified_eigenvalues(point, epsilon):
                 assert x not in ("inf", "-inf", "nan") and math.isfinite(x), (argv, key, value)
 
     # the i-th eigenvalue x is certified by counts of all the subcritical
-    # branches: i eigenvalues of the window below x - tol/2, i + 1 below
-    # x + tol/2
+    # branches, each from its own window floor (1 - 1/mu)/2: i eigenvalues
+    # of the windows below x - tol/2, i + 1 below x + tol/2
     spectrum = rows["h-spectrum"]
-    subcritical, (lam_lo, _) = _branches_and_window(CouplingParams(alpha, beta, gamma), None)
+    mus = [mu for _, mu in branch_mus(CouplingParams(alpha, beta, gamma)) if 1.0 < mu < math.inf]
     half = 0.5e-10  # the default tol, halved
     for i, x in enumerate(spectrum["eigenvalues"]):
-        lams = [lam_lo, x - half, x + half]
-        below = sum(spectral_counts(mu, lams)[0] for _, mu in subcritical)
-        assert (below[1] - below[0], below[2] - below[0]) == (i, i + 1), (i, x)
+        counts = [spectral_counts(mu, [0.5 * (1.0 - 1.0 / mu), x - half, x + half])[0]
+                  for mu in mus]
+        below = sum(c - c[0] for c in counts)
+        assert (below[1], below[2]) == (i, i + 1), (i, x)
 
 
 def _run_quietly(argv):
@@ -800,9 +800,10 @@ def test_h_spectrum_far_lambda_min(capsys):
 @pytest.mark.parametrize("point", [["--alpha=1e-9", "--beta=0"], ["--alpha=2e-9", "--beta=0"],
                                    ["--alpha=2.8e-9", "--beta=0"], ["--beta=1e10"]])
 def test_empty_default_window_holds_no_eigenvalues(capsys, point):
-    # the form bound c/2 lies at or above the window top 1/2 - 1e-9, which
-    # proves the window empty; both commands exited 2 naming a lambda_min
-    # that was never given
+    # the form bound (1 - 1/mu)/2 lies within 1e-9 of 1/2, and the gap
+    # 1/2 - E_1 (about 1/(16 mu^4)) is far below the spacing of doubles
+    # there, so the window holds no eigenvalue to locate; both commands
+    # once exited 2 naming a lambda_min that was never given
     rc, out, err = run_cli(capsys, ["h-spectrum", *point])
     assert (rc, err) == (0, "")
     row = json.loads(out)
@@ -811,11 +812,36 @@ def test_empty_default_window_holds_no_eigenvalues(capsys, point):
     assert (rc, err) == (0, "")
     row = json.loads(out)
     assert (row["lhs"], row["ok"]) == (0, True)
-    # a lambda_min given at or above the window top still leaves no window
-    for lambda_min in ("0.499999999", "0.5", "3"):
+    # a lambda_min below the top, the largest double below 1/2, leaves a window
+    rc, out, err = run_cli(capsys, ["h-spectrum", *point, "--lambda-min=0.499999999"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["count"] == 0
+    # one at or above the top leaves none
+    for lambda_min in ("0.5", "3"):
         rc, out, err = run_cli(capsys, ["h-spectrum", *point, f"--lambda-min={lambda_min}"])
         assert (rc, out) == (2, "")
         assert f"lambda_min = {float(lambda_min)!r} does not leave a search window" in err
+
+
+# mu = sqrt(2)/alpha = 100 at beta = 0: one eigenvalue, about 1/(16 mu^4)
+# below 1/2, which a window top 1e-9 below 1/2 missed
+_WEAK_COUPLING = ["--alpha", "0.0141421356237310", "--beta", "0"]
+
+
+def test_weak_coupling_eigenvalue_next_to_the_threshold(capsys):
+    rc, out, err = run_cli(capsys, ["h-spectrum", *_WEAK_COUPLING])
+    assert (rc, err) == (0, "")
+    row = json.loads(out)
+    assert row["count"] == 1
+    assert row["branch_mus"][0] == pytest.approx(100.0, rel=1e-12)
+    assert 0.5 - row["eigenvalues"][0] == pytest.approx(6.25e-10, abs=1e-10)
+    rc, out, err = run_cli(capsys, ["count", *_WEAK_COUPLING, "--epsilon", "1e-12"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["count"] == 1
+    rc, out, err = run_cli(capsys, ["discrete2-check", *_WEAK_COUPLING])
+    assert (rc, err) == (0, "")
+    row = json.loads(out)
+    assert (row["lhs"], row["ok"]) == (1, True)
 
 
 def test_discrete2_check_without_subcritical_branch(capsys):
@@ -1307,6 +1333,11 @@ def test_single_invalid_params_exit_2(capsys):
      "lambda_min = nan is not finite"),
     (["h-spectrum", "--alpha", "1", "--beta", "1", "--lambda-min", "inf"],
      "lambda_min = inf is not finite"),
+    # the free point has no branch to search, and reads the flag all the same
+    (["h-spectrum", "--alpha", "0", "--beta", "0", "--lambda-min=nan"],
+     "lambda_min = nan is not finite"),
+    (["h-spectrum", "--alpha", "0", "--beta", "0", "--lambda-min=3"],
+     "lambda_min = 3.0 does not leave a search window below 1/2"),
 ])
 def test_rejected_inputs_name_their_fault(capsys, argv, message):
     rc, out, err = run_cli(capsys, argv)

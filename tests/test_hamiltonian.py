@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import speclab.coupling as coupling
@@ -650,14 +650,12 @@ def lapack_eigenvalues_below_threshold(mu: float, size: int = 300) -> list[float
     return roots
 
 
-def _window(params, lambda_min=None):
-    """The search window h_eigenvalues_below_threshold uses."""
-    if lambda_min is None:
-        lambda_min = THRESHOLD - 10.0
-        c = lower_bound_constant(params)
-        if c > 0.0:
-            lambda_min = max(lambda_min, 0.5 * c)
-    return lambda_min, THRESHOLD - hamiltonian._WINDOW_MARGIN
+def _window(params):
+    """The search window h_eigenvalues_below_threshold uses at a point with
+    one subcritical branch, and the lowest branch's where there are two:
+    from the form bound (1 - 1/mu)/2 to the largest double below 1/2."""
+    mus = [mu for _, mu in coupling.branch_mus(params) if 1.0 < mu < math.inf]
+    return min(0.5 * (1.0 - 1.0 / mu) for mu in mus), math.nextafter(THRESHOLD, 0.0)
 
 
 def _truncation_counter(mu, size):
@@ -1245,13 +1243,14 @@ def test_cross_check_stops_at_the_first_root_without_a_sign_change(monkeypatch):
 def test_cross_check_agreement_equals_every_root_checked(params, monkeypatch):
     calls = _recording(monkeypatch, "_secular_agreement")
     res = h_eigenvalues_below_threshold(params)
-    (mus, per_branch, lam_floor, agreement), = calls
+    (mus, per_branch, floors, agreement), = calls
+    assert floors == [0.5 * (1.0 - 1.0 / mu) for mu in mus]
     # every root of every branch, from the bottom up, none skipped
     reference = 0.0
-    for mu, eigs in zip(mus, per_branch):
+    for mu, eigs, floor in zip(mus, per_branch, floors):
         f = hamiltonian._real_secular(mu, hamiltonian._SECULAR_DEPTH)
         for lam in eigs:
-            root = hamiltonian._refine_secular(float(lam), lam_floor, f)
+            root = hamiltonian._refine_secular(float(lam), floor, f)
             reference = max(reference, math.inf if root is None else abs(root - float(lam)))
     assert res.method_agreement == agreement == reference
     assert sum(e.size for e in per_branch) == res.count
@@ -1259,6 +1258,36 @@ def test_cross_check_agreement_equals_every_root_checked(params, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # counting operators
+
+
+# mu - 1 log-uniform over [1e-5, 30] and epsilon over [1e-6, 1]
+_LOG_MU_MINUS_1 = st.floats(-5.0, math.log10(30.0))
+_LOG_EPSILON = st.floats(-6.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_mu_minus_1=_LOG_MU_MINUS_1)
+def test_no_eigenvalue_below_the_branch_form_bound(log_mu_minus_1):
+    # a branch's eigenvalues are those of beta = 0, gamma = 0,
+    # alpha = sqrt(2)/mu, whose form bound is c/2 = (1 - 1/mu)/2: the
+    # default window floor, and the reason discrete2-check counts its top
+    # alone
+    mu = 1.0 + 10.0**log_mu_minus_1
+    counts, _ = jacobi_ops.spectral_counts(mu, [0.5 * (1.0 - 1.0 / mu)])
+    assert counts.tolist() == [0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_mu_minus_1=_LOG_MU_MINUS_1, log_epsilon=_LOG_EPSILON)
+def test_counting_operator_count_equals_spectral_count(log_mu_minus_1, log_epsilon):
+    # Birman-Schwinger: the eigenvalues of H below 1/2 - eps match those
+    # of the eps-regularised counting operator above mu
+    mu, eps = 1.0 + 10.0**log_mu_minus_1, 10.0**log_epsilon
+    level = THRESHOLD - eps
+    near, _ = jacobi_ops.spectral_counts(mu, [level - 1e-9, level, level + 1e-9])
+    assume(near[0] == near[2])  # no eigenvalue within 1e-9 of the level
+    counted, _ = jacobi_ops.certified_count(jacobi_ops.CountingFamily(eps), mu)
+    assert counted == near[1]
 
 
 def test_count_below_epsilon_tracks_spectrum():
